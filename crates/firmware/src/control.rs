@@ -8,7 +8,7 @@
 //! firmware loop.
 
 use crate::mailbox::{FwCommand, FwEvent, Mailbox};
-use crate::pending::{LowerPending, PendingId, PendingState, LOWER_PENDING_BYTES};
+use crate::pending::{LowerPending, PendingId, PendingState, LOWER_PENDING_BYTES, NO_SOURCE};
 use crate::pool::Pool;
 use crate::source::{SourceId, SourceTable, NUM_SOURCES, SOURCE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -434,6 +434,14 @@ impl Firmware {
         }
     }
 
+    /// Find or allocate `node`'s source structure, as the id a
+    /// [`LowerPending`] carries. `None` on pool exhaustion (and for an id
+    /// that does not fit, which 384 KB of SRAM cannot hold).
+    fn source_for(&mut self, node: u32) -> Option<u16> {
+        let id = self.sources.find_or_alloc(node)?;
+        u16::try_from(id).ok().filter(|&id| id != NO_SOURCE)
+    }
+
     // ----- main-loop entry points (§4.3) -----
 
     /// Drain and process every queued mailbox command for `proc`.
@@ -462,11 +470,12 @@ impl Firmware {
                 // Look up and initialize the lower pending from the
                 // host-pushed command, allocate a source for the target if
                 // needed, and enqueue on the single TX list.
-                let _ = self.sources.find_or_alloc(target_node);
+                let source = self.source_for(target_node).unwrap_or(NO_SOURCE);
                 {
                     let lp = self.lower_mut(proc, pending)?;
                     lp.state = PendingState::TxQueued;
                     lp.peer = target_node;
+                    lp.source = source;
                     lp.length = length;
                     lp.drop_length = 0;
                     lp.dma = dma;
@@ -487,7 +496,7 @@ impl Firmware {
                 drop_length,
                 dma,
             } => {
-                let peer = {
+                let (source, peer) = {
                     let lp = self.lower_mut(proc, pending)?;
                     if lp.state != PendingState::RxHeaderPending {
                         return Ok(Effects::new());
@@ -496,13 +505,16 @@ impl Firmware {
                     lp.length = length;
                     lp.drop_length = drop_length;
                     lp.dma = dma;
-                    lp.peer
+                    (SourceId::from(lp.source), lp.peer)
                 };
                 // The source was allocated at rx_header time and stays
-                // live while its RX list is non-empty; failing to find it
-                // means the host named a pending we never advertised.
-                let source = self.sources.find(peer).ok_or(FwError::NoSource)?;
-                let src = self.sources.get_mut(source).ok_or(FwError::NoSource)?;
+                // live while its RX list is non-empty; finding another
+                // node's (or none) under the recorded id means the host
+                // named a pending we never advertised.
+                let src = self
+                    .sources
+                    .get_mut_for(source, peer)
+                    .ok_or(FwError::NoSource)?;
                 src.rx_pending_list.push_back(pending);
                 if src.rx_pending_list.len() == 1 {
                     self.lower_mut(proc, pending)?.state = PendingState::RxActive;
@@ -619,7 +631,7 @@ impl Firmware {
         if piggybacked {
             self.counters.rx_piggybacked += 1;
         }
-        let Some(_source) = self.sources.find_or_alloc(from_node) else {
+        let Some(source) = self.source_for(from_node) else {
             self.counters.exhaustion_drops += 1;
             return Err(FwError::NoSource);
         };
@@ -631,6 +643,7 @@ impl Firmware {
             let lp = self.lower_mut(proc, pending)?;
             lp.state = PendingState::RxHeaderPending;
             lp.peer = from_node;
+            lp.source = source;
             lp.dma = xt3_seastar::dma::DmaList::new();
             lp.direct = direct;
         }
@@ -669,9 +682,12 @@ impl Firmware {
         pending: PendingId,
     ) -> Result<Effects, FwError> {
         self.counters.rx_completions += 1;
-        let peer = self.lower(proc, pending)?.peer;
-        let source = self.sources.find(peer).ok_or(FwError::NoSource)?;
-        let src = self.sources.get_mut(source).ok_or(FwError::NoSource)?;
+        let lp = self.lower(proc, pending)?;
+        let (source, peer) = (SourceId::from(lp.source), lp.peer);
+        let src = self
+            .sources
+            .get_mut_for(source, peer)
+            .ok_or(FwError::NoSource)?;
         let head = src.rx_pending_list.pop_front();
         debug_assert_eq!(head, Some(pending), "completions follow list order");
         let next = src.rx_pending_list.front().copied();
@@ -970,6 +986,39 @@ mod tests {
         );
         // Existing sources still accept.
         assert!(f.rx_header(0, 1, false, false).is_ok());
+    }
+
+    #[test]
+    fn completion_checks_the_recorded_source_against_the_peer() {
+        // A pending carries the source id resolved when it was set up;
+        // a completion whose pending has none (the pool was exhausted at
+        // transmit time) is a typed error, as when the peer was re-hashed.
+        let config = FwConfig {
+            rx_pendings: 8,
+            tx_pendings: 2,
+            sources: 2,
+            mailbox_depth: 8,
+        };
+        let mut sram = Sram::default();
+        let mut f = Firmware::new(config, &[FwMode::Generic], &mut sram).unwrap();
+        let (p, _) = f.rx_header(0, 1, false, false).unwrap();
+        f.rx_header(0, 2, false, false).unwrap();
+        let tx = f.tx_base();
+        f.handle_command(0, tx_cmd(tx, 9)).unwrap();
+        assert_eq!(f.rx_dma_complete(0, tx).unwrap_err(), FwError::NoSource);
+        // The advertised pending still finds its source by index.
+        let deposit = FwCommand::RecvDeposit {
+            pending: p,
+            length: 64,
+            drop_length: 0,
+            dma: xt3_seastar::dma::DmaList::new(),
+        };
+        let effects = f.handle_command(0, deposit).unwrap();
+        assert!(matches!(
+            effects.iter().next(),
+            Some(FwEffect::StartRxDma { pending, .. }) if *pending == p
+        ));
+        assert!(f.rx_dma_complete(0, p).is_ok());
     }
 
     #[test]

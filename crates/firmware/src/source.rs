@@ -26,6 +26,9 @@ pub type SourceId = u32;
 pub struct Source {
     /// Peer node id.
     pub node_id: u32,
+    /// Allocated (between [`SourceTable::find_or_alloc`] and
+    /// [`SourceTable::release`]); a released slot keeps its last node id.
+    active: bool,
     /// RX pendings queued for deposit from this peer, in arrival order.
     pub rx_pending_list: VecDeque<PendingId>,
 }
@@ -67,6 +70,16 @@ impl SourceTable {
             .find(|&id| self.pool.get(id).is_some_and(|s| s.node_id == node_id))
     }
 
+    /// Mutably borrow source `id` if it is the active source of
+    /// `node_id` — the O(1) path for a caller that kept the id
+    /// [`Self::find_or_alloc`] gave it. `None` for a foreign id and for a
+    /// source since released or reused for another node.
+    pub fn get_mut_for(&mut self, id: SourceId, node_id: u32) -> Option<&mut Source> {
+        self.pool
+            .get_mut(id)
+            .filter(|s| s.active && s.node_id == node_id)
+    }
+
     /// Find or allocate the source for `node_id`. `None` on pool
     /// exhaustion (a resource-exhaustion condition, §4.3).
     pub fn find_or_alloc(&mut self, node_id: u32) -> Option<SourceId> {
@@ -76,6 +89,7 @@ impl SourceTable {
         let id = self.pool.alloc()?;
         let src = self.pool.get_mut(id)?;
         src.node_id = node_id;
+        src.active = true;
         src.rx_pending_list.clear();
         self.buckets.get_mut(Self::bucket(node_id))?.push(id);
         Some(id)
@@ -84,7 +98,7 @@ impl SourceTable {
     /// Release a source back to the pool (when its pending list drains and
     /// the firmware decides to reclaim it). A foreign id is ignored.
     pub fn release(&mut self, id: SourceId) {
-        let Some(src) = self.pool.get(id) else {
+        let Some(src) = self.pool.get_mut(id) else {
             debug_assert!(false, "releasing foreign source id {id}");
             return;
         };
@@ -93,6 +107,7 @@ impl SourceTable {
             src.rx_pending_list.is_empty(),
             "releasing source with queued pendings"
         );
+        src.active = false;
         if let Some(bucket) = self.buckets.get_mut(Self::bucket(node_id)) {
             if let Some(pos) = bucket.iter().position(|&s| s == id) {
                 bucket.swap_remove(pos);
@@ -164,6 +179,20 @@ mod tests {
         t.release(a);
         assert_eq!(t.find(1), None);
         assert!(t.find_or_alloc(3).is_some());
+    }
+
+    #[test]
+    fn kept_id_resolves_only_while_it_is_that_nodes_source() {
+        let mut t = SourceTable::new(2);
+        let a = t.find_or_alloc(1).unwrap();
+        assert!(t.get_mut_for(a, 1).is_some());
+        assert!(t.get_mut_for(a, 2).is_none(), "another node's id");
+        assert!(t.get_mut_for(7, 1).is_none(), "foreign id");
+        t.release(a);
+        assert!(t.get_mut_for(a, 1).is_none(), "released");
+        assert_eq!(t.find_or_alloc(3), Some(a), "slot reused");
+        assert!(t.get_mut_for(a, 1).is_none(), "reused for another node");
+        assert!(t.get_mut_for(a, 3).is_some());
     }
 
     #[test]

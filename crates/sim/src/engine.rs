@@ -274,17 +274,20 @@ impl<M: Model> Engine<M> {
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let mut budget = self.event_budget;
         loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {}
-            }
             if budget == 0 {
-                return RunOutcome::EventBudgetExhausted;
+                // Draining or reaching the horizon outranks the budget.
+                return match self.queue.peek_time() {
+                    None => RunOutcome::Drained,
+                    Some(t) if t > horizon => RunOutcome::HorizonReached,
+                    Some(_) => RunOutcome::EventBudgetExhausted,
+                };
             }
             budget -= 1;
-            let (at, key, ev) = self.queue.pop_keyed().expect("peeked event must pop");
-            self.dispatch_one(at, key, ev);
+            match self.queue.pop_keyed_until(horizon) {
+                Some((at, key, ev)) => self.dispatch_one(at, key, ev),
+                None if self.queue.is_empty() => return RunOutcome::Drained,
+                None => return RunOutcome::HorizonReached,
+            }
         }
     }
 
@@ -361,6 +364,26 @@ mod tests {
         e.queue_mut().schedule_at(SimTime::ZERO, ());
         assert_eq!(e.run(), RunOutcome::EventBudgetExhausted);
         assert_eq!(e.dispatched(), 1000);
+    }
+
+    #[test]
+    fn drain_and_horizon_outrank_an_exhausted_budget() {
+        // A budget that runs out exactly as the queue drains, or with
+        // only post-horizon events left, is not a runaway.
+        let mut e = Engine::new(Chain { hits: vec![] }).with_event_budget(4);
+        e.queue_mut().schedule_at(SimTime::from_ns(1), 3);
+        assert_eq!(e.run(), RunOutcome::Drained);
+        let mut e = Engine::new(Chain { hits: vec![] }).with_event_budget(3);
+        e.queue_mut().schedule_at(SimTime::from_ns(1), 10);
+        assert_eq!(
+            e.run_until(SimTime::from_ns(25)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(
+            e.run_until(SimTime::from_ns(65)),
+            RunOutcome::EventBudgetExhausted
+        );
+        assert_eq!(e.model().hits, vec![10, 9, 8, 7, 6, 5]);
     }
 
     #[test]

@@ -91,3 +91,172 @@ proptest! {
         prop_assert_ne!(a_vals, b_vals, "fork streams must differ");
     }
 }
+
+// ----- the tiered event queue against a sorted reference -----
+//
+// The queue keeps its earliest events in a heap prefix and the rest in an
+// unordered suffix of the same buffer (queue.rs). These tests drive it at
+// depths that cross that split repeatedly and compare every pop, peek and
+// count with a `BTreeSet` ordered by `(time, key, seq)` — `seq` being the
+// insertion counter, i.e. a stable sort. The vendored proptest runs one
+// fixed seed, so each scenario sweeps its own.
+
+/// Seeds every deep-queue scenario runs under.
+const QUEUE_SEEDS: [u64; 8] = [
+    1,
+    0x5EA5_7A12,
+    0xDEAD_BEEF,
+    42,
+    0x0123_4567_89AB_CDEF,
+    7_777_777,
+    u64::MAX,
+    0x9E37_79B9_7F4A_7C15,
+];
+
+/// An [`EventQueue`] stepped in lockstep with its sorted reference; every
+/// operation checks `peek_time`, `len` and `total_scheduled`.
+struct CheckedQueue {
+    queue: EventQueue<u64>,
+    /// `(time, key, seq)`; the queue's payload is `seq`.
+    reference: std::collections::BTreeSet<(u64, u64, u64)>,
+    pushed: u64,
+}
+
+impl CheckedQueue {
+    fn new() -> Self {
+        CheckedQueue {
+            queue: EventQueue::new(),
+            reference: Default::default(),
+            pushed: 0,
+        }
+    }
+
+    fn check(&self) {
+        let next = self.reference.first().map(|&(at, _, _)| SimTime(at));
+        assert_eq!(self.queue.peek_time(), next, "peek_time is the next pop");
+        assert_eq!(self.queue.len(), self.reference.len());
+        assert_eq!(self.queue.is_empty(), self.reference.is_empty());
+        assert_eq!(self.queue.total_scheduled(), self.pushed);
+    }
+
+    /// Schedule at `at`; `key` 0 takes the unkeyed entry point.
+    fn push(&mut self, at: u64, key: u64) {
+        let seq = self.pushed;
+        self.pushed += 1;
+        if key == 0 {
+            self.queue.schedule_at(SimTime(at), seq);
+        } else {
+            self.queue.schedule_keyed(SimTime(at), key, seq);
+        }
+        self.reference.insert((at, key, seq));
+        self.check();
+    }
+
+    /// Pop once and compare with the reference; the popped time.
+    fn pop(&mut self) -> Option<u64> {
+        let expected = self.reference.pop_first();
+        let got = self
+            .queue
+            .pop_keyed()
+            .map(|(at, key, seq)| (at.0, key, seq));
+        assert_eq!(got, expected, "pop order is (time, key, seq)");
+        self.check();
+        got.map(|(at, _, _)| at)
+    }
+
+    fn len(&self) -> usize {
+        self.reference.len()
+    }
+}
+
+/// Random keyed/unkeyed pushes and pops, swinging the depth between ~1k
+/// and ~24k three times: the near prefix empties and refills, outgrows its
+/// limit and spills, and the queue passes back through the plain-heap
+/// regime in between. Times mix the current instant, near-term and
+/// far-term delays and instants *before* everything pending.
+#[test]
+fn deep_queue_matches_sorted_reference() {
+    for seed in QUEUE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut q = CheckedQueue::new();
+        let mut now = 1_000_000u64;
+        let mut deepest = 0;
+        for swing in 0..6 {
+            let (target, push_odds) = if swing % 2 == 0 {
+                (24_000, 0.75)
+            } else {
+                (1_000, 0.25)
+            };
+            while (q.len() < target) == (swing % 2 == 0) {
+                if rng.chance(push_odds) {
+                    let at = match rng.below(16) {
+                        0 => now,
+                        1 => now.saturating_sub(rng.below(5_000)),
+                        2..=4 => now + rng.below(10_000_000),
+                        _ => now + rng.below(20_000),
+                    };
+                    // A few distinct keys, so equal (time, key) pairs
+                    // occur and insertion order has to break them.
+                    let key = if rng.chance(0.5) { 0 } else { 1 + rng.below(4) };
+                    q.push(at, key);
+                } else if let Some(at) = q.pop() {
+                    now = now.max(at);
+                }
+            }
+            deepest = deepest.max(q.len());
+        }
+        assert!(deepest >= 20_000, "the scenario must go deep");
+        while q.pop().is_some() {}
+        assert_eq!(q.pop(), None);
+    }
+}
+
+/// Lockstep ties: tens of thousands of events at one identical instant
+/// (the full-machine workload's shape), which no time pivot can divide,
+/// then more at that instant after some were popped, then later ones.
+/// Order within the instant is (key, seq).
+#[test]
+fn tie_storm_pops_in_key_then_insertion_order() {
+    for seed in QUEUE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut q = CheckedQueue::new();
+        let storm = 1_000_000;
+        q.push(5, 0); // claims the same-instant bucket for another instant
+        for _ in 0..50_000 {
+            q.push(storm, rng.below(1 << 20));
+        }
+        for _ in 0..10_000 {
+            q.pop();
+        }
+        for _ in 0..10_000 {
+            q.push(storm, rng.below(1 << 20));
+            q.push(storm + 1 + rng.below(1_000), 0);
+        }
+        while q.pop().is_some() {}
+    }
+}
+
+/// The queue (unlike the engine) takes a push earlier than anything
+/// pending, also right after a refill moved the split forward.
+#[test]
+fn push_before_everything_pending_after_a_refill() {
+    for seed in QUEUE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut q = CheckedQueue::new();
+        for _ in 0..30_000 {
+            q.push(1_000_000 + rng.below(1_000_000), rng.below(3));
+        }
+        // Far more pops than any near prefix holds: several refills.
+        for round in 0..10 {
+            for _ in 0..2_000 {
+                q.pop();
+            }
+            let earliest = q.queue.peek_time().expect("still deep").0;
+            q.push(earliest - 1 - round, 0);
+            q.push(earliest - 1 - round, 9);
+            q.push(earliest, 0);
+            assert_eq!(q.pop(), Some(earliest - 1 - round));
+        }
+        while q.pop().is_some() {}
+    }
+}

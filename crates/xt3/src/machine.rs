@@ -2418,10 +2418,8 @@ impl Machine {
             let ready = depth > 0;
             if ready {
                 proc.wake_scheduled = true;
-                // Wakes fire at the caller's current instant: take the
-                // queue's same-time fast path instead of the heap.
                 let key = self.next_key(node as u32);
-                q.schedule_keyed_now(
+                q.schedule_keyed(
                     now,
                     key,
                     Ev::AppWake {
