@@ -11,22 +11,29 @@
 //! (lazy pending pools, on-demand routing, write-materialized address
 //! spaces) is accountable to keeping it far under the 4 GB line.
 //!
+//! The JSON it writes carries the rows of the file it replaces as
+//! `before_built_bytes` / `before_peak_bytes`, so the committed
+//! `BENCH_mem.json` holds a before/after pair for whatever change
+//! regenerated it. `--check PATH` is the regression gate: the counts are
+//! allocator-exact and the run is deterministic, so any size whose peak
+//! bytes per node exceed the committed value by more than 2 % fails.
+//!
 //! `--series` measures the same sweep with the per-link congestion
-//! series enabled and enforces the observability heap envelope: at
-//! every size the instrumented peak must stay within 2× the committed
+//! series enabled and enforces the observability heap envelope instead:
+//! at every size the instrumented peak must stay within 2× the committed
 //! `BENCH_mem.json` baseline — demand-allocated series lanes may cost
 //! heap proportional to *traffic*, never a dense per-node tax.
 //!
 //! ```text
 //! cargo run --release -p xt3-bench --bin mem_footprint -- [--dims X Y Z] [--out PATH]
-//!                                                         [--series [--check PATH]]
+//!                                                         [--series] [--check PATH]
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use xt3_node::workloads::red_storm_machine;
 use xt3_sim::RunOutcome;
-use xt3_telemetry::{parse_json, SeriesConfig};
+use xt3_telemetry::{parse_json, JsonValue, SeriesConfig};
 use xt3_topology::coord::Dims;
 
 /// Live heap bytes right now.
@@ -86,15 +93,17 @@ struct Row {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mem_footprint [--dims X Y Z] [--out PATH] [--series [--check PATH]]\n\
+        "usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]\n\
          \n\
          --dims X Y Z      measure a single slice instead of the default\n\
          \x20                 512 / 2,048 / 10,368-node sweep\n\
-         --out PATH        JSON output path (default BENCH_mem.json)\n\
+         --out PATH        JSON output path (default BENCH_mem.json); the rows\n\
+         \x20                 of the file it replaces are kept as before_*\n\
+         --check PATH      fail if any size's peak bytes per node exceed the\n\
+         \x20                 baseline's by more than 2%\n\
          --series          enable per-link congestion series and enforce the\n\
-         \x20                 2x observability heap envelope (no JSON output)\n\
-         --check PATH      baseline to enforce the envelope against\n\
-         \x20                 (default BENCH_mem.json; only with --series)"
+         \x20                 2x observability heap envelope against --check\n\
+         \x20                 (default BENCH_mem.json) instead; no JSON output"
     );
     std::process::exit(2)
 }
@@ -142,7 +151,7 @@ fn main() {
     ];
     let mut out = String::from("BENCH_mem.json");
     let mut series = false;
-    let mut check = String::from("BENCH_mem.json");
+    let mut check = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -156,7 +165,7 @@ fn main() {
             }
             "--out" => out = args.next().unwrap_or_else(|| usage()),
             "--series" => series = true,
-            "--check" => check = args.next().unwrap_or_else(|| usage()),
+            "--check" => check = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -197,44 +206,54 @@ fn main() {
     );
 
     if series {
-        enforce_envelope(&rows, &check);
+        let path = check.as_deref().unwrap_or("BENCH_mem.json");
+        enforce(&rows, path, 2.0, "observability heap envelope");
         return;
     }
 
-    let json = render_json(&rows);
-    if let Err(e) = std::fs::write(&out, json) {
+    // Gate before writing: `--out` may name the baseline itself.
+    if let Some(path) = &check {
+        enforce(&rows, path, 1.02, "per-node heap gate");
+    }
+    let before = std::fs::read_to_string(&out)
+        .ok()
+        .and_then(|text| parse_json(&text).ok());
+    if let Err(e) = std::fs::write(&out, render_json(&rows, before.as_ref())) {
         eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
     }
     println!("wrote {out}");
 }
 
-/// Enforce the observability heap envelope: at every measured size, the
-/// series-instrumented peak must stay within 2× the committed
-/// plain-machine baseline. Sizes missing from the baseline are an error
-/// — a silently skipped row would read as "covered" when it wasn't.
-fn enforce_envelope(rows: &[Row], baseline_path: &str) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let json = parse_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline_peak = |nodes: u64| -> Option<u64> {
-        let sizes = json.get("sizes").ok()?.as_array().ok()?;
-        for s in sizes {
-            if s.get("nodes").ok()?.as_u64().ok()? == nodes {
-                return s.get("peak_bytes").ok()?.as_u64().ok();
-            }
-        }
-        None
-    };
+/// `field` of the `nodes`-node row of a BENCH_mem.json document.
+fn baseline_field(doc: &JsonValue, nodes: usize, field: &str) -> Option<u64> {
+    doc.get("sizes")
+        .and_then(JsonValue::as_array)
+        .ok()?
+        .iter()
+        .find(|s| s.get("nodes").and_then(JsonValue::as_u64) == Ok(nodes as u64))?
+        .get(field)
+        .and_then(JsonValue::as_u64)
+        .ok()
+}
+
+/// Hold every measured size's peak to `limit` × the baseline's peak at
+/// the same node count: 2× for the series-instrumented sweep (the
+/// observability envelope), 1.02× for the plain one (the regression
+/// gate). Sizes missing from the baseline are an error — a silently
+/// skipped row would read as "covered" when it wasn't.
+fn enforce(rows: &[Row], baseline_path: &str, limit: f64, what: &str) {
+    let baseline = std::fs::read_to_string(baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_json(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {baseline_path}: {e}");
+            std::process::exit(1);
+        });
     println!();
     let mut violated = false;
     for r in rows {
-        let Some(base) = baseline_peak(r.nodes as u64) else {
+        let Some(base) = baseline_field(&baseline, r.nodes, "peak_bytes") else {
             eprintln!(
                 "baseline {baseline_path} has no {}-node row — regenerate it first",
                 r.nodes
@@ -242,38 +261,47 @@ fn enforce_envelope(rows: &[Row], baseline_path: &str) {
             std::process::exit(1);
         };
         let ratio = r.peak_bytes as f64 / base as f64;
-        let ok = r.peak_bytes <= 2 * base;
+        let ok = ratio <= limit;
         println!(
-            "{:<10} peak {:>14} vs baseline {:>14}  ({:.2}x of envelope 2.00x) {}",
+            "{:<10} peak {:>14} vs baseline {:>14}  ({:>6}/node vs {:>6}; {ratio:.2}x of limit {limit:.2}x) {}",
             format!("{}x{}x{}", r.dims.nx, r.dims.ny, r.dims.nz),
             r.peak_bytes,
             base,
-            ratio,
+            r.peak_bytes / r.nodes as u64,
+            base / r.nodes as u64,
             if ok { "ok" } else { "VIOLATED" }
         );
         violated |= !ok;
     }
     if violated {
-        eprintln!("\nobservability heap envelope violated");
+        eprintln!("\n{what} violated");
         std::process::exit(1);
     }
-    println!("\nseries-instrumented peaks within the 2x observability envelope");
+    println!("\nevery peak within the {limit:.2}x {what}");
 }
 
 /// Hand-rolled JSON (the workspace's serde is an offline no-op stub).
-fn render_json(rows: &[Row]) -> String {
+fn render_json(rows: &[Row], before: Option<&JsonValue>) -> String {
     use std::fmt::Write as _;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"bench\": \"mem-bytes-per-node\",");
+    let _ = writeln!(s, "  \"cores\": {cores},");
     let _ = writeln!(s, "  \"rounds\": 1,");
     let _ = writeln!(s, "  \"msg_bytes\": 16384,");
     s.push_str("  \"sizes\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
+        let mut extra = String::new();
+        for field in ["built_bytes", "peak_bytes"] {
+            if let Some(bytes) = before.and_then(|doc| baseline_field(doc, r.nodes, field)) {
+                let _ = write!(extra, ", \"before_{field}\": {bytes}");
+            }
+        }
         let _ = writeln!(
             s,
-            "    {{\"dims\": [{}, {}, {}], \"nodes\": {}, \"built_bytes\": {}, \"peak_bytes\": {}, \"built_bytes_per_node\": {}, \"peak_bytes_per_node\": {}, \"events\": {}}}{comma}",
+            "    {{\"dims\": [{}, {}, {}], \"nodes\": {}, \"built_bytes\": {}, \"peak_bytes\": {}, \"built_bytes_per_node\": {}, \"peak_bytes_per_node\": {}, \"events\": {}{extra}}}{comma}",
             r.dims.nx,
             r.dims.ny,
             r.dims.nz,

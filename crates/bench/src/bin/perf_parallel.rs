@@ -21,6 +21,13 @@
 //! fingerprint, matching the parallel region (which additionally pays
 //! its own split/merge — a parallel-only cost it must absorb).
 //!
+//! `--check` holds the aggregate to 25 % of the committed baseline and,
+//! on the full-size run only, the best ≥2-worker run to no slower than
+//! serial. `--quick` reports that ratio but does not gate on it: at
+//! 6,144 events a pass lasts a few milliseconds, and on a 2-vCPU box the
+//! ratio lands either side of 1.0 from run to run (it failed two runs in
+//! three with no code change), so the smoke run cannot decide it.
+//!
 //! ```text
 //! cargo run --release -p xt3-bench --bin perf_parallel -- [--quick] [--out PATH] [--check PATH]
 //! ```
@@ -53,8 +60,9 @@ fn usage() -> ! {
          --rounds R        neighbor-push rounds per node (default 1)\n\
          --out PATH        JSON output path (default BENCH_parallel.json)\n\
          --check PATH      compare against a committed baseline JSON: fail if\n\
-         \x20                 aggregate events/sec fall below 25% of it, or if the\n\
-         \x20                 best >=2-worker run regresses below serial"
+         \x20                 aggregate events/sec fall below 25% of it, or (not\n\
+         \x20                 with --quick) if the best >=2-worker run regresses\n\
+         \x20                 below serial"
     );
     std::process::exit(2)
 }
@@ -232,7 +240,7 @@ fn main() {
     println!("wrote {out}");
 
     if let Some(path) = check {
-        check_against(&path, aggregate, best_speedup);
+        check_against(&path, aggregate, best_speedup, quick);
     }
 }
 
@@ -241,8 +249,10 @@ fn main() {
 /// or core-count differences), and a serial-vs-parallel gate — the
 /// best ≥2-worker run must not regress below serial. The latter allows
 /// 2% measurement jitter; anything past that means the window protocol's
-/// overhead is no longer paying for itself and is a real regression.
-fn check_against(path: &str, aggregate: f64, best_speedup: f64) {
+/// overhead is no longer paying for itself and is a real regression. It
+/// is skipped for the `quick` slice, whose passes are too short to
+/// resolve 2 %.
+fn check_against(path: &str, aggregate: f64, best_speedup: f64, quick: bool) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -267,10 +277,16 @@ fn check_against(path: &str, aggregate: f64, best_speedup: f64) {
         eprintln!("perf_parallel: aggregate throughput fell below 25% of the committed baseline");
         std::process::exit(1);
     }
-    println!("speedup check: best >=2-worker run at {best_speedup:.2}x serial (floor 0.98x)");
-    if best_speedup < 0.98 {
-        eprintln!("perf_parallel: parallel execution at >=2 workers regressed below serial");
-        std::process::exit(1);
+    if quick {
+        println!(
+            "speedup: best >=2-worker run at {best_speedup:.2}x serial (not gated with --quick)"
+        );
+    } else {
+        println!("speedup check: best >=2-worker run at {best_speedup:.2}x serial (floor 0.98x)");
+        if best_speedup < 0.98 {
+            eprintln!("perf_parallel: parallel execution at >=2 workers regressed below serial");
+            std::process::exit(1);
+        }
     }
     println!("regression check passed");
 }

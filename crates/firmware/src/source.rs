@@ -1,4 +1,4 @@
-//! Source structures and the source hash table.
+//! Source structures and the active-source index.
 //!
 //! Paper §4.2: "each node that the firmware is sending a message to or
 //! receiving a message from has a source structure allocated to it. There
@@ -6,6 +6,22 @@
 //! them, 32 bytes each (Figure 3), found through "a hash table of active
 //! sources" (§4.3). Each source carries the RX pending list that orders
 //! deposits from that peer.
+//!
+//! The real firmware pre-allocates that hash table in SRAM. The simulator
+//! hosts 10,368 firmwares, most of which talk to a handful of peers, so
+//! here the hash table is one open-addressed array of `(node id, source
+//! id)` pairs that is empty until the first contact and doubles when more
+//! than half full: a lookup hashes the node id (Fibonacci hash, top bits)
+//! and probes linearly, comparing node ids in the array itself without
+//! touching the pool. The SRAM ledger still charges the paper's
+//! `1,024 × 32 B`; only the host representation is demand-sized.
+//!
+//! Sources are never reclaimed in production today: a peer once contacted
+//! keeps its structure for the life of the run, and
+//! [`SourceTable::release`] has no caller outside tests. It is kept
+//! correct regardless — it closes the gap it leaves by shifting later
+//! entries of the probe run back, so the index never holds tombstones —
+//! for the day an idle-source reclaim policy lands.
 
 use crate::pending::PendingId;
 use crate::pool::Pool;
@@ -15,8 +31,8 @@ use std::collections::VecDeque;
 pub const NUM_SOURCES: u32 = 1024;
 /// Size of one source structure (Figure 3).
 pub const SOURCE_BYTES: u32 = 32;
-/// Buckets in the active-source hash table.
-const HASH_BUCKETS: usize = 256;
+/// Index length at first contact (one 64-byte cache line of slots).
+const MIN_INDEX_LEN: usize = 8;
 
 /// Index of a source structure in the global pool.
 pub type SourceId = u32;
@@ -33,12 +49,22 @@ pub struct Source {
     pub rx_pending_list: VecDeque<PendingId>,
 }
 
-/// The global source pool plus its hash table.
+/// One slot of the active-source index: a node id and its source.
+type Slot = (u32, SourceId);
+
+/// The id no source has: the pool's ids are below its `u32` capacity.
+const NO_ID: SourceId = SourceId::MAX;
+/// An empty slot.
+const VACANT: Slot = (0, NO_ID);
+
+/// The global source pool plus the index of its active sources.
 #[derive(Debug, Clone)]
 pub struct SourceTable {
     pool: Pool<Source>,
-    /// `buckets[h]` = source ids whose node hashes to `h`.
-    buckets: Vec<Vec<SourceId>>,
+    /// Open-addressed, linearly probed; empty or a power of two long, and
+    /// never more than half full, so every probe run ends at a vacant
+    /// slot.
+    index: Vec<Slot>,
 }
 
 impl Default for SourceTable {
@@ -48,26 +74,58 @@ impl Default for SourceTable {
 }
 
 impl SourceTable {
-    /// A table with `capacity` pre-allocated sources.
+    /// A table of at most `capacity` sources; the index starts empty.
     pub fn new(capacity: u32) -> Self {
         SourceTable {
             pool: Pool::new(capacity),
-            buckets: vec![Vec::new(); HASH_BUCKETS],
+            index: Vec::new(),
         }
     }
 
-    fn bucket(node_id: u32) -> usize {
-        // Fibonacci hash of the node id.
-        (node_id.wrapping_mul(0x9E37_79B9) >> 24) as usize % HASH_BUCKETS
+    /// Where `node_id`'s probe run starts: the top bits of its Fibonacci
+    /// hash (index length >= 2, so the shift is below 32).
+    fn home(&self, node_id: u32) -> usize {
+        (node_id.wrapping_mul(0x9E37_79B9) >> (32 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The first slot of `node_id`'s probe run that is its own or vacant:
+    /// its position and the source id it holds. `None` only while the
+    /// index is empty.
+    fn probe(&self, node_id: u32) -> Option<(usize, SourceId)> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut pos = self.home(node_id);
+        loop {
+            let (node, id) = *self.index.get(pos)?;
+            if id == NO_ID || node == node_id {
+                return Some((pos, id));
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Enter a node the index does not hold.
+    fn place(&mut self, node_id: u32, id: SourceId) {
+        let vacant = self.probe(node_id).map(|(pos, _)| pos);
+        if let Some(slot) = vacant.and_then(|pos| self.index.get_mut(pos)) {
+            *slot = (node_id, id);
+        }
+    }
+
+    /// Double the index (from nothing: [`MIN_INDEX_LEN`]) and re-enter
+    /// every active source.
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(MIN_INDEX_LEN);
+        let old = std::mem::replace(&mut self.index, vec![VACANT; len]);
+        for (node_id, id) in old.into_iter().filter(|&slot| slot != VACANT) {
+            self.place(node_id, id);
+        }
     }
 
     /// Find the active source for `node_id`.
     pub fn find(&self, node_id: u32) -> Option<SourceId> {
-        self.buckets
-            .get(Self::bucket(node_id))?
-            .iter()
-            .copied()
-            .find(|&id| self.pool.get(id).is_some_and(|s| s.node_id == node_id))
+        self.probe(node_id)
+            .map(|(_, id)| id)
+            .filter(|&id| id != NO_ID)
     }
 
     /// Mutably borrow source `id` if it is the active source of
@@ -81,7 +139,8 @@ impl SourceTable {
     }
 
     /// Find or allocate the source for `node_id`. `None` on pool
-    /// exhaustion (a resource-exhaustion condition, §4.3).
+    /// exhaustion (a resource-exhaustion condition, §4.3), which leaves
+    /// the index as it was.
     pub fn find_or_alloc(&mut self, node_id: u32) -> Option<SourceId> {
         if let Some(id) = self.find(node_id) {
             return Some(id);
@@ -91,7 +150,10 @@ impl SourceTable {
         src.node_id = node_id;
         src.active = true;
         src.rx_pending_list.clear();
-        self.buckets.get_mut(Self::bucket(node_id))?.push(id);
+        if self.pool.in_use() as usize * 2 > self.index.len() {
+            self.grow();
+        }
+        self.place(node_id, id);
         Some(id)
     }
 
@@ -108,12 +170,34 @@ impl SourceTable {
             "releasing source with queued pendings"
         );
         src.active = false;
-        if let Some(bucket) = self.buckets.get_mut(Self::bucket(node_id)) {
-            if let Some(pos) = bucket.iter().position(|&s| s == id) {
-                bucket.swap_remove(pos);
-            }
+        if let Some((pos, _)) = self.probe(node_id).filter(|&(_, held)| held == id) {
+            self.vacate(pos);
         }
         self.pool.free(id);
+    }
+
+    /// Empty slot `hole` and close the gap: each later entry of the same
+    /// probe run moves back into the hole unless that would put it before
+    /// its home, so no lookup ever has to step over a deleted slot.
+    fn vacate(&mut self, mut hole: usize) {
+        let mask = self.index.len().wrapping_sub(1);
+        if let Some(slot) = self.index.get_mut(hole) {
+            *slot = VACANT;
+        }
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let Some(&(node_id, _)) = self.index.get(pos).filter(|&&slot| slot != VACANT) else {
+                return;
+            };
+            // Cyclic distances back from `pos`: movable iff the hole is no
+            // further back than the entry's home.
+            let from_home = pos.wrapping_sub(self.home(node_id)) & mask;
+            if from_home >= (pos.wrapping_sub(hole) & mask) {
+                self.index.swap(hole, pos);
+                hole = pos;
+            }
+        }
     }
 
     /// Borrow a source; `None` for an id the pool never issued.
@@ -196,8 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_collisions_resolved_by_chaining() {
-        // Many nodes, small pool of buckets: collisions certain.
+    fn hash_collisions_resolved_by_probing() {
+        // Node ids 7919 apart over a 2,048-slot index: shared home slots
+        // and overlapping probe runs are certain.
         let mut t = SourceTable::new(600);
         for node in 0..600u32 {
             assert!(t.find_or_alloc(node * 7919).is_some());
@@ -207,6 +292,15 @@ mod tests {
             assert_eq!(t.get(id).unwrap().node_id, node * 7919);
         }
         assert_eq!(t.high_water(), 600);
+    }
+
+    #[test]
+    fn index_is_empty_until_first_contact() {
+        let mut t = SourceTable::default();
+        assert_eq!(t.index.capacity(), 0);
+        assert_eq!(t.find(3), None);
+        t.find_or_alloc(3).unwrap();
+        assert_eq!(t.index.len(), MIN_INDEX_LEN);
     }
 
     #[test]

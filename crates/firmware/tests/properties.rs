@@ -160,3 +160,217 @@ proptest! {
         prop_assert_eq!(fw.rx_pool_stats(0).0, 0);
     }
 }
+
+// ----- the active-source index against a map reference -----
+//
+// `SourceTable` finds a node's source through an open-addressed index
+// that starts empty, doubles past half full and closes the gap a release
+// leaves (source.rs). These tests drive it in lockstep with a
+// `BTreeMap<node, id>` plus the pool's issue order (returned ids LIFO,
+// then the lowest fresh one), and after every operation look up every
+// node ever contacted — live or released. The vendored proptest runs one
+// fixed seed, so each scenario sweeps its own.
+
+use std::collections::{BTreeMap, BTreeSet};
+use xt3_firmware::source::SourceId;
+use xt3_sim::SimRng;
+
+/// Seeds every source-index scenario runs under.
+const SOURCE_SEEDS: [u64; 8] = [
+    1,
+    0x5EA5_7A12,
+    0xDEAD_BEEF,
+    42,
+    0x0123_4567_89AB_CDEF,
+    7_777_777,
+    u64::MAX,
+    0x9E37_79B9_7F4A_7C15,
+];
+
+/// The first `count` node ids whose Fibonacci hash (source.rs) has `top`
+/// as its 11 high bits: they share one home slot at every index length up
+/// to 2,048, so they form one probe run. `top = 0x7FF` homes them in the
+/// last slot, so the run wraps past the end of the table.
+fn nodes_homed_at(top: u32, count: usize) -> Vec<u32> {
+    (0u32..)
+        .filter(|n| n.wrapping_mul(0x9E37_79B9) >> 21 == top)
+        .take(count)
+        .collect()
+}
+
+/// A [`SourceTable`] stepped in lockstep with its reference.
+struct CheckedSources {
+    table: SourceTable,
+    capacity: u32,
+    live: BTreeMap<u32, SourceId>,
+    /// Every node ever contacted.
+    seen: BTreeSet<u32>,
+    /// The pool's issue order: returned ids, reused LIFO…
+    returned: Vec<SourceId>,
+    /// …then the lowest id never issued.
+    next_fresh: SourceId,
+    failures: u64,
+}
+
+impl CheckedSources {
+    fn new(capacity: u32) -> Self {
+        CheckedSources {
+            table: SourceTable::new(capacity),
+            capacity,
+            live: BTreeMap::new(),
+            seen: BTreeSet::new(),
+            returned: Vec::new(),
+            next_fresh: 0,
+            failures: 0,
+        }
+    }
+
+    fn check(&self) {
+        for &node in &self.seen {
+            assert_eq!(
+                self.table.find(node),
+                self.live.get(&node).copied(),
+                "find({node})"
+            );
+        }
+        assert_eq!(self.table.in_use() as usize, self.live.len());
+        assert_eq!(self.table.alloc_failures(), self.failures);
+    }
+
+    /// `find_or_alloc(node)`: the id it already has, the next id in the
+    /// pool's issue order, or `None` exactly when the pool is exhausted.
+    fn contact(&mut self, node: u32) -> Option<SourceId> {
+        let expected = match self.live.get(&node) {
+            Some(&id) => Some(id),
+            None if self.live.len() as u32 == self.capacity => {
+                self.failures += 1;
+                None
+            }
+            None => Some(self.returned.pop().unwrap_or_else(|| {
+                self.next_fresh += 1;
+                self.next_fresh - 1
+            })),
+        };
+        assert_eq!(self.table.find_or_alloc(node), expected, "contact {node}");
+        if let Some(id) = expected {
+            self.live.insert(node, id);
+            assert_eq!(self.table.get(id).map(|s| s.node_id), Some(node));
+        }
+        self.seen.insert(node);
+        self.check();
+        expected
+    }
+
+    /// Release `node`'s source, if it has one.
+    fn release(&mut self, node: u32) {
+        if let Some(id) = self.live.remove(&node) {
+            assert!(self.table.get_mut_for(id, node).is_some(), "live before");
+            self.table.release(id);
+            self.returned.push(id);
+            assert!(self.table.get_mut_for(id, node).is_none(), "released");
+        }
+        self.check();
+    }
+
+    /// A kept id resolves for its own node only.
+    fn check_kept_ids(&mut self, rng: &mut SimRng) {
+        let live: Vec<(u32, SourceId)> = self.live.iter().map(|(&n, &id)| (n, id)).collect();
+        for &(node, id) in &live {
+            assert!(self.table.get_mut_for(id, node).is_some());
+            let (other, _) = live[rng.below(live.len() as u64) as usize];
+            assert_eq!(self.table.get_mut_for(id, other).is_some(), other == node);
+        }
+    }
+}
+
+/// Random contacts, lookups and releases over node ids that mix one
+/// shared home slot, one wrapping run, consecutive ids and arbitrary
+/// ones, with the population swinging between nearly empty and exhausted
+/// three times: the index doubles several times on the way up, entries
+/// are released between and after the doublings, and the pool runs dry at
+/// every peak.
+#[test]
+fn source_index_matches_map_reference() {
+    let mut nodes = nodes_homed_at(0x155, 48);
+    nodes.extend(nodes_homed_at(0x7FF, 48));
+    nodes.extend(0..48);
+    for seed in SOURCE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut nodes = nodes.clone();
+        nodes.extend((0..48).map(|_| rng.next_u32()));
+        let mut t = CheckedSources::new(128);
+        for swing in 0..6 {
+            let rising = swing % 2 == 0;
+            let (target, contact_odds) = if rising { (128, 0.8) } else { (6, 0.2) };
+            let mut failures_wanted = if rising { 5 } else { 0 };
+            while (t.live.len() < target) == rising || failures_wanted > 0 {
+                if rng.chance(contact_odds) {
+                    let node = nodes[rng.below(nodes.len() as u64) as usize];
+                    if t.contact(node).is_none() {
+                        failures_wanted -= 1;
+                    }
+                } else if !t.live.is_empty() {
+                    let nth = rng.below(t.live.len() as u64) as usize;
+                    let node = *t.live.keys().nth(nth).expect("nth < len");
+                    t.release(node);
+                }
+            }
+            t.check_kept_ids(&mut rng);
+        }
+        assert!(t.failures >= 15, "every peak must exhaust the pool");
+        for node in nodes {
+            t.release(node);
+        }
+        assert_eq!(t.table.in_use(), 0);
+        assert_eq!(t.table.high_water(), 128);
+    }
+}
+
+/// One probe run, released from its front, middle and back: every entry
+/// behind a released one has to stay reachable, including across the end
+/// of the table.
+#[test]
+fn one_probe_run_survives_releases_anywhere() {
+    for (top, seed) in [0x2AA, 0x7FF, 0].into_iter().zip(SOURCE_SEEDS) {
+        let mut rng = SimRng::new(seed);
+        let run = nodes_homed_at(top, 40);
+        let mut t = CheckedSources::new(64);
+        // Neighbours homed one slot later sit between the run's first
+        // entry and the rest: releasing that first entry must pull the
+        // rest back past them, and never a neighbour to before its home.
+        let next_door = nodes_homed_at((top + 1) & 0x7FF, 8);
+        let in_order = run[..1].iter().chain(&next_door).chain(&run[1..]);
+        for &node in in_order {
+            t.contact(node);
+        }
+        let mut order: Vec<u32> = run.iter().chain(&next_door).copied().collect();
+        t.release(order.remove(0));
+        t.release(order.remove(order.len() / 2));
+        t.release(order.pop().expect("non-empty"));
+        rng.shuffle(&mut order);
+        for (i, node) in order.into_iter().enumerate() {
+            t.release(node);
+            if i % 7 == 0 {
+                t.contact(node); // back in, at the end of the run
+            }
+        }
+    }
+}
+
+/// Exhaustion leaves the table exactly as it was: every failed contact is
+/// counted, nothing already mapped moves, and the slot a release frees
+/// goes to the next new node.
+#[test]
+fn exhaustion_is_counted_and_changes_nothing() {
+    let mut t = CheckedSources::new(8);
+    for node in 100..108 {
+        t.contact(node);
+    }
+    for node in 200..260 {
+        assert_eq!(t.contact(node), None);
+    }
+    assert_eq!(t.table.alloc_failures(), 60);
+    t.release(103);
+    assert_eq!(t.contact(200), Some(3), "the freed id is reissued");
+    assert_eq!(t.contact(103), None);
+}

@@ -158,6 +158,9 @@ pub struct PortalsLib {
     mds: Slab<Md>,
     mes: Slab<Me>,
     eqs: Slab<EventQueue>,
+    /// ME lists by portal index, grown to the highest index ever attached
+    /// to (at most `limits.pt_size`); a valid index beyond the end is a
+    /// portal with no entries.
     portal_table: Vec<MeList>,
     ac_table: Vec<Option<AcEntry>>,
     counters: LibCounters,
@@ -179,7 +182,7 @@ impl PortalsLib {
             mds: Slab::new(limits.max_mds),
             mes: Slab::new(limits.max_mes),
             eqs: Slab::new(limits.max_eqs),
-            portal_table: (0..limits.pt_size).map(|_| MeList::new()).collect(),
+            portal_table: Vec::new(),
             ac_table,
             counters: LibCounters::default(),
         }
@@ -367,9 +370,14 @@ impl PortalsLib {
         };
         let (index, generation) = self.mes.insert(me).ok_or(PtlError::NoSpace)?;
         let h = MeHandle { index, generation };
+        let pt = pt_index as usize;
+        if pt >= self.portal_table.len() {
+            self.portal_table.resize_with(pt + 1, MeList::new);
+        }
+        let list = self.portal_table.get_mut(pt).expect("grown to pt above");
         match pos {
-            InsertPos::Before => self.portal_table[pt_index as usize].push_head(h),
-            InsertPos::After => self.portal_table[pt_index as usize].push_tail(h),
+            InsertPos::Before => list.push_head(h),
+            InsertPos::After => list.push_tail(h),
         }
         Ok(h)
     }
@@ -665,9 +673,12 @@ impl PortalsLib {
             return DeliverOutcome::PermissionViolation;
         }
 
-        let list = &self.portal_table[header.pt_index as usize];
-        let candidates: Vec<MeHandle> = list.iter().collect();
-        for me_h in candidates {
+        // Walk by position: the loop returns at its first match, the only
+        // point where the list changes.
+        let pt = header.pt_index as usize;
+        let mut walk = 0;
+        while let Some(me_h) = self.portal_table.get(pt).and_then(|list| list.get(walk)) {
+            walk += 1;
             let Some(me) = self.mes.get(me_h.index, me_h.generation) else {
                 continue;
             };
@@ -723,10 +734,8 @@ impl PortalsLib {
                 if let Some(me) = self.mes.remove(me_h.index, me_h.generation) {
                     debug_assert_eq!(me.md, Some(md_h));
                 }
-                for l in &mut self.portal_table {
-                    if l.remove(me_h) {
-                        break;
-                    }
+                if let Some(list) = self.portal_table.get_mut(pt) {
+                    list.remove(me_h);
                 }
                 unlinked = true;
             }
@@ -985,5 +994,26 @@ impl PortalsLib {
                 self.counters.events_posted += 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn portal_table_is_empty_until_first_attach() {
+        let mut lib = PortalsLib::new(ProcessId::new(0, 0), NiLimits::default());
+        assert_eq!(lib.portal_table.capacity(), 0);
+        lib.me_attach(
+            3,
+            ProcessId::any(),
+            0,
+            0,
+            UnlinkOp::Retain,
+            InsertPos::After,
+        )
+        .unwrap();
+        assert_eq!(lib.portal_table.len(), 4);
     }
 }

@@ -101,9 +101,9 @@ impl MeList {
         }
     }
 
-    /// Walk order.
-    pub fn iter(&self) -> impl Iterator<Item = MeHandle> + '_ {
-        self.entries.iter().copied()
+    /// The entry at walk position `i`.
+    pub fn get(&self, i: usize) -> Option<MeHandle> {
+        self.entries.get(i).copied()
     }
 
     /// Number of entries.
@@ -179,14 +179,17 @@ mod tests {
         l.push_tail(h(1));
         l.push_tail(h(2));
         l.push_head(h(0));
-        assert_eq!(l.iter().map(|e| e.index).collect::<Vec<_>>(), vec![0, 1, 2]);
+        let order = |l: &MeList| -> Vec<u32> {
+            (0..l.len())
+                .filter_map(|i| l.get(i))
+                .map(|e| e.index)
+                .collect()
+        };
+        assert_eq!(order(&l), vec![0, 1, 2]);
 
         assert!(l.insert_relative(h(1), InsertPos::Before, h(10)));
         assert!(l.insert_relative(h(1), InsertPos::After, h(11)));
-        assert_eq!(
-            l.iter().map(|e| e.index).collect::<Vec<_>>(),
-            vec![0, 10, 1, 11, 2]
-        );
+        assert_eq!(order(&l), vec![0, 10, 1, 11, 2]);
         assert!(!l.insert_relative(h(99), InsertPos::Before, h(12)));
 
         assert!(l.remove(h(10)));

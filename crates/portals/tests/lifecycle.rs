@@ -242,6 +242,101 @@ fn pt_index_bounds_are_enforced() {
     );
 }
 
+/// Attach a retained put target for `bits` on portal `pt`.
+fn attach_put_target(lib: &mut PortalsLib, pt: u32, bits: u64) -> MeHandle {
+    let me = lib
+        .me_attach(
+            pt,
+            ProcessId::any(),
+            bits,
+            0,
+            UnlinkOp::Retain,
+            InsertPos::After,
+        )
+        .unwrap();
+    lib.md_attach(
+        me,
+        MEM,
+        0,
+        64,
+        MdOptions::put_target(),
+        Threshold::Infinite,
+        None,
+        0,
+    )
+    .unwrap();
+    me
+}
+
+#[test]
+fn never_attached_portal_is_no_match() {
+    // The portal table only grows to the highest index attached to; a
+    // valid index it has not reached is a portal with no entries.
+    let mut lib = target_lib();
+    let mut hdr = put_header(1, 8);
+    hdr.pt_index = 5;
+    assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
+    assert_eq!(lib.counters().dropped_no_match, 1);
+
+    attach_put_target(&mut lib, 2, 1);
+    assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch, "above");
+    hdr.pt_index = 1;
+    assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch, "below");
+    assert_eq!(lib.counters().dropped_no_match, 3);
+    assert_eq!(lib.counters().permission_violations, 0);
+    hdr.pt_index = 2;
+    assert!(matches!(
+        lib.match_incoming(&hdr),
+        DeliverOutcome::Matched(_)
+    ));
+}
+
+#[test]
+fn highest_portal_index_attaches_inserts_and_unlinks() {
+    let mut lib = target_lib();
+    let top = lib.limits().pt_size - 1;
+    let first = attach_put_target(&mut lib, top, 1);
+    let mut hdr = put_header(2, 8);
+    hdr.pt_index = top;
+    assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
+
+    // Insert relative to an entry of the highest list, then walk to it.
+    let second = lib
+        .me_insert(
+            first,
+            InsertPos::After,
+            ProcessId::any(),
+            2,
+            0,
+            UnlinkOp::Retain,
+        )
+        .unwrap();
+    lib.md_attach(
+        second,
+        MEM,
+        0,
+        64,
+        MdOptions::put_target(),
+        Threshold::Infinite,
+        None,
+        0,
+    )
+    .unwrap();
+    assert!(matches!(
+        lib.match_incoming(&hdr),
+        DeliverOutcome::Matched(_)
+    ));
+
+    lib.me_unlink(second).unwrap();
+    assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
+    assert_eq!(lib.me_unlink(second).unwrap_err(), PtlError::InvalidHandle);
+    hdr.match_bits = 1;
+    assert!(matches!(
+        lib.match_incoming(&hdr),
+        DeliverOutcome::Matched(_)
+    ));
+}
+
 #[test]
 fn zero_length_put_matches_and_completes() {
     let mut lib = target_lib();

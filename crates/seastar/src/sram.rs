@@ -14,6 +14,7 @@
 //! firmware's pools sit on, and enforces the hard 384 KB budget.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Capacity of the SeaStar local SRAM in bytes (paper §2).
@@ -51,8 +52,9 @@ impl std::error::Error for SramError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SramRegion {
     /// Human-readable purpose ("sources", "pendings\[0\]", "firmware image",
-    /// ...).
-    pub name: String,
+    /// ...). Borrowed for the fixed names, so a 10,368-node machine does
+    /// not hold 10,368 copies of them.
+    pub name: Cow<'static, str>,
     /// Offset within SRAM.
     pub offset: u32,
     /// Size in bytes.
@@ -80,14 +82,16 @@ impl Sram {
         Sram {
             capacity,
             used: 0,
-            regions: Vec::new(),
+            // One firmware process's layout: image, control block,
+            // sources, then pendings, process block and mailbox.
+            regions: Vec::with_capacity(6),
         }
     }
 
     /// Reserve a named region of `bytes`.
     pub fn reserve(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         bytes: u32,
     ) -> Result<SramRegion, SramError> {
         let available = self.capacity - self.used;
@@ -110,7 +114,7 @@ impl Sram {
     /// Reserve an array region of `count` elements of `elem_bytes` each.
     pub fn reserve_array(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         count: u32,
         elem_bytes: u32,
     ) -> Result<SramRegion, SramError> {
