@@ -41,25 +41,39 @@
 //!
 //! # Execution backends
 //!
-//! The window protocol is independent of *where* shards execute, so the
-//! driver has two backends selected by [`ParConfig::exec`]:
+//! There is one window loop. Shards are dealt out in contiguous blocks
+//! to `helpers + 1` threads; the coordinator keeps block 0 and runs it
+//! itself between sending the other blocks' rounds and collecting the
+//! replies, so its core does shard work instead of sleeping through
+//! every window. [`ParConfig::exec`] only picks the helper count:
+//! [`ExecMode::Inline`] none (a round is a plain function call),
+//! [`ExecMode::Threads`] `shards − 1`, and [`ExecMode::Auto`] (the
+//! default) `min(shards, cores) − 1` — nothing is spawned for one shard
+//! or one core, and more shards than cores means several per thread.
 //!
-//! * [`ExecMode::Threads`] — one worker thread per shard, channel
-//!   message passing. This is the backend that extracts wall-clock
-//!   parallelism on multi-core hosts.
-//! * [`ExecMode::Inline`] — every shard round runs on the coordinator
-//!   thread. The protocol, window boundaries, budget accounting and
-//!   routing order are identical (shards are mutually independent
-//!   within a window, so execution order between them is immaterial),
-//!   which makes the backends bit-identical by construction. Inline
-//!   execution pays no thread wakeups, no channel hops and no
-//!   cross-core cache traffic — on single-core hosts (CI containers
-//!   pinned to one CPU) it turns the window protocol from a
-//!   per-window tax of several microseconds into a plain function
-//!   call.
-//! * [`ExecMode::Auto`] (the default) picks `Threads` when the host
-//!   exposes more than one core and `Inline` otherwise. The choice
-//!   cannot affect results, only wall-clock time.
+//! **Waiting.** A helper waiting for a round and the coordinator
+//! waiting for a reply poll the channel, yielding between polls, up to
+//! [`SPIN_POLLS`] times before parking in `recv`: a window is tens to
+//! hundreds of microseconds of work, and a futex sleep and wake on each
+//! side costs tens more and invites the scheduler to put the woken
+//! thread on the waker's core. Threads poll only when each has a core
+//! of its own. Either way a hung-up channel ends the wait, so a
+//! coordinator panic (the lookahead assert, a panicking `route`) drops
+//! the command channels, the helpers return and the scope unwinds.
+//!
+//! **Buffers.** Every buffer that crosses a channel comes back on the
+//! next message the other way: a round carries the shard's pending
+//! deliveries and its drained intent buffer out, and returns as the
+//! reply with the deliveries drained and the intents filled. Each is
+//! thus grown and freed by one thread only, so the allocator never
+//! takes its cross-thread path, and a steady window allocates nothing.
+//! Models extend the discipline to objects inside their events by
+//! returning them in their intents.
+//!
+//! **Why none of it can change a result.** Shards are independent
+//! within a window, so which thread runs one, in what order and how a
+//! waiter waited are invisible to the model; windows, budgets and the
+//! order `route` sees intents in come from shard-indexed state alone.
 //!
 //! # Window coalescing
 //!
@@ -96,10 +110,10 @@ pub trait Partitioned: Model {
     fn drain_intents(&mut self) -> Vec<Self::Intent>;
 
     /// Append the buffered intents to `out` (same contract as
-    /// [`Self::drain_intents`], but reusing the caller's buffer).
-    /// Implementers with an internal buffer should override this to
-    /// `append` so neither side reallocates; the inline backend calls it
-    /// every window.
+    /// [`Self::drain_intents`], but reusing the caller's buffer, which
+    /// the driver hands back drained every window). Implementers with an
+    /// internal buffer should override this to `append` — or swap, when
+    /// `out` is empty — so neither side reallocates.
     fn drain_intents_into(&mut self, out: &mut Vec<Self::Intent>) {
         out.append(&mut self.drain_intents());
     }
@@ -121,13 +135,13 @@ pub struct Delivery<E> {
     pub event: E,
 }
 
-/// Where shard rounds execute; see the module docs.
+/// How many threads share the shards; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// `Threads` on multi-core hosts, `Inline` on single-core ones.
+    /// One thread per host core, at most one per shard.
     #[default]
     Auto,
-    /// One worker thread per shard (wall-clock parallelism).
+    /// One thread per shard (the coordinator runs shard 0).
     Threads,
     /// All shards on the coordinator thread (no synchronization cost).
     Inline,
@@ -143,7 +157,7 @@ pub struct ParConfig {
     /// serial engine's event budget. Exhaustion is detected at window
     /// granularity.
     pub event_budget: u64,
-    /// Execution backend (default [`ExecMode::Auto`]).
+    /// How many threads to use (default [`ExecMode::Auto`]).
     pub exec: ExecMode,
     /// Let a solo-active shard run consecutive windows before reporting
     /// back (default on; see the module docs — results are identical,
@@ -152,8 +166,8 @@ pub struct ParConfig {
 }
 
 impl ParConfig {
-    /// A config with the given lookahead and budget, automatic backend
-    /// selection and window coalescing on.
+    /// A config with the given lookahead and budget, automatic thread
+    /// count and window coalescing on.
     pub fn new(lookahead: SimTime, event_budget: u64) -> Self {
         ParConfig {
             lookahead,
@@ -175,6 +189,8 @@ pub struct ParOutcome {
     pub dispatched: u64,
     /// Number of synchronization windows executed.
     pub rounds: u64,
+    /// Threads the shards ran on, the coordinator's own included.
+    pub threads: usize,
 }
 
 /// How far past its base window a solo shard may keep running.
@@ -189,23 +205,42 @@ enum Sprint {
     Unbounded,
 }
 
-/// Per-round command to a worker.
-struct Round<E> {
-    deliveries: Vec<(SimTime, u64, E)>,
+/// How many times a waiter polls its channel, yielding its time slice
+/// between polls, before parking in `recv`: about a millisecond —
+/// several windows' worth of work, so a helper stays hot through the
+/// coordinator's serial `route` phase, and short enough that a helper
+/// idled by a long solo sprint goes to sleep. The yield is what makes
+/// polling safe: a waiter that shares its core with the thread it waits
+/// for (some other process holds the second core) would otherwise burn
+/// its whole bound before the peer can run at all (DESIGN.md §12).
+const SPIN_POLLS: u32 = 4_000;
+
+/// A shard's pending deliveries: `(at, key, event)`.
+type Handover<E> = Vec<(SimTime, u64, E)>;
+
+/// One window's marching orders; shard `s` takes part when
+/// [`Coordinator::candidate`]`(s)` is at or before `horizon`.
+#[derive(Clone, Copy)]
+struct Plan {
     horizon: SimTime,
-    budget: u64,
+    remaining: u64,
     sprint: Sprint,
 }
 
-enum ToWorker<E> {
-    Round(Round<E>),
-    Stop,
+/// One shard's window on a helper thread, and — sent back as a
+/// [`Reply`] — the answer to it, so both buffers make the round trip.
+struct Round<E, I> {
+    shard: usize,
+    plan: Plan,
+    /// Out: the shard's pending deliveries. Back: drained.
+    deliveries: Handover<E>,
+    /// Out: last window's intents, drained by `route`. Back: this
+    /// window's.
+    intents: Vec<I>,
 }
 
-/// Per-round worker response.
-struct Rsp<I> {
-    shard: usize,
-    intents: Vec<I>,
+/// What running one shard's window reported.
+struct Ran {
     next_time: Option<SimTime>,
     dispatched: u64,
     budget_exhausted: bool,
@@ -214,21 +249,58 @@ struct Rsp<I> {
     completed: SimTime,
 }
 
+type Reply<E, I> = (Round<E, I>, Ran);
+
+/// The coordinator's ends of one helper thread.
+struct Helper<'scope, M: Partitioned> {
+    cmd_tx: mpsc::Sender<Round<M::Event, M::Intent>>,
+    rsp_rx: mpsc::Receiver<Reply<M::Event, M::Intent>>,
+    /// Returns the helper's block of engines once `cmd_tx` is dropped.
+    thread: thread::ScopedJoinHandle<'scope, Vec<Engine<M>>>,
+}
+
+/// Give back most of a buffer whose capacity is far beyond `buf.len()`,
+/// this window's need. The per-shard buffers live for the whole run, and
+/// a burst window (every node sending at t = 0) would otherwise pin its
+/// size as heap until the end. Called by the thread that grows `buf`.
+fn trim<T>(buf: &mut Vec<T>) {
+    let keep = 2 * buf.len().max(32);
+    if buf.capacity() > 2 * keep {
+        buf.shrink_to(keep);
+    }
+}
+
+/// Receive with up to `spin` non-blocking polls before parking. A hung-up
+/// sender ends the wait either way.
+fn recv_spin<T>(rx: &mpsc::Receiver<T>, spin: u32) -> Result<T, mpsc::RecvError> {
+    for _ in 0..spin {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) => thread::yield_now(),
+        }
+    }
+    rx.recv()
+}
+
 /// Run one shard's window (and its coalesced continuation windows, when
 /// sprinting): insert the handed-over deliveries, run to the horizon,
 /// and drain the deferred intents into `intents_out`.
 ///
-/// Shared verbatim by both backends — it *is* the per-round worker body,
-/// which is what makes them bit-identical.
+/// The one per-round shard body, whichever thread calls it — which is
+/// what makes every thread count bit-identical.
 fn run_window<M: Partitioned>(
     engine: &mut Engine<M>,
-    deliveries: &mut Vec<(SimTime, u64, M::Event)>,
-    horizon: SimTime,
-    budget: u64,
+    plan: Plan,
     lookahead: SimTime,
-    sprint: Sprint,
+    deliveries: &mut Handover<M::Event>,
     intents_out: &mut Vec<M::Intent>,
-) -> (Option<SimTime>, bool, SimTime) {
+) -> Ran {
+    let Plan {
+        horizon,
+        remaining: budget,
+        sprint,
+    } = plan;
     for (at, key, ev) in deliveries.drain(..) {
         engine.queue_mut().schedule_keyed(at, key, ev);
     }
@@ -260,19 +332,23 @@ fn run_window<M: Partitioned>(
             completed = h;
         }
     }
+    trim(intents_out);
 
-    (
-        engine.queue().peek_time(),
-        run == RunOutcome::EventBudgetExhausted,
+    Ran {
+        next_time: engine.queue().peek_time(),
+        dispatched: engine.dispatched(),
+        budget_exhausted: run == RunOutcome::EventBudgetExhausted,
         completed,
-    )
+    }
 }
 
-/// The coordinator's bookkeeping between windows, shared by both
-/// backends so every protocol decision (window floor, active set,
-/// sprint cap, budget split) is computed by exactly one piece of code.
+/// The coordinator's bookkeeping between windows: every protocol
+/// decision (window floor, active set, sprint cap, budget split) is
+/// computed here, from shard-indexed state only.
 struct Coordinator {
     next_times: Vec<Option<SimTime>>,
+    /// Earliest delivery filed for each shard since it last ran.
+    held: Vec<Option<SimTime>>,
     per_shard_dispatched: Vec<u64>,
     completed: Vec<SimTime>,
     base_dispatched: u64,
@@ -281,26 +357,12 @@ struct Coordinator {
     coalesce: bool,
 }
 
-/// One round's marching orders.
-struct Plan {
-    horizon: SimTime,
-    remaining: u64,
-    /// Shard indices with work inside the window, ascending.
-    active: Vec<usize>,
-    sprint: Sprint,
-}
-
-enum Step {
-    Window(Plan),
-    Drained,
-    Exhausted,
-}
-
 impl Coordinator {
     fn new<M: Partitioned>(engines: &[Engine<M>], config: &ParConfig) -> Self {
         let per_shard_dispatched: Vec<u64> = engines.iter().map(|e| e.dispatched()).collect();
         Coordinator {
             next_times: engines.iter().map(|e| e.queue().peek_time()).collect(),
+            held: vec![None; engines.len()],
             base_dispatched: per_shard_dispatched.iter().sum(),
             per_shard_dispatched,
             completed: vec![SimTime::ZERO; engines.len()],
@@ -312,58 +374,56 @@ impl Coordinator {
 
     /// Earliest candidate event on shard `s` (queued or pending
     /// handover).
-    fn candidate<E>(&self, s: usize, pending: &[Vec<(SimTime, u64, E)>]) -> Option<SimTime> {
-        let held = pending[s].iter().map(|d| d.0).min();
-        match (self.next_times[s], held) {
+    fn candidate(&self, s: usize) -> Option<SimTime> {
+        match (self.next_times[s], self.held[s]) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    fn plan<E>(&self, pending: &[Vec<(SimTime, u64, E)>]) -> Step {
+    fn active(&self, s: usize, horizon: SimTime) -> bool {
+        self.candidate(s).is_some_and(|t| t <= horizon)
+    }
+
+    /// The next window, or why there is none.
+    fn plan(&self) -> Result<Plan, RunOutcome> {
         let spent: u64 = self.per_shard_dispatched.iter().sum::<u64>() - self.base_dispatched;
         if spent >= self.event_budget {
-            return Step::Exhausted;
+            return Err(RunOutcome::EventBudgetExhausted);
         }
-        let shards = self.next_times.len();
-        let window = (0..shards).filter_map(|s| self.candidate(s, pending)).min();
-        let Some(w) = window else {
-            return Step::Drained; // every queue drained, nothing in flight
+        let shards = 0..self.next_times.len();
+        let Some(w) = shards.clone().filter_map(|s| self.candidate(s)).min() else {
+            return Err(RunOutcome::Drained); // every queue empty, nothing in flight
         };
         let horizon = SimTime(w.0 + self.lookahead.0 - 1);
-        let active: Vec<usize> = (0..shards)
-            .filter(|&s| self.candidate(s, pending).is_some_and(|t| t <= horizon))
-            .collect();
-        let sprint = match (self.coalesce, &active[..]) {
-            (true, &[solo]) => {
-                let foreign = (0..shards)
-                    .filter(|&s| s != solo)
-                    .filter_map(|s| self.candidate(s, pending))
-                    .min();
-                match foreign {
-                    Some(cap) => Sprint::Capped(cap),
-                    None => Sprint::Unbounded,
-                }
-            }
-            _ => Sprint::No,
-        };
-        Step::Window(Plan {
+        let mut sprint = Sprint::No;
+        if self.coalesce && shards.clone().filter(|&s| self.active(s, horizon)).count() == 1 {
+            // Solo shard: everything else is beyond the horizon, so the
+            // earliest of it is the earliest foreign event.
+            let foreign = shards
+                .filter_map(|s| self.candidate(s))
+                .filter(|&t| t > horizon)
+                .min();
+            sprint = foreign.map_or(Sprint::Unbounded, Sprint::Capped);
+        }
+        Ok(Plan {
             horizon,
             remaining: self.event_budget - spent,
-            active,
             sprint,
         })
     }
 
-    fn record(&mut self, shard: usize, next: Option<SimTime>, dispatched: u64, completed: SimTime) {
-        self.next_times[shard] = next;
-        self.per_shard_dispatched[shard] = dispatched;
-        self.completed[shard] = completed;
+    /// Shard `shard` ran a window (consuming its handover).
+    fn record(&mut self, shard: usize, ran: &Ran) {
+        self.next_times[shard] = ran.next_time;
+        self.held[shard] = None;
+        self.per_shard_dispatched[shard] = ran.dispatched;
+        self.completed[shard] = ran.completed;
     }
 
     /// File the routed deliveries into the per-shard pending queues,
     /// checking each lands beyond its destination's completed horizon.
-    fn accept<E>(&self, deliveries: &mut Vec<Delivery<E>>, pending: &mut [Vec<(SimTime, u64, E)>]) {
+    fn accept<E>(&mut self, deliveries: &mut Vec<Delivery<E>>, pending: &mut [Handover<E>]) {
         for d in deliveries.drain(..) {
             assert!(
                 d.at > self.completed[d.shard],
@@ -371,14 +431,16 @@ impl Coordinator {
                 d.at,
                 self.completed[d.shard]
             );
+            let held = &mut self.held[d.shard];
+            *held = Some(held.map_or(d.at, |t| t.min(d.at)));
             pending[d.shard].push((d.at, d.key, d.event));
         }
     }
 }
 
 /// The coordinator for one parallel run: owns the shard engines, drives
-/// the window protocol, and (in the threaded backend) spawns one worker
-/// thread per shard.
+/// the window protocol, runs the first block of shards itself and
+/// spawns helper threads for the rest.
 pub struct WindowDriver<M: Partitioned> {
     engines: Vec<Engine<M>>,
     config: ParConfig,
@@ -414,26 +476,28 @@ where
     where
         R: FnMut(&mut Vec<Vec<M::Intent>>, &mut Vec<Delivery<M::Event>>),
     {
-        let exec = match self.config.exec {
-            ExecMode::Auto => {
-                if thread::available_parallelism().map_or(1, usize::from) > 1 {
-                    ExecMode::Threads
-                } else {
-                    ExecMode::Inline
-                }
-            }
-            mode => mode,
+        let shards = self.engines.len();
+        let cores = thread::available_parallelism().map_or(1, usize::from);
+        let helpers = match self.config.exec {
+            ExecMode::Inline => 0,
+            ExecMode::Threads => shards - 1,
+            ExecMode::Auto => shards.min(cores) - 1,
         };
-        match exec {
-            ExecMode::Inline => self.run_inline(route),
-            _ => self.run_threads(route),
-        }
+        // Polling only pays when every thread has a core to itself.
+        let spin = if helpers < cores { SPIN_POLLS } else { 0 };
+        self.run_with_helpers(helpers, spin, route)
     }
 
-    /// Single-thread backend: every shard round executes as a direct
-    /// call on the coordinator thread. Same protocol, same results, no
-    /// synchronization overhead.
-    fn run_inline<R>(self, mut route: R) -> (Vec<Engine<M>>, ParOutcome)
+    /// The window loop, on `helpers + 1` threads (at most one per
+    /// shard) whose waits poll `spin` times before parking. What
+    /// [`Self::run`] resolves every [`ExecMode`] to, and the seam the
+    /// tests use to pin thread counts the host would not pick.
+    fn run_with_helpers<R>(
+        self,
+        helpers: usize,
+        spin: u32,
+        mut route: R,
+    ) -> (Vec<Engine<M>>, ParOutcome)
     where
         R: FnMut(&mut Vec<Vec<M::Intent>>, &mut Vec<Delivery<M::Event>>),
     {
@@ -442,201 +506,132 @@ where
             config,
         } = self;
         let shards = engines.len();
-        let mut coord = Coordinator::new(&engines, &config);
-
-        // Per-shard scratch, reused across every window.
-        let mut pending: Vec<Vec<(SimTime, u64, M::Event)>> = Vec::new();
-        pending.resize_with(shards, Vec::new);
-        let mut intents_by_shard: Vec<Vec<M::Intent>> = Vec::new();
-        intents_by_shard.resize_with(shards, Vec::new);
-        let mut routed: Vec<Delivery<M::Event>> = Vec::new();
-
-        let mut outcome = RunOutcome::Drained;
-        let mut rounds: u64 = 0;
-
-        loop {
-            let plan = match coord.plan(&pending) {
-                Step::Window(p) => p,
-                Step::Drained => break,
-                Step::Exhausted => {
-                    outcome = RunOutcome::EventBudgetExhausted;
-                    break;
-                }
-            };
-            rounds += 1;
-            let mut exhausted = false;
-            for row in &mut intents_by_shard {
-                row.clear();
-            }
-            for &s in &plan.active {
-                let (next, hit_budget, completed) = run_window(
-                    &mut engines[s],
-                    &mut pending[s],
-                    plan.horizon,
-                    plan.remaining,
-                    config.lookahead,
-                    plan.sprint,
-                    &mut intents_by_shard[s],
-                );
-                coord.record(s, next, engines[s].dispatched(), completed);
-                exhausted |= hit_budget;
-            }
-            route(&mut intents_by_shard, &mut routed);
-            coord.accept(&mut routed, &mut pending);
-            if exhausted {
-                outcome = RunOutcome::EventBudgetExhausted;
-                break;
-            }
-        }
-
-        let dispatched =
-            engines.iter().map(|e| e.dispatched()).sum::<u64>() - coord.base_dispatched;
-        let now = engines
-            .iter()
-            .map(|e| e.now())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        (
-            engines,
-            ParOutcome {
-                outcome,
-                now,
-                dispatched,
-                rounds,
-            },
-        )
-    }
-
-    /// Thread-per-shard backend: workers run rounds off channels; the
-    /// coordinator plans windows and routes intents exactly as the
-    /// inline backend does.
-    fn run_threads<R>(self, mut route: R) -> (Vec<Engine<M>>, ParOutcome)
-    where
-        R: FnMut(&mut Vec<Vec<M::Intent>>, &mut Vec<Delivery<M::Event>>),
-    {
-        let WindowDriver { engines, config } = self;
-        let shards = engines.len();
+        let threads = helpers.min(shards - 1) + 1;
         let lookahead = config.lookahead;
         let mut coord = Coordinator::new(&engines, &config);
 
-        let mut pending: Vec<Vec<(SimTime, u64, M::Event)>> = Vec::new();
+        // Per-shard buffers; a helper shard's pair travels with its round.
+        let mut pending: Vec<Handover<M::Event>> = Vec::new();
         pending.resize_with(shards, Vec::new);
         let mut intents_by_shard: Vec<Vec<M::Intent>> = Vec::new();
         intents_by_shard.resize_with(shards, Vec::new);
         let mut routed: Vec<Delivery<M::Event>> = Vec::new();
 
-        let mut outcome = RunOutcome::Drained;
         let mut rounds: u64 = 0;
 
-        let mut finished: Vec<Option<Engine<M>>> = Vec::new();
-        finished.resize_with(shards, || None);
+        // Thread `t` runs the shards from `block_start(t)`; thread 0 is this one.
+        let block_start = |t: usize| (t * shards).div_ceil(threads);
+        let own = block_start(1);
+        let helper_of = |s: usize| s * threads / shards - 1;
 
-        thread::scope(|scope| {
-            let (rsp_tx, rsp_rx) = mpsc::channel::<Rsp<M::Intent>>();
-            let (done_tx, done_rx) = mpsc::channel::<(usize, Engine<M>)>();
-            let mut cmd_txs = Vec::with_capacity(shards);
-            for (shard, mut engine) in engines.into_iter().enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker<M::Event>>();
-                cmd_txs.push(cmd_tx);
-                let rsp_tx = rsp_tx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    let mut intents: Vec<M::Intent> = Vec::new();
-                    while let Ok(msg) = cmd_rx.recv() {
-                        let mut round = match msg {
-                            ToWorker::Round(r) => r,
-                            ToWorker::Stop => break,
-                        };
-                        let (next_time, budget_exhausted, completed) = run_window(
-                            &mut engine,
-                            &mut round.deliveries,
-                            round.horizon,
-                            round.budget,
-                            lookahead,
-                            round.sprint,
-                            &mut intents,
-                        );
-                        let rsp = Rsp {
-                            shard,
-                            intents: std::mem::take(&mut intents),
-                            next_time,
-                            dispatched: engine.dispatched(),
-                            budget_exhausted,
-                            completed,
-                        };
-                        if rsp_tx.send(rsp).is_err() {
-                            break;
+        let outcome = thread::scope(|scope| {
+            let mut team: Vec<Helper<'_, M>> = (1..threads)
+                .rev()
+                .map(|t| {
+                    let base = block_start(t);
+                    let mut block = engines.split_off(base);
+                    let (cmd_tx, cmd_rx) = mpsc::channel::<Round<M::Event, M::Intent>>();
+                    let (rsp_tx, rsp_rx) = mpsc::channel();
+                    let thread = scope.spawn(move || {
+                        // Ends when the coordinator hangs up: normally
+                        // after the last window, or by unwinding.
+                        while let Ok(mut round) = recv_spin(&cmd_rx, spin) {
+                            let ran = run_window(
+                                &mut block[round.shard - base],
+                                round.plan,
+                                lookahead,
+                                &mut round.deliveries,
+                                &mut round.intents,
+                            );
+                            if rsp_tx.send((round, ran)).is_err() {
+                                break;
+                            }
                         }
+                        block
+                    });
+                    Helper {
+                        cmd_tx,
+                        rsp_rx,
+                        thread,
                     }
-                    let _ = done_tx.send((shard, engine));
-                });
-            }
+                })
+                .collect();
+            team.reverse();
 
-            loop {
-                let plan = match coord.plan(&pending) {
-                    Step::Window(p) => p,
-                    Step::Drained => break,
-                    Step::Exhausted => {
-                        outcome = RunOutcome::EventBudgetExhausted;
-                        break;
-                    }
+            let outcome = loop {
+                let plan = match coord.plan() {
+                    Ok(plan) => plan,
+                    Err(stop) => break stop,
                 };
                 rounds += 1;
-
-                for &s in &plan.active {
-                    let round = Round {
-                        deliveries: std::mem::take(&mut pending[s]),
-                        horizon: plan.horizon,
-                        budget: plan.remaining,
-                        sprint: plan.sprint,
-                    };
-                    cmd_txs[s]
-                        .send(ToWorker::Round(round))
-                        .expect("worker thread hung up mid-run");
-                }
-
+                let mut exhausted = false;
+                // Inactive shards must show `route` an empty run.
                 for row in &mut intents_by_shard {
                     row.clear();
                 }
-                let mut exhausted = false;
-                for _ in 0..plan.active.len() {
-                    let rsp = rsp_rx.recv().expect("worker thread hung up mid-round");
-                    coord.record(rsp.shard, rsp.next_time, rsp.dispatched, rsp.completed);
-                    exhausted |= rsp.budget_exhausted;
-                    intents_by_shard[rsp.shard] = rsp.intents;
+
+                // Helpers first, so they work while the coordinator
+                // runs its own block.
+                for s in (0..shards).rev() {
+                    if !coord.active(s, plan.horizon) {
+                        continue;
+                    }
+                    trim(&mut pending[s]);
+                    if s >= own {
+                        let round = Round {
+                            shard: s,
+                            plan,
+                            deliveries: std::mem::take(&mut pending[s]),
+                            intents: std::mem::take(&mut intents_by_shard[s]),
+                        };
+                        team[helper_of(s)]
+                            .cmd_tx
+                            .send(round)
+                            .expect("helper thread hung up mid-run");
+                    } else {
+                        let (deliveries, intents) = (&mut pending[s], &mut intents_by_shard[s]);
+                        let ran = run_window(&mut engines[s], plan, lookahead, deliveries, intents);
+                        exhausted |= ran.budget_exhausted;
+                        coord.record(s, &ran);
+                    }
+                }
+                // A helper answers its rounds in the order it got them.
+                for s in (own..shards).rev() {
+                    if !coord.active(s, plan.horizon) {
+                        continue;
+                    }
+                    let (round, ran) = recv_spin(&team[helper_of(s)].rsp_rx, spin)
+                        .expect("helper thread hung up mid-window");
+                    debug_assert_eq!(round.shard, s);
+                    exhausted |= ran.budget_exhausted;
+                    coord.record(s, &ran);
+                    pending[s] = round.deliveries;
+                    intents_by_shard[s] = round.intents;
                 }
 
                 route(&mut intents_by_shard, &mut routed);
                 coord.accept(&mut routed, &mut pending);
 
                 if exhausted {
-                    outcome = RunOutcome::EventBudgetExhausted;
-                    break;
+                    break RunOutcome::EventBudgetExhausted;
                 }
-            }
+            };
 
-            for tx in &cmd_txs {
-                let _ = tx.send(ToWorker::Stop);
+            // Hang up on everyone, then collect the blocks in shard order.
+            let threads: Vec<_> = team.into_iter().map(|h| h.thread).collect();
+            for thread in threads {
+                engines.extend(thread.join().expect("helper thread panicked"));
             }
-            drop(cmd_txs);
-            drop(rsp_rx);
-            for _ in 0..shards {
-                let (shard, engine) = done_rx.recv().expect("worker thread lost its engine");
-                finished[shard] = Some(engine);
-            }
+            outcome
         });
 
-        let engines: Vec<Engine<M>> = finished
-            .into_iter()
-            .map(|e| e.expect("every shard returns its engine"))
-            .collect();
+        let dispatched =
+            engines.iter().map(|e| e.dispatched()).sum::<u64>() - coord.base_dispatched;
         let now = engines
             .iter()
             .map(|e| e.now())
             .max()
             .unwrap_or(SimTime::ZERO);
-        let dispatched =
-            engines.iter().map(|e| e.dispatched()).sum::<u64>() - coord.base_dispatched;
         (
             engines,
             ParOutcome {
@@ -644,6 +639,7 @@ where
                 now,
                 dispatched,
                 rounds,
+                threads,
             },
         )
     }
@@ -743,6 +739,8 @@ mod tests {
         key_ctr: Vec<u64>,
         intents: Vec<RingMsg>,
         cur_key: u64,
+        /// Every thread that dispatched an event on this shard.
+        ran_on: Vec<thread::ThreadId>,
     }
 
     impl RingShard {
@@ -755,6 +753,7 @@ mod tests {
                 key_ctr: vec![0; count as usize],
                 intents: Vec::new(),
                 cur_key: 0,
+                ran_on: Vec::new(),
             }
         }
 
@@ -785,6 +784,10 @@ mod tests {
             q: &mut EventQueue<RingMsg>,
         ) {
             assert!(self.owns(ev.dst), "event routed to wrong shard");
+            let me = thread::current().id();
+            if !self.ran_on.contains(&me) {
+                self.ran_on.push(me);
+            }
             self.cur_key = key;
             let slot = (ev.dst - self.base) as usize;
             self.hits[slot] += 1;
@@ -891,13 +894,7 @@ mod tests {
         (e.digest(), e.model().hits.clone(), e.dispatched())
     }
 
-    fn parallel_run_with(
-        total: u32,
-        shards: u32,
-        hops: u32,
-        exec: ExecMode,
-        coalesce: bool,
-    ) -> (u64, Vec<u64>, u64, u64) {
+    fn ring_engines(total: u32, shards: u32, hops: u32) -> (Vec<Engine<RingShard>>, u32) {
         let per = total.div_ceil(shards);
         let mut engines = Vec::new();
         let mut base = 0;
@@ -908,17 +905,52 @@ mod tests {
             engines.push(e);
             base += count;
         }
-        let shard_of = move |node: u32| (node / per) as usize;
-        let driver = WindowDriver::new(
-            engines,
-            ParConfig {
-                exec,
-                coalesce,
-                ..ParConfig::new(HOP, u64::MAX)
-            },
-        );
-        let (engines, out) = driver.run(route_ring(shard_of));
+        (engines, per)
+    }
+
+    /// How a test picks the thread count: through the public
+    /// [`ExecMode`], or pinned past what the host would choose.
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Exec(ExecMode),
+        /// `run_with_helpers(helpers, spin)`.
+        Helpers(usize, u32),
+    }
+
+    fn parallel_engines(
+        total: u32,
+        shards: u32,
+        hops: u32,
+        via: Via,
+        coalesce: bool,
+    ) -> (Vec<Engine<RingShard>>, ParOutcome) {
+        let (engines, per) = ring_engines(total, shards, hops);
+        let route = route_ring(move |node: u32| (node / per) as usize);
+        let mut config = ParConfig {
+            coalesce,
+            ..ParConfig::new(HOP, u64::MAX)
+        };
+        let (engines, out) = match via {
+            Via::Exec(exec) => {
+                config.exec = exec;
+                WindowDriver::new(engines, config).run(route)
+            }
+            Via::Helpers(helpers, spin) => {
+                WindowDriver::new(engines, config).run_with_helpers(helpers, spin, route)
+            }
+        };
         assert_eq!(out.outcome, RunOutcome::Drained);
+        (engines, out)
+    }
+
+    fn parallel_run_with(
+        total: u32,
+        shards: u32,
+        hops: u32,
+        via: Via,
+        coalesce: bool,
+    ) -> (u64, Vec<u64>, u64, u64) {
+        let (engines, out) = parallel_engines(total, shards, hops, via, coalesce);
         let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
         let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
         let mut hits = Vec::new();
@@ -929,7 +961,8 @@ mod tests {
     }
 
     fn parallel_run(total: u32, shards: u32, hops: u32) -> (u64, Vec<u64>, u64) {
-        let (d, h, n, _) = parallel_run_with(total, shards, hops, ExecMode::Auto, true);
+        let via = Via::Exec(ExecMode::Auto);
+        let (d, h, n, _) = parallel_run_with(total, shards, hops, via, true);
         (d, h, n)
     }
 
@@ -947,16 +980,59 @@ mod tests {
     #[test]
     fn backends_and_coalescing_are_bit_identical() {
         let (sd, sh, sn) = serial_run(12, 9);
-        for shards in [1, 2, 3, 5] {
-            for exec in [ExecMode::Inline, ExecMode::Threads] {
+        let vias = [
+            Via::Exec(ExecMode::Inline),
+            Via::Exec(ExecMode::Threads),
+            Via::Exec(ExecMode::Auto),
+            // Exactly one helper, whatever the host: from 3 shards up
+            // both it and the coordinator run several shards each.
+            Via::Helpers(1, SPIN_POLLS),
+            Via::Helpers(1, 0),
+            // Two helpers: 4 shards deal out as blocks of 2, 1 and 1.
+            Via::Helpers(2, SPIN_POLLS),
+        ];
+        for shards in [1, 2, 3, 4, 6] {
+            for via in vias {
                 for coalesce in [false, true] {
-                    let (pd, ph, pn, _) = parallel_run_with(12, shards, 9, exec, coalesce);
-                    assert_eq!(pd, sd, "digest diverged: {exec:?} coalesce={coalesce}");
-                    assert_eq!(ph, sh, "hits diverged: {exec:?} coalesce={coalesce}");
-                    assert_eq!(pn, sn, "count diverged: {exec:?} coalesce={coalesce}");
+                    let (pd, ph, pn, _) = parallel_run_with(12, shards, 9, via, coalesce);
+                    let at = format!("{shards} shards, {via:?}, coalesce={coalesce}");
+                    assert_eq!(pd, sd, "digest diverged: {at}");
+                    assert_eq!(ph, sh, "hits diverged: {at}");
+                    assert_eq!(pn, sn, "count diverged: {at}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn shards_run_on_the_thread_their_block_belongs_to() {
+        let here = thread::current().id();
+        let threads_of = |shards, via| -> Vec<Vec<thread::ThreadId>> {
+            let (engines, _) = parallel_engines(12, shards, 9, via, true);
+            engines.iter().map(|e| e.model().ran_on.clone()).collect()
+        };
+        // A 1-shard run never leaves the caller's thread, in any mode
+        // and on any host: there is nobody to overlap with.
+        for exec in [ExecMode::Auto, ExecMode::Threads, ExecMode::Inline] {
+            assert_eq!(threads_of(1, Via::Exec(exec)), [[here]], "{exec:?}");
+        }
+        // Inline keeps every shard at home.
+        for ran_on in threads_of(3, Via::Exec(ExecMode::Inline)) {
+            assert_eq!(ran_on, [here]);
+        }
+        // 6 shards on 2 threads: the coordinator runs 0..3 itself, the
+        // one helper runs 3..6, and no shard ever changes thread.
+        let ran_on = threads_of(6, Via::Helpers(1, 0));
+        for shard in &ran_on[..3] {
+            assert_eq!(shard, &[here]);
+        }
+        assert_eq!(ran_on[3].len(), 1);
+        assert_ne!(ran_on[3], [here]);
+        assert!(ran_on[4] == ran_on[3] && ran_on[5] == ran_on[3]);
+        // One thread per shard still leaves shard 0 on the coordinator.
+        let ran_on = threads_of(3, Via::Exec(ExecMode::Threads));
+        assert_eq!(ran_on[0], [here]);
+        assert!(ran_on[1] != ran_on[0] && ran_on[2] != ran_on[0] && ran_on[1] != ran_on[2]);
     }
 
     #[test]
@@ -964,8 +1040,9 @@ mod tests {
         // One long-running message confined to a single shard's nodes
         // would cost one coordinator round per hop without coalescing.
         let total = 8u32;
-        let (_, _, _, plain) = parallel_run_with(total, 2, 40, ExecMode::Inline, false);
-        let (_, _, _, coalesced) = parallel_run_with(total, 2, 40, ExecMode::Inline, true);
+        let inline = Via::Exec(ExecMode::Inline);
+        let (_, _, _, plain) = parallel_run_with(total, 2, 40, inline, false);
+        let (_, _, _, coalesced) = parallel_run_with(total, 2, 40, inline, true);
         assert!(
             coalesced <= plain,
             "coalescing must not add rounds ({coalesced} > {plain})"
@@ -974,39 +1051,42 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_detected() {
-        let per = 4u32;
-        let mut engines = Vec::new();
-        for base in [0u32, 4] {
-            let mut e = Engine::new(RingShard::new(base, per, 8));
-            seed(&mut e, 8, 1000);
-            engines.push(e);
-        }
+        let (engines, _) = ring_engines(8, 2, 1000);
         let driver = WindowDriver::new(engines, ParConfig::new(HOP, 64));
         let (_, out) = driver.run(route_ring(|n| (n / 4) as usize));
         assert_eq!(out.outcome, RunOutcome::EventBudgetExhausted);
         assert!(out.dispatched >= 64);
     }
 
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn overstated_lookahead_is_caught() {
-        let mut engines = Vec::new();
-        for base in [0u32, 4] {
-            let mut e = Engine::new(RingShard::new(base, 4, 8));
-            seed(&mut e, 8, 4);
-            engines.push(e);
-        }
-        let driver = WindowDriver::new(
+    /// Claims cross-shard sends take 100ns when they really take 50ns:
+    /// the round-1 deliveries land inside round 2's window and the
+    /// driver must refuse.
+    fn overstated_lookahead(shards: u32) -> WindowDriver<RingShard> {
+        let (engines, _) = ring_engines(8, shards, 4);
+        WindowDriver::new(
             engines,
             ParConfig {
-                // Claims cross-shard sends take 100ns when they really
-                // take 50ns: the round-1 deliveries land inside round
-                // 2's window and the driver must refuse.
                 coalesce: false,
                 ..ParConfig::new(SimTime::from_ns(100), u64::MAX)
             },
-        );
-        let (_, _) = driver.run(route_ring(|n| (n / 4) as usize));
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn overstated_lookahead_is_caught() {
+        let (_, _) = overstated_lookahead(2).run(route_ring(|n| (n / 4) as usize));
+    }
+
+    /// The assert fires on the coordinator while its helpers wait for a
+    /// round that will never come — here polling without limit, so only
+    /// noticing the hang-up lets them return and the panic unwind out of
+    /// the thread scope (a helper that missed it would hang this test).
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn coordinator_panic_unwinds_past_spinning_helpers() {
+        let driver = overstated_lookahead(4);
+        let (_, _) = driver.run_with_helpers(2, u32::MAX, route_ring(|n| (n / 2) as usize));
     }
 
     #[test]

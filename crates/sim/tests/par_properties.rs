@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use xt3_sim::{
-    fold_digest_lanes, merge_digest_lanes, Delivery, Engine, EventDigest, EventQueue, Model,
-    ParConfig, Partitioned, RunOutcome, SimTime, WindowDriver,
+    fold_digest_lanes, merge_digest_lanes, Delivery, Engine, EventDigest, EventQueue, ExecMode,
+    Model, ParConfig, Partitioned, RunOutcome, SimTime, WindowDriver,
 };
 
 const HOP: SimTime = SimTime::from_ns(40);
@@ -174,7 +174,13 @@ fn serial(total: u32, sources: &[u32], hops: u32) -> (u64, Vec<u64>, u64) {
     (e.digest(), e.model().hits.clone(), e.dispatched())
 }
 
-fn parallel(total: u32, assign: &[usize], sources: &[u32], hops: u32) -> (u64, Vec<u64>, u64) {
+fn parallel(
+    total: u32,
+    assign: &[usize],
+    sources: &[u32],
+    hops: u32,
+    exec: ExecMode,
+) -> (u64, Vec<u64>, u64) {
     let shards = assign.iter().max().copied().unwrap_or(0) + 1;
     let mut engines = Vec::new();
     for s in 0..shards {
@@ -183,8 +189,11 @@ fn parallel(total: u32, assign: &[usize], sources: &[u32], hops: u32) -> (u64, V
         seed(&mut e, sources, hops);
         engines.push(e);
     }
-    let driver = WindowDriver::new(engines, ParConfig::new(HOP, u64::MAX));
-    let (engines, out) = driver.run(route(assign.to_vec()));
+    let config = ParConfig {
+        exec,
+        ..ParConfig::new(HOP, u64::MAX)
+    };
+    let (engines, out) = WindowDriver::new(engines, config).run(route(assign.to_vec()));
     assert_eq!(out.outcome, RunOutcome::Drained);
     let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
     let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
@@ -204,7 +213,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any partition assignment over any small topology reproduces the
-    /// serial digest, per-node hit counts and dispatch count.
+    /// serial digest, per-node hit counts and dispatch count — with every
+    /// shard on the coordinator (`Inline`: up to 4 shards on 1 thread),
+    /// one shard per thread (`Threads`), and whatever the host's core
+    /// count deals out (`Auto`: on the 2-core CI runners one helper, and
+    /// from 3 shards up several shards on each thread).
     #[test]
     fn arbitrary_partitions_reproduce_serial_digest(
         total in 2u32..12,
@@ -231,10 +244,12 @@ proptest! {
         sources.dedup();
 
         let (sd, sh, sn) = serial(total, &sources, hops);
-        let (pd, ph, pn) = parallel(total, &assign, &sources, hops);
-        prop_assert_eq!(pd, sd, "digest diverged (assign {:?})", &assign);
-        prop_assert_eq!(ph, sh, "hits diverged (assign {:?})", &assign);
-        prop_assert_eq!(pn, sn, "dispatch count diverged (assign {:?})", &assign);
+        for exec in [ExecMode::Inline, ExecMode::Threads, ExecMode::Auto] {
+            let (pd, ph, pn) = parallel(total, &assign, &sources, hops, exec);
+            prop_assert_eq!(pd, sd, "digest diverged ({:?}, assign {:?})", exec, &assign);
+            prop_assert_eq!(&ph, &sh, "hits diverged ({:?}, assign {:?})", exec, &assign);
+            prop_assert_eq!(pn, sn, "dispatch count diverged ({:?}, assign {:?})", exec, &assign);
+        }
     }
 
     /// The k-way merge the coordinator routes with is byte-equivalent to

@@ -127,8 +127,11 @@ pub enum Ev {
         /// The message and its completion time. Boxed deliberately: one
         /// allocation per *message* keeps `Ev` small (~32 B instead of
         /// ~176 B), and every queue slot, bucket entry, and slab
-        /// `take()` copies an `Ev` on every *event*.
-        inflight: Box<InFlight>,
+        /// `take()` copies an `Ev` on every *event*. Always `Some` in a
+        /// queued event; dispatch `take`s it, which is what lets a
+        /// partitioned shard send the emptied box home (see
+        /// [`NetMode::Deferred`]) instead of freeing it.
+        inflight: Box<Option<InFlight>>,
     },
     /// The RX DMA finished depositing a pending.
     RxDepositDone {
@@ -255,7 +258,16 @@ pub(crate) enum NetMode {
     /// One shard of a partitioned run: sends are buffered as intents in
     /// generation order; the coordinator replays them against the shared
     /// fabric at the next window boundary in exact serial order.
-    Deferred(Vec<SendIntent>),
+    Deferred {
+        intents: Vec<SendIntent>,
+        /// Emptied boxes of the headers this shard has dispatched. The
+        /// coordinator's thread allocated them, so freeing them here
+        /// would take the allocator's cross-thread path on every
+        /// message; each instead rides home in the shard's next intent
+        /// ([`SendIntent::spare`]) and carries a later delivery.
+        #[allow(clippy::vec_box)] // the allocations are what is kept
+        spares: Vec<Box<Option<InFlight>>>,
+    },
 }
 
 /// One deferred fabric send. Carries everything [`apply_send`] needs to
@@ -280,6 +292,9 @@ pub struct SendIntent {
     pub(crate) forced_corrupt: bool,
     /// Fault plan reorder delay.
     pub(crate) extra_delay: SimTime,
+    /// An emptied delivery box for [`apply_send`] to refill, when the
+    /// sending shard had one to return (never in a serial run).
+    pub(crate) spare: Option<Box<Option<InFlight>>>,
 }
 
 /// Walk one send through the fabric and produce its delivery event.
@@ -301,6 +316,7 @@ pub(crate) fn apply_send(
         forced_corrupt,
         extra_delay,
         delivery_key,
+        spare,
         ..
     } = intent;
     let src = NodeId(msg.header.src.nid);
@@ -322,16 +338,24 @@ pub(crate) fn apply_send(
     );
     let head_latency = d.header_at.saturating_sub(inject_at);
     let complete_at = d.complete_at.max(dma_done + head_latency) + extra_delay;
+    let inflight = Some(InFlight {
+        msg: d.msg.body,
+        complete_at,
+        corrupted: d.corrupted || forced_corrupt,
+    });
+    let inflight = match spare {
+        Some(mut spare) => {
+            *spare = inflight;
+            spare
+        }
+        None => Box::new(inflight),
+    };
     (
         d.header_at + extra_delay,
         delivery_key,
         Ev::NetHeader {
             node: dst.0,
-            inflight: Box::new(InFlight {
-                msg: d.msg.body,
-                complete_at,
-                corrupted: d.corrupted || forced_corrupt,
-            }),
+            inflight,
         },
     )
 }
@@ -1065,7 +1089,7 @@ impl Machine {
         // The causal TxInject record lives in `apply_send` (rather than
         // `start_tx_dma`) so go-back-n deferrals and retransmissions
         // stamp the *actual* inject time.
-        let intent = SendIntent {
+        let mut intent = SendIntent {
             at: self.cur_now,
             cur_key: self.cur_key,
             delivery_key,
@@ -1074,6 +1098,7 @@ impl Machine {
             msg,
             forced_corrupt,
             extra_delay,
+            spare: None,
         };
         match &mut self.net {
             NetMode::Inline => {
@@ -1085,7 +1110,10 @@ impl Machine {
                 );
                 q.schedule_keyed(at, key, ev);
             }
-            NetMode::Deferred(intents) => intents.push(intent),
+            NetMode::Deferred { intents, spares } => {
+                intent.spare = spares.pop();
+                intents.push(intent);
+            }
         }
     }
 
@@ -2587,8 +2615,14 @@ impl Model for Machine {
             Ev::AppWake { node, pid } => self.on_app_wake(q, now, node as usize, pid),
             Ev::FwCmd { node, fw_proc } => self.on_fw_cmd(q, now, node as usize, fw_proc),
             Ev::TxDmaDone { node } => self.on_tx_dma_done(q, now, node as usize),
-            Ev::NetHeader { node, inflight } => {
-                self.on_net_header(q, now, node as usize, *inflight)
+            Ev::NetHeader { node, mut inflight } => {
+                let arrived = inflight
+                    .take()
+                    .expect("a queued header carries its message");
+                if let NetMode::Deferred { spares, .. } = &mut self.net {
+                    spares.push(inflight);
+                }
+                self.on_net_header(q, now, node as usize, arrived)
             }
             Ev::RxDepositDone {
                 node,
@@ -2664,6 +2698,10 @@ impl Model for Machine {
                 digest.write_u32(*node);
             }
             Ev::NetHeader { node, inflight } => {
+                let inflight = inflight
+                    .as_ref()
+                    .as_ref()
+                    .expect("a queued header carries its message");
                 digest.write_u8(4);
                 digest.write_u32(*node);
                 digest.write_u64(inflight.complete_at.0);
@@ -2791,7 +2829,10 @@ impl Machine {
                 },
                 spawned,
                 scratch_events: Vec::new(),
-                net: NetMode::Deferred(Vec::new()),
+                net: NetMode::Deferred {
+                    intents: Vec::new(),
+                    spares: Vec::new(),
+                },
                 cur_key: 0,
                 cur_now: SimTime::ZERO,
             });
@@ -2855,15 +2896,20 @@ impl Partitioned for Machine {
     fn drain_intents(&mut self) -> Vec<SendIntent> {
         match &mut self.net {
             NetMode::Inline => Vec::new(),
-            NetMode::Deferred(intents) => std::mem::take(intents),
+            NetMode::Deferred { intents, .. } => std::mem::take(intents),
         }
     }
 
     fn drain_intents_into(&mut self, out: &mut Vec<SendIntent>) {
-        // Keep the shard's buffer allocated across windows; the driver
-        // reuses `out` too, so steady state runs allocation-free.
-        if let NetMode::Deferred(intents) = &mut self.net {
-            out.append(intents);
+        if let NetMode::Deferred { intents, .. } = &mut self.net {
+            if out.is_empty() {
+                // The driver's buffer comes back drained every window:
+                // trade it for the full one instead of copying. Both are
+                // only ever grown here, on the shard's thread.
+                std::mem::swap(out, intents);
+            } else {
+                out.append(intents);
+            }
         }
     }
 }

@@ -10,9 +10,11 @@
 //! # How the pieces line up
 //!
 //! * The machine is split into contiguous node slabs
-//!   ([`Machine::split`]); each slab runs an ordinary serial engine —
-//!   on a worker thread, or inline on the coordinator when the host has
-//!   a single core (see [`xt3_sim::ExecMode`]).
+//!   ([`Machine::split`]); each slab runs an ordinary serial engine. The
+//!   driver deals the slabs out to `min(workers, host cores)` threads,
+//!   the calling thread included: it runs the first block of slabs
+//!   itself between routing phases, and spawns nothing at all for one
+//!   worker or one core (see [`xt3_sim::ExecMode`]).
 //! * The window lookahead is the fabric's minimum cross-node latency
 //!   ([`xt3_topology::fabric::FabricConfig::min_lookahead`]), so events
 //!   inside one window are causally independent across shards.
@@ -23,6 +25,14 @@
 //!   concatenation because each run is already sorted by construction.
 //!   Windows are disjoint and ascending, so the fabric
 //!   (link cursors, RNG, counters) evolves exactly as in a serial run.
+//! * No heap object changes owner thread. The coordinator allocates the
+//!   box of every delivery ([`apply_send`]); the shard that dispatches
+//!   the header empties it and sends it home in its next intent, where
+//!   it carries a later delivery. Freeing it on the shard instead — one
+//!   cross-thread `free` per message — was 7 % of a threaded run's
+//!   samples with the allocator's lock under it. The serial engine keeps
+//!   its plain allocate-and-drop (a pool there cost +1.76 % peak heap on
+//!   the deep-queue workload).
 //! * Every event carries a scheduling key derived from per-node monotone
 //!   counters, so equal-time dispatch order is a function of simulation
 //!   state, not queue insertion order, and per-node digest lanes merge
@@ -53,6 +63,9 @@ pub struct ParRun {
     pub outcome: RunOutcome,
     /// Synchronization windows executed.
     pub rounds: u64,
+    /// Threads the shards ran on (the calling thread included): at most
+    /// one per shard and, on the automatic backend, one per host core.
+    pub threads: usize,
 }
 
 /// Run a freshly built machine to completion on `workers` shards.
@@ -74,8 +87,8 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
         .map(Machine::into_engine)
         .collect();
     // Mirror the serial engine's budget (see `Machine::into_engine`) so
-    // exhaustion behaves the same. Backend selection and window
-    // coalescing are left on automatic — neither can affect results.
+    // exhaustion behaves the same. Thread count and window coalescing
+    // are left on automatic — neither can affect results.
     let driver = WindowDriver::new(engines, ParConfig::new(lookahead, 2_000_000_000));
 
     // The coordinator owns the real fabric plus observation-only sinks
@@ -120,6 +133,7 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
         now,
         dispatched,
         rounds,
+        threads,
     } = out;
 
     let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
@@ -135,5 +149,6 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
         dispatched,
         outcome,
         rounds,
+        threads,
     }
 }

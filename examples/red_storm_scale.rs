@@ -87,20 +87,29 @@ fn main() {
     let m = red_storm_machine(dims, rounds, MSG);
 
     let start = std::time::Instant::now();
-    let (m, sim_time, events) = if workers > 1 {
+    let (m, sim_time, events, windows) = if workers > 1 {
         let run = run_parallel(m, workers);
-        println!(
-            "parallel run: {} synchronization windows across {workers} shards",
-            run.rounds
-        );
-        (run.machine, run.now, run.dispatched)
+        let windows = Some((run.rounds, run.threads));
+        (run.machine, run.now, run.dispatched, windows)
     } else {
         let mut engine = m.into_engine();
         engine.run();
         let (now, events) = (engine.now(), engine.dispatched());
-        (engine.into_model(), now, events)
+        (engine.into_model(), now, events, None)
     };
     let wall = start.elapsed();
+    if let Some((windows, threads)) = windows {
+        // What a window costs end to end. Shard work is inside it (its
+        // share is not observable from out here), so compare with the
+        // serial run's wall time over the same count: the difference is
+        // what the window protocol and the second core add or save.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        println!(
+            "parallel run: {windows} synchronization windows across {workers} shards on {threads} \
+             thread(s) ({cores} host core(s)), {:.1} us wall per window",
+            wall.as_secs_f64() * 1e6 / windows.max(1) as f64
+        );
+    }
 
     assert_eq!(m.running_apps(), 0, "all {n} nodes complete");
     assert!(!m.any_panicked());
