@@ -9,11 +9,15 @@
 //! identical simulated work — any events/sec delta is the simulator
 //! itself.
 //!
-//! The NetPIPE scenarios keep a handful of events pending. The two
-//! `deep/` scenarios — the 512-node all-to-all (108k pending at the
-//! median) and eight rounds of the full 10,368-node machine — are where
-//! the event queue's depth shows; their event digests are pinned, so a
-//! queue that reorders anything fails here before it is timed.
+//! The NetPIPE scenarios keep a handful of events pending. The `deep/`
+//! scenarios — the 512-node all-to-all (108k pending at the median),
+//! the same machine with the registry, causal and series sinks on, and
+//! eight rounds of the full 10,368-node machine — are where the event
+//! queue's depth and the sinks' price show; their event digests are
+//! pinned (the observed twin to the same value as the plain one:
+//! digest-neutrality inside the gate), so a queue that reorders anything
+//! or a sink that perturbs the run fails here before it is timed. The
+//! twin's wall time over the plain row's is `sink_overhead`.
 //!
 //! A scenario the `--out` file already lists keeps that file's
 //! events/sec as `before_events_per_sec`, so the committed JSON holds a
@@ -29,7 +33,7 @@ use xt3_node::config::MachineConfig;
 use xt3_node::machine::Machine;
 use xt3_node::workloads::{red_storm_machine, traffic_machine_cfg, TrafficPattern};
 use xt3_sim::{Engine, RunOutcome};
-use xt3_telemetry::JsonValue;
+use xt3_telemetry::{JsonValue, SeriesConfig};
 use xt3_topology::coord::Dims;
 
 /// One scenario's measurement.
@@ -48,12 +52,30 @@ struct Row {
 /// workloads of `benchmark/`, built from the same public constructors.
 type Deep = (&'static str, fn() -> Machine, u64);
 
-const DEEP: [Deep; 2] = [
+fn torus512_alltoall() -> Machine {
+    let config = MachineConfig::paper(Dims::red_storm(8, 8, 8));
+    traffic_machine_cfg(TrafficPattern::AllToAll, config, 1, 4096)
+}
+
+/// The plain and the observed 512-node rows `sink_overhead` divides.
+const PLAIN: &str = "deep/torus512-alltoall";
+const OBSERVED: &str = "deep/torus512-alltoall+sinks";
+
+/// `--check` fails above this `sink_overhead`. Measured on the 2-core
+/// reference box with this binary: 2.4-2.6 with the ordered-map stores
+/// this gate was introduced against, 1.4-1.5 without them.
+const SINK_OVERHEAD_CEILING: f64 = 2.0;
+
+const DEEP: [Deep; 3] = [
+    (PLAIN, torus512_alltoall, 0x511b_a982_3961_2dd5),
     (
-        "deep/torus512-alltoall",
+        OBSERVED,
         || {
-            let config = MachineConfig::paper(Dims::red_storm(8, 8, 8));
-            traffic_machine_cfg(TrafficPattern::AllToAll, config, 1, 4096)
+            let mut m = torus512_alltoall();
+            m.set_telemetry_enabled(true);
+            m.set_causal_enabled(true);
+            m.enable_link_series(SeriesConfig::default());
+            m
         },
         0x511b_a982_3961_2dd5,
     ),
@@ -111,14 +133,15 @@ fn usage() -> ! {
     eprintln!(
         "usage: perf_baseline [--quick] [--reps N] [--max-size BYTES] [--out PATH]\n\
          \n\
-         --quick           small messages + 1 rep (CI smoke configuration; the two\n\
+         --quick           small messages + 1 rep (CI smoke configuration; the\n\
          \x20                 deep-queue machines are fixed-size and still run)\n\
          --reps N          timing repetitions per scenario, best-of (default 3)\n\
          --max-size BYTES  NetPIPE schedule size cap (default 65536)\n\
          --out PATH        JSON output path (default BENCH_core.json)\n\
          --check PATH      compare against a committed baseline JSON and fail if\n\
          \x20                 the aggregate or a deep scenario's events/sec fall\n\
-         \x20                 below 25% of it"
+         \x20                 below 25% of it, or if this run's sink_overhead\n\
+         \x20                 (observed / plain 512-node wall time) exceeds 2.0"
     );
     std::process::exit(2)
 }
@@ -194,17 +217,32 @@ fn main() {
         }));
     }
 
+    let wall_of = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name);
+        row.expect("both 512-node rows are in DEEP").wall_s
+    };
+    let sink_overhead = wall_of(OBSERVED) / wall_of(PLAIN);
+
     println!();
     println!(
         "aggregate (netpipe): {total_events} events in {:.1} ms -> {:.0} events/sec",
         total_wall * 1e3,
         aggregate
     );
+    println!("sink_overhead = wall({OBSERVED}) / wall({PLAIN}) = {sink_overhead:.3}");
 
     let before = std::fs::read_to_string(&out)
         .ok()
         .and_then(|text| xt3_telemetry::parse_json(&text).ok());
-    let json = render_json(&rows, before.as_ref(), max_size, reps, quick, aggregate);
+    let json = render_json(
+        &rows,
+        before.as_ref(),
+        max_size,
+        reps,
+        quick,
+        aggregate,
+        sink_overhead,
+    );
     if let Err(e) = std::fs::write(&out, json) {
         eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
@@ -212,7 +250,7 @@ fn main() {
     println!("wrote {out}");
 
     if let Some(path) = check {
-        check_against(&path, aggregate, &rows);
+        check_against(&path, aggregate, &rows, sink_overhead);
     }
 }
 
@@ -232,7 +270,7 @@ fn scenario_rate(doc: &JsonValue, name: &str) -> Option<f64> {
 /// the tolerance is generous — the guard only trips on a catastrophic
 /// slowdown (an accidental O(n^2), tracing left on in the hot path),
 /// not on run-to-run jitter.
-fn check_against(path: &str, aggregate: f64, rows: &[Row]) {
+fn check_against(path: &str, aggregate: f64, rows: &[Row], sink_overhead: f64) {
     let doc = std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
         .and_then(|text| xt3_telemetry::parse_json(&text))
@@ -268,6 +306,14 @@ fn check_against(path: &str, aggregate: f64, rows: &[Row]) {
             std::process::exit(1);
         }
     }
+    // The sinks' price is gated on this run's own ratio, not the file's.
+    println!("sink overhead check: {sink_overhead:.3} (ceiling {SINK_OVERHEAD_CEILING:.1})");
+    if sink_overhead > SINK_OVERHEAD_CEILING {
+        eprintln!(
+            "perf_baseline: the sinks cost more than {SINK_OVERHEAD_CEILING:.1}x the unobserved run"
+        );
+        std::process::exit(1);
+    }
     println!("regression check passed");
 }
 
@@ -279,6 +325,7 @@ fn render_json(
     reps: u32,
     quick: bool,
     aggregate: f64,
+    sink_overhead: f64,
 ) -> String {
     use std::fmt::Write as _;
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -290,6 +337,7 @@ fn render_json(
     let _ = writeln!(s, "  \"reps\": {reps},");
     let _ = writeln!(s, "  \"cores\": {cores},");
     let _ = writeln!(s, "  \"aggregate_events_per_sec\": {aggregate:.0},");
+    let _ = writeln!(s, "  \"sink_overhead\": {sink_overhead:.3},");
     s.push_str("  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };

@@ -15,15 +15,23 @@
 //! fingerprint, so enabling it cannot perturb replay digests. It still
 //! keeps its own streaming digest so tests can assert that two
 //! instrumented runs recorded identical causal streams.
+//!
+//! What a record costs is O(1): an append, plus one probe of the
+//! [`LatestIndex`] that chains it onto the message's previous stage. The
+//! index holds one slot per message id among the *stored* records, so the
+//! record cap bounds it too: a record past the cap is folded into the
+//! digest and counted, never indexed or looked up, and the record that
+//! fills the log releases the index — every chain ends there, because no
+//! later record can have a stored child.
 
 use crate::digest::EventDigest;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default cap on stored causal records. Past it new records are counted
 /// but not stored (the buffer is append-only — a ring would invalidate
 /// parent indices — so truncation keeps the *head* of the stream).
-const DEFAULT_RECORD_CAP: usize = 1 << 21;
+const DEFAULT_RECORD_CAP: u32 = 1 << 21;
 
 /// Correlation identity of one wire message.
 ///
@@ -158,10 +166,89 @@ pub struct CausalRecord {
     pub info: u64,
 }
 
+/// Index length at first use.
+const MIN_INDEX_LEN: usize = 16;
+
+/// The latest stored record of each message id: an open-addressed
+/// `id → record index` table, empty until the first record, doubled when
+/// more than half full, Fibonacci-hashed and linearly probed. It is only
+/// ever probed for one id, never iterated, so slot order cannot reach any
+/// output.
+///
+/// The same pattern as `firmware::source`'s active-source index, and
+/// deliberately not the same type: that one keys on a `u32` node id for
+/// which 0 is a real key (so vacancy lives in the value), takes its live
+/// count from the source pool (a counter of its own would add 8 B to each
+/// of 10,368 nodes, and those workloads' heap is held to the byte), and
+/// needs backward-shift deletion; this one has a free key (0 is
+/// [`TraceId::NONE`], never recorded), counts for itself and is only ever
+/// released whole.
+#[derive(Debug, Default)]
+struct LatestIndex {
+    /// Empty or a power of two long and never more than half full, so
+    /// every probe run ends at a vacant slot (id 0).
+    slots: Vec<(u64, u32)>,
+    live: u32,
+}
+
+impl LatestIndex {
+    /// The slot holding `id`, or the vacant one ending its probe run.
+    /// `None` only while the table is empty.
+    fn probe(&self, id: u64) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        // Top bits of the Fibonacci hash (length >= 2, so the shift is
+        // below 64).
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut pos = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            let (held, _) = *self.slots.get(pos)?;
+            if held == id || held == 0 {
+                return Some(pos);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The latest record of `id` (0 is never a key).
+    fn latest(&self, id: u64) -> Option<u32> {
+        let &(held, idx) = self.slots.get(self.probe(id)?)?;
+        (held == id && id != 0).then_some(idx)
+    }
+
+    /// Make `idx` the latest record of `id` (non-zero); returns the one
+    /// it replaces.
+    fn replace(&mut self, id: u64, idx: u32) -> Option<u32> {
+        if (self.live as usize + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let pos = self.probe(id)?;
+        let slot = self.slots.get_mut(pos)?;
+        let prev = (slot.0 == id).then_some(slot.1);
+        if prev.is_none() {
+            self.live += 1;
+        }
+        *slot = (id, idx);
+        prev
+    }
+
+    /// Double the table (from nothing: [`MIN_INDEX_LEN`]) and re-enter
+    /// every id.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_INDEX_LEN);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
+        for (id, idx) in old.into_iter().filter(|&(id, _)| id != 0) {
+            let vacant = self.probe(id);
+            if let Some(slot) = vacant.and_then(|pos| self.slots.get_mut(pos)) {
+                *slot = (id, idx);
+            }
+        }
+    }
+}
+
 /// Bounded, deterministic causal record log.
 ///
 /// Disabled, every record call is one predictable branch. Enabled, the
-/// log appends records, maintains the per-message "latest record" map
+/// log appends records, maintains the per-message "latest record" index
 /// that turns independent handler callbacks into parent→child chains,
 /// and tracks the FIFO of pending EQ posts per `(node, pid)` so an
 /// `AppDeliver` can name the completion that produced the event it
@@ -169,18 +256,29 @@ pub struct CausalRecord {
 #[derive(Debug)]
 pub struct CausalLog {
     enabled: bool,
-    cap: usize,
+    /// At most `u32::MAX`: parent edges are `u32` record indices.
+    cap: u32,
     records: Vec<CausalRecord>,
     dropped: u64,
     digest: EventDigest,
-    /// Latest record index per live trace id (chains stages recorded by
+    /// Latest stored record per trace id (chains stages recorded by
     /// different handlers).
-    last_by_id: BTreeMap<u64, u32>,
-    /// Pending EQ posts per (node, pid): record indices in post order.
-    eq_fifo: BTreeMap<(u32, u32), VecDeque<u32>>,
+    latest: LatestIndex,
+    /// Pending EQ posts, dense by node: each node's `(pid, record
+    /// indices in post order)` lanes, a node having a process or two.
+    eq_fifo: Vec<Vec<(u32, VecDeque<u32>)>>,
     /// The record causally responsible for work done in the current
     /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
     cause: Option<u32>,
+}
+
+/// Where a new record's parent edge comes from.
+#[derive(Clone, Copy)]
+enum Parent {
+    /// The caller names it.
+    Given(Option<u32>),
+    /// The latest stored record of the same id.
+    Latest,
 }
 
 impl Default for CausalLog {
@@ -198,8 +296,8 @@ impl CausalLog {
             records: Vec::new(),
             dropped: 0,
             digest: EventDigest::new(),
-            last_by_id: BTreeMap::new(),
-            eq_fifo: BTreeMap::new(),
+            latest: LatestIndex::default(),
+            eq_fifo: Vec::new(),
             cause: None,
         }
     }
@@ -212,11 +310,12 @@ impl CausalLog {
         }
     }
 
-    /// An enabled log storing at most `cap` records.
+    /// An enabled log storing at most `cap` records (and never more
+    /// than `u32::MAX`, the range of a parent edge).
     pub fn with_cap(cap: usize) -> Self {
         CausalLog {
             enabled: true,
-            cap,
+            cap: u32::try_from(cap).unwrap_or(u32::MAX),
             ..Self::disabled()
         }
     }
@@ -275,7 +374,7 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        self.record_slow(id, stage, at, node, parent, info)
+        self.record_slow(id, stage, at, node, Parent::Given(parent), info)
     }
 
     /// Append a record chained onto the message's previous stage.
@@ -291,8 +390,7 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        let parent = self.last_by_id.get(&id.0).copied();
-        self.record_slow(id, stage, at, node, parent, info)
+        self.record_slow(id, stage, at, node, Parent::Latest, info)
     }
 
     #[inline(never)]
@@ -302,7 +400,7 @@ impl CausalLog {
         stage: CausalStage,
         at: SimTime,
         node: u32,
-        parent: Option<u32>,
+        parent: Parent,
         info: u64,
     ) -> Option<u32> {
         if !id.is_some() && stage != CausalStage::AppDeliver {
@@ -313,11 +411,19 @@ impl CausalLog {
         self.digest.write_u64(at.ps());
         self.digest.write_u32(node);
         self.digest.write_u64(info);
-        if self.records.len() >= self.cap {
+        if self.records.len() >= self.cap as usize {
             self.dropped += 1;
             return None;
         }
         let idx = self.records.len() as u32;
+        // One probe both finds the previous stage and enters this one.
+        let indexed = id.is_some() && stage != CausalStage::AppDeliver;
+        let previous = indexed.then(|| self.latest.replace(id.0, idx)).flatten();
+        let parent = match parent {
+            Parent::Given(parent) => parent,
+            Parent::Latest if indexed => previous,
+            Parent::Latest => self.latest.latest(id.0),
+        };
         self.records.push(CausalRecord {
             id,
             stage,
@@ -326,8 +432,8 @@ impl CausalLog {
             parent,
             info,
         });
-        if id.is_some() && stage != CausalStage::AppDeliver {
-            self.last_by_id.insert(id.0, idx);
+        if self.records.len() >= self.cap as usize {
+            self.latest = LatestIndex::default();
         }
         Some(idx)
     }
@@ -338,9 +444,18 @@ impl CausalLog {
         if !self.enabled || count == 0 {
             return;
         }
-        let fifo = self.eq_fifo.entry((node, pid)).or_default();
-        for _ in 0..count {
-            fifo.push_back(idx);
+        let node = node as usize;
+        if self.eq_fifo.len() <= node {
+            self.eq_fifo.resize_with(node + 1, Vec::new);
+        }
+        let Some(lanes) = self.eq_fifo.get_mut(node) else {
+            return;
+        };
+        if !lanes.iter().any(|&(p, _)| p == pid) {
+            lanes.push((pid, VecDeque::new()));
+        }
+        if let Some((_, fifo)) = lanes.iter_mut().find(|(p, _)| *p == pid) {
+            fifo.extend(std::iter::repeat_n(idx, count as usize));
         }
     }
 
@@ -350,9 +465,9 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        self.eq_fifo
-            .get_mut(&(node, pid))
-            .and_then(VecDeque::pop_front)
+        let lanes = self.eq_fifo.get_mut(node as usize)?;
+        let (_, fifo) = lanes.iter_mut().find(|(p, _)| *p == pid)?;
+        fifo.pop_front()
     }
 
     /// Convenience: record the `AppDeliver` for a consumed event and make
@@ -372,7 +487,14 @@ impl CausalLog {
             .and_then(|i| self.records.get(i as usize))
             .map(|r| r.id)
             .unwrap_or(TraceId::NONE);
-        let idx = self.record_slow(id, CausalStage::AppDeliver, at, node, producer, pid as u64);
+        let idx = self.record_slow(
+            id,
+            CausalStage::AppDeliver,
+            at,
+            node,
+            Parent::Given(producer),
+            pid as u64,
+        );
         self.cause = idx;
         idx
     }

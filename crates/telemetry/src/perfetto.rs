@@ -220,7 +220,7 @@ fn emit_counters(out: &mut String, first: &mut bool, set: &SeriesSet) {
                 continue;
             }
             let base = Component::Link(port).track_name();
-            for (idx, b) in link.buckets().iter().enumerate() {
+            for (idx, b) in link.buckets().enumerate() {
                 let idx = idx as u32;
                 sample(
                     out,

@@ -1,7 +1,16 @@
 //! The concrete telemetry recorder: counters, gauges, histograms, spans.
+//!
+//! A run uses fewer than twenty metric names on thousands of nodes, so
+//! the store is a short name table with one dense per-node column behind
+//! each counter and gauge name, and one histogram behind each histogram
+//! name. A record call finds its name by pointer and length (metric names
+//! are literals; the string compare runs only on a miss), then indexes the
+//! column by node: O(1), with no allocation once the column reaches the
+//! node. Each table is kept sorted by name, so walking nodes and then
+//! names yields exactly the `(node, name)` order every export has always
+//! had.
 
 use crate::sink::{Component, TelemetrySink};
-use std::collections::BTreeMap;
 use xt3_sim::{Histogram, SimTime};
 
 /// Default cap on stored occupancy spans. Beyond it new spans are counted
@@ -24,20 +33,100 @@ pub struct Span {
     pub end: SimTime,
 }
 
+/// A name-sorted table of metrics.
+type Named<T> = Vec<(&'static str, T)>;
+
+/// Where `name` is in `table`, or where it would be inserted.
+fn locate<T>(table: &[(&'static str, T)], name: &str) -> Result<usize, usize> {
+    match table.iter().position(|&(held, _)| std::ptr::eq(held, name)) {
+        Some(at) => Ok(at),
+        None => table.binary_search_by(|&(held, _)| held.cmp(name)),
+    }
+}
+
+/// `name`'s entry, entered with its default on first use.
+fn entry<'a, T: Default>(table: &'a mut Named<T>, name: &'static str) -> &'a mut T {
+    let at = locate(table, name).unwrap_or_else(|at| {
+        table.insert(at, (name, T::default()));
+        at
+    });
+    &mut table[at].1
+}
+
+/// One metric's values by node: `cells[node - base]`, `None` where the
+/// node never recorded it (a recorded 0 is still listed). The column
+/// starts at the first node written — a shard of the parallel engine
+/// records only its own node range — and extends either way on demand.
+#[derive(Debug, Default)]
+struct Column {
+    base: u32,
+    cells: Vec<Option<u64>>,
+}
+
+impl Column {
+    fn get(&self, node: u32) -> Option<u64> {
+        let at = node.checked_sub(self.base)?;
+        self.cells.get(at as usize).copied().flatten()
+    }
+
+    fn cell(&mut self, node: u32) -> &mut Option<u64> {
+        if self.cells.is_empty() {
+            self.base = node;
+        }
+        if node < self.base {
+            // At least double the room below, so a descending stream of
+            // nodes moves the column O(log n) times.
+            let below = (self.base - node)
+                .max(self.cells.len() as u32)
+                .min(self.base);
+            self.cells
+                .splice(0..0, std::iter::repeat_n(None, below as usize));
+            self.base -= below;
+        }
+        let at = (node - self.base) as usize;
+        if self.cells.len() <= at {
+            self.cells.resize(at + 1, None);
+        }
+        &mut self.cells[at]
+    }
+}
+
+/// `node`'s value of metric `name` (0 if never recorded).
+fn read(table: &Named<Column>, node: u32, name: &str) -> u64 {
+    let column = locate(table, name).ok().map(|at| &table[at].1);
+    column.and_then(|c| c.get(node)).unwrap_or(0)
+}
+
+/// Every `(node, name, value)` of `table`, ordered by node then name.
+fn rows(table: &Named<Column>) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
+    let ends = table.iter().filter(|(_, c)| !c.cells.is_empty());
+    let lo = ends.clone().map(|(_, c)| c.base).min().unwrap_or(1);
+    let hi = ends
+        .map(|(_, c)| c.base + (c.cells.len() - 1) as u32)
+        .max()
+        .unwrap_or(0);
+    (lo..=hi).flat_map(move |node| {
+        table
+            .iter()
+            .filter_map(move |(name, c)| c.get(node).map(|v| (node, *name, v)))
+    })
+}
+
 /// The metrics registry and occupancy recorder.
 ///
-/// All storage is ordered (`BTreeMap`) so iteration — and therefore every
-/// export — is deterministic. Disabled, every record call is a single
-/// predictable branch (the same zero-cost pattern as `Trace::record`).
+/// Iteration — and therefore every export — is deterministic: counters
+/// and gauges come out ordered by `(node, name)`, histograms by name.
+/// Disabled, every record call is a single predictable branch (the same
+/// zero-cost pattern as `Trace::record`) and nothing is allocated.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
     span_cap: usize,
     spans: Vec<Span>,
     dropped_spans: u64,
-    counters: BTreeMap<(u32, &'static str), u64>,
-    gauges: BTreeMap<(u32, &'static str), u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    counters: Named<Column>,
+    gauges: Named<Column>,
+    hists: Named<Histogram>,
 }
 
 impl Default for Telemetry {
@@ -54,9 +143,9 @@ impl Telemetry {
             span_cap: DEFAULT_SPAN_CAP,
             spans: Vec::new(),
             dropped_spans: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            hists: Vec::new(),
         }
     }
 
@@ -94,52 +183,44 @@ impl Telemetry {
 
     /// Value of a per-node counter (0 if never touched).
     pub fn counter(&self, node: u32, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|((n, k), _)| *n == node && *k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        read(&self.counters, node, name)
     }
 
     /// Sum of a counter across all nodes.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((_, k), _)| *k == name)
-            .map(|(_, v)| *v)
-            .sum()
+        locate(&self.counters, name).map_or(0, |at| {
+            let cells = &self.counters[at].1.cells;
+            cells.iter().flatten().sum()
+        })
     }
 
     /// High-water mark of a per-node gauge (0 if never observed).
     pub fn gauge_high_water(&self, node: u32, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|((n, k), _)| *n == node && *k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        read(&self.gauges, node, name)
     }
 
     /// A latency histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(k, _)| **k == name).map(|(_, h)| h)
+        locate(&self.hists, name).ok().map(|at| &self.hists[at].1)
     }
 
     /// Iterate `(node, name, value)` over all counters.
     pub fn counters(&self) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
-        self.counters.iter().map(|(&(n, k), &v)| (n, k, v))
+        rows(&self.counters)
     }
 
     /// Iterate `(node, name, high_water)` over all gauges.
     pub fn gauges(&self) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
-        self.gauges.iter().map(|(&(n, k), &v)| (n, k, v))
+        rows(&self.gauges)
     }
 
     /// Iterate `(name, histogram)` over all histograms.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(&k, h)| (k, h))
+        self.hists.iter().map(|(k, h)| (*k, h))
     }
 
-    /// Total busy time of `component` on `node` across recorded spans.
+    /// Total busy time of `component` on `node` across recorded spans:
+    /// one pass over them, O(spans) a call.
     pub fn busy_total(&self, node: u32, component: Component) -> SimTime {
         let mut total = SimTime::ZERO;
         for s in &self.spans {
@@ -154,24 +235,23 @@ impl Telemetry {
 // The recording bodies are deliberately outlined (`#[inline(never)]`):
 // only the `enabled` test inlines into the simulator's hot dispatch
 // code, so the disabled path costs one predictable branch and no icache
-// pressure from BTreeMap/Vec machinery.
+// pressure from the store's machinery.
 impl Telemetry {
     #[inline(never)]
     fn add_slow(&mut self, node: u32, name: &'static str, delta: u64) {
-        *self.counters.entry((node, name)).or_insert(0) += delta;
+        let cell = entry(&mut self.counters, name).cell(node);
+        *cell = Some(cell.unwrap_or(0) + delta);
     }
 
     #[inline(never)]
     fn gauge_slow(&mut self, node: u32, name: &'static str, value: u64) {
-        let hwm = self.gauges.entry((node, name)).or_insert(0);
-        if value > *hwm {
-            *hwm = value;
-        }
+        let cell = entry(&mut self.gauges, name).cell(node);
+        *cell = Some(cell.unwrap_or(0).max(value));
     }
 
     #[inline(never)]
     fn sample_slow(&mut self, name: &'static str, value: SimTime) {
-        self.hists.entry(name).or_default().record(value.ps());
+        entry(&mut self.hists, name).record(value.ps());
     }
 
     #[inline(never)]

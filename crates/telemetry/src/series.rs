@@ -11,13 +11,15 @@
 //! Memory discipline follows the full-machine rules (DESIGN.md §12):
 //! the set holds one `Option<Box<NodeSeries>>` slot per node and
 //! allocates a node's series only when traffic first touches it, so an
-//! idle 10,368-node machine costs one pointer per node. Bucket vectors
-//! grow on demand and are clamped at [`SeriesConfig::max_buckets`];
-//! activity past the clamp accumulates into the final bucket so totals
-//! stay exact. Each link also keeps a capped *occupancy log* of
-//! `(tag, arrival, start, done)` tuples — the raw material the
-//! congestion attribution engine uses to name the competing flows that
-//! caused a wait.
+//! idle 10,368-node machine costs one pointer per node. A link's buckets
+//! live in chunks of [`CHUNK`] allocated when first written — a link is
+//! busy in bursts, and on the contended 512-node torus two thirds of the
+//! buckets between its first and last transit stay zero — and are
+//! clamped at [`SeriesConfig::max_buckets`]; activity past the clamp
+//! accumulates into the final bucket so totals stay exact. Each link
+//! also keeps a capped *occupancy log* of `(tag, arrival, start, done)`
+//! tuples — the raw material the congestion attribution engine uses to
+//! name the competing flows that caused a wait.
 //!
 //! Like telemetry and the causal log, the series are observation-only:
 //! never folded into a machine fingerprint, recorded from values the
@@ -54,6 +56,17 @@ impl Default for SeriesConfig {
             max_buckets: 4096,
             occupancy_cap: 64,
         }
+    }
+}
+
+impl SeriesConfig {
+    /// The bucket containing picosecond `at`; everything past the clamp
+    /// belongs to the final bucket. Clamped before it is narrowed, so an
+    /// instant `2^32` buckets out does not wrap to a low index.
+    fn index(&self, at: u64) -> usize {
+        let idx = at / self.bucket.ps().max(1);
+        let last = (self.max_buckets as usize).saturating_sub(1);
+        usize::try_from(idx).map_or(last, |idx| idx.min(last))
     }
 }
 
@@ -97,10 +110,49 @@ pub struct Occupancy {
     pub done: SimTime,
 }
 
+/// Buckets per chunk of a link's store (160 B). Small on purpose: on the
+/// uncontended full machine a link sees two to four buckets in a run, and
+/// a chunk of sixteen cost it 1,000 B a node more than the dense vector
+/// did; the contended torus is as sparse at four as at sixteen.
+const CHUNK: usize = 4;
+
+/// A link's buckets: `chunks[idx / CHUNK][idx % CHUNK]`, a chunk
+/// allocated when one of its buckets is first written.
+#[derive(Debug, Default)]
+struct Buckets {
+    chunks: Vec<Option<Box<[LinkBucket; CHUNK]>>>,
+    /// One past the highest bucket written.
+    len: usize,
+}
+
+impl Buckets {
+    fn at(&mut self, idx: usize) -> &mut LinkBucket {
+        self.len = self.len.max(idx + 1);
+        if self.chunks.len() <= idx / CHUNK {
+            self.chunks.resize_with(idx / CHUNK + 1, || None);
+        }
+        let chunk = self.chunks[idx / CHUNK].get_or_insert_with(Default::default);
+        &mut chunk[idx % CHUNK]
+    }
+
+    /// `(index, bucket)` over the allocated chunks, in index order.
+    fn written(&self) -> impl Iterator<Item = (usize, &LinkBucket)> + '_ {
+        let chunks = self.chunks.iter().enumerate();
+        chunks
+            .filter_map(|(c, chunk)| Some((c, chunk.as_deref()?)))
+            .flat_map(|(c, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, b)| (c * CHUNK + i, b))
+            })
+    }
+}
+
 /// Time-bucketed series for one directed link.
 #[derive(Debug, Default)]
 pub struct LinkSeries {
-    buckets: Vec<LinkBucket>,
+    buckets: Buckets,
     occupancy: Vec<Occupancy>,
     occ_dropped: u64,
     total_stall_ps: u64,
@@ -110,9 +162,14 @@ pub struct LinkSeries {
 }
 
 impl LinkSeries {
-    /// The bucket vector, dense from bucket 0 to the last touched one.
-    pub fn buckets(&self) -> &[LinkBucket] {
-        &self.buckets
+    /// Every bucket from 0 to the last one written, in order (zero
+    /// where nothing was recorded).
+    pub fn buckets(&self) -> impl Iterator<Item = LinkBucket> + '_ {
+        let zero = [LinkBucket::default(); CHUNK];
+        let chunks = self.buckets.chunks.iter();
+        chunks
+            .flat_map(move |chunk| chunk.as_deref().copied().unwrap_or(zero))
+            .take(self.buckets.len)
     }
 
     /// Stored occupancy entries, in transit order.
@@ -243,12 +300,6 @@ impl SeriesSet {
         &self.config
     }
 
-    /// The bucket containing `at` (clamped at `max_buckets - 1`).
-    pub fn bucket_index(&self, at: SimTime) -> u32 {
-        let idx = at.ps() / self.config.bucket.ps().max(1);
-        (idx as u32).min(self.config.max_buckets.saturating_sub(1))
-    }
-
     /// The start of bucket `idx`.
     pub fn bucket_start(&self, idx: u32) -> SimTime {
         self.config.bucket * idx as u64
@@ -280,9 +331,7 @@ impl SeriesSet {
 
     /// Record one firmware injection on `node` at `at`.
     pub fn record_inject(&mut self, node: u32, at: SimTime, bytes: u64) {
-        let width = self.config.bucket.ps().max(1);
-        let max = self.config.max_buckets as usize;
-        let idx = ((at.ps() / width) as usize).min(max.saturating_sub(1));
+        let idx = self.config.index(at.ps());
         let inject = &mut self.lane(node).inject;
         if inject.buckets.len() <= idx {
             inject.buckets.resize(idx + 1, InjectBucket::default());
@@ -297,48 +346,29 @@ impl SeriesSet {
     /// [`Occupancy`] carries the header arrival, serialization start
     /// (the gap is the HOL stall) and last-packet departure times.
     pub fn record_hop(&mut self, node: u32, port: u8, occ: Occupancy, packets: u64) {
-        let width = self.config.bucket.ps().max(1);
-        let max = self.config.max_buckets as usize;
-        let occ_cap = self.config.occupancy_cap as usize;
+        let cfg = self.config;
         let link = &mut self.lane(node).links[port as usize];
 
         let stall = occ.start.saturating_sub(occ.arrival).ps();
-        let arrive_idx = ((occ.arrival.ps() / width) as usize).min(max.saturating_sub(1));
-        if link.buckets.len() <= arrive_idx {
-            link.buckets.resize(arrive_idx + 1, LinkBucket::default());
-        }
-        let b = &mut link.buckets[arrive_idx];
+        let b = link.buckets.at(cfg.index(occ.arrival.ps()));
         b.stall_ps += stall;
         b.msgs += 1;
         b.packets += packets;
 
-        spread(
-            &mut link.buckets,
-            width,
-            max,
-            occ.arrival.ps(),
-            occ.start.ps(),
-            |b, ps| {
-                b.queued_ps += ps;
-            },
-        );
-        spread(
-            &mut link.buckets,
-            width,
-            max,
-            occ.start.ps(),
-            occ.done.ps(),
-            |b, ps| {
-                b.busy_ps += ps;
-            },
-        );
+        let (arrival, start, done) = (occ.arrival.ps(), occ.start.ps(), occ.done.ps());
+        spread(&mut link.buckets, &cfg, arrival, start, |b, ps| {
+            b.queued_ps += ps;
+        });
+        spread(&mut link.buckets, &cfg, start, done, |b, ps| {
+            b.busy_ps += ps;
+        });
 
         link.total_stall_ps += stall;
         link.total_busy_ps += occ.done.saturating_sub(occ.start).ps();
         link.msgs += 1;
         link.packets += packets;
 
-        if link.occupancy.len() < occ_cap {
+        if link.occupancy.len() < cfg.occupancy_cap as usize {
             link.occupancy.push(occ);
         } else {
             link.occ_dropped += 1;
@@ -423,7 +453,7 @@ impl SeriesSet {
                     link.occ_dropped,
                 );
                 let mut first_bucket = true;
-                for (idx, b) in link.buckets.iter().enumerate() {
+                for (idx, b) in link.buckets.written() {
                     if b.is_zero() {
                         continue;
                     }
@@ -447,36 +477,28 @@ impl SeriesSet {
 }
 
 /// Distribute the interval `[from, to)` (picoseconds) over fixed-width
-/// buckets, clamping at `max`: whatever falls past the clamp piles into
-/// the final bucket so the distributed total is exact.
+/// buckets: whatever falls past the clamp piles into the final bucket so
+/// the distributed total is exact.
 fn spread(
-    buckets: &mut Vec<LinkBucket>,
-    width_ps: u64,
-    max: usize,
+    buckets: &mut Buckets,
+    cfg: &SeriesConfig,
     from: u64,
     to: u64,
     mut add: impl FnMut(&mut LinkBucket, u64),
 ) {
-    if to <= from || max == 0 {
+    let Some(last) = (cfg.max_buckets as usize).checked_sub(1) else {
         return;
-    }
-    let mut cur = from;
+    };
+    let width = cfg.bucket.ps().max(1);
+    let (mut cur, mut idx) = (from, cfg.index(from));
     while cur < to {
-        let idx = (cur / width_ps) as usize;
-        if idx >= max {
-            if buckets.len() < max {
-                buckets.resize(max, LinkBucket::default());
-            }
-            add(&mut buckets[max - 1], to - cur);
-            return;
-        }
-        let bucket_end = (idx as u64 + 1) * width_ps;
-        let end = to.min(bucket_end);
-        if buckets.len() <= idx {
-            buckets.resize(idx + 1, LinkBucket::default());
-        }
-        add(&mut buckets[idx], end - cur);
-        cur = end;
+        let end = if idx == last {
+            to
+        } else {
+            to.min((idx as u64 + 1) * width)
+        };
+        add(buckets.at(idx), end - cur);
+        (cur, idx) = (end, idx + 1);
     }
 }
 
@@ -518,7 +540,7 @@ mod tests {
             9,
         );
         let link = s.link(1, 0).unwrap();
-        let b = link.buckets();
+        let b: Vec<LinkBucket> = link.buckets().collect();
         // Queue: 5 µs in bucket 0, 5 µs in bucket 1.
         assert_eq!(b[0].queued_ps, SimTime::from_us(5).ps());
         assert_eq!(b[1].queued_ps, SimTime::from_us(5).ps());
@@ -549,11 +571,43 @@ mod tests {
             1,
         );
         let link = s.link(0, 2).unwrap();
-        assert_eq!(link.buckets().len(), 2);
-        let spread_busy: u64 = link.buckets().iter().map(|b| b.busy_ps).sum();
-        let spread_queue: u64 = link.buckets().iter().map(|b| b.queued_ps).sum();
+        assert_eq!(link.buckets().count(), 2);
+        let spread_busy: u64 = link.buckets().map(|b| b.busy_ps).sum();
+        let spread_queue: u64 = link.buckets().map(|b| b.queued_ps).sum();
         assert_eq!(spread_busy, link.total_busy().ps());
         assert_eq!(spread_queue, SimTime::from_us(5).ps());
+    }
+
+    #[test]
+    fn index_clamps_before_it_narrows() {
+        // 1 ns buckets: 2^32 + 3 buckets out is 4.3 s, not bucket 3.
+        let cfg = SeriesConfig {
+            bucket: SimTime::NS,
+            max_buckets: 4096,
+            occupancy_cap: 4,
+        };
+        let far = SimTime::from_ns((1 << 32) + 3);
+        assert_eq!(cfg.index(SimTime::from_ns(4094).ps()), 4094);
+        assert_eq!(cfg.index(SimTime::from_ns(4095).ps()), 4095);
+        assert_eq!(cfg.index(SimTime::from_ns(4096).ps()), 4095);
+        assert_eq!(cfg.index(far.ps()), 4095);
+        assert_eq!(cfg.index(u64::MAX), 4095);
+        // Injections, arrivals and spread intervals all land there.
+        let mut s = SeriesSet::new(1, cfg);
+        s.record_inject(0, far, 8);
+        let occ = Occupancy {
+            tag: 1,
+            arrival: far,
+            start: far + SimTime::NS,
+            done: far + SimTime::from_ns(3),
+        };
+        s.record_hop(0, 0, occ, 1);
+        let lanes = s.node(0).unwrap();
+        assert_eq!(lanes.inject().buckets().len(), 4096);
+        assert_eq!(lanes.inject().buckets()[4095].msgs, 1);
+        let last = lanes.link(0).buckets().last().unwrap();
+        assert_eq!(lanes.link(0).buckets().count(), 4096);
+        assert_eq!((last.msgs, last.queued_ps, last.busy_ps), (1, 1000, 2000));
     }
 
     #[test]

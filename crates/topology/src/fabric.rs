@@ -89,6 +89,38 @@ pub struct DeliveredMsg<P> {
     pub corrupted: bool,
 }
 
+/// Hand one link transit to every sink that is on: a busy span on the
+/// link's track and the head-of-line wait into the `net.hol_stall`
+/// histogram, the series lanes, and a `LinkHop` causal record whose
+/// `info` carries the port and the stall. Outlined, so an unobserved
+/// walk carries none of it.
+#[inline(never)]
+fn observe_hop(
+    sink: &mut impl TelemetrySink,
+    series: Option<&mut SeriesSet>,
+    causal: &mut CausalLog,
+    node: u32,
+    port: u8,
+    occ: Occupancy,
+    packets: u64,
+) {
+    let stall = occ.start.saturating_sub(occ.arrival);
+    if sink.is_enabled() {
+        sink.span(node, Component::Link(port), "link", occ.start, occ.done);
+        sink.sample("net.hol_stall", stall);
+    }
+    if let Some(series) = series {
+        series.record_hop(node, port, occ, packets);
+    }
+    causal.record_chain(
+        TraceId(occ.tag),
+        CausalStage::LinkHop,
+        occ.start,
+        node,
+        linkhop_info(port, stall.ps()),
+    );
+}
+
 /// The interconnect: routing tables plus per-link state.
 pub struct Fabric {
     config: FabricConfig,
@@ -227,7 +259,8 @@ impl Fabric {
             self.series.as_deref_mut(),
         );
         let mut hops = 0u32;
-        let recording = sink.is_enabled();
+        // The one test a hop pays when nothing is watching.
+        let observed = sink.is_enabled() || series.is_some() || causal.is_enabled();
 
         // Cut-through: the head waits for each link in turn; each link is
         // occupied for the full packet train. `head` tracks when the first
@@ -238,36 +271,24 @@ impl Fabric {
             hops += 1;
             let link = &mut links[node.0 as usize][port.index()];
             let (start, done) = link.transmit(&cfg, rng, head, packets);
-            if recording {
-                sink.span(
-                    node.0,
-                    Component::Link(port.index() as u8),
-                    "link",
+            if observed {
+                let occ = Occupancy {
+                    tag: msg.tag,
+                    arrival: head,
                     start,
                     done,
-                );
-                sink.sample("net.hol_stall", start.saturating_sub(head));
-            }
-            if let Some(series) = series.as_deref_mut() {
-                series.record_hop(
+                };
+                let port = port.index() as u8;
+                observe_hop(
+                    sink,
+                    series.as_deref_mut(),
+                    causal,
                     node.0,
-                    port.index() as u8,
-                    Occupancy {
-                        tag: msg.tag,
-                        arrival: head,
-                        start,
-                        done,
-                    },
+                    port,
+                    occ,
                     packets,
                 );
             }
-            causal.record_chain(
-                TraceId(msg.tag),
-                CausalStage::LinkHop,
-                start,
-                node.0,
-                linkhop_info(port.index() as u8, start.saturating_sub(head).ps()),
-            );
             head = start + cfg.hop_latency;
             // The last byte clears this link at `done` and still needs the
             // hop latency to reach the next router.
