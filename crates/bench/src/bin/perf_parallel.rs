@@ -334,8 +334,8 @@ fn check_against(path: &str, run: &Run) {
     }
     let ratio = run.two_worker_ratio;
     println!("hand-off check: 2 workers at {ratio:.2}x serial wall time (ceiling 2.00x)");
-    // Written so a NaN ratio (no 2-worker row) fails too.
-    if !(ratio <= 2.0) {
+    // A NaN ratio (no 2-worker row) fails too.
+    if ratio.is_nan() || ratio > 2.0 {
         eprintln!("perf_parallel: 2 workers take more than twice the serial wall time");
         std::process::exit(1);
     }

@@ -17,64 +17,113 @@
 //!   ties among equal keys (i.e. among unkeyed events), preserving the
 //!   classic FIFO-at-equal-times behaviour.
 //!
-//! Three tiers back the ordering:
+//! Five tiers back the ordering, from the next event outwards. A queue
+//! that never holds more than `MIN_NEAR` = 4,096 events off-bucket uses
+//! only the first two — it *is* a `std` binary heap — and past that it is
+//! a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005) with the heap kept
+//! as its bottom:
 //!
-//! - a **same-instant bucket** holding every pending event at one instant
-//!   (`bucket_time`), ordered by `(key, seq)`. The dominant scheduling
-//!   pattern in the machine model is zero-delay chaining — dispatch at
-//!   `t` schedules more work at `t` — and those events cycle through the
-//!   small bucket heap, never touching the main buffer;
-//! - the **near prefix** `buf[..near]` of the one main buffer: a 4-ary
-//!   min-heap on `(time, key, seq)` of every other event with
-//!   `time <= split`;
-//! - the **far suffix** `buf[near..]`: every other event with
-//!   `time > split`, in no order at all. Scheduling past the split is a
-//!   plain `Vec::push`.
+//! - the **same-instant bucket**: every pending event at one instant
+//!   (`bucket_time`), a small heap on `(key, seq)`. An empty bucket is
+//!   claimed by whatever instant is scheduled next. It earns its lines on
+//!   the 10,368 `AppStart`s at t = 0 and on zero-delay chains between two
+//!   nodes (dispatch at `t` scheduling more work at `t`); on the deep
+//!   workloads it is *not* the dominant pattern — 1.1 % of the full
+//!   machine's pushes and 0.02 % of the contended torus's land on the
+//!   current instant;
+//! - the **inbox**: a `BinaryHeap` of every other event at or before
+//!   `run_end` that arrived after the run was sorted — in a shallow queue
+//!   `run_end` is the end of time and the inbox is everything;
+//! - the **run**: the current rung, sorted once, earliest last, so a pop
+//!   is `Vec::pop`;
+//! - the **rungs**: power-of-two-picosecond-wide slices of the time after
+//!   the run's slice, up to `split`; a push there is a shift and an
+//!   append, into no order at all;
+//! - **far**: every event after `split`, unordered; a push is
+//!   `Vec::push`.
 //!
-//! Invariants, after every public call:
+//! `run_end` and `split` are `(time, key)` pairs, not times: a lockstep
+//! instant of 10,000 events is divided by key, so it cannot drag all of
+//! itself into the near tiers at once.
 //!
-//! 1. near `<= split <` far, so the earliest event of the main buffer is
-//!    the near heap's top and [`EventQueue::peek_time`] is O(1) on `&self`;
-//! 2. the near prefix is empty only when the whole buffer is: the pop
-//!    that takes the last near event refills the prefix in one sequential
-//!    pass over the suffix (partition around a sampled pivot, heapify);
-//! 3. pop order is exactly `(time, key, seq)` **whatever pivot a rebalance
-//!    picks**: the pivot decides only which side of the split an event
-//!    waits on, never the order in which the heap releases it;
-//! 4. a queue that never holds more than [`MIN_NEAR`] events off-bucket
-//!    never leaves `split == SimTime::MAX`: the suffix stays empty and the
-//!    buffer is a plain heap with the growth sequence of one `Vec`.
+//! Invariants, after every public call, in `(time, key)` order:
 //!
-//! When pushes below the split make the prefix outgrow `limit` it is
-//! re-partitioned in place (the later half becomes the head of the
-//! suffix — the two tiers are contiguous, so nothing is copied out). The
-//! limit is re-armed to twice the prefix length after *every* rebalance,
-//! so a burst of events at one instant (which no time pivot can divide)
-//! costs amortized O(1) per push instead of a pass per push. Measurements
-//! and the rejected variants: DESIGN.md §8, "The deep-queue step".
+//! 1. inbox, run `<= run_end <` rungs `<= split <` far; the run is
+//!    sorted; every rung entry's time is inside its rung's slice;
+//! 2. the inbox and the run are both empty only when rungs and far are:
+//!    the pop that drains them sorts the next non-empty rung into the run,
+//!    and when the rungs are exhausted redraws the split inside far — one
+//!    sequential pass that moves about 1/16 of it (at least `MIN_NEAR`
+//!    events) into fresh rungs around the `(time, key)` of a sampled
+//!    entry. So the earliest event is the earliest of three tops and
+//!    [`EventQueue::peek_time`] is O(1) on `&self`;
+//! 3. pop order is exactly `(time, key, seq)` **whatever pivot a refill
+//!    draws and however wide it makes the rungs**: both decide only where
+//!    an event waits. Tiers are disjoint intervals of `(time, key)`, so
+//!    entries equal in `(time, key)` always wait in the same tier; an
+//!    event leaves far or a rung only together with everything else in
+//!    its interval, into a sort on `(time, key, seq)`; and whatever is
+//!    scheduled into an interval already sorted goes through a heap on
+//!    the same triple, whose top is compared with the run's end on every
+//!    pop. Any monotone map from time to rung would do;
+//! 4. a queue that never holds more than `MIN_NEAR` events off-bucket
+//!    never leaves `run_end == MAX`: run, rungs and far stay unallocated
+//!    and the inbox grows as one `Vec`. Past that the heap's buffer
+//!    *becomes* far (`into_vec`, no copy), and a refill that finds
+//!    `MIN_NEAR` events or fewer hands it back (`BinaryHeap::from`).
 //!
-//! `pop` compares the bucket minimum against the near top
-//! lexicographically by `(time, key, seq)`, so ordering is exact no
-//! matter how pushes interleave — including scheduling "in the past",
-//! which the engine (not the queue) rejects.
+//! The worst case per operation is the heap's O(log n), as before: no
+//! time pivot divides a tie storm, so its instant is one rung, sorted
+//! once, and later pushes at that instant sit in the inbox.
+//!
+//! What bounds memory: far keeps the capacity of its deepest moment, as
+//! the one buffer before it did, and everything nearer follows *live*
+//! entries. A rung's `Vec` is handed to the run when its turn comes and
+//! dropped when the next one is (rung buffers kept for reuse ratchet to
+//! the largest rung each slot ever held — 18.7 MB against 3.1 MB on the
+//! full machine's recorded run); a refill makes at most
+//! `keep / RUNG_POP` rungs; the inbox and the bucket give a burst's
+//! buffer back once drained (`BURST_KEEP`). [`EventQueue::capacity`] is
+//! held to twice the deepest length by a test. Measurements and the
+//! rejected variants: DESIGN.md §8, "The ladder step".
+//!
+//! `pop` compares the bucket minimum against the earlier of the run's
+//! end and the inbox's top lexicographically by `(time, key, seq)`, so
+//! ordering is exact no matter how pushes interleave — including
+//! scheduling "in the past", which the engine (not the queue) rejects.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Heap arity: four 40-byte children span 2.5 cache lines and halve the
-/// depth of a binary heap ([`replace_top`]'s tournament is written for
-/// four).
-const ARITY: usize = 4;
-/// The near prefix is never rebalanced below this many events (160 KB of
-/// machine events): a queue this shallow stays a plain heap.
+/// A queue that never holds more than this many events off-bucket stays a
+/// plain heap (160 KB of machine events); a refill never keeps fewer near.
 const MIN_NEAR: usize = 4096;
-/// Evenly spaced entries a rebalance reads to choose its pivot.
+/// Evenly spaced entries a refill reads to choose its pivot.
 const SAMPLES: usize = 64;
-/// A refill keeps about this share of the buffer in the near prefix.
+/// A refill keeps about this share of `far` in the rungs.
 const REFILL_SHARE: usize = 16;
+/// Entries a refill aims to put in one rung (its widths are powers of
+/// two, so between this and twice this when time is evenly populated).
+const RUNG_POP: usize = 32;
 
-/// Main-buffer entry: the `(time, key, seq)` ordering key plus the
+/// Capacity the bucket and the inbox keep once drained: what a rung's
+/// worth of pushes needs, so the common case never regrows them, while a
+/// burst (10,368 `AppStart`s at t = 0; a lockstep instant delivered by
+/// another shard) gives its buffer back.
+const BURST_KEEP: usize = 2 * RUNG_POP;
+
+/// A `(time, key)` pair as one integer — what the tier bounds are drawn
+/// on. `seq` never takes part: entries equal in `(time, key)` always wait
+/// in the same tier.
+type Bound = u128;
+
+#[inline]
+fn bound(at: SimTime, key: u64) -> Bound {
+    Bound::from(at.0) << 64 | Bound::from(key)
+}
+
+/// Off-bucket entry: the `(time, key, seq)` ordering key plus the
 /// payload. Only the key fields participate in comparisons, so `E` needs
 /// no `Ord`.
 struct Entry<E> {
@@ -90,88 +139,46 @@ impl<E> Entry<E> {
         (self.at, self.key, self.seq)
     }
 
-    /// `self.order() < other.order()`, computed without a branch: which
-    /// of two children is earlier is a coin toss the predictor loses, so
-    /// the heap selects by arithmetic on this result.
     #[inline]
-    fn before(&self, other: &Self) -> bool {
+    fn bound(&self) -> Bound {
+        bound(self.at, self.key)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    /// Inverted: the *earliest* `(time, key, seq)` is the greatest entry,
+    /// so it is the top of a `BinaryHeap` and the last of a sorted `run`.
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
         #[cfg(test)]
         count_ops(1);
-        let a = u128::from(self.at.0) << 64 | u128::from(self.key);
-        let b = u128::from(other.at.0) << 64 | u128::from(other.key);
-        (a < b) | ((a == b) & (self.seq < other.seq))
+        other.order().cmp(&self.order())
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Comparisons plus entries visited by rebalances, on this thread.
+    /// Comparisons plus entries visited by refills, on this thread.
     static OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
 fn count_ops(n: u64) {
     OPS.with(|c| c.set(c.get() + n));
-}
-
-// Slots are reached through `get`/`swap`/slice patterns, never `heap[i]`:
-// the audit's `panic-reachable` rule resolves calls by name, so every
-// firmware handler that pops a `Vec` "reaches" this file.
-
-/// Restore the heap property upwards from slot `i`.
-#[inline]
-fn sift_up<E>(heap: &mut [Entry<E>], mut i: usize) {
-    while i > 0 {
-        let parent = (i - 1) / ARITY;
-        match (heap.get(i), heap.get(parent)) {
-            (Some(child), Some(above)) if child.before(above) => heap.swap(i, parent),
-            _ => break,
-        }
-        i = parent;
-    }
-}
-
-/// Take the top of `heap` out and `last` (the entry that held the
-/// heap's final slot) in, returning the old top — `last` itself when the
-/// heap is empty. Bottom-up: follow the least child to a leaf without
-/// moving anything, climb to where `last` belongs (it came from the bottom
-/// row, so usually nowhere), then shift that much of the path up by one
-/// slot. One load and one store per level, where a swap does two of each.
-#[inline]
-fn replace_top<E>(heap: &mut [Entry<E>], last: Entry<E>) -> Entry<E> {
-    let mut i = 0;
-    // Full groups of four children: a two-round tournament, selected by
-    // arithmetic on the comparisons rather than by branching on them.
-    while let Some([c0, c1, c2, c3]) = heap.get(ARITY * i + 1..ARITY * i + 1 + ARITY) {
-        let a = usize::from(c1.before(c0));
-        let b = 2 + usize::from(c3.before(c2));
-        let (w01, w23) = (if a == 0 { c0 } else { c1 }, if b == 2 { c2 } else { c3 });
-        i = ARITY * i + 1 + a + (b - a) * usize::from(w23.before(w01));
-    }
-    // The last, ragged group.
-    let first = ARITY * i + 1;
-    if let Some((head, rest)) = heap.get(first..).and_then(<[_]>::split_first) {
-        let mut least = head;
-        i = first;
-        for (c, child) in rest.iter().enumerate() {
-            if child.before(least) {
-                least = child;
-                i = first + 1 + c;
-            }
-        }
-    }
-    while i > 0 && heap.get(i).is_some_and(|e| last.before(e)) {
-        i = (i - 1) / ARITY;
-    }
-    let mut carry = last;
-    while let Some(slot) = heap.get_mut(i) {
-        carry = std::mem::replace(slot, carry);
-        if i == 0 {
-            break;
-        }
-        i = (i - 1) / ARITY;
-    }
-    carry
 }
 
 /// Bucket entry: events at `bucket_time`, ordered by `(key, seq)`.
@@ -205,20 +212,37 @@ impl<E> Ord for BucketEntry<E> {
     }
 }
 
+// Slots are reached through `get`/`get_mut`/`last`, never `rungs[i]`, and
+// nothing here unwraps: the audit's `panic-reachable` rule resolves calls
+// by name, so every firmware handler that pops a `Vec` "reaches" this file.
+
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
     /// Events at `bucket_time`, ordered by `(key, seq)`.
     bucket: BinaryHeap<BucketEntry<E>>,
     bucket_time: SimTime,
-    /// Every other event: `buf[..near]` is the 4-ary heap of those at or
-    /// before `split`, `buf[near..]` holds those after it, unordered.
-    buf: Vec<Entry<E>>,
-    near: usize,
-    split: SimTime,
-    /// Prefix length that triggers the next in-place re-partition.
-    limit: usize,
+    /// Every off-bucket event at or before `run_end` that is not in `run`
+    /// — in a shallow queue, every off-bucket event.
+    inbox: BinaryHeap<Entry<E>>,
+    /// The current rung, sorted: the earliest entry is the last.
+    run: Vec<Entry<E>>,
+    run_end: Bound,
+    /// Rung `i` holds the events after `run_end` and at or before `split`
+    /// whose time is in `base + (i << shift) .. base + (i + 1 << shift)`,
+    /// unordered. Empty exactly when the queue is a plain heap.
+    rungs: Vec<Vec<Entry<E>>>,
+    /// The first rung not yet sorted into `run`.
+    cur: usize,
+    /// Entries in `rungs[cur..]`, so that [`Self::len`] is a sum of five
+    /// lengths and no push or pop maintains a count.
+    in_rungs: usize,
+    base: u64,
+    shift: u32,
+    split: Bound,
+    /// Every event after `split`, unordered, none earlier than `far_min`.
+    far: Vec<Entry<E>>,
+    far_min: SimTime,
     next_seq: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -233,12 +257,18 @@ impl<E> EventQueue<E> {
         EventQueue {
             bucket: BinaryHeap::new(),
             bucket_time: SimTime::ZERO,
-            buf: Vec::new(),
-            near: 0,
-            split: SimTime::MAX,
-            limit: MIN_NEAR,
+            inbox: BinaryHeap::new(),
+            run: Vec::new(),
+            run_end: Bound::MAX,
+            rungs: Vec::new(),
+            cur: 0,
+            in_rungs: 0,
+            base: 0,
+            shift: 0,
+            split: Bound::MAX,
+            far: Vec::new(),
+            far_min: SimTime::MAX,
             next_seq: 0,
-            scheduled: 0,
         }
     }
 
@@ -248,13 +278,13 @@ impl<E> EventQueue<E> {
     /// Events at equal times fire in `(key, seq)` order. An empty bucket
     /// is claimed by whatever instant is scheduled next; pushes at the
     /// bucket's instant stay in the bucket, everything else goes to the
-    /// main buffer — sifted into the near heap at or before the split,
-    /// appended to the far suffix after it.
+    /// tier its `(time, key)` selects: the inbox heap at or before
+    /// `run_end`, a rung (a shift and an append) up to `split`, `far`
+    /// after it.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         if self.bucket.is_empty() {
             self.bucket_time = at;
         }
@@ -266,23 +296,40 @@ impl<E> EventQueue<E> {
             });
             return;
         }
-        self.buf.push(Entry {
+        let e = Entry {
             at,
             key,
             seq,
             ev: event,
-        });
-        if at <= self.split {
-            // The suffix's first entry makes room at the prefix's end.
-            let last = self.buf.len() - 1;
-            if self.near != last {
-                self.buf.swap(self.near, last);
+        };
+        let b = e.bound();
+        if b <= self.run_end {
+            self.inbox.push(e);
+            if self.inbox.len() > MIN_NEAR && self.rungs.is_empty() {
+                self.spill();
             }
-            sift_up(&mut self.buf, self.near);
-            self.near += 1;
-            if self.near > self.limit {
-                self.rebalance(self.near, self.near / 2);
+        } else if b <= self.split {
+            self.push_rung(e);
+        } else {
+            self.far_min = self.far_min.min(at);
+            self.far.push(e);
+        }
+    }
+
+    /// Append to the rung whose slice holds `e.at`. The index is clamped
+    /// at both ends: any monotone map from time to rung keeps the pop
+    /// order, and `far_min <= at <= split` means the clamp never acts.
+    #[inline]
+    fn push_rung(&mut self, e: Entry<E>) {
+        let i = (e.at.0.saturating_sub(self.base) >> self.shift) as usize;
+        let last = self.rungs.len().saturating_sub(1);
+        match self.rungs.get_mut(i.min(last)) {
+            Some(rung) => {
+                rung.push(e);
+                self.in_rungs += 1;
             }
+            // No rungs: a plain heap, whose inbox is every tier.
+            None => self.inbox.push(e),
         }
     }
 
@@ -306,97 +353,167 @@ impl<E> EventQueue<E> {
     /// [`Self::pop_keyed`], unless the earliest event fires after
     /// `horizon`: then it stays queued and `None` is returned (as for an
     /// empty queue). The engine's run loop pops through this so the
-    /// bucket-versus-buffer choice is made once per event.
+    /// choice among bucket, run and inbox is made once per event.
     #[inline]
     pub fn pop_keyed_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        let from_buf = match (self.bucket.peek(), self.buf.first()) {
-            (None, None) => return None,
-            (None, Some(k)) => Some(k.at),
-            (Some(_), None) => None,
-            (Some(b), Some(k)) => (k.order() < (self.bucket_time, b.key, b.seq)).then_some(k.at),
+        let (near, from_inbox) = match (self.run.last(), self.inbox.peek()) {
+            (Some(r), Some(i)) if i.order() < r.order() => (Some(i), true),
+            (Some(r), _) => (Some(r), false),
+            (None, i) => (i, true),
         };
-        if let Some(at) = from_buf {
-            if at > horizon {
-                return None;
-            }
-            // The prefix's last entry leaves its slot to the suffix's
-            // last (both tiers stay contiguous) and re-enters at the top.
-            self.near -= 1;
-            let last = self.buf.swap_remove(self.near);
-            let e = replace_top(self.buf.split_at_mut(self.near).0, last);
-            if self.near == 0 && self.split != SimTime::MAX {
-                let len = self.buf.len();
-                self.rebalance(len, (len / REFILL_SHARE).max(MIN_NEAR));
-            }
-            Some((e.at, e.key, e.ev))
-        } else {
+        let from_bucket = match (self.bucket.peek(), near) {
+            (None, None) => return None,
+            (Some(b), Some(k)) => (self.bucket_time, b.key, b.seq) < k.order(),
+            (b, _) => b.is_some(),
+        };
+        if from_bucket {
             if self.bucket_time > horizon {
                 return None;
             }
             let b = self.bucket.pop()?;
-            Some((self.bucket_time, b.key, b.ev))
+            if self.bucket.is_empty() {
+                self.bucket.shrink_to(BURST_KEEP);
+            }
+            return Some((self.bucket_time, b.key, b.ev));
+        }
+        if near?.at > horizon {
+            return None;
+        }
+        let e = if from_inbox {
+            self.inbox.pop()?
+        } else {
+            self.run.pop()?
+        };
+        if self.run.is_empty() && self.inbox.is_empty() && !self.rungs.is_empty() {
+            self.advance();
+        }
+        Some((e.at, e.key, e.ev))
+    }
+
+    /// `run` and `inbox` are drained: sort the next non-empty rung into
+    /// `run`, redrawing the split inside `far` when the rungs are
+    /// exhausted. Eager (called by the pop that drains them), so the
+    /// earliest event is always in the bucket, `run` or the inbox and
+    /// [`Self::peek_time`] is O(1) on `&self`.
+    fn advance(&mut self) {
+        self.inbox.shrink_to(BURST_KEEP);
+        loop {
+            while let Some(rung) = self.rungs.get_mut(self.cur) {
+                self.cur += 1;
+                if rung.is_empty() {
+                    continue;
+                }
+                // Taking the rung's buffer drops the drained run's:
+                // near-tier storage follows live entries, not the largest
+                // rung ever seen.
+                self.run = std::mem::take(rung);
+                self.in_rungs -= self.run.len();
+                self.run.sort_unstable();
+                let end = u128::from(self.base) + ((self.cur as u128) << self.shift) - 1;
+                let end = SimTime(u64::try_from(end).unwrap_or(u64::MAX));
+                self.run_end = self.split.min(bound(end, u64::MAX));
+                return;
+            }
+            if !self.refill() {
+                return;
+            }
         }
     }
 
-    /// Re-draw the split inside `buf[..m]` (the whole buffer when the
-    /// prefix ran empty, the prefix when it outgrew `limit`) so that about
-    /// `keep` of its earliest entries form the near heap. One sequential
-    /// pass; the pivot is the time of a sampled entry, so at least that
-    /// entry stays near, and every entry sharing the pivot's instant stays
-    /// with it.
+    /// The plain heap outgrew [`MIN_NEAR`]: its buffer *becomes* `far`
+    /// (no copy, no second allocation) and the first split is drawn.
     #[cold]
-    fn rebalance(&mut self, m: usize, keep: usize) {
-        self.split = if m <= keep {
-            SimTime::MAX
-        } else {
-            let mut sample = [SimTime::MAX; SAMPLES];
-            for (i, s) in sample.iter_mut().enumerate() {
-                *s = self.buf.get(i * m / SAMPLES).map_or(*s, |e| e.at);
-            }
-            sample.sort_unstable();
-            let rank = (keep * SAMPLES).div_ceil(m).max(1);
-            sample.get(rank - 1).copied().unwrap_or(SimTime::MAX)
-        };
+    fn spill(&mut self) {
+        self.far_min = self.inbox.peek().map_or(SimTime::MAX, |e| e.at);
+        self.far = std::mem::take(&mut self.inbox).into_vec();
+        self.advance();
+    }
+
+    /// Redraw the split inside `far` so that about `1 / REFILL_SHARE` of
+    /// it (at least [`MIN_NEAR`]) moves to fresh rungs, in one sequential
+    /// pass: the pivot is the `(time, key)` of a sampled entry, so at
+    /// least that entry moves, and the rung width is picked from the span
+    /// between `far_min` and the pivot. A `far` of [`MIN_NEAR`] entries
+    /// or fewer goes back to being the plain heap instead (`false`).
+    fn refill(&mut self) -> bool {
+        let n = self.far.len();
+        self.rungs.clear();
+        self.cur = 0;
+        if n <= MIN_NEAR {
+            self.inbox = BinaryHeap::from(std::mem::take(&mut self.far));
+            self.run = Vec::new();
+            self.run_end = Bound::MAX;
+            self.split = Bound::MAX;
+            self.far_min = SimTime::MAX;
+            return false;
+        }
+        let keep = (n / REFILL_SHARE).max(MIN_NEAR);
+        let mut sample = [Bound::MAX; SAMPLES];
+        for (i, s) in sample.iter_mut().enumerate() {
+            *s = self.far.get(i * n / SAMPLES).map_or(*s, Entry::bound);
+        }
+        sample.sort_unstable();
+        let rank = (keep * SAMPLES).div_ceil(n).max(1);
+        self.split = sample.get(rank - 1).copied().unwrap_or(Bound::MAX);
+
+        let span = ((self.split >> 64) as u64).saturating_sub(self.far_min.0);
+        let target = (keep / RUNG_POP) as u64;
+        self.base = self.far_min.0;
+        self.shift = 0;
+        while span >> self.shift >= target {
+            self.shift += 1;
+        }
+        let rungs = (span >> self.shift) as usize + 1;
+        self.rungs.resize_with(rungs, Vec::new);
+
         #[cfg(test)]
-        count_ops(m as u64);
-        let mut k = 0;
-        for i in 0..m {
-            if self.buf.get(i).is_some_and(|e| e.at <= self.split) {
-                self.buf.swap(i, k);
-                k += 1;
+        count_ops(n as u64);
+        self.far_min = SimTime::MAX;
+        let mut i = 0;
+        while let Some(e) = self.far.get(i) {
+            if e.bound() <= self.split {
+                let e = self.far.swap_remove(i);
+                self.push_rung(e);
+            } else {
+                self.far_min = self.far_min.min(e.at);
+                i += 1;
             }
         }
-        self.near = k;
-        // Heap by insertion: the suffix is roughly in push order, which
-        // is roughly time order — the case where sifting up moves nothing.
-        for i in 1..k {
-            sift_up(&mut self.buf, i);
-        }
-        self.limit = (2 * k).max(MIN_NEAR);
+        true
     }
 
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         let bucket = self.bucket.peek().map(|_| self.bucket_time);
-        match (bucket, self.buf.first()) {
-            (Some(b), Some(k)) => Some(b.min(k.at)),
-            (b, k) => b.or(k.map(|k| k.at)),
-        }
+        let run = self.run.last().map(|e| e.at);
+        let inbox = self.inbox.peek().map(|e| e.at);
+        [bucket, run, inbox].into_iter().flatten().min()
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.bucket.len() + self.buf.len()
+        self.bucket.len() + self.inbox.len() + self.run.len() + self.in_rungs + self.far.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.bucket.is_empty() && self.buf.is_empty()
+        self.len() == 0
+    }
+
+    /// Events every tier's buffer can hold, taken together, before one of
+    /// them has to grow.
+    pub fn capacity(&self) -> usize {
+        let rungs: usize = self.rungs.iter().map(Vec::capacity).sum();
+        self.bucket.capacity()
+            + self.inbox.capacity()
+            + self.run.capacity()
+            + rungs
+            + self.far.capacity()
     }
 
     /// Total number of events ever scheduled on this queue.
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 }
 
@@ -530,44 +647,74 @@ mod tests {
             assert!(q.pop().is_some());
             assert!(q.pop().is_some());
         }
-        assert!(q.buf.capacity() <= 8, "heap grew to {}", q.buf.capacity());
+        assert!(q.capacity() <= 8, "heap grew to {}", q.capacity());
+    }
+
+    #[test]
+    fn entries_are_forty_bytes_around_a_machine_event() {
+        // `xt3::machine::Ev` is pinned at 16 bytes; the near tier's
+        // storage is paid for by these being 40 and 32, not 48 and 40.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 40);
+        assert_eq!(std::mem::size_of::<BucketEntry<[u64; 2]>>(), 32);
     }
 
     /// The tier invariants of the module doc, checked from inside.
     fn check_tiers<E>(q: &EventQueue<E>) {
-        let (near, far) = q.buf.split_at(q.near);
-        assert!(near.iter().all(|e| e.at <= q.split), "near <= split");
-        assert!(far.iter().all(|e| e.at > q.split), "split < far");
-        assert!(!near.is_empty() || far.is_empty(), "near empties last");
-        for (i, e) in near.iter().enumerate().skip(1) {
-            assert!(!e.before(&near[(i - 1) / ARITY]), "heap order at {i}");
+        let held =
+            q.inbox.len() + q.run.len() + q.rungs.iter().map(Vec::len).sum::<usize>() + q.far.len();
+        assert_eq!(q.len(), q.bucket.len() + held, "len counts every tier");
+        for e in q.inbox.iter().chain(&q.run) {
+            assert!(e.bound() <= q.run_end, "inbox, run <= run_end");
+        }
+        assert!(q.run.is_sorted(), "run is sorted, earliest last");
+        assert!(q.run_end <= q.split, "run_end <= split");
+        for (i, rung) in q.rungs.iter().enumerate() {
+            assert!(i >= q.cur || rung.is_empty(), "a loaded rung is empty");
+            for e in rung {
+                assert!(q.run_end < e.bound() && e.bound() <= q.split, "rungs");
+                assert_eq!((e.at.0 - q.base) >> q.shift, i as u64, "rung slice");
+            }
+        }
+        for e in &q.far {
+            assert!(q.split < e.bound() && q.far_min <= e.at, "split < far");
+        }
+        if q.rungs.is_empty() {
+            // The plain heap: everything off-bucket is in the inbox.
+            assert_eq!((q.run_end, q.split), (Bound::MAX, Bound::MAX));
+            assert_eq!(q.inbox.len(), held);
+            assert!(q.inbox.len() <= MIN_NEAR);
+            assert_eq!(q.run.capacity() + q.far.capacity(), 0);
+        } else {
+            // Eager advance: the earliest event is never in a rung or far.
+            assert!(q.run.len() + q.inbox.len() > 0 || held == 0);
         }
     }
 
     #[test]
     fn shallow_queue_stays_a_plain_heap() {
-        // Up to MIN_NEAR events off-bucket: no split, no suffix, and the
-        // buffer allocates what a heap of that many entries would.
+        // Up to MIN_NEAR events off-bucket: no rungs, no far, and the
+        // inbox allocates what a heap of that many entries would.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::ZERO, 0); // the bucket's instant
         for i in 0..MIN_NEAR as u64 {
             q.schedule_at(SimTime::from_ns(1 + (i * 7919) % 1000), i);
-            assert_eq!((q.split, q.near), (SimTime::MAX, q.buf.len()));
+            assert!(q.rungs.is_empty());
         }
-        assert!(q.buf.capacity() <= MIN_NEAR);
+        assert!(q.capacity() <= MIN_NEAR + 4);
         check_tiers(&q);
         while q.pop().is_some() {
-            assert_eq!((q.split, q.near), (SimTime::MAX, q.buf.len()));
+            assert!(q.rungs.is_empty());
         }
+        check_tiers(&q);
     }
 
     #[test]
     fn tiers_hold_through_refills_and_spills() {
         // 30k-40k events held while time advances. Stretches that pop
-        // without pushing drain the prefix until it refills (split moves
-        // forward); stretches that push two near-term events per pop
-        // make it outgrow its limit and spill (split moves back);
-        // draining returns to the plain heap.
+        // without pushing exhaust the rungs until far refills them (split
+        // moves forward); stretches that push two near-term events per
+        // pop land in the inbox and in rungs on both sides of `cur`;
+        // draining returns to the plain heap, and pushing again spills.
         let mut rng = crate::rng::SimRng::new(13);
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::ZERO, 0);
@@ -575,16 +722,19 @@ mod tests {
             q.schedule_at(SimTime::from_ns(1 + rng.below(1_000_000)), i);
         }
         check_tiers(&q);
-        let (mut refills, mut spills) = (0, 0);
+        let (mut refills, mut loads, mut to_inbox, mut to_rung) = (0, 0, 0, 0);
         for i in 0..200_000 {
-            let before = q.split;
+            let (split, end) = (q.split, q.run_end);
             let (now, _) = q.pop().expect("held");
-            refills += u32::from(q.split > before);
+            refills += u32::from(q.split != split);
+            loads += u32::from(q.run_end != end);
             if i % 20_000 < 10_000 {
                 for _ in 0..2 {
-                    let before = q.split;
-                    q.schedule_at(now + SimTime::from_ns(1 + rng.below(2_000)), i);
-                    spills += u32::from(q.split < before);
+                    let reach = if rng.chance(0.5) { 2_000 } else { 1_000_000 };
+                    let at = now + SimTime::from_ns(1 + rng.below(reach));
+                    to_inbox += u32::from(bound(at, 0) <= q.run_end);
+                    to_rung += u32::from(q.run_end < bound(at, 0) && bound(at, 0) <= q.split);
+                    q.schedule_at(at, i);
                 }
             }
             if i % 997 == 0 {
@@ -592,24 +742,33 @@ mod tests {
             }
         }
         assert!(
-            refills >= 5 && spills >= 5,
-            "{refills} refills, {spills} spills"
+            refills >= 5 && loads >= 500 && to_inbox >= 1_000 && to_rung >= 1_000,
+            "{refills} refills, {loads} rung loads, {to_inbox} inbox and {to_rung} rung pushes"
         );
         let mut last = SimTime::ZERO;
         while let Some((at, _)) = q.pop() {
             assert!(at >= last);
             last = at;
         }
-        assert_eq!((q.split, q.near, q.limit), (SimTime::MAX, 0, MIN_NEAR));
+        // Drained: the plain heap again, holding the one big buffer.
+        check_tiers(&q);
+        assert!(q.rungs.is_empty() && q.run_end == Bound::MAX);
+        for i in 0..2 * MIN_NEAR as u64 {
+            q.schedule_at(last + SimTime::from_ns(1 + rng.below(1_000)), i);
+        }
+        assert!(!q.rungs.is_empty(), "spilled again");
+        check_tiers(&q);
     }
 
     #[test]
     fn tie_storm_costs_constant_operations_per_event() {
         // 50k events at one instant, then pushes at that instant between
-        // pops. No pivot divides them, so a spill that re-ran whenever the
-        // prefix exceeded a fixed limit would pass over 4096+ entries per
-        // push (> 2e8 operations here); doubling the limit keeps the total
-        // linear. Counted in comparisons + entries a rebalance visits.
+        // pops. Time cannot divide them and one rung holds whatever the
+        // `(time, key)` pivot lets through, so the cost to bound is the
+        // refills': each passes over all of far to move 1/16 of it (at
+        // least 4096), and a pivot that moved less than that would make
+        // the total quadratic. Counted in comparisons (heap and sort) +
+        // entries a refill visits.
         let storm = SimTime::from_ns(1_000);
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::ZERO, 0); // the bucket's instant

@@ -92,14 +92,16 @@ proptest! {
     }
 }
 
-// ----- the tiered event queue against a sorted reference -----
+// ----- the ladder event queue against a sorted reference -----
 //
-// The queue keeps its earliest events in a heap prefix and the rest in an
-// unordered suffix of the same buffer (queue.rs). These tests drive it at
-// depths that cross that split repeatedly and compare every pop, peek and
-// count with a `BTreeSet` ordered by `(time, key, seq)` — `seq` being the
-// insertion counter, i.e. a stable sort. The vendored proptest runs one
-// fixed seed, so each scenario sweeps its own.
+// Past 4,096 events the queue is a ladder (queue.rs): a sorted run and an
+// inbox heap in front of equal-width rungs, in front of an unordered far
+// tier that a sampled `(time, key)` pivot refills them from. These tests
+// drive it at depths that cross every one of those boundaries repeatedly
+// and compare every pop, peek and count with a `BTreeSet` ordered by
+// `(time, key, seq)` — `seq` being the insertion counter, i.e. a stable
+// sort. The vendored proptest runs one fixed seed, so each scenario sweeps
+// its own.
 
 /// Seeds every deep-queue scenario runs under.
 const QUEUE_SEEDS: [u64; 8] = [
@@ -154,10 +156,19 @@ impl CheckedQueue {
 
     /// Pop once and compare with the reference; the popped time.
     fn pop(&mut self) -> Option<u64> {
-        let expected = self.reference.pop_first();
+        self.pop_until(u64::MAX)
+    }
+
+    /// Pop once unless the earliest event fires after `horizon` — then
+    /// `None`, and `check` sees that nothing moved.
+    fn pop_until(&mut self, horizon: u64) -> Option<u64> {
+        let expected = match self.reference.first() {
+            Some(&(at, _, _)) if at <= horizon => self.reference.pop_first(),
+            _ => None,
+        };
         let got = self
             .queue
-            .pop_keyed()
+            .pop_keyed_until(SimTime(horizon))
             .map(|(at, key, seq)| (at.0, key, seq));
         assert_eq!(got, expected, "pop order is (time, key, seq)");
         self.check();
@@ -170,9 +181,9 @@ impl CheckedQueue {
 }
 
 /// Random keyed/unkeyed pushes and pops, swinging the depth between ~1k
-/// and ~24k three times: the near prefix empties and refills, outgrows its
-/// limit and spills, and the queue passes back through the plain-heap
-/// regime in between. Times mix the current instant, near-term and
+/// and ~24k three times: the plain heap spills into the ladder, rungs are
+/// sorted and exhausted, far refills them, and the queue passes back
+/// through the plain-heap regime in between. Times mix the current instant, near-term and
 /// far-term delays and instants *before* everything pending.
 #[test]
 fn deep_queue_matches_sorted_reference() {
@@ -237,7 +248,8 @@ fn tie_storm_pops_in_key_then_insertion_order() {
 }
 
 /// The queue (unlike the engine) takes a push earlier than anything
-/// pending, also right after a refill moved the split forward.
+/// pending — before the sorted run, before the first rung's slice — also
+/// right after a refill moved the split forward.
 #[test]
 fn push_before_everything_pending_after_a_refill() {
     for seed in QUEUE_SEEDS {
@@ -258,5 +270,172 @@ fn push_before_everything_pending_after_a_refill() {
             assert_eq!(q.pop(), Some(earliest - 1 - round));
         }
         while q.pop().is_some() {}
+    }
+}
+
+/// A push distance with the quantiles recorded on the 512-node all-to-all
+/// (ps): 0.2 / 1.2 / 2.8 / 49 us at p1 / p25 / p50 / p75, 44 ms at p99,
+/// 102 ms at most.
+fn torus_distance(rng: &mut SimRng) -> u64 {
+    let (lo, hi) = match rng.below(100) {
+        0..=24 => (200_000, 1_200_000),
+        25..=49 => (1_200_000, 2_800_000),
+        50..=74 => (2_800_000, 49_000_000),
+        75..=98 => (49_000_000, 44_000_000_000),
+        _ => (44_000_000_000, 102_000_000_000),
+    };
+    lo + rng.below(hi - lo)
+}
+
+/// The contended torus's shape: depth to 200k, push distances from 200 ns
+/// to 100 ms. Five decades of distance over equal-width rungs means most
+/// rungs of a refill are empty, some hold one event and the ones next to
+/// `now` are overfull; a quarter of the pushes land in the inbox, half in
+/// a rung, the rest in far.
+#[test]
+fn torus_shaped_traffic_matches_sorted_reference() {
+    for seed in [QUEUE_SEEDS[0], QUEUE_SEEDS[4]] {
+        let mut rng = SimRng::new(seed);
+        let mut q = CheckedQueue::new();
+        let mut now = 0;
+        for (target, push_odds) in [(200_000, 0.75), (1_000, 0.25)] {
+            while (q.len() < target) == (push_odds > 0.5) {
+                if rng.chance(push_odds) {
+                    q.push(now + torus_distance(&mut rng), (1 + rng.below(512)) << 32);
+                } else if let Some(at) = q.pop() {
+                    now = at;
+                }
+            }
+        }
+        while q.pop().is_some() {}
+    }
+}
+
+/// The window driver's access pattern: `pop_keyed_until(h)` up to a
+/// horizon that moves forward in steps from a picosecond to several rungs,
+/// deliveries in between. A horizon before the next event — inside the
+/// sorted run, on a rung edge, between rungs, past the split — returns
+/// `None` and disturbs nothing (`peek_time`, `len` checked against the
+/// reference after every call).
+#[test]
+fn horizons_across_every_tier_disturb_nothing() {
+    for seed in QUEUE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut q = CheckedQueue::new();
+        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
+        for _ in 0..30_000 {
+            q.push(1_000_000 + rng.below(1 << 26), rng.below(8));
+        }
+        let mut horizon = 0;
+        for _ in 0..2_000 {
+            let next = q.queue.peek_time().expect("still held").0;
+            // Just short of the next event, exactly on it, a power of two
+            // past it (rung slices are powers of two wide), or a window.
+            horizon = match rng.below(4) {
+                0 => next - 1,
+                1 => next,
+                2 => (next | ((1 << rng.below(20)) - 1)).max(horizon),
+                _ => horizon.max(next) + rng.below(1 << 16),
+            };
+            while q.pop_until(horizon).is_some() {}
+            assert_eq!(q.pop_until(horizon), None);
+            // Deliveries: the lookahead puts them past the horizon.
+            for _ in 0..rng.below(24) {
+                q.push(horizon + 1 + rng.below(1 << 22), rng.below(8));
+            }
+        }
+        assert!(q.len() > 4_096, "the scenario stays deep");
+        while q.pop().is_some() {}
+    }
+}
+
+/// Every instant of a narrow band holds a few events and each pop is
+/// followed by a push zero to four picoseconds ahead, so pushes keep
+/// landing on the last instant of the sorted run's slice and on the first
+/// of the next rung's while events with smaller and larger keys already
+/// wait there: a slice edge off by one instant in either direction pops
+/// them out of key order.
+#[test]
+fn pushes_on_rung_edges_keep_key_order() {
+    for seed in &QUEUE_SEEDS[..4] {
+        let mut rng = SimRng::new(*seed);
+        let mut q = CheckedQueue::new();
+        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
+        for _ in 0..20_000 {
+            q.push(1_000 + rng.below(8_192), 1 + rng.below(1 << 16));
+        }
+        for _ in 0..60_000 {
+            let now = q.pop().expect("held");
+            let ahead = if rng.chance(0.5) { 5 } else { 8_192 };
+            q.push(now + rng.below(ahead), 1 + rng.below(1 << 16));
+        }
+        while q.pop().is_some() {}
+    }
+}
+
+/// One `(time, key)` pair holds most of the queue, so every sampled pivot
+/// is drawn at exactly that pair: all of its entries wait on the same side
+/// of the split, the ones pushed later join them by way of the inbox or a
+/// rung instead of far, and among them only `seq` decides.
+#[test]
+fn equal_time_and_key_around_the_pivot_pop_in_insertion_order() {
+    for seed in &QUEUE_SEEDS[..4] {
+        let mut rng = SimRng::new(*seed);
+        let mut q = CheckedQueue::new();
+        let (at, key) = (1_000_000, 7);
+        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
+        for _ in 0..50_000 {
+            match rng.below(50) {
+                0..=1 => q.push(at - 1 - rng.below(1_000), rng.below(4)),
+                2..=41 => q.push(at, key),
+                _ => q.push(at + 1 + rng.below(1_000_000), rng.below(4)),
+            }
+        }
+        for _ in 0..10_000 {
+            q.pop();
+        }
+        for _ in 0..10_000 {
+            q.push(at, key);
+            q.push(at, key - 1 + rng.below(3));
+            q.pop();
+        }
+        while q.pop().is_some() {}
+    }
+}
+
+/// What the queue holds follows what is pending: while the depth swings
+/// 1k <-> 24k twice (hundreds of rungs filled, sorted and dropped, far
+/// refilled and emptied) and after it drains, every buffer together has
+/// room for no more than twice the deepest moment plus two plain heaps'
+/// worth. Rung buffers kept for reuse fail this: each ratchets to the
+/// largest rung it ever held.
+#[test]
+fn capacity_follows_the_deepest_moment() {
+    for seed in QUEUE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut now = 0;
+        let mut deepest = 0;
+        for target in [24_000, 1_000, 24_000, 1_000, 0] {
+            for step in 0.. {
+                if q.len() == target {
+                    break;
+                }
+                if q.len() < target && rng.below(4) != 0 {
+                    q.schedule_at(SimTime(now + 1 + rng.below(50_000_000)), 0);
+                } else if let Some((at, _)) = q.pop() {
+                    now = at.0;
+                }
+                deepest = deepest.max(q.len());
+                // `capacity` walks the rungs: every 64th step and the last.
+                if step % 64 == 0 || q.len() == target {
+                    assert!(
+                        q.capacity() <= 2 * deepest + 8_192,
+                        "{} slots held on the way to {target}, deepest {deepest}",
+                        q.capacity()
+                    );
+                }
+            }
+        }
     }
 }

@@ -125,7 +125,7 @@ pub enum Ev {
         /// Destination node index.
         node: u32,
         /// The message and its completion time. Boxed deliberately: one
-        /// allocation per *message* keeps `Ev` small (~32 B instead of
+        /// allocation per *message* keeps `Ev` small (16 B instead of
         /// ~176 B), and every queue slot, bucket entry, and slab
         /// `take()` copies an `Ev` on every *event*. Always `Some` in a
         /// queued event; dispatch `take`s it, which is what lets a
@@ -163,8 +163,11 @@ pub enum Ev {
     FaultAt {
         /// Affected node index.
         node: u32,
-        /// Stall or unrecoverable fault.
-        kind: FwFaultKind,
+        /// Stall or unrecoverable fault. Boxed like the header above:
+        /// `Stall(SimTime)` is 16 bytes, and inline it would make this
+        /// handful-per-campaign variant the one that sizes every queue
+        /// entry (24-byte `Ev` instead of 16).
+        kind: Box<FwFaultKind>,
     },
 }
 
@@ -672,7 +675,7 @@ impl Machine {
                 key,
                 Ev::FaultAt {
                     node: ev.node,
-                    kind: ev.kind,
+                    kind: Box::new(ev.kind),
                 },
             );
         }
@@ -2667,7 +2670,7 @@ impl Model for Machine {
                     }
                 }
             }
-            Ev::FaultAt { node, kind } => self.on_fault_at(now, node as usize, kind),
+            Ev::FaultAt { node, kind } => self.on_fault_at(now, node as usize, *kind),
         }
     }
 
@@ -2739,7 +2742,7 @@ impl Model for Machine {
             Ev::FaultAt { node, kind } => {
                 digest.write_u8(9);
                 digest.write_u32(*node);
-                match kind {
+                match kind.as_ref() {
                     FwFaultKind::Stall(d) => {
                         digest.write_u8(0);
                         digest.write_u64(d.0);
@@ -3334,5 +3337,20 @@ impl AsMemory for Box<dyn xt3_nal::addr::AddressSpace> {
     }
     fn as_ref_memory(&self) -> &dyn xt3_portals::memory::ProcessMemory {
         &**self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ev_is_sixteen_bytes() {
+        // Every queue entry, bucket entry and deferred intent carries one:
+        // 40-byte queue entries instead of 48 are what pays for the event
+        // queue's near tiers (DESIGN.md §8, "The ladder step"). The two
+        // variants that would not fit, `NetHeader` and `FaultAt`, box
+        // their payload.
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
     }
 }
