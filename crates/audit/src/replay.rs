@@ -363,16 +363,108 @@ pub fn traffic_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
+/// The paths only accelerated mode, the Linux bridges and the RAS tick
+/// reach — none of which the NetPIPE matrix (generic Catamount pairs)
+/// or the benchmark's workloads touch. Sizes straddle the 12-byte
+/// piggyback edge wherever a put, reply or ack can take either side.
+pub fn machine_path_scenarios() -> Vec<Scenario> {
+    use xt3_netpipe::ptl::{PtlInitiator, PtlPattern};
+    use xt3_netpipe::{Schedule, TestKind, Transport};
+    use xt3_node::config::ProcSpec;
+
+    let accel_netpipe = |name: &str, t: Transport| Scenario {
+        name: name.to_string(),
+        build: Box::new(move || {
+            let config = NetpipeConfig {
+                accelerated: true,
+                ..NetpipeConfig::quick(4096)
+            };
+            build_machine(&config, t, TestKind::PingPong)
+        }),
+    };
+    // Acked puts between a two-process accelerated node and a
+    // two-process generic node: one bulk (32 KiB) and one piggybacked
+    // (8 B) flow, both in the direction `sender -> 1 - sender`.
+    let interop = |name: &str, sender: u32| Scenario {
+        name: name.to_string(),
+        build: Box::new(move || {
+            let mut config = MachineConfig::paper_pair();
+            config.synthetic_payload = false;
+            let two = |p: ProcSpec| NodeSpec {
+                procs: vec![p, p],
+                ..NodeSpec::catamount_compute()
+            };
+            let specs = [
+                two(ProcSpec::catamount_accelerated()),
+                two(ProcSpec::catamount_generic()),
+            ];
+            let mut m = Machine::new(config, &specs);
+            for (pid, len) in [(0, 32 << 10), (1, 8)] {
+                let target = ProcessId::new(1 - sender, pid);
+                m.spawn(
+                    sender,
+                    pid,
+                    Box::new(Pusher::new(target, len, 3).with_acks()),
+                );
+                m.spawn(1 - sender, pid, Box::new(Collector::new(3)));
+            }
+            m
+        }),
+    };
+    vec![
+        accel_netpipe("accel/put-pingpong", Transport::Put),
+        accel_netpipe("accel/get-pingpong", Transport::Get),
+        interop("interop/accel-to-generic", 0),
+        interop("interop/generic-to-accel", 1),
+        Scenario {
+            // Two Linux service nodes: the ukbridge processes pull from
+            // each other with gets up to four pages long (paged reply
+            // sources and deposit lists); the kbridge processes move
+            // acked five-page puts.
+            name: "e2e/linux-service".to_string(),
+            build: Box::new(|| {
+                let mut config = MachineConfig::paper_pair();
+                config.synthetic_payload = false;
+                let mut m = Machine::new(config, &[NodeSpec::linux_service()]);
+                for nid in 0..2 {
+                    let gets = PtlInitiator::with_peer(
+                        PtlPattern::BidirGet,
+                        Schedule::quick(16 << 10),
+                        1 - nid,
+                    );
+                    m.spawn(nid, 0, Box::new(gets));
+                }
+                let puts = Pusher::new(ProcessId::new(1, 1), 20_000, 3).with_acks();
+                m.spawn(0, 1, Box::new(puts));
+                m.spawn(1, 1, Box::new(Collector::new(3)));
+                m
+            }),
+        },
+        Scenario {
+            name: "e2e/ras-heartbeat".to_string(),
+            build: Box::new(|| {
+                let mut config = MachineConfig::paper_pair();
+                config.ras_heartbeat = Some(xt3_sim::SimTime::from_us(5));
+                let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
+                m.spawn(0, 0, Box::new(Pusher::new(ProcessId::new(1, 0), 1024, 3)));
+                m.spawn(1, 0, Box::new(Collector::new(3)));
+                m
+            }),
+        },
+    ]
+}
+
 /// Every scenario the `audit replay` command and the tier-1 replay test
 /// run: NetPIPE sweeps capped at 4 KiB, the e2e configurations, the
-/// fault-injected replay, the RMA workloads, and the congestion traffic
-/// patterns.
+/// fault-injected replay, the RMA workloads, the congestion traffic
+/// patterns, and the accelerated / Linux-bridge / heartbeat paths.
 pub fn all_scenarios() -> Vec<Scenario> {
     let mut out = netpipe_scenarios(4096);
     out.extend(e2e_scenarios());
     out.push(fault_scenario());
     out.extend(rma_scenarios());
     out.extend(traffic_scenarios());
+    out.extend(machine_path_scenarios());
     out
 }
 
@@ -401,6 +493,7 @@ pub struct Pusher {
     sent: u32,
     acked: u32,
     burst: bool,
+    ack: AckReq,
     eq: Option<EqHandle>,
 }
 
@@ -414,8 +507,16 @@ impl Pusher {
             sent: 0,
             acked: 0,
             burst: false,
+            ack: AckReq::NoAck,
             eq: None,
         }
+    }
+
+    /// Request a Portals acknowledgement for every put and finish only
+    /// once each has come back (the firmware-direct Ack path).
+    pub fn with_acks(mut self) -> Self {
+        self.ack = AckReq::Ack;
+        self
     }
 
     /// All `count` puts issued at once (stresses RX pool exhaustion).
@@ -449,17 +550,23 @@ impl App for Pusher {
                     .expect("audit pusher md");
                 let first = if self.burst { self.count } else { 1 };
                 for _ in 0..first {
-                    ctx.put(md, AckReq::NoAck, self.target, PT, 0, BITS, 0, 0)
+                    ctx.put(md, self.ack, self.target, PT, 0, BITS, 0, 0)
                         .expect("audit pusher put");
                 }
                 self.sent = first;
                 ctx.wait_eq(eq);
             }
             AppEvent::Ptl(ev) => {
-                if ev.kind == EventKind::SendEnd {
+                // When acks are requested they pace the sender instead of
+                // the SendEnds, so every put's full round trip is replayed.
+                let pace = match self.ack {
+                    AckReq::Ack => EventKind::Ack,
+                    AckReq::NoAck => EventKind::SendEnd,
+                };
+                if ev.kind == pace {
                     self.acked += 1;
                     if self.sent < self.count {
-                        ctx.put(ev.md, AckReq::NoAck, self.target, PT, 0, BITS, 0, 0)
+                        ctx.put(ev.md, self.ack, self.target, PT, 0, BITS, 0, 0)
                             .expect("audit pusher put");
                         self.sent += 1;
                     } else if self.acked >= self.count {

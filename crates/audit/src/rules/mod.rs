@@ -39,6 +39,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use xt3_telemetry::quote_json;
 
 use crate::lex::{self, Tok};
 use crate::lint;
@@ -272,8 +273,8 @@ impl EngineReport {
 
     /// Machine-readable JSON: one finding object per violation
     /// (including suppressed ones, with their allow-status), plus stale
-    /// entries and summary counts. Hand-rolled — the audit crate stays
-    /// dependency-free.
+    /// entries and summary counts. Hand-rolled, on the workspace's one
+    /// string escaper.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"audit-lint/1\",\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
@@ -282,11 +283,11 @@ impl EngineReport {
             }
             out.push_str("\n    {");
             out.push_str(&format!("\"rule\": \"{}\", ", f.rule.name()));
-            out.push_str(&format!("\"file\": \"{}\", ", json_escape(&f.path)));
+            out.push_str(&format!("\"file\": {}, ", quote_json(&f.path)));
             out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"snippet\": \"{}\", ", json_escape(&f.snippet)));
+            out.push_str(&format!("\"snippet\": {}, ", quote_json(&f.snippet)));
             if let Some(n) = &f.note {
-                out.push_str(&format!("\"note\": \"{}\", ", json_escape(n)));
+                out.push_str(&format!("\"note\": {}, ", quote_json(n)));
             }
             out.push_str(&format!("\"allow_status\": \"{}\"}}", f.allow.name()));
         }
@@ -295,7 +296,7 @@ impl EngineReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", json_escape(s)));
+            out.push_str(&quote_json(s));
         }
         out.push_str(&format!(
             "],\n  \"files_scanned\": {},\n  \"violations\": {},\n  \"clean\": {}\n}}\n",
@@ -305,22 +306,6 @@ impl EngineReport {
         ));
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------

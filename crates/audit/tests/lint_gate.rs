@@ -65,6 +65,36 @@ fn shipped_tree_is_clean_under_the_engine() {
     );
 }
 
+/// ROADMAP item 4, held in place: `xt3::machine` is a module per job, so
+/// no file of the crate may grow back past 800 lines, and the fabric
+/// seam — how a send reaches the fabric, `NetMode` — stays spelled out in
+/// exactly one of them.
+#[test]
+fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
+    let root = lint::repo_root();
+    let mut seam_files = Vec::new();
+    let mut seen = 0;
+    for file in lint::source_files(&root).expect("walk") {
+        let rel = lint::rel_path(&root, &file);
+        if !rel.starts_with("crates/xt3/src/") {
+            continue;
+        }
+        seen += 1;
+        let text = fs::read_to_string(&file).expect("read source");
+        let lines = text.lines().count();
+        assert!(lines <= 800, "{rel} has {lines} lines (limit 800)");
+        if text.contains("NetMode::") {
+            seam_files.push(rel);
+        }
+    }
+    assert!(seen > 10, "sanity: the walker must visit xt3 (saw {seen})");
+    assert_eq!(
+        seam_files,
+        ["crates/xt3/src/machine/net.rs"],
+        "`NetMode::` belongs to the fabric seam alone"
+    );
+}
+
 #[test]
 fn engine_allowlist_suppresses_and_goes_stale() {
     // The 8-rule engine keeps the legacy shrink-only allowlist

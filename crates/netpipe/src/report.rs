@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use xt3_sim::SimTime;
+use xt3_telemetry::{parse_json, quote_json};
 
 pub use xt3_sim::stats::Series;
 
@@ -206,17 +207,20 @@ impl FigureData {
     /// Serialize to JSON for EXPERIMENTS.md bookkeeping. Hand-rolled (the
     /// build is hermetic, so no serde_json); floats use Rust's shortest
     /// round-trip formatting so [`FigureData::from_json`] restores them
-    /// bit-exactly.
+    /// bit-exactly — including a non-finite point (bandwidth over an empty
+    /// measured window divides by zero), which `{:?}` prints as `inf` /
+    /// `NaN` and the workspace's one JSON reader
+    /// (`xt3_telemetry::parse_json`) accepts.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"title\": {},", json::quote(&self.title));
-        let _ = writeln!(out, "  \"y_label\": {},", json::quote(&self.y_label));
+        let _ = writeln!(out, "  \"title\": {},", quote_json(&self.title));
+        let _ = writeln!(out, "  \"y_label\": {},", quote_json(&self.y_label));
         out.push_str("  \"series\": [");
         for (si, s) in self.series.iter().enumerate() {
             out.push_str(if si == 0 { "\n" } else { ",\n" });
             let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"label\": {},", json::quote(&s.label));
+            let _ = writeln!(out, "      \"label\": {},", quote_json(&s.label));
             out.push_str("      \"points\": [");
             for (pi, p) in s.points.iter().enumerate() {
                 out.push_str(if pi == 0 { "\n" } else { ",\n" });
@@ -234,7 +238,7 @@ impl FigureData {
 
     /// Parse JSON produced by [`FigureData::to_json`].
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
+        let v = parse_json(text)?;
         let title = v.get("title")?.as_str()?.to_string();
         let y_label = v.get("y_label")?.as_str()?.to_string();
         let mut series = Vec::new();
@@ -255,232 +259,6 @@ impl FigureData {
             y_label,
             series,
         })
-    }
-}
-
-/// Minimal JSON support for [`FigureData`] round-trips: enough of a
-/// writer/parser for the fixed figure schema, replacing serde_json in the
-/// hermetic build.
-mod json {
-    /// Quote and escape a string literal.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// A parsed JSON value (objects, arrays, strings, numbers).
-    #[derive(Debug, Clone)]
-    pub enum Value {
-        /// Key/value pairs in document order.
-        Object(Vec<(String, Value)>),
-        /// Array elements.
-        Array(Vec<Value>),
-        /// String literal.
-        String(String),
-        /// Any number (parsed as f64).
-        Number(f64),
-    }
-
-    impl Value {
-        /// Look up an object field.
-        pub fn get(&self, key: &str) -> Result<&Value, String> {
-            match self {
-                Value::Object(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("missing field {key:?}")),
-                _ => Err(format!("expected object looking up {key:?}")),
-            }
-        }
-
-        /// View as a string.
-        pub fn as_str(&self) -> Result<&str, String> {
-            match self {
-                Value::String(s) => Ok(s),
-                other => Err(format!("expected string, got {other:?}")),
-            }
-        }
-
-        /// View as an array.
-        pub fn as_array(&self) -> Result<&[Value], String> {
-            match self {
-                Value::Array(v) => Ok(v),
-                other => Err(format!("expected array, got {other:?}")),
-            }
-        }
-
-        /// View as a number.
-        pub fn as_f64(&self) -> Result<f64, String> {
-            match self {
-                Value::Number(n) => Ok(*n),
-                other => Err(format!("expected number, got {other:?}")),
-            }
-        }
-    }
-
-    /// Parse one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", ch as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, parse_value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
-            Some(_) => {
-                let start = *pos;
-                while *pos < b.len()
-                    && matches!(
-                        b[*pos],
-                        b'0'..=b'9'
-                            | b'-'
-                            | b'+'
-                            | b'.'
-                            | b'e'
-                            | b'E'
-                            | b'i'
-                            | b'n'
-                            | b'f'
-                            | b'N'
-                            | b'a'
-                    )
-                {
-                    *pos += 1;
-                }
-                let tok = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-                tok.parse::<f64>()
-                    .map(Value::Number)
-                    .map_err(|_| format!("bad number {tok:?} at byte {start}"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape".to_string())?);
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input was a valid &str).
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unexpected end".to_string())?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
     }
 }
 
@@ -563,6 +341,23 @@ mod tests {
             fig.series[0].points[0].y.to_bits(),
             "floats survive bit-exactly"
         );
+    }
+
+    #[test]
+    fn json_roundtrips_non_finite_points() {
+        // Bandwidth over an empty measured window: 0 B / 0 s, then 8 B /
+        // 0 s. The figure must still write and read back rather than lose
+        // the whole document.
+        let fig = FigureData {
+            title: "t".into(),
+            y_label: "y".into(),
+            series: vec![bandwidth_series("put", &[r(1, 0, 0), r(2, 4, 0)])],
+        };
+        let ys: Vec<f64> = fig.series[0].points.iter().map(|p| p.y).collect();
+        assert!(ys[0].is_nan() && ys[1].is_infinite(), "{ys:?}");
+        let back = FigureData::from_json(&fig.to_json()).expect("round-trips");
+        assert!(back.series[0].points[0].y.is_nan());
+        assert_eq!(back.series[0].points[1].y, f64::INFINITY);
     }
 
     #[test]

@@ -143,6 +143,9 @@ pub enum PtlError {
     EqDropped,
     /// Operation not permitted on this MD (e.g. get on a put-only MD).
     OpViolation,
+    /// The target process id names no node of the machine
+    /// (`PTL_PROCESS_INVALID`).
+    ProcessInvalid,
 }
 
 impl fmt::Display for PtlError {
@@ -157,6 +160,7 @@ impl fmt::Display for PtlError {
             PtlError::EqEmpty => "event queue empty",
             PtlError::EqDropped => "event queue dropped events",
             PtlError::OpViolation => "operation violation",
+            PtlError::ProcessInvalid => "invalid process id",
         };
         f.write_str(s)
     }

@@ -304,8 +304,14 @@ impl CausalLog {
 
     /// An enabled log with the default record cap.
     pub fn enabled() -> Self {
+        Self::new(true)
+    }
+
+    /// A log with the default record cap, recording or not as `enabled`
+    /// says — for callers holding the choice as a flag.
+    pub fn new(enabled: bool) -> Self {
         CausalLog {
-            enabled: true,
+            enabled,
             ..Self::disabled()
         }
     }

@@ -87,22 +87,22 @@ pub struct Trace {
 impl Trace {
     /// A disabled (no-op) trace.
     pub fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            events: VecDeque::new(),
-            capacity: 0,
-            recorded: 0,
-            lanes: Vec::new(),
-        }
+        Self::new(false, 0)
     }
 
     /// An enabled trace retaining at most the `capacity` most recent
     /// events (0 = unbounded).
     pub fn enabled(capacity: usize) -> Self {
+        Self::new(true, capacity)
+    }
+
+    /// [`Trace::enabled`] or [`Trace::disabled`] as `enabled` says — for
+    /// callers holding the choice as a flag.
+    pub fn new(enabled: bool, capacity: usize) -> Self {
         Trace {
-            enabled: true,
+            enabled,
             events: VecDeque::new(),
-            capacity,
+            capacity: if enabled { capacity } else { 0 },
             recorded: 0,
             lanes: Vec::new(),
         }

@@ -174,10 +174,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             Ok(JsonValue::Null)
         }
         Some(_) => {
+            // JSON's number characters, plus the letters of `inf` and
+            // `NaN`: every writer in the workspace prints floats with
+            // `{:?}`, and that is what a non-finite one comes out as.
             let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
+            let in_number = |c: u8| c.is_ascii_digit() || b"-+.eEinfNa".contains(&c);
+            while *pos < b.len() && in_number(b[*pos]) {
                 *pos += 1;
             }
             let tok = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -251,6 +253,17 @@ mod tests {
             v.get("b").expect("b").get("c"),
             Ok(JsonValue::Bool(true))
         ));
+    }
+
+    #[test]
+    fn reads_back_what_debug_prints_for_non_finite_floats() {
+        let doc = format!("[{:?}, {:?}, 1e3]", -f64::INFINITY, f64::NAN);
+        let v = parse(&doc).expect("parses");
+        let a = v.as_array().expect("array");
+        assert_eq!(a[0].as_f64(), Ok(f64::NEG_INFINITY));
+        assert!(a[1].as_f64().expect("number").is_nan());
+        assert_eq!(a[2].as_f64(), Ok(1000.0));
+        assert!(parse("[fin]").is_err(), "letters alone are not a number");
     }
 
     #[test]

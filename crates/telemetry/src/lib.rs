@@ -51,7 +51,7 @@ pub use congestion::{
 pub use critpath::{
     aggregate, extract_chains, Breakdown, Chain, CostClass, CritPathError, Segment,
 };
-pub use json::{parse as parse_json, JsonValue};
+pub use json::{parse as parse_json, quote as quote_json, JsonValue};
 pub use registry::{Span, Telemetry};
 pub use report::{DmaSummary, LinkSummary, NodeReport, TelemetryReport};
 pub use series::{

@@ -151,8 +151,14 @@ impl Telemetry {
 
     /// An enabled recorder with the default span cap.
     pub fn enabled() -> Self {
+        Self::new(true)
+    }
+
+    /// A recorder with the default span cap, recording or not as
+    /// `enabled` says — for callers holding the choice as a flag.
+    pub fn new(enabled: bool) -> Self {
         Telemetry {
-            enabled: true,
+            enabled,
             ..Self::disabled()
         }
     }

@@ -70,6 +70,9 @@ pub struct NodeReport {
     pub rx_complete_interrupts: u64,
     /// Interrupts raised for transmit completions.
     pub tx_interrupts: u64,
+    /// Headers the firmware dropped because they named a process the
+    /// node does not have.
+    pub rx_bad_process_drops: u64,
     /// Deepest the firmware command mailbox ever got.
     pub mailbox_cmd_high_water: u32,
     /// SRAM receive-pending pool high-water mark.
@@ -299,6 +302,11 @@ impl TelemetryReport {
             let _ = writeln!(out, "      \"tx_interrupts\": {},", n.tx_interrupts);
             let _ = writeln!(
                 out,
+                "      \"rx_bad_process_drops\": {},",
+                n.rx_bad_process_drops
+            );
+            let _ = writeln!(
+                out,
                 "      \"mailbox_cmd_high_water\": {},",
                 n.mailbox_cmd_high_water
             );
@@ -369,6 +377,7 @@ impl TelemetryReport {
                 rx_header_interrupts: nv.get("rx_header_interrupts")?.as_u64()?,
                 rx_complete_interrupts: nv.get("rx_complete_interrupts")?.as_u64()?,
                 tx_interrupts: nv.get("tx_interrupts")?.as_u64()?,
+                rx_bad_process_drops: nv.get("rx_bad_process_drops")?.as_u64()?,
                 mailbox_cmd_high_water: nv.get("mailbox_cmd_high_water")?.as_u64()? as u32,
                 rx_pool_high_water: nv.get("rx_pool_high_water")?.as_u64()? as u32,
                 rx_pool_capacity: nv.get("rx_pool_capacity")?.as_u64()? as u32,
@@ -414,6 +423,7 @@ mod tests {
                     rx_header_interrupts: 10,
                     rx_complete_interrupts: 10,
                     tx_interrupts: 10,
+                    rx_bad_process_drops: 1,
                     mailbox_cmd_high_water: 2,
                     rx_pool_high_water: 3,
                     rx_pool_capacity: 768,
@@ -459,6 +469,7 @@ mod tests {
         assert_eq!(back.nodes[0].links[0].packets, 650);
         assert_eq!(back.nodes[0].links[0].name, "link X+");
         assert_eq!(back.rx_interrupts(), r.rx_interrupts());
+        assert_eq!(back.nodes[0].rx_bad_process_drops, 1);
     }
 
     #[test]

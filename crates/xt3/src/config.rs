@@ -152,15 +152,10 @@ impl MachineConfig {
     /// model.
     pub fn paper(dims: Dims) -> Self {
         let cost = CostModel::paper();
-        let mut fabric = FabricConfig::default();
-        fabric.link.payload_bandwidth = cost.wire_link_bw;
-        fabric.link.hop_latency = cost.wire_hop_latency;
-        fabric.link.packet_bytes = cost.wire_packet_bytes;
-        fabric.link.header_piggyback_max = cost.piggyback_max;
         MachineConfig {
             dims,
             cost,
-            fabric,
+            fabric: FabricConfig::default(),
             fw: FwConfig::default(),
             exhaustion: ExhaustionPolicy::Panic,
             synthetic_payload: true,
@@ -170,6 +165,7 @@ impl MachineConfig {
             telemetry: false,
             faults: xt3_sim::FaultPlan::none(),
         }
+        .with_cost(cost)
     }
 
     /// Two adjacent nodes — the NetPIPE configuration.

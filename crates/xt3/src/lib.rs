@@ -12,9 +12,13 @@
 //!   kind, generic vs. accelerated mode, exhaustion policy);
 //! * [`app`] — the application interface: an [`app::App`] is an
 //!   event-driven process issuing Portals calls through [`app::AppCtx`];
-//! * [`machine`] — the [`machine::Machine`] simulation model: event
-//!   dispatch implementing the full generic-mode and accelerated-mode
-//!   message paths of paper §3–§4.
+//! * [`machine`] — the [`machine::Machine`] simulation model: the message
+//!   paths of paper §3–§4, one child module per job (its module doc maps
+//!   them), with generic and accelerated completion each in one file;
+//! * [`par`] — the same machine on the parallel window driver,
+//!   bit-identical to a serial run;
+//! * [`workloads`] — ready-made machines (Red Storm rounds, the torus
+//!   traffic patterns).
 //!
 //! The timing of every step comes from `xt3_seastar::CostModel`; the
 //! protocol logic comes from `xt3_portals` and `xt3_firmware`. This crate

@@ -14,7 +14,7 @@ use xt3_firmware::mailbox::FwEvent;
 use xt3_firmware::pending::PendingId;
 use xt3_nal::addr::{AddressSpace, CatamountSpace, LinuxSpace};
 use xt3_nal::bridge::{bridge_for, Bridge};
-use xt3_portals::header::PortalsHeader;
+use xt3_portals::header::{PortalsHeader, PortalsOp};
 use xt3_portals::library::{MatchTicket, PortalsLib, WireData};
 use xt3_portals::types::{MdHandle, NiLimits, ProcessId};
 use xt3_seastar::chip::SeaStar;
@@ -217,6 +217,11 @@ pub struct Node {
     /// The node hit unrecoverable resource exhaustion under the `Panic`
     /// policy (paper §4.3's shipped behaviour).
     pub panicked: bool,
+    /// Headers this node's firmware dropped because they named a process
+    /// the node does not have. (A `u32` on purpose: it sits in padding the
+    /// two flags around it leave, so `Node` — 10,368 of them in a full
+    /// machine, walked in event order — stays the size it was.)
+    pub bad_process_drops: u32,
     /// The node's firmware took an injected unrecoverable fault (fault
     /// plan): the NIC stops serving traffic and the RAS layer isolates
     /// the node without aborting the rest of the machine.
@@ -334,6 +339,7 @@ impl Node {
             gbn_deferred: BTreeMap::new(),
             gbn_timer_armed: BTreeSet::new(),
             panicked: false,
+            bad_process_drops: 0,
             dark: false,
             next_tag: (id.0 as u64) << 40,
             key_ctr: 0,
@@ -350,6 +356,14 @@ impl Node {
     /// Return a TX pending to the host free list.
     pub(crate) fn free_tx_pending(&mut self, fw_proc: ProcIdx, pending: PendingId) {
         self.tx_free[fw_proc as usize].push(pending);
+    }
+
+    /// Is the in-flight transmit `(fw_proc, pending)` a Reply (whose
+    /// header the firmware synthesizes instead of fetching)?
+    pub(crate) fn tx_is_reply(&self, fw_proc: ProcIdx, pending: PendingId) -> bool {
+        self.tx_store
+            .get(&(fw_proc, pending))
+            .is_some_and(|r| r.header.op == PortalsOp::Reply)
     }
 
     /// Fresh trace tag.

@@ -95,16 +95,8 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
     // for the fabric-side records (link spans, hop traces). Those sinks
     // are not merged back — like the shard-side span logs, they observe
     // and never feed back, so digests and reports are unaffected.
-    let mut tele = if telemetry_on {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let mut causal = if causal_on {
-        CausalLog::enabled()
-    } else {
-        CausalLog::disabled()
-    };
+    let mut tele = Telemetry::new(telemetry_on);
+    let mut causal = CausalLog::new(causal_on);
     let route = |by_shard: &mut Vec<Vec<SendIntent>>, out: &mut Vec<xt3_sim::Delivery<Ev>>| {
         // Serial dispatch order: the engine dispatches events in
         // ascending (time, key), and within one dispatch sends are

@@ -6,8 +6,9 @@
 use audit::replay;
 
 /// Every NetPIPE scenario, every e2e configuration, the fault-injected
-/// replay, the RMA workloads (DHT, window-halo), and the five congestion
-/// traffic patterns, built twice from identical state and stepped in
+/// replay, the RMA workloads (DHT, window-halo), the five congestion
+/// traffic patterns, and the accelerated / interop / Linux-bridge /
+/// heartbeat machine paths, built twice from identical state and stepped in
 /// lockstep: the digests must agree after every single event. On failure
 /// the checker names the scenario and the first divergent event index.
 #[test]
@@ -15,7 +16,7 @@ fn replay_scenarios_never_diverge() {
     let runs = replay::check_all().unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(
         runs.len(),
-        23,
+        29,
         "scenario inventory changed; update this count"
     );
     for run in &runs {

@@ -494,3 +494,255 @@ fn mailbox_backpressure_never_drops_commands() {
         "the burst must actually have overflowed the FIFO"
     );
 }
+
+/// Sends one message to a process id that may not exist, then one good
+/// put to `(1, 0)`; finishes once every put's SEND_END is in.
+struct StrayThenGood {
+    stray: ProcessId,
+    /// The stray operation is a get (which posts no SEND_END).
+    get: bool,
+    send_ends_left: u32,
+    eq: Option<EqHandle>,
+}
+
+impl StrayThenGood {
+    fn new(stray: ProcessId, get: bool) -> Self {
+        StrayThenGood {
+            stray,
+            get,
+            send_ends_left: if get { 1 } else { 2 },
+            eq: None,
+        }
+    }
+}
+
+impl App for StrayThenGood {
+    fn on_event(&mut self, ctx: &mut AppCtx<'_>, event: AppEvent) {
+        match event {
+            AppEvent::Started => {
+                let payload: Vec<u8> = (0..64u64).map(|i| (i % 239) as u8).collect();
+                ctx.write_mem(0, &payload);
+                let eq = ctx.eq_alloc(64).unwrap();
+                self.eq = Some(eq);
+                let md = ctx
+                    .md_bind(
+                        0,
+                        64,
+                        MdOptions::default(),
+                        Threshold::Infinite,
+                        Some(eq),
+                        0,
+                    )
+                    .unwrap();
+                if self.get {
+                    let into = ctx
+                        .md_bind(
+                            4096,
+                            64,
+                            MdOptions::default(),
+                            Threshold::Infinite,
+                            Some(eq),
+                            0,
+                        )
+                        .unwrap();
+                    ctx.get(into, self.stray, PT, 0, BITS, 0).unwrap();
+                } else {
+                    ctx.put(md, AckReq::NoAck, self.stray, PT, 0, BITS, 0, 0)
+                        .unwrap();
+                }
+                ctx.put(md, AckReq::NoAck, ProcessId::new(1, 0), PT, 0, BITS, 0, 0)
+                    .unwrap();
+                ctx.wait_eq(eq);
+            }
+            AppEvent::Ptl(ev) => {
+                if ev.kind == EventKind::SendEnd {
+                    self.send_ends_left -= 1;
+                }
+                if self.send_ends_left == 0 {
+                    ctx.finish();
+                } else {
+                    ctx.wait_eq(self.eq.unwrap());
+                }
+            }
+            _ => ctx.wait_eq(self.eq.unwrap()),
+        }
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn stray_machine(target: NodeSpec, policy: ExhaustionPolicy, get: bool) -> Machine {
+    let mut config = MachineConfig::paper_pair();
+    config.synthetic_payload = false;
+    config.exhaustion = policy;
+    let mut m = Machine::new(config, &[NodeSpec::catamount_compute(), target]);
+    // Node 1 has exactly one process: pid 5 names nobody.
+    let app = StrayThenGood::new(ProcessId::new(1, 5), get);
+    m.spawn(0, 0, Box::new(app));
+    m.spawn(1, 0, Box::new(Collector::new(64, 1)));
+    m
+}
+
+/// What every stray-header run must end as: drained, nobody panicked,
+/// the good put delivered byte-exact exactly once, the stray header
+/// dropped and counted once by node 1's firmware, nothing retransmitted.
+fn assert_stray_dropped(m: &mut Machine, elapsed: portals_xt3::sim::SimTime) {
+    assert_eq!(m.running_apps(), 0, "both apps must finish");
+    assert!(!m.any_panicked(), "a stray header isolates nothing");
+    assert_eq!(m.nodes[1].bad_process_drops, 1);
+    let report = m.telemetry_report("stray", elapsed);
+    assert_eq!(report.nodes[1].rx_bad_process_drops, 1);
+    assert_eq!(report.nodes[0].rx_bad_process_drops, 0);
+    assert_eq!(m.total_gbn_retransmissions(), 0);
+    let c = harvest_collector(m, 1);
+    assert_eq!(c.got, 1, "the put behind the stray one still delivers");
+    assert!(!c.corrupt);
+}
+
+#[test]
+fn header_for_a_missing_process_is_dropped_and_counted() {
+    use portals_xt3::sim::RunOutcome;
+    // Before this was handled the header indexed `procs[5]` on a
+    // one-process node and took the whole simulator down.
+    let generic = NodeSpec::catamount_compute;
+    let accel = NodeSpec::catamount_accelerated;
+    for (target, policy, get) in [
+        (generic(), ExhaustionPolicy::Panic, false),
+        (generic(), ExhaustionPolicy::Panic, true),
+        (accel(), ExhaustionPolicy::Panic, false),
+        // Under go-back-n the stray message's sequence number must be
+        // consumed and acknowledged, or the good put behind it would be
+        // NACKed back to it forever.
+        (generic(), ExhaustionPolicy::GoBackN, false),
+        (accel(), ExhaustionPolicy::GoBackN, true),
+    ] {
+        let mut engine = stray_machine(target, policy, get).into_engine();
+        assert_eq!(engine.run(), RunOutcome::Drained);
+        let now = engine.now();
+        let mut m = engine.into_model();
+        assert_stray_dropped(&mut m, now);
+    }
+}
+
+#[test]
+fn stray_header_is_dropped_identically_under_the_parallel_driver() {
+    use portals_xt3::sim::Model;
+    let build = || {
+        let mut m = stray_machine(
+            NodeSpec::catamount_compute(),
+            ExhaustionPolicy::GoBackN,
+            false,
+        );
+        m.config.trace = true;
+        m
+    };
+    let mut m = build();
+    m.trace = portals_xt3::sim::Trace::enabled(1 << 20);
+    let mut serial = m.into_engine();
+    serial.run();
+    assert!(
+        serial
+            .model()
+            .trace
+            .events()
+            .any(|e| e.label.as_str() == "rx-bad-process"),
+        "the drop leaves a trace label"
+    );
+    let mut par = portals_xt3::xt3::par::run_parallel(build(), 2);
+    assert_eq!(par.digest, serial.digest());
+    assert_eq!(par.state_fingerprint, serial.model().state_fingerprint());
+    assert_stray_dropped(&mut par.machine, par.now);
+}
+
+#[test]
+fn a_target_outside_the_machine_is_process_invalid() {
+    use portals_xt3::portals::header::AtomicOp;
+    use portals_xt3::portals::types::PtlError;
+
+    /// Tries every data-movement call against nid 9 of a two-node
+    /// machine, then proves the single-use MD was not consumed by
+    /// spending it on a real put.
+    struct Prober {
+        checked: bool,
+        eq: Option<EqHandle>,
+    }
+    impl App for Prober {
+        fn on_event(&mut self, ctx: &mut AppCtx<'_>, event: AppEvent) {
+            match event {
+                AppEvent::Started => {
+                    let eq = ctx.eq_alloc(16).unwrap();
+                    self.eq = Some(eq);
+                    let md = ctx
+                        .md_bind(
+                            0,
+                            64,
+                            MdOptions::default(),
+                            Threshold::Count(1),
+                            Some(eq),
+                            0,
+                        )
+                        .unwrap();
+                    let nowhere = ProcessId::new(9, 0);
+                    let invalid = Err(PtlError::ProcessInvalid);
+                    assert_eq!(
+                        ctx.put(md, AckReq::NoAck, nowhere, PT, 0, BITS, 0, 0),
+                        invalid
+                    );
+                    assert_eq!(
+                        ctx.put_region(md, 0, 8, AckReq::NoAck, nowhere, PT, 0, BITS, 0, 0),
+                        invalid
+                    );
+                    assert_eq!(
+                        ctx.atomic_put(
+                            md,
+                            0,
+                            8,
+                            AtomicOp::Sum,
+                            AckReq::NoAck,
+                            nowhere,
+                            PT,
+                            0,
+                            BITS,
+                            0,
+                            0
+                        ),
+                        invalid
+                    );
+                    assert_eq!(ctx.get(md, nowhere, PT, 0, BITS, 0), invalid);
+                    let real = ProcessId::new(1, 0);
+                    ctx.put(md, AckReq::NoAck, real, PT, 0, BITS, 0, 0)
+                        .expect("the threshold of 1 is still unspent");
+                    self.checked = true;
+                    ctx.wait_eq(eq);
+                }
+                AppEvent::Ptl(ev) if ev.kind == EventKind::SendEnd => ctx.finish(),
+                _ => ctx.wait_eq(self.eq.unwrap()),
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    let mut m = Machine::new(
+        MachineConfig::paper_pair(),
+        &[NodeSpec::catamount_compute()],
+    );
+    m.spawn(
+        0,
+        0,
+        Box::new(Prober {
+            checked: false,
+            eq: None,
+        }),
+    );
+    m.spawn(1, 0, Box::new(Collector::new(64, 1)));
+    let mut engine = m.into_engine();
+    engine.run();
+    let mut m = engine.into_model();
+    assert_eq!(m.running_apps(), 0);
+    let mut prober = m.take_app(0, 0).unwrap();
+    assert!(prober.as_any().downcast_mut::<Prober>().unwrap().checked);
+}
