@@ -11,7 +11,9 @@
 //! * the table's total equals the critical-path hop-queueing class to
 //!   the picosecond (zero residual);
 //! * the series-derived table ([`attribute_occupancy`]) reproduces the
-//!   causal-derived one ([`attribute`]) byte for byte;
+//!   causal-derived one ([`attribute`]) byte for byte — on a run the
+//!   causal log holds whole; one that overflows its cap is reported from
+//!   the series alone, and says so;
 //! * a repeat serial run and a 2-worker parallel run reproduce the
 //!   digest, the series JSON and the attribution table byte for byte;
 //! * every expected put arrived, uncorrupted, with the exact provenance
@@ -38,8 +40,8 @@ use xt3_node::workloads::{
 use xt3_node::Machine;
 use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::{
-    attribute, attribute_occupancy, extract_chains, parse_json, CongestionTable, JsonValue,
-    SeriesConfig, SeriesSet,
+    attribute, attribute_occupancy, extract_chains, parse_json, CongestionTable, CritPathError,
+    JsonValue, SeriesConfig, SeriesSet,
 };
 use xt3_topology::coord::Dims;
 
@@ -59,14 +61,13 @@ struct ObservedRun {
     fingerprint: u64,
     elapsed: SimTime,
     dispatched: u64,
-    /// Canonicalized causal-derived attribution table.
+    /// Canonicalized series-derived attribution table.
     table: CongestionTable,
-    /// `table.residual(&chains)` — must be zero.
-    residual: i128,
+    /// The canonicalized causal-derived table — must equal `table` — and
+    /// its residual against the chains — must be zero; or why the causal
+    /// log cannot be attributed.
+    causal: Result<(CongestionTable, i128), CritPathError>,
     series_json: String,
-    /// Canonicalized series-derived table's JSON render — must equal
-    /// the causal-derived render.
-    occ_json: String,
     /// Occupancy entries dropped across all links (must be 0).
     occ_dropped: u64,
     perfetto: String,
@@ -115,13 +116,15 @@ fn run_serial(
     let dispatched = engine.dispatched();
     let mut m = engine.into_model();
 
-    let chains = extract_chains(m.causal()).expect("causal DAG is well-formed");
     let series = m.link_series().expect("series enabled");
-    let mut table = attribute(&chains, m.causal(), Some(series), top_k, 4);
-    let residual = table.residual(&chains);
+    let causal = extract_chains(m.causal()).and_then(|chains| {
+        let mut table = attribute(&chains, m.causal(), Some(series), top_k, 4)?;
+        let residual = table.residual(&chains);
+        table.canonicalize();
+        Ok((table, residual))
+    });
+    let mut table = attribute_occupancy(series, top_k, 4);
     table.canonicalize();
-    let mut occ = attribute_occupancy(series, top_k, 4);
-    occ.canonicalize();
     let series_json = series.to_json();
     let occ_dropped = total_occ_dropped(series);
     let perfetto = m
@@ -133,9 +136,8 @@ fn run_serial(
         fingerprint,
         elapsed,
         dispatched,
-        occ_json: occ.render_json(),
         table,
-        residual,
+        causal,
         series_json,
         occ_dropped,
         perfetto,
@@ -163,13 +165,22 @@ fn run_pattern(
     let run = run_serial(pattern, dims, rounds, msg, top_k);
 
     // Accounting fences on the primary run.
-    assert_eq!(run.residual, 0, "{name}: attribution residual must be zero");
     assert_eq!(run.occ_dropped, 0, "{name}: occupancy log overflowed");
-    assert_eq!(
-        run.table.render_json(),
-        run.occ_json,
-        "{name}: series-derived table must reproduce the causal-derived one"
-    );
+    match &run.causal {
+        Ok((causal, residual)) => {
+            assert_eq!(*residual, 0, "{name}: attribution residual must be zero");
+            assert_same_table(
+                causal,
+                &run.table,
+                &format!("{name}: series-derived table must reproduce the causal-derived one"),
+            );
+        }
+        Err(e @ CritPathError::Truncated { .. }) => println!(
+            "{e}\n{name}: the table below is the series-derived one; \
+             zero residual and occupancy == causal were not checked"
+        ),
+        Err(e) => panic!("{name}: causal DAG is malformed: {e}"),
+    }
     assert_eq!(run.stats.outstanding, 0, "{name}: missing arrivals");
     assert!(!run.stats.corrupt, "{name}: payload corruption");
     let seed = xt3_node::config::MachineConfig::paper(dims).seed;
@@ -190,15 +201,10 @@ fn run_pattern(
         run.series_json, rerun.series_json,
         "{name}: repeat series JSON"
     );
-    assert_eq!(
-        run.table.render_json(),
-        rerun.table.render_json(),
-        "{name}: repeat attribution table"
-    );
-    assert_eq!(
-        run.table.render_text(),
-        rerun.table.render_text(),
-        "{name}: repeat attribution text"
+    assert_same_table(
+        &run.table,
+        &rerun.table,
+        &format!("{name}: repeat attribution table"),
     );
 
     // Parallel run: the coordinator owns the real fabric, so the series
@@ -218,14 +224,48 @@ fn run_pattern(
     );
     let mut par_occ = attribute_occupancy(par_series, top_k, 4);
     par_occ.canonicalize();
-    assert_eq!(
-        par_occ.render_json(),
-        run.occ_json,
-        "{name}: parallel attribution table"
+    assert_same_table(
+        &run.table,
+        &par_occ,
+        &format!("{name}: parallel attribution table"),
     );
 
     let msgs = run.stats.received;
     PatternReport { pattern, run, msgs }
+}
+
+/// Two attribution tables that must be the same table. On a contended
+/// machine one renders to hundreds of megabytes, so a mismatch reports
+/// the row counts and the first differing row, never both tables.
+fn assert_same_table(a: &CongestionTable, b: &CongestionTable, what: &str) {
+    if a == b {
+        return;
+    }
+    let first = a.rows.iter().zip(&b.rows).position(|(x, y)| x != y);
+    match first {
+        Some(at) => panic!(
+            "{what}: {} vs {} rows, first difference at row {at}:\n  {:?}\n  {:?}",
+            a.rows.len(),
+            b.rows.len(),
+            a.rows[at],
+            b.rows[at]
+        ),
+        None => panic!(
+            "{what}: {} vs {} rows, equal up to the shorter; total lost {} vs {} ps, \
+             bucket {} vs {} ps, hotspots {}",
+            a.rows.len(),
+            b.rows.len(),
+            a.total_lost.ps(),
+            b.total_lost.ps(),
+            a.bucket.ps(),
+            b.bucket.ps(),
+            if a.hotspots == b.hotspots {
+                "equal"
+            } else {
+                "differ"
+            }
+        ),
+    }
 }
 
 fn usage() -> ! {
@@ -321,7 +361,13 @@ fn main() {
     }
 
     println!();
-    println!("all identities held: zero residual, occupancy == causal attribution,");
+    let truncated = reports.iter().filter(|r| r.run.causal.is_err()).count();
+    if truncated == 0 {
+        println!("all identities held: zero residual, occupancy == causal attribution,");
+    } else {
+        println!("{truncated} pattern(s) overflowed the causal log and were attributed from the");
+        println!("series alone; for the rest: zero residual, occupancy == causal attribution;");
+    }
     println!("repeat and 2-worker parallel runs byte-identical per pattern");
 
     let baseline = render_baseline(&reports, dims, rounds, msg, top_k);
@@ -359,9 +405,14 @@ fn print_pattern(report: &PatternReport) {
         run.digest
     );
     println!(
-        "hop-queueing lost {:.1} us across {} stalled crossings (residual 0)",
+        "hop-queueing lost {:.1} us across {} stalled crossings ({})",
         run.table.total_lost.as_ns_f64() / 1e3,
-        run.table.rows.len()
+        run.table.rows.len(),
+        if run.causal.is_ok() {
+            "residual 0"
+        } else {
+            "series only"
+        }
     );
     if run.table.rows.is_empty() {
         println!("no congestion: every crossing went straight through");

@@ -11,18 +11,27 @@
 //! (lazy pending pools, on-demand routing, write-materialized address
 //! spaces) is accountable to keeping it far under the 4 GB line.
 //!
+//! The default sweep ends with the **observed row**: the contended
+//! 8x8x8 all-to-all with the registry, the causal log and the link
+//! series on — peak bytes of the run plus attribution table and series
+//! JSON, and what each sink holds at the end per thing it stored (bytes
+//! per span, per causal record, per non-zero series bucket; each read
+//! off a run with only that sink on, against a run with none).
+//!
 //! The JSON it writes carries the rows of the file it replaces as
-//! `before_built_bytes` / `before_peak_bytes`, so the committed
-//! `BENCH_mem.json` holds a before/after pair for whatever change
-//! regenerated it. `--check PATH` is the regression gate: the counts are
-//! allocator-exact and the run is deterministic, so any size whose peak
-//! bytes per node exceed the committed value by more than 2 % fails.
+//! `before_*`, so the committed `BENCH_mem.json` holds a before/after
+//! pair for whatever change regenerated it. `--check PATH` is the
+//! regression gate: the counts are allocator-exact and the run is
+//! deterministic, so any size whose peak bytes per node — or any number
+//! of the observed row — exceeds the committed value by more than 2 %
+//! fails.
 //!
 //! `--series` measures the same sweep with the per-link congestion
 //! series enabled and enforces the observability heap envelope instead:
-//! at every size the instrumented peak must stay within 2× the committed
-//! `BENCH_mem.json` baseline — demand-allocated series lanes may cost
-//! heap proportional to *traffic*, never a dense per-node tax.
+//! at every size the instrumented peak must stay within
+//! [`SERIES_ENVELOPE`]× the committed `BENCH_mem.json` baseline —
+//! demand-allocated series lanes may cost heap proportional to
+//! *traffic*, never a dense per-node tax.
 //!
 //! ```text
 //! cargo run --release -p xt3-bench --bin mem_footprint -- [--dims X Y Z] [--out PATH]
@@ -30,11 +39,17 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xt3_node::workloads::red_storm_machine;
+use xt3_node::workloads::{red_storm_machine, traffic_machine, TrafficPattern};
 use xt3_sim::RunOutcome;
-use xt3_telemetry::{parse_json, JsonValue, SeriesConfig};
+use xt3_telemetry::{attribute_occupancy, parse_json, JsonValue, LinkBucket, SeriesConfig};
 use xt3_topology::coord::Dims;
+
+/// The `--series` envelope: the series-instrumented peak over the plain
+/// one. Measured 1.222 (512 nodes), 1.220 (2,048) and 1.222 (10,368) on
+/// the one-round neighbour push; the limit is the worst of them plus 5 %.
+const SERIES_ENVELOPE: f64 = 1.28;
 
 /// Live heap bytes right now.
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -99,10 +114,11 @@ fn usage() -> ! {
          \x20                 512 / 2,048 / 10,368-node sweep\n\
          --out PATH        JSON output path (default BENCH_mem.json); the rows\n\
          \x20                 of the file it replaces are kept as before_*\n\
-         --check PATH      fail if any size's peak bytes per node exceed the\n\
-         \x20                 baseline's by more than 2%\n\
+         --check PATH      fail if any size's peak bytes per node, or any number\n\
+         \x20                 of the observed row, exceeds the baseline's by\n\
+         \x20                 more than 2%\n\
          --series          enable per-link congestion series and enforce the\n\
-         \x20                 2x observability heap envelope against --check\n\
+         \x20                 observability heap envelope against --check\n\
          \x20                 (default BENCH_mem.json) instead; no JSON output"
     );
     std::process::exit(2)
@@ -143,6 +159,89 @@ fn measure(dims: Dims, series: bool) -> Row {
     }
 }
 
+/// One run of the contended 8x8x8 all-to-all (the all-to-all stage of
+/// the benchmark's `torus512_observed`) with the named sinks on.
+struct ObservedRun {
+    /// Peak over build, run and — with the series on — the attribution
+    /// table and the series JSON a user makes of them.
+    peak_bytes: u64,
+    /// Live at the end of the run, the machine still whole.
+    end_bytes: u64,
+    spans: u64,
+    records: u64,
+    nonzero_buckets: u64,
+}
+
+fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
+    let floor = LIVE.load(Ordering::SeqCst);
+    PEAK.store(floor, Ordering::SeqCst);
+
+    let mut m = traffic_machine(TrafficPattern::AllToAll, Dims::red_storm(8, 8, 8), 1, 4096);
+    if registry {
+        m.config.telemetry = true;
+        m.set_telemetry_enabled(true);
+    }
+    m.set_causal_enabled(causal);
+    if series {
+        m.enable_link_series(SeriesConfig::default());
+    }
+    let mut engine = m.into_engine();
+    assert_eq!(engine.run(), RunOutcome::Drained, "all-to-all must drain");
+    let end_bytes = LIVE.load(Ordering::SeqCst).saturating_sub(floor);
+
+    let m = engine.model();
+    let mut nonzero_buckets = 0;
+    if let Some(series) = m.link_series() {
+        let table = attribute_occupancy(series, 8, 4);
+        let json = series.to_json();
+        black_box((table.rows.len(), json.len()));
+        let zero = LinkBucket::default();
+        for node in 0..series.node_slots() as u32 {
+            for port in 0..6u8 {
+                let link = series.link(node, port);
+                nonzero_buckets += link.map_or(0, |l| l.buckets().filter(|b| *b != zero).count());
+            }
+        }
+    }
+    ObservedRun {
+        peak_bytes: PEAK.load(Ordering::SeqCst).saturating_sub(floor),
+        end_bytes,
+        spans: m.telemetry().spans().len() as u64,
+        records: m.causal().records().len() as u64,
+        nonzero_buckets: nonzero_buckets as u64,
+    }
+}
+
+/// One number of the observed row: its name in the JSON and its value.
+type Observed = (&'static str, f64);
+
+/// Measure the observed row: one run with every sink on for the peak,
+/// one with each sink alone against one with none for what that sink
+/// holds at the end.
+fn observed_row() -> Vec<Observed> {
+    let none = observe(false, false, false);
+    let all = observe(true, true, true);
+    let held = |run: &ObservedRun, stored: u64| {
+        run.end_bytes.saturating_sub(none.end_bytes) as f64 / stored.max(1) as f64
+    };
+    let registry = observe(true, false, false);
+    let causal = observe(false, true, false);
+    let series = observe(false, false, true);
+    vec![
+        ("peak_bytes", all.peak_bytes as f64),
+        ("unobserved_peak_bytes", none.peak_bytes as f64),
+        ("spans", all.spans as f64),
+        ("bytes_per_span", held(&registry, registry.spans)),
+        ("records", all.records as f64),
+        ("bytes_per_record", held(&causal, causal.records)),
+        ("nonzero_buckets", all.nonzero_buckets as f64),
+        (
+            "bytes_per_nonzero_bucket",
+            held(&series, series.nonzero_buckets),
+        ),
+    ]
+}
+
 fn main() {
     let mut sizes = vec![
         Dims::red_storm(8, 8, 8),
@@ -152,6 +251,8 @@ fn main() {
     let mut out = String::from("BENCH_mem.json");
     let mut series = false;
     let mut check = None;
+    // The observed row belongs to the default sweep, not to one slice.
+    let mut observed = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -159,7 +260,10 @@ fn main() {
             "--dims" => {
                 let mut next = || args.next().and_then(|v| v.parse::<u16>().ok());
                 match (next(), next(), next()) {
-                    (Some(x), Some(y), Some(z)) => sizes = vec![Dims::red_storm(x, y, z)],
+                    (Some(x), Some(y), Some(z)) => {
+                        sizes = vec![Dims::red_storm(x, y, z)];
+                        observed = false;
+                    }
                     _ => usage(),
                 }
             }
@@ -207,18 +311,32 @@ fn main() {
 
     if series {
         let path = check.as_deref().unwrap_or("BENCH_mem.json");
-        enforce(&rows, path, 2.0, "observability heap envelope");
+        enforce(
+            &rows,
+            &[],
+            path,
+            SERIES_ENVELOPE,
+            "observability heap envelope",
+        );
         return;
+    }
+
+    let observed = if observed { observed_row() } else { Vec::new() };
+    if !observed.is_empty() {
+        println!("\nobserved 8x8x8 all-to-all of 4 KiB (registry + causal log + link series):");
+        for (name, value) in &observed {
+            println!("  {name:<26} {value:>16.2}");
+        }
     }
 
     // Gate before writing: `--out` may name the baseline itself.
     if let Some(path) = &check {
-        enforce(&rows, path, 1.02, "per-node heap gate");
+        enforce(&rows, &observed, path, 1.02, "heap gate");
     }
     let before = std::fs::read_to_string(&out)
         .ok()
         .and_then(|text| parse_json(&text).ok());
-    if let Err(e) = std::fs::write(&out, render_json(&rows, before.as_ref())) {
+    if let Err(e) = std::fs::write(&out, render_json(&rows, &observed, before.as_ref())) {
         eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
     }
@@ -237,12 +355,19 @@ fn baseline_field(doc: &JsonValue, nodes: usize, field: &str) -> Option<u64> {
         .ok()
 }
 
+/// `field` of the observed row of a BENCH_mem.json document.
+fn observed_field(doc: &JsonValue, field: &str) -> Option<f64> {
+    let row = doc.get("observed").ok()?;
+    row.get(field).and_then(JsonValue::as_f64).ok()
+}
+
 /// Hold every measured size's peak to `limit` × the baseline's peak at
-/// the same node count: 2× for the series-instrumented sweep (the
-/// observability envelope), 1.02× for the plain one (the regression
-/// gate). Sizes missing from the baseline are an error — a silently
-/// skipped row would read as "covered" when it wasn't.
-fn enforce(rows: &[Row], baseline_path: &str, limit: f64, what: &str) {
+/// the same node count — [`SERIES_ENVELOPE`]× for the series-instrumented
+/// sweep, 1.02× for the plain one (the regression gate) — and every
+/// number of the observed row to `limit` × the baseline's. Rows missing
+/// from the baseline are an error — a silently skipped row would read as
+/// "covered" when it wasn't.
+fn enforce(rows: &[Row], observed: &[Observed], baseline_path: &str, limit: f64, what: &str) {
     let baseline = std::fs::read_to_string(baseline_path)
         .map_err(|e| e.to_string())
         .and_then(|text| parse_json(&text))
@@ -273,6 +398,18 @@ fn enforce(rows: &[Row], baseline_path: &str, limit: f64, what: &str) {
         );
         violated |= !ok;
     }
+    for &(name, value) in observed {
+        let Some(base) = observed_field(&baseline, name) else {
+            eprintln!("baseline {baseline_path} has no observed {name} — regenerate it first");
+            std::process::exit(1);
+        };
+        let ok = value <= base * limit;
+        println!(
+            "observed {name:<26} {value:>16.2} vs baseline {base:>16.2} {}",
+            if ok { "ok" } else { "VIOLATED" }
+        );
+        violated |= !ok;
+    }
     if violated {
         eprintln!("\n{what} violated");
         std::process::exit(1);
@@ -281,7 +418,7 @@ fn enforce(rows: &[Row], baseline_path: &str, limit: f64, what: &str) {
 }
 
 /// Hand-rolled JSON (the workspace's serde is an offline no-op stub).
-fn render_json(rows: &[Row], before: Option<&JsonValue>) -> String {
+fn render_json(rows: &[Row], observed: &[Observed], before: Option<&JsonValue>) -> String {
     use std::fmt::Write as _;
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut s = String::new();
@@ -313,6 +450,17 @@ fn render_json(rows: &[Row], before: Option<&JsonValue>) -> String {
             r.events
         );
     }
-    s.push_str("  ]\n}\n");
+    s.push_str("  ]");
+    if !observed.is_empty() {
+        s.push_str(",\n  \"observed\": {\"dims\": [8, 8, 8], \"pattern\": \"alltoall\", \"msg_bytes\": 4096");
+        for (name, value) in observed {
+            let _ = write!(s, ", \"{name}\": {value:?}");
+            if let Some(was) = before.and_then(|doc| observed_field(doc, name)) {
+                let _ = write!(s, ", \"before_{name}\": {was:?}");
+            }
+        }
+        s.push('}');
+    }
+    s.push_str("\n}\n");
     s
 }

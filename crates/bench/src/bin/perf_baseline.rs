@@ -20,7 +20,8 @@
 //! twin's wall time over the plain row's is `sink_overhead`.
 //!
 //! A scenario the `--out` file already lists keeps that file's
-//! events/sec as `before_events_per_sec`, so the committed JSON holds a
+//! events/sec as `before_events_per_sec` (and the file's `sink_overhead`
+//! is kept as `before_sink_overhead`), so the committed JSON holds a
 //! before/after row for whatever change regenerated it.
 //!
 //! ```text
@@ -338,6 +339,10 @@ fn render_json(
     let _ = writeln!(s, "  \"cores\": {cores},");
     let _ = writeln!(s, "  \"aggregate_events_per_sec\": {aggregate:.0},");
     let _ = writeln!(s, "  \"sink_overhead\": {sink_overhead:.3},");
+    let was = before.map(|doc| doc.get("sink_overhead").and_then(JsonValue::as_f64));
+    if let Some(Ok(was)) = was {
+        let _ = writeln!(s, "  \"before_sink_overhead\": {was:.3},");
+    }
     s.push_str("  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };

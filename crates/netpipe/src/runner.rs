@@ -452,9 +452,6 @@ pub struct ExplainedRun {
     pub chains: Vec<xt3_telemetry::Chain>,
     /// Chrome trace-event JSON with causal flow arrows.
     pub perfetto: String,
-    /// Causal records discarded at the log's bounded capacity; non-zero
-    /// means the chain list under-covers the run.
-    pub dropped: u64,
     /// Hop-queueing folded by physical link over *all* chains; sums
     /// exactly to the chains' aggregate hop-queueing class.
     pub hops: Vec<xt3_telemetry::HopStall>,
@@ -463,8 +460,14 @@ pub struct ExplainedRun {
 /// Run `(transport, kind)` with the causal tracer (and telemetry sink)
 /// forced on, then extract every delivery's critical path. Tracing is
 /// digest-neutral, so the rounds are identical to an uninstrumented
-/// [`run_curve`] of the same config.
-pub fn run_explained(config: &NetpipeConfig, transport: Transport, kind: TestKind) -> ExplainedRun {
+/// [`run_curve`] of the same config. A run that overflows the causal
+/// log's cap is an error ([`xt3_telemetry::CritPathError::Truncated`]),
+/// never a chain list that under-covers it.
+pub fn run_explained(
+    config: &NetpipeConfig,
+    transport: Transport,
+    kind: TestKind,
+) -> Result<ExplainedRun, xt3_telemetry::CritPathError> {
     let mut cfg = config.clone();
     cfg.telemetry = true;
     let mut engine = build_engine(&cfg, transport, kind);
@@ -473,18 +476,16 @@ pub fn run_explained(config: &NetpipeConfig, transport: Transport, kind: TestKin
     assert_eq!(outcome, RunOutcome::Drained, "explained run must drain");
     let mut m = engine.into_model();
     assert_eq!(m.running_apps(), 0, "explained apps must finish");
+    let chains = xt3_telemetry::extract_chains(m.causal())?;
+    let hops = xt3_telemetry::hop_stalls(&chains, m.causal())?;
     let perfetto = m.telemetry().perfetto_json_with_causal(m.causal());
-    let chains = xt3_telemetry::extract_chains(m.causal()).expect("causal DAG is well-formed");
-    let dropped = m.causal().dropped();
-    let hops = xt3_telemetry::hop_stalls(&chains, m.causal());
     let rounds = extract_rounds(&mut m, transport, kind);
-    ExplainedRun {
+    Ok(ExplainedRun {
         rounds,
         chains,
         perfetto,
-        dropped,
         hops,
-    }
+    })
 }
 
 /// Select the chains that exactly partition `round`'s measured window.

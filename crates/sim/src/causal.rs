@@ -23,6 +23,12 @@
 //! digest and counted, never indexed or looked up, and the record that
 //! fills the log releases the index — every chain ends there, because no
 //! later record can have a stored child.
+//!
+//! What a record *occupies* is 32 bytes: the log keeps each one packed
+//! (private `Stored`: the parent edge as a bare `u32` with a sentinel, the
+//! stage in the low byte of the node word) and hands out [`CausalRecord`]
+//! by value through the [`Records`] view, so the 2²¹-record default cap
+//! is 64 MiB of log and not 80.
 
 use crate::digest::EventDigest;
 use crate::time::SimTime;
@@ -96,6 +102,22 @@ pub enum CausalStage {
 }
 
 impl CausalStage {
+    /// Every stage, indexed by its discriminant.
+    const ALL: [CausalStage; 12] = [
+        CausalStage::ApiEntry,
+        CausalStage::TxCmdPost,
+        CausalStage::TxInject,
+        CausalStage::LinkHop,
+        CausalStage::NetArrive,
+        CausalStage::FwRxDone,
+        CausalStage::IntDeliver,
+        CausalStage::MatchDone,
+        CausalStage::RxCmdPost,
+        CausalStage::DepositDone,
+        CausalStage::EqPost,
+        CausalStage::AppDeliver,
+    ];
+
     /// Stable short name (used by exports and reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -146,7 +168,8 @@ pub fn linkhop_port(info: u64) -> Option<u8> {
     }
 }
 
-/// One node of the causal DAG.
+/// One node of the causal DAG, as [`Records`] hands it out (the log
+/// itself keeps the packed 32-byte form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CausalRecord {
     /// Message identity ([`TraceId::NONE`] only for `AppDeliver` records
@@ -164,6 +187,124 @@ pub struct CausalRecord {
     pub parent: Option<u32>,
     /// Stage-specific detail (see each stage's doc).
     pub info: u64,
+}
+
+/// Highest node id a stored record can carry: the node shares a `u32`
+/// with the one-byte stage.
+pub const MAX_CAUSAL_NODE: u32 = (1 << 24) - 1;
+
+/// The stored parent word of a record without a parent. No stored record
+/// has this index: the cap is at most `u32::MAX` records, so the highest
+/// index is `u32::MAX - 1`.
+const NO_PARENT: u32 = u32::MAX;
+
+/// A record the log cannot hold in its packed form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CausalError {
+    /// The node id does not fit beside the stage byte.
+    NodeBeyondLimit {
+        /// The offending node id.
+        node: u32,
+        /// The highest storable one ([`MAX_CAUSAL_NODE`]).
+        limit: u32,
+    },
+}
+
+impl std::fmt::Display for CausalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CausalError::NodeBeyondLimit { node, limit } => write!(
+                f,
+                "causal record on node {node}: the log stores node ids up to {limit}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CausalError {}
+
+/// A record as the log keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    id: u64,
+    at: u64,
+    info: u64,
+    /// Parent index, or [`NO_PARENT`].
+    parent: u32,
+    /// `node << 8 | stage`.
+    node_stage: u32,
+}
+
+impl Stored {
+    /// Pack a record whose node passed [`CausalRecord::check`].
+    fn pack(rec: &CausalRecord) -> Stored {
+        Stored {
+            id: rec.id.0,
+            at: rec.at.ps(),
+            info: rec.info,
+            // `Some(u32::MAX)` names no storable record and reads back
+            // as no parent.
+            parent: rec.parent.unwrap_or(NO_PARENT),
+            node_stage: rec.node << 8 | rec.stage as u32,
+        }
+    }
+
+    fn unpack(&self) -> CausalRecord {
+        let stage = CausalStage::ALL.get((self.node_stage & 0xFF) as usize);
+        CausalRecord {
+            id: TraceId(self.id),
+            // `pack` is the only writer, so the byte is a discriminant.
+            stage: stage.copied().unwrap_or(CausalStage::ApiEntry),
+            at: SimTime::from_ps(self.at),
+            node: self.node_stage >> 8,
+            parent: (self.parent != NO_PARENT).then_some(self.parent),
+            info: self.info,
+        }
+    }
+}
+
+impl CausalRecord {
+    /// Can the log store this record? Fails, by name, for a node id past
+    /// [`MAX_CAUSAL_NODE`]; [`CausalLog::record`] counts such a record as
+    /// dropped instead of wrapping its node.
+    pub fn check(&self) -> Result<(), CausalError> {
+        if self.node > MAX_CAUSAL_NODE {
+            return Err(CausalError::NodeBeyondLimit {
+                node: self.node,
+                limit: MAX_CAUSAL_NODE,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The stored records of a [`CausalLog`], in append order: a borrowed
+/// view that unpacks each record as it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'a> {
+    stored: &'a [Stored],
+}
+
+impl<'a> Records<'a> {
+    /// Number of stored records.
+    pub fn len(&self) -> usize {
+        self.stored.len()
+    }
+
+    /// Is the log empty?
+    pub fn is_empty(&self) -> bool {
+        self.stored.is_empty()
+    }
+
+    /// Record `idx`, if stored.
+    pub fn get(&self, idx: usize) -> Option<CausalRecord> {
+        self.stored.get(idx).map(Stored::unpack)
+    }
+
+    /// Every record, in append order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CausalRecord> + 'a {
+        self.stored.iter().map(Stored::unpack)
+    }
 }
 
 /// Index length at first use.
@@ -258,7 +399,7 @@ pub struct CausalLog {
     enabled: bool,
     /// At most `u32::MAX`: parent edges are `u32` record indices.
     cap: u32,
-    records: Vec<CausalRecord>,
+    records: Vec<Stored>,
     dropped: u64,
     digest: EventDigest,
     /// Latest stored record per trace id (chains stages recorded by
@@ -339,8 +480,10 @@ impl CausalLog {
 
     /// All stored records, in append order (a child's index is always
     /// greater than its parent's).
-    pub fn records(&self) -> &[CausalRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records {
+            stored: &self.records,
+        }
     }
 
     /// Records discarded after the cap was reached.
@@ -417,7 +560,15 @@ impl CausalLog {
         self.digest.write_u64(at.ps());
         self.digest.write_u32(node);
         self.digest.write_u64(info);
-        if self.records.len() >= self.cap as usize {
+        let mut rec = CausalRecord {
+            id,
+            stage,
+            at,
+            node,
+            parent: None,
+            info,
+        };
+        if self.records.len() >= self.cap as usize || rec.check().is_err() {
             self.dropped += 1;
             return None;
         }
@@ -425,19 +576,12 @@ impl CausalLog {
         // One probe both finds the previous stage and enters this one.
         let indexed = id.is_some() && stage != CausalStage::AppDeliver;
         let previous = indexed.then(|| self.latest.replace(id.0, idx)).flatten();
-        let parent = match parent {
+        rec.parent = match parent {
             Parent::Given(parent) => parent,
             Parent::Latest if indexed => previous,
             Parent::Latest => self.latest.latest(id.0),
         };
-        self.records.push(CausalRecord {
-            id,
-            stage,
-            at,
-            node,
-            parent,
-            info,
-        });
+        self.records.push(Stored::pack(&rec));
         if self.records.len() >= self.cap as usize {
             self.latest = LatestIndex::default();
         }
@@ -491,8 +635,7 @@ impl CausalLog {
         }
         let id = producer
             .and_then(|i| self.records.get(i as usize))
-            .map(|r| r.id)
-            .unwrap_or(TraceId::NONE);
+            .map_or(TraceId::NONE, |r| TraceId(r.id));
         let idx = self.record_slow(
             id,
             CausalStage::AppDeliver,
@@ -509,6 +652,107 @@ impl CausalLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stored_record_is_thirty_two_bytes() {
+        // 2^21 of them are the default log: 64 MiB instead of the 80 MiB
+        // of `CausalRecord`s (an `Option<u32>` parent and a one-byte
+        // stage each padded out to eight). DESIGN.md §9 quotes this.
+        assert_eq!(std::mem::size_of::<Stored>(), 32);
+        assert_eq!(std::mem::size_of::<CausalRecord>(), 40);
+    }
+
+    #[test]
+    fn a_disabled_log_holds_no_heap() {
+        let mut log = CausalLog::disabled();
+        log.record_chain(TraceId(1), CausalStage::ApiEntry, SimTime::ZERO, 0, 8);
+        log.push_eq_posts(3, 0, 0, 2);
+        assert_eq!(log.records.capacity(), 0);
+        assert_eq!(log.latest.slots.capacity(), 0);
+        assert_eq!(log.eq_fifo.capacity(), 0);
+    }
+
+    #[test]
+    fn every_field_survives_packing() {
+        let mut log = CausalLog::enabled();
+        for (i, &stage) in CausalStage::ALL.iter().enumerate() {
+            assert_eq!(stage as usize, i, "ALL is indexed by discriminant");
+            let rec = CausalRecord {
+                id: TraceId(u64::MAX - i as u64),
+                stage,
+                at: SimTime::from_ps(u64::MAX - 7 * i as u64),
+                node: MAX_CAUSAL_NODE - i as u32,
+                parent: (i % 2 == 1).then(|| i as u32 - 1),
+                info: linkhop_info(5, LINKHOP_STALL_MASK - i as u64),
+            };
+            let idx = log
+                .record(rec.id, rec.stage, rec.at, rec.node, rec.parent, rec.info)
+                .expect("stored");
+            assert_eq!(log.records().get(idx as usize), Some(rec));
+        }
+        assert_eq!(log.records().iter().len(), 12);
+    }
+
+    #[test]
+    fn the_parent_sentinel_is_not_a_storable_index() {
+        // The last index a log can hold is u32::MAX - 1 (the cap is at
+        // most u32::MAX records), and it round-trips; u32::MAX itself
+        // names no record and reads back as a root.
+        let mut log = CausalLog::enabled();
+        let id = TraceId(1);
+        let last = Some(u32::MAX - 1);
+        let a = log.record(id, CausalStage::LinkHop, SimTime::ZERO, 0, last, 0);
+        let b = log.record(
+            id,
+            CausalStage::LinkHop,
+            SimTime::ZERO,
+            0,
+            Some(u32::MAX),
+            0,
+        );
+        let parent = |idx: Option<u32>| log.records().get(idx.unwrap() as usize).unwrap().parent;
+        assert_eq!(parent(a), last);
+        assert_eq!(parent(b), None);
+        assert_eq!(CausalLog::with_cap(usize::MAX).cap, u32::MAX);
+    }
+
+    #[test]
+    fn a_node_past_the_packing_limit_is_refused_by_name() {
+        let mut log = CausalLog::enabled();
+        let at = SimTime::from_ns(1);
+        let ok = log.record_chain(TraceId(1), CausalStage::TxInject, at, MAX_CAUSAL_NODE, 0);
+        assert_eq!(ok, Some(0));
+        let over = MAX_CAUSAL_NODE + 1;
+        // Counted, folded into the digest like a record past the cap,
+        // never stored as node 0 and never indexed as a parent.
+        let before = log.digest();
+        assert_eq!(
+            log.record_chain(TraceId(2), CausalStage::TxInject, at, over, 0),
+            None
+        );
+        assert_eq!((log.records().len(), log.dropped()), (1, 1));
+        assert_ne!(log.digest(), before);
+        let next = log.record_chain(TraceId(2), CausalStage::NetArrive, at, 1, 0);
+        assert_eq!(
+            log.records().get(next.unwrap() as usize).unwrap().parent,
+            None
+        );
+        let rec = CausalRecord {
+            id: TraceId(2),
+            stage: CausalStage::TxInject,
+            at,
+            node: over,
+            parent: None,
+            info: 0,
+        };
+        assert_eq!(
+            rec.check(),
+            Err(CausalError::NodeBeyondLimit {
+                node: over,
+                limit: MAX_CAUSAL_NODE
+            })
+        );
+    }
 
     #[test]
     fn disabled_log_stores_nothing() {
@@ -541,9 +785,9 @@ mod tests {
         let c = log
             .record_chain(TraceId(7), CausalStage::TxInject, SimTime::from_ns(3), 0, 0)
             .unwrap();
-        let recs = log.records();
-        assert_eq!(recs[b as usize].parent, Some(a));
-        assert_eq!(recs[c as usize].parent, Some(b));
+        let parent = |idx: u32| log.records().get(idx as usize).unwrap().parent;
+        assert_eq!(parent(b), Some(a));
+        assert_eq!(parent(c), Some(b));
     }
 
     #[test]
@@ -563,7 +807,7 @@ mod tests {
         }
         assert_eq!(log.records().len(), 2);
         assert_eq!(log.dropped(), 2);
-        assert_eq!(log.records()[0].id, TraceId(1));
+        assert_eq!(log.records().get(0).unwrap().id, TraceId(1));
     }
 
     #[test]
@@ -607,8 +851,9 @@ mod tests {
         let got = log.pop_eq_post(0, 0);
         assert_eq!(got, Some(p1));
         let d = log.record_deliver(0, 0, SimTime::from_ns(3), got).unwrap();
-        assert_eq!(log.records()[d as usize].id, TraceId(1));
-        assert_eq!(log.records()[d as usize].parent, Some(p1));
+        let delivered = log.records().get(d as usize).unwrap();
+        assert_eq!(delivered.id, TraceId(1));
+        assert_eq!(delivered.parent, Some(p1));
         assert_eq!(log.cause(), Some(d));
         assert_eq!(log.pop_eq_post(0, 0), Some(p2));
         assert_eq!(log.pop_eq_post(0, 0), None);

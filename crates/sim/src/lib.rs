@@ -51,8 +51,8 @@ pub mod time;
 pub mod trace;
 
 pub use causal::{
-    linkhop_info, linkhop_port, linkhop_stall, CausalLog, CausalRecord, CausalStage, TraceId,
-    LINKHOP_STALL_MASK,
+    linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalLog, CausalRecord, CausalStage,
+    Records, TraceId, LINKHOP_STALL_MASK, MAX_CAUSAL_NODE,
 };
 pub use cursor::BusyCursor;
 pub use digest::EventDigest;

@@ -8,10 +8,18 @@
 //! record caps of 0, 7 and none; every stored record (parents included),
 //! the drop count, the stream digest and the activation cause must agree
 //! at every step.
+//!
+//! The oracle keeps whole [`CausalRecord`]s; the log keeps them packed in
+//! 32 bytes and unpacks them through its `records()` view, so the same
+//! comparisons also hold the packing: node ids up to the 24-bit limit, a
+//! parent index of `u32::MAX - 1` beside the `u32::MAX` sentinel.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use xt3_sim::{CausalLog, CausalRecord, CausalStage, EventDigest, SimRng, SimTime, TraceId};
+use xt3_sim::{
+    CausalError, CausalLog, CausalRecord, CausalStage, EventDigest, SimRng, SimTime, TraceId,
+    MAX_CAUSAL_NODE,
+};
 
 /// The replaced implementation, minus the `enabled` switch.
 struct Oracle {
@@ -114,6 +122,18 @@ impl Oracle {
     }
 }
 
+/// The log's view unpacks to exactly the records the oracle kept.
+fn assert_same_records(log: &CausalLog, oracle: &Oracle) {
+    let view = log.records();
+    assert_eq!(view.len(), oracle.records.len());
+    assert_eq!(view.is_empty(), oracle.records.is_empty());
+    assert_eq!(view.iter().collect::<Vec<_>>(), oracle.records);
+    assert_eq!(view.get(view.len()), None);
+    if let Some(last) = view.len().checked_sub(1) {
+        assert_eq!(view.get(last), oracle.records.last().copied());
+    }
+}
+
 const STAGES: [CausalStage; 12] = [
     CausalStage::ApiEntry,
     CausalStage::TxCmdPost,
@@ -189,7 +209,7 @@ fn drive(seed: u64, cap: Option<usize>, ops: u64) {
         assert_eq!(log.dropped(), oracle.dropped, "op {op}");
         assert_eq!(log.digest(), oracle.digest.value(), "op {op}");
     }
-    assert_eq!(log.records(), &oracle.records[..]);
+    assert_same_records(&log, &oracle);
     // Whatever is still queued drains identically.
     for node in 0..24 {
         for pid in 0..3 {
@@ -227,7 +247,7 @@ fn causal_index_survives_many_doublings() {
             );
         }
     }
-    assert_eq!(log.records(), &oracle.records[..]);
+    assert_same_records(&log, &oracle);
 }
 
 #[test]
@@ -245,7 +265,61 @@ fn a_log_that_fills_keeps_its_parents_and_forgets_its_index() {
             oracle.record_chain(id, CausalStage::LinkHop, at, 1, step)
         );
     }
-    assert_eq!(log.records(), &oracle.records[..]);
+    assert_same_records(&log, &oracle);
     assert_eq!(log.dropped(), 7);
     assert_eq!(log.digest(), oracle.digest.value());
+}
+
+#[test]
+fn packing_limits_agree_with_the_oracle() {
+    // Nodes at the top of the 24-bit range and parents at the top of the
+    // index range, chained and explicit, interleaved with small ones.
+    let mut log = CausalLog::enabled();
+    let mut oracle = Oracle::new(usize::MAX);
+    let parents = [None, Some(0), Some(u32::MAX - 1), Some(1 << 31)];
+    for step in 0..64u64 {
+        let id = TraceId(1 + step % 5);
+        let at = SimTime::from_ns(step);
+        let node = MAX_CAUSAL_NODE - (step % 3) as u32 * (MAX_CAUSAL_NODE / 2);
+        let stage = STAGES[(step % 11) as usize];
+        if step % 2 == 0 {
+            let got = log.record_chain(id, stage, at, node, !step);
+            assert_eq!(got, oracle.record_chain(id, stage, at, node, !step));
+        } else {
+            let parent = parents[(step / 2 % 4) as usize];
+            let got = log.record(id, stage, at, node, parent, !step);
+            assert_eq!(got, oracle.record(id, stage, at, node, parent, !step));
+        }
+    }
+    assert_same_records(&log, &oracle);
+
+    // One past the limit: refused by name, counted as dropped, and the
+    // message's next stage does not chain onto a record that is not there.
+    let over = MAX_CAUSAL_NODE + 1;
+    let id = TraceId(99);
+    let at = SimTime::from_us(1);
+    let stored = log.records().len();
+    assert_eq!(
+        log.record_chain(id, CausalStage::TxInject, at, over, 0),
+        None
+    );
+    assert_eq!((log.records().len(), log.dropped()), (stored, 1));
+    let next = log.record_chain(id, CausalStage::NetArrive, at, 0, 0);
+    let next = log.records().get(next.expect("stored") as usize);
+    assert_eq!(next.expect("in range").parent, None);
+    let refused = CausalRecord {
+        id,
+        stage: CausalStage::TxInject,
+        at,
+        node: over,
+        parent: None,
+        info: 0,
+    };
+    assert_eq!(
+        refused.check(),
+        Err(CausalError::NodeBeyondLimit {
+            node: over,
+            limit: MAX_CAUSAL_NODE
+        })
+    );
 }

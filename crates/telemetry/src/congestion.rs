@@ -26,8 +26,8 @@ use std::fmt::Write as _;
 
 use xt3_sim::{linkhop_port, CausalLog, CausalStage, SimTime, TraceId};
 
-use crate::critpath::{aggregate, Chain, CostClass};
-use crate::series::{Hotspot, SeriesConfig, SeriesSet};
+use crate::critpath::{aggregate, require_complete, Chain, CostClass, CritPathError};
+use crate::series::{Hotspot, Occupancy, SeriesConfig, SeriesSet};
 use crate::sink::Component;
 
 /// One attribution row: a flow's wait at one hop.
@@ -225,46 +225,46 @@ pub fn attribute_occupancy(
     max_competitors: usize,
 ) -> CongestionTable {
     let cfg = series.config();
-    let mut rows = Vec::new();
+    let links = || {
+        let nodes = (0..series.node_slots() as u32).filter_map(|n| Some((n, series.node(n)?)));
+        nodes.flat_map(|(n, lanes)| (0..6u8).map(move |port| (n, port, lanes.link(port))))
+    };
+    // A stalled data crossing is a row. Counted first: on a contended
+    // machine the table is megabytes, and grown by doubling it held half
+    // as much again in spare capacity.
+    let stalled = |occ: &&Occupancy| occ.tag != 0 && occ.start > occ.arrival;
+    let count = links().map(|(_, _, link)| link.occupancy().iter().filter(stalled).count());
+    let mut rows = Vec::with_capacity(count.sum());
     let mut total_lost = SimTime::ZERO;
-    for node in 0..series.node_slots() as u32 {
-        let Some(lanes) = series.node(node) else {
-            continue;
-        };
-        for port in 0..6u8 {
-            let link = lanes.link(port);
-            for occ in link.occupancy() {
-                if occ.tag == 0 || occ.start <= occ.arrival {
+    for (node, port, link) in links() {
+        for occ in link.occupancy().iter().filter(stalled) {
+            let lost = occ.start - occ.arrival;
+            let bucket_idx = (occ.arrival.ps() / cfg.bucket.ps().max(1)) as u32;
+            let bucket = bucket_idx.min(cfg.max_buckets.saturating_sub(1));
+            let mut competitors = Vec::new();
+            for other in link.occupancy() {
+                if other.tag == occ.tag {
                     continue;
                 }
-                let lost = occ.start - occ.arrival;
-                let bucket_idx = (occ.arrival.ps() / cfg.bucket.ps().max(1)) as u32;
-                let bucket = bucket_idx.min(cfg.max_buckets.saturating_sub(1));
-                let mut competitors = Vec::new();
-                for other in link.occupancy() {
-                    if other.tag == occ.tag {
-                        continue;
+                if other.arrival < occ.start && other.done > occ.arrival {
+                    if !competitors.contains(&other.tag) {
+                        competitors.push(other.tag);
                     }
-                    if other.arrival < occ.start && other.done > occ.arrival {
-                        if !competitors.contains(&other.tag) {
-                            competitors.push(other.tag);
-                        }
-                        if competitors.len() >= max_competitors {
-                            break;
-                        }
+                    if competitors.len() >= max_competitors {
+                        break;
                     }
                 }
-                total_lost += lost;
-                rows.push(AttributionRow {
-                    flow: TraceId(occ.tag),
-                    node,
-                    port: Some(port),
-                    bucket,
-                    wait_start: occ.arrival,
-                    lost,
-                    competitors,
-                });
             }
+            total_lost += lost;
+            rows.push(AttributionRow {
+                flow: TraceId(occ.tag),
+                node,
+                port: Some(port),
+                bucket,
+                wait_start: occ.arrival,
+                lost,
+                competitors,
+            });
         }
     }
     CongestionTable {
@@ -301,9 +301,10 @@ impl HopStall {
 /// totals, sorted by `(node, port)`. The sum of `stall` over the rows
 /// equals the chains' aggregate hop-queueing class exactly — the same
 /// zero-residual identity [`attribute`] provides per flow, here per
-/// link.
-pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Vec<HopStall> {
+/// link. Errors as [`attribute`] does.
+pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Result<Vec<HopStall>, CritPathError> {
     use std::collections::BTreeMap;
+    require_complete(log)?;
     let records = log.records();
     let mut map: BTreeMap<(u32, i16), (SimTime, u64)> = BTreeMap::new();
     for chain in chains {
@@ -311,21 +312,24 @@ pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Vec<HopStall> {
             if seg.class != CostClass::HopQueue || seg.stage != CausalStage::LinkHop {
                 continue;
             }
-            let rec = &records[seg.to as usize];
+            let rec = records
+                .get(seg.to as usize)
+                .ok_or(CritPathError::MissingRecord { idx: seg.to })?;
             let key = (rec.node, linkhop_port(rec.info).map_or(-1, i16::from));
             let e = map.entry(key).or_insert((SimTime::ZERO, 0));
             e.0 += seg.dur;
             e.1 += 1;
         }
     }
-    map.into_iter()
+    let fold = map.into_iter();
+    Ok(fold
         .map(|((node, port), (stall, waits))| HopStall {
             node,
             port: u8::try_from(port).ok(),
             stall,
             waits,
         })
-        .collect()
+        .collect())
 }
 
 /// Human label for a link: node id plus port direction.
@@ -343,13 +347,19 @@ fn link_label(node: u32, port: Option<u8>) -> String {
 /// the occupancy logs used to name competitors, and the hotspot
 /// ranking (`top_k` links); without it rows carry bucket indices from
 /// [`SeriesConfig::default`] and empty competitor lists.
+///
+/// A log that dropped records is refused ([`CritPathError::Truncated`]):
+/// a table over the chains the cap happened to leave would report zero
+/// residual about an unknown share of the run. [`attribute_occupancy`]
+/// needs no log.
 pub fn attribute(
     chains: &[Chain],
     log: &CausalLog,
     series: Option<&SeriesSet>,
     top_k: usize,
     max_competitors: usize,
-) -> CongestionTable {
+) -> Result<CongestionTable, CritPathError> {
+    require_complete(log)?;
     let default_cfg = SeriesConfig::default();
     let cfg = series.map_or(&default_cfg, SeriesSet::config);
     let records = log.records();
@@ -360,7 +370,9 @@ pub fn attribute(
             if seg.class != CostClass::HopQueue || seg.stage != CausalStage::LinkHop {
                 continue;
             }
-            let rec = &records[seg.to as usize];
+            let rec = records
+                .get(seg.to as usize)
+                .ok_or(CritPathError::MissingRecord { idx: seg.to })?;
             let port = linkhop_port(rec.info);
             // The LinkHop record's timestamp is serialization start;
             // the wait is the stall interval just before it.
@@ -399,12 +411,12 @@ pub fn attribute(
             });
         }
     }
-    CongestionTable {
+    Ok(CongestionTable {
         bucket: cfg.bucket,
         rows,
         total_lost,
         hotspots: series.map_or_else(Vec::new, |s| s.hotspots(top_k)),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -465,7 +477,7 @@ mod tests {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
         let series = contended_series();
-        let table = attribute(&chains, &log, Some(&series), 4, 4);
+        let table = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
         assert_eq!(table.rows.len(), 1, "only flow 2 stalled");
         let row = &table.rows[0];
         assert_eq!(row.flow, TraceId(2));
@@ -483,7 +495,7 @@ mod tests {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
         let series = contended_series();
-        let table = attribute(&chains, &log, Some(&series), 4, 4);
+        let table = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
         assert_eq!(table.hotspots.len(), 1);
         assert_eq!(table.hotspots[0].node, 0);
         assert_eq!(table.hotspots[0].port, 2);
@@ -495,8 +507,8 @@ mod tests {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
         let series = contended_series();
-        let a = attribute(&chains, &log, Some(&series), 4, 4);
-        let b = attribute(&chains, &log, Some(&series), 4, 4);
+        let a = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
+        let b = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
         assert_eq!(a.render_text(), b.render_text());
         assert_eq!(a.render_json(), b.render_json());
         assert!(a.render_text().contains("n0 link Y+"));
@@ -508,7 +520,7 @@ mod tests {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
         let series = contended_series();
-        let mut from_chains = attribute(&chains, &log, Some(&series), 4, 4);
+        let mut from_chains = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
         let mut from_occ = attribute_occupancy(&series, 4, 4);
         from_chains.canonicalize();
         from_occ.canonicalize();
@@ -523,7 +535,7 @@ mod tests {
     fn hop_stalls_fold_by_link_with_zero_residual() {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
-        let hops = hop_stalls(&chains, &log);
+        let hops = hop_stalls(&chains, &log).unwrap();
         assert_eq!(hops.len(), 1, "one contended link");
         assert_eq!((hops[0].node, hops[0].port), (0, Some(2)));
         assert_eq!(hops[0].stall, SimTime::from_us(10));
@@ -537,7 +549,7 @@ mod tests {
     fn no_series_means_no_competitors() {
         let log = contended_log();
         let chains = extract_chains(&log).unwrap();
-        let table = attribute(&chains, &log, None, 4, 4);
+        let table = attribute(&chains, &log, None, 4, 4).unwrap();
         assert_eq!(table.rows.len(), 1);
         assert!(table.rows[0].competitors.is_empty());
         assert!(table.hotspots.is_empty());

@@ -12,7 +12,7 @@
 
 use core::fmt;
 
-use xt3_sim::{linkhop_stall, CausalLog, CausalRecord, CausalStage, SimTime, TraceId};
+use xt3_sim::{linkhop_stall, CausalLog, CausalStage, Records, SimTime, TraceId};
 
 /// One of the eight cost classes a critical-path segment is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -177,11 +177,21 @@ impl Chain {
     }
 }
 
-/// A structural defect found while walking the causal DAG. The log is
-/// produced by the deterministic engine, so any of these indicates a
-/// recording bug rather than bad user input.
+/// Why a causal log cannot be attributed: a structural defect found while
+/// walking the DAG (the log is produced by the deterministic engine, so
+/// those indicate a recording bug rather than bad user input), or a log
+/// that stopped storing records part-way through the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CritPathError {
+    /// The log dropped records (its cap was reached), so the chains it
+    /// still holds are an unknown subset of the run's: a breakdown or an
+    /// attribution table over them would be exact about the wrong thing.
+    Truncated {
+        /// Records the log stored.
+        kept: u64,
+        /// Records it counted and discarded.
+        dropped: u64,
+    },
     /// A child record carries an earlier timestamp than its parent.
     TimeUnderflow {
         /// Index of the parent record.
@@ -204,6 +214,11 @@ pub enum CritPathError {
 impl fmt::Display for CritPathError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CritPathError::Truncated { kept, dropped } => write!(
+                f,
+                "causal log is truncated: {kept} records kept, {dropped} dropped at the cap \
+                 (raise `CausalLog::with_cap`, or use the series-only `attribute_occupancy`)"
+            ),
             CritPathError::TimeUnderflow { parent, child } => write!(
                 f,
                 "causal record #{child} is earlier than its parent #{parent}"
@@ -244,12 +259,28 @@ fn class_of(stage: CausalStage) -> Option<CostClass> {
     }
 }
 
+/// `Err(Truncated)` for a log that dropped records, which every consumer
+/// of chains must refuse rather than attribute.
+pub(crate) fn require_complete(log: &CausalLog) -> Result<(), CritPathError> {
+    match log.dropped() {
+        0 => Ok(()),
+        dropped => Err(CritPathError::Truncated {
+            kept: log.records().len() as u64,
+            dropped,
+        }),
+    }
+}
+
 /// Walk one delivery back to its root. Returns `Ok(None)` when the
 /// chain is intentionally unattributable (no producer recorded, or the
 /// walk bottoms out on a non-`ApiEntry` root such as a sender-side
-/// completion chain truncated by the record cap).
-fn walk_one(records: &[CausalRecord], deliver_idx: u32) -> Result<Option<Chain>, CritPathError> {
-    let deliver = &records[deliver_idx as usize];
+/// completion chain).
+fn walk_one(records: Records<'_>, deliver_idx: u32) -> Result<Option<Chain>, CritPathError> {
+    let at = |idx: u32| {
+        let rec = records.get(idx as usize);
+        rec.ok_or(CritPathError::MissingRecord { idx })
+    };
+    let deliver = at(deliver_idx)?;
     if deliver.parent.is_none() {
         // EQ-FIFO attribution missed (e.g. dropped-event overflow).
         return Ok(None);
@@ -264,25 +295,20 @@ fn walk_one(records: &[CausalRecord], deliver_idx: u32) -> Result<Option<Chain>,
                 deliver: deliver_idx,
             });
         }
-        let cur = &records[cur_idx as usize];
+        let cur = at(cur_idx)?;
         let parent = match cur.parent {
             Some(p) => p,
             None => {
                 // Bottomed out. Only an ApiEntry is a legitimate root;
-                // anything else (a capped or sender-side chain) is
-                // skipped rather than mis-attributed.
+                // anything else (a sender-side chain) is skipped rather
+                // than mis-attributed.
                 if cur.stage == CausalStage::ApiEntry {
                     break;
                 }
                 return Ok(None);
             }
         };
-        if parent as usize >= records.len() {
-            return Err(CritPathError::MissingRecord { idx: parent });
-        }
-        if cur.stage == CausalStage::ApiEntry
-            && records[parent as usize].stage == CausalStage::AppDeliver
-        {
+        if cur.stage == CausalStage::ApiEntry && at(parent)?.stage == CausalStage::AppDeliver {
             // App-initiated send: the parent delivery belongs to the
             // previous half-round-trip, so this ApiEntry is our root.
             break;
@@ -292,7 +318,7 @@ fn walk_one(records: &[CausalRecord], deliver_idx: u32) -> Result<Option<Chain>,
     }
 
     let root_idx = *path.last().expect("path starts non-empty");
-    let root = &records[root_idx as usize];
+    let root = at(root_idx)?;
     if root.stage != CausalStage::ApiEntry {
         return Ok(None);
     }
@@ -302,8 +328,7 @@ fn walk_one(records: &[CausalRecord], deliver_idx: u32) -> Result<Option<Chain>,
     let mut breakdown = Breakdown::new();
     for pair in path.windows(2).rev() {
         let (child_idx, parent_idx) = (pair[0], pair[1]);
-        let child = &records[child_idx as usize];
-        let parent = &records[parent_idx as usize];
+        let (child, parent) = (at(child_idx)?, at(parent_idx)?);
         let dur = match child.at.checked_sub(parent.at) {
             Some(d) => d,
             // The host's TxCmdPost/RxCmdPost timestamps include the
@@ -388,10 +413,12 @@ fn walk_one(records: &[CausalRecord], deliver_idx: u32) -> Result<Option<Chain>,
 /// in delivery order.
 ///
 /// Deliveries without a recorded producer, and chains whose root is not
-/// an [`CausalStage::ApiEntry`] (sender-side completion chains, chains
-/// truncated by the record cap), are silently skipped; structural
-/// defects in the DAG are errors.
+/// an [`CausalStage::ApiEntry`] (sender-side completion chains), are
+/// skipped; structural defects in the DAG are errors, and so is a log
+/// that dropped records ([`CritPathError::Truncated`]): which chains the
+/// cap cut is not knowable from what is left.
 pub fn extract_chains(log: &CausalLog) -> Result<Vec<Chain>, CritPathError> {
+    require_complete(log)?;
     let records = log.records();
     let mut chains = Vec::new();
     for (idx, rec) in records.iter().enumerate() {
@@ -587,6 +614,31 @@ mod tests {
                 child: 1
             }
         );
+    }
+
+    #[test]
+    fn a_truncated_log_is_refused_by_name() {
+        let mut log = CausalLog::with_cap(2);
+        let id = TraceId(4);
+        for (i, stage) in [
+            CausalStage::ApiEntry,
+            CausalStage::TxCmdPost,
+            CausalStage::AppDeliver,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            log.record_chain(id, stage, SimTime::from_ns(i as u64), 0, 0);
+        }
+        let err = extract_chains(&log).unwrap_err();
+        assert_eq!(
+            err,
+            CritPathError::Truncated {
+                kept: 2,
+                dropped: 1
+            }
+        );
+        assert!(err.to_string().contains("2 records kept, 1 dropped"));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use critpath::{
     aggregate, extract_chains, Breakdown, Chain, CostClass, CritPathError, Segment,
 };
 pub use json::{parse as parse_json, quote as quote_json, JsonValue};
-pub use registry::{Span, Telemetry};
-pub use report::{DmaSummary, LinkSummary, NodeReport, TelemetryReport};
+pub use registry::{Span, Spans, Telemetry};
+pub use report::{DmaSummary, LinkSummary, NodeReport, SinkKept, TelemetryReport};
 pub use series::{
     Hotspot, InjectBucket, InjectSeries, LinkBucket, LinkSeries, NodeSeries, Occupancy,
     SeriesConfig, SeriesSet,

@@ -118,7 +118,7 @@ impl Telemetry {
             }
         }
 
-        for s in self.spans() {
+        for s in self.spans().iter() {
             let ts = s.start.ps() as f64 / 1e6;
             let dur = s.end.saturating_sub(s.start).ps() as f64 / 1e6;
             let mut line = String::new();
@@ -133,9 +133,14 @@ impl Telemetry {
         }
 
         if let Some(log) = causal {
-            // Group records by trace id, preserving record order, so each
-            // message becomes one flow.
-            let mut by_id: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            // A log that dropped records holds an unknown part of each
+            // message: its checkpoints are drawn, but no arrows that would
+            // pass a cut chain off as a whole one (the document's
+            // `metadata` names the truncation instead).
+            let whole = log.dropped() == 0;
+            // Group `(node, ts)` by trace id, preserving record order, so
+            // each message becomes one flow.
+            let mut by_id: BTreeMap<u64, Vec<(u32, f64)>> = BTreeMap::new();
             for (idx, rec) in log.records().iter().enumerate() {
                 let ts = rec.at.ps() as f64 / 1e6;
                 let mut line = String::new();
@@ -149,21 +154,19 @@ impl Telemetry {
                     rec.node,
                 );
                 emit(&mut out, &mut first, &line);
-                if rec.id.is_some() {
-                    by_id.entry(rec.id.0).or_default().push(idx as u32);
+                if whole && rec.id.is_some() {
+                    by_id.entry(rec.id.0).or_default().push((rec.node, ts));
                 }
             }
-            for (id, idxs) in &by_id {
-                if idxs.len() < 2 {
+            for (id, stops) in &by_id {
+                if stops.len() < 2 {
                     continue;
                 }
                 // Hex-string flow id: u64-safe (bit 63 marks sender-side
                 // chains), which a JSON double could not represent.
                 let fid = quote(&format!("{id:#x}"));
-                let last = idxs.len() - 1;
-                for (pos, &idx) in idxs.iter().enumerate() {
-                    let rec = &log.records()[idx as usize];
-                    let ts = rec.at.ps() as f64 / 1e6;
+                let last = stops.len() - 1;
+                for (pos, &(node, ts)) in stops.iter().enumerate() {
                     let (ph, bind) = match pos {
                         0 => ("s", ""),
                         p if p == last => ("f", ",\"bp\":\"e\""),
@@ -173,9 +176,8 @@ impl Telemetry {
                     let _ = write!(
                         line,
                         "{{\"ph\":{},\"cat\":\"msg\",\"name\":\"msg\",\"id\":{fid},\
-                         \"pid\":{},\"tid\":{CAUSAL_TID},\"ts\":{ts}{bind}}}",
+                         \"pid\":{node},\"tid\":{CAUSAL_TID},\"ts\":{ts}{bind}}}",
                         quote(ph),
-                        rec.node,
                     );
                     emit(&mut out, &mut first, &line);
                 }
@@ -186,7 +188,17 @@ impl Telemetry {
             emit_counters(&mut out, &mut first, set);
         }
 
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  ]");
+        if let Some(log) = causal.filter(|log| log.dropped() > 0) {
+            let _ = write!(
+                out,
+                ",\n  \"metadata\": {{\"causal_log_truncated\": \
+                 {{\"records_kept\": {}, \"records_dropped\": {}}}}}",
+                log.records().len(),
+                log.dropped()
+            );
+        }
+        out.push_str("\n}\n");
         out
     }
 }
@@ -249,7 +261,7 @@ fn emit_counters(out: &mut String, first: &mut bool, set: &SeriesSet) {
             }
         }
         let inject = lanes.inject();
-        for (idx, b) in inject.buckets().iter().enumerate() {
+        for (idx, b) in inject.buckets().enumerate() {
             sample(out, first, node, "inject msgs", idx as u32, b.msgs as f64);
             sample(out, first, node, "inject bytes", idx as u32, b.bytes as f64);
         }

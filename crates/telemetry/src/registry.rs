@@ -9,6 +9,14 @@
 //! node. Each table is kept sorted by name, so walking nodes and then
 //! names yields exactly the `(node, name)` order every export has always
 //! had.
+//!
+//! Spans are the one store that grows with the run, so each is kept in 24
+//! bytes (private `StoredSpan`): the label is a `u16` into the recorder's
+//! own label table, found by pointer and length like a metric name, and
+//! [`Span`] is what the [`Spans`] view hands out by value. Label ids are
+//! first-use order within one recorder and never leave it: two recorders
+//! that met the same labels in a different order still read back equal
+//! spans.
 
 use crate::sink::{Component, TelemetrySink};
 use xt3_sim::{Histogram, SimTime};
@@ -18,7 +26,8 @@ use xt3_sim::{Histogram, SimTime};
 /// gauges and histograms keep accumulating — only the timeline truncates).
 const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
-/// One busy interval of one component on one node.
+/// One busy interval of one component on one node, as [`Spans`] hands it
+/// out (the recorder keeps the packed 24-byte form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Node the component belongs to.
@@ -31,6 +40,60 @@ pub struct Span {
     pub start: SimTime,
     /// Busy-interval end.
     pub end: SimTime,
+}
+
+/// A span as the recorder keeps it.
+#[derive(Debug, Clone, Copy)]
+struct StoredSpan {
+    start: SimTime,
+    end: SimTime,
+    node: u32,
+    component: Component,
+    /// Index into the recorder's label table.
+    label: u16,
+}
+
+/// The stored spans of a [`Telemetry`] recorder, in record order: a
+/// borrowed view that resolves each span's label as it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct Spans<'a> {
+    stored: &'a [StoredSpan],
+    labels: &'a [&'static str],
+}
+
+impl<'a> Spans<'a> {
+    /// Number of stored spans.
+    pub fn len(&self) -> usize {
+        self.stored.len()
+    }
+
+    /// Were no spans stored?
+    pub fn is_empty(&self) -> bool {
+        self.stored.is_empty()
+    }
+
+    /// Span `idx`, if stored.
+    pub fn get(&self, idx: usize) -> Option<Span> {
+        self.stored.get(idx).map(|s| self.view(s))
+    }
+
+    /// Every span, in record order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Span> + 'a {
+        let view = *self;
+        view.stored.iter().map(move |s| view.view(s))
+    }
+
+    fn view(&self, s: &StoredSpan) -> Span {
+        Span {
+            node: s.node,
+            component: s.component,
+            // Ids are only ever minted by `label_id`, which entered the
+            // label before returning its index.
+            label: self.labels.get(s.label as usize).copied().unwrap_or(""),
+            start: s.start,
+            end: s.end,
+        }
+    }
 }
 
 /// A name-sorted table of metrics.
@@ -122,7 +185,9 @@ fn rows(table: &Named<Column>) -> impl Iterator<Item = (u32, &'static str, u64)>
 pub struct Telemetry {
     enabled: bool,
     span_cap: usize,
-    spans: Vec<Span>,
+    spans: Vec<StoredSpan>,
+    /// Span labels in first-use order; a stored span names one by index.
+    labels: Vec<&'static str>,
     dropped_spans: u64,
     counters: Named<Column>,
     gauges: Named<Column>,
@@ -142,6 +207,7 @@ impl Telemetry {
             enabled: false,
             span_cap: DEFAULT_SPAN_CAP,
             spans: Vec::new(),
+            labels: Vec::new(),
             dropped_spans: 0,
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -178,8 +244,11 @@ impl Telemetry {
     }
 
     /// Recorded spans, in record order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    pub fn spans(&self) -> Spans<'_> {
+        Spans {
+            stored: &self.spans,
+            labels: &self.labels,
+        }
     }
 
     /// Spans dropped after the cap was reached.
@@ -269,17 +338,37 @@ impl Telemetry {
         start: SimTime,
         end: SimTime,
     ) {
-        if self.spans.len() >= self.span_cap {
+        let room = self.spans.len() < self.span_cap;
+        let Some(label) = room.then(|| self.label_id(label)).flatten() else {
             self.dropped_spans += 1;
             return;
-        }
-        self.spans.push(Span {
+        };
+        self.spans.push(StoredSpan {
+            start,
+            end,
             node,
             component,
             label,
-            start,
-            end,
         });
+    }
+
+    /// `label`'s index in the label table, entered on first use: found by
+    /// pointer and length first (labels are literals), by content on a
+    /// miss, so one label met at two addresses keeps one id. `None` once
+    /// 65,536 distinct labels are held — a span that cannot name its
+    /// label is dropped and counted, never given another's.
+    fn label_id(&mut self, label: &'static str) -> Option<u16> {
+        let held = &self.labels;
+        let found = held
+            .iter()
+            .position(|&l| std::ptr::eq(l, label))
+            .or_else(|| held.iter().position(|&l| l == label));
+        let at = found.unwrap_or(held.len());
+        let id = u16::try_from(at).ok()?;
+        if found.is_none() {
+            self.labels.push(label);
+        }
+        Some(id)
     }
 }
 
@@ -328,6 +417,53 @@ impl TelemetrySink for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stored_span_is_twenty_four_bytes() {
+        // 2^20 of them are the default timeline: 24 MiB instead of the
+        // 40 MiB of `Span`s (a 16-byte label and a 2-byte component
+        // padded to 8). DESIGN.md §9 quotes this.
+        assert_eq!(std::mem::size_of::<StoredSpan>(), 24);
+        assert_eq!(std::mem::size_of::<Span>(), 40);
+    }
+
+    #[test]
+    fn a_disabled_recorder_holds_no_heap() {
+        let mut t = Telemetry::disabled();
+        t.add(3, "c", 5);
+        t.gauge(3, "g", 9);
+        t.sample("h", SimTime::from_ns(10));
+        t.span(3, Component::Host, "x", SimTime::ZERO, SimTime::from_ns(1));
+        assert_eq!(t.spans.capacity() + t.labels.capacity(), 0);
+        assert_eq!(t.counters.capacity() + t.gauges.capacity(), 0);
+        assert_eq!(t.hists.capacity(), 0);
+    }
+
+    #[test]
+    fn one_label_at_two_addresses_keeps_one_id() {
+        let copy: &'static str = Box::leak(String::from("fw").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "fw"));
+        let mut t = Telemetry::enabled();
+        for label in ["fw", "host", copy, "fw"] {
+            t.span(0, Component::Ppc, label, SimTime::ZERO, SimTime::NS);
+        }
+        assert_eq!(t.labels, ["fw", "host"]);
+        let read: Vec<_> = t.spans().iter().map(|s| s.label).collect();
+        assert_eq!(read, ["fw", "host", "fw", "fw"]);
+    }
+
+    #[test]
+    fn a_span_past_the_label_table_is_dropped_not_mislabelled() {
+        // The id is a u16. Fill the table (content is irrelevant to the
+        // limit), then meet one label more.
+        let mut t = Telemetry::enabled();
+        t.labels = vec!["held"; usize::from(u16::MAX) + 1];
+        t.span(0, Component::Host, "held", SimTime::ZERO, SimTime::NS);
+        t.span(0, Component::Host, "one more", SimTime::ZERO, SimTime::NS);
+        assert_eq!((t.spans().len(), t.dropped_spans()), (1, 1));
+        assert_eq!(t.spans().get(0).unwrap().label, "held");
+        assert_eq!(t.labels.len(), usize::from(u16::MAX) + 1);
+    }
 
     #[test]
     fn disabled_recorder_stores_nothing() {

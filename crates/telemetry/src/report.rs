@@ -85,6 +85,25 @@ pub struct NodeReport {
     pub links: Vec<LinkSummary>,
 }
 
+/// How much of the run a capped recording sink still holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SinkKept {
+    /// Entries stored.
+    pub kept: u64,
+    /// Entries counted and discarded at the cap.
+    pub dropped: u64,
+}
+
+impl SinkKept {
+    /// Stored over recorded; 1 for a sink that was offered nothing.
+    pub fn ratio(&self) -> f64 {
+        match self.kept + self.dropped {
+            0 => 1.0,
+            offered => self.kept as f64 / offered as f64,
+        }
+    }
+}
+
 /// The full report: one entry per node plus run-level identification.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
@@ -94,6 +113,13 @@ pub struct TelemetryReport {
     pub elapsed: SimTime,
     /// Per-node accounting.
     pub nodes: Vec<NodeReport>,
+    /// Timeline spans the registry kept. Like `causal_records`, printed by
+    /// [`TelemetryReport::render_table`] and not part of the JSON: it
+    /// describes the recorder that watched the run, not the machine.
+    pub spans: SinkKept,
+    /// Records the causal log kept; anything dropped means chains cannot
+    /// be extracted from it ([`crate::CritPathError::Truncated`]).
+    pub causal_records: SinkKept,
 }
 
 impl TelemetryReport {
@@ -195,6 +221,16 @@ impl TelemetryReport {
             self.piggybacked_messages(),
             self.rx_interrupts_per_full_message(),
             self.rx_interrupts_per_piggybacked_message()
+        );
+        let _ = writeln!(
+            out,
+            "spans kept: {}/{} ({:.3})   causal records kept: {}/{} ({:.3})",
+            self.spans.kept,
+            self.spans.kept + self.spans.dropped,
+            self.spans.ratio(),
+            self.causal_records.kept,
+            self.causal_records.kept + self.causal_records.dropped,
+            self.causal_records.ratio()
         );
         let _ = writeln!(
             out,
@@ -389,6 +425,7 @@ impl TelemetryReport {
             label,
             elapsed,
             nodes,
+            ..TelemetryReport::default()
         })
     }
 }
@@ -445,6 +482,11 @@ mod tests {
                     ..NodeReport::default()
                 },
             ],
+            spans: SinkKept {
+                kept: 750,
+                dropped: 250,
+            },
+            causal_records: SinkKept::default(),
         }
     }
 
@@ -478,6 +520,8 @@ mod tests {
         assert!(txt.contains("rx interrupts/message: 2.000"));
         assert!(txt.contains("link X+"));
         assert!(txt.contains("host us/message"));
+        assert!(txt.contains("spans kept: 750/1000 (0.750)"));
+        assert!(txt.contains("causal records kept: 0/0 (1.000)"));
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! Memory discipline follows the full-machine rules (DESIGN.md §12):
 //! the set holds one `Option<Box<NodeSeries>>` slot per node and
 //! allocates a node's series only when traffic first touches it, so an
-//! idle 10,368-node machine costs one pointer per node. A link's buckets
-//! live in chunks of [`CHUNK`] allocated when first written — a link is
+//! idle 10,368-node machine costs one pointer per node. A series keeps
+//! only the buckets something was recorded in, as one run of
+//! `(bucket index, bucket)` sorted by index (private `Run`) — a link is
 //! busy in bursts, and on the contended 512-node torus two thirds of the
-//! buckets between its first and last transit stay zero — and are
-//! clamped at [`SeriesConfig::max_buckets`]; activity past the clamp
-//! accumulates into the final bucket so totals stay exact. Each link
-//! also keeps a capped *occupancy log* of `(tag, arrival, start, done)`
-//! tuples — the raw material the congestion attribution engine uses to
-//! name the competing flows that caused a wait.
+//! buckets between its first and last transit stay zero. Time moves
+//! forward, so a write lands on the run's tail or appends to it; only a
+//! wait that reaches back behind the tail searches, and rarely inserts.
+//! Indices are clamped at [`SeriesConfig::max_buckets`]; activity past
+//! the clamp accumulates into the final bucket so totals stay exact.
+//! Each link also keeps a capped *occupancy log* of `(tag, arrival,
+//! start, done)` tuples — the raw material the congestion attribution
+//! engine uses to name the competing flows that caused a wait.
 //!
 //! Like telemetry and the causal log, the series are observation-only:
 //! never folded into a machine fingerprint, recorded from values the
@@ -42,7 +45,8 @@ pub struct SeriesConfig {
     /// Bucket width. Every series in the set shares it.
     pub bucket: SimTime,
     /// Cap on buckets per series; activity past `bucket * max_buckets`
-    /// accumulates into the final bucket (totals stay exact).
+    /// accumulates into the final bucket (totals stay exact). A series
+    /// cannot have no bucket: 0 means 1.
     pub max_buckets: u32,
     /// Cap on stored occupancy entries per link; past it entries are
     /// counted in [`LinkSeries::occ_dropped`] but not stored.
@@ -63,10 +67,14 @@ impl SeriesConfig {
     /// The bucket containing picosecond `at`; everything past the clamp
     /// belongs to the final bucket. Clamped before it is narrowed, so an
     /// instant `2^32` buckets out does not wrap to a low index.
-    fn index(&self, at: u64) -> usize {
+    fn index(&self, at: u64) -> u32 {
         let idx = at / self.bucket.ps().max(1);
-        let last = (self.max_buckets as usize).saturating_sub(1);
-        usize::try_from(idx).map_or(last, |idx| idx.min(last))
+        u32::try_from(idx).map_or(self.last(), |idx| idx.min(self.last()))
+    }
+
+    /// The final bucket, where everything past the clamp accumulates.
+    fn last(&self) -> u32 {
+        self.max_buckets.max(1) - 1
     }
 }
 
@@ -87,16 +95,6 @@ pub struct LinkBucket {
     pub packets: u64,
 }
 
-impl LinkBucket {
-    fn is_zero(&self) -> bool {
-        self.busy_ps == 0
-            && self.queued_ps == 0
-            && self.stall_ps == 0
-            && self.msgs == 0
-            && self.packets == 0
-    }
-}
-
 /// One stored link transit: who held or waited for the link, when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
@@ -110,49 +108,103 @@ pub struct Occupancy {
     pub done: SimTime,
 }
 
-/// Buckets per chunk of a link's store (160 B). Small on purpose: on the
-/// uncontended full machine a link sees two to four buckets in a run, and
-/// a chunk of sixteen cost it 1,000 B a node more than the dense vector
-/// did; the contended torus is as sparse at four as at sixteen.
-const CHUNK: usize = 4;
-
-/// A link's buckets: `chunks[idx / CHUNK][idx % CHUNK]`, a chunk
-/// allocated when one of its buckets is first written.
-#[derive(Debug, Default)]
-struct Buckets {
-    chunks: Vec<Option<Box<[LinkBucket; CHUNK]>>>,
-    /// One past the highest bucket written.
-    len: usize,
+/// The buckets of one series that hold anything, sorted by index:
+/// `buckets[i]` is bucket number `index[i]`. A bucket enters the run when
+/// something is first added to it and every caller of [`Run::at`] adds a
+/// non-zero amount, so the run holds exactly the non-zero buckets. Two
+/// columns, not one of pairs: a `u32` beside a bucket of `u64`s is
+/// padded to eight bytes.
+#[derive(Debug)]
+struct Run<B> {
+    index: Vec<u32>,
+    buckets: Vec<B>,
 }
 
-impl Buckets {
-    fn at(&mut self, idx: usize) -> &mut LinkBucket {
-        self.len = self.len.max(idx + 1);
-        if self.chunks.len() <= idx / CHUNK {
-            self.chunks.resize_with(idx / CHUNK + 1, || None);
+impl<B> Default for Run<B> {
+    fn default() -> Self {
+        Run {
+            index: Vec::new(),
+            buckets: Vec::new(),
         }
-        let chunk = self.chunks[idx / CHUNK].get_or_insert_with(Default::default);
-        &mut chunk[idx % CHUNK]
+    }
+}
+
+impl<B: Copy + Default> Run<B> {
+    /// Where bucket `idx` is, or where it would be entered. Time moves
+    /// forward, so `idx` is the tail bucket or past it unless a wait
+    /// reaches back; behind the tail a busy link's run is unbroken, so
+    /// the position `idx` would have in an unbroken run is tried before
+    /// searching.
+    fn locate(&self, idx: u32) -> usize {
+        let Some(&tail) = self.index.last() else {
+            return 0;
+        };
+        if idx > tail {
+            return self.index.len();
+        }
+        let unbroken = (self.index.len() - 1).checked_sub((tail - idx) as usize);
+        match unbroken {
+            Some(pos) if self.index[pos] == idx => pos,
+            _ => self.index.binary_search(&idx).unwrap_or_else(|pos| pos),
+        }
     }
 
-    /// `(index, bucket)` over the allocated chunks, in index order.
-    fn written(&self) -> impl Iterator<Item = (usize, &LinkBucket)> + '_ {
-        let chunks = self.chunks.iter().enumerate();
-        chunks
-            .filter_map(|(c, chunk)| Some((c, chunk.as_deref()?)))
-            .flat_map(|(c, chunk)| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, b)| (c * CHUNK + i, b))
-            })
+    /// Bucket `idx`, which is or belongs at position `pos`
+    /// ([`Run::locate`]; the bucket after it is or belongs at `pos + 1`),
+    /// entered empty if the run does not hold it yet.
+    #[inline]
+    fn bucket(&mut self, pos: usize, idx: u32) -> &mut B {
+        if self.index.get(pos) != Some(&idx) {
+            self.enter(pos, idx);
+        }
+        &mut self.buckets[pos]
+    }
+
+    /// Enter an empty bucket `idx` at position `pos`. A full run doubles
+    /// while it is short and grows by a quarter from 64 buckets on: a
+    /// machine holds thousands of runs of a few hundred buckets, all live
+    /// at its peak, so doubling left a third of their capacity empty (8 MB
+    /// on the contended 512-node torus) — and growing copies the run, so
+    /// an eighth at a time, 1.2 MB tighter still, cost that machine 3 %
+    /// of its pass in `memcpy`.
+    #[inline(never)]
+    fn enter(&mut self, pos: usize, idx: u32) {
+        if self.index.len() == self.index.capacity() {
+            let len = self.index.len();
+            let more = if len < 64 { len.max(4) } else { len / 4 };
+            self.index.reserve_exact(more);
+            self.buckets.reserve_exact(more);
+        }
+        self.index.insert(pos, idx);
+        self.buckets.insert(pos, B::default());
+    }
+
+    /// Bucket `idx`, entered empty if the run does not hold it yet.
+    fn at(&mut self, idx: u32) -> &mut B {
+        self.bucket(self.locate(idx), idx)
+    }
+
+    /// `(index, bucket)` of every bucket held, in index order.
+    fn iter(&self) -> impl Iterator<Item = (u32, B)> + '_ {
+        self.index.iter().copied().zip(self.buckets.iter().copied())
+    }
+
+    /// Every bucket from 0 to the last one held, zero where the run
+    /// holds none.
+    fn dense(&self) -> impl Iterator<Item = B> + '_ {
+        let len = self.index.last().map_or(0, |&last| last + 1);
+        let mut held = self.iter().peekable();
+        (0..len).map(move |idx| {
+            let here = held.next_if(|&(at, _)| at == idx);
+            here.map_or_else(B::default, |(_, bucket)| bucket)
+        })
     }
 }
 
 /// Time-bucketed series for one directed link.
 #[derive(Debug, Default)]
 pub struct LinkSeries {
-    buckets: Buckets,
+    buckets: Run<LinkBucket>,
     occupancy: Vec<Occupancy>,
     occ_dropped: u64,
     total_stall_ps: u64,
@@ -165,11 +217,7 @@ impl LinkSeries {
     /// Every bucket from 0 to the last one written, in order (zero
     /// where nothing was recorded).
     pub fn buckets(&self) -> impl Iterator<Item = LinkBucket> + '_ {
-        let zero = [LinkBucket::default(); CHUNK];
-        let chunks = self.buckets.chunks.iter();
-        chunks
-            .flat_map(move |chunk| chunk.as_deref().copied().unwrap_or(zero))
-            .take(self.buckets.len)
+        self.buckets.dense()
     }
 
     /// Stored occupancy entries, in transit order.
@@ -219,15 +267,16 @@ pub struct InjectBucket {
 /// Per-node injection-path series.
 #[derive(Debug, Default)]
 pub struct InjectSeries {
-    buckets: Vec<InjectBucket>,
+    buckets: Run<InjectBucket>,
     total_msgs: u64,
     total_bytes: u64,
 }
 
 impl InjectSeries {
-    /// The bucket vector, dense from bucket 0 to the last touched one.
-    pub fn buckets(&self) -> &[InjectBucket] {
-        &self.buckets
+    /// Every bucket from 0 to the last touched one, in order (zero
+    /// where nothing was injected).
+    pub fn buckets(&self) -> impl Iterator<Item = InjectBucket> + '_ {
+        self.buckets.dense()
     }
 
     /// Total messages injected.
@@ -333,11 +382,9 @@ impl SeriesSet {
     pub fn record_inject(&mut self, node: u32, at: SimTime, bytes: u64) {
         let idx = self.config.index(at.ps());
         let inject = &mut self.lane(node).inject;
-        if inject.buckets.len() <= idx {
-            inject.buckets.resize(idx + 1, InjectBucket::default());
-        }
-        inject.buckets[idx].msgs += 1;
-        inject.buckets[idx].bytes += bytes;
+        let b = inject.buckets.at(idx);
+        b.msgs += 1;
+        b.bytes += bytes;
         inject.total_msgs += 1;
         inject.total_bytes += bytes;
     }
@@ -349,17 +396,28 @@ impl SeriesSet {
         let cfg = self.config;
         let link = &mut self.lane(node).links[port as usize];
 
-        let stall = occ.start.saturating_sub(occ.arrival).ps();
-        let b = link.buckets.at(cfg.index(occ.arrival.ps()));
+        let (arrival, start, done) = (occ.arrival.ps(), occ.start.ps(), occ.done.ps());
+        let stall = start.saturating_sub(arrival);
+        let first = cfg.index(arrival);
+        let pos = link.buckets.locate(first);
+        let b = link.buckets.bucket(pos, first);
         b.stall_ps += stall;
         b.msgs += 1;
         b.packets += packets;
 
-        let (arrival, start, done) = (occ.arrival.ps(), occ.start.ps(), occ.done.ps());
-        spread(&mut link.buckets, &cfg, arrival, start, |b, ps| {
-            b.queued_ps += ps;
-        });
-        spread(&mut link.buckets, &cfg, start, done, |b, ps| {
+        // One walk along the run: the wait starts in the arrival bucket
+        // and the transit in the bucket the wait ended in.
+        let at = spread(
+            &mut link.buckets,
+            &cfg,
+            (first, pos),
+            arrival,
+            start,
+            |b, ps| {
+                b.queued_ps += ps;
+            },
+        );
+        spread(&mut link.buckets, &cfg, at, start, done, |b, ps| {
             b.busy_ps += ps;
         });
 
@@ -404,102 +462,148 @@ impl SeriesSet {
     /// links, only non-zero buckets (each tagged with its index). Byte
     /// equality of two renderings is the series bit-identity check used
     /// by the serial/parallel differential tests.
+    ///
+    /// The document is sized first and written into a `String` of exactly
+    /// that capacity: it runs to tens of megabytes on a contended
+    /// machine, where growing it by doubling holds up to twice that.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"bucket_ps\":{},\"max_buckets\":{},\"nodes\":[",
-            self.config.bucket.ps(),
-            self.config.max_buckets
-        );
+        let mut len = JsonLen(0);
+        self.render(&mut len);
+        let mut out = String::with_capacity(len.0);
+        self.render(&mut out);
+        out
+    }
+
+    fn render(&self, out: &mut impl JsonOut) {
+        out.text("{\"bucket_ps\":");
+        out.num(self.config.bucket.ps());
+        out.text(",\"max_buckets\":");
+        out.num(u64::from(self.config.max_buckets));
+        out.text(",\"nodes\":[");
         let mut first_node = true;
         for (node, slot) in self.nodes.iter().enumerate() {
             let Some(lanes) = slot else { continue };
-            if !first_node {
-                out.push(',');
-            }
+            out.text(if first_node { "" } else { "," });
             first_node = false;
-            let _ = write!(out, "{{\"node\":{node},\"inject\":[");
-            let mut first = true;
-            for (idx, b) in lanes.inject.buckets.iter().enumerate() {
-                if b.msgs == 0 && b.bytes == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{},{},{}]", idx, b.msgs, b.bytes);
+            out.text("{\"node\":");
+            out.num(node as u64);
+            out.text(",\"inject\":[");
+            for (i, (idx, b)) in lanes.inject.buckets.iter().enumerate() {
+                out.text(if i == 0 { "" } else { "," });
+                out.row(&[u64::from(idx), b.msgs, b.bytes]);
             }
-            out.push_str("],\"links\":[");
+            out.text("],\"links\":[");
             let mut first_link = true;
             for (port, link) in lanes.links.iter().enumerate() {
                 if link.is_empty() {
                     continue;
                 }
-                if !first_link {
-                    out.push(',');
-                }
+                out.text(if first_link { "" } else { "," });
                 first_link = false;
-                let _ = write!(
-                    out,
-                    "{{\"port\":{},\"name\":\"{}\",\"msgs\":{},\"packets\":{},\"stall_ps\":{},\"busy_ps\":{},\"occ_dropped\":{},\"buckets\":[",
-                    port,
-                    Component::Link(port as u8).track_name(),
-                    link.msgs,
-                    link.packets,
-                    link.total_stall_ps,
-                    link.total_busy_ps,
-                    link.occ_dropped,
-                );
-                let mut first_bucket = true;
-                for (idx, b) in link.buckets.written() {
-                    if b.is_zero() {
-                        continue;
-                    }
-                    if !first_bucket {
-                        out.push(',');
-                    }
-                    first_bucket = false;
-                    let _ = write!(
-                        out,
-                        "[{},{},{},{},{},{}]",
-                        idx, b.busy_ps, b.queued_ps, b.stall_ps, b.msgs, b.packets
-                    );
+                out.text("{\"port\":");
+                out.num(port as u64);
+                out.text(",\"name\":\"");
+                out.text(Component::Link(port as u8).track_name());
+                for (key, value) in [
+                    ("\",\"msgs\":", link.msgs),
+                    (",\"packets\":", link.packets),
+                    (",\"stall_ps\":", link.total_stall_ps),
+                    (",\"busy_ps\":", link.total_busy_ps),
+                    (",\"occ_dropped\":", link.occ_dropped),
+                ] {
+                    out.text(key);
+                    out.num(value);
                 }
-                out.push_str("]}");
+                out.text(",\"buckets\":[");
+                for (i, (idx, b)) in link.buckets.iter().enumerate() {
+                    out.text(if i == 0 { "" } else { "," });
+                    let idx = u64::from(idx);
+                    out.row(&[idx, b.busy_ps, b.queued_ps, b.stall_ps, b.msgs, b.packets]);
+                }
+                out.text("]}");
             }
-            out.push_str("]}");
+            out.text("]}");
         }
-        out.push_str("]}");
-        out
+        out.text("]}");
+    }
+}
+
+/// What [`SeriesSet::render`] writes to: the document itself, or only
+/// its length.
+trait JsonOut {
+    fn text(&mut self, text: &str);
+    fn num(&mut self, value: u64);
+
+    /// `[a,b,…]`.
+    fn row(&mut self, values: &[u64]) {
+        for (i, &value) in values.iter().enumerate() {
+            self.text(if i == 0 { "[" } else { "," });
+            self.num(value);
+        }
+        self.text("]");
+    }
+}
+
+impl JsonOut for String {
+    fn text(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    fn num(&mut self, value: u64) {
+        let _ = write!(self, "{value}");
+    }
+}
+
+/// The byte length of what was written.
+struct JsonLen(usize);
+
+impl JsonOut for JsonLen {
+    fn text(&mut self, text: &str) {
+        self.0 += text.len();
+    }
+
+    fn num(&mut self, value: u64) {
+        self.0 += value
+            .checked_ilog10()
+            .map_or(1, |digits| digits as usize + 1);
     }
 }
 
 /// Distribute the interval `[from, to)` (picoseconds) over fixed-width
 /// buckets: whatever falls past the clamp piles into the final bucket so
-/// the distributed total is exact.
+/// the distributed total is exact. `at` is a bucket the run holds, as
+/// `(index, position)`, and the one `from` falls in unless `from` is
+/// earlier; the bucket `to` falls in comes back the same way.
 fn spread(
-    buckets: &mut Buckets,
+    buckets: &mut Run<LinkBucket>,
     cfg: &SeriesConfig,
+    at: (u32, usize),
     from: u64,
     to: u64,
     mut add: impl FnMut(&mut LinkBucket, u64),
-) {
-    let Some(last) = (cfg.max_buckets as usize).checked_sub(1) else {
-        return;
-    };
+) -> (u32, usize) {
+    let last = cfg.last();
     let width = cfg.bucket.ps().max(1);
-    let (mut cur, mut idx) = (from, cfg.index(from));
-    while cur < to {
-        let end = if idx == last {
-            to
-        } else {
-            to.min((idx as u64 + 1) * width)
-        };
-        add(buckets.at(idx), end - cur);
-        (cur, idx) = (end, idx + 1);
+    let (mut idx, mut pos) = at;
+    if from < u64::from(idx) * width {
+        idx = cfg.index(from);
+        pos = buckets.locate(idx);
     }
+    let mut cur = from;
+    while cur < to {
+        let edge = if idx == last {
+            u64::MAX
+        } else {
+            (u64::from(idx) + 1) * width
+        };
+        let end = to.min(edge);
+        add(buckets.bucket(pos, idx), end - cur);
+        cur = end;
+        if end == edge {
+            (idx, pos) = (idx + 1, pos + 1);
+        }
+    }
+    (idx, pos)
 }
 
 #[cfg(test)]
@@ -579,6 +683,75 @@ mod tests {
     }
 
     #[test]
+    fn a_clamp_of_zero_one_or_two_buckets_keeps_totals_exact() {
+        // `max_buckets: 0` used to count messages and stall in bucket 0
+        // and spread no busy or queued time at all.
+        for max in [0, 1, 2] {
+            let mut s = SeriesSet::new(1, cfg(10, max));
+            for (tag, arrival) in [(1, 3), (2, 14), (3, 95)] {
+                let at = SimTime::from_us(arrival);
+                let occ = Occupancy {
+                    tag,
+                    arrival: at,
+                    start: at + SimTime::from_us(4),
+                    done: at + SimTime::from_us(30),
+                };
+                s.record_hop(0, 1, occ, 2);
+                s.record_inject(0, at, 100);
+            }
+            let link = s.link(0, 1).unwrap();
+            let sum = |field: fn(&LinkBucket) -> u64| link.buckets().map(|b| field(&b)).sum();
+            assert_eq!(link.buckets().count(), max.max(1) as usize, "max {max}");
+            assert_eq!(link.total_busy().ps(), sum(|b| b.busy_ps), "max {max}");
+            assert_eq!(link.total_stall().ps(), sum(|b| b.stall_ps), "max {max}");
+            assert_eq!(link.total_stall().ps(), sum(|b| b.queued_ps), "max {max}");
+            assert_eq!(link.msgs(), sum(|b| b.msgs), "max {max}");
+            let inject = s.node(0).unwrap().inject();
+            let injected: u64 = inject.buckets().map(|b| b.msgs).sum();
+            assert_eq!(inject.total_msgs(), injected, "max {max}");
+        }
+    }
+
+    #[test]
+    fn a_run_holds_only_what_was_written_in_index_order() {
+        let mut run = Run::<InjectBucket>::default();
+        for idx in [9, 9, 4, 30, 4, 0, 12] {
+            run.at(idx).msgs += 1;
+        }
+        assert_eq!(run.index, [0, 4, 9, 12, 30]);
+        let msgs: Vec<u64> = run.iter().map(|(_, b)| b.msgs).collect();
+        assert_eq!(msgs, [1, 2, 2, 1, 1]);
+        assert_eq!(run.dense().count(), 31);
+        assert_eq!(run.dense().filter(|b| b.msgs != 0).count(), 5);
+        // A long run grows by a quarter, not by doubling.
+        for idx in 31..1000 {
+            run.at(idx).msgs += 1;
+        }
+        assert!(run.index.capacity() <= run.index.len() + run.index.len() / 4);
+        assert_eq!(run.index.capacity(), run.buckets.capacity());
+    }
+
+    #[test]
+    fn json_is_written_into_exactly_its_length() {
+        let mut s = SeriesSet::new(3, cfg(10, 64));
+        assert_eq!(s.to_json().capacity(), s.to_json().len());
+        for i in 0..200u64 {
+            let at = SimTime::from_ns(i * i * 977);
+            let occ = Occupancy {
+                tag: i,
+                arrival: at,
+                start: at + SimTime::from_ns(i * 1_000),
+                done: at + SimTime::from_us(i + 1),
+            };
+            s.record_hop((i % 3) as u32, (i % 6) as u8, occ, i * 12_345);
+            s.record_inject((i % 2) as u32, at, 10u64.pow((i % 19) as u32));
+        }
+        let json = s.to_json();
+        assert_eq!(json.capacity(), json.len());
+        assert!(crate::json::parse(&json).is_ok());
+    }
+
+    #[test]
     fn index_clamps_before_it_narrows() {
         // 1 ns buckets: 2^32 + 3 buckets out is 4.3 s, not bucket 3.
         let cfg = SeriesConfig {
@@ -603,8 +776,8 @@ mod tests {
         };
         s.record_hop(0, 0, occ, 1);
         let lanes = s.node(0).unwrap();
-        assert_eq!(lanes.inject().buckets().len(), 4096);
-        assert_eq!(lanes.inject().buckets()[4095].msgs, 1);
+        assert_eq!(lanes.inject().buckets().count(), 4096);
+        assert_eq!(lanes.inject().buckets().last().unwrap().msgs, 1);
         let last = lanes.link(0).buckets().last().unwrap();
         assert_eq!(lanes.link(0).buckets().count(), 4096);
         assert_eq!((last.msgs, last.queued_ps, last.busy_ps), (1, 1000, 2000));

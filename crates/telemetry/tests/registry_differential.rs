@@ -6,6 +6,12 @@
 //! and over a shard-style node range that starts at 5,000; every read
 //! accessor and the full `(node, name)` iteration order must agree, span
 //! cap and dropped-span count included.
+//!
+//! The oracle keeps whole [`Span`]s; the recorder keeps each in 24 bytes
+//! with its label as an index into its own label table and resolves it
+//! through the `spans()` view, so the same comparison also holds the
+//! table: more labels than one byte counts, and two recorders that met
+//! the labels in different orders.
 
 use std::collections::BTreeMap;
 
@@ -51,6 +57,18 @@ const COMPONENTS: [Component; 6] = [
     Component::Link(0),
     Component::Link(5),
 ];
+
+/// The recorder's view resolves to exactly the spans the oracle kept.
+fn assert_same_spans(new: &Telemetry, want: &[Span]) {
+    let view = new.spans();
+    assert_eq!(view.len(), want.len());
+    assert_eq!(view.is_empty(), want.is_empty());
+    assert_eq!(view.iter().collect::<Vec<_>>(), want);
+    assert_eq!(view.get(view.len()), None);
+    if let Some(last) = view.len().checked_sub(1) {
+        assert_eq!(view.get(last), want.last().copied());
+    }
+}
 
 fn drive(seed: u64, nodes: std::ops::Range<u32>, span_cap: usize, ops: u64) {
     let mut rng = SimRng::new(seed);
@@ -146,7 +164,7 @@ fn drive(seed: u64, nodes: std::ops::Range<u32>, span_cap: usize, ops: u64) {
     }
 
     // Spans: stored head, dropped tail, busy totals.
-    assert_eq!(new.spans(), &old.spans[..]);
+    assert_same_spans(&new, &old.spans);
     assert_eq!(new.dropped_spans(), old.dropped_spans);
     for node in probe_nodes {
         for component in COMPONENTS {
@@ -189,4 +207,74 @@ fn a_shard_range_costs_its_own_nodes_only() {
         Some((5_000, "dma.transfers", 5_000)),
         "iteration starts at the lowest node written"
     );
+}
+
+/// `n` distinct labels that are not literals.
+fn minted_labels(n: usize) -> Vec<&'static str> {
+    (0..n)
+        .map(|i| &*Box::leak(format!("handler-{i}").into_boxed_str()))
+        .collect()
+}
+
+#[test]
+fn a_label_table_past_256_labels_reads_back_exactly() {
+    let labels = minted_labels(300);
+    let mut rng = SimRng::new(0x1ABE1);
+    let mut new = Telemetry::enabled();
+    let mut want = Vec::new();
+    for op in 0..5_000u64 {
+        // Every label once in order, then at random: ids 256.. are in use
+        // from op 256 on.
+        let pick = if op < 300 { op } else { rng.below(300) };
+        let span = Span {
+            node: rng.below(8) as u32,
+            component: COMPONENTS[rng.below(6) as usize],
+            label: labels[pick as usize],
+            start: SimTime::from_ns(op),
+            end: SimTime::from_ns(op + rng.below(50)),
+        };
+        new.span(span.node, span.component, span.label, span.start, span.end);
+        want.push(span);
+    }
+    assert_same_spans(&new, &want);
+    assert_eq!(new.dropped_spans(), 0);
+}
+
+#[test]
+fn label_ids_are_remapped_by_content_across_a_shard_merge() {
+    // Two shard recorders meet the same labels in opposite orders, so the
+    // same label has a different id in each. Nothing merges recorders by
+    // id: a merge replays one recorder's `spans()` view into another, and
+    // the label travels as the string it is.
+    let labels = minted_labels(40);
+    let record = |t: &mut Telemetry, oracle: &mut Vec<Span>, node: u32, label: &'static str| {
+        let span = Span {
+            node,
+            component: Component::Ppc,
+            label,
+            start: SimTime::from_ns(u64::from(node)),
+            end: SimTime::from_ns(u64::from(node) + 7),
+        };
+        t.span(span.node, span.component, span.label, span.start, span.end);
+        oracle.push(span);
+    };
+    let (mut low, mut high) = (Telemetry::enabled(), Telemetry::enabled());
+    let (mut want_low, mut want_high) = (Vec::new(), Vec::new());
+    for (i, &label) in labels.iter().enumerate() {
+        record(&mut low, &mut want_low, i as u32, label);
+    }
+    for (i, &label) in labels.iter().rev().enumerate() {
+        record(&mut high, &mut want_high, 100 + i as u32, label);
+    }
+    assert_same_spans(&low, &want_low);
+    assert_same_spans(&high, &want_high);
+
+    let mut merged = Telemetry::enabled();
+    for shard in [&high, &low] {
+        for s in shard.spans().iter() {
+            merged.span(s.node, s.component, s.label, s.start, s.end);
+        }
+    }
+    want_high.extend(want_low);
+    assert_same_spans(&merged, &want_high);
 }

@@ -1,9 +1,13 @@
-//! Differential test: the chunked link-series store against the dense
-//! `Vec<LinkBucket>` code it replaced, kept here as the oracle.
+//! Differential test: the link-series store — one sorted run of non-zero
+//! buckets per series — against the dense `Vec<LinkBucket>` code two
+//! stores back, kept here as the oracle (the test names still say
+//! "chunked": they are the tier-1 floor's names for these checks).
 //!
 //! A seeded stream of 50,000 hops and 5,000 injections on 64 nodes goes
 //! through both; the `to_json()` bytes and the hotspot ranking must be
-//! identical, clamp and occupancy cap included.
+//! identical, clamp and occupancy cap included. A second, hand-placed
+//! stream writes behind a link's tail bucket: onto buckets the run holds,
+//! between them, and before the first.
 
 use std::fmt::Write as _;
 
@@ -84,9 +88,16 @@ mod dense {
             }
         }
 
+        /// The bucket clamp; a series cannot have no bucket, so 0 means 1
+        /// (the replaced code counted messages in bucket 0 and spread no
+        /// time at all under a zero clamp).
+        fn max_buckets(&self) -> usize {
+            (self.cfg.max_buckets as usize).max(1)
+        }
+
         pub fn record_inject(&mut self, node: u32, at: SimTime, bytes: u64) {
             let width = self.cfg.bucket.ps().max(1);
-            let max = self.cfg.max_buckets as usize;
+            let max = self.max_buckets();
             let idx = ((at.ps() / width) as usize).min(max.saturating_sub(1));
             let inject = &mut self.nodes[node as usize]
                 .get_or_insert_with(Node::default)
@@ -100,7 +111,7 @@ mod dense {
 
         pub fn record_hop(&mut self, node: u32, port: u8, occ: Occupancy, packets: u64) {
             let width = self.cfg.bucket.ps().max(1);
-            let max = self.cfg.max_buckets as usize;
+            let max = self.max_buckets();
             let occ_cap = self.cfg.occupancy_cap as usize;
             let lanes = self.nodes[node as usize].get_or_insert_with(Node::default);
             let link = &mut lanes.links[port as usize];
@@ -300,6 +311,54 @@ fn assert_same(new: &SeriesSet, old: &dense::Set) {
             assert_eq!(rows, old.dense_rows(node, port), "node {node} port {port}");
         }
     }
+}
+
+#[test]
+fn writes_behind_the_tail_match_the_dense_store() {
+    let cfg = SeriesConfig {
+        bucket: SimTime::from_us(1),
+        max_buckets: 64,
+        occupancy_cap: 4,
+    };
+    let mut new = SeriesSet::new(NODES as usize, cfg);
+    let mut old = dense::Set::new(NODES as usize, cfg);
+    let us = SimTime::from_us;
+    // (arrival, start, done) in µs = bucket numbers. The first transit
+    // puts the tail at bucket 40 with 10..=40 held; the rest land behind
+    // it: on held buckets, in the gap below them, before everything,
+    // bridging the gap, and — once a transit in the clamped last bucket
+    // has left a hole below the tail — on a held bucket that is not where
+    // an unbroken run would have it.
+    let hops = [
+        (10, 30, 41),
+        (20, 20, 21),
+        (5, 5, 6),
+        (0, 0, 1),
+        (3, 8, 12),
+        (63, 70, 90),
+        (39, 40, 41),
+        (2, 2, 3),
+    ];
+    for (i, &(arrival, start, done)) in hops.iter().enumerate() {
+        let occ = Occupancy {
+            tag: i as u64 + 1,
+            arrival: us(arrival),
+            start: us(start),
+            done: us(done),
+        };
+        new.record_hop(7, 2, occ, 3);
+        old.record_hop(7, 2, occ, 3);
+        new.record_inject(7, us(arrival), 512);
+        old.record_inject(7, us(arrival), 512);
+        assert_same(&new, &old);
+    }
+    let held: Vec<u64> = old
+        .dense_rows(7, 2)
+        .iter()
+        .map(|row| row.iter().sum())
+        .collect();
+    assert_eq!(held[1], 0, "bucket 1 stays a hole in the run");
+    assert_eq!(held.len(), 64, "the last transit ran into the clamp");
 }
 
 #[test]

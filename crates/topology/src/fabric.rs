@@ -510,6 +510,21 @@ mod tests {
     }
 
     #[test]
+    fn a_fabric_without_series_holds_none() {
+        // The series are the fabric's one optional store: never enabled,
+        // the field is an empty `Option` — no set, no lane — however much
+        // is sent, and disabling releases what was recorded.
+        let mut f = two_node_fabric();
+        f.send(SimTime::ZERO, msg(0, 1, 4096, 1));
+        assert!(f.series.is_none());
+        f.enable_series(xt3_telemetry::SeriesConfig::default());
+        f.send(SimTime::ZERO, msg(0, 1, 4096, 2));
+        assert_eq!(f.series().map(|s| s.touched_nodes()), Some(1));
+        f.disable_series();
+        assert!(f.series.is_none());
+    }
+
+    #[test]
     fn linkhop_records_carry_the_port() {
         let mut f = two_node_fabric();
         let mut causal = CausalLog::enabled();

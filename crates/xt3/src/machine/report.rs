@@ -4,7 +4,7 @@
 
 use super::Machine;
 use xt3_sim::{CausalStage, SimTime, TraceId};
-use xt3_telemetry::{Component, DmaSummary, LinkSummary, NodeReport, TelemetryReport};
+use xt3_telemetry::{Component, DmaSummary, LinkSummary, NodeReport, SinkKept, TelemetryReport};
 use xt3_topology::coord::Port;
 
 /// High bit marking a message's *sender-side* completion chain (the
@@ -19,7 +19,8 @@ impl Machine {
     /// interrupts-per-message metric, mailbox and SRAM-pool high-water
     /// marks, Portals EQ depth peaks, and per-hop link accounting. A pure
     /// read of hardware-model counters — available whether or not the
-    /// span-recording sink was enabled.
+    /// span-recording sink was enabled — beside how much of the run the
+    /// two capped sinks kept.
     pub fn telemetry_report(&self, label: &str, elapsed: SimTime) -> TelemetryReport {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
@@ -88,6 +89,14 @@ impl Machine {
             label: label.to_string(),
             elapsed,
             nodes,
+            spans: SinkKept {
+                kept: self.telemetry.spans().len() as u64,
+                dropped: self.telemetry.dropped_spans(),
+            },
+            causal_records: SinkKept {
+                kept: self.causal.records().len() as u64,
+                dropped: self.causal.dropped(),
+            },
         }
     }
 

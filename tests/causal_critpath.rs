@@ -17,17 +17,26 @@ use audit::replay::lockstep;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use xt3_netpipe::runner::{
-    build_engine, critical_chains, run_explained, NetpipeConfig, TestKind, Transport,
+    build_engine, critical_chains, run_explained, ExplainedRun, NetpipeConfig, TestKind, Transport,
 };
 use xt3_netpipe::Schedule;
-use xt3_sim::SimTime;
-use xt3_telemetry::{Breakdown, Chain, CostClass};
+use xt3_sim::{CausalLog, RunOutcome, SimTime};
+use xt3_telemetry::{
+    attribute, extract_chains, hop_stalls, parse_json, Breakdown, Chain, CostClass, CritPathError,
+    JsonValue,
+};
 
 fn fixed_config(size: u64, reps: u32) -> NetpipeConfig {
     NetpipeConfig {
         schedule: Schedule::fixed(size, reps),
         ..NetpipeConfig::paper()
     }
+}
+
+/// A short ping-pong, explained: far under the causal log's cap.
+fn explained(size: u64, reps: u32, transport: Transport) -> ExplainedRun {
+    run_explained(&fixed_config(size, reps), transport, TestKind::PingPong)
+        .expect("the log holds the run whole")
 }
 
 fn class_totals(chains: &[&Chain]) -> Breakdown {
@@ -51,8 +60,8 @@ fn causal_tracer_is_digest_neutral() {
 #[test]
 fn piggyback_fence_differs_only_in_dma_and_interrupt() {
     let reps = 4;
-    let small = run_explained(&fixed_config(12, reps), Transport::Put, TestKind::PingPong);
-    let large = run_explained(&fixed_config(13, reps), Transport::Put, TestKind::PingPong);
+    let small = explained(12, reps, Transport::Put);
+    let large = explained(13, reps, Transport::Put);
     let b12 = class_totals(&critical_chains(&small.chains, &small.rounds[0], None));
     let b13 = class_totals(&critical_chains(&large.chains, &large.rounds[0], None));
 
@@ -83,7 +92,7 @@ fn piggyback_fence_differs_only_in_dma_and_interrupt() {
 
 #[test]
 fn interrupt_class_is_at_least_two_microseconds_per_message() {
-    let run = run_explained(&fixed_config(64, 3), Transport::Put, TestKind::PingPong);
+    let run = explained(64, 3, Transport::Put);
     let chains = critical_chains(&run.chains, &run.rounds[0], None);
     assert!(!chains.is_empty());
     for c in &chains {
@@ -109,7 +118,7 @@ fn personality_tiling_is_exact() {
         (Transport::Mpich1, false),
         (Transport::Mpich2, false),
     ] {
-        let run = run_explained(&fixed_config(64, 4), transport, TestKind::PingPong);
+        let run = explained(64, 4, transport);
         let round = run.rounds[0];
         let tiled = tiled_chains(&run.chains, &round, None, data_only)
             .unwrap_or_else(|| panic!("{}: no per-message tiling", transport.label()));
@@ -132,6 +141,63 @@ fn personality_tiling_is_exact() {
     }
 }
 
+/// The flow-arrow events of a Perfetto document, and its `metadata`.
+fn flows_and_metadata(doc: &str) -> (usize, Option<JsonValue>) {
+    let v = parse_json(doc).expect("perfetto JSON parses");
+    let events = v.get("traceEvents").unwrap().as_array().unwrap().to_vec();
+    let flows = events
+        .iter()
+        .filter(|e| matches!(e.get("ph").unwrap().as_str(), Ok("s" | "t" | "f")))
+        .count();
+    (flows, v.get("metadata").ok().cloned())
+}
+
+#[test]
+fn a_truncated_causal_log_is_refused_by_name() {
+    // The same two-node ping-pong, once into the default log and once into
+    // one that fills after 64 records.
+    let run = |cap: Option<usize>| {
+        let mut engine = build_engine(&fixed_config(64, 8), Transport::Put, TestKind::PingPong);
+        engine.model_mut().config.telemetry = true;
+        *engine.model_mut().causal_mut() = cap.map_or_else(CausalLog::enabled, CausalLog::with_cap);
+        assert_eq!(engine.run(), RunOutcome::Drained);
+        engine.into_model()
+    };
+
+    let whole = run(None);
+    let log = whole.causal();
+    let chains = extract_chains(log).expect("complete log");
+    assert!(!chains.is_empty());
+    assert!(attribute(&chains, log, None, 8, 4).is_ok());
+    assert!(hop_stalls(&chains, log).is_ok());
+    let (flows, metadata) = flows_and_metadata(&whole.telemetry().perfetto_json_with_causal(log));
+    assert!(flows > 0);
+    assert!(metadata.is_none());
+
+    let cut = run(Some(64));
+    let log = cut.causal();
+    let refused = CritPathError::Truncated {
+        kept: 64,
+        dropped: whole.causal().records().len() as u64 - 64,
+    };
+    assert_eq!(extract_chains(log), Err(refused));
+    // Chains from elsewhere do not make the log attributable either.
+    assert_eq!(attribute(&chains, log, None, 8, 4), Err(refused));
+    assert_eq!(hop_stalls(&chains, log), Err(refused));
+    assert!(refused.to_string().contains("64 records kept"));
+    // The export still draws the 64 checkpoints, draws no arrows over
+    // chains it cannot know to be whole, and says why.
+    let (flows, metadata) = flows_and_metadata(&cut.telemetry().perfetto_json_with_causal(log));
+    assert_eq!(flows, 0);
+    let named = metadata.expect("truncation is named");
+    let named = named.get("causal_log_truncated").unwrap();
+    assert_eq!(named.get("records_kept").unwrap().as_u64(), Ok(64));
+    assert_eq!(
+        named.get("records_dropped").unwrap().as_u64(),
+        Ok(log.dropped())
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
@@ -141,9 +207,8 @@ proptest! {
         use_get in any::<bool>(),
     ) {
         let transport = if use_get { Transport::Get } else { Transport::Put };
-        let run = run_explained(&fixed_config(size, reps), transport, TestKind::PingPong);
+        let run = explained(size, reps, transport);
         prop_assert_eq!(run.rounds.len(), 1);
-        prop_assert_eq!(run.dropped, 0, "bounded log must not overflow here");
         let round = run.rounds[0];
 
         // Every extracted chain partitions its own span exactly; class

@@ -45,7 +45,8 @@ fn incast_attribution_table_matches_golden() {
 
     let chains = extract_chains(m.causal()).expect("causal DAG is well-formed");
     let series = m.link_series().expect("series enabled");
-    let mut table = attribute(&chains, m.causal(), Some(series), 8, 4);
+    let mut table =
+        attribute(&chains, m.causal(), Some(series), 8, 4).expect("the log holds the run whole");
     assert_eq!(
         table.residual(&chains),
         0,
