@@ -2,7 +2,8 @@
 //! Determinism audit layer.
 //!
 //! Three parts, all runnable from CI (`cargo run -p audit -- lint|replay`)
-//! and from the test suite:
+//! and from the test suite (a fourth, [`inventory`], keeps DESIGN.md's
+//! code-line table generated):
 //!
 //! * [`rules`] — the static-analysis lint engine: a dependency-free
 //!   Rust lexer ([`lex`]), an item/call graph ([`graph`]), and eight
@@ -26,6 +27,7 @@
 //!   is reported as the first divergent event index.
 
 pub mod graph;
+pub mod inventory;
 pub mod lex;
 pub mod lint;
 pub mod replay;

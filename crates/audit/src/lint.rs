@@ -8,9 +8,9 @@
 //!   (SipHash keyed from the OS), so any model state iterated out of one
 //!   silently couples event order to the host. Use `BTreeMap`/`BTreeSet`.
 //! * `wall-clock` — no `Instant::now`, `SystemTime` or `thread_rng`
-//!   anywhere except `crates/bench` binaries (host-side throughput
-//!   reporting). Simulated time comes from `SimTime`; randomness from the
-//!   seeded `SimRng`.
+//!   anywhere except the bench harness's stopwatch
+//!   ([`WALL_CLOCK_EXEMPT`]; host-side throughput reporting). Simulated
+//!   time comes from `SimTime`; randomness from the seeded `SimRng`.
 //! * `panic-path` — no `.unwrap()`/`.expect(` in the firmware event
 //!   handler modules (`control.rs`, `gbn.rs`, `mailbox.rs`). A malformed
 //!   command must surface as a typed `FwError` the machine can turn into
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// `HashMap`/`HashSet` in a simulation-facing crate.
     NondetCollection,
-    /// `Instant::now` / `SystemTime` / `thread_rng` outside bench binaries.
+    /// `Instant::now` / `SystemTime` / `thread_rng` outside the stopwatch.
     WallClock,
     /// `.unwrap()` / `.expect(` in firmware event-handler modules.
     PanicPath,
@@ -152,6 +152,11 @@ impl LintReport {
 pub const SIM_FACING_CRATES: &[&str] = &[
     "sim", "seastar", "firmware", "portals", "nal", "topology", "xt3", "mpi",
 ];
+
+/// The files the `wall-clock` rule does not apply to, by name: the bench
+/// harness's stopwatch is the one place host time may be read (it flows
+/// into throughput reports, never back into a simulation).
+pub const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/src/stopwatch.rs"];
 
 /// Firmware modules that run inside event handlers and therefore must
 /// never panic (relative to the repo root).
@@ -266,9 +271,7 @@ fn rules_for(path: &str) -> Vec<Rule> {
         rules.push(Rule::NondetCollection);
     }
 
-    // Wall-clock: everywhere except bench *binaries* (host-side sweep
-    // drivers legitimately report elapsed host time).
-    if !path.starts_with("crates/bench/src/bin/") {
+    if !WALL_CLOCK_EXEMPT.contains(&path) {
         rules.push(Rule::WallClock);
     }
 
@@ -741,7 +744,9 @@ mod tests {
         assert!(rules_for("crates/sim/src/engine.rs").contains(&Rule::NondetCollection));
         assert!(!rules_for("crates/bench/src/lib.rs").contains(&Rule::NondetCollection));
         assert!(rules_for("crates/bench/src/lib.rs").contains(&Rule::WallClock));
-        assert!(!rules_for("crates/bench/src/bin/sweep.rs").contains(&Rule::WallClock));
+        assert!(rules_for("crates/bench/src/bin/xt3-bench.rs").contains(&Rule::WallClock));
+        assert!(rules_for("crates/bench/src/bin/mem_footprint.rs").contains(&Rule::WallClock));
+        assert!(!rules_for("crates/bench/src/stopwatch.rs").contains(&Rule::WallClock));
         assert!(rules_for("crates/firmware/src/gbn.rs").contains(&Rule::PanicPath));
         assert!(!rules_for("crates/firmware/src/pool.rs").contains(&Rule::PanicPath));
         assert!(rules_for("vendor/proptest/src/lib.rs").is_empty());

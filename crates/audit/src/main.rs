@@ -5,11 +5,12 @@
 //! cargo run -p audit -- lint --json   # machine-readable findings (CI artifact)
 //! cargo run -p audit -- replay        # replay-divergence check; exit 1 on divergence
 //! cargo run -p audit -- all           # both
+//! cargo run -p audit -- inventory     # DESIGN.md §2's generated code-line block
 //! ```
 
 use std::process::ExitCode;
 
-use audit::{lint, replay, rules};
+use audit::{inventory, lint, replay, rules};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,8 +27,18 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        Some("inventory") => match inventory::render(&lint::repo_root()) {
+            Ok(block) => {
+                print!("{block}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("audit inventory: i/o error: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
-            eprintln!("usage: audit <lint [--json]|replay|all>");
+            eprintln!("usage: audit <lint [--json]|replay|all|inventory>");
             ExitCode::from(2)
         }
     }

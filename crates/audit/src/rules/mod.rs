@@ -7,7 +7,7 @@
 //! | rule               | scope                                  | catches |
 //! |--------------------|----------------------------------------|---------|
 //! | `nondet-collection`| sim-facing crates                      | `HashMap`/`HashSet` (iteration order is host-seeded) |
-//! | `wall-clock`       | everywhere but `crates/bench/src/bin/` | `Instant::now`, `SystemTime`, `thread_rng` |
+//! | `wall-clock`       | everywhere but `bench/src/stopwatch.rs`| `Instant::now`, `SystemTime`, `thread_rng` |
 //! | `panic-path`       | firmware handler modules               | `.unwrap()` / `.expect(` |
 //! | `shared-mutable`   | sim-facing crates, minus `sim::par`    | `static mut`, `Mutex`/`RwLock`, `thread::spawn`, `Arc<..Cell..>` |
 //! | `atomic-ordering`  | everywhere                             | `Ordering::Relaxed` |
@@ -49,7 +49,7 @@ use crate::lint;
 pub enum RuleId {
     /// `HashMap`/`HashSet` in a simulation-facing crate.
     NondetCollection,
-    /// `Instant::now` / `SystemTime` / `thread_rng` outside bench bins.
+    /// `Instant::now` / `SystemTime` / `thread_rng` outside the stopwatch.
     WallClock,
     /// `.unwrap()` / `.expect(` directly in firmware handler modules.
     PanicPath,

@@ -33,7 +33,7 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 pub fn scan(file: &SourceFile, out: &mut Vec<Finding>) {
     let path = file.rel.as_str();
     let sim_facing = is_sim_facing(path);
-    let wall_clock = !path.starts_with("crates/bench/src/bin/");
+    let wall_clock = !crate::lint::WALL_CLOCK_EXEMPT.contains(&path);
     let panic_path = crate::lint::FIRMWARE_HANDLER_MODULES.contains(&path);
     let shared_mutable = sim_facing && !is_par_boundary(path);
     let digest_feeding = is_digest_feeding(path);
@@ -354,6 +354,11 @@ mod tests {
             "crates/sim/src/x.rs",
             "fn f() { let _ = std::time::Instant::now(); }\n",
         );
+        assert_eq!(v, vec![(RuleId::WallClock, 1)]);
+        // The stopwatch is exempt by name; no other bench file is.
+        let clock = "fn f() { let _ = std::time::Instant::now(); }\n";
+        assert!(active("crates/bench/src/stopwatch.rs", clock).is_empty());
+        let v = active("crates/bench/src/bin/mem_footprint.rs", clock);
         assert_eq!(v, vec![(RuleId::WallClock, 1)]);
     }
 }

@@ -6,6 +6,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use audit::inventory;
 use audit::lint::{self, AllowEntry, Rule};
 use audit::rules::{self, AllowStatus, RuleId};
 
@@ -92,6 +93,26 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
         seam_files,
         ["crates/xt3/src/machine/net.rs"],
         "`NetMode::` belongs to the fabric seam alone"
+    );
+}
+
+/// DESIGN.md §2's code-line table is the generated one: the block between
+/// the `inventory` markers must be what `cargo run -p audit -- inventory`
+/// prints for this tree.
+#[test]
+fn design_inventory_block_is_current() {
+    let root = lint::repo_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let block = design
+        .split_once(&format!("{}\n", inventory::BEGIN))
+        .and_then(|(_, rest)| rest.split_once(inventory::END))
+        .map(|(block, _)| block)
+        .expect("DESIGN.md carries the inventory markers");
+    let current = inventory::render(&root).expect("walk");
+    assert!(
+        block == current,
+        "DESIGN.md §2's inventory is stale; replace the block between the markers with the \
+         output of `cargo run -p audit -- inventory`:\n{current}"
     );
 }
 

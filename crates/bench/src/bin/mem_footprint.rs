@@ -29,9 +29,14 @@
 //! `--series` measures the same sweep with the per-link congestion
 //! series enabled and enforces the observability heap envelope instead:
 //! at every size the instrumented peak must stay within
-//! [`SERIES_ENVELOPE`]× the committed `BENCH_mem.json` baseline —
+//! [`gate::SERIES_ENVELOPE`]× the committed `BENCH_mem.json` baseline —
 //! demand-allocated series lanes may cost heap proportional to
 //! *traffic*, never a dense per-node tax.
+//!
+//! This is its own executable, not an `xt3-bench` subcommand, because of
+//! the allocator: a counting `#[global_allocator]` is per-binary, and
+//! inside `xt3-bench` its two atomic updates per allocation would sit
+//! under every `perf` timing.
 //!
 //! ```text
 //! cargo run --release -p xt3-bench --bin mem_footprint -- [--dims X Y Z] [--out PATH]
@@ -41,15 +46,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xt3_node::workloads::{red_storm_machine, traffic_machine, TrafficPattern};
+use xt3_bench::cli::{self, Args, CmdResult};
+use xt3_bench::gate::{self, Baseline};
+use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
 use xt3_sim::RunOutcome;
-use xt3_telemetry::{attribute_occupancy, parse_json, JsonValue, LinkBucket, SeriesConfig};
+use xt3_telemetry::{attribute_occupancy, JsonWriter, LinkBucket, LinkSeries, SeriesConfig};
 use xt3_topology::coord::Dims;
-
-/// The `--series` envelope: the series-instrumented peak over the plain
-/// one. Measured 1.222 (512 nodes), 1.220 (2,048) and 1.222 (10,368) on
-/// the one-round neighbour push; the limit is the worst of them plus 5 %.
-const SERIES_ENVELOPE: f64 = 1.28;
 
 /// Live heap bytes right now.
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -106,33 +108,26 @@ struct Row {
     events: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]\n\
-         \n\
-         --dims X Y Z      measure a single slice instead of the default\n\
-         \x20                 512 / 2,048 / 10,368-node sweep\n\
-         --out PATH        JSON output path (default BENCH_mem.json); the rows\n\
-         \x20                 of the file it replaces are kept as before_*\n\
-         --check PATH      fail if any size's peak bytes per node, or any number\n\
-         \x20                 of the observed row, exceeds the baseline's by\n\
-         \x20                 more than 2%\n\
-         --series          enable per-link congestion series and enforce the\n\
-         \x20                 observability heap envelope against --check\n\
-         \x20                 (default BENCH_mem.json) instead; no JSON output"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
+
+--dims X Y Z      measure a single slice instead of the default
+                  512 / 2,048 / 10,368-node sweep
+--out PATH        JSON output path (default BENCH_mem.json); the rows
+                  of the file it replaces are kept as before_*
+--check PATH      hold every size's peak bytes and every number of the
+                  observed row to gate::HEAP_LIMIT x the baseline's
+--series          enable per-link congestion series and hold the peaks to
+                  gate::SERIES_ENVELOPE x --check's (default
+                  BENCH_mem.json) instead; no JSON output";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;
-    let rounds = 1;
-    let msg: u64 = 16 * 1024;
 
     let floor = LIVE.load(Ordering::SeqCst);
     PEAK.store(floor, Ordering::SeqCst);
 
-    let mut machine = red_storm_machine(dims, rounds, msg);
+    let mut machine = machines::red_storm(dims, 1);
     if series {
         machine.enable_link_series(SeriesConfig::default());
     }
@@ -176,15 +171,8 @@ fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
     let floor = LIVE.load(Ordering::SeqCst);
     PEAK.store(floor, Ordering::SeqCst);
 
-    let mut m = traffic_machine(TrafficPattern::AllToAll, Dims::red_storm(8, 8, 8), 1, 4096);
-    if registry {
-        m.config.telemetry = true;
-        m.set_telemetry_enabled(true);
-    }
-    m.set_causal_enabled(causal);
-    if series {
-        m.enable_link_series(SeriesConfig::default());
-    }
+    let mut m = machines::torus512_alltoall();
+    machines::observe(&mut m, registry, causal, series.then(SeriesConfig::default));
     let mut engine = m.into_engine();
     assert_eq!(engine.run(), RunOutcome::Drained, "all-to-all must drain");
     let end_bytes = LIVE.load(Ordering::SeqCst).saturating_sub(floor);
@@ -196,12 +184,8 @@ fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
         let json = series.to_json();
         black_box((table.rows.len(), json.len()));
         let zero = LinkBucket::default();
-        for node in 0..series.node_slots() as u32 {
-            for port in 0..6u8 {
-                let link = series.link(node, port);
-                nonzero_buckets += link.map_or(0, |l| l.buckets().filter(|b| *b != zero).count());
-            }
-        }
+        let nonzero = |l: &LinkSeries| l.buckets().filter(|b| *b != zero).count();
+        nonzero_buckets = machines::links(series).map(nonzero).sum();
     }
     ObservedRun {
         peak_bytes: PEAK.load(Ordering::SeqCst).saturating_sub(floor),
@@ -242,41 +226,27 @@ fn observed_row() -> Vec<Observed> {
     ]
 }
 
-fn main() {
-    let mut sizes = vec![
-        Dims::red_storm(8, 8, 8),
-        Dims::red_storm(16, 16, 8),
-        Dims::red_storm(27, 16, 24),
-    ];
-    let mut out = String::from("BENCH_mem.json");
-    let mut series = false;
-    let mut check = None;
-    // The observed row belongs to the default sweep, not to one slice.
-    let mut observed = true;
+fn main() -> std::process::ExitCode {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit_status("mem_footprint", USAGE, &tokens, run)
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dims" => {
-                let mut next = || args.next().and_then(|v| v.parse::<u16>().ok());
-                match (next(), next(), next()) {
-                    (Some(x), Some(y), Some(z)) => {
-                        sizes = vec![Dims::red_storm(x, y, z)];
-                        observed = false;
-                    }
-                    _ => usage(),
-                }
-            }
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--series" => series = true,
-            "--check" => check = Some(args.next().unwrap_or_else(|| usage())),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
-    }
+fn run(mut args: Args) -> CmdResult {
+    // The observed row belongs to the default sweep, not to one slice.
+    let slice = args.dims("--dims")?;
+    let out = args.value("--out")?;
+    let out = out.unwrap_or_else(|| "BENCH_mem.json".into());
+    let series = args.flag("--series");
+    let check = args.value("--check")?;
+    args.finish()?;
+    let sizes = match slice {
+        Some(dims) => vec![dims],
+        None => vec![
+            Dims::red_storm(8, 8, 8),
+            Dims::red_storm(16, 16, 8),
+            full_machine(),
+        ],
+    };
 
     if series {
         println!("mem footprint (+series): heap bytes per node, 1 neighbor-push round of 16 KiB\n");
@@ -308,20 +278,20 @@ fn main() {
         headline.peak_bytes as f64 / 1e6,
         headline.peak_bytes / headline.nodes as u64
     );
+    let peaks: Vec<(usize, u64)> = rows.iter().map(|r| (r.nodes, r.peak_bytes)).collect();
 
     if series {
-        let path = check.as_deref().unwrap_or("BENCH_mem.json");
-        enforce(
-            &rows,
-            &[],
-            path,
-            SERIES_ENVELOPE,
-            "observability heap envelope",
-        );
-        return;
+        let baseline = Baseline::load(check.as_deref().unwrap_or("BENCH_mem.json"))?;
+        println!();
+        gate::check_mem(&baseline, &peaks, &[], gate::SERIES_ENVELOPE)?;
+        println!("\nevery peak within the observability heap envelope");
+        return Ok(());
     }
 
-    let observed = if observed { observed_row() } else { Vec::new() };
+    let observed = match slice {
+        Some(_) => Vec::new(),
+        None => observed_row(),
+    };
     if !observed.is_empty() {
         println!("\nobserved 8x8x8 all-to-all of 4 KiB (registry + causal log + link series):");
         for (name, value) in &observed {
@@ -331,136 +301,55 @@ fn main() {
 
     // Gate before writing: `--out` may name the baseline itself.
     if let Some(path) = &check {
-        enforce(&rows, &observed, path, 1.02, "heap gate");
+        println!();
+        gate::check_mem(&Baseline::load(path)?, &peaks, &observed, gate::HEAP_LIMIT)?;
+        println!("\nevery peak within the heap gate");
     }
-    let before = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|text| parse_json(&text).ok());
-    if let Err(e) = std::fs::write(&out, render_json(&rows, &observed, before.as_ref())) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
+    let before = Baseline::load(&out).ok();
+    cli::write_file(&out, render_json(&rows, &observed, before.as_ref()))?;
     println!("wrote {out}");
+    Ok(())
 }
 
-/// `field` of the `nodes`-node row of a BENCH_mem.json document.
-fn baseline_field(doc: &JsonValue, nodes: usize, field: &str) -> Option<u64> {
-    doc.get("sizes")
-        .and_then(JsonValue::as_array)
-        .ok()?
-        .iter()
-        .find(|s| s.get("nodes").and_then(JsonValue::as_u64) == Ok(nodes as u64))?
-        .get(field)
-        .and_then(JsonValue::as_u64)
-        .ok()
-}
-
-/// `field` of the observed row of a BENCH_mem.json document.
-fn observed_field(doc: &JsonValue, field: &str) -> Option<f64> {
-    let row = doc.get("observed").ok()?;
-    row.get(field).and_then(JsonValue::as_f64).ok()
-}
-
-/// Hold every measured size's peak to `limit` × the baseline's peak at
-/// the same node count — [`SERIES_ENVELOPE`]× for the series-instrumented
-/// sweep, 1.02× for the plain one (the regression gate) — and every
-/// number of the observed row to `limit` × the baseline's. Rows missing
-/// from the baseline are an error — a silently skipped row would read as
-/// "covered" when it wasn't.
-fn enforce(rows: &[Row], observed: &[Observed], baseline_path: &str, limit: f64, what: &str) {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| parse_json(&text))
-        .unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        });
-    println!();
-    let mut violated = false;
-    for r in rows {
-        let Some(base) = baseline_field(&baseline, r.nodes, "peak_bytes") else {
-            eprintln!(
-                "baseline {baseline_path} has no {}-node row — regenerate it first",
-                r.nodes
-            );
-            std::process::exit(1);
-        };
-        let ratio = r.peak_bytes as f64 / base as f64;
-        let ok = ratio <= limit;
-        println!(
-            "{:<10} peak {:>14} vs baseline {:>14}  ({:>6}/node vs {:>6}; {ratio:.2}x of limit {limit:.2}x) {}",
-            format!("{}x{}x{}", r.dims.nx, r.dims.ny, r.dims.nz),
-            r.peak_bytes,
-            base,
-            r.peak_bytes / r.nodes as u64,
-            base / r.nodes as u64,
-            if ok { "ok" } else { "VIOLATED" }
-        );
-        violated |= !ok;
-    }
-    for &(name, value) in observed {
-        let Some(base) = observed_field(&baseline, name) else {
-            eprintln!("baseline {baseline_path} has no observed {name} — regenerate it first");
-            std::process::exit(1);
-        };
-        let ok = value <= base * limit;
-        println!(
-            "observed {name:<26} {value:>16.2} vs baseline {base:>16.2} {}",
-            if ok { "ok" } else { "VIOLATED" }
-        );
-        violated |= !ok;
-    }
-    if violated {
-        eprintln!("\n{what} violated");
-        std::process::exit(1);
-    }
-    println!("\nevery peak within the {limit:.2}x {what}");
-}
-
-/// Hand-rolled JSON (the workspace's serde is an offline no-op stub).
-fn render_json(rows: &[Row], observed: &[Observed], before: Option<&JsonValue>) -> String {
-    use std::fmt::Write as _;
+fn render_json(rows: &[Row], observed: &[Observed], before: Option<&Baseline>) -> String {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"mem-bytes-per-node\",");
-    let _ = writeln!(s, "  \"cores\": {cores},");
-    let _ = writeln!(s, "  \"rounds\": 1,");
-    let _ = writeln!(s, "  \"msg_bytes\": 16384,");
-    s.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let mut extra = String::new();
+    let mut w = JsonWriter::new();
+    w.object(true)
+        .field_str("bench", "mem-bytes-per-node")
+        .field("cores", cores)
+        .field("rounds", 1)
+        .field("msg_bytes", NEIGHBOR_MSG);
+    w.key("sizes").array(true);
+    for r in rows {
+        w.object(false).key("dims").array(false);
+        w.value(r.dims.nx).value(r.dims.ny).value(r.dims.nz).end();
+        w.field("nodes", r.nodes)
+            .field("built_bytes", r.built_bytes)
+            .field("peak_bytes", r.peak_bytes)
+            .field("built_bytes_per_node", r.built_bytes / r.nodes as u64)
+            .field("peak_bytes_per_node", r.peak_bytes / r.nodes as u64)
+            .field("events", r.events);
         for field in ["built_bytes", "peak_bytes"] {
-            if let Some(bytes) = before.and_then(|doc| baseline_field(doc, r.nodes, field)) {
-                let _ = write!(extra, ", \"before_{field}\": {bytes}");
+            let was = |b: &Baseline| b.row_number("sizes", "nodes", &r.nodes.to_string(), field);
+            if let Some(bytes) = before.and_then(|b| was(b).ok()) {
+                w.field(&format!("before_{field}"), bytes);
             }
         }
-        let _ = writeln!(
-            s,
-            "    {{\"dims\": [{}, {}, {}], \"nodes\": {}, \"built_bytes\": {}, \"peak_bytes\": {}, \"built_bytes_per_node\": {}, \"peak_bytes_per_node\": {}, \"events\": {}{extra}}}{comma}",
-            r.dims.nx,
-            r.dims.ny,
-            r.dims.nz,
-            r.nodes,
-            r.built_bytes,
-            r.peak_bytes,
-            r.built_bytes / r.nodes as u64,
-            r.peak_bytes / r.nodes as u64,
-            r.events
-        );
+        w.end();
     }
-    s.push_str("  ]");
+    w.end();
     if !observed.is_empty() {
-        s.push_str(",\n  \"observed\": {\"dims\": [8, 8, 8], \"pattern\": \"alltoall\", \"msg_bytes\": 4096");
+        w.key("observed").object(false).key("dims").array(false);
+        w.value(8).value(8).value(8).end();
+        w.field_str("pattern", "alltoall").field("msg_bytes", 4096);
         for (name, value) in observed {
-            let _ = write!(s, ", \"{name}\": {value:?}");
-            if let Some(was) = before.and_then(|doc| observed_field(doc, name)) {
-                let _ = write!(s, ", \"before_{name}\": {was:?}");
+            w.field(name, format_args!("{value:?}"));
+            if let Some(was) = before.and_then(|b| b.number(&format!("observed.{name}")).ok()) {
+                w.field(&format!("before_{name}"), format_args!("{was:?}"));
             }
         }
-        s.push('}');
+        w.end();
     }
-    s.push_str("\n}\n");
-    s
+    w.end();
+    w.finish()
 }

@@ -21,11 +21,13 @@
 //!    dark; the rest of the machine keeps running.
 
 use audit::replay::{Collector, Pusher};
-use xt3_netpipe::runner::{build_engine, scenario_matrix, scenario_name, NetpipeConfig};
+use xt3_netpipe::runner::{
+    build_engine, scenario_matrix, scenario_name, NetpipeConfig, TestKind, Transport,
+};
 use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
 use xt3_node::Machine;
 use xt3_portals::types::ProcessId;
-use xt3_sim::{FaultPlan, FaultStats, FwFaultKind, RunOutcome, SimTime, TimeWindow};
+use xt3_sim::{Engine, FaultPlan, FaultStats, FwFaultKind, RunOutcome, SimTime, TimeWindow};
 use xt3_telemetry::TelemetryReport;
 use xt3_topology::coord::Dims;
 
@@ -90,16 +92,16 @@ pub struct ScenarioReport {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// One execution of one faulted NetPIPE scenario, with the recovery
-/// invariants asserted.
-fn run_one(
-    config: &NetpipeConfig,
-    t: xt3_netpipe::runner::Transport,
-    k: xt3_netpipe::runner::TestKind,
+/// Run one faulted machine to the end and hold the recovery invariants
+/// every cell shares — drain, no panicked and no dark node, bounded
+/// retransmission — then the cell's own, `verify`, on the drained machine
+/// (which also takes its telemetry, if any).
+fn run_faulted(
+    name: &str,
     rate: f64,
+    mut engine: Engine<Machine>,
+    verify: impl FnOnce(&mut Machine, SimTime) -> Option<TelemetryReport>,
 ) -> ScenarioReport {
-    let name = scenario_name(t, k);
-    let mut engine = build_engine(config, t, k);
     let outcome = engine.run();
     assert_eq!(
         outcome,
@@ -110,12 +112,7 @@ fn run_one(
     let digest = engine.digest();
     let state = engine.state_fingerprint();
     let elapsed = engine.now();
-    let m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "{name} @ rate {rate}: every app must finish — a Portals event was lost"
-    );
+    let mut m = engine.into_model();
     assert!(
         !m.any_panicked(),
         "{name} @ rate {rate}: go-back-n must recover injected losses without panicking nodes"
@@ -132,15 +129,9 @@ fn run_one(
          the (faults + 1) x window bound",
         stats.total()
     );
-    if stats.wire_total() > 0 {
-        assert!(
-            retransmissions > 0 || dispatched > 0,
-            "{name} @ rate {rate}: faults fired but left no trace"
-        );
-    }
-    let telemetry = config.telemetry.then(|| m.telemetry_report(&name, elapsed));
+    let telemetry = verify(&mut m, elapsed);
     ScenarioReport {
-        name,
+        name: name.to_string(),
         rate,
         dispatched,
         digest,
@@ -151,48 +142,11 @@ fn run_one(
     }
 }
 
-/// One (scenario, rate) cell of the sweep, fully determined by the
-/// campaign seed and the cell's position in the matrix.
-#[derive(Debug, Clone, Copy)]
-struct SweepCell {
-    t: xt3_netpipe::runner::Transport,
-    k: xt3_netpipe::runner::TestKind,
-    rate: f64,
-    plan_seed: u64,
-}
-
-/// Expand the campaign into its cell list, in the canonical (scenario,
-/// rate) order. Every cell carries its own derived seed, so cells are
-/// independent and can run in any order — which is what makes the
-/// parallel sweep trivially bit-identical to the serial one.
-fn sweep_cells(config: &CampaignConfig) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for (idx, (t, k)) in scenario_matrix().into_iter().enumerate() {
-        for (ridx, &rate) in config.rates.iter().enumerate() {
-            let plan_seed = config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(((idx as u64) << 8) | ridx as u64);
-            cells.push(SweepCell {
-                t,
-                k,
-                rate,
-                plan_seed,
-            });
-        }
-    }
-    cells
-}
-
 /// Execute one cell **twice** from the same seed; the two executions must
 /// agree on the replay digest and the state fingerprint — the determinism
 /// invariant with faults in the loop.
-fn run_cell(config: &CampaignConfig, cell: &SweepCell) -> ScenarioReport {
-    let mut np = NetpipeConfig::quick(config.max_size)
-        .with_faults(FaultPlan::wire(cell.plan_seed, cell.rate));
-    np.telemetry = config.telemetry;
-    let first = run_one(&np, cell.t, cell.k, cell.rate);
-    let second = run_one(&np, cell.t, cell.k, cell.rate);
+fn replayed(run: impl Fn() -> ScenarioReport) -> ScenarioReport {
+    let (first, second) = (run(), run());
     assert_eq!(
         first.digest, second.digest,
         "{}: same-seed runs must produce identical replay digests",
@@ -207,6 +161,67 @@ fn run_cell(config: &CampaignConfig, cell: &SweepCell) -> ScenarioReport {
     first
 }
 
+/// The plan seed of cell `(major, minor)` of the sweep salted `salt`:
+/// every cell carries its own, so cells are independent and can run in
+/// any order — which is what makes the parallel sweep trivially
+/// bit-identical to the serial one.
+fn cell_seed(config: &CampaignConfig, salt: u64, major: usize, minor: usize) -> u64 {
+    let seed = config.seed.wrapping_mul(salt);
+    seed.wrapping_add(((major as u64) << 8) | minor as u64)
+}
+
+/// One (scenario, rate) cell of the sweep, fully determined by the
+/// campaign seed and the cell's position in the matrix.
+#[derive(Debug, Clone, Copy)]
+struct SweepCell {
+    t: Transport,
+    k: TestKind,
+    rate: f64,
+    plan_seed: u64,
+}
+
+/// Expand the campaign into its cell list, in the canonical (scenario,
+/// rate) order.
+fn sweep_cells(config: &CampaignConfig) -> Vec<SweepCell> {
+    let mut cells = Vec::new();
+    for (idx, (t, k)) in scenario_matrix().into_iter().enumerate() {
+        for (ridx, &rate) in config.rates.iter().enumerate() {
+            let plan_seed = cell_seed(config, 0x9E37_79B9_7F4A_7C15, idx, ridx);
+            cells.push(SweepCell {
+                t,
+                k,
+                rate,
+                plan_seed,
+            });
+        }
+    }
+    cells
+}
+
+/// One faulted NetPIPE scenario, replayed.
+fn run_cell(config: &CampaignConfig, cell: &SweepCell) -> ScenarioReport {
+    let SweepCell {
+        t,
+        k,
+        rate,
+        plan_seed,
+    } = *cell;
+    let mut np =
+        NetpipeConfig::quick(config.max_size).with_faults(FaultPlan::wire(plan_seed, rate));
+    np.telemetry = config.telemetry;
+    replayed(|| {
+        let name = scenario_name(t, k);
+        run_faulted(&name, rate, build_engine(&np, t, k), |m, elapsed| {
+            assert_eq!(
+                m.running_apps(),
+                0,
+                "{name} @ rate {rate}: every app must finish — a Portals event was lost"
+            );
+            config.telemetry.then(|| m.telemetry_report(&name, elapsed))
+        })
+    })
+}
+
 /// Sweep every NetPIPE scenario at every configured fault rate, serially.
 pub fn run_netpipe_sweep(config: &CampaignConfig) -> Vec<ScenarioReport> {
     sweep_cells(config)
@@ -219,10 +234,20 @@ pub fn run_netpipe_sweep(config: &CampaignConfig) -> Vec<ScenarioReport> {
 /// independent deterministic simulation with a seed derived from its
 /// matrix position, so the report vector — digests, fingerprints, order —
 /// is bit-identical to [`run_netpipe_sweep`] (asserted by the
-/// `parallel_sweep_matches_serial` test and the campaign binary's
+/// `parallel_sweep_matches_serial` test and the `campaign` subcommand's
 /// `--serial` escape hatch).
 pub fn run_netpipe_sweep_parallel(config: &CampaignConfig) -> Vec<ScenarioReport> {
     crate::parallel::run_indexed(sweep_cells(config), |cell| run_cell(config, cell))
+}
+
+/// `plan` plus a 3 µs interrupt-delay spike on every node for the first
+/// 2 ms.
+fn with_interrupt_spike(plan: FaultPlan) -> FaultPlan {
+    let window = TimeWindow {
+        start: SimTime::ZERO,
+        end: SimTime::from_ms(2),
+    };
+    plan.with_interrupt_spike(None, window, SimTime::from_us(3))
 }
 
 /// Build the fault plan an RMA workload cell runs under: wire faults at
@@ -237,56 +262,6 @@ fn rma_fault_plan(seed: u64, rate: f64) -> FaultPlan {
             end: SimTime::from_us(90),
         },
     )
-}
-
-/// One faulted execution of one RMA workload, with the shared recovery
-/// invariants asserted and the workload's own integrity check applied.
-fn run_rma_one(
-    name: &str,
-    rate: f64,
-    machine: Machine,
-    verify: &dyn Fn(&mut Machine, &str, f64),
-) -> ScenarioReport {
-    let mut engine = machine.into_engine();
-    let outcome = engine.run();
-    assert_eq!(
-        outcome,
-        RunOutcome::Drained,
-        "{name} @ rate {rate}: faulted RMA run must drain"
-    );
-    let dispatched = engine.dispatched();
-    let digest = engine.digest();
-    let state = engine.state_fingerprint();
-    let mut m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "{name} @ rate {rate}: every rank must finish — a fence or ack was lost"
-    );
-    assert!(!m.any_panicked(), "{name} @ rate {rate}: no panicked nodes");
-    assert!(
-        m.dark_nodes().is_empty(),
-        "{name} @ rate {rate}: wire faults must not take nodes dark"
-    );
-    let stats = m.fault_stats();
-    let retransmissions = m.total_gbn_retransmissions();
-    assert!(
-        retransmissions <= (stats.total() + 1) * GBN_WINDOW,
-        "{name} @ rate {rate}: {retransmissions} retransmissions from {} faults exceeds \
-         the (faults + 1) x window bound",
-        stats.total()
-    );
-    verify(&mut m, name, rate);
-    ScenarioReport {
-        name: name.to_string(),
-        rate,
-        dispatched,
-        digest,
-        state,
-        stats,
-        retransmissions,
-        telemetry: None,
-    }
 }
 
 /// Sweep both RMA workloads — the accumulate-driven DHT and the
@@ -332,30 +307,26 @@ pub fn run_rma_faults(config: &CampaignConfig) -> Vec<ScenarioReport> {
         &'a dyn Fn(&RmaWorkloadConfig) -> Machine,
         &'a dyn Fn(&mut Machine, &str, f64),
     );
+    let cells: [RmaCell<'_>; 2] = [
+        ("rma/dht", &|c| dht_machine(c), &verify_dht),
+        ("rma/window-halo", &|c| window_halo_machine(c), &verify_halo),
+    ];
     let mut reports = Vec::new();
     for (sidx, &rate) in config.rates.iter().enumerate() {
-        let cells: [RmaCell<'_>; 2] = [
-            ("rma/dht", &|c| dht_machine(c), &verify_dht),
-            ("rma/window-halo", &|c| window_halo_machine(c), &verify_halo),
-        ];
         for (cidx, (name, build, verify)) in cells.iter().enumerate() {
-            let plan_seed = config
-                .seed
-                .wrapping_mul(0xA24B_AED4_963E_E407)
-                .wrapping_add(((sidx as u64) << 8) | cidx as u64);
+            let plan_seed = cell_seed(config, 0xA24B_AED4_963E_E407, sidx, cidx);
             let wcfg = RmaWorkloadConfig::validation().with_faults(rma_fault_plan(plan_seed, rate));
-            let first = run_rma_one(name, rate, build(&wcfg), verify);
-            let second = run_rma_one(name, rate, build(&wcfg), verify);
-            assert_eq!(
-                first.digest, second.digest,
-                "{name}: same-seed faulted RMA runs must replay digest-identical"
-            );
-            assert_eq!(
-                first.state, second.state,
-                "{name}: same-seed faulted RMA runs must agree on state fingerprints"
-            );
-            assert_eq!(first.dispatched, second.dispatched);
-            reports.push(first);
+            reports.push(replayed(|| {
+                run_faulted(name, rate, build(&wcfg).into_engine(), |m, _| {
+                    assert_eq!(
+                        m.running_apps(),
+                        0,
+                        "{name} @ rate {rate}: every rank must finish — a fence or ack was lost"
+                    );
+                    verify(m, name, rate);
+                    None
+                })
+            }));
         }
     }
     reports
@@ -395,85 +366,32 @@ pub fn run_traffic_faults(config: &CampaignConfig) -> Vec<ScenarioReport> {
         mc.seed = plan_seed;
         mc.synthetic_payload = false;
         mc.exhaustion = ExhaustionPolicy::GoBackN;
-        mc.faults = FaultPlan::wire(plan_seed, rate).with_interrupt_spike(
-            None,
-            TimeWindow {
-                start: SimTime::ZERO,
-                end: SimTime::from_ms(2),
-            },
-            SimTime::from_us(3),
-        );
-        let mut engine = traffic_machine_cfg(pattern, mc, ROUNDS, MSG).into_engine();
-        let outcome = engine.run();
-        assert_eq!(
-            outcome,
-            RunOutcome::Drained,
-            "{name} @ rate {rate}: faulted traffic run must drain"
-        );
-        let dispatched = engine.dispatched();
-        let digest = engine.digest();
-        let state = engine.state_fingerprint();
-        let mut m = engine.into_model();
-        assert!(!m.any_panicked(), "{name} @ rate {rate}: no panicked nodes");
-        assert!(
-            m.dark_nodes().is_empty(),
-            "{name} @ rate {rate}: wire faults must not take nodes dark"
-        );
-        let stats = m.fault_stats();
-        let retransmissions = m.total_gbn_retransmissions();
-        assert!(
-            retransmissions <= (stats.total() + 1) * GBN_WINDOW,
-            "{name} @ rate {rate}: {retransmissions} retransmissions from {} faults exceeds \
-             the (faults + 1) x window bound",
-            stats.total()
-        );
-        let pstats = pattern_stats(&mut m);
-        assert_eq!(
-            pstats.outstanding, 0,
-            "{name} @ rate {rate}: a put was lost under faults"
-        );
-        assert!(
-            !pstats.corrupt,
-            "{name} @ rate {rate}: a delivered payload failed byte verification"
-        );
-        assert_eq!(
-            pstats.hdr_sum,
-            expected_hdr_sum(pattern, dims, ROUNDS, plan_seed),
-            "{name} @ rate {rate}: provenance header sum mismatch (duplicate or \
-             mis-attributed delivery)"
-        );
-        ScenarioReport {
-            name,
-            rate,
-            dispatched,
-            digest,
-            state,
-            stats,
-            retransmissions,
-            telemetry: None,
-        }
+        mc.faults = with_interrupt_spike(FaultPlan::wire(plan_seed, rate));
+        let engine = traffic_machine_cfg(pattern, mc, ROUNDS, MSG).into_engine();
+        run_faulted(&name, rate, engine, |m, _| {
+            let pstats = pattern_stats(m);
+            assert_eq!(
+                pstats.outstanding, 0,
+                "{name} @ rate {rate}: a put was lost under faults"
+            );
+            assert!(
+                !pstats.corrupt,
+                "{name} @ rate {rate}: a delivered payload failed byte verification"
+            );
+            assert_eq!(
+                pstats.hdr_sum,
+                expected_hdr_sum(pattern, dims, ROUNDS, plan_seed),
+                "{name} @ rate {rate}: provenance header sum mismatch (duplicate or \
+                 mis-attributed delivery)"
+            );
+            None
+        })
     };
     let mut reports = Vec::new();
     for (ridx, &rate) in config.rates.iter().enumerate() {
         for (pidx, &pattern) in patterns.iter().enumerate() {
-            let plan_seed = config
-                .seed
-                .wrapping_mul(0xD6E8_FEB8_6659_FD93)
-                .wrapping_add(((ridx as u64) << 8) | pidx as u64);
-            let first = run_one(pattern, rate, plan_seed);
-            let second = run_one(pattern, rate, plan_seed);
-            assert_eq!(
-                first.digest, second.digest,
-                "{}: same-seed faulted traffic runs must replay digest-identical",
-                first.name
-            );
-            assert_eq!(
-                first.state, second.state,
-                "{}: same-seed faulted traffic runs must agree on state fingerprints",
-                first.name
-            );
-            assert_eq!(first.dispatched, second.dispatched);
-            reports.push(first);
+            let plan_seed = cell_seed(config, 0xD6E8_FEB8_6659_FD93, ridx, pidx);
+            reports.push(replayed(|| run_one(pattern, rate, plan_seed)));
         }
     }
     reports
@@ -500,22 +418,13 @@ pub fn run_payload_integrity(seed: u64, rate: f64) -> IntegrityReport {
     let mut config = MachineConfig::paper_pair();
     config.synthetic_payload = false;
     config.exhaustion = ExhaustionPolicy::GoBackN;
-    config.faults = FaultPlan::wire(seed, rate)
-        .with_sram_pulse(
-            Some(1),
-            TimeWindow {
-                start: SimTime::from_us(30),
-                end: SimTime::from_us(60),
-            },
-        )
-        .with_interrupt_spike(
-            None,
-            TimeWindow {
-                start: SimTime::ZERO,
-                end: SimTime::from_ms(2),
-            },
-            SimTime::from_us(3),
-        );
+    config.faults = with_interrupt_spike(FaultPlan::wire(seed, rate).with_sram_pulse(
+        Some(1),
+        TimeWindow {
+            start: SimTime::from_us(30),
+            end: SimTime::from_us(60),
+        },
+    ));
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     m.spawn(
         0,
@@ -696,7 +605,7 @@ mod tests {
 
     /// The fanned-out sweep must be indistinguishable from the serial
     /// one: same report order, same digests, same fingerprints, same
-    /// fault counts. This is the contract that lets `fault_campaign`
+    /// fault counts. This is the contract that lets `campaign`
     /// default to the parallel runner.
     #[test]
     fn parallel_sweep_matches_serial() {

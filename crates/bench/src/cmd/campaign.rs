@@ -1,4 +1,4 @@
-//! Fault-injection campaign runner.
+//! `campaign`: the fault-injection campaign runner.
 //!
 //! Sweeps every NetPIPE transport × pattern scenario across a set of
 //! wire fault rates (each cell run twice from the same seed to prove
@@ -11,69 +11,38 @@
 //! bit-identical reports (each cell derives its own seed from its matrix
 //! position), so the flag only matters for timing comparisons and for
 //! debugging with a deterministic execution *order*.
-//!
-//! ```text
-//! cargo run -p xt3-bench --bin fault_campaign -- [--seed N] [--rates a,b,c] [--quick] [--serial]
-//! ```
 
-use xt3_bench::campaign::{run_all, CampaignConfig};
+use crate::campaign::{run_all, CampaignConfig};
+use crate::cli::{csv, Args, CmdResult};
+use crate::stopwatch;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fault_campaign [--seed N] [--rates a,b,c] [--quick] [--serial]\n\
-         \n\
-         --seed N       base seed (decimal or 0x hex; default 0xFA17CA4A)\n\
-         --rates a,b,c  wire fault rates to sweep (default 0.01,0.04,0.08)\n\
-         --quick        smaller message sizes (CI smoke configuration)\n\
-         --serial       run the sweep single-threaded (same reports, slower)"
-    );
-    std::process::exit(2)
-}
+/// The arguments, and what each flag means.
+pub const USAGE: &str = "\
+[--seed N] [--rates a,b,c] [--quick] [--serial]
 
-fn parse_seed(s: &str) -> u64 {
-    let parsed = match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("bad seed: {s}");
-        usage()
-    })
-}
+--seed N       base seed (decimal or 0x hex; default 0xFA17CA4A)
+--rates a,b,c  wire fault rates to sweep, each in [0, 1) (default 0.01,0.04,0.08)
+--quick        smaller message sizes (CI smoke configuration)
+--serial       run the sweep single-threaded (same reports, slower)";
 
-fn main() {
-    let mut seed = 0xFA17_CA4A_u64;
-    let mut rates: Option<Vec<f64>> = None;
-    let mut quick = false;
-    let mut serial = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => seed = parse_seed(&args.next().unwrap_or_else(|| usage())),
-            "--rates" => {
-                let list = args.next().unwrap_or_else(|| usage());
-                let parsed: Result<Vec<f64>, _> =
-                    list.split(',').map(|r| r.trim().parse::<f64>()).collect();
-                match parsed {
-                    Ok(v) if !v.is_empty() && v.iter().all(|r| (0.0..1.0).contains(r)) => {
-                        rates = Some(v)
-                    }
-                    _ => {
-                        eprintln!("bad rates: {list} (want comma-separated values in [0, 1))");
-                        usage()
-                    }
-                }
-            }
-            "--quick" => quick = true,
-            "--serial" => serial = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
+fn seed(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
     }
+}
+
+fn rate(text: &str) -> Option<f64> {
+    text.parse().ok().filter(|r| (0.0..1.0).contains(r))
+}
+
+/// Run the campaign and print one row per cell.
+pub fn run(mut args: Args) -> CmdResult {
+    let seed = args.parsed("--seed", seed)?.unwrap_or(0xFA17_CA4A);
+    let rates = args.parsed("--rates", |list| csv(list, rate))?;
+    let quick = args.flag("--quick");
+    let serial = args.flag("--serial");
+    args.finish()?;
 
     let mut config = if quick {
         CampaignConfig::quick(seed)
@@ -93,8 +62,8 @@ fn main() {
     );
     println!();
 
-    let start = std::time::Instant::now();
-    let (sweep, rma, traffic, integrity, isolation) = run_all(&config, serial);
+    let ((sweep, rma, traffic, integrity, isolation), seconds) =
+        stopwatch::time(|| run_all(&config, serial));
 
     println!(
         "{:<28} {:>6} {:>9} {:>7} {:>7} {:>6} {:>18}",
@@ -146,7 +115,7 @@ fn main() {
     println!();
     println!(
         "campaign green: {cells} scenario cells, {injected} injected faults, \
-         every invariant held, every cell replayed digest-identical ({:.1}s)",
-        start.elapsed().as_secs_f64()
+         every invariant held, every cell replayed digest-identical ({seconds:.1}s)"
     );
+    Ok(())
 }

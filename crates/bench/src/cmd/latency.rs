@@ -1,5 +1,5 @@
-//! Causal critical-path latency attribution: *where* each microsecond of
-//! Fig. 4 goes.
+//! `explain latency`: causal critical-path latency attribution — *where*
+//! each microsecond of Fig. 4 goes.
 //!
 //! For every message size, runs one single-size NetPIPE ping-pong with
 //! the causal tracer on, extracts the critical-path chain of each
@@ -8,13 +8,6 @@
 //! fw-rx, host-completion). The partition is exact: per size, the class
 //! totals sum to the measured round time with **zero residual**, so the
 //! table is an accounting identity, not an estimate.
-//!
-//! ```text
-//! latency_explain [--sizes CSV] [--reps N] [--quick] [--out PATH] [--trace PATH]
-//!                 [--transport put|get|rma|mpich1|mpich2]
-//! latency_explain --compare [--sizes CSV] [--reps N] [--quick]
-//! latency_explain --baseline a.json --candidate b.json [--tol-ns N]
-//! ```
 //!
 //! `--transport rma` attributes the one-sided put ping-pong: the RMA
 //! window completion path raises Ack and fence-barrier traffic alongside
@@ -29,13 +22,34 @@
 //! first form and exits non-zero when the candidate's total latency
 //! regresses beyond the tolerance at any common size.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+
 use xt3_netpipe::runner::{
     critical_chains, run_explained, tiled_chains, NetpipeConfig, TestKind, Transport,
 };
 use xt3_netpipe::Schedule;
 use xt3_sim::SimTime;
-use xt3_telemetry::{aggregate, parse_json, Breakdown, Chain, CostClass, HopStall, JsonValue};
+use xt3_telemetry::{aggregate, Breakdown, Chain, CostClass, HopStall, JsonValue, JsonWriter};
+
+use crate::cli::{csv, positive, write_file, ArgError, Args, CmdResult};
+use crate::gate::Baseline;
+
+/// The arguments, and what each flag means.
+pub const USAGE: &str = "\
+[--sizes CSV] [--reps N] [--quick] [--transport T] [--compare] [--out PATH] [--trace PATH] | --baseline A --candidate B [--tol-ns N]
+
+--sizes CSV       comma-separated message sizes (default Fig. 4 domain)
+--reps N          ping-pong iterations per size (default 20)
+--transport T     put (default), get, rma (one-sided put over a window),
+                  mpich1 (eager) or mpich2 (rendezvous)
+--compare         RMA vs two-sided: per-class breakdown of all three
+                  ping-pongs at the same sizes, plus the deltas
+--quick           small size list + 5 reps (CI smoke configuration)
+--out PATH        write per-size breakdown JSON
+--trace PATH      write a Perfetto flow trace of the first size's run
+--baseline PATH   diff mode: reference breakdown JSON
+--candidate PATH  diff mode: JSON to compare against the baseline
+--tol-ns N        diff mode: allowed total-latency regression (default 100)";
 
 /// One size's exact cost-class accounting.
 struct SizeRow {
@@ -73,102 +87,45 @@ impl SizeRow {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: latency_explain [--sizes CSV] [--reps N] [--quick]\n\
-         \x20                      [--transport put|get|rma|mpich1|mpich2]\n\
-         \x20                      [--out PATH] [--trace PATH]\n\
-         \x20      latency_explain --compare [--sizes CSV] [--reps N] [--quick]\n\
-         \x20      latency_explain --baseline a.json --candidate b.json [--tol-ns N]\n\
-         \n\
-         --sizes CSV       comma-separated message sizes (default Fig. 4 domain)\n\
-         --reps N          ping-pong iterations per size (default 20)\n\
-         --transport T     put (default), get, rma (one-sided put over a window),\n\
-         \x20                 mpich1 (eager) or mpich2 (rendezvous)\n\
-         --compare         RMA vs two-sided: per-class breakdown of all three\n\
-         \x20                 ping-pongs at the same sizes, plus the deltas\n\
-         --quick           small size list + 5 reps (CI smoke configuration)\n\
-         --out PATH        write per-size breakdown JSON\n\
-         --trace PATH      write a Perfetto flow trace of the first size's run\n\
-         --baseline PATH   diff mode: reference breakdown JSON\n\
-         --candidate PATH  diff mode: JSON to compare against the baseline\n\
-         --tol-ns N        diff mode: allowed total-latency regression (default 100)"
-    );
-    std::process::exit(2)
+fn transport(name: &str) -> Option<Transport> {
+    Some(match name {
+        "put" => Transport::Put,
+        "get" => Transport::Get,
+        "rma" => Transport::Rma,
+        "mpich1" => Transport::Mpich1,
+        "mpich2" => Transport::Mpich2,
+        _ => return None,
+    })
 }
 
-fn main() {
-    let mut sizes: Vec<u64> = vec![1, 2, 4, 8, 12, 13, 16, 32, 64, 128, 256, 512, 1024];
-    let mut reps: u32 = 20;
-    let mut transport = Transport::Put;
-    let mut out: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut candidate: Option<String> = None;
-    let mut tol_ns: f64 = 100.0;
-    let mut compare = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sizes" => {
-                let csv = args.next().unwrap_or_else(|| usage());
-                sizes = csv
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if sizes.is_empty() {
-                    usage()
-                }
-            }
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--transport" => {
-                transport = match args.next().as_deref() {
-                    Some("put") => Transport::Put,
-                    Some("get") => Transport::Get,
-                    Some("rma") => Transport::Rma,
-                    Some("mpich1") => Transport::Mpich1,
-                    Some("mpich2") => Transport::Mpich2,
-                    _ => usage(),
-                }
-            }
-            "--compare" => compare = true,
-            "--quick" => {
-                sizes = vec![1, 8, 12, 13, 64, 1024];
-                reps = 5;
-            }
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace" => trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage())),
-            "--candidate" => candidate = Some(args.next().unwrap_or_else(|| usage())),
-            "--tol-ns" => {
-                tol_ns = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
-    }
+/// Measure (the default), `--compare`, or diff two `--out` files.
+pub fn run(mut args: Args) -> CmdResult {
+    let quick = args.flag("--quick");
+    let sizes = args.parsed("--sizes", |list| csv(list, |s| s.parse::<u64>().ok()))?;
+    let sizes = sizes.unwrap_or_else(|| match quick {
+        true => vec![1, 8, 12, 13, 64, 1024],
+        false => vec![1, 2, 4, 8, 12, 13, 16, 32, 64, 128, 256, 512, 1024],
+    });
+    let reps = args.parsed("--reps", positive::<u32>)?;
+    let reps = reps.unwrap_or(if quick { 5 } else { 20 });
+    let transport = args.parsed("--transport", transport)?;
+    let compare = args.flag("--compare");
+    let out = args.value("--out")?;
+    let trace = args.value("--trace")?;
+    let baseline = args.value("--baseline")?;
+    let candidate = args.value("--candidate")?;
+    let tol_ns = args.parsed("--tol-ns", |t| t.parse::<f64>().ok())?;
+    args.finish()?;
 
     match (baseline, candidate) {
-        (Some(b), Some(c)) => diff_mode(&b, &c, tol_ns),
+        (Some(b), Some(c)) => diff_mode(&b, &c, tol_ns.unwrap_or(100.0)),
         (None, None) if compare => compare_mode(&sizes, reps),
-        (None, None) => measure_mode(&sizes, reps, transport, out.as_deref(), trace.as_deref()),
-        _ => {
-            eprintln!("--baseline and --candidate must be given together");
-            usage()
+        (None, None) => {
+            let transport = transport.unwrap_or(Transport::Put);
+            measure_mode(&sizes, reps, transport, out.as_deref(), trace.as_deref())
         }
+        (Some(_), None) => Err(ArgError::MissingValue("--candidate".into()).into()),
+        (None, Some(_)) => Err(ArgError::MissingValue("--baseline".into()).into()),
     }
 }
 
@@ -180,7 +137,7 @@ fn measure_mode(
     transport: Transport,
     out: Option<&str>,
     trace: Option<&str>,
-) {
+) -> CmdResult {
     println!(
         "latency_explain: {} ping-pong, {} size(s), {} rep(s) each",
         transport.label(),
@@ -188,30 +145,22 @@ fn measure_mode(
         reps
     );
     println!();
-    let (rows, hops) = measure_rows(sizes, reps, transport, trace);
-
-    print_table(&rows);
-    print_hops(&hops);
-    assert_exact(&rows);
-
+    let (rows, hops) = measure_rows(sizes, reps, transport, trace)?;
     if let Some(path) = out {
-        let json = render_json(&rows, &hops, reps, transport);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_file(path, render_json(&rows, &hops, reps, transport))?;
         println!("breakdown JSON written to {path}");
     }
+    Ok(())
 }
 
-/// Run one explained ping-pong per size and account each round.
+/// Run one explained ping-pong per size, account each round, print the
+/// tables and hold the accounting to zero residual.
 fn measure_rows(
     sizes: &[u64],
     reps: u32,
     transport: Transport,
     trace: Option<&str>,
-) -> (Vec<SizeRow>, Vec<HopStall>) {
-    use std::collections::BTreeMap;
+) -> Result<(Vec<SizeRow>, Vec<HopStall>), String> {
     let mut rows = Vec::new();
     let mut hop_acc: BTreeMap<(u32, i16), (xt3_sim::SimTime, u64)> = BTreeMap::new();
     for (i, &size) in sizes.iter().enumerate() {
@@ -219,17 +168,12 @@ fn measure_rows(
         config.schedule = Schedule::fixed(size, reps);
         // A run that overflowed the causal log has no exact breakdown:
         // refuse it by name rather than account the chains the cap left.
-        let run = run_explained(&config, transport, TestKind::PingPong).unwrap_or_else(|e| {
-            eprintln!("latency_explain: {size} B: {e}");
-            std::process::exit(1);
-        });
+        let run = run_explained(&config, transport, TestKind::PingPong)
+            .map_err(|e| format!("{size} B: {e}"))?;
         assert_eq!(run.rounds.len(), 1, "fixed schedule yields one round");
         let round = run.rounds[0];
         if let (0, Some(path)) = (i, trace) {
-            if let Err(e) = std::fs::write(path, &run.perfetto) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+            write_file(path, &run.perfetto)?;
             println!("flow trace ({} B run) written to {path}", size);
         }
         // Per-run identity: the per-link fold covers the aggregate
@@ -248,7 +192,7 @@ fn measure_rows(
         }
         rows.push(account(size, round, &run.chains, transport));
     }
-    let hops = hop_acc
+    let hops: Vec<HopStall> = hop_acc
         .into_iter()
         .map(|((node, port), (stall, waits))| HopStall {
             node,
@@ -257,17 +201,20 @@ fn measure_rows(
             waits,
         })
         .collect();
-    (rows, hops)
+    print_table(&rows);
+    print_hops(&hops);
+    assert_exact(&rows)?;
+    Ok((rows, hops))
 }
 
 /// The attribution is an accounting identity — enforce it.
-fn assert_exact(rows: &[SizeRow]) {
+fn assert_exact(rows: &[SizeRow]) -> Result<(), String> {
     let residual: u64 = rows.iter().map(|r| r.residual.ps()).sum();
     println!();
     println!("attribution residual over all sizes: {residual} ps");
-    if residual != 0 {
-        eprintln!("latency_explain: attribution must be exact");
-        std::process::exit(1);
+    match residual {
+        0 => Ok(()),
+        _ => Err("attribution must be exact".into()),
     }
 }
 
@@ -278,7 +225,7 @@ fn assert_exact(rows: &[SizeRow]) {
 /// the one-sided path saves its time (no match/rendezvous turnaround in
 /// host-completion), and positives are what it pays back (the window
 /// deposit's DMA setup).
-fn compare_mode(sizes: &[u64], reps: u32) {
+fn compare_mode(sizes: &[u64], reps: u32) -> CmdResult {
     let contenders = [
         (Transport::Rma, "rma-put"),
         (Transport::Mpich1, "eager"),
@@ -293,11 +240,7 @@ fn compare_mode(sizes: &[u64], reps: u32) {
     for (transport, label) in contenders {
         println!();
         println!("--- {label} ---");
-        let (rows, hops) = measure_rows(sizes, reps, transport, None);
-        print_table(&rows);
-        print_hops(&hops);
-        assert_exact(&rows);
-        all.push((label, rows));
+        all.push((label, measure_rows(sizes, reps, transport, None)?.0));
     }
 
     println!();
@@ -322,6 +265,7 @@ fn compare_mode(sizes: &[u64], reps: u32) {
             );
         }
     }
+    Ok(())
 }
 
 /// Sum the breakdowns of the chains that partition `round`'s measured
@@ -417,133 +361,73 @@ fn print_hops(hops: &[HopStall]) {
     }
 }
 
-/// Hand-rolled JSON (the workspace's serde is an offline no-op stub).
 fn render_json(rows: &[SizeRow], hops: &[HopStall], reps: u32, transport: Transport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"latency-explain\",");
-    let _ = writeln!(s, "  \"transport\": \"{}\",", transport.label());
-    let _ = writeln!(s, "  \"kind\": \"pingpong\",");
-    let _ = writeln!(s, "  \"reps\": {reps},");
-    s.push_str("  \"sizes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
+    let mut w = JsonWriter::new();
+    w.object(true)
+        .field_str("bench", "latency-explain")
+        .field_str("transport", transport.label())
+        .field_str("kind", "pingpong")
+        .field("reps", reps);
+    w.key("sizes").array(true);
+    for r in rows {
         // `dropped` stays in the format (older documents are diffed
         // against newer ones); a row only exists for a complete log.
-        let _ = write!(
-            s,
-            "    {{\"size\": {}, \"messages\": {}, \"elapsed_ps\": {}, \"latency_ns\": {:.3}, \
-             \"chains\": {}, \"residual_ps\": {}, \"dropped\": 0, \"turnaround_ps\": {}, \
-             \"classes_ps\": {{",
-            r.size,
-            r.messages,
-            r.elapsed.ps(),
-            r.latency_ns(),
-            r.chains,
-            r.residual.ps(),
-            r.turnaround.ps()
-        );
-        for (j, c) in CostClass::ALL.iter().enumerate() {
-            let comma = if j + 1 == CostClass::ALL.len() {
-                ""
-            } else {
-                ", "
-            };
-            let _ = write!(s, "\"{}\": {}{comma}", c.name(), r.classes.get(*c).ps());
+        w.object(false)
+            .field("size", r.size)
+            .field("messages", r.messages)
+            .field("elapsed_ps", r.elapsed.ps())
+            .field("latency_ns", format_args!("{:.3}", r.latency_ns()))
+            .field("chains", r.chains)
+            .field("residual_ps", r.residual.ps())
+            .field("dropped", 0)
+            .field("turnaround_ps", r.turnaround.ps());
+        w.key("classes_ps").object(false);
+        for c in CostClass::ALL {
+            w.field(c.name(), r.classes.get(c).ps());
         }
-        let _ = writeln!(s, "}}}}{comma}");
+        w.end().end();
     }
-    s.push_str("  ],\n  \"hops\": [\n");
-    for (i, h) in hops.iter().enumerate() {
-        let comma = if i + 1 == hops.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"node\": {}, \"port\": {}, \"stall_ps\": {}, \"waits\": {}}}{comma}",
-            h.node,
-            h.port.map_or(-1, i64::from),
-            h.stall.ps(),
-            h.waits
-        );
+    w.end().key("hops").array(true);
+    for h in hops {
+        w.object(false)
+            .field("node", h.node)
+            .field("port", h.port.map_or(-1, i64::from))
+            .field("stall_ps", h.stall.ps())
+            .field("waits", h.waits)
+            .end();
     }
-    s.push_str("  ]\n}\n");
-    s
+    w.end().end();
+    w.finish()
 }
 
 // ------------------------------------------------------------------- diff
 
-struct DiffRow {
-    size: u64,
-    base_ns: f64,
-    cand_ns: f64,
-    /// Per-class per-message deltas in ns (candidate - baseline).
-    class_delta: Vec<(&'static str, f64)>,
+/// Number `field` of one `sizes` row of a breakdown file.
+fn number(row: &JsonValue, field: &str) -> f64 {
+    row.get(field).and_then(JsonValue::as_f64).unwrap_or(0.0)
 }
 
-fn load_rows(path: &str) -> Vec<(u64, u32, JsonValue)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("failed to read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = parse_json(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: not valid latency_explain JSON: {e}");
-        std::process::exit(1);
-    });
-    let sizes = doc
-        .get("sizes")
-        .and_then(|s| s.as_array().map(<[_]>::to_vec))
-        .unwrap_or_else(|e| {
-            eprintln!("{path}: missing sizes array: {e}");
-            std::process::exit(1);
-        });
-    sizes
-        .into_iter()
-        .map(|row| {
-            let size = row.get("size").and_then(JsonValue::as_u64).unwrap_or(0);
-            let messages = row.get("messages").and_then(JsonValue::as_u64).unwrap_or(1) as u32;
-            (size, messages.max(1), row)
+/// Per-message nanoseconds of `class` in one `sizes` row.
+fn row_class_ns(row: &JsonValue, class: CostClass) -> f64 {
+    let ps = row
+        .get("classes_ps")
+        .map_or(0.0, |c| number(c, class.name()));
+    ps / 1e3 / number(row, "messages").max(1.0)
+}
+
+fn diff_mode(baseline: &str, candidate: &str, tol_ns: f64) -> CmdResult {
+    let base = Baseline::load(baseline)?;
+    let cand = Baseline::load(candidate)?;
+    let common: Vec<(&JsonValue, &JsonValue)> = base
+        .rows("sizes")?
+        .iter()
+        .filter_map(|b| {
+            let size = number(b, "size").to_string();
+            Some((b, cand.row("sizes", "size", &size).ok()?))
         })
-        .collect()
-}
-
-fn class_ns(row: &JsonValue, messages: u32, class: CostClass) -> f64 {
-    row.get("classes_ps")
-        .and_then(|c| c.get(class.name()))
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0)
-        / 1e3
-        / f64::from(messages)
-}
-
-fn diff_mode(baseline: &str, candidate: &str, tol_ns: f64) {
-    let base = load_rows(baseline);
-    let cand = load_rows(candidate);
-    let mut diffs = Vec::new();
-    for (size, bm, brow) in &base {
-        let Some((_, cm, crow)) = cand.iter().find(|(s, _, _)| s == size) else {
-            continue;
-        };
-        let base_ns = brow
-            .get("latency_ns")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        let cand_ns = crow
-            .get("latency_ns")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        let class_delta = CostClass::ALL
-            .iter()
-            .map(|&c| (c.name(), class_ns(crow, *cm, c) - class_ns(brow, *bm, c)))
-            .collect();
-        diffs.push(DiffRow {
-            size: *size,
-            base_ns,
-            cand_ns,
-            class_delta,
-        });
-    }
-    if diffs.is_empty() {
-        eprintln!("no common sizes between {baseline} and {candidate}");
-        std::process::exit(1);
+        .collect();
+    if common.is_empty() {
+        return Err(format!("no common sizes between {baseline} and {candidate}").into());
     }
 
     println!("latency_explain diff: {candidate} vs {baseline} (tolerance {tol_ns} ns)");
@@ -557,24 +441,26 @@ fn diff_mode(baseline: &str, candidate: &str, tol_ns: f64) {
     }
     println!();
     let mut regressed = false;
-    for d in &diffs {
-        let delta = d.cand_ns - d.base_ns;
+    for (b, c) in common {
+        let (base_ns, cand_ns) = (number(b, "latency_ns"), number(c, "latency_ns"));
+        let delta = cand_ns - base_ns;
         print!(
-            "{:>7} {:>10.1} {:>10.1} {:>+9.1}",
-            d.size, d.base_ns, d.cand_ns, delta
+            "{:>7} {base_ns:>10.1} {cand_ns:>10.1} {delta:>+9.1}",
+            number(b, "size")
         );
-        for (_, v) in &d.class_delta {
-            print!(" {:>+10.1}", v);
+        for class in CostClass::ALL {
+            print!(
+                " {:>+10.1}",
+                row_class_ns(c, class) - row_class_ns(b, class)
+            );
         }
         println!();
-        if delta > tol_ns {
-            regressed = true;
-        }
+        regressed |= delta > tol_ns;
     }
     println!();
     if regressed {
-        eprintln!("latency regression beyond {tol_ns} ns detected");
-        std::process::exit(1);
+        return Err(format!("latency regression beyond {tol_ns} ns detected").into());
     }
     println!("no regression beyond {tol_ns} ns");
+    Ok(())
 }

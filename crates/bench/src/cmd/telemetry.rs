@@ -1,13 +1,16 @@
-//! Paper-facing telemetry summary: run the NetPIPE put ping-pong on both
-//! sides of the 12-byte header-piggyback threshold with the cross-layer
-//! telemetry sink enabled, and print interrupts/message, host µs/message
-//! and per-hop link utilization for each.
+//! `explain telemetry`: the paper-facing telemetry summary. Runs the
+//! NetPIPE put ping-pong on both sides of the 12-byte header-piggyback
+//! threshold with the cross-layer telemetry sink enabled, and prints
+//! interrupts/message, host µs/message and per-hop link utilization for
+//! each.
 //!
 //! `--out <dir>` additionally writes the machine-readable reports and the
 //! Perfetto traces (load in ui.perfetto.dev) for both runs.
 
 use xt3_netpipe::runner::{run_instrumented, InstrumentedRun, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
+
+use crate::cli::{write_file, Args, CmdResult};
 
 const SMALL: u64 = 8; // rides the header piggyback
 const LARGE: u64 = 4096; // needs the completion interrupt
@@ -21,21 +24,10 @@ fn run_at(size: u64) -> InstrumentedRun {
     run_instrumented(&config, Transport::Put, TestKind::PingPong)
 }
 
-fn main() {
-    let out_dir = {
-        let mut args = std::env::args().skip(1);
-        let mut dir = None;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--out" => dir = args.next(),
-                other => {
-                    eprintln!("unknown argument {other:?}; usage: telemetry_report [--out DIR]");
-                    std::process::exit(2);
-                }
-            }
-        }
-        dir
-    };
+/// Print both runs' tables; write reports and traces under `--out`.
+pub fn run(mut args: Args) -> CmdResult {
+    let out_dir = args.value("--out")?;
+    args.finish()?;
 
     let small = run_at(SMALL);
     let large = run_at(LARGE);
@@ -75,16 +67,15 @@ fn main() {
 
     if let Some(dir) = out_dir {
         let dir = std::path::PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for (label, run) in [("small", &small), ("large", &large)] {
             let report = dir.join(format!("telemetry_report_{label}.json"));
             let trace = dir.join(format!("trace_{label}.perfetto.json"));
-            std::fs::write(&report, run.report.to_json()).expect("write report");
-            std::fs::write(&trace, &run.perfetto).expect("write trace");
+            write_file(&report, run.report.to_json())?;
+            write_file(&trace, &run.perfetto)?;
             println!("wrote {} and {}", report.display(), trace.display());
         }
     }
+    Ok(())
 }

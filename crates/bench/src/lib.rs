@@ -1,14 +1,27 @@
 #![warn(missing_docs)]
-//! Shared helpers for the figure/table binaries and Criterion benches.
+//! The evaluation harness: one executable, `xt3-bench`, whose
+//! subcommands regenerate every figure and table of the paper's
+//! evaluation (§6: `fig 4`…`fig 7`, `table …`), the ablations, the fault
+//! campaign, the host-throughput BENCH files (`perf …`) and the
+//! latency/congestion/telemetry explanations (`explain …`) — as the
+//! paper's own numbers all came out of one tool, NetPIPE with a module
+//! per transport.
 //!
-//! Each figure of the paper's evaluation (§6) has a binary that
-//! regenerates it (`fig4_latency`, `fig5_unidir`, `fig6_stream`,
-//! `fig7_bidir`); the text-level results each have a `table_*` binary.
-//! `cargo bench` wraps the same sweeps in Criterion for statistical
-//! wall-clock tracking of the simulator itself.
+//! Three shared pieces exist exactly once: the argument reader and
+//! command table ([`cli`]), the BENCH gates ([`gate`]) and the machines
+//! more than one command builds ([`machines`]). Host wall-clock time
+//! enters through [`stopwatch`] alone. `mem_footprint` is a second
+//! executable on the same pieces: its counting `#[global_allocator]` is
+//! the crate's one `unsafe` site and would otherwise sit under every
+//! `perf` timing.
 
 pub mod campaign;
+pub mod cli;
+mod cmd;
+pub mod gate;
+pub mod machines;
 pub mod parallel;
+pub mod stopwatch;
 
 use xt3_netpipe::report::FigureData;
 use xt3_netpipe::runner::{bandwidth_curve, latency_curve, NetpipeConfig, TestKind, Transport};
@@ -21,54 +34,44 @@ pub const CURVES: [Transport; 4] = [
     Transport::Put,
 ];
 
-/// Build Figure 4 (latency, 1 B – 1 KB, ping-pong).
-pub fn figure4(config: &NetpipeConfig) -> FigureData {
+/// Build Figure `n` of §6: 4 is latency (1 B – 1 KB, ping-pong), 5
+/// uni-directional, 6 streaming and 7 bi-directional bandwidth.
+///
+/// The four transport curves run in parallel (each is an independent
+/// deterministic simulation, so the index-merging runner keeps the
+/// series order — and every point — bit-identical to a serial sweep
+/// while the wall-clock drops to the slowest single curve).
+///
+/// # Panics
+///
+/// On an `n` outside 4–7.
+pub fn figure(n: u8, config: &NetpipeConfig) -> FigureData {
+    let (title, kind) = match n {
+        4 => ("Figure 4. Latency performance", TestKind::PingPong),
+        5 => (
+            "Figure 5. Uni-directional bandwidth performance",
+            TestKind::PingPong,
+        ),
+        6 => (
+            "Figure 6. Streaming bandwidth performance",
+            TestKind::Stream,
+        ),
+        7 => (
+            "Figure 7. Bi-directional bandwidth performance",
+            TestKind::Bidir,
+        ),
+        _ => panic!("the paper's evaluation has no Figure {n}"),
+    };
+    let curve = if n == 4 {
+        latency_curve
+    } else {
+        bandwidth_curve
+    };
     FigureData {
-        title: "Figure 4. Latency performance".into(),
-        y_label: "us".into(),
-        series: run_parallel(config, TestKind::PingPong, true),
+        title: title.into(),
+        y_label: if n == 4 { "us" } else { "MB/s" }.into(),
+        series: parallel::run_indexed(CURVES.to_vec(), |&t| curve(config, t, kind)),
     }
-}
-
-/// Build Figure 5 (uni-directional bandwidth, 1 B – 8 MB, ping-pong).
-pub fn figure5(config: &NetpipeConfig) -> FigureData {
-    FigureData {
-        title: "Figure 5. Uni-directional bandwidth performance".into(),
-        y_label: "MB/s".into(),
-        series: run_parallel(config, TestKind::PingPong, false),
-    }
-}
-
-/// Build Figure 6 (streaming bandwidth).
-pub fn figure6(config: &NetpipeConfig) -> FigureData {
-    FigureData {
-        title: "Figure 6. Streaming bandwidth performance".into(),
-        y_label: "MB/s".into(),
-        series: run_parallel(config, TestKind::Stream, false),
-    }
-}
-
-/// Build Figure 7 (bi-directional bandwidth).
-pub fn figure7(config: &NetpipeConfig) -> FigureData {
-    FigureData {
-        title: "Figure 7. Bi-directional bandwidth performance".into(),
-        y_label: "MB/s".into(),
-        series: run_parallel(config, TestKind::Bidir, false),
-    }
-}
-
-/// Run the four transport curves of one figure in parallel (each curve is
-/// an independent deterministic simulation, so the index-merging runner
-/// keeps the series order — and every point — bit-identical to a serial
-/// sweep while the wall-clock drops to the slowest single curve).
-fn run_parallel(config: &NetpipeConfig, kind: TestKind, latency: bool) -> Vec<xt3_netpipe::Series> {
-    parallel::run_indexed(CURVES.to_vec(), |&t| {
-        if latency {
-            latency_curve(config, t, kind)
-        } else {
-            bandwidth_curve(config, t, kind)
-        }
-    })
 }
 
 /// Write a figure's JSON next to the rendered output, under `results/`.
@@ -87,7 +90,7 @@ mod tests {
     #[test]
     fn figure4_quick_has_four_curves() {
         let config = NetpipeConfig::quick(64);
-        let fig = figure4(&config);
+        let fig = figure(4, &config);
         assert_eq!(fig.series.len(), 4);
         let labels: Vec<&str> = fig.series.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["get", "mpich2", "mpich-1.2.6", "put"]);
@@ -102,7 +105,7 @@ mod tests {
         // The parallel harness must not change results (independent
         // machines, deterministic seeds).
         let config = NetpipeConfig::quick(64);
-        let fig = figure4(&config);
+        let fig = figure(4, &config);
         let serial = latency_curve(&config, Transport::Put, TestKind::PingPong);
         let par = fig.series.iter().find(|s| s.label == "put").unwrap();
         assert_eq!(serial.points.len(), par.points.len());

@@ -4,7 +4,7 @@
 //! does not occur. ... The current approach is to panic the node. ... We
 //! are currently working on a simple go-back-n protocol to resolve
 //! resource exhaustion gracefully." This module implements that protocol
-//! so the `table_exhaustion` experiment can compare `Panic` (the paper's
+//! so the `table exhaustion` experiment can compare `Panic` (the paper's
 //! shipped behaviour) against `GoBackN` (the paper's in-progress fix).
 //!
 //! Design: every data message between a node pair carries a sequence

@@ -28,7 +28,7 @@
 //! Resource exhaustion: the paper's firmware panics the node (§4.3) and a
 //! "simple go-back-n protocol" was in progress; [`gbn`] implements that
 //! protocol, and the node model can run in either `Panic` or `GoBackN`
-//! exhaustion policy for the `table_exhaustion` experiment.
+//! exhaustion policy for the `table exhaustion` experiment.
 
 //! # Example: one transmit through the firmware
 //!

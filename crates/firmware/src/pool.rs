@@ -3,7 +3,7 @@
 //! Paper §4.2: "There is no dynamic allocation of any data structures by
 //! the firmware. All structures are pre-allocated at initialization time
 //! and inserted into free lists or slab caches." The pool tracks a
-//! high-water mark so the `table_exhaustion` experiment can report how
+//! high-water mark so the `table exhaustion` experiment can report how
 //! close workloads come to the compile-time limits — mirroring the
 //! authors' careful monitoring on 7,700 Red Storm nodes.
 

@@ -54,7 +54,7 @@ use xt3_topology::coord::Dims;
 const STREAM_WINDOW: u32 = 16;
 
 /// RMA test patterns. The extra `PingPongGet`/`PingPongAcc` patterns
-/// (beyond the three [`crate::runner::TestKind`]s) exist so `perf_rma`
+/// (beyond the three [`crate::runner::TestKind`]s) exist so `perf rma`
 /// can sweep every one-sided verb against the two-sided baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RmaPattern {

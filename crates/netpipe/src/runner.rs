@@ -333,7 +333,7 @@ pub fn run_mpi(
 }
 
 /// Run one RMA curve; returns `(rank0 results, rank1 results)`. Beyond
-/// the [`TestKind`] mapping, `perf_rma` sweeps the get and accumulate
+/// the [`TestKind`] mapping, `perf rma` sweeps the get and accumulate
 /// ping-pong patterns through this entry point directly.
 pub fn run_rma(
     config: &NetpipeConfig,

@@ -141,7 +141,7 @@ impl Sram {
         &self.regions
     }
 
-    /// Render a layout table (used by the `table_sram` experiment binary).
+    /// Render a layout table (used by the `table sram` experiment).
     pub fn render_layout(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

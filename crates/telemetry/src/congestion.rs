@@ -69,7 +69,7 @@ pub struct CongestionTable {
 impl CongestionTable {
     /// Difference between the table total and the chains' aggregate
     /// hop-queueing class. Zero for the chains the table was built
-    /// from — the acceptance fence `congestion_report` gates on.
+    /// from — the acceptance fence `explain congestion` gates on.
     pub fn residual(&self, chains: &[Chain]) -> i128 {
         let agg = aggregate(chains).get(CostClass::HopQueue);
         self.total_lost.ps() as i128 - agg.ps() as i128
@@ -277,7 +277,7 @@ pub fn attribute_occupancy(
 
 /// Hop-queueing folded by physical link: where the aggregate
 /// [`CostClass::HopQueue`] class was actually paid. The per-hop breakout
-/// `latency_explain` prints alongside the class totals.
+/// `explain latency` prints alongside the class totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HopStall {
     /// Node owning the link.

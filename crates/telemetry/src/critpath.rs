@@ -7,7 +7,7 @@
 //! time into eight [`CostClass`]es. Because every segment is the
 //! difference of two consecutive checkpoint timestamps, the per-class
 //! durations of a chain telescope and sum *exactly* — to the
-//! picosecond — to the chain's span. `latency_explain` builds its
+//! picosecond — to the chain's span. `explain latency` builds its
 //! Fig. 4-style breakdown tables from these chains.
 
 use core::fmt;

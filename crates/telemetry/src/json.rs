@@ -1,9 +1,10 @@
-//! Minimal JSON writer helpers and a validating parser.
+//! Minimal JSON writer and a validating parser.
 //!
-//! The build is hermetic (no serde_json), so the exporters hand-roll
-//! their JSON and this module provides the escaping helper plus a small
-//! recursive-descent parser used by tests and the CI smoke job to prove
-//! the emitted documents actually parse.
+//! The build is hermetic (no serde_json), so this module provides the
+//! escaping helper, [`JsonWriter`] — which places every comma, line
+//! break and indent, so a caller names fields and never punctuation —
+//! and a small recursive-descent parser used by the BENCH gates, tests
+//! and the CI smoke job to prove the emitted documents actually parse.
 
 /// Quote and escape a JSON string literal.
 pub fn quote(s: &str) -> String {
@@ -22,6 +23,128 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// One open object or array of a [`JsonWriter`].
+struct Frame {
+    close: char,
+    /// One member per line, indented; otherwise members follow on the
+    /// same line after `", "`.
+    lines: bool,
+    empty: bool,
+}
+
+/// Builds one JSON document. Values are written as the caller formats
+/// them (`field("x", format_args!("{x:.3}"))`), strings go through
+/// [`quote`]; the writer owns the punctuation.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    open: Vec<Frame>,
+    /// The next member stays on the current line even in a `lines` frame.
+    glued: bool,
+    /// A key was just written: the value that follows needs no separator.
+    keyed: bool,
+}
+
+impl JsonWriter {
+    /// An empty document.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn indent(&mut self) {
+        let depth = self.open.iter().filter(|f| f.lines).count();
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(depth));
+    }
+
+    /// Comma, line break and indent due before the next member.
+    fn separate(&mut self) {
+        let own_line = !std::mem::take(&mut self.glued);
+        let Some(frame) = self.open.last_mut().filter(|_| !self.keyed) else {
+            self.keyed = false;
+            return;
+        };
+        let own_line = own_line && frame.lines;
+        if !std::mem::replace(&mut frame.empty, false) {
+            self.out.push_str(if own_line { "," } else { ", " });
+        }
+        if own_line {
+            self.indent();
+        }
+    }
+
+    fn begin(&mut self, open: char, close: char, lines: bool) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.open.push(Frame {
+            close,
+            lines,
+            empty: true,
+        });
+        self
+    }
+
+    /// Open an object; with `lines`, one field per line.
+    pub fn object(&mut self, lines: bool) -> &mut Self {
+        self.begin('{', '}', lines)
+    }
+
+    /// Open an array; with `lines`, one element per line.
+    pub fn array(&mut self, lines: bool) -> &mut Self {
+        self.begin('[', ']', lines)
+    }
+
+    /// Close the innermost open object or array.
+    pub fn end(&mut self) -> &mut Self {
+        let frame = self.open.pop().expect("end() without an open container");
+        if frame.lines {
+            self.indent();
+        }
+        self.out.push(frame.close);
+        self
+    }
+
+    /// Keep the next field on the current line of a one-per-line object.
+    pub fn glue(&mut self) -> &mut Self {
+        self.glued = true;
+        self
+    }
+
+    /// Write a field's key; its value (or container) follows.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        self.out.push_str(&quote(key));
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Write a number, boolean or ready-made JSON text as the next value.
+    pub fn value(&mut self, value: impl std::fmt::Display) -> &mut Self {
+        use std::fmt::Write as _;
+        self.separate();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// `key` and [`value`](Self::value) in one call.
+    pub fn field(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// `key` and the string `value`, quoted, in one call.
+    pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key).value(quote(value))
+    }
+
+    /// The finished document, newline-terminated.
+    pub fn finish(mut self) -> String {
+        assert!(self.open.is_empty(), "finish() with an open container");
+        self.out.push('\n');
+        self.out
+    }
 }
 
 /// A parsed JSON value.
@@ -264,6 +387,31 @@ mod tests {
         assert!(a[1].as_f64().expect("number").is_nan());
         assert_eq!(a[2].as_f64(), Ok(1000.0));
         assert!(parse("[fin]").is_err(), "letters alone are not a number");
+    }
+
+    #[test]
+    fn writer_places_commas_lines_and_indents() {
+        let mut w = JsonWriter::new();
+        w.object(true).field_str("bench", "x\"y").field("n", 3);
+        w.glue().field("m", format_args!("{:.1}", 0.25));
+        w.key("rows").array(true);
+        for i in 0..2 {
+            w.object(false).field("i", i).key("v").array(false);
+            w.value(1).value(2).end().end();
+        }
+        w.end().key("none").array(true).end().end();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"bench\": \"x\\\"y\",\n  \"n\": 3, \"m\": 0.2,\n  \"rows\": [\n    \
+             {\"i\": 0, \"v\": [1, 2]},\n    {\"i\": 1, \"v\": [1, 2]}\n  ],\n  \
+             \"none\": [\n  ]\n}\n"
+        );
+        let doc = parse(&text).expect("what the writer writes parses");
+        assert_eq!(
+            doc.get("rows").and_then(|r| r.as_array()).map(<[_]>::len),
+            Ok(2)
+        );
     }
 
     #[test]

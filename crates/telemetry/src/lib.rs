@@ -51,7 +51,7 @@ pub use congestion::{
 pub use critpath::{
     aggregate, extract_chains, Breakdown, Chain, CostClass, CritPathError, Segment,
 };
-pub use json::{parse as parse_json, quote as quote_json, JsonValue};
+pub use json::{parse as parse_json, quote as quote_json, JsonValue, JsonWriter};
 pub use registry::{Span, Spans, Telemetry};
 pub use report::{DmaSummary, LinkSummary, NodeReport, SinkKept, TelemetryReport};
 pub use series::{

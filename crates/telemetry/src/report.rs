@@ -5,7 +5,7 @@
 //! 12-byte piggyback), host busy time per message, and per-hop link
 //! utilization. The `xt3` machine fills one in from its per-node state;
 //! the NetPIPE runner and the bench campaign attach it to their results,
-//! and `cargo run -p xt3-bench --bin telemetry_report` prints it.
+//! and `cargo run -p xt3-bench -- explain telemetry` prints it.
 
 use crate::json::{parse, quote, JsonValue};
 use std::fmt::Write as _;

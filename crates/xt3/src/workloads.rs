@@ -3,7 +3,7 @@
 //! The Red Storm nearest-neighbor workload lives here (rather than in an
 //! example or the bench crate) because three consumers need the *same*
 //! machine construction: the `red_storm_scale` example, the
-//! serial/parallel differential suite, and the `perf_parallel`
+//! serial/parallel differential suite, and the `perf parallel`
 //! benchmark. Identical construction is what makes the differential
 //! suite's bit-identity assertion meaningful.
 

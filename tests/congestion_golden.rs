@@ -13,7 +13,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test congestion_golden
 //! ```
 //!
-//! Geometry matches the `congestion_report` defaults (4×4×2 mesh, two
+//! Geometry matches the `explain congestion` defaults (4×4×2 mesh, two
 //! rounds, 4 KiB puts), so this fence and `BENCH_congestion.json` pin
 //! the same run from two directions: the bench baseline pins digests
 //! and hotspot totals, the golden pins every attribution row.

@@ -2,7 +2,7 @@
 //! NeighborPusher per node over a 3-D torus slice) at 8x8x8 = 512 nodes,
 //! run on the parallel engine and checked against the serial digest.
 //! Rounds and message size are reduced so this stays test-suite-fast;
-//! `examples/red_storm_scale.rs` and `perf_parallel` run the full-size
+//! `examples/red_storm_scale.rs` and `perf parallel` run the full-size
 //! version.
 
 use xt3_node::par::run_parallel;
