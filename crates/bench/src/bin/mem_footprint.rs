@@ -29,8 +29,8 @@
 //! `--series` measures the same sweep with the per-link congestion
 //! series enabled and enforces the observability heap envelope instead:
 //! at every size the instrumented peak must stay within
-//! [`gate::SERIES_ENVELOPE`]× the committed `BENCH_mem.json` baseline —
-//! demand-allocated series lanes may cost heap proportional to
+//! [`gate::SERIES_BYTES_PER_NODE`] a node of the committed
+//! `BENCH_mem.json` plain peak — demand-allocated series lanes may cost heap proportional to
 //! *traffic*, never a dense per-node tax.
 //!
 //! This is its own executable, not an `xt3-bench` subcommand, because of
@@ -41,60 +41,18 @@
 //! ```text
 //! cargo run --release -p xt3-bench --bin mem_footprint -- [--dims X Y Z] [--out PATH]
 //!                                                         [--series] [--check PATH]
+//!                                                         [--histogram]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xt3_bench::cli::{self, Args, CmdResult};
 use xt3_bench::gate::{self, Baseline};
+use xt3_bench::heap::{self, Census, CountingAlloc};
 use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
+use xt3_node::node::Node;
 use xt3_sim::RunOutcome;
 use xt3_telemetry::{attribute_occupancy, JsonWriter, LinkBucket, LinkSeries, SeriesConfig};
 use xt3_topology::coord::Dims;
-
-/// Live heap bytes right now.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-/// High-water mark of [`LIVE`] (reset between measurements).
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// System allocator wrapper that keeps the live/peak counters. SeqCst
-/// throughout: this is measurement plumbing, not a hot path worth
-/// weaker-ordering subtleties.
-struct CountingAlloc;
-
-fn count_alloc(bytes: u64) {
-    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    PEAK.fetch_max(live, Ordering::SeqCst);
-}
-
-// The one sanctioned unsafe block in the tree (see crates/bench's lint
-// table): GlobalAlloc is an unsafe trait, and every body only forwards
-// to the system allocator plus counter updates.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            count_alloc(layout.size() as u64);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as u64, Ordering::SeqCst);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size() as u64, Ordering::SeqCst);
-            count_alloc(new_size as u64);
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -106,10 +64,63 @@ struct Row {
     built_bytes: u64,
     peak_bytes: u64,
     events: u64,
+    /// What is live once the run has drained, the machine still whole.
+    live: Census,
+}
+
+impl Row {
+    /// Live heap blocks per node after the run (whole blocks: the few
+    /// the machine holds once — queue, fabric, the node vector — do not
+    /// make one more per node).
+    fn live_blocks_per_node(&self) -> u64 {
+        self.live.blocks() / self.nodes as u64
+    }
+
+    /// The two numbers of this row the gate holds exactly.
+    fn counts(&self) -> [gate::MemCount; 2] {
+        let node_bytes = std::mem::size_of::<Node>() as u64;
+        [
+            (self.nodes, "node_bytes", node_bytes),
+            (
+                self.nodes,
+                "live_blocks_per_node",
+                self.live_blocks_per_node(),
+            ),
+        ]
+    }
+
+    /// The histogram DESIGN.md §8 quotes: one line per request size that
+    /// at least one node in a hundred holds a block of, and one for
+    /// everything else — rarer sizes and the blocks a machine holds once.
+    fn print_histogram(&self) {
+        let nodes = self.nodes as f64;
+        println!(
+            "\nlive after the run, {} nodes ({} B Node inline, {} blocks/node):",
+            self.nodes,
+            std::mem::size_of::<Node>(),
+            self.live_blocks_per_node()
+        );
+        println!(
+            "{:>9} {:>12} {:>11}",
+            "block B", "blocks/node", "bytes/node"
+        );
+        let mut listed = 0;
+        for (size, blocks) in self.live.by_size() {
+            if blocks as f64 >= nodes / 100.0 {
+                let bytes = size as u64 * blocks;
+                listed += bytes;
+                let per_node = blocks as f64 / nodes;
+                println!("{size:>9} {per_node:>12.2} {:>11.1}", bytes as f64 / nodes);
+            }
+        }
+        let rest = (self.live.bytes() - listed) as f64;
+        println!("{:>9} {:>12} {:>11.1}", "the rest", "", rest / nodes);
+    }
 }
 
 const USAGE: &str = "\
 usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
+                     [--histogram]
 
 --dims X Y Z      measure a single slice instead of the default
                   512 / 2,048 / 10,368-node sweep
@@ -118,20 +129,22 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
 --check PATH      hold every size's peak bytes and every number of the
                   observed row to gate::HEAP_LIMIT x the baseline's
 --series          enable per-link congestion series and hold the peaks to
-                  gate::SERIES_ENVELOPE x --check's (default
-                  BENCH_mem.json) instead; no JSON output";
+                  --check's (default BENCH_mem.json) plain ones plus
+                  gate::SERIES_BYTES_PER_NODE a node; no JSON output
+--histogram       after each size, print what is live per node by
+                  allocation size";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;
 
-    let floor = LIVE.load(Ordering::SeqCst);
-    PEAK.store(floor, Ordering::SeqCst);
+    let floor = heap::restart_peak();
+    let census_floor = Census::take();
 
     let mut machine = machines::red_storm(dims, 1);
     if series {
         machine.enable_link_series(SeriesConfig::default());
     }
-    let built = LIVE.load(Ordering::SeqCst).saturating_sub(floor);
+    let built = heap::live_bytes().saturating_sub(floor);
 
     let mut engine = machine.into_engine();
     let outcome = engine.run();
@@ -141,8 +154,9 @@ fn measure(dims: Dims, series: bool) -> Row {
         0,
         "every app must finish its round"
     );
-    let peak = PEAK.load(Ordering::SeqCst).saturating_sub(floor);
+    let peak = heap::peak_bytes().saturating_sub(floor);
     let events = engine.dispatched();
+    let live = Census::take().since(&census_floor);
     drop(engine);
 
     Row {
@@ -151,6 +165,7 @@ fn measure(dims: Dims, series: bool) -> Row {
         built_bytes: built,
         peak_bytes: peak,
         events,
+        live,
     }
 }
 
@@ -168,14 +183,13 @@ struct ObservedRun {
 }
 
 fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
-    let floor = LIVE.load(Ordering::SeqCst);
-    PEAK.store(floor, Ordering::SeqCst);
+    let floor = heap::restart_peak();
 
     let mut m = machines::torus512_alltoall();
     machines::observe(&mut m, registry, causal, series.then(SeriesConfig::default));
     let mut engine = m.into_engine();
     assert_eq!(engine.run(), RunOutcome::Drained, "all-to-all must drain");
-    let end_bytes = LIVE.load(Ordering::SeqCst).saturating_sub(floor);
+    let end_bytes = heap::live_bytes().saturating_sub(floor);
 
     let m = engine.model();
     let mut nonzero_buckets = 0;
@@ -188,7 +202,7 @@ fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
         nonzero_buckets = machines::links(series).map(nonzero).sum();
     }
     ObservedRun {
-        peak_bytes: PEAK.load(Ordering::SeqCst).saturating_sub(floor),
+        peak_bytes: heap::peak_bytes().saturating_sub(floor),
         end_bytes,
         spans: m.telemetry().spans().len() as u64,
         records: m.causal().records().len() as u64,
@@ -237,6 +251,7 @@ fn run(mut args: Args) -> CmdResult {
     let out = args.value("--out")?;
     let out = out.unwrap_or_else(|| "BENCH_mem.json".into());
     let series = args.flag("--series");
+    let histogram = args.flag("--histogram");
     let check = args.value("--check")?;
     args.finish()?;
     let sizes = match slice {
@@ -271,6 +286,9 @@ fn run(mut args: Args) -> CmdResult {
             r.events
         );
     }
+    if histogram {
+        rows.iter().for_each(Row::print_histogram);
+    }
 
     let headline = rows.last().expect("at least one size");
     println!(
@@ -283,7 +301,7 @@ fn run(mut args: Args) -> CmdResult {
     if series {
         let baseline = Baseline::load(check.as_deref().unwrap_or("BENCH_mem.json"))?;
         println!();
-        gate::check_mem(&baseline, &peaks, &[], gate::SERIES_ENVELOPE)?;
+        gate::check_series(&baseline, &peaks)?;
         println!("\nevery peak within the observability heap envelope");
         return Ok(());
     }
@@ -301,8 +319,10 @@ fn run(mut args: Args) -> CmdResult {
 
     // Gate before writing: `--out` may name the baseline itself.
     if let Some(path) = &check {
+        let counts: Vec<_> = rows.iter().flat_map(Row::counts).collect();
         println!();
-        gate::check_mem(&Baseline::load(path)?, &peaks, &observed, gate::HEAP_LIMIT)?;
+        let baseline = Baseline::load(path)?;
+        gate::check_mem(&baseline, &peaks, &counts, &observed)?;
         println!("\nevery peak within the heap gate");
     }
     let before = Baseline::load(&out).ok();
@@ -329,7 +349,15 @@ fn render_json(rows: &[Row], observed: &[Observed], before: Option<&Baseline>) -
             .field("built_bytes_per_node", r.built_bytes / r.nodes as u64)
             .field("peak_bytes_per_node", r.peak_bytes / r.nodes as u64)
             .field("events", r.events);
-        for field in ["built_bytes", "peak_bytes"] {
+        for (_, field, count) in r.counts() {
+            w.field(field, count);
+        }
+        for field in [
+            "built_bytes",
+            "peak_bytes",
+            "node_bytes",
+            "live_blocks_per_node",
+        ] {
             let was = |b: &Baseline| b.row_number("sizes", "nodes", &r.nodes.to_string(), field);
             if let Some(bytes) = before.and_then(|b| was(b).ok()) {
                 w.field(&format!("before_{field}"), bytes);

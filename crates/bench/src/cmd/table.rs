@@ -35,7 +35,7 @@ fn burst(policy: ExhaustionPolicy, rx_pendings: u32) -> (bool, u32, u64, u64) {
     let mut engine = m.into_engine();
     engine.run();
     let mut m = engine.into_model();
-    let panicked = m.nodes[1].panicked;
+    let panicked = m.nodes[1].hot.panicked;
     let drops = m.nodes[1].fw.counters().exhaustion_drops;
     let retrans: u64 = m.nodes[0].gbn_retransmissions();
     let received = m

@@ -33,10 +33,12 @@ pub const PARALLEL_SPEEDUP_FLOOR: f64 = 0.98;
 pub const RMA_LATENCY_CEILING: f64 = 2.0;
 /// Allocator-exact heap numbers may exceed the committed ones by 2 %.
 pub const HEAP_LIMIT: f64 = 1.02;
-/// The series-instrumented peak over the plain one. Measured 1.222 (512
-/// nodes), 1.220 (2,048) and 1.222 (10,368) on the one-round neighbour
-/// push; the limit is the worst of them plus 5 %.
-pub const SERIES_ENVELOPE: f64 = 1.28;
+/// Heap a node may cost with the link series on, over the plain peak.
+/// Measured 1,428 B (512 nodes), 1,431 (2,048) and 1,432 (10,368) on the
+/// one-round neighbour push; the limit is the worst of them plus 5 %. In
+/// bytes, not as a ratio of the plain peak, so that it does not move
+/// when the plain node shrinks.
+pub const SERIES_BYTES_PER_NODE: u64 = 1_503;
 
 /// A parsed `BENCH_*.json`.
 pub struct Baseline {
@@ -230,27 +232,56 @@ pub fn check_rma(b: &Baseline, points: &[(&str, u64, f64)]) -> Result<usize, Str
     Ok(compared)
 }
 
-/// `BENCH_mem.json`: every measured size's peak against `limit` x the
-/// baseline's at the same node count — [`HEAP_LIMIT`] for the plain
-/// sweep, [`SERIES_ENVELOPE`] for the series-instrumented one — and every
-/// number of the observed row likewise. A row missing from the baseline
-/// is an error: a silently skipped row would read as covered.
+/// One allocator-exact count of a `mem_footprint` size row: node count of
+/// the row, field name, value.
+pub type MemCount = (usize, &'static str, u64);
+
+/// `BENCH_mem.json`: every measured size's peak against [`HEAP_LIMIT`] x
+/// the baseline's at the same node count, every number of the observed
+/// row likewise, and every count (`node_bytes`, `live_blocks_per_node`:
+/// small whole numbers, where 2 % is no room at all) against the
+/// baseline's own, not one more. A row missing from the baseline is an
+/// error: a silently skipped row would read as covered.
 pub fn check_mem(
     b: &Baseline,
     peaks: &[(usize, u64)],
+    counts: &[MemCount],
     observed: &[(&str, f64)],
-    limit: f64,
 ) -> Result<(), String> {
+    let limit = HEAP_LIMIT;
     let mut violated = Vec::new();
     for &(nodes, peak) in peaks {
         let base = b.row_number("sizes", "nodes", &nodes.to_string(), "peak_bytes")?;
         let what = format!("{nodes}-node peak bytes ({limit:.2}x baseline)");
         violated.extend(at_most(&what, peak as f64, base * limit).err());
     }
+    for &(nodes, field, count) in counts {
+        let base = b.row_number("sizes", "nodes", &nodes.to_string(), field)?;
+        let what = format!("{nodes}-node {field} (the baseline's, exactly)");
+        violated.extend(at_most(&what, count as f64, base).err());
+    }
     for &(name, value) in observed {
         let base = b.number(&format!("observed.{name}"))?;
         let what = format!("observed {name} ({limit:.2}x baseline)");
         violated.extend(at_most(&what, value, base * limit).err());
+    }
+    match violated.is_empty() {
+        true => Ok(()),
+        false => Err(violated.join("\n")),
+    }
+}
+
+/// `BENCH_mem.json` under `mem_footprint --series`: every size's peak
+/// with the link series on against the baseline's plain peak at the same
+/// node count plus [`SERIES_BYTES_PER_NODE`] a node.
+pub fn check_series(b: &Baseline, peaks: &[(usize, u64)]) -> Result<(), String> {
+    let mut violated = Vec::new();
+    for &(nodes, peak) in peaks {
+        let plain = b.row_number("sizes", "nodes", &nodes.to_string(), "peak_bytes")?;
+        let ceiling = plain + (nodes as u64 * SERIES_BYTES_PER_NODE) as f64;
+        let what =
+            format!("{nodes}-node peak bytes with series (plain + {SERIES_BYTES_PER_NODE} B/node)");
+        violated.extend(at_most(&what, peak as f64, ceiling).err());
     }
     match violated.is_empty() {
         true => Ok(()),
@@ -326,13 +357,27 @@ mod tests {
     #[test]
     fn mem_gate_reports_every_violation_and_refuses_a_missing_row() {
         let b = baseline(
-            r#"{"sizes": [{"nodes": 512, "peak_bytes": 100}], "observed": {"spans": 10}}"#,
+            r#"{"sizes": [{"nodes": 512, "peak_bytes": 100, "node_bytes": 904}],
+                "observed": {"spans": 10}}"#,
         );
-        assert!(check_mem(&b, &[(512, 102)], &[("spans", 10.2)], HEAP_LIMIT).is_ok());
-        let err = check_mem(&b, &[(512, 103)], &[("spans", 10.3)], HEAP_LIMIT).unwrap_err();
-        assert_eq!(err.lines().count(), 2);
-        assert!(check_mem(&b, &[(64, 1)], &[], HEAP_LIMIT).is_err());
-        assert!(check_mem(&b, &[], &[("records", 1.0)], HEAP_LIMIT).is_err());
+        let fits = [(512, "node_bytes", 904)];
+        assert!(check_mem(&b, &[(512, 102)], &fits, &[("spans", 10.2)]).is_ok());
+        let grew = [(512, "node_bytes", 905)];
+        let err = check_mem(&b, &[(512, 103)], &grew, &[("spans", 10.3)]);
+        assert_eq!(err.unwrap_err().lines().count(), 3);
+        assert!(check_mem(&b, &[(64, 1)], &[], &[]).is_err());
+        let unknown = [(512, "live_blocks_per_node", 1)];
+        assert!(check_mem(&b, &[], &unknown, &[]).is_err());
+        assert!(check_mem(&b, &[], &[], &[("records", 1.0)]).is_err());
+    }
+
+    #[test]
+    fn series_gate_is_bytes_a_node_over_the_plain_peak() {
+        let b = baseline(r#"{"sizes": [{"nodes": 512, "peak_bytes": 1000000}]}"#);
+        let room = 512 * SERIES_BYTES_PER_NODE;
+        assert!(check_series(&b, &[(512, 1_000_000 + room)]).is_ok());
+        assert!(check_series(&b, &[(512, 1_000_001 + room)]).is_err());
+        assert!(check_series(&b, &[(64, 1)]).is_err(), "no such row");
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //! command table ([`cli`]), the BENCH gates ([`gate`]) and the machines
 //! more than one command builds ([`machines`]). Host wall-clock time
 //! enters through [`stopwatch`] alone. `mem_footprint` is a second
-//! executable on the same pieces: its counting `#[global_allocator]` is
-//! the crate's one `unsafe` site and would otherwise sit under every
-//! `perf` timing.
+//! executable on the same pieces: it installs [`heap`]'s counting
+//! allocator — the crate's one `unsafe` site — which would otherwise sit
+//! under every `perf` timing.
 
 pub mod campaign;
 pub mod cli;
 mod cmd;
 pub mod gate;
+pub mod heap;
 pub mod machines;
 pub mod parallel;
 pub mod stopwatch;

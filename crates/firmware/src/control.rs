@@ -13,6 +13,8 @@ use crate::pool::Pool;
 use crate::source::{SourceId, SourceTable, NUM_SOURCES, SOURCE_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
+use xt3_portals::slab::fit_by_use;
 use xt3_seastar::sram::{Sram, SramError};
 
 /// Index of a firmware-level process (0 = the generic Portals
@@ -284,6 +286,42 @@ struct FwProcess {
     tx_lower: Vec<LowerPending>,
 }
 
+/// A firmware layout that fits: a configuration, the processes it
+/// serves and the SRAM ledger their structures were reserved in. The
+/// ledger is a function of the other two alone, so a machine takes one
+/// layout per distinct node shape, every chip of that shape reads the
+/// same ledger, and every [`Firmware`] made from it has had its fit
+/// checked — there is no third way to one besides [`Firmware::new`].
+#[derive(Debug, Clone)]
+pub struct FwLayout {
+    config: FwConfig,
+    modes: Vec<FwMode>,
+    sram: Arc<Sram>,
+}
+
+impl FwLayout {
+    /// Reserve in `sram` what a firmware of `config` running `modes`
+    /// keeps there, or say what did not fit.
+    pub fn reserve(config: FwConfig, modes: &[FwMode], mut sram: Sram) -> Result<Self, SramError> {
+        Firmware::reserve(config, modes, &mut sram)?;
+        Ok(FwLayout {
+            config,
+            modes: modes.to_vec(),
+            sram: Arc::new(sram),
+        })
+    }
+
+    /// The ledger, as every chip of this layout reads it.
+    pub fn sram(&self) -> &Arc<Sram> {
+        &self.sram
+    }
+
+    /// A fresh firmware of this layout.
+    pub fn firmware(&self) -> Firmware {
+        Firmware::build(self.config, &self.modes)
+    }
+}
+
 /// The firmware: control block plus per-process state.
 #[derive(Debug)]
 pub struct Firmware {
@@ -301,13 +339,19 @@ impl Firmware {
     /// Initialize the firmware with `modes[i]` describing firmware-level
     /// process `i`, reserving its structures from the chip SRAM.
     pub fn new(config: FwConfig, modes: &[FwMode], sram: &mut Sram) -> Result<Self, SramError> {
+        Self::reserve(config, modes, sram)?;
+        Ok(Self::build(config, modes))
+    }
+
+    /// Reserve from `sram` everything a firmware of `config` running
+    /// `modes` keeps there (the §4.2 occupancy).
+    fn reserve(config: FwConfig, modes: &[FwMode], sram: &mut Sram) -> Result<(), SramError> {
         // The control block and the firmware image itself (22 KB when
         // compiled with GCC 4.0 -O3, §4).
         sram.reserve("firmware image", 22 * 1024)?;
         sram.reserve("control block", 512)?;
         sram.reserve_array("sources", config.sources, SOURCE_BYTES)?;
-        let mut processes = Vec::with_capacity(modes.len());
-        for (i, &mode) in modes.iter().enumerate() {
+        for i in 0..modes.len() {
             sram.reserve_array(
                 format!("pendings[{i}]"),
                 config.pendings_total(),
@@ -315,20 +359,25 @@ impl Firmware {
             )?;
             sram.reserve(format!("process[{i}]"), 256)?;
             sram.reserve(format!("mailbox[{i}]"), 512)?;
-            processes.push(FwProcess {
-                mode,
-                mailbox: Mailbox::new(config.mailbox_depth),
-                rx_pool: Pool::new(config.rx_pendings),
-                tx_lower: Vec::new(),
-            });
         }
-        Ok(Firmware {
+        Ok(())
+    }
+
+    /// The firmware over structures [`Self::reserve`] has found room for.
+    fn build(config: FwConfig, modes: &[FwMode]) -> Self {
+        let processes = modes.iter().map(|&mode| FwProcess {
+            mode,
+            mailbox: Mailbox::new(config.mailbox_depth),
+            rx_pool: Pool::new(config.rx_pendings),
+            tx_lower: Vec::new(),
+        });
+        Firmware {
             config,
-            processes,
+            processes: processes.collect(),
             sources: SourceTable::new(config.sources),
             tx_list: VecDeque::new(),
             counters: FwCounters::default(),
-        })
+        }
     }
 
     /// The configuration.
@@ -428,6 +477,7 @@ impl Firmware {
                 return Err(FwError::BadPending);
             }
             if slot >= p.tx_lower.len() {
+                fit_by_use(&mut p.tx_lower, slot + 1);
                 p.tx_lower.resize_with(slot + 1, LowerPending::default);
             }
             p.tx_lower.get_mut(slot).ok_or(FwError::BadPending)
@@ -816,6 +866,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.process_count(), 3);
+    }
+
+    #[test]
+    fn a_layout_is_the_ledger_new_leaves_and_refuses_what_new_refuses() {
+        let modes = [FwMode::Generic, FwMode::Accelerated];
+        let (f, sram) = fw(&modes);
+        let layout = FwLayout::reserve(FwConfig::default(), &modes, Sram::default()).unwrap();
+        assert_eq!(layout.sram().used(), sram.used());
+        assert_eq!(layout.sram().regions().len(), sram.regions().len());
+        assert_eq!(layout.firmware().process_count(), f.process_count());
+
+        let tight = || Sram::new(64 * 1024);
+        let by_new = Firmware::new(FwConfig::default(), &modes, &mut tight()).unwrap_err();
+        let by_layout = FwLayout::reserve(FwConfig::default(), &modes, tight()).unwrap_err();
+        assert_eq!(by_layout, by_new);
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub mod pending;
 pub mod pool;
 pub mod source;
 
-pub use control::{Effects, Firmware, FwConfig, FwCounters, FwEffect, FwError, FwMode, ProcIdx};
+pub use control::{
+    Effects, Firmware, FwConfig, FwCounters, FwEffect, FwError, FwLayout, FwMode, ProcIdx,
+};
 pub use gbn::{GbnEvent, GbnReceiver, GbnSender, SeqNo};
 pub use mailbox::{FwCommand, FwEvent, FwResult, Mailbox};
 pub use pending::{LowerPending, PendingId, PendingState, UpperPending};

@@ -9,6 +9,7 @@
 use crate::pending::PendingId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use xt3_portals::slab::fit_ring_by_use;
 use xt3_seastar::dma::DmaList;
 
 /// Commands the host pushes to the firmware (§4.3).
@@ -101,9 +102,9 @@ impl Mailbox {
     /// A mailbox whose command FIFO holds `cmd_capacity` entries.
     pub fn new(cmd_capacity: u32) -> Self {
         Mailbox {
-            // Grows to its observed depth on demand; the modelled FIFO
-            // capacity is `cmd_capacity`, enforced by the backlog
-            // accounting, not by the Vec allocation.
+            // Grows to its observed depth on demand (`fit_ring_by_use`); the
+            // modelled FIFO capacity is `cmd_capacity`, enforced by the
+            // backlog accounting, not by the allocation.
             cmd: VecDeque::new(),
             result: VecDeque::new(),
             cmd_capacity,
@@ -123,6 +124,8 @@ impl Mailbox {
         if backlog > 0 {
             self.cmd_overflows += 1;
         }
+        let need = self.cmd.len() + 1;
+        fit_ring_by_use(&mut self.cmd, need);
         self.cmd.push_back(cmd);
         self.cmd_high_water = self.cmd_high_water.max(self.cmd.len() as u32);
         backlog

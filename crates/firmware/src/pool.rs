@@ -7,6 +7,8 @@
 //! close workloads come to the compile-time limits — mirroring the
 //! authors' careful monitoring on 7,700 Red Storm nodes.
 
+use xt3_portals::slab::fit_by_use;
+
 /// A fixed pool of `T` with an intrusive-style free list of indices.
 ///
 /// Capacity is a hard limit (the firmware's compile-time table size), but
@@ -14,9 +16,10 @@
 /// LIFO-first, then fresh-lowest-first — the exact sequence the eager
 /// `(0..capacity).rev()` free list produced — and an object is default-
 /// constructed the first time its index is issued. `items` therefore only
-/// ever grows to the pool's storage high-water mark, which is what lets a
-/// 10,368-node machine carry its per-node pools without paying for
-/// thousands of never-used slots.
+/// ever grows to the pool's storage high-water mark, by the per-node row
+/// rule ([`fit_by_use`]: one slot first, then doubling), which is what
+/// lets a 10,368-node machine carry its per-node pools without paying
+/// for thousands of never-used slots.
 #[derive(Debug, Clone)]
 pub struct Pool<T> {
     items: Vec<T>,
@@ -51,6 +54,8 @@ impl<T: Default + Clone> Pool<T> {
             None if self.next_fresh < self.capacity => {
                 let idx = self.next_fresh;
                 self.next_fresh += 1;
+                let need = self.items.len() + 1;
+                fit_by_use(&mut self.items, need);
                 self.items.push(T::default());
                 idx
             }
@@ -99,6 +104,13 @@ impl<T> Pool<T> {
     /// high-water mark; at most [`Self::capacity`]).
     pub fn materialized(&self) -> u32 {
         self.items.len() as u32
+    }
+
+    /// Slots the allocator has been asked for so far: the next power of
+    /// two at or above [`Self::materialized`].
+    #[doc(hidden)]
+    pub fn row_capacity(&self) -> usize {
+        self.items.capacity()
     }
 
     /// Objects currently allocated.

@@ -8,6 +8,7 @@
 //! `PtlError::EqDropped` — exactly the semantics upper layers (MPI) must
 //! size their queues around.
 
+use crate::slab::fit_ring_by_use;
 use crate::types::{MatchBits, MdHandle, ProcessId, PtlError, PtlResult};
 use serde::{Deserialize, Serialize};
 
@@ -65,7 +66,8 @@ pub struct Event {
 /// ~144 KB `vec![None; 2048]` up front, which dominated short
 /// simulations (allocation happens mid-run, at `AppStart` dispatch).
 /// Typical queues hold a handful of events at a time, so the deque
-/// stays tiny and the drop semantics are unchanged.
+/// (grown by [`fit_ring_by_use`]) stays tiny and the drop semantics are
+/// unchanged.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EventQueue {
     ring: std::collections::VecDeque<Event>,
@@ -121,6 +123,8 @@ impl EventQueue {
             self.dropped += 1;
             return false;
         }
+        let need = self.ring.len() + 1;
+        fit_ring_by_use(&mut self.ring, need);
         self.ring.push_back(event);
         self.high_water = self.high_water.max(self.ring.len() as u32);
         true

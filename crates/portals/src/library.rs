@@ -27,7 +27,7 @@ use crate::header::{AtomicOp, PortalsHeader, PortalsOp};
 use crate::md::{Md, MdOptions, Threshold};
 use crate::me::{InsertPos, Me, MeList, UnlinkOp};
 use crate::memory::ProcessMemory;
-use crate::slab::Slab;
+use crate::slab::{fit_by_use, Slab};
 use crate::types::{
     AckReq, EqHandle, MatchBits, MdHandle, MeHandle, NiLimits, ProcessId, PtlError, PtlResult,
 };
@@ -162,6 +162,9 @@ pub struct PortalsLib {
     /// to (at most `limits.pt_size`); a valid index beyond the end is a
     /// portal with no entries.
     portal_table: Vec<MeList>,
+    /// Access control entries by index, grown to the highest index ever
+    /// installed (at most `limits.ac_size`); a valid index beyond the end
+    /// is an entry nobody installed.
     ac_table: Vec<Option<AcEntry>>,
     counters: LibCounters,
 }
@@ -170,22 +173,22 @@ impl PortalsLib {
     /// Initialize the per-process Portals state (`PtlNIInit`).
     ///
     /// AC entry 0 is installed wide open, as the reference implementation's
-    /// bootstrap does.
+    /// bootstrap does, and is all the table holds until [`Self::ac_put`]
+    /// names a higher index.
     pub fn new(id: ProcessId, limits: NiLimits) -> Self {
-        let mut ac_table = vec![None; limits.ac_size as usize];
-        if let Some(slot) = ac_table.first_mut() {
-            *slot = Some(AcEntry::open());
-        }
-        PortalsLib {
+        let mut lib = PortalsLib {
             id,
             limits,
             mds: Slab::new(limits.max_mds),
             mes: Slab::new(limits.max_mes),
             eqs: Slab::new(limits.max_eqs),
             portal_table: Vec::new(),
-            ac_table,
+            ac_table: Vec::new(),
             counters: LibCounters::default(),
-        }
+        };
+        // Out of range only under `ac_size == 0`: a table with no entries.
+        let _ = lib.ac_put(0, AcEntry::open());
+        lib
     }
 
     /// This process's Portals id.
@@ -465,11 +468,17 @@ impl PortalsLib {
 
     /// Install an access control entry (`PtlACEntry`).
     pub fn ac_put(&mut self, ac_index: u32, entry: AcEntry) -> PtlResult<()> {
-        let slot = self
-            .ac_table
-            .get_mut(ac_index as usize)
-            .ok_or(PtlError::AcIndexInvalid)?;
-        *slot = Some(entry);
+        if ac_index >= self.limits.ac_size {
+            return Err(PtlError::AcIndexInvalid);
+        }
+        let at = ac_index as usize;
+        if at >= self.ac_table.len() {
+            fit_by_use(&mut self.ac_table, at + 1);
+            self.ac_table.resize(at + 1, None);
+        }
+        if let Some(slot) = self.ac_table.get_mut(at) {
+            *slot = Some(entry);
+        }
         Ok(())
     }
 
@@ -1015,5 +1024,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lib.portal_table.len(), 4);
+    }
+
+    #[test]
+    fn ac_table_holds_entry_zero_until_a_higher_put() {
+        let mut lib = PortalsLib::new(ProcessId::new(0, 0), NiLimits::default());
+        assert_eq!(lib.ac_table, [Some(AcEntry::open())]);
+        assert_eq!(lib.ac_table.capacity(), 1);
+        lib.ac_put(2, AcEntry::open()).unwrap();
+        assert_eq!(lib.ac_table.len(), 3);
+        assert_eq!(lib.ac_table[1], None, "grown across, not installed");
+        assert_eq!(lib.ac_table.capacity(), 4);
+        lib.ac_put(0, AcEntry::open()).unwrap();
+        assert_eq!(lib.ac_table.len(), 3, "a lower put moves nothing");
+
+        let none = NiLimits {
+            ac_size: 0,
+            ..NiLimits::default()
+        };
+        let lib = PortalsLib::new(ProcessId::new(0, 0), none);
+        assert!(lib.ac_table.is_empty(), "no table, no bootstrap entry");
     }
 }

@@ -448,11 +448,12 @@ impl FaultInjector {
         if lane >= self.lanes.len() {
             self.lanes.resize(lane + 1, (0, EventDigest::new()));
         }
-        let (count, digest) = &mut self.lanes[lane];
-        *count += 1;
-        digest.write_u8(code);
-        digest.write_u64(now.0);
-        digest.write_u64(detail);
+        if let Some((count, digest)) = self.lanes.get_mut(lane) {
+            *count += 1;
+            digest.write_u8(code);
+            digest.write_u64(now.0);
+            digest.write_u64(detail);
+        }
     }
 }
 

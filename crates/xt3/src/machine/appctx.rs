@@ -146,7 +146,7 @@ impl Machine {
         if finished {
             n.procs[pid as usize].finished = true;
             n.procs[pid as usize].wait = WaitState::Idle;
-            n.running_apps -= 1;
+            n.hot.running_apps -= 1;
             return;
         }
         n.set_wait(pid, wait);

@@ -57,7 +57,7 @@ pub use net::SendIntent;
 
 use crate::app::{App, AppEvent};
 use crate::config::{MachineConfig, NodeSpec};
-use crate::node::Node;
+use crate::node::{FwLayouts, Node};
 use net::NetMode;
 use xt3_firmware::control::{Effects, FwEffect, FwError, FwMode, ProcIdx};
 use xt3_firmware::mailbox::FwEvent;
@@ -192,8 +192,12 @@ impl Machine {
     pub fn new(config: MachineConfig, specs: &[NodeSpec]) -> Self {
         assert!(!specs.is_empty(), "at least one node spec required");
         let fabric = Fabric::new(config.dims, config.fabric);
+        let mut layouts = FwLayouts::default();
         let inner = (0..config.dims.node_count())
-            .map(|i| Node::new(&config, NodeId(i), &specs[i as usize % specs.len()]))
+            .map(|i| {
+                let spec = &specs[i as usize % specs.len()];
+                Node::new(&config, NodeId(i), spec, &mut layouts)
+            })
             .collect();
         Machine {
             nodes: Nodes { base: 0, inner },
@@ -231,13 +235,13 @@ impl Machine {
         let slot = &mut n.procs[pid as usize].app;
         assert!(slot.is_none(), "process {node}:{pid} already has an app");
         *slot = Some(app);
-        n.running_apps += 1;
+        n.hot.running_apps += 1;
         self.spawned.push((node, pid));
     }
 
     /// Number of apps still running (on this machine's owned nodes).
     pub fn running_apps(&self) -> u32 {
-        self.nodes.iter().map(|n| n.running_apps).sum()
+        self.nodes.iter().map(|n| n.hot.running_apps).sum()
     }
 
     /// Reserve the next scheduling key for an event owned by `node`.
@@ -251,8 +255,8 @@ impl Machine {
     /// insertion order.
     fn next_key(&mut self, node: u32) -> u64 {
         let n = &mut self.nodes[node as usize];
-        n.key_ctr += 1;
-        (u64::from(node) << 32) | n.key_ctr
+        n.hot.key_ctr += 1;
+        (u64::from(node) << 32) | n.hot.key_ctr
     }
 
     /// The completion policy serving process `(node, pid)`.
@@ -263,14 +267,14 @@ impl Machine {
 
     /// Did any node panic on resource exhaustion?
     pub fn any_panicked(&self) -> bool {
-        self.nodes.iter().any(|n| n.panicked)
+        self.nodes.iter().any(|n| n.hot.panicked)
     }
 
     /// Nodes whose firmware took an injected unrecoverable fault.
     pub fn dark_nodes(&self) -> Vec<u32> {
         self.nodes
             .iter()
-            .filter(|n| n.dark)
+            .filter(|n| n.hot.dark)
             .map(|n| n.id.0)
             .collect()
     }
@@ -463,7 +467,7 @@ impl Machine {
     /// The label is per-variant so the fault cause stays visible in the
     /// trace without a per-fault `format!`.
     fn fw_fault(&mut self, t: SimTime, node: usize, err: FwError) {
-        self.nodes[node].panicked = true;
+        self.nodes[node].hot.panicked = true;
         self.trace.record(
             t,
             node as u32,
@@ -508,7 +512,7 @@ impl Machine {
             }
             FwFaultKind::Fault => {
                 self.faults.note_fw_fault(now, node as u32);
-                self.nodes[node].dark = true;
+                self.nodes[node].hot.dark = true;
                 label!("fault:fw-dark")
             }
         };
@@ -526,7 +530,7 @@ impl Machine {
         // Gated on the *node's* own apps (not the machine-wide count) so
         // the decision is shard-local and identical under any
         // partitioning.
-        if n.running_apps > 0 {
+        if n.hot.running_apps > 0 {
             if let Some(interval) = self.config.ras_heartbeat {
                 let key = self.next_key(node);
                 q.schedule_keyed(now + interval, key, Ev::RasHeartbeat { node });
@@ -559,7 +563,7 @@ impl Model for Machine {
         // events). RAS isolates the node; the rest of the machine keeps
         // running — the paper's §4.3 goal of containing NIC faults.
         let owner = event.owner();
-        if self.nodes[owner as usize].dark && !matches!(event, Ev::FaultAt { .. }) {
+        if self.nodes[owner as usize].hot.dark && !matches!(event, Ev::FaultAt { .. }) {
             return;
         }
         match event {
@@ -600,8 +604,8 @@ impl Model for Machine {
         d.write_u64(self.faults.digest());
         d.write_u64(self.faults.stats().total());
         for n in &self.nodes {
-            d.write_u8(u8::from(n.panicked));
-            d.write_u8(u8::from(n.dark));
+            d.write_u8(u8::from(n.hot.panicked));
+            d.write_u8(u8::from(n.hot.dark));
             d.write_u64(n.gbn_retransmissions());
         }
         d.value()

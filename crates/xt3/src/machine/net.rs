@@ -476,7 +476,7 @@ impl Machine {
             "only a full serial machine can be split"
         );
         assert!(
-            self.nodes.iter().all(|n| n.key_ctr == 0),
+            self.nodes.iter().all(|n| n.hot.key_ctr == 0),
             "split before running: key counters must be untouched"
         );
         let node_count = self.nodes.len();

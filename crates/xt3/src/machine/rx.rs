@@ -149,7 +149,7 @@ impl Machine {
             Err(_) => {
                 if self.config.exhaustion == ExhaustionPolicy::Panic && msg.seq.is_none() {
                     // §4.3: "The current approach is to panic the node."
-                    self.nodes[node].panicked = true;
+                    self.nodes[node].hot.panicked = true;
                     self.trace.record(
                         t,
                         node as u32,

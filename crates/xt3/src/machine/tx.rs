@@ -93,7 +93,7 @@ impl Machine {
                 label!("tx-pending-exhausted"),
                 0,
             );
-            self.nodes[node].panicked = true;
+            self.nodes[node].hot.panicked = true;
             return t;
         };
         let tag = self.nodes[node].fresh_tag();

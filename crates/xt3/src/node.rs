@@ -8,7 +8,7 @@ use crate::wire::WireMsg;
 // deterministic for bit-identical replay (enforced by `cargo run -p
 // audit -- lint`).
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use xt3_firmware::control::{Firmware, FwMode, ProcIdx};
+use xt3_firmware::control::{Firmware, FwLayout, FwMode, ProcIdx};
 use xt3_firmware::gbn::{GbnReceiver, GbnSender};
 use xt3_firmware::mailbox::FwEvent;
 use xt3_firmware::pending::PendingId;
@@ -16,35 +16,39 @@ use xt3_nal::addr::{AddressSpace, CatamountSpace, LinuxSpace};
 use xt3_nal::bridge::{bridge_for, Bridge};
 use xt3_portals::header::{PortalsHeader, PortalsOp};
 use xt3_portals::library::{MatchTicket, PortalsLib, WireData};
+use xt3_portals::slab::fit_by_use;
 use xt3_portals::types::{MdHandle, NiLimits, ProcessId};
 use xt3_seastar::chip::SeaStar;
 use xt3_seastar::dma::DmaList;
+use xt3_seastar::sram::Sram;
 use xt3_sim::SimTime;
 use xt3_topology::coord::NodeId;
 
-/// A slab map keyed by `(fw_proc, pending)`.
+/// A slab map keyed by `(fw_proc, pending)`: the host's record of each
+/// message in flight.
 ///
-/// Replaces the previous `BTreeMap`: pending ids are small dense
-/// integers handed out lowest-first (the RX pool and the host TX free
-/// list both pop the lowest id), so a per-process growable arena of
-/// `Option<V>` slots gives O(1) insert/remove with no per-message
-/// tree-node allocation on the transmit/receive hot paths. Each map
-/// stores ids relative to `base` (0 for the RX id range, `tx_base` for
-/// the TX range) and each row grows only to the highest id concurrently
-/// in flight — a handful of slots per node in practice, not the
-/// firmware's full table capacity. The id allocators (the RX pool and
-/// the TX free list) recycle returned ids lowest/LIFO-first, so rows
-/// stay dense. The `BTreeMap`-shaped API keeps call sites unchanged, and
-/// slab iteration (were it needed) is index-ordered and therefore as
-/// deterministic as the tree it replaces.
-pub(crate) struct PendingMap<V> {
+/// Pending ids are small dense integers handed out lowest-first (the RX
+/// pool and the host TX free list both recycle returned ids LIFO, then
+/// issue the lowest fresh one), so a row of `Option<V>` slots per
+/// firmware-level process gives O(1) insert/remove with no per-message
+/// allocation. Each map stores ids relative to `base` (0 for the RX id
+/// range, `tx_base` for the TX range), and a row reaches only as far as
+/// the highest id ever in flight at once — a slot or two per node in
+/// practice, not the firmware's table capacity — growing by the per-node
+/// row rule, [`fit_by_use`]. Iteration, were it needed, is index-ordered
+/// and so as deterministic as the `BTreeMap` whose API this keeps.
+///
+/// Not part of the crate's interface: `pub` so that the tier-1 suite
+/// (`tests/rows.rs`) can step it against a `BTreeMap`.
+#[doc(hidden)]
+pub struct PendingMap<V> {
     slots: Vec<Vec<Option<V>>>,
     base: u32,
 }
 
 impl<V> PendingMap<V> {
     /// An empty map of `procs` rows holding ids at or above `base`.
-    pub(crate) fn new(procs: usize, base: u32) -> Self {
+    pub fn new(procs: usize, base: u32) -> Self {
         let mut slots = Vec::with_capacity(procs);
         slots.resize_with(procs, Vec::new);
         PendingMap { slots, base }
@@ -54,7 +58,12 @@ impl<V> PendingMap<V> {
         id.checked_sub(self.base).map(|s| s as usize)
     }
 
-    pub(crate) fn insert(&mut self, key: (ProcIdx, PendingId), v: V) -> Option<V> {
+    /// Store `v` under `key`, returning what was there.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pending id below the map's base.
+    pub fn insert(&mut self, key: (ProcIdx, PendingId), v: V) -> Option<V> {
         let p = key.0 as usize;
         let id = self.slot_of(key.1).expect("pending id below map base");
         if p >= self.slots.len() {
@@ -62,24 +71,36 @@ impl<V> PendingMap<V> {
         }
         let row = &mut self.slots[p];
         if id >= row.len() {
+            fit_by_use(row, id + 1);
             row.resize_with(id + 1, || None);
         }
         row[id].replace(v)
     }
 
-    pub(crate) fn get(&self, key: &(ProcIdx, PendingId)) -> Option<&V> {
+    /// The record under `key`.
+    pub fn get(&self, key: &(ProcIdx, PendingId)) -> Option<&V> {
         let id = self.slot_of(key.1)?;
         self.slots.get(key.0 as usize)?.get(id)?.as_ref()
     }
 
-    pub(crate) fn get_mut(&mut self, key: &(ProcIdx, PendingId)) -> Option<&mut V> {
+    /// The record under `key`, mutably.
+    pub fn get_mut(&mut self, key: &(ProcIdx, PendingId)) -> Option<&mut V> {
         let id = self.slot_of(key.1)?;
         self.slots.get_mut(key.0 as usize)?.get_mut(id)?.as_mut()
     }
 
-    pub(crate) fn remove(&mut self, key: &(ProcIdx, PendingId)) -> Option<V> {
+    /// Take the record under `key` out; its slot stays for the id's next
+    /// use.
+    pub fn remove(&mut self, key: &(ProcIdx, PendingId)) -> Option<V> {
         let id = self.slot_of(key.1)?;
         self.slots.get_mut(key.0 as usize)?.get_mut(id)?.take()
+    }
+
+    /// Slots process `proc`'s row has been allocated: the next power of
+    /// two above the highest id it ever held (relative to the base).
+    #[doc(hidden)]
+    pub fn row_capacity(&self, proc: ProcIdx) -> usize {
+        self.slots.get(proc as usize).map_or(0, Vec::capacity)
     }
 }
 
@@ -96,15 +117,20 @@ impl<V> std::ops::Index<&(ProcIdx, PendingId)> for PendingMap<V> {
 /// returned ids pop LIFO-first, then fresh ids issue lowest-first, so the
 /// id sequence is bit-identical — but the backing vector only ever holds
 /// ids that have actually been returned (the TX-concurrency high-water
-/// mark), not the full table range.
-pub(crate) struct TxFreeList {
+/// mark), not the full table range. (Bare ids, so `Vec`'s own growth:
+/// see [`fit_by_use`].)
+///
+/// `pub` for the same reason [`PendingMap`] is.
+#[doc(hidden)]
+pub struct TxFreeList {
     returned: Vec<PendingId>,
     next_fresh: PendingId,
     limit: PendingId,
 }
 
 impl TxFreeList {
-    pub(crate) fn new(base: PendingId, count: PendingId) -> Self {
+    /// A list that will issue `count` ids from `base` up.
+    pub fn new(base: PendingId, count: PendingId) -> Self {
         TxFreeList {
             returned: Vec::new(),
             next_fresh: base,
@@ -112,7 +138,9 @@ impl TxFreeList {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<PendingId> {
+    /// The next id: the last one returned, else the lowest never issued;
+    /// `None` when all `count` are out.
+    pub fn pop(&mut self) -> Option<PendingId> {
         self.returned.pop().or_else(|| {
             (self.next_fresh < self.limit).then(|| {
                 let id = self.next_fresh;
@@ -122,7 +150,8 @@ impl TxFreeList {
         })
     }
 
-    pub(crate) fn push(&mut self, id: PendingId) {
+    /// Return an issued id.
+    pub fn push(&mut self, id: PendingId) {
         debug_assert!(id < self.next_fresh, "freed TX pending was never issued");
         self.returned.push(id);
     }
@@ -182,16 +211,58 @@ pub(crate) struct RxRecord {
     pub tag: u64,
 }
 
+/// The firmware layouts a machine under construction has taken so far,
+/// by how many accelerated processes the node runs — the one thing about
+/// a node spec the layout depends on. Every node laid out the same way
+/// reads the same SRAM ledger, so a full machine holds one or two, not
+/// 10,368.
+pub(crate) type FwLayouts = [Option<FwLayout>; Node::MAX_ACCELERATED + 1];
+
+/// The words of a node that every event reads or writes: `dispatch`
+/// reads `dark`, every scheduled event bumps `key_ctr`, every message
+/// takes a tag, every heartbeat reads `running_apps`. One 24-byte record
+/// at the head of [`Node`], so that they share a cache line with each
+/// other and with the head of the host state behind them instead of
+/// sitting wherever the compiler sorted them among 800-odd bytes.
+#[derive(Debug, Default)]
+pub struct NodeHot {
+    /// Monotone scheduling-key counter: every event this node schedules
+    /// gets key `(id << 32) | counter`, making queue tie-breaks a pure
+    /// function of per-node state — the property that lets a spatial
+    /// partition reproduce the serial dispatch order exactly.
+    pub(crate) key_ctr: u64,
+    pub(crate) next_tag: u64,
+    /// Apps still running on this node (the RAS heartbeat gate; kept
+    /// per-node so a partitioned shard never needs machine-global
+    /// state).
+    pub(crate) running_apps: u32,
+    /// The node's firmware took an injected unrecoverable fault (fault
+    /// plan): the NIC stops serving traffic and the RAS layer isolates
+    /// the node without aborting the rest of the machine.
+    pub dark: bool,
+    /// The node hit unrecoverable resource exhaustion under the `Panic`
+    /// policy (paper §4.3's shipped behaviour).
+    pub panicked: bool,
+}
+
 /// One node.
+///
+/// `repr(C)`: the declaration order below is the layout. What every
+/// event touches leads ([`NodeHot`], then the two processors whose
+/// cursors `host_span` and `ppc_run` advance), the tables an event may
+/// reach follow, and what only recovery and reporting read comes last.
+/// 10,368 of these are walked in event order, so bytes here are speed:
+/// `tests/node_footprint.rs` pins the size.
+#[repr(C)]
 pub struct Node {
-    /// Node id (the Portals nid).
-    pub id: NodeId,
+    /// What every event touches.
+    pub hot: NodeHot,
+    /// The host Opteron.
+    pub host: HostCpu,
     /// The SeaStar chip.
     pub chip: SeaStar,
     /// The firmware running on it.
     pub fw: Firmware,
-    /// The host Opteron.
-    pub host: HostCpu,
     /// Processes, indexed by Portals pid.
     pub procs: Vec<ProcState>,
     /// Host-managed TX pending free lists, per firmware-level process.
@@ -214,28 +285,11 @@ pub struct Node {
     /// Peers with a retransmission timer already armed (one timer per
     /// peer at a time).
     pub(crate) gbn_timer_armed: BTreeSet<u32>,
-    /// The node hit unrecoverable resource exhaustion under the `Panic`
-    /// policy (paper §4.3's shipped behaviour).
-    pub panicked: bool,
+    /// Node id (the Portals nid).
+    pub id: NodeId,
     /// Headers this node's firmware dropped because they named a process
-    /// the node does not have. (A `u32` on purpose: it sits in padding the
-    /// two flags around it leave, so `Node` — 10,368 of them in a full
-    /// machine, walked in event order — stays the size it was.)
+    /// the node does not have.
     pub bad_process_drops: u32,
-    /// The node's firmware took an injected unrecoverable fault (fault
-    /// plan): the NIC stops serving traffic and the RAS layer isolates
-    /// the node without aborting the rest of the machine.
-    pub dark: bool,
-    pub(crate) next_tag: u64,
-    /// Monotone scheduling-key counter: every event this node schedules
-    /// gets key `(id << 32) | counter`, making queue tie-breaks a pure
-    /// function of per-node state — the property that lets a spatial
-    /// partition reproduce the serial dispatch order exactly.
-    pub(crate) key_ctr: u64,
-    /// Apps still running on this node (the RAS heartbeat gate; kept
-    /// per-node so a partitioned shard never needs machine-global
-    /// state).
-    pub(crate) running_apps: u32,
 }
 
 impl Node {
@@ -246,7 +300,8 @@ impl Node {
     /// each Catamount compute node)".
     pub const MAX_ACCELERATED: usize = 2;
 
-    /// Build a node from its spec.
+    /// Build a node from its spec; its chip reads the SRAM ledger of its
+    /// firmware layout out of `layouts`.
     ///
     /// # Panics
     ///
@@ -255,7 +310,12 @@ impl Node {
     /// mode on a paged (Linux) bridge — "accelerated mode relies on
     /// message buffers being physically contiguous in memory" (§4.1), so
     /// only Catamount (qkbridge) processes qualify.
-    pub fn new(config: &MachineConfig, id: NodeId, spec: &NodeSpec) -> Self {
+    pub(crate) fn new(
+        config: &MachineConfig,
+        id: NodeId,
+        spec: &NodeSpec,
+        layouts: &mut FwLayouts,
+    ) -> Self {
         let accel_count = spec.procs.iter().filter(|p| p.accelerated).count();
         assert!(
             accel_count <= Self::MAX_ACCELERATED,
@@ -271,8 +331,6 @@ impl Node {
             );
         }
 
-        let mut chip = SeaStar::new(config.cost);
-
         // Firmware-level processes: slot 0 is the kernel's generic
         // implementation; each accelerated process gets its own slot.
         let mut fw_modes = vec![FwMode::Generic];
@@ -285,8 +343,12 @@ impl Node {
                 fw_proc_of.push(0);
             }
         }
-        let fw = Firmware::new(config.fw, &fw_modes, &mut chip.sram)
-            .expect("firmware structures must fit SeaStar SRAM");
+        let layout = layouts[accel_count].get_or_insert_with(|| {
+            FwLayout::reserve(config.fw, &fw_modes, Sram::default())
+                .expect("firmware structures must fit SeaStar SRAM")
+        });
+        let chip = SeaStar::new(layout.sram().clone());
+        let fw = layout.firmware();
 
         let procs = spec
             .procs
@@ -324,6 +386,10 @@ impl Node {
         let fw_eq = (0..fw_modes.len()).map(|_| VecDeque::new()).collect();
 
         Node {
+            hot: NodeHot {
+                next_tag: (id.0 as u64) << 40,
+                ..NodeHot::default()
+            },
             id,
             chip,
             fw,
@@ -338,12 +404,7 @@ impl Node {
             gbn_rx: BTreeMap::new(),
             gbn_deferred: BTreeMap::new(),
             gbn_timer_armed: BTreeSet::new(),
-            panicked: false,
             bad_process_drops: 0,
-            dark: false,
-            next_tag: (id.0 as u64) << 40,
-            key_ctr: 0,
-            running_apps: 0,
         }
     }
 
@@ -368,8 +429,8 @@ impl Node {
 
     /// Fresh trace tag.
     pub(crate) fn fresh_tag(&mut self) -> u64 {
-        self.next_tag += 1;
-        self.next_tag
+        self.hot.next_tag += 1;
+        self.hot.next_tag
     }
 
     /// Total go-back-n retransmissions this node has performed (across

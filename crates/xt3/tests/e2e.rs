@@ -540,7 +540,7 @@ fn exhaustion_panics_node_under_paper_policy() {
     engine.run();
     let m = engine.into_model();
     assert!(
-        m.nodes[1].panicked,
+        m.nodes[1].hot.panicked,
         "paper policy: node panics on exhaustion"
     );
 }
