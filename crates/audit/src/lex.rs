@@ -1,9 +1,8 @@
 //! A dependency-free Rust lexer for the lint engine.
 //!
-//! The legacy lint pass worked on text lines with comments and strings
-//! blanked out — good enough for three identifier rules, but blind to
-//! raw strings, nested block comments and token structure, and unable to
-//! support graph rules (call edges need real identifiers). This module
+//! Text lines with comments and strings blanked out are good enough for
+//! identifier rules, but blind to token structure and unable to support
+//! graph rules (call edges need real identifiers). This module
 //! tokenizes Rust source well enough for static analysis:
 //!
 //! * nested block comments (`/* /* */ */`), line and doc comments
@@ -125,9 +124,8 @@ impl Lexer {
         }
     }
 
-    /// Nested block comments: `/* a /* b */ c */` is ONE comment. The
-    /// legacy text pass got this wrong (single boolean, ended at the
-    /// first `*/`).
+    /// Nested block comments: `/* a /* b */ c */` is ONE comment, not
+    /// one that ends at the first `*/`.
     fn skip_block_comment(&mut self) {
         self.i += 2;
         let mut depth = 1usize;

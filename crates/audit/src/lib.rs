@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! Determinism audit layer.
 //!
-//! Three parts, all runnable from CI (`cargo run -p audit -- lint|replay`)
-//! and from the test suite (a fourth, [`inventory`], keeps DESIGN.md's
+//! Two parts, both runnable from CI (`cargo run -p audit -- lint|replay`)
+//! and from the test suite (a third, [`inventory`], keeps DESIGN.md's
 //! code-line table generated):
 //!
 //! * [`rules`] — the static-analysis lint engine: a dependency-free
@@ -17,9 +17,6 @@
 //!   `crates/audit/allowlist.txt`, which may only ever shrink.
 //!   `cargo run -p audit -- lint --json` emits one finding object per
 //!   violation for CI annotation.
-//! * [`lint`] — the legacy text-level pass (kept as an independent
-//!   stripping implementation, cross-checked against the lexer by a
-//!   differential test), plus the shared file walker and allowlist.
 //! * [`replay`] — a replay-divergence checker that builds every NetPIPE
 //!   scenario and the tier-1 end-to-end configurations twice from
 //!   identical state and steps the two engines in lockstep, comparing
@@ -29,10 +26,8 @@
 pub mod graph;
 pub mod inventory;
 pub mod lex;
-pub mod lint;
 pub mod replay;
 pub mod rules;
 
-pub use lint::{LintReport, Rule, Violation};
 pub use replay::{Divergence, ReplayRun, Scenario};
 pub use rules::{AllowStatus, EngineReport, Finding, RuleId};

@@ -7,18 +7,26 @@
 //! cargo run -p audit -- all           # both
 //! cargo run -p audit -- inventory     # DESIGN.md §2's generated code-line block
 //! ```
+//!
+//! Anything else — an unknown subcommand, an unknown argument, `--json`
+//! after a subcommand that prints no findings — names the token, prints
+//! the usage line and exits 2 without running anything.
 
 use std::process::ExitCode;
 
-use audit::{inventory, lint, replay, rules};
+use audit::{inventory, replay, rules};
+
+const USAGE: &str = "usage: audit <lint [--json]|replay|all [--json]|inventory>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    match args.first().map(String::as_str) {
-        Some("lint") => run_lint(json),
-        Some("replay") => run_replay(),
-        Some("all") => {
+    let Some((command, rest)) = args.split_first() else {
+        return refuse("no subcommand given");
+    };
+    let run: fn(bool) -> ExitCode = match command.as_str() {
+        "lint" => run_lint,
+        "replay" => |_| run_replay(),
+        "all" => |json| {
             let a = run_lint(json);
             let b = run_replay();
             if a == ExitCode::SUCCESS && b == ExitCode::SUCCESS {
@@ -26,26 +34,26 @@ fn main() -> ExitCode {
             } else {
                 ExitCode::FAILURE
             }
-        }
-        Some("inventory") => match inventory::render(&lint::repo_root()) {
-            Ok(block) => {
-                print!("{block}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("audit inventory: i/o error: {e}");
-                ExitCode::FAILURE
-            }
         },
-        _ => {
-            eprintln!("usage: audit <lint [--json]|replay|all|inventory>");
-            ExitCode::from(2)
-        }
+        "inventory" => |_| run_inventory(),
+        other => return refuse(&format!("no subcommand {other:?}")),
+    };
+    let json =
+        matches!(command.as_str(), "lint" | "all") && rest.first().is_some_and(|a| a == "--json");
+    if let Some(extra) = rest.get(usize::from(json)) {
+        return refuse(&format!("unexpected argument {extra:?}"));
     }
+    run(json)
+}
+
+/// A malformed command line: what was wrong, the usage line, exit 2.
+fn refuse(what: &str) -> ExitCode {
+    eprintln!("audit: {what}\n{USAGE}");
+    ExitCode::from(2)
 }
 
 fn run_lint(json: bool) -> ExitCode {
-    let root = lint::repo_root();
+    let root = rules::repo_root();
     match rules::run(&root) {
         Ok(report) => {
             if json {
@@ -61,6 +69,19 @@ fn run_lint(json: bool) -> ExitCode {
         }
         Err(e) => {
             eprintln!("audit lint: i/o error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_inventory() -> ExitCode {
+    match inventory::render(&rules::repo_root()) {
+        Ok(block) => {
+            print!("{block}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("audit inventory: i/o error: {e}");
             ExitCode::FAILURE
         }
     }

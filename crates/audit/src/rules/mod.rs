@@ -16,18 +16,16 @@
 //! |                    | in all sim-facing crates)              | whose results are platform-dependent |
 //! | `cast-truncation`  | `SimTime`/sequence-number modules      | bare narrowing `as` casts |
 //!
-//! The first three re-implement the legacy text rules on real tokens,
-//! killing the false-positive class where an identifier appeared inside
-//! a raw string or nested comment the text pass mis-stripped. The other
-//! five exist for the parallel-DES era: threads, atomics and shared
+//! The first three match on real tokens, so an identifier inside a
+//! string or comment never fires them. The other five exist for the
+//! parallel-DES era: threads, atomics and shared
 //! state are about to enter crates where only `crates/bench` touches
 //! them today, and these rules fence where that is allowed to happen
 //! (an explicit `sim::par` boundary module) and on what terms (no
 //! `Relaxed` atomics, no panic paths reachable from firmware handlers,
 //! no floats or silent truncation in digest-feeding state).
 //!
-//! Escape hatches are unchanged from the legacy pass, in order of
-//! preference: fix the code; an inline
+//! Escape hatches, in order of preference: fix the code; an inline
 //! `// audit:allow(<rule>): <reason>` marker reviewed at the use site;
 //! an entry in `crates/audit/allowlist.txt` for pre-existing debt only,
 //! where stale entries are errors so the file can only shrink.
@@ -38,11 +36,10 @@ pub mod tokens;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use xt3_telemetry::quote_json;
 
 use crate::lex::{self, Tok};
-use crate::lint;
 
 /// Identifies one of the eight lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -312,6 +309,25 @@ impl EngineReport {
 // Scoping: which rules look at which files.
 // ---------------------------------------------------------------------
 
+/// Crates whose `src/` trees are simulation-facing: everything that runs
+/// inside (or builds state for) the deterministic event loop.
+pub const SIM_FACING_CRATES: &[&str] = &[
+    "sim", "seastar", "firmware", "portals", "nal", "topology", "xt3", "mpi",
+];
+
+/// The files the `wall-clock` rule does not apply to, by name: the bench
+/// harness's stopwatch is the one place host time may be read (it flows
+/// into throughput reports, never back into a simulation).
+pub const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/src/stopwatch.rs"];
+
+/// Firmware modules that run inside event handlers and therefore must
+/// never panic: `panic-path`'s scope and `panic-reachable`'s roots.
+pub const FIRMWARE_HANDLER_MODULES: &[&str] = &[
+    "crates/firmware/src/control.rs",
+    "crates/firmware/src/gbn.rs",
+    "crates/firmware/src/mailbox.rs",
+];
+
 /// Modules whose state feeds the streaming event digest or machine
 /// fingerprint. Float arithmetic here couples the digest to the
 /// platform's float environment; these stay integer-only. `time.rs`,
@@ -408,7 +424,7 @@ pub fn may_call(from_path: &str, to_path: &str) -> bool {
 
 /// Is `path` inside a sim-facing crate's `src/` tree?
 pub fn is_sim_facing(path: &str) -> bool {
-    lint::SIM_FACING_CRATES
+    SIM_FACING_CRATES
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
@@ -444,19 +460,65 @@ pub fn run(root: &Path) -> io::Result<EngineReport> {
 /// stale-entry semantics without touching the real file).
 pub fn run_with_allowlist(root: &Path, allowlist: &[AllowEntry]) -> io::Result<EngineReport> {
     let mut files = Vec::new();
-    for file in lint::source_files(root)? {
-        let rel = lint::rel_path(root, &file);
-        if !rel.ends_with(".rs") || rel.starts_with("vendor/") || rel.starts_with("target/") {
-            continue;
-        }
+    for file in source_files(root)? {
         let text = fs::read_to_string(&file)?;
         files.push(SourceFile {
-            rel,
+            rel: rel_path(root, &file),
             lines: text.lines().map(str::to_string).collect(),
             toks: lex::lex_marked(&text),
         });
     }
     Ok(run_on_files(&files, allowlist))
+}
+
+/// All `.rs` files the lints scan: everything under `crates/`, `src/` and
+/// `tests/`, minus `target`, `vendor` (offline stand-ins for external
+/// crates — not our code) and `fixtures` directories, sorted.
+pub fn source_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for top in ["crates", "src", "tests"] {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            // `fixtures` holds deliberate rule-bait for the fixture
+            // corpus tests; it is scanned by those tests at synthetic
+            // paths, never as part of the real tree.
+            if name == "target" || name == ".git" || name == "vendor" || name == "fixtures" {
+                continue;
+            }
+            walk(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// `file` relative to `root`, with forward slashes.
+pub fn rel_path(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// The repository root, resolved from this crate's manifest directory.
+/// Works both under `cargo run -p audit` and inside `#[test]`s.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Core engine: token rules per file, then the graph rule, then the

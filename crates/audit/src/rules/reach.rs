@@ -1,6 +1,6 @@
 //! `panic-reachable`: the graph-transitive panic rule.
 //!
-//! The legacy `panic-path` rule hardcoded three firmware files. That
+//! The line-local `panic-path` rule covers three firmware files. That
 //! misses the actual invariant: *no function reachable from a firmware
 //! event handler may panic*, wherever it lives — a `pool.rs` helper
 //! that indexes out of bounds aborts the simulation just as surely as
@@ -24,9 +24,8 @@
 
 use crate::graph::{call_sites, ItemGraph};
 use crate::lex::TokKind;
-use crate::lint::FIRMWARE_HANDLER_MODULES;
 
-use super::{is_sim_facing, AllowStatus, Finding, RuleId, SourceFile};
+use super::{is_sim_facing, AllowStatus, Finding, RuleId, SourceFile, FIRMWARE_HANDLER_MODULES};
 
 /// Run the reachability rule over the whole file set.
 pub fn scan(files: &[SourceFile], out: &mut Vec<Finding>) {

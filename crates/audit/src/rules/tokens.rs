@@ -4,14 +4,14 @@
 //! All patterns operate on the lexed, `#[cfg(test)]`-marked token
 //! stream. Test-region tokens never fire a rule (test code may unwrap,
 //! bench against wall-clock baselines, etc. — it does not feed digests)
-//! and string/comment contents do not exist at this level at all, which
-//! is what kills the legacy text pass's false-positive class.
+//! and string/comment contents do not exist at this level at all, so an
+//! identifier quoted or mentioned in a comment never fires a rule.
 
 use crate::lex::{Tok, TokKind};
 
 use super::{
     is_digest_feeding, is_par_boundary, is_sim_facing, AllowStatus, Finding, RuleId, SourceFile,
-    CAST_SCOPED_MODULES, REPORTING_MODULES,
+    CAST_SCOPED_MODULES, FIRMWARE_HANDLER_MODULES, REPORTING_MODULES, WALL_CLOCK_EXEMPT,
 };
 
 /// Transcendental / power methods whose results go through libm and are
@@ -33,8 +33,8 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 pub fn scan(file: &SourceFile, out: &mut Vec<Finding>) {
     let path = file.rel.as_str();
     let sim_facing = is_sim_facing(path);
-    let wall_clock = !crate::lint::WALL_CLOCK_EXEMPT.contains(&path);
-    let panic_path = crate::lint::FIRMWARE_HANDLER_MODULES.contains(&path);
+    let wall_clock = !WALL_CLOCK_EXEMPT.contains(&path);
+    let panic_path = FIRMWARE_HANDLER_MODULES.contains(&path);
     let shared_mutable = sim_facing && !is_par_boundary(path);
     let digest_feeding = is_digest_feeding(path);
     let libm_scope = sim_facing && !REPORTING_MODULES.contains(&path);

@@ -10,9 +10,11 @@
 //! not contain (quote-hash raw strings, escaped-backslash chars,
 //! nested comments, multi-line strings).
 
+mod stripper;
+
 use audit::lex::{self, TokKind};
-use audit::lint;
 use proptest::prelude::*;
+use stripper::{strip_text, stripped_idents};
 
 /// The code channel: identifiers placed between noise atoms. `r` and
 /// `b` are included on purpose — a lone prefix letter next to a string
@@ -56,30 +58,6 @@ fn noise() -> impl Strategy<Value = String> {
         Just("b\"Mutex inside\"".to_string()),
         Just("b'x'".to_string()),
     ]
-}
-
-/// Identifier words in stripped text (same extraction as the
-/// differential test): maximal ident-shaped runs, minus lifetimes.
-fn stripped_idents(text: &str) -> Vec<String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i].is_ascii_alphanumeric() || chars[i] == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            let starts_ident = !chars[start].is_ascii_digit();
-            let lifetime = start > 0 && chars[start - 1] == '\'';
-            if starts_ident && !lifetime {
-                out.push(chars[start..i].iter().collect());
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 proptest! {
@@ -127,7 +105,7 @@ proptest! {
 
         // Stripper channel: line count is preserved and the surviving
         // identifier words are the same code channel.
-        let stripped = lint::strip_text(&src);
+        let stripped = strip_text(&src);
         prop_assert_eq!(stripped.len(), src.lines().count());
         let words = stripped_idents(&stripped.join("\n"));
         prop_assert_eq!(&words, &want, "stripper identifier stream\nsrc: {:?}", src);

@@ -1,13 +1,14 @@
 //! The lint half of the audit, as tests: the shipped tree must be clean
-//! under both the legacy text pass and the token-graph engine, and both
-//! must actually catch seeded violations (so a silent scanner
-//! regression can't fake a clean tree).
+//! under the token-graph engine, the engine's escape hatches must keep
+//! their shrink-only semantics, and the tree-shape checks that ride on
+//! the same walker (file sizes, the fabric seam, the inventory) hold.
+//! That the engine actually catches seeded violations is the fixture
+//! corpus's job (`rule_fixtures.rs`).
 
 use std::fs;
 use std::path::PathBuf;
 
 use audit::inventory;
-use audit::lint::{self, AllowEntry, Rule};
 use audit::rules::{self, AllowStatus, RuleId};
 
 /// A scratch repo-shaped directory, cleaned up on drop.
@@ -37,23 +38,8 @@ impl Drop for ScratchRepo {
 }
 
 #[test]
-fn shipped_tree_is_clean() {
-    let report = lint::run(&lint::repo_root()).expect("lint run");
-    assert!(
-        report.is_clean(),
-        "determinism lint must pass on the shipped tree:\n{}",
-        report.render()
-    );
-    assert!(
-        report.files_scanned > 50,
-        "sanity: the scanner must actually visit the tree (saw {})",
-        report.files_scanned
-    );
-}
-
-#[test]
 fn shipped_tree_is_clean_under_the_engine() {
-    let report = rules::run(&lint::repo_root()).expect("engine run");
+    let report = rules::run(&rules::repo_root()).expect("engine run");
     assert!(
         report.is_clean(),
         "the 8-rule engine must pass on the shipped tree:\n{}",
@@ -72,11 +58,11 @@ fn shipped_tree_is_clean_under_the_engine() {
 /// exactly one of them.
 #[test]
 fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
-    let root = lint::repo_root();
+    let root = rules::repo_root();
     let mut seam_files = Vec::new();
     let mut seen = 0;
-    for file in lint::source_files(&root).expect("walk") {
-        let rel = lint::rel_path(&root, &file);
+    for file in rules::source_files(&root).expect("walk") {
+        let rel = rules::rel_path(&root, &file);
         if !rel.starts_with("crates/xt3/src/") {
             continue;
         }
@@ -101,7 +87,7 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
 /// prints for this tree.
 #[test]
 fn design_inventory_block_is_current() {
-    let root = lint::repo_root();
+    let root = rules::repo_root();
     let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
     let block = design
         .split_once(&format!("{}\n", inventory::BEGIN))
@@ -118,9 +104,9 @@ fn design_inventory_block_is_current() {
 
 #[test]
 fn engine_allowlist_suppresses_and_goes_stale() {
-    // The 8-rule engine keeps the legacy shrink-only allowlist
-    // semantics: a matching entry suppresses (but still reports) the
-    // finding, and an entry matching nothing is an error.
+    // The allowlist is shrink-only: a matching entry suppresses (but
+    // still reports) the finding, and an entry matching nothing is an
+    // error.
     let repo = ScratchRepo::new("engine-allow");
     repo.write(
         "crates/sim/src/time.rs",
@@ -147,6 +133,47 @@ fn engine_allowlist_suppresses_and_goes_stale() {
     assert_eq!(report.stale_allowlist.len(), 1);
     assert!(report.stale_allowlist[0].contains("clean.rs"));
     assert!(!report.is_clean(), "stale entries are errors");
+}
+
+#[test]
+fn allowlist_parses_entries_and_skips_comments() {
+    let entries = rules::parse_allowlist(
+        "# comment\n\nnondet-collection crates/sim/src/x.rs\n  panic-reachable crates/mpi/src/y.rs  \nbogus-rule z.rs\nwall-clock\n",
+    );
+    assert_eq!(
+        entries,
+        [
+            rules::AllowEntry {
+                rule: RuleId::NondetCollection,
+                path: "crates/sim/src/x.rs".to_string(),
+            },
+            rules::AllowEntry {
+                rule: RuleId::PanicReachable,
+                path: "crates/mpi/src/y.rs".to_string(),
+            },
+        ]
+    );
+}
+
+#[test]
+fn vendor_target_and_fixtures_are_never_scanned() {
+    // A wall-clock read fires in any scanned file but the stopwatch, so
+    // each of these would be a violation if the walker entered it.
+    let repo = ScratchRepo::new("engine-walk");
+    let clock = "pub fn f() { let _ = std::time::Instant::now(); }\n";
+    for rel in [
+        "vendor/proptest/src/lib.rs",
+        "crates/bench/vendor/shim.rs",
+        "crates/bench/target/debug/build/out.rs",
+        "crates/audit/tests/fixtures/wall-clock/pos.rs",
+        "tests/vendor/x.rs",
+    ] {
+        repo.write(rel, clock);
+    }
+    repo.write("crates/bench/src/lib.rs", "pub fn f() {}\n");
+    let report = rules::run_with_allowlist(&repo.root, &[]).expect("engine run");
+    assert_eq!(report.files_scanned, 1, "{}", report.render());
+    assert!(report.is_clean(), "{}", report.render());
 }
 
 #[test]
@@ -187,7 +214,7 @@ fn engine_json_names_every_finding() {
 fn crate_deps_table_matches_the_manifests() {
     // The graph rule constrains call edges along CRATE_DEPS; if the table
     // drifts from the real manifests it silently over- or under-links.
-    let root = lint::repo_root();
+    let root = rules::repo_root();
     for (krate, deps) in rules::CRATE_DEPS {
         let manifest = fs::read_to_string(root.join(format!("crates/{krate}/Cargo.toml")))
             .unwrap_or_else(|e| panic!("crates/{krate}/Cargo.toml: {e}"));
@@ -220,85 +247,4 @@ fn crate_deps_table_matches_the_manifests() {
             );
         }
     }
-}
-
-#[test]
-fn seeded_hashmap_violation_is_caught() {
-    let repo = ScratchRepo::new("hashmap");
-    repo.write(
-        "crates/sim/src/bad.rs",
-        "use std::collections::HashMap;\npub fn f() -> HashMap<u32, u32> { HashMap::new() }\n",
-    );
-    let report = lint::run(&repo.root).expect("lint run");
-    assert_eq!(report.violations.len(), 2);
-    assert!(report
-        .violations
-        .iter()
-        .all(|v| v.rule == Rule::NondetCollection));
-    assert_eq!(report.violations[0].path, "crates/sim/src/bad.rs");
-    assert_eq!(report.violations[0].line, 1);
-}
-
-#[test]
-fn seeded_wall_clock_violation_is_caught() {
-    let repo = ScratchRepo::new("wallclock");
-    repo.write(
-        "crates/xt3/src/bad.rs",
-        "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
-    let report = lint::run(&repo.root).expect("lint run");
-    assert_eq!(report.violations.len(), 1);
-    assert_eq!(report.violations[0].rule, Rule::WallClock);
-}
-
-#[test]
-fn seeded_firmware_unwrap_is_caught_outside_tests_only() {
-    let repo = ScratchRepo::new("panic");
-    repo.write(
-        "crates/firmware/src/control.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         #[cfg(test)]\nmod tests {\n    fn g(x: Option<u32>) -> u32 { x.unwrap() }\n}\n",
-    );
-    let report = lint::run(&repo.root).expect("lint run");
-    assert_eq!(report.violations.len(), 1, "{}", report.render());
-    assert_eq!(report.violations[0].rule, Rule::PanicPath);
-    assert_eq!(report.violations[0].line, 1);
-}
-
-#[test]
-fn allowlist_suppresses_and_goes_stale() {
-    let repo = ScratchRepo::new("allow");
-    repo.write("crates/mpi/src/debt.rs", "use std::collections::HashSet;\n");
-    repo.write("crates/portals/src/clean.rs", "pub fn f() {}\n");
-
-    let allow = vec![
-        // Covers the real violation — suppressed.
-        AllowEntry {
-            rule: Rule::NondetCollection,
-            path: "crates/mpi/src/debt.rs".to_string(),
-        },
-        // Covers nothing — must be reported stale so the file shrinks.
-        AllowEntry {
-            rule: Rule::NondetCollection,
-            path: "crates/portals/src/clean.rs".to_string(),
-        },
-    ];
-    let report = lint::run_with_allowlist(&repo.root, &allow).expect("lint run");
-    assert!(report.violations.is_empty(), "{}", report.render());
-    assert_eq!(report.stale_allowlist.len(), 1);
-    assert!(report.stale_allowlist[0].contains("clean.rs"));
-    assert!(!report.is_clean(), "stale entries are errors");
-}
-
-#[test]
-fn inline_marker_must_name_the_right_rule() {
-    let repo = ScratchRepo::new("marker");
-    repo.write(
-        "crates/nal/src/x.rs",
-        "use std::collections::HashMap; // audit:allow(nondet-collection): FFI mirror of host table\n\
-         use std::collections::HashSet; // audit:allow(wall-clock): wrong rule name\n",
-    );
-    let report = lint::run(&repo.root).expect("lint run");
-    assert_eq!(report.violations.len(), 1, "{}", report.render());
-    assert_eq!(report.violations[0].line, 2);
 }

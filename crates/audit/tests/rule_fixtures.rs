@@ -194,6 +194,36 @@ fn inline_allow_suppresses_without_hiding() {
     }
 }
 
+/// Which rules fire on `text` placed at `rel`.
+fn rules_at(rel: &str, text: &str) -> Vec<RuleId> {
+    let report = rules::run_on_files(&[source(rel, text)], &[]);
+    report.violations().map(|f| f.rule).collect()
+}
+
+#[test]
+fn the_path_scopes_the_three_line_rules() {
+    let map = include_str!("fixtures/nondet-collection/pos.rs");
+    assert!(rules_at("crates/sim/src/engine.rs", map).contains(&RuleId::NondetCollection));
+    assert!(rules_at("crates/bench/src/lib.rs", map).is_empty());
+
+    let clock = include_str!("fixtures/wall-clock/pos.rs");
+    for rel in [
+        "crates/bench/src/lib.rs",
+        "crates/bench/src/bin/xt3-bench.rs",
+        "crates/bench/src/bin/mem_footprint.rs",
+    ] {
+        assert_eq!(rules_at(rel, clock), [RuleId::WallClock], "{rel}");
+    }
+    assert!(rules_at("crates/bench/src/stopwatch.rs", clock).is_empty());
+
+    let unwrap = include_str!("fixtures/panic-path/pos.rs");
+    assert_eq!(
+        rules_at("crates/firmware/src/gbn.rs", unwrap),
+        [RuleId::PanicPath]
+    );
+    assert!(rules_at("crates/firmware/src/pool.rs", unwrap).is_empty());
+}
+
 #[test]
 fn reachable_positive_reports_the_call_chain() {
     let case = CASES

@@ -4,7 +4,7 @@
 //! the host produced them* is what `perf core`, `perf parallel`, `sweep`
 //! and `campaign` report, and it is read here and nowhere else. This
 //! file is the determinism lint's single `wall-clock` exemption
-//! (`audit::lint::WALL_CLOCK_EXEMPT`): a timing can flow from here into
+//! (`audit::rules::WALL_CLOCK_EXEMPT`): a timing can flow from here into
 //! a report, never back into a simulation.
 
 use std::time::Instant;

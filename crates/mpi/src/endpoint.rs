@@ -693,16 +693,6 @@ impl MpiEndpoint {
         std::mem::take(&mut self.completions)
     }
 
-    /// Outstanding request count (sends + receives).
-    pub fn outstanding(&self) -> usize {
-        self.sends.len() + self.recvs.len()
-    }
-
-    /// Unexpected messages currently buffered.
-    pub fn unexpected_len(&self) -> usize {
-        self.unexpected.len()
-    }
-
     /// The personality in use.
     pub fn personality(&self) -> &Personality {
         &self.personality

@@ -129,24 +129,6 @@ impl MpiDriver {
         self.layout
     }
 
-    /// Diagnostic snapshot of the driver's progress (used when a run
-    /// stalls).
-    pub fn debug_state(&self) -> String {
-        format!(
-            "rank={} round={}/{} i={} count={} issued={} outstanding={} ep_outstanding={:?}",
-            self.rank,
-            self.round,
-            self.schedule.len(),
-            self.i,
-            self.count,
-            self.issued,
-            self.outstanding_sends,
-            self.ep
-                .as_ref()
-                .map(|e| (e.outstanding(), e.unexpected_len(), e.unexpected_count)),
-        )
-    }
-
     fn size(&self) -> u64 {
         self.schedule.points[self.round].size
     }

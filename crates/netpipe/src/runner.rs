@@ -9,7 +9,7 @@ use xt3_mpi::Personality;
 use xt3_node::config::{MachineConfig, NodeSpec, ProcSpec};
 use xt3_node::Machine;
 use xt3_seastar::cost::CostModel;
-use xt3_sim::RunOutcome;
+use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::TelemetryReport;
 
 /// Which transport a curve measures.
@@ -244,8 +244,9 @@ fn rma_machine(config: &NetpipeConfig, pattern: RmaPattern) -> Machine {
 /// Build the fully-spawned engine for `(transport, kind)` without running
 /// it. The replay-divergence audit (`crates/audit`) uses this to step two
 /// identically-configured engines in lockstep and compare their event
-/// digests; the `run_*` helpers below use it too, so measurement runs and
-/// audit runs exercise exactly the same construction path.
+/// digests; the `run_*` helpers below build through the same machine
+/// constructors, so measurement runs and audit runs exercise exactly the
+/// same construction path.
 pub fn build_engine(
     config: &NetpipeConfig,
     transport: Transport,
@@ -278,36 +279,11 @@ pub fn run_ptl(
     config: &NetpipeConfig,
     pattern: PtlPattern,
 ) -> (Vec<RoundResult>, Vec<RoundResult>) {
-    let mut engine = ptl_machine(config, pattern).into_engine();
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "netpipe run must drain");
-    let mut m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "netpipe apps must finish ({pattern:?})"
-    );
-    let mut a = m.take_app(0, 0).expect("initiator");
-    let mut b = m.take_app(1, 0).expect("responder");
-    let ra = std::mem::take(&mut a.as_any().downcast_mut::<PtlInitiator>().unwrap().results);
-    let rb = std::mem::take(&mut b.as_any().downcast_mut::<PtlResponder>().unwrap().results);
-    (ra, rb)
-}
-
-/// Run a symmetric Portals pattern (an initiator on both nodes); returns
-/// node 0's measurements.
-pub fn run_ptl_symmetric(config: &NetpipeConfig, pattern: PtlPattern) -> Vec<RoundResult> {
-    let mut engine = ptl_symmetric_machine(config, pattern).into_engine();
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "symmetric run must drain");
-    let mut m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "symmetric apps must finish ({pattern:?})"
-    );
-    let mut a = m.take_app(0, 0).expect("node 0");
-    std::mem::take(&mut a.as_any().downcast_mut::<PtlInitiator>().unwrap().results)
+    let (mut m, _) = run_to_end(ptl_machine(config, pattern), pattern);
+    (
+        take_results(&mut m, 0, |a: &mut PtlInitiator| &mut a.results),
+        take_results(&mut m, 1, |b: &mut PtlResponder| &mut b.results),
+    )
 }
 
 /// Run one MPI curve; returns `(rank0 results, rank1 results)`.
@@ -316,20 +292,11 @@ pub fn run_mpi(
     pattern: MpiPattern,
     personality: Personality,
 ) -> (Vec<RoundResult>, Vec<RoundResult>) {
-    let mut engine = mpi_machine(config, pattern, personality).into_engine();
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "mpi netpipe run must drain");
-    let mut m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "mpi netpipe apps must finish ({pattern:?})"
-    );
-    let mut a = m.take_app(0, 0).expect("rank 0");
-    let mut b = m.take_app(1, 0).expect("rank 1");
-    let ra = std::mem::take(&mut a.as_any().downcast_mut::<MpiDriver>().unwrap().results);
-    let rb = std::mem::take(&mut b.as_any().downcast_mut::<MpiDriver>().unwrap().results);
-    (ra, rb)
+    let (mut m, _) = run_to_end(mpi_machine(config, pattern, personality), pattern);
+    (
+        take_results(&mut m, 0, |a: &mut MpiDriver| &mut a.results),
+        take_results(&mut m, 1, |b: &mut MpiDriver| &mut b.results),
+    )
 }
 
 /// Run one RMA curve; returns `(rank0 results, rank1 results)`. Beyond
@@ -339,36 +306,51 @@ pub fn run_rma(
     config: &NetpipeConfig,
     pattern: RmaPattern,
 ) -> (Vec<RoundResult>, Vec<RoundResult>) {
-    let mut engine = rma_machine(config, pattern).into_engine();
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "rma netpipe run must drain");
-    let mut m = engine.into_model();
-    assert_eq!(
-        m.running_apps(),
-        0,
-        "rma netpipe apps must finish ({pattern:?})"
-    );
-    let mut a = m.take_app(0, 0).expect("rank 0");
-    let mut b = m.take_app(1, 0).expect("rank 1");
-    let ra = std::mem::take(&mut a.as_any().downcast_mut::<RmaDriver>().unwrap().results);
-    let rb = std::mem::take(&mut b.as_any().downcast_mut::<RmaDriver>().unwrap().results);
-    (ra, rb)
+    let (mut m, _) = run_to_end(rma_machine(config, pattern), pattern);
+    (
+        take_results(&mut m, 0, |a: &mut RmaDriver| &mut a.results),
+        take_results(&mut m, 1, |b: &mut RmaDriver| &mut b.results),
+    )
 }
 
 /// The measured rounds for `(transport, kind)` — the side holding the
-/// measurement depends on the pattern (receiver for streams).
+/// measurement depends on the pattern (see [`extract_rounds`]).
 pub fn run_curve(config: &NetpipeConfig, transport: Transport, kind: TestKind) -> Vec<RoundResult> {
-    match (transport, kind) {
-        (Transport::Put, TestKind::PingPong) => run_ptl(config, PtlPattern::PingPongPut).0,
-        (Transport::Put, TestKind::Stream) => run_ptl(config, PtlPattern::StreamPut).1,
-        (Transport::Put, TestKind::Bidir) => run_ptl(config, PtlPattern::Bidir).0,
-        (Transport::Get, TestKind::PingPong) => run_ptl(config, PtlPattern::PingPongGet).0,
-        (Transport::Get, TestKind::Stream) => run_ptl(config, PtlPattern::StreamGet).0,
-        (Transport::Get, TestKind::Bidir) => run_ptl_symmetric(config, PtlPattern::BidirGet),
-        (Transport::Mpich1, k) => run_mpi(config, mpi_pattern(k), Personality::mpich1()).pick(k),
-        (Transport::Mpich2, k) => run_mpi(config, mpi_pattern(k), Personality::mpich2()).pick(k),
-        (Transport::Rma, k) => run_rma(config, rma_pattern(k)).pick(k),
-    }
+    let machine = build_machine(config, transport, kind);
+    let (mut m, _) = run_to_end(machine, (transport, kind));
+    extract_rounds(&mut m, transport, kind)
+}
+
+/// Run a fully spawned machine to the end; returns it with the simulated
+/// time the run took. A run that does not drain, or leaves an app
+/// unfinished (a deadlock: its results would be half filled), panics
+/// naming `what`.
+fn run_to_end(machine: Machine, what: impl std::fmt::Debug) -> (Machine, SimTime) {
+    let mut engine = machine.into_engine();
+    let outcome = engine.run();
+    assert_eq!(
+        outcome,
+        RunOutcome::Drained,
+        "netpipe run must drain ({what:?})"
+    );
+    let elapsed = engine.now();
+    let m = engine.into_model();
+    assert_eq!(m.running_apps(), 0, "netpipe apps must finish ({what:?})");
+    (m, elapsed)
+}
+
+/// Move the round results out of the `D` driver on `node`.
+fn take_results<D: 'static>(
+    m: &mut Machine,
+    node: u32,
+    results: fn(&mut D) -> &mut Vec<RoundResult>,
+) -> Vec<RoundResult> {
+    let mut app = m.take_app(node, 0).expect("netpipe driver on the node");
+    let driver = app
+        .as_any()
+        .downcast_mut::<D>()
+        .expect("netpipe driver type");
+    std::mem::take(results(driver))
 }
 
 fn mpi_pattern(kind: TestKind) -> MpiPattern {
@@ -384,19 +366,6 @@ fn rma_pattern(kind: TestKind) -> RmaPattern {
         TestKind::PingPong => RmaPattern::PingPongPut,
         TestKind::Stream => RmaPattern::Stream,
         TestKind::Bidir => RmaPattern::Bidir,
-    }
-}
-
-trait PickSide {
-    fn pick(self, kind: TestKind) -> Vec<RoundResult>;
-}
-
-impl PickSide for (Vec<RoundResult>, Vec<RoundResult>) {
-    fn pick(self, kind: TestKind) -> Vec<RoundResult> {
-        match kind {
-            TestKind::Stream => self.1,
-            _ => self.0,
-        }
     }
 }
 
@@ -423,12 +392,8 @@ pub fn run_instrumented(
 ) -> InstrumentedRun {
     let mut cfg = config.clone();
     cfg.telemetry = true;
-    let mut engine = build_engine(&cfg, transport, kind);
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "instrumented run must drain");
-    let elapsed = engine.now();
-    let mut m = engine.into_model();
-    assert_eq!(m.running_apps(), 0, "instrumented apps must finish");
+    let machine = build_machine(&cfg, transport, kind);
+    let (mut m, elapsed) = run_to_end(machine, (transport, kind));
     let report = m.telemetry_report(&scenario_name(transport, kind), elapsed);
     let perfetto = m.telemetry().perfetto_json();
     let rounds = extract_rounds(&mut m, transport, kind);
@@ -470,12 +435,9 @@ pub fn run_explained(
 ) -> Result<ExplainedRun, xt3_telemetry::CritPathError> {
     let mut cfg = config.clone();
     cfg.telemetry = true;
-    let mut engine = build_engine(&cfg, transport, kind);
-    engine.model_mut().set_causal_enabled(true);
-    let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Drained, "explained run must drain");
-    let mut m = engine.into_model();
-    assert_eq!(m.running_apps(), 0, "explained apps must finish");
+    let mut machine = build_machine(&cfg, transport, kind);
+    machine.set_causal_enabled(true);
+    let (mut m, _) = run_to_end(machine, (transport, kind));
     let chains = xt3_telemetry::extract_chains(m.causal())?;
     let hops = xt3_telemetry::hop_stalls(&chains, m.causal())?;
     let perfetto = m.telemetry().perfetto_json_with_causal(m.causal());
@@ -625,31 +587,21 @@ pub fn tiled_chains<'a>(
     None
 }
 
-/// Pull the measuring side's results out of a finished machine, matching
-/// the side selection in [`run_curve`].
+/// Pull the measuring side's results out of a finished machine: streams
+/// are measured at the receiver (node 1) — except a streamed get, whose
+/// initiator times the transfers it pulls — and every other pattern by
+/// node 0 (for a bidirectional get, node 0's initiator).
 fn extract_rounds(m: &mut Machine, transport: Transport, kind: TestKind) -> Vec<RoundResult> {
+    let node = u32::from(kind == TestKind::Stream && transport != Transport::Get);
     match transport {
+        Transport::Put if node == 1 => take_results(m, 1, |b: &mut PtlResponder| &mut b.results),
         Transport::Put | Transport::Get => {
-            // Streamed puts are measured at the receiver; every other
-            // Portals pattern is measured by node 0's initiator.
-            if transport == Transport::Put && kind == TestKind::Stream {
-                let mut b = m.take_app(1, 0).expect("responder");
-                std::mem::take(&mut b.as_any().downcast_mut::<PtlResponder>().unwrap().results)
-            } else {
-                let mut a = m.take_app(0, 0).expect("initiator");
-                std::mem::take(&mut a.as_any().downcast_mut::<PtlInitiator>().unwrap().results)
-            }
+            take_results(m, node, |a: &mut PtlInitiator| &mut a.results)
         }
         Transport::Mpich1 | Transport::Mpich2 => {
-            let node = if kind == TestKind::Stream { 1 } else { 0 };
-            let mut a = m.take_app(node, 0).expect("rank");
-            std::mem::take(&mut a.as_any().downcast_mut::<MpiDriver>().unwrap().results)
+            take_results(m, node, |a: &mut MpiDriver| &mut a.results)
         }
-        Transport::Rma => {
-            let node = if kind == TestKind::Stream { 1 } else { 0 };
-            let mut a = m.take_app(node, 0).expect("rank");
-            std::mem::take(&mut a.as_any().downcast_mut::<RmaDriver>().unwrap().results)
-        }
+        Transport::Rma => take_results(m, node, |a: &mut RmaDriver| &mut a.results),
     }
 }
 

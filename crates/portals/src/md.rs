@@ -51,15 +51,6 @@ impl MdOptions {
         }
     }
 
-    /// Options for a buffer serving both puts and gets.
-    pub fn put_get_target() -> Self {
-        MdOptions {
-            op_put: true,
-            op_get: true,
-            ..Default::default()
-        }
-    }
-
     /// Options for an MPI-3 RMA window: puts, gets and atomics, with the
     /// initiator supplying the target displacement (`manage_remote`) and
     /// no truncation (an out-of-range access must drop visibly rather

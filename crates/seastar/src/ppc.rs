@@ -82,40 +82,9 @@ impl Ppc440 {
         self.cursor.occupy(arrival, handler.cost(cm))
     }
 
-    /// Occupy the core for an explicit duration (fast-path handlers whose
-    /// cost is not one of the [`FwHandler`] classes).
-    pub fn occupy_raw(&mut self, arrival: SimTime, cost: SimTime) -> SimTime {
-        self.cursor.occupy(arrival, cost)
-    }
-
     /// Run a handler with an explicit extra cost (e.g. per-DMA-command
-    /// programming work for scatter/gather lists).
-    pub fn run_with_extra(
-        &mut self,
-        cm: &CostModel,
-        handler: FwHandler,
-        arrival: SimTime,
-        extra: SimTime,
-    ) -> SimTime {
-        self.handler_counts[Self::idx(handler)] += 1;
-        self.cursor.occupy(arrival, handler.cost(cm) + extra)
-    }
-
-    /// [`Ppc440::run`] with telemetry: records the handler's busy span on
-    /// the node's PPC track. Same cursor math, same return value.
-    #[inline]
-    pub fn run_via(
-        &mut self,
-        cm: &CostModel,
-        handler: FwHandler,
-        arrival: SimTime,
-        node: u32,
-        sink: &mut impl TelemetrySink,
-    ) -> SimTime {
-        self.run_with_extra_via(cm, handler, arrival, SimTime::ZERO, node, sink)
-    }
-
-    /// [`Ppc440::run_with_extra`] with telemetry.
+    /// programming work for scatter/gather lists), recording its busy
+    /// span on the node's PPC track.
     #[inline]
     pub fn run_with_extra_via(
         &mut self,
@@ -133,7 +102,9 @@ impl Ppc440 {
         done
     }
 
-    /// [`Ppc440::occupy_raw`] with telemetry.
+    /// Occupy the core for an explicit duration (fast-path handlers whose
+    /// cost is not one of the [`FwHandler`] classes), recording the span
+    /// under `label`.
     #[inline]
     pub fn occupy_raw_via(
         &mut self,
@@ -204,6 +175,7 @@ impl Ppc440 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt3_telemetry::NullSink;
 
     #[test]
     fn handlers_serialize_on_the_single_core() {
@@ -228,7 +200,14 @@ mod tests {
         let cm = CostModel::paper();
         let mut ppc = Ppc440::new();
         let extra = SimTime::from_ns(1000);
-        let done = ppc.run_with_extra(&cm, FwHandler::TxDmaSetup, SimTime::ZERO, extra);
+        let done = ppc.run_with_extra_via(
+            &cm,
+            FwHandler::TxDmaSetup,
+            SimTime::ZERO,
+            extra,
+            0,
+            &mut NullSink,
+        );
         assert_eq!(done, cm.fw_tx_dma_setup + extra);
     }
 

@@ -290,24 +290,6 @@ impl<M: Model> Engine<M> {
             }
         }
     }
-
-    /// Run until `predicate` over the model returns true, the queue drains,
-    /// or the budget runs out. The predicate is checked after every event.
-    pub fn run_while<F: FnMut(&M) -> bool>(&mut self, mut keep_going: F) -> RunOutcome {
-        let mut budget = self.event_budget;
-        loop {
-            if !keep_going(&self.model) {
-                return RunOutcome::HorizonReached;
-            }
-            if budget == 0 {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            budget -= 1;
-            if !self.step() {
-                return RunOutcome::Drained;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -384,14 +366,6 @@ mod tests {
             RunOutcome::EventBudgetExhausted
         );
         assert_eq!(e.model().hits, vec![10, 9, 8, 7, 6, 5]);
-    }
-
-    #[test]
-    fn run_while_predicate() {
-        let mut e = Engine::new(Chain { hits: vec![] });
-        e.queue_mut().schedule_at(SimTime::ZERO, 100);
-        e.run_while(|m| m.hits.len() < 5);
-        assert_eq!(e.model().hits.len(), 5);
     }
 
     #[test]

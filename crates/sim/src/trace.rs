@@ -215,11 +215,6 @@ impl Trace {
         self.events = ring;
     }
 
-    /// Events for one correlation tag, in order.
-    pub fn for_tag(&self, tag: u64) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.tag == tag)
-    }
-
     /// Render a human-readable dump (used by the latency-breakdown tools).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -272,8 +267,8 @@ mod tests {
             8,
         );
         assert_eq!(t.len(), 3);
-        let tagged: Vec<_> = t.for_tag(7).map(|e| e.label.as_str()).collect();
-        assert_eq!(tagged, vec!["a", "b"]);
+        let labels: Vec<_> = t.events().map(|e| e.label.as_str()).collect();
+        assert_eq!(labels, vec!["a", "b", "c"]);
     }
 
     #[test]

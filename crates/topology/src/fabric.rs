@@ -165,11 +165,6 @@ impl Fabric {
         self.series = Some(Box::new(SeriesSet::new(nodes, cfg)));
     }
 
-    /// Stop recording series and drop what was recorded.
-    pub fn disable_series(&mut self) {
-        self.series = None;
-    }
-
     /// The recorded series, if enabled.
     pub fn series(&self) -> Option<&SeriesSet> {
         self.series.as_deref()
@@ -185,11 +180,6 @@ impl Fabric {
         &self.routes
     }
 
-    /// The link configuration.
-    pub fn link_config(&self) -> &LinkConfig {
-        &self.config.link
-    }
-
     /// Conservative parallel-scheduling lookahead for this fabric (see
     /// [`FabricConfig::min_lookahead`]).
     pub fn min_lookahead(&self) -> SimTime {
@@ -200,29 +190,18 @@ impl Fabric {
     /// at `inject_at`. Returns the delivery record; the caller schedules
     /// the corresponding events.
     pub fn send<P>(&mut self, inject_at: SimTime, msg: NetMessage<P>) -> DeliveredMsg<P> {
-        self.send_via(inject_at, msg, &mut NullSink)
+        self.send_full(inject_at, msg, &mut NullSink, &mut CausalLog::disabled())
     }
 
-    /// [`Fabric::send`] with telemetry: each traversed link records a busy
-    /// span on its owning node's track, and the head-of-line wait in front
-    /// of a busy link is sampled into the `net.hol_stall` histogram.
+    /// [`Fabric::send`], observed: each traversed link records a busy span
+    /// on its owning node's track in `sink`, and the head-of-line wait in
+    /// front of a busy link is sampled into the `net.hol_stall` histogram;
+    /// each hop appends a `LinkHop` record to `causal` (chained onto the
+    /// message's `TxInject`) whose `info` carries the head-of-line stall at
+    /// that hop in picoseconds — the detail the critical-path extractor
+    /// uses to split transit time into wire vs. hop-queueing classes.
     /// Recording observes the timing the cut-through walk computes anyway,
-    /// so delivery is bit-identical to the untraced path.
-    pub fn send_via<P>(
-        &mut self,
-        inject_at: SimTime,
-        msg: NetMessage<P>,
-        sink: &mut impl TelemetrySink,
-    ) -> DeliveredMsg<P> {
-        let mut causal = CausalLog::disabled();
-        self.send_full(inject_at, msg, sink, &mut causal)
-    }
-
-    /// [`Fabric::send_via`] plus causal tracing: each traversed link hop
-    /// appends a `LinkHop` record (chained onto the message's `TxInject`)
-    /// whose `info` carries the head-of-line stall at that hop in
-    /// picoseconds — the detail the critical-path extractor uses to split
-    /// transit time into wire vs. hop-queueing classes.
+    /// so delivery is bit-identical to the unobserved path.
     pub fn send_full<P>(
         &mut self,
         inject_at: SimTime,
@@ -513,15 +492,13 @@ mod tests {
     fn a_fabric_without_series_holds_none() {
         // The series are the fabric's one optional store: never enabled,
         // the field is an empty `Option` — no set, no lane — however much
-        // is sent, and disabling releases what was recorded.
+        // is sent.
         let mut f = two_node_fabric();
         f.send(SimTime::ZERO, msg(0, 1, 4096, 1));
         assert!(f.series.is_none());
         f.enable_series(xt3_telemetry::SeriesConfig::default());
         f.send(SimTime::ZERO, msg(0, 1, 4096, 2));
         assert_eq!(f.series().map(|s| s.touched_nodes()), Some(1));
-        f.disable_series();
-        assert!(f.series.is_none());
     }
 
     #[test]

@@ -284,12 +284,6 @@ impl Machine {
         self.faults.stats()
     }
 
-    /// Streaming digest over the injected-fault stream (folded into
-    /// [`Model::state_fingerprint`]).
-    pub fn fault_digest(&self) -> u64 {
-        self.faults.digest()
-    }
-
     /// Total go-back-n retransmissions across every node.
     pub fn total_gbn_retransmissions(&self) -> u64 {
         self.nodes.iter().map(|n| n.gbn_retransmissions()).sum()
