@@ -17,7 +17,7 @@ use std::any::Any;
 use std::fmt;
 
 use xt3_netpipe::runner::{build_machine, scenario_matrix, scenario_name, NetpipeConfig};
-use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
+use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec, ProcSpec};
 use xt3_node::{App, AppCtx, AppEvent, Machine};
 use xt3_portals::event::EventKind;
 use xt3_portals::md::{MdOptions, Threshold};
@@ -370,7 +370,6 @@ pub fn traffic_scenarios() -> Vec<Scenario> {
 pub fn machine_path_scenarios() -> Vec<Scenario> {
     use xt3_netpipe::ptl::{PtlInitiator, PtlPattern};
     use xt3_netpipe::{Schedule, TestKind, Transport};
-    use xt3_node::config::ProcSpec;
 
     let accel_netpipe = |name: &str, t: Transport| Scenario {
         name: name.to_string(),
@@ -417,6 +416,13 @@ pub fn machine_path_scenarios() -> Vec<Scenario> {
         interop("interop/accel-to-generic", 0),
         interop("interop/generic-to-accel", 1),
         Scenario {
+            // One peer bursting at a generic and an accelerated process
+            // of the same node: both firmware-level processes hold RX
+            // pending 0 at once, queued on the one source of node 1.
+            name: "interop/two-procs-one-peer".to_string(),
+            build: Box::new(two_procs_one_peer),
+        },
+        Scenario {
             // Two Linux service nodes: the ukbridge processes pull from
             // each other with gets up to four pages long (paged reply
             // sources and deposit lists); the kbridge processes move
@@ -452,6 +458,23 @@ pub fn machine_path_scenarios() -> Vec<Scenario> {
             }),
         },
     ]
+}
+
+/// The `interop/two-procs-one-peer` machine: node 1's pid `p` bursts two
+/// 16-byte puts at node 0's pid `p`, for p = 0 (generic) and 1
+/// (accelerated). Exposed so a test can check the collectors it leaves.
+pub fn two_procs_one_peer() -> Machine {
+    let mut config = MachineConfig::paper_pair();
+    config.synthetic_payload = false;
+    let mut spec = NodeSpec::catamount_compute();
+    spec.procs.push(ProcSpec::catamount_accelerated());
+    let mut m = Machine::new(config, &[spec]);
+    for pid in 0..2 {
+        let burst = Pusher::burst(ProcessId::new(0, pid), 16, 2);
+        m.spawn(1, pid, Box::new(burst));
+        m.spawn(0, pid, Box::new(Collector::new(2)));
+    }
+    m
 }
 
 /// Every scenario the `audit replay` command and the tier-1 replay test

@@ -69,53 +69,52 @@ struct Row {
 }
 
 impl Row {
-    /// Live heap blocks per node after the run (whole blocks: the few
-    /// the machine holds once — queue, fabric, the node vector — do not
-    /// make one more per node).
-    fn live_blocks_per_node(&self) -> u64 {
-        self.live.blocks() / self.nodes as u64
-    }
-
-    /// The two numbers of this row the gate holds exactly.
+    /// The two numbers of this row the gate holds exactly: `Node`'s
+    /// inline size and the live heap blocks per node after the run (whole
+    /// blocks: the few the machine holds once — queue, fabric, the node
+    /// vector — do not make one more per node).
     fn counts(&self) -> [gate::MemCount; 2] {
         let node_bytes = std::mem::size_of::<Node>() as u64;
+        let blocks = self.live.blocks() / self.nodes as u64;
         [
             (self.nodes, "node_bytes", node_bytes),
-            (
-                self.nodes,
-                "live_blocks_per_node",
-                self.live_blocks_per_node(),
-            ),
+            (self.nodes, "live_blocks_per_node", blocks),
         ]
     }
+}
 
-    /// The histogram DESIGN.md §8 quotes: one line per request size that
-    /// at least one node in a hundred holds a block of, and one for
-    /// everything else — rarer sizes and the blocks a machine holds once.
-    fn print_histogram(&self) {
-        let nodes = self.nodes as f64;
-        println!(
-            "\nlive after the run, {} nodes ({} B Node inline, {} blocks/node):",
-            self.nodes,
-            std::mem::size_of::<Node>(),
-            self.live_blocks_per_node()
-        );
-        println!(
-            "{:>9} {:>12} {:>11}",
-            "block B", "blocks/node", "bytes/node"
-        );
-        let mut listed = 0;
-        for (size, blocks) in self.live.by_size() {
-            if blocks as f64 >= nodes / 100.0 {
-                let bytes = size as u64 * blocks;
-                listed += bytes;
-                let per_node = blocks as f64 / nodes;
-                println!("{size:>9} {per_node:>12.2} {:>11.1}", bytes as f64 / nodes);
-            }
+/// The histograms DESIGN.md §8 quotes: one line per request size — from
+/// 4 KiB up, per power-of-two class (`64Ki+` holds 64 to 128 KiB) — that
+/// at least one node in a hundred holds a block of, and one for
+/// everything else: rarer sizes and the blocks a machine holds once.
+fn print_census(title: &str, live: &Census, nodes: usize) {
+    let per_node = |n: u64| n as f64 / nodes as f64;
+    println!(
+        "\n{title}, {nodes} nodes ({} B Node inline, {} blocks/node):",
+        std::mem::size_of::<Node>(),
+        live.blocks() / nodes as u64
+    );
+    println!(
+        "{:>9} {:>12} {:>11}",
+        "block B", "blocks/node", "bytes/node"
+    );
+    let mut rest = 0;
+    for (size, blocks, bytes) in live.by_size() {
+        if blocks * 100 < nodes as u64 {
+            rest += bytes;
+            continue;
         }
-        let rest = (self.live.bytes() - listed) as f64;
-        println!("{:>9} {:>12} {:>11.1}", "the rest", "", rest / nodes);
+        let size = match size < heap::CENSUS_SIZES as u64 {
+            true => size.to_string(),
+            false => format!("{}Ki+", size >> 10),
+        };
+        println!(
+            "{size:>9} {:>12.2} {:>11.1}",
+            per_node(blocks),
+            per_node(bytes)
+        );
     }
+    println!("{:>9} {:>12} {:>11.1}", "the rest", "", per_node(rest));
 }
 
 const USAGE: &str = "\
@@ -131,8 +130,9 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
 --series          enable per-link congestion series and hold the peaks to
                   --check's (default BENCH_mem.json) plain ones plus
                   gate::SERIES_BYTES_PER_NODE a node; no JSON output
---histogram       after each size, print what is live per node by
-                  allocation size";
+--histogram       after each size and after the unobserved 8x8x8
+                  all-to-all, print what is live per node by allocation
+                  size";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;
@@ -287,7 +287,17 @@ fn run(mut args: Args) -> CmdResult {
         );
     }
     if histogram {
-        rows.iter().for_each(Row::print_histogram);
+        for r in &rows {
+            print_census("live after the run", &r.live, r.nodes);
+        }
+        // Rows never shrink, so what the all-to-all holds once drained is
+        // what it held at its peak, less the event queue.
+        let floor = Census::take();
+        let mut engine = machines::torus512_alltoall().into_engine();
+        assert_eq!(engine.run(), RunOutcome::Drained, "all-to-all must drain");
+        let live = Census::take().since(&floor);
+        let title = "live after the unobserved 8x8x8 all-to-all";
+        print_census(title, &live, engine.model().nodes.len());
     }
 
     let headline = rows.last().expect("at least one size");

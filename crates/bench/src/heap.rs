@@ -1,7 +1,8 @@
 //! The counting allocator behind every allocator-exact number: a
 //! wrapper of the system allocator that keeps live and peak heap bytes
-//! and a census of live blocks by request size. Exact, unlike RSS, which
-//! rounds to pages and includes the binary.
+//! and a census of live blocks by request size — exact below 4 KiB, by
+//! power-of-two class above. Exact, unlike RSS, which rounds to pages
+//! and includes the binary.
 //!
 //! An executable opts in with
 //! `#[global_allocator] static A: CountingAlloc = CountingAlloc;` —
@@ -18,11 +19,24 @@ static LIVE: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`LIVE`] since the last [`restart_peak`].
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// Request sizes the census keeps apart; every larger block counts in
-/// one last slot. A machine's per-node blocks are all far below this.
+/// Request sizes the census keeps apart; a larger block counts in the
+/// power-of-two class of its size, `[2^k, 2^(k+1))`.
 pub const CENSUS_SIZES: usize = 4096;
-/// Live blocks by request size (index = bytes asked for).
-static BLOCKS: [AtomicU64; CENSUS_SIZES + 1] = [const { AtomicU64::new(0) }; CENSUS_SIZES + 1];
+/// Census slots: one per size below [`CENSUS_SIZES`], then one per class
+/// up to `2^63`.
+const SLOTS: usize = CENSUS_SIZES + 64 - CENSUS_SIZES.trailing_zeros() as usize;
+/// Live blocks by slot.
+static BLOCKS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+/// Live bytes by slot.
+static BYTES: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+
+/// The census slot of a block of `bytes`.
+fn slot(bytes: u64) -> usize {
+    match usize::try_from(bytes) {
+        Ok(size) if size < CENSUS_SIZES => size,
+        _ => CENSUS_SIZES + (bytes.ilog2() - CENSUS_SIZES.trailing_zeros()) as usize,
+    }
+}
 
 /// System allocator wrapper that keeps the counters. SeqCst throughout:
 /// this is measurement plumbing, not a hot path worth weaker-ordering
@@ -32,12 +46,14 @@ pub struct CountingAlloc;
 fn count_alloc(bytes: u64) {
     let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
     PEAK.fetch_max(live, Ordering::SeqCst);
-    BLOCKS[(bytes as usize).min(CENSUS_SIZES)].fetch_add(1, Ordering::SeqCst);
+    BLOCKS[slot(bytes)].fetch_add(1, Ordering::SeqCst);
+    BYTES[slot(bytes)].fetch_add(bytes, Ordering::SeqCst);
 }
 
 fn count_free(bytes: u64) {
     LIVE.fetch_sub(bytes, Ordering::SeqCst);
-    BLOCKS[(bytes as usize).min(CENSUS_SIZES)].fetch_sub(1, Ordering::SeqCst);
+    BLOCKS[slot(bytes)].fetch_sub(1, Ordering::SeqCst);
+    BYTES[slot(bytes)].fetch_sub(bytes, Ordering::SeqCst);
 }
 
 // The one sanctioned unsafe block in the tree: GlobalAlloc is an unsafe
@@ -85,27 +101,27 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::SeqCst)
 }
 
-/// What is live, block by block. An array inside, so that taking the
-/// reading allocates nothing.
+/// What is live, block by block. Arrays inside (66 KB), so that taking
+/// the reading allocates nothing.
 pub struct Census {
-    bytes: u64,
-    blocks: [u64; CENSUS_SIZES + 1],
+    blocks: [u64; SLOTS],
+    bytes: [u64; SLOTS],
 }
 
 impl Census {
     /// What is live right now.
     pub fn take() -> Self {
         Census {
-            bytes: live_bytes(),
-            blocks: std::array::from_fn(|size| BLOCKS[size].load(Ordering::SeqCst)),
+            blocks: std::array::from_fn(|at| BLOCKS[at].load(Ordering::SeqCst)),
+            bytes: std::array::from_fn(|at| BYTES[at].load(Ordering::SeqCst)),
         }
     }
 
     /// What this reading holds over an earlier one.
     pub fn since(mut self, floor: &Census) -> Self {
-        self.bytes = self.bytes.saturating_sub(floor.bytes);
-        for (now, was) in self.blocks.iter_mut().zip(floor.blocks) {
-            *now = now.saturating_sub(was);
+        let now = self.blocks.iter_mut().chain(&mut self.bytes);
+        for (now, was) in now.zip(floor.blocks.iter().chain(&floor.bytes)) {
+            *now = now.saturating_sub(*was);
         }
         self
     }
@@ -115,14 +131,28 @@ impl Census {
         self.blocks.iter().sum()
     }
 
-    /// `(request size, live blocks)` for each size below
-    /// [`CENSUS_SIZES`].
-    pub fn by_size(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.blocks.iter().copied().enumerate().take(CENSUS_SIZES)
+    /// `(request size, live blocks, live bytes)` for each size below
+    /// [`CENSUS_SIZES`], then for each power-of-two class at or above it,
+    /// named by its smallest size.
+    pub fn by_size(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let size = |at: usize| match at.checked_sub(CENSUS_SIZES) {
+            None => at as u64,
+            Some(class) => (CENSUS_SIZES as u64) << class,
+        };
+        (0..SLOTS).map(move |at| (size(at), self.blocks[at], self.bytes[at]))
     }
+}
 
-    /// Live bytes in blocks of every size.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sizes_below_the_census_limit_are_exact_and_larger_ones_classed() {
+        assert_eq!(slot(0), 0);
+        assert_eq!(slot(4095), 4095);
+        assert_eq!((slot(4096), slot(8191)), (CENSUS_SIZES, CENSUS_SIZES));
+        assert_eq!(slot(94_208), CENSUS_SIZES + 4, "64 to 128 KiB");
+        assert_eq!(slot(u64::MAX), SLOTS - 1);
     }
 }

@@ -8,9 +8,11 @@
 //! firmware loop.
 
 use crate::mailbox::{FwCommand, FwEvent, Mailbox};
-use crate::pending::{LowerPending, PendingId, PendingState, LOWER_PENDING_BYTES, NO_SOURCE};
+use crate::pending::{
+    LowerPending, PendingId, PendingState, RxLink, LOWER_PENDING_BYTES, NO_SOURCE,
+};
 use crate::pool::Pool;
-use crate::source::{SourceId, SourceTable, NUM_SOURCES, SOURCE_BYTES};
+use crate::source::{Source, SourceId, SourceTable, NUM_SOURCES, SOURCE_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,8 +86,6 @@ pub enum FwEffect {
         proc: ProcIdx,
         /// The pending to deposit.
         pending: PendingId,
-        /// Its source structure.
-        source: SourceId,
     },
     /// Write the Portals header (and any piggybacked payload) into the
     /// upper pending in host memory.
@@ -284,6 +284,15 @@ struct FwProcess {
     /// writes a pending before anything reads it), so the vector's length
     /// is the TX-concurrency high-water mark, not the table capacity.
     tx_lower: Vec<LowerPending>,
+}
+
+/// The `next` link of the pending `at` names. RX lists thread through
+/// the RX pools only: TX pendings are never on one.
+fn rx_next(processes: &mut [FwProcess], at: RxLink) -> Result<&mut RxLink, FwError> {
+    let (proc, pending) = at.get().ok_or(FwError::BadPending)?;
+    let p = processes.get_mut(proc as usize);
+    let lp = p.and_then(|p| p.rx_pool.get_mut(pending));
+    Ok(&mut lp.ok_or(FwError::BadPending)?.next)
 }
 
 /// A firmware layout that fits: a configuration, the processes it
@@ -492,6 +501,52 @@ impl Firmware {
         u16::try_from(id).ok().filter(|&id| id != NO_SOURCE)
     }
 
+    /// `proc`'s RX `pending` as a link, the source of the peer it came
+    /// from, and the pools its list threads through. The source was
+    /// allocated at header time and stays live while its RX list is
+    /// non-empty; finding another node's (or none) under the recorded id
+    /// means the host named a pending we never advertised.
+    fn rx_list(
+        &mut self,
+        proc: ProcIdx,
+        pending: PendingId,
+    ) -> Result<(RxLink, &mut Source, &mut [FwProcess]), FwError> {
+        let lp = self.lower(proc, pending)?;
+        let (source, peer) = (SourceId::from(lp.source), lp.peer);
+        let link = RxLink::new(proc, pending).ok_or(FwError::BadPending)?;
+        let src = self.sources.get_mut_for(source, peer);
+        Ok((link, src.ok_or(FwError::NoSource)?, &mut self.processes))
+    }
+
+    /// Append `proc`'s `pending` to its source's RX list; `true` when it
+    /// is now the head: the list was empty, so its deposit starts now.
+    fn push_rx(&mut self, proc: ProcIdx, pending: PendingId) -> Result<bool, FwError> {
+        let (link, src, processes) = self.rx_list(proc, pending)?;
+        *rx_next(processes, link)? = RxLink::END;
+        match src.rx_tail {
+            RxLink::END => src.rx_head = link,
+            tail => *rx_next(processes, tail)? = link,
+        }
+        src.rx_tail = link;
+        Ok(src.rx_head == link)
+    }
+
+    /// Take `proc`'s `pending`, whose deposit is done, off the head of its
+    /// source's RX list and return the new head: the deposit to start
+    /// next, or [`RxLink::END`]. Anything but the head is
+    /// [`FwError::SpuriousCompletion`].
+    fn pop_rx(&mut self, proc: ProcIdx, pending: PendingId) -> Result<RxLink, FwError> {
+        let (link, src, processes) = self.rx_list(proc, pending)?;
+        if src.rx_head != link {
+            return Err(FwError::SpuriousCompletion);
+        }
+        src.rx_head = std::mem::take(rx_next(processes, link)?);
+        if src.rx_head == RxLink::END {
+            src.rx_tail = RxLink::END;
+        }
+        Ok(src.rx_head)
+    }
+
     // ----- main-loop entry points (§4.3) -----
 
     /// Drain and process every queued mailbox command for `proc`.
@@ -515,7 +570,7 @@ impl Firmware {
                 target_node,
                 length,
                 dma,
-                tag,
+                tag: _,
             } => {
                 // Look up and initialize the lower pending from the
                 // host-pushed command, allocate a source for the target if
@@ -527,9 +582,7 @@ impl Firmware {
                     lp.peer = target_node;
                     lp.source = source;
                     lp.length = length;
-                    lp.drop_length = 0;
                     lp.dma = dma;
-                    lp.tag = tag;
                     lp.direct = false;
                 }
                 self.tx_list.push_back((proc, pending));
@@ -543,39 +596,21 @@ impl Firmware {
             FwCommand::RecvDeposit {
                 pending,
                 length,
-                drop_length,
+                drop_length: _,
                 dma,
             } => {
-                let (source, peer) = {
-                    let lp = self.lower_mut(proc, pending)?;
-                    if lp.state != PendingState::RxHeaderPending {
-                        return Ok(Effects::new());
-                    }
-                    lp.state = PendingState::RxQueued;
-                    lp.length = length;
-                    lp.drop_length = drop_length;
-                    lp.dma = dma;
-                    (SourceId::from(lp.source), lp.peer)
-                };
-                // The source was allocated at rx_header time and stays
-                // live while its RX list is non-empty; finding another
-                // node's (or none) under the recorded id means the host
-                // named a pending we never advertised.
-                let src = self
-                    .sources
-                    .get_mut_for(source, peer)
-                    .ok_or(FwError::NoSource)?;
-                src.rx_pending_list.push_back(pending);
-                if src.rx_pending_list.len() == 1 {
-                    self.lower_mut(proc, pending)?.state = PendingState::RxActive;
-                    Ok(Effects::one(FwEffect::StartRxDma {
-                        proc,
-                        pending,
-                        source,
-                    }))
-                } else {
-                    Ok(Effects::new())
+                let lp = self.lower_mut(proc, pending)?;
+                if lp.state != PendingState::RxHeaderPending {
+                    return Ok(Effects::new());
                 }
+                lp.state = PendingState::RxQueued;
+                lp.length = length;
+                lp.dma = dma;
+                if !self.push_rx(proc, pending)? {
+                    return Ok(Effects::new());
+                }
+                self.lower_mut(proc, pending)?.state = PendingState::RxActive;
+                Ok(Effects::one(FwEffect::StartRxDma { proc, pending }))
             }
             FwCommand::RecvDiscard { pending } => {
                 let lp = self.lower_mut(proc, pending)?;
@@ -724,23 +759,16 @@ impl Firmware {
     /// The RX DMA engine finished depositing `pending`.
     ///
     /// Fails with [`FwError::NoSource`] when the completion names a peer
-    /// with no live source structure (spurious completion or corrupted
-    /// state) — handlers never panic.
+    /// with no live source structure, and with
+    /// [`FwError::SpuriousCompletion`] when `pending` is not the deposit
+    /// in progress from it (corrupted state) — handlers never panic.
     pub fn rx_dma_complete(
         &mut self,
         proc: ProcIdx,
         pending: PendingId,
     ) -> Result<Effects, FwError> {
         self.counters.rx_completions += 1;
-        let lp = self.lower(proc, pending)?;
-        let (source, peer) = (SourceId::from(lp.source), lp.peer);
-        let src = self
-            .sources
-            .get_mut_for(source, peer)
-            .ok_or(FwError::NoSource)?;
-        let head = src.rx_pending_list.pop_front();
-        debug_assert_eq!(head, Some(pending), "completions follow list order");
-        let next = src.rx_pending_list.front().copied();
+        let next = self.pop_rx(proc, pending)?;
 
         let direct = {
             let lp = self.lower_mut(proc, pending)?;
@@ -760,12 +788,12 @@ impl Firmware {
                 effects.push(FwEffect::RaiseInterrupt);
             }
         }
-        if let Some(npending) = next {
-            self.lower_mut(proc, npending)?.state = PendingState::RxActive;
+        // The next deposit may be another process's: the link says whose.
+        if let Some((nproc, npending)) = next.get() {
+            self.lower_mut(nproc, npending)?.state = PendingState::RxActive;
             effects.push(FwEffect::StartRxDma {
-                proc,
+                proc: nproc,
                 pending: npending,
-                source,
             });
         }
         Ok(effects)
@@ -991,6 +1019,53 @@ mod tests {
             e,
             FwEffect::StartRxDma { pending, .. } if *pending == p2
         )));
+    }
+
+    #[test]
+    fn one_peers_rx_list_keeps_each_pending_with_its_process() {
+        // Pools are per process: a generic and an accelerated process
+        // both hold pending 0 from peer 5. Completing process 0's deposit
+        // must start process 1's, not process 0's own again.
+        let (mut f, _) = fw(&[FwMode::Generic, FwMode::Accelerated]);
+        let (p0, _) = f.rx_header(0, 5, false, false).unwrap();
+        let (p1, _) = f.rx_header(1, 5, false, false).unwrap();
+        assert_eq!((p0, p1), (0, 0));
+        let deposit = |pending| FwCommand::RecvDeposit {
+            pending,
+            length: 64,
+            drop_length: 0,
+            dma: DmaList::new(),
+        };
+        let started = f.handle_command(0, deposit(p0)).unwrap();
+        assert!(matches!(
+            started.as_slice(),
+            [FwEffect::StartRxDma {
+                proc: 0,
+                pending: 0
+            }]
+        ));
+        assert!(f.handle_command(1, deposit(p1)).unwrap().is_empty());
+
+        let done = f.rx_dma_complete(0, p0).unwrap();
+        assert!(matches!(
+            done.last(),
+            Some(FwEffect::StartRxDma {
+                proc: 1,
+                pending: 0
+            })
+        ));
+        assert_eq!(f.lower(0, p0).unwrap().state, PendingState::AwaitRelease);
+        assert_eq!(f.lower(1, p1).unwrap().state, PendingState::RxActive);
+        assert_eq!(
+            f.rx_dma_complete(0, p0).unwrap_err(),
+            FwError::SpuriousCompletion,
+            "process 0's deposit is no longer the one in progress"
+        );
+        let done = f.rx_dma_complete(1, p1).unwrap();
+        assert!(!done
+            .iter()
+            .any(|e| matches!(e, FwEffect::StartRxDma { .. })));
+        assert_eq!(f.lower(1, p1).unwrap().state, PendingState::AwaitRelease);
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //!   posts into, and two pools of **pendings** (RX pool managed by the
 //!   firmware, TX pool managed by the host);
 //! * **sources**, one per peer node with traffic in flight, holding the
-//!   per-source RX pending list; allocated from a global pool of 1,024 and
-//!   found through a hash table;
+//!   per-source RX pending list (threaded through the lower pendings);
+//!   allocated from a global pool of 1,024 and found through a hash table;
 //! * **upper/lower pending** halves: lower in SeaStar SRAM (all state to
 //!   progress the message), upper in host memory (everything the host
-//!   needs — the firmware writes it, never reads it).
+//!   needs — the firmware writes it, never reads it; the node model's
+//!   receive and transmit records).
 //!
 //! Resource exhaustion: the paper's firmware panics the node (§4.3) and a
 //! "simple go-back-n protocol" was in progress; [`gbn`] implements that
@@ -69,6 +70,6 @@ pub use control::{
 };
 pub use gbn::{GbnEvent, GbnReceiver, GbnSender, SeqNo};
 pub use mailbox::{FwCommand, FwEvent, FwResult, Mailbox};
-pub use pending::{LowerPending, PendingId, PendingState, UpperPending};
+pub use pending::{LowerPending, PendingId, PendingState, RxLink};
 pub use pool::Pool;
 pub use source::{SourceId, SourceTable};

@@ -5,7 +5,10 @@
 //! is one pool of source structures for the entire firmware" — 1,024 of
 //! them, 32 bytes each (Figure 3), found through "a hash table of active
 //! sources" (§4.3). Each source carries the RX pending list that orders
-//! deposits from that peer.
+//! deposits from that peer: a head and a tail link, with the pendings
+//! between them threaded through their own
+//! [`LowerPending::next`](crate::pending::LowerPending::next), so a
+//! source is its 16 bytes and nothing on the heap.
 //!
 //! The real firmware pre-allocates that hash table in SRAM. The simulator
 //! hosts 10,368 firmwares, most of which talk to a handful of peers, so
@@ -23,9 +26,8 @@
 //! entries of the probe run back, so the index never holds tombstones —
 //! for the day an idle-source reclaim policy lands.
 
-use crate::pending::PendingId;
+use crate::pending::RxLink;
 use crate::pool::Pool;
-use std::collections::VecDeque;
 
 /// Number of global source structures (paper §4.2).
 pub const NUM_SOURCES: u32 = 1024;
@@ -42,11 +44,15 @@ pub type SourceId = u32;
 pub struct Source {
     /// Peer node id.
     pub node_id: u32,
+    /// First of the RX pendings queued for deposit from this peer, in
+    /// arrival order ([`RxLink::END`]: none). The firmware's RX handlers
+    /// keep the list.
+    pub(crate) rx_head: RxLink,
+    /// Last of them.
+    pub(crate) rx_tail: RxLink,
     /// Allocated (between [`SourceTable::find_or_alloc`] and
     /// [`SourceTable::release`]); a released slot keeps its last node id.
     active: bool,
-    /// RX pendings queued for deposit from this peer, in arrival order.
-    pub rx_pending_list: VecDeque<PendingId>,
 }
 
 /// One slot of the active-source index: a node id and its source.
@@ -147,9 +153,11 @@ impl SourceTable {
         }
         let id = self.pool.alloc()?;
         let src = self.pool.get_mut(id)?;
-        src.node_id = node_id;
-        src.active = true;
-        src.rx_pending_list.clear();
+        *src = Source {
+            node_id,
+            active: true,
+            ..Source::default()
+        };
         if self.pool.in_use() as usize * 2 > self.index.len() {
             self.grow();
         }
@@ -165,8 +173,9 @@ impl SourceTable {
             return;
         };
         let node_id = src.node_id;
-        debug_assert!(
-            src.rx_pending_list.is_empty(),
+        debug_assert_eq!(
+            src.rx_head,
+            RxLink::END,
             "releasing source with queued pendings"
         );
         src.active = false;
@@ -203,11 +212,6 @@ impl SourceTable {
     /// Borrow a source; `None` for an id the pool never issued.
     pub fn get(&self, id: SourceId) -> Option<&Source> {
         self.pool.get(id)
-    }
-
-    /// Mutably borrow a source; `None` for a foreign id.
-    pub fn get_mut(&mut self, id: SourceId) -> Option<&mut Source> {
-        self.pool.get_mut(id)
     }
 
     /// Sources currently active.
@@ -304,19 +308,21 @@ mod tests {
     }
 
     #[test]
-    fn rx_pending_list_per_source() {
-        let mut t = SourceTable::new(4);
-        let id = t.find_or_alloc(9).unwrap();
-        t.get_mut(id).unwrap().rx_pending_list.push_back(11);
-        t.get_mut(id).unwrap().rx_pending_list.push_back(12);
-        assert_eq!(t.get(id).unwrap().rx_pending_list.front(), Some(&11));
-        t.get_mut(id).unwrap().rx_pending_list.pop_front();
-        assert_eq!(t.get(id).unwrap().rx_pending_list.front(), Some(&12));
-    }
-
-    #[test]
     fn paper_capacity_default() {
         let t = SourceTable::default();
         assert_eq!(t.capacity(), 1024);
+    }
+
+    #[test]
+    fn a_source_handed_out_again_starts_with_an_empty_rx_list() {
+        let mut t = SourceTable::new(1);
+        let a = t.find_or_alloc(1).unwrap();
+        // A tail left behind would queue the next peer's first deposit
+        // behind a pending of this one's.
+        t.get_mut_for(a, 1).unwrap().rx_tail = RxLink::new(0, 3).unwrap();
+        t.release(a);
+        assert_eq!(t.find_or_alloc(2), Some(a), "slot reused");
+        let src = t.get(a).unwrap();
+        assert_eq!((src.rx_head, src.rx_tail), (RxLink::END, RxLink::END));
     }
 }

@@ -374,3 +374,120 @@ fn exhaustion_is_counted_and_changes_nothing() {
     assert_eq!(t.contact(200), Some(3), "the freed id is reissued");
     assert_eq!(t.contact(103), None);
 }
+
+// ----- the RX pending lists against a queue reference -----
+//
+// A source's RX list is intrusive: the source holds a head and a tail
+// link, each lower pending the link to the one behind it, and a link
+// names a process as well as a pending, because RX pools are per
+// process. This test steps the lists through the firmware against one
+// `VecDeque<(process, pending)>` per peer.
+
+use std::collections::VecDeque;
+use xt3_firmware::control::{Effects, FwEffect, FwError};
+use xt3_firmware::mailbox::FwCommand;
+use xt3_firmware::pending::PendingState;
+use xt3_seastar::dma::DmaList;
+
+/// The `StartRxDma` among a handler's effects.
+fn started(fx: &Effects) -> Option<(u32, u32)> {
+    fx.iter().find_map(|e| match *e {
+        FwEffect::StartRxDma { proc, pending, .. } => Some((proc, pending)),
+        _ => None,
+    })
+}
+
+/// A generic and two accelerated processes take headers from five peers
+/// (three sources, five RX pendings each, so both pools run dry), and
+/// deposit commands, completions and releases arrive out of step. Every
+/// handler starts exactly the deposit the reference puts at the head,
+/// under the right process; a completion of the deposit behind it is
+/// refused; and every queued pending is in the state its place says.
+#[test]
+fn firmware_rx_lists_keep_each_pending_with_its_process() {
+    let config = FwConfig {
+        rx_pendings: 5,
+        tx_pendings: 2,
+        sources: 3,
+        mailbox_depth: 8,
+    };
+    let modes = [FwMode::Generic, FwMode::Accelerated, FwMode::Accelerated];
+    for seed in SOURCE_SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut fw = Firmware::new(config, &modes, &mut Sram::default()).unwrap();
+        let mut lists: BTreeMap<u32, VecDeque<(u32, u32)>> = BTreeMap::new();
+        let mut headers: Vec<(u32, u32, u32)> = Vec::new();
+        let mut done: Vec<(u32, u32)> = Vec::new();
+        let (mut no_source, mut no_pending) = (0, 0);
+        for _ in 0..3_000 {
+            match rng.below(4) {
+                0 => {
+                    let (proc, peer) = (rng.below(3) as u32, 10 + rng.below(5) as u32);
+                    match fw.rx_header(proc, peer, false, false) {
+                        Ok((pending, _)) => headers.push((proc, pending, peer)),
+                        Err(FwError::NoSource) => no_source += 1,
+                        Err(FwError::NoRxPending) => no_pending += 1,
+                        Err(e) => panic!("header refused: {e}"),
+                    }
+                }
+                1 if !headers.is_empty() => {
+                    let nth = rng.below(headers.len() as u64) as usize;
+                    let (proc, pending, peer) = headers.swap_remove(nth);
+                    let deposit = FwCommand::RecvDeposit {
+                        pending,
+                        length: 64,
+                        drop_length: 0,
+                        dma: DmaList::new(),
+                    };
+                    let fx = fw.handle_command(proc, deposit).unwrap();
+                    let list = lists.entry(peer).or_default();
+                    assert_eq!(started(&fx), list.is_empty().then_some((proc, pending)));
+                    list.push_back((proc, pending));
+                }
+                2 => {
+                    let peer = 10 + rng.below(5) as u32;
+                    let Some(list) = lists.get_mut(&peer) else {
+                        continue;
+                    };
+                    let Some((proc, pending)) = list.pop_front() else {
+                        continue;
+                    };
+                    if let Some(&(p, i)) = list.front() {
+                        let early = fw.rx_dma_complete(p, i);
+                        assert_eq!(early.unwrap_err(), FwError::SpuriousCompletion);
+                    }
+                    let fx = fw.rx_dma_complete(proc, pending).unwrap();
+                    assert_eq!(started(&fx), list.front().copied());
+                    done.push((proc, pending));
+                }
+                _ if !done.is_empty() => {
+                    let nth = rng.below(done.len() as u64) as usize;
+                    let (proc, pending) = done.swap_remove(nth);
+                    let release = FwCommand::ReleasePending { pending };
+                    fw.handle_command(proc, release).unwrap();
+                }
+                _ => {}
+            }
+            for list in lists.values() {
+                for (place, &(proc, pending)) in list.iter().enumerate() {
+                    let want = match place {
+                        0 => PendingState::RxActive,
+                        _ => PendingState::RxQueued,
+                    };
+                    assert_eq!(fw.lower(proc, pending).unwrap().state, want);
+                }
+            }
+            for &(proc, pending) in &done {
+                let state = fw.lower(proc, pending).unwrap().state;
+                assert_eq!(state, PendingState::AwaitRelease);
+            }
+        }
+        for proc in 0..3 {
+            let held = headers.iter().filter(|h| h.0 == proc).count()
+                + lists.values().flatten().filter(|q| q.0 == proc).count()
+                + done.iter().filter(|d| d.0 == proc).count();
+            assert_eq!(fw.rx_pool_stats(proc).0 as usize, held, "process {proc}");
+        }
+        assert!(no_source > 0 && no_pending > 0, "both pools must run dry");
+    }
+}

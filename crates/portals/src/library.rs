@@ -80,7 +80,8 @@ impl WireData {
     }
 }
 
-/// The result of matching one incoming header.
+/// The result of matching one incoming header (the requested length is
+/// the header's `rlength`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchTicket {
     /// The matched MD.
@@ -89,8 +90,6 @@ pub struct MatchTicket {
     pub offset: u64,
     /// Accepted length after MD checks and truncation.
     pub mlength: u64,
-    /// Requested length from the header.
-    pub rlength: u64,
     /// Whether the match exhausted the MD and auto-unlinked the ME.
     pub unlinked: bool,
     /// For puts: whether an ack must be sent after deposit.
@@ -763,7 +762,6 @@ impl PortalsLib {
                 md: md_h,
                 offset,
                 mlength,
-                rlength: header.rlength,
                 unlinked,
                 ack_needed,
                 address,
@@ -879,7 +877,6 @@ impl PortalsLib {
             md: md_h,
             offset: 0,
             mlength: deposit_len,
-            rlength: header.rlength,
             unlinked: false,
             ack_needed: false,
             address,
@@ -910,7 +907,6 @@ impl PortalsLib {
             md: md_h,
             offset: header.target_offset,
             mlength: header.mlength,
-            rlength: header.rlength,
             unlinked: false,
             ack_needed: false,
             address: 0,

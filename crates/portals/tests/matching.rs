@@ -500,8 +500,7 @@ fn truncation_and_rejection() {
     let (o, _) = do_put(&mut a, &amem, &mut c, &mut cmem, md32, 7, 0);
     match o {
         DeliverOutcome::Matched(t) => {
-            assert_eq!(t.mlength, 16);
-            assert_eq!(t.rlength, 32);
+            assert_eq!(t.mlength, 16, "32 requested, truncated to the MD");
         }
         other => panic!("expected truncated match, got {other:?}"),
     }

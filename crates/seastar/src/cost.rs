@@ -198,6 +198,12 @@ impl CostModel {
         self
     }
 
+    /// Whether a payload of `bytes` rides in the header packet: the one
+    /// rule the send side, the receive side and the firmware share.
+    pub fn piggybacks(&self, bytes: u64) -> bool {
+        bytes <= u64::from(self.piggyback_max)
+    }
+
     /// Scale every firmware (PPC 440) handler cost by `factor` — the
     /// embedded-processor-speed ablation: accelerated mode trades the
     /// host's fast Opteron for the 500 MHz PPC, so its latency is

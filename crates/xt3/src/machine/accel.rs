@@ -57,17 +57,15 @@ impl Machine {
                 let (dma, _) = self.nodes[node].procs[dst_pid as usize]
                     .mem
                     .translate(ticket.address, ticket.mlength as u32);
+                let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
+                let rec = rec.expect("rec");
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
-                    drop_length: ticket.rlength - ticket.mlength,
+                    drop_length: rec.header.rlength - ticket.mlength,
                     dma,
                 };
-                self.nodes[node]
-                    .rx_store
-                    .get_mut(&(fw_proc, pending))
-                    .expect("rec")
-                    .ticket = Some(ticket);
+                rec.ticket = Some(ticket);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::RxCmdPost, t, node as u32, 0);
                 self.fw_command(q, t, node, fw_proc, cmd);
@@ -114,11 +112,11 @@ impl Machine {
                 // Chains onto the message's DepositDone; the ack's cause
                 // is the completion record itself (stamped at `t`, not
                 // after the ack's own start).
-                let eq_idx = self.causal_eq_post(node, rec.dst_pid, TraceId(rec.tag), t, before);
+                let pid = rec.header.dst.pid;
+                let eq_idx = self.causal_eq_post(node, pid, TraceId(rec.tag), t, before);
                 self.causal.set_cause(eq_idx);
-                let t2 =
-                    self.handle_incoming_action(q, t, node, fw_proc, rec.dst_pid, action, None);
-                self.maybe_wake(q, t2 + ht, node, rec.dst_pid);
+                let t2 = self.handle_incoming_action(q, t, node, fw_proc, pid, action, None);
+                self.maybe_wake(q, t2 + ht, node, pid);
             }
             FwEvent::RxHeader { .. } => {
                 unreachable!("accelerated mode matches on the NIC")

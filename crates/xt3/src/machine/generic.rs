@@ -155,9 +155,10 @@ impl Machine {
                 );
                 t = self.post_cmd(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
                 self.causal.set_cause(int_idx);
-                t = self.handle_incoming_action(q, t, node, fw_proc, rec.dst_pid, action, None);
-                self.causal_eq_post(node, rec.dst_pid, TraceId(rec.tag), t, before);
-                self.maybe_wake(q, t, node, rec.dst_pid);
+                let pid = rec.header.dst.pid;
+                t = self.handle_incoming_action(q, t, node, fw_proc, pid, action, None);
+                self.causal_eq_post(node, pid, TraceId(rec.tag), t, before);
+                self.maybe_wake(q, t, node, pid);
                 t
             }
         }
@@ -214,17 +215,15 @@ impl Machine {
                     )
                     .expect("matched region is valid");
                 t = self.host_span(node, t, prepared.prep_cost, "rx-prepare");
+                let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
+                let rec = rec.expect("rec");
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
-                    drop_length: ticket.rlength - ticket.mlength,
+                    drop_length: rec.header.rlength - ticket.mlength,
                     dma: prepared.commands,
                 };
-                self.nodes[node]
-                    .rx_store
-                    .get_mut(&(fw_proc, pending))
-                    .expect("rec")
-                    .ticket = Some(ticket);
+                rec.ticket = Some(ticket);
                 let t = self.post_cmd(q, t, node, fw_proc, cmd);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::RxCmdPost, t, node as u32, 0);

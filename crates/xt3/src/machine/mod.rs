@@ -477,7 +477,7 @@ impl Machine {
                 FwEffect::StartTxDma { proc, pending } => {
                     self.start_tx_dma(q, t, node, proc, pending);
                 }
-                FwEffect::StartRxDma { proc, pending, .. } => {
+                FwEffect::StartRxDma { proc, pending } => {
                     self.start_rx_dma(q, t, node, proc, pending);
                 }
                 FwEffect::WriteUpperHeader { .. } => {

@@ -97,7 +97,7 @@ impl Machine {
         };
         let fw_proc = dst.fw_proc;
         let direct = matches!(msg.header.op, PortalsOp::Reply | PortalsOp::Ack);
-        let piggy = msg.piggybacked(cm.piggyback_max);
+        let piggy = msg.piggybacked(&cm);
 
         let t = if direct {
             self.ppc_raw(node, now, cm.fw_reply_rx, "fw-reply-rx")
@@ -177,8 +177,6 @@ impl Machine {
                 header: msg.header,
                 data: msg.data,
                 wire_complete: inflight.complete_at,
-                dst_pid,
-                piggyback: piggy,
                 ticket: None,
                 tag: msg.tag,
             },
@@ -237,7 +235,7 @@ impl Machine {
                 let t = self.ppc_run(node, FwHandler::Completion, t);
                 self.complete_direct(q, t, node, fw_proc, pending);
             }
-            PortalsOp::Reply if rec.piggyback => {
+            PortalsOp::Reply if self.config.cost.piggybacks(rec.data.len()) => {
                 // Payload arrived with the header: deposit and complete
                 // without any DMA program.
                 let t = self.ppc_raw(node, t, self.config.cost.fw_reply_rx, "fw-reply-rx");
@@ -247,7 +245,7 @@ impl Machine {
                 // Bulk reply: the get command pushed the deposit buffer
                 // down; program the RX DMA directly.
                 let md = rec.header.initiator_md.expect("reply names its md");
-                let (len, key) = (rec.header.mlength, (rec.dst_pid, md));
+                let (len, key) = (rec.header.mlength, (rec.header.dst.pid, md));
                 let n = &mut self.nodes[node];
                 let dma = n.await_reply.get(&key).cloned().unwrap_or_default();
                 let result = n.fw.direct_deposit(fw_proc, pending, len, dma);
@@ -270,7 +268,7 @@ impl Machine {
     ) {
         let n = &mut self.nodes[node];
         let rec = n.rx_store.remove(&(fw_proc, pending)).expect("direct rec");
-        let pid = rec.dst_pid;
+        let pid = rec.header.dst.pid;
         let before = self.events_posted(node, pid);
         let n = &mut self.nodes[node];
         let proc = &mut n.procs[pid as usize];
@@ -387,7 +385,8 @@ impl Machine {
         pending: PendingId,
     ) -> HeaderMatch {
         let rec = &self.nodes[node].rx_store[&(fw_proc, pending)];
-        let (op, dst_pid, piggy, tag) = (rec.header.op, rec.dst_pid, rec.piggyback, rec.tag);
+        let piggy = self.config.cost.piggybacks(rec.data.len());
+        let (op, dst_pid, tag) = (rec.header.op, rec.header.dst.pid, rec.tag);
         let match_idx =
             self.causal
                 .record_chain(TraceId(tag), CausalStage::MatchDone, t, node as u32, 0);
@@ -435,11 +434,11 @@ impl Machine {
     ) -> (RxRecord, u64, IncomingAction) {
         let n = &mut self.nodes[node];
         let rec = n.rx_store.remove(&(fw_proc, pending)).expect("rx rec");
-        let before = self.events_posted(node, rec.dst_pid);
+        let before = self.events_posted(node, rec.header.dst.pid);
         let ticket = ticket
             .or(rec.ticket.as_ref())
             .expect("deposit had a ticket");
-        let proc = &mut self.nodes[node].procs[rec.dst_pid as usize];
+        let proc = &mut self.nodes[node].procs[rec.header.dst.pid as usize];
         let action = match rec.header.op {
             PortalsOp::Get => proc.lib.complete_get_serve(
                 &rec.header,

@@ -7,6 +7,7 @@
 use xt3_firmware::gbn::SeqNo;
 use xt3_portals::header::PortalsHeader;
 use xt3_portals::library::WireData;
+use xt3_seastar::cost::CostModel;
 
 /// Control vs. data classification of a wire message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +53,8 @@ impl WireMsg {
     }
 
     /// Whether this payload fits the header-packet piggyback window.
-    pub fn piggybacked(&self, piggyback_max: u32) -> bool {
-        matches!(self.kind, WireKind::Data) && self.data.len() <= piggyback_max as u64
+    pub fn piggybacked(&self, cm: &CostModel) -> bool {
+        matches!(self.kind, WireKind::Data) && cm.piggybacks(self.data.len())
     }
 }
 
@@ -89,11 +90,12 @@ mod tests {
             seq: None,
             tag: 0,
         };
-        assert!(m.piggybacked(12));
+        let cm = CostModel::paper();
+        assert!(m.piggybacked(&cm));
         m.data = WireData::Synthetic(13);
-        assert!(!m.piggybacked(12));
+        assert!(!m.piggybacked(&cm));
         m.kind = WireKind::GbnAck { upto: 5 };
-        assert!(!m.piggybacked(12), "control messages never piggyback");
+        assert!(!m.piggybacked(&cm), "control messages never piggyback");
     }
 
     #[test]

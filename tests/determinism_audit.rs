@@ -16,7 +16,7 @@ fn replay_scenarios_never_diverge() {
     let runs = replay::check_all().unwrap_or_else(|d| panic!("{d}"));
     assert_eq!(
         runs.len(),
-        29,
+        30,
         "scenario inventory changed; update this count"
     );
     for run in &runs {

@@ -417,6 +417,35 @@ fn accelerated_and_generic_nodes_interoperate() {
 }
 
 #[test]
+fn two_processes_fed_by_one_peer_drain_byte_exact() {
+    // RX pools are per firmware-level process, so node 0's generic and
+    // accelerated processes both hold pending 0 from node 1, queued on
+    // node 1's one source. Completing one deposit must start the other
+    // process's, not its own id again.
+    use audit::replay::{two_procs_one_peer, Collector};
+    for workers in [1, 2] {
+        let mut m = if workers == 1 {
+            let mut engine = two_procs_one_peer().into_engine();
+            engine.run();
+            engine.into_model()
+        } else {
+            portals_xt3::xt3::par::run_parallel(two_procs_one_peer(), workers).machine
+        };
+        assert_eq!(
+            m.running_apps(),
+            0,
+            "{workers} worker(s): every app finishes"
+        );
+        assert!(!m.any_panicked());
+        for pid in 0..2 {
+            let mut app = m.take_app(0, pid).expect("collector");
+            let c = app.as_any().downcast_mut::<Collector>().expect("collector");
+            assert_eq!((c.got, c.corrupt), (2, false), "pid {pid}");
+        }
+    }
+}
+
+#[test]
 fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     // §2: the 32-bit end-to-end CRC catches payload corruption that
     // escapes the per-link 16-bit CRC. Under go-back-n the rejected

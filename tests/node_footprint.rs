@@ -1,12 +1,16 @@
 //! What one node costs, pinned: the inline size of `Node`, the size of
-//! its hot record, the heap blocks a built-then-run machine holds per
-//! node, and the SRAM ledger every node of one layout shares.
+//! its hot record, the firmware's per-peer and per-receive structures
+//! at the sizes the SRAM ledger charges, the heap blocks a
+//! built-then-run machine holds per node, and the SRAM ledger every node
+//! of one layout shares.
 //!
 //! One test, because the block census is the process's: this binary
 //! installs the counting allocator `mem_footprint` measures with, and a
 //! second test running beside the first would be counted into it.
 
 use xt3_bench::heap::{Census, CountingAlloc};
+use xt3_firmware::pending::{LowerPending, LOWER_PENDING_BYTES};
+use xt3_firmware::source::Source;
 use xt3_node::node::{Node, NodeHot};
 use xt3_node::workloads::red_storm_machine;
 use xt3_sim::RunOutcome;
@@ -20,8 +24,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const NODE_BYTES: usize = 880;
 
 /// Live heap blocks per node once a neighbour round has drained (31
-/// before the row step) ...
-const BLOCKS_PER_NODE: u64 = 27;
+/// before the row step, 27 before each source's RX list was threaded
+/// through its pendings) ...
+const BLOCKS_PER_NODE: u64 = 26;
 /// ... and the ones the machine holds once: node vector, queue, fabric,
 /// trace, the shared SRAM ledger and its names.
 const BLOCKS_PER_MACHINE: u64 = 12;
@@ -35,6 +40,14 @@ fn a_node_costs_what_landed() {
         std::mem::size_of::<Node>()
     );
     assert!(std::mem::size_of::<NodeHot>() <= 64, "one cache line");
+    // §4.2's structures, one per peer and one per message in flight: the
+    // host holds them at what the ledger below charges (a 32 B source
+    // is charged; 16 B is what the host needs).
+    assert!(std::mem::size_of::<Source>() <= 16, "no heap, two links");
+    assert_eq!(
+        std::mem::size_of::<LowerPending>(),
+        LOWER_PENDING_BYTES as usize
+    );
 
     let floor = Census::take();
     let dims = Dims::red_storm(4, 4, 2);
