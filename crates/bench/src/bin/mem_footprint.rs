@@ -85,8 +85,10 @@ impl Row {
 
 /// The histograms DESIGN.md §8 quotes: one line per request size — from
 /// 4 KiB up, per power-of-two class (`64Ki+` holds 64 to 128 KiB) — that
-/// at least one node in a hundred holds a block of, and one for
-/// everything else: rarer sizes and the blocks a machine holds once.
+/// at least one node in a hundred holds a block of; then each class of
+/// 1 MiB or more that the machine holds only a few blocks of (an event
+/// queue's buffer, the node array), counted whole; and one line for
+/// everything else.
 fn print_census(title: &str, live: &Census, nodes: usize) {
     let per_node = |n: u64| n as f64 / nodes as f64;
     println!(
@@ -99,20 +101,23 @@ fn print_census(title: &str, live: &Census, nodes: usize) {
         "block B", "blocks/node", "bytes/node"
     );
     let mut rest = 0;
+    let mut machine_wide = Vec::new();
     for (size, blocks, bytes) in live.by_size() {
-        if blocks * 100 < nodes as u64 {
-            rest += bytes;
-            continue;
-        }
-        let size = match size < heap::CENSUS_SIZES as u64 {
+        let name = match size < heap::CENSUS_SIZES as u64 {
             true => size.to_string(),
             false => format!("{}Ki+", size >> 10),
         };
-        println!(
-            "{size:>9} {:>12.2} {:>11.1}",
-            per_node(blocks),
-            per_node(bytes)
-        );
+        if blocks * 100 >= nodes as u64 {
+            let (blocks, bytes) = (per_node(blocks), per_node(bytes));
+            println!("{name:>9} {blocks:>12.2} {bytes:>11.1}");
+        } else if size >= 1 << 20 && blocks > 0 {
+            machine_wide.push((name, blocks, bytes));
+        } else {
+            rest += bytes;
+        }
+    }
+    for (name, blocks, bytes) in machine_wide {
+        println!("{name:>9} {blocks:>12} {bytes:>11} (blocks, bytes: machine-wide)");
     }
     println!("{:>9} {:>12} {:>11.1}", "the rest", "", per_node(rest));
 }
@@ -132,7 +137,7 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
                   gate::SERIES_BYTES_PER_NODE a node; no JSON output
 --histogram       after each size and after the unobserved 8x8x8
                   all-to-all, print what is live per node by allocation
-                  size";
+                  size, and each machine-wide class of 1 MiB or more";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;

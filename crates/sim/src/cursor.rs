@@ -34,11 +34,6 @@ impl BusyCursor {
         self.free_at
     }
 
-    /// Is the resource free at `now`?
-    pub fn is_free(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
     /// Occupy the resource for `duration`, with the work arriving at
     /// `arrival`. Returns the *completion* time: work starts when both the
     /// work has arrived and the resource is free.
@@ -119,8 +114,6 @@ mod tests {
         c.block_until(SimTime::from_ns(100));
         c.block_until(SimTime::from_ns(50));
         assert_eq!(c.free_at(), SimTime::from_ns(100));
-        assert!(c.is_free(SimTime::from_ns(100)));
-        assert!(!c.is_free(SimTime::from_ns(99)));
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!   is `Vec::pop`;
 //! - the **rungs**: power-of-two-picosecond-wide slices of the time after
 //!   the run's slice, up to `split`; a push there is a shift and an
-//!   append, into no order at all;
-//! - **far**: every event after `split`, unordered; a push is
+//!   append, in push order;
+//! - **far**: every event after `split`, in push order; a push is
 //!   `Vec::push`.
 //!
 //! `run_end` and `split` are `(time, key)` pairs, not times: a lockstep
@@ -65,7 +65,13 @@
 //!    its interval, into a sort on `(time, key, seq)`; and whatever is
 //!    scheduled into an interval already sorted goes through a heap on
 //!    the same triple, whose top is compared with the run's end on every
-//!    pop. Any monotone map from time to rung would do;
+//!    pop. Any monotone map from time to rung would do. Push order, which
+//!    far and the rungs keep through every move, decides nothing about
+//!    pop order either — only what the sort costs. A lockstep instant is
+//!    dispatched in key order and each event schedules under its node's
+//!    next key (`node << 32 | counter`), so the next instant is pushed in
+//!    `(time, key)` order and its rung is one run the sort finds in a
+//!    pass (log2 of the rung per entry when a refill scrambled it);
 //! 4. a queue that never holds more than `MIN_NEAR` events off-bucket
 //!    never leaves `run_end == MAX`: run, rungs and far stay unallocated
 //!    and the inbox grows as one `Vec`. Past that the heap's buffer
@@ -76,16 +82,21 @@
 //! time pivot divides a tie storm, so its instant is one rung, sorted
 //! once, and later pushes at that instant sit in the inbox.
 //!
-//! What bounds memory: far keeps the capacity of its deepest moment, as
-//! the one buffer before it did, and everything nearer follows *live*
-//! entries. A rung's `Vec` is handed to the run when its turn comes and
-//! dropped when the next one is (rung buffers kept for reuse ratchet to
-//! the largest rung each slot ever held — 18.7 MB against 3.1 MB on the
-//! full machine's recorded run); a refill makes at most
+//! What bounds memory: far keeps the capacity of its deepest moment for
+//! as long as the queue is a ladder, and everything nearer follows
+//! *live* entries. A rung's `Vec` is handed to the run when its turn
+//! comes and dropped when the next one is (rung buffers kept for reuse
+//! ratchet to the largest rung each slot ever held — 18.7 MB against
+//! 3.1 MB on the full machine's recorded run); a refill makes at most
 //! `keep / RUNG_POP` rungs; the inbox and the bucket give a burst's
-//! buffer back once drained (`BURST_KEEP`). [`EventQueue::capacity`] is
-//! held to twice the deepest length by a test. Measurements and the
-//! rejected variants: DESIGN.md §8, "The ladder step".
+//! buffer back once drained (`BURST_KEEP`). That includes far's buffer:
+//! a refill that hands it back to the heap makes it the inbox's, and the
+//! pop that drains the heap shrinks it (10.5 MB on the contended torus,
+//! otherwise held through its observed twin's reports).
+//! [`EventQueue::capacity`] is held to twice the deepest length, and to
+//! two bursts once drained, by a test.
+//! Measurements and the rejected variants: DESIGN.md §8, "The ladder
+//! step" and "The push-order step".
 //!
 //! `pop` compares the bucket minimum against the earlier of the run's
 //! end and the inbox's top lexicographically by `(time, key, seq)`, so
@@ -319,7 +330,10 @@ impl<E> EventQueue<E> {
     /// Append to the rung whose slice holds `e.at`. The index is clamped
     /// at both ends: any monotone map from time to rung keeps the pop
     /// order, and `far_min <= at <= split` means the clamp never acts.
-    #[inline]
+    /// Always inlined: with `refill`'s loop as a second caller the
+    /// compiler otherwise calls it out of line from `schedule_keyed`,
+    /// which cost the contended torus 5 % (DESIGN.md §8).
+    #[inline(always)]
     fn push_rung(&mut self, e: Entry<E>) {
         let i = (e.at.0.saturating_sub(self.base) >> self.shift) as usize;
         let last = self.rungs.len().saturating_sub(1);
@@ -384,8 +398,13 @@ impl<E> EventQueue<E> {
         } else {
             self.run.pop()?
         };
-        if self.run.is_empty() && self.inbox.is_empty() && !self.rungs.is_empty() {
-            self.advance();
+        if self.run.is_empty() && self.inbox.is_empty() {
+            // Drained: give the burst back, including far's buffer once a
+            // refill has handed it to the heap.
+            self.inbox.shrink_to(BURST_KEEP);
+            if !self.rungs.is_empty() {
+                self.advance();
+            }
         }
         Some((e.at, e.key, e.ev))
     }
@@ -396,7 +415,6 @@ impl<E> EventQueue<E> {
     /// earliest event is always in the bucket, `run` or the inbox and
     /// [`Self::peek_time`] is O(1) on `&self`.
     fn advance(&mut self) {
-        self.inbox.shrink_to(BURST_KEEP);
         loop {
             while let Some(rung) = self.rungs.get_mut(self.cur) {
                 self.cur += 1;
@@ -408,6 +426,9 @@ impl<E> EventQueue<E> {
                 // rung ever seen.
                 self.run = std::mem::take(rung);
                 self.in_rungs -= self.run.len();
+                // A rung holding one lockstep instant arrives in push
+                // order, which is `(time, key)` order: one run, which the
+                // sort finds and reverses in a pass.
                 self.run.sort_unstable();
                 let end = u128::from(self.base) + ((self.cur as u128) << self.shift) - 1;
                 let end = SimTime(u64::try_from(end).unwrap_or(u64::MAX));
@@ -431,10 +452,11 @@ impl<E> EventQueue<E> {
 
     /// Redraw the split inside `far` so that about `1 / REFILL_SHARE` of
     /// it (at least [`MIN_NEAR`]) moves to fresh rungs, in one sequential
-    /// pass: the pivot is the `(time, key)` of a sampled entry, so at
-    /// least that entry moves, and the rung width is picked from the span
-    /// between `far_min` and the pivot. A `far` of [`MIN_NEAR`] entries
-    /// or fewer goes back to being the plain heap instead (`false`).
+    /// pass that keeps push order on both sides: the pivot is the
+    /// `(time, key)` of a sampled entry, so at least that entry moves,
+    /// and the rung width is picked from the span between `far_min` and
+    /// the pivot. A `far` of [`MIN_NEAR`] entries or fewer goes back to
+    /// being the plain heap instead (`false`).
     fn refill(&mut self) -> bool {
         let n = self.far.len();
         self.rungs.clear();
@@ -468,17 +490,22 @@ impl<E> EventQueue<E> {
 
         #[cfg(test)]
         count_ops(n as u64);
-        self.far_min = SimTime::MAX;
-        let mut i = 0;
-        while let Some(e) = self.far.get(i) {
-            if e.bound() <= self.split {
-                let e = self.far.swap_remove(i);
-                self.push_rung(e);
-            } else {
-                self.far_min = self.far_min.min(e.at);
-                i += 1;
+        // Both sides keep push order (`swap_remove` would scramble far).
+        let split = self.split;
+        let mut far_min = SimTime::MAX;
+        let mut far = std::mem::take(&mut self.far);
+        let near = far.extract_if(.., |e| {
+            let near = e.bound() <= split;
+            if !near {
+                far_min = far_min.min(e.at);
             }
+            near
+        });
+        for e in near {
+            self.push_rung(e);
         }
+        self.far = far;
+        self.far_min = far_min;
         true
     }
 
@@ -785,6 +812,42 @@ mod tests {
         check_tiers(&q);
         let ops = OPS.with(std::cell::Cell::get);
         assert!(ops < 60 * 2 * n, "{ops} operations for {} events", 2 * n);
+    }
+
+    #[test]
+    fn lockstep_instant_loads_in_one_pass() {
+        // 8,192 nodes in bulk-synchronous lockstep: an instant is popped
+        // in key order and each event schedules its node's next one a
+        // microsecond later under the node's next key, so every instant
+        // is pushed in key order. It waits in far, is dealt to a rung by a
+        // refill and sorted into the run: kept in push order, the rung is
+        // one run the sort finds in a pass; scrambled on the way, it is
+        // sorted from scratch at about log2 of its size per entry.
+        // Counted: comparisons made by the pops that load a rung, less the
+        // far entries their refill visited.
+        let nodes = 8_192;
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::MAX, u64::MAX); // holds the bucket throughout
+        for node in 0..nodes {
+            q.schedule_keyed(SimTime::from_us(1), node << 32, node);
+        }
+        let (mut loaded, mut load_ops) = (0, 0);
+        for _ in 0..6 * nodes {
+            let (far, split, end) = (q.far.len() as u64, q.split, q.run_end);
+            let before = OPS.with(std::cell::Cell::get);
+            let (at, key, node) = q.pop_keyed().expect("held");
+            if q.run_end != end && !q.rungs.is_empty() {
+                let visited = if q.split == split { 0 } else { far };
+                load_ops += OPS.with(std::cell::Cell::get) - before - visited;
+                loaded += q.run.len() as u64;
+            }
+            q.schedule_keyed(at + SimTime::from_us(1), key + 1, node);
+        }
+        assert!(loaded >= 4 * nodes, "{loaded} entries loaded");
+        assert!(
+            load_ops <= 2 * loaded,
+            "{load_ops} comparisons to load {loaded} entries"
+        );
     }
 
     #[test]

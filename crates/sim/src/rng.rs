@@ -105,19 +105,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Fill a byte slice with pseudo-random data.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let v = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&v[..rem.len()]);
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -188,14 +175,6 @@ mod tests {
         let n = 10_000;
         let mean: f64 = (0..n).map(|_| r.f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::new(1);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! histograms for latency distributions, and `(x, y)` series matching the
 //! paper's figure axes (message size vs. latency / bandwidth).
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Streaming mean / variance / min / max via Welford's algorithm.
@@ -38,11 +37,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Add a duration sample in microseconds (the paper's latency unit).
-    pub fn push_time_us(&mut self, t: SimTime) {
-        self.push(t.as_us_f64());
     }
 
     /// Number of samples.
@@ -218,16 +212,6 @@ impl Series {
         });
     }
 
-    /// Append a point from an [`OnlineStats`] of repeated trials.
-    pub fn push_stats(&mut self, x: f64, stats: &OnlineStats) {
-        self.points.push(SeriesPoint {
-            x,
-            y: stats.mean(),
-            y_min: stats.min(),
-            y_max: stats.max(),
-        });
-    }
-
     /// Interpolated y at `x` (series must be sorted by x). Returns `None`
     /// outside the domain.
     pub fn y_at(&self, x: f64) -> Option<f64> {
@@ -349,16 +333,5 @@ mod tests {
         assert_eq!(s.x_where_y_reaches(50.0), Some(5.0));
         assert_eq!(s.x_where_y_reaches(200.0), None);
         assert_eq!(s.y_max(), 100.0);
-    }
-
-    #[test]
-    fn series_from_stats() {
-        let mut st = OnlineStats::new();
-        st.push(1.0);
-        st.push(3.0);
-        let mut s = Series::new("x");
-        s.push_stats(8.0, &st);
-        let p = &s.points[0];
-        assert_eq!((p.x, p.y, p.y_min, p.y_max), (8.0, 2.0, 1.0, 3.0));
     }
 }

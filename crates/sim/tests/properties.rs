@@ -95,8 +95,9 @@ proptest! {
 // ----- the ladder event queue against a sorted reference -----
 //
 // Past 4,096 events the queue is a ladder (queue.rs): a sorted run and an
-// inbox heap in front of equal-width rungs, in front of an unordered far
-// tier that a sampled `(time, key)` pivot refills them from. These tests
+// inbox heap in front of equal-width rungs, in front of a far tier that a
+// sampled `(time, key)` pivot refills them from, both kept in push order
+// (which decides what the sort costs, never what pops). These tests
 // drive it at depths that cross every one of those boundaries repeatedly
 // and compare every pop, peek and count with a `BTreeSet` ordered by
 // `(time, key, seq)` — `seq` being the insertion counter, i.e. a stable
@@ -159,9 +160,19 @@ impl CheckedQueue {
         self.pop_until(u64::MAX)
     }
 
+    /// [`Self::pop`], returning the popped `(time, key)`.
+    fn pop_keyed(&mut self) -> Option<(u64, u64)> {
+        self.pop_keyed_until(u64::MAX)
+    }
+
+    /// [`Self::pop_keyed_until`], returning the popped time.
+    fn pop_until(&mut self, horizon: u64) -> Option<u64> {
+        self.pop_keyed_until(horizon).map(|(at, _)| at)
+    }
+
     /// Pop once unless the earliest event fires after `horizon` — then
     /// `None`, and `check` sees that nothing moved.
-    fn pop_until(&mut self, horizon: u64) -> Option<u64> {
+    fn pop_keyed_until(&mut self, horizon: u64) -> Option<(u64, u64)> {
         let expected = match self.reference.first() {
             Some(&(at, _, _)) if at <= horizon => self.reference.pop_first(),
             _ => None,
@@ -172,7 +183,7 @@ impl CheckedQueue {
             .map(|(at, key, seq)| (at.0, key, seq));
         assert_eq!(got, expected, "pop order is (time, key, seq)");
         self.check();
-        got.map(|(at, _, _)| at)
+        got.map(|(at, key, _)| (at, key))
     }
 
     fn len(&self) -> usize {
@@ -244,6 +255,57 @@ fn tie_storm_pops_in_key_then_insertion_order() {
             q.push(storm + 1 + rng.below(1_000), 0);
         }
         while q.pop().is_some() {}
+    }
+}
+
+/// The full machine's bulk-synchronous shape: 6,000 nodes step through
+/// instants a microsecond apart, and each step schedules the node's next
+/// one under the node's next key (`node << 32 | counter`). An instant is
+/// popped in key order, so the next one is pushed in key order; it waits
+/// in far, is dealt to rungs by refills and loaded in that order. Each
+/// step first schedules some work of its own zero to three picoseconds
+/// ahead, which keeps the same-instant bucket away from the steps and
+/// lands in the inbox; a quarter of that work, and one step in sixteen,
+/// is pushed twice under one `(time, key)`, so only `seq` parts the
+/// copies. After six instants seven nodes in eight retire and the rest
+/// run on a plain heap.
+#[test]
+fn lockstep_instants_match_sorted_reference() {
+    const NODES: usize = 6_000;
+    const STEP: u64 = 1_000_000;
+    for seed in &QUEUE_SEEDS[..4] {
+        let mut rng = SimRng::new(*seed);
+        let mut q = CheckedQueue::new();
+        let mut keys: Vec<u64> = (0..NODES as u64).map(|node| node << 32).collect();
+        let mut next_step = vec![STEP; NODES];
+        q.push(0, 0); // claims the same-instant bucket for another instant
+        for key in &mut keys {
+            q.push(STEP, *key);
+            *key += 1;
+        }
+        let mut deepest = 0;
+        while let Some((now, key)) = q.pop_keyed() {
+            let node = (key >> 32) as usize;
+            if now != next_step[node] {
+                continue; // its own work, or a step's second copy
+            }
+            let at = now + rng.below(4);
+            for _ in 0..1 + usize::from(rng.chance(0.25)) {
+                q.push(at, keys[node]);
+            }
+            keys[node] += 1;
+            let instant = now / STEP;
+            next_step[node] = u64::MAX; // retired, unless it steps again
+            if instant < 10 && (instant < 6 || node.is_multiple_of(8)) {
+                next_step[node] = now + STEP;
+                for _ in 0..1 + usize::from(rng.chance(1.0 / 16.0)) {
+                    q.push(now + STEP, keys[node]);
+                }
+                keys[node] += 1;
+            }
+            deepest = deepest.max(q.len());
+        }
+        assert!(deepest > NODES, "the scenario must go deep");
     }
 }
 
@@ -405,10 +467,12 @@ fn equal_time_and_key_around_the_pivot_pop_in_insertion_order() {
 
 /// What the queue holds follows what is pending: while the depth swings
 /// 1k <-> 24k twice (hundreds of rungs filled, sorted and dropped, far
-/// refilled and emptied) and after it drains, every buffer together has
-/// room for no more than twice the deepest moment plus two plain heaps'
-/// worth. Rung buffers kept for reuse fail this: each ratchets to the
-/// largest rung it ever held.
+/// refilled and emptied), every buffer together has room for no more than
+/// twice the deepest moment plus two plain heaps' worth, and once it
+/// drains for no more than the two bursts the bucket and the inbox keep
+/// (2 x 64 slots). Rung buffers kept for reuse fail the first: each
+/// ratchets to the largest rung it ever held; far's buffer handed back to
+/// the heap and kept there fails the second.
 #[test]
 fn capacity_follows_the_deepest_moment() {
     for seed in QUEUE_SEEDS {
@@ -437,5 +501,6 @@ fn capacity_follows_the_deepest_moment() {
                 }
             }
         }
+        assert!(q.capacity() <= 128, "{} slots held drained", q.capacity());
     }
 }

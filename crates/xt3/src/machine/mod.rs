@@ -107,6 +107,11 @@ impl Nodes {
         self.inner.len()
     }
 
+    /// Nodes the slab's buffer has room for.
+    pub fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
     /// True when no nodes are owned.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()

@@ -491,7 +491,10 @@ impl Machine {
         while !slabs.is_empty() {
             let take = per.min(slabs.len());
             let rest = slabs.split_off(take);
-            let inner = std::mem::replace(&mut slabs, rest);
+            let mut inner = std::mem::replace(&mut slabs, rest);
+            // The first slab would otherwise keep the whole machine's
+            // buffer for the length of the run.
+            inner.shrink_to_fit();
             let range = base..base + take;
             let spawned = self
                 .spawned
@@ -521,6 +524,7 @@ impl Machine {
     /// machine gets fresh (empty) sinks; `telemetry_report` reads node
     /// hardware counters and fabric links, so it is unaffected.
     pub fn merge(shards: Vec<Machine>, fabric: Fabric) -> Machine {
+        let node_count: usize = shards.iter().map(|s| s.nodes.len()).sum();
         let mut shards = shards.into_iter();
         let first = shards.next().expect("at least one shard");
         assert!(first.nodes.base == 0, "shards must be merged in slab order");
@@ -531,6 +535,7 @@ impl Machine {
         };
         m.trace.merge_from(&first.trace);
         m.faults.merge_from(&first.faults);
+        m.nodes.inner.reserve_exact(node_count - m.nodes.len());
         for s in shards {
             assert_eq!(
                 s.nodes.base,

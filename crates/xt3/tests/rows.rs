@@ -1,9 +1,13 @@
 //! The host's per-node pending rows: `PendingMap` and `TxFreeList`
 //! stepped against their obvious models across every growth edge of the
-//! per-node row rule (`xt3_portals::slab::fit_by_use`).
+//! per-node row rule (`xt3_portals::slab::fit_by_use`), and the node
+//! array itself across `Machine::split` and `merge`.
 
 use std::collections::BTreeMap;
 use xt3_node::node::{PendingMap, TxFreeList};
+use xt3_node::workloads::red_storm_machine;
+use xt3_node::Machine;
+use xt3_topology::coord::Dims;
 
 /// The sizes a row passes on its way up: each power of two, the slot
 /// before it and the slot after it, as far as 511 -> 512.
@@ -100,4 +104,23 @@ fn tx_free_list_issues_what_the_eager_stack_issued() {
     list.push(BASE + 5);
     assert_eq!(list.pop(), Some(BASE + 5));
     assert_eq!(list.pop(), None);
+}
+
+#[test]
+fn split_shards_hold_their_own_slab_and_merge_holds_one() {
+    // The node array is the machine's largest row: split in two, each
+    // shard's buffer is its own slab (not the first shard keeping the
+    // whole machine's and the second a copy), and merged back it is one.
+    let machine = red_storm_machine(Dims::red_storm(4, 4, 2), 1, 1024);
+    let nodes = machine.nodes.len();
+    let (shards, fabric) = machine.split(2);
+    assert_eq!(shards.len(), 2);
+    for shard in &shards {
+        assert_eq!(shard.nodes.capacity(), shard.nodes.len());
+    }
+    let merged = Machine::merge(shards, fabric);
+    assert_eq!(
+        (merged.nodes.len(), merged.nodes.capacity()),
+        (nodes, nodes)
+    );
 }

@@ -4,7 +4,8 @@
 //! member crates' own `tests/rows.rs` — `Slab`, `Pool`, `PendingMap` and
 //! `TxFreeList` stepped against their models across every growth edge of
 //! the row rule (`xt3_portals::slab::fit_by_use`), and the demand-sized
-//! access control table at its edges — would run only under
+//! access control table at its edges, and the node array across
+//! `Machine::split` and `merge` — would run only under
 //! `--workspace`. Compiling the same files here puts them in tier 1.
 
 #[path = "../crates/portals/tests/rows.rs"]
