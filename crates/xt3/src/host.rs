@@ -18,8 +18,6 @@ pub struct HostCounters {
     pub traps: u64,
     /// Interrupts serviced.
     pub interrupts: u64,
-    /// Portals matching operations performed in the kernel.
-    pub matches: u64,
 }
 
 /// The host CPU: one serialized execution resource.

@@ -41,14 +41,15 @@ impl Machine {
 
         match m.op {
             PortalsOp::Put if m.piggy => {
-                let (_, before, action) = self.complete_rx(node, fw_proc, pending, Some(&ticket));
+                let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t + ht, before);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t + ht, done.before);
                 // Cause is the match, not the EqPost: the post's visible
                 // time is later than the ack's own start.
                 self.causal.set_cause(m.match_idx);
-                let t2 = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, action, None);
+                let t2 =
+                    self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, None);
                 self.maybe_wake(q, t2 + ht, node, dst_pid);
             }
             PortalsOp::Put => {
@@ -58,7 +59,7 @@ impl Machine {
                     .mem
                     .translate(ticket.address, ticket.mlength as u32);
                 let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
-                let rec = rec.expect("rec");
+                let rec = rec.expect("rec").record_mut();
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
@@ -71,13 +72,14 @@ impl Machine {
                 self.fw_command(q, t, node, fw_proc, cmd);
             }
             PortalsOp::Get => {
-                let (_, before, action) = self.complete_rx(node, fw_proc, pending, Some(&ticket));
+                let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t, before);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 self.causal.set_cause(m.match_idx);
                 let region = Some(ticket.address);
-                let t2 = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, action, region);
+                let t2 =
+                    self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, region);
                 self.maybe_wake(q, t2, node, dst_pid);
             }
             _ => unreachable!("reply/ack never reach NIC matching"),
@@ -107,15 +109,15 @@ impl Machine {
                 }
             }
             FwEvent::RxComplete { pending } => {
-                let (rec, before, action) = self.complete_rx(node, fw_proc, pending, None);
+                let done = self.complete_rx(node, fw_proc, pending, None);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
                 // Chains onto the message's DepositDone; the ack's cause
                 // is the completion record itself (stamped at `t`, not
                 // after the ack's own start).
-                let pid = rec.header.dst.pid;
-                let eq_idx = self.causal_eq_post(node, pid, TraceId(rec.tag), t, before);
+                let pid = done.pid;
+                let eq_idx = self.causal_eq_post(node, pid, TraceId(done.tag), t, done.before);
                 self.causal.set_cause(eq_idx);
-                let t2 = self.handle_incoming_action(q, t, node, fw_proc, pid, action, None);
+                let t2 = self.handle_incoming_action(q, t, node, fw_proc, pid, done.action, None);
                 self.maybe_wake(q, t2 + ht, node, pid);
             }
             FwEvent::RxHeader { .. } => {

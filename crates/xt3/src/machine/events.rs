@@ -1,6 +1,7 @@
 //! Simulation events: what the queue carries, which node owns each, and
 //! how each folds into the replay digest.
 
+use crate::node::RxRecord;
 use crate::wire::WireMsg;
 use xt3_firmware::pending::PendingId;
 use xt3_sim::{EventDigest, FwFaultKind, SimTime};
@@ -14,6 +15,85 @@ pub struct InFlight {
     pub complete_at: SimTime,
     /// The end-to-end 32-bit CRC will reject this payload (§2).
     pub corrupted: bool,
+}
+
+/// A message's delivery box, and then its receive record: one heap
+/// block per message, from the fabric to the end of its receive.
+///
+/// `apply_send` fills it with the [`InFlight`] message. When the
+/// destination firmware takes the header, the box is rewritten in place
+/// into the message's upper pending (paper §4.2) and the node's RX row
+/// keeps the box itself. Whatever ends the message — a refusal at the
+/// header, a match that found nothing, a finished receive — hands the
+/// box back (`Machine::recycle`).
+#[derive(Debug)]
+pub struct Parcel(Cargo);
+
+#[derive(Debug)]
+enum Cargo {
+    Empty,
+    InFlight(InFlight),
+    Landed(RxRecord),
+}
+
+impl Parcel {
+    /// A new box carrying `inflight`.
+    pub(crate) fn boxed(inflight: InFlight) -> Box<Parcel> {
+        Box::new(Parcel(Cargo::InFlight(inflight)))
+    }
+
+    /// Load an emptied box with `inflight`.
+    pub(crate) fn refill(&mut self, inflight: InFlight) {
+        debug_assert!(matches!(self.0, Cargo::Empty), "refilled a full box");
+        self.0 = Cargo::InFlight(inflight);
+    }
+
+    /// The message a queued header carries.
+    pub(crate) fn in_flight(&self) -> &InFlight {
+        match &self.0 {
+            Cargo::InFlight(inflight) => inflight,
+            _ => panic!("a queued header carries its message"),
+        }
+    }
+
+    /// The firmware took the header: the message becomes its receive
+    /// record, in the same box.
+    pub(crate) fn land(&mut self) {
+        let Cargo::InFlight(InFlight {
+            msg, complete_at, ..
+        }) = std::mem::replace(&mut self.0, Cargo::Empty)
+        else {
+            panic!("only a message in flight lands");
+        };
+        self.0 = Cargo::Landed(RxRecord {
+            header: msg.header,
+            data: msg.data,
+            wire_complete: complete_at,
+            ticket: None,
+            tag: msg.tag,
+        });
+    }
+
+    /// The receive record of a landed box.
+    pub(crate) fn record(&self) -> &RxRecord {
+        match &self.0 {
+            Cargo::Landed(rec) => rec,
+            _ => panic!("no receive record in this box"),
+        }
+    }
+
+    /// The receive record of a landed box, mutably.
+    pub(crate) fn record_mut(&mut self) -> &mut RxRecord {
+        match &mut self.0 {
+            Cargo::Landed(rec) => rec,
+            _ => panic!("no receive record in this box"),
+        }
+    }
+
+    /// Drop what the box holds and keep the allocation.
+    pub(crate) fn empty(&mut self) {
+        self.0 = Cargo::Empty;
+    }
 }
 
 /// Simulation events.
@@ -52,11 +132,12 @@ pub enum Ev {
         /// The message and its completion time. Boxed deliberately: one
         /// allocation per *message* keeps `Ev` small (16 B instead of
         /// ~176 B), and every queue slot, bucket entry, and slab
-        /// `take()` copies an `Ev` on every *event*. Always `Some` in a
-        /// queued event; dispatch `take`s it, which is what lets a
-        /// partitioned shard send the emptied box home (see
+        /// `take()` copies an `Ev` on every *event*. The box outlives
+        /// the event: when the firmware takes the header it becomes the
+        /// receive record (see [`Parcel`]), and a partitioned shard
+        /// sends every box it is done with home (see
         /// [`super::SendIntent`]'s `spare`) instead of freeing it.
-        inflight: Box<Option<InFlight>>,
+        parcel: Box<Parcel>,
     },
     /// The RX DMA finished depositing a pending.
     RxDepositDone {
@@ -140,11 +221,8 @@ impl Ev {
                 digest.write_u8(3);
                 digest.write_u32(*node);
             }
-            Ev::NetHeader { node, inflight } => {
-                let inflight = inflight
-                    .as_ref()
-                    .as_ref()
-                    .expect("a queued header carries its message");
+            Ev::NetHeader { node, parcel } => {
+                let inflight = parcel.in_flight();
                 digest.write_u8(4);
                 digest.write_u32(*node);
                 digest.write_u64(inflight.complete_at.0);

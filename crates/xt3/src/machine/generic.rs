@@ -131,15 +131,15 @@ impl Machine {
                 let tag = self.nodes[node]
                     .rx_store
                     .get(&(fw_proc, pending))
-                    .map_or(0, |r| r.tag);
+                    .map_or(0, |r| r.record().tag);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::IntDeliver, t, node as u32, 0);
                 self.host_match(q, t, node, fw_proc, pending)
             }
             FwEvent::RxComplete { pending } => {
-                let (rec, before, action) = self.complete_rx(node, fw_proc, pending, None);
+                let done = self.complete_rx(node, fw_proc, pending, None);
                 let int_idx = self.causal.record_chain(
-                    TraceId(rec.tag),
+                    TraceId(done.tag),
                     CausalStage::IntDeliver,
                     t,
                     node as u32,
@@ -155,9 +155,9 @@ impl Machine {
                 );
                 t = self.post_cmd(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
                 self.causal.set_cause(int_idx);
-                let pid = rec.header.dst.pid;
-                t = self.handle_incoming_action(q, t, node, fw_proc, pid, action, None);
-                self.causal_eq_post(node, pid, TraceId(rec.tag), t, before);
+                let pid = done.pid;
+                t = self.handle_incoming_action(q, t, node, fw_proc, pid, done.action, None);
+                self.causal_eq_post(node, pid, TraceId(done.tag), t, done.before);
                 self.maybe_wake(q, t, node, pid);
                 t
             }
@@ -176,7 +176,6 @@ impl Machine {
     ) -> SimTime {
         let cm = self.config.cost;
         let mut t = self.host_span(node, t, cm.host_match, "match");
-        self.nodes[node].host.counters.matches += 1;
         self.trace.record(
             t,
             node as u32,
@@ -192,13 +191,13 @@ impl Machine {
 
         match m.op {
             PortalsOp::Put if m.piggy => {
-                let (_, before, action) = self.complete_rx(node, fw_proc, pending, Some(&ticket));
+                let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 t = self.host_span(node, t, cm.host_event_post, "event-post");
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 t = self.post_cmd(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
                 self.causal.set_cause(m.match_idx);
-                t = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, action, None);
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t, before);
+                t = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, None);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 self.maybe_wake(q, t, node, dst_pid);
                 t
             }
@@ -216,7 +215,7 @@ impl Machine {
                     .expect("matched region is valid");
                 t = self.host_span(node, t, prepared.prep_cost, "rx-prepare");
                 let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
-                let rec = rec.expect("rec");
+                let rec = rec.expect("rec").record_mut();
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
@@ -230,16 +229,16 @@ impl Machine {
                 t
             }
             PortalsOp::Get => {
-                let (_, before, action) = self.complete_rx(node, fw_proc, pending, Some(&ticket));
+                let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 // The reply leaves first; GetEnd bookkeeping and the
                 // pending release follow off the reply's critical path.
                 self.causal.set_cause(m.match_idx);
                 let region = Some(ticket.address);
-                t = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, action, region);
+                t = self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, region);
                 t = self.host_span(node, t, cm.host_event_post, "event-post");
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 t = self.post_cmd(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t, before);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 self.maybe_wake(q, t, node, dst_pid);
                 t
             }

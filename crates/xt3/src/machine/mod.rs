@@ -51,7 +51,7 @@ mod rx;
 mod tx;
 
 pub use appctx::AppCtx;
-pub use events::{Ev, InFlight};
+pub use events::{Ev, InFlight, Parcel};
 pub(crate) use net::apply_send;
 pub use net::SendIntent;
 
@@ -563,6 +563,9 @@ impl Model for Machine {
         // running — the paper's §4.3 goal of containing NIC faults.
         let owner = event.owner();
         if self.nodes[owner as usize].hot.dark && !matches!(event, Ev::FaultAt { .. }) {
+            if let Ev::NetHeader { parcel, .. } = event {
+                self.recycle(parcel);
+            }
             return;
         }
         match event {
@@ -573,10 +576,7 @@ impl Model for Machine {
             Ev::AppWake { node, pid } => self.on_app_wake(q, now, node as usize, pid),
             Ev::FwCmd { node, fw_proc } => self.on_fw_cmd(q, now, node as usize, fw_proc),
             Ev::TxDmaDone { node } => self.on_tx_dma_done(q, now, node as usize),
-            Ev::NetHeader { node, inflight } => {
-                let arrived = self.unbox_arrival(inflight);
-                self.on_net_header(q, now, node as usize, arrived)
-            }
+            Ev::NetHeader { node, parcel } => self.on_net_header(q, now, node as usize, parcel),
             Ev::RxDepositDone {
                 node,
                 fw_proc,

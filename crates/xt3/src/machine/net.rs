@@ -11,7 +11,7 @@
 //! policy asks for it: sequencing on the way out, the receiver's
 //! NACK/re-ACK reaction, window deferral and the retransmission timer.
 
-use super::{Ev, InFlight, Machine, Nodes};
+use super::{Ev, InFlight, Machine, Nodes, Parcel};
 use crate::config::ExhaustionPolicy;
 use crate::wire::{WireKind, WireMsg};
 use xt3_firmware::gbn::{GbnEvent, GbnSender, SeqNo};
@@ -43,13 +43,14 @@ pub(super) enum NetMode {
     /// fabric at the next window boundary in exact serial order.
     Deferred {
         intents: Vec<SendIntent>,
-        /// Emptied boxes of the headers this shard has dispatched. The
+        /// Emptied boxes of the messages this shard is done with:
+        /// headers it refused and receives it finished. The
         /// coordinator's thread allocated them, so freeing them here
         /// would take the allocator's cross-thread path on every
         /// message; each instead rides home in the shard's next intent
         /// ([`SendIntent::spare`]) and carries a later delivery.
         #[allow(clippy::vec_box)] // the allocations are what is kept
-        spares: Vec<Box<Option<InFlight>>>,
+        spares: Vec<Box<Parcel>>,
     },
 }
 
@@ -77,7 +78,7 @@ pub struct SendIntent {
     pub(crate) extra_delay: SimTime,
     /// An emptied delivery box for [`apply_send`] to refill, when the
     /// sending shard had one to return (never in a serial run).
-    pub(crate) spare: Option<Box<Option<InFlight>>>,
+    pub(crate) spare: Option<Box<Parcel>>,
 }
 
 /// Walk one send through the fabric and produce its delivery event.
@@ -121,24 +122,24 @@ pub(crate) fn apply_send(
     );
     let head_latency = d.header_at.saturating_sub(inject_at);
     let complete_at = d.complete_at.max(dma_done + head_latency) + extra_delay;
-    let inflight = Some(InFlight {
+    let inflight = InFlight {
         msg: d.msg.body,
         complete_at,
         corrupted: d.corrupted || forced_corrupt,
-    });
-    let inflight = match spare {
+    };
+    let parcel = match spare {
         Some(mut spare) => {
-            *spare = inflight;
+            spare.refill(inflight);
             spare
         }
-        None => Box::new(inflight),
+        None => Parcel::boxed(inflight),
     };
     (
         d.header_at + extra_delay,
         delivery_key,
         Ev::NetHeader {
             node: dst.0,
-            inflight,
+            parcel,
         },
     )
 }
@@ -228,16 +229,14 @@ impl Machine {
         }
     }
 
-    /// Empty a dispatched header's delivery box. A partitioned shard
-    /// keeps the box to send home with its next intent.
-    pub(super) fn unbox_arrival(&mut self, mut inflight: Box<Option<InFlight>>) -> InFlight {
-        let arrived = inflight
-            .take()
-            .expect("a queued header carries its message");
+    /// Hand back the box of a message this node is done with: a header
+    /// it refused, or a receive it finished. The serial engine frees it;
+    /// a partitioned shard empties it to send home with its next intent.
+    pub(super) fn recycle(&mut self, mut parcel: Box<Parcel>) {
         if let NetMode::Deferred { spares, .. } = &mut self.net {
-            spares.push(inflight);
+            parcel.empty();
+            spares.push(parcel);
         }
-        arrived
     }
 
     // ----- go-back-n -----

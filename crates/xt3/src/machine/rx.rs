@@ -8,11 +8,10 @@
 //! own sequence of charges and posts.
 
 use super::tx::FW_PER_CHUNK;
-use super::{Ev, InFlight, Machine};
+use super::{Ev, InFlight, Machine, Parcel};
 use crate::config::ExhaustionPolicy;
-use crate::node::RxRecord;
 use crate::wire::WireKind;
-use xt3_firmware::control::{FwError, ProcIdx};
+use xt3_firmware::control::{Effects, FwError, ProcIdx};
 use xt3_firmware::gbn::{GbnEvent, SeqNo};
 use xt3_firmware::pending::PendingId;
 use xt3_portals::header::PortalsOp;
@@ -35,23 +34,81 @@ pub(super) struct HeaderMatch {
     pub ticket: Option<MatchTicket>,
 }
 
+/// What `complete_rx` leaves once the record's box has gone back.
+pub(super) struct RxDone {
+    /// The receiving process.
+    pub pid: u32,
+    /// The message's wire tag.
+    pub tag: u64,
+    /// The posted-event snapshot taken just before the library step.
+    pub before: u64,
+    /// What the library wants sent back.
+    pub action: IncomingAction,
+}
+
+/// A header the firmware took: its RX pending, whether the firmware
+/// completes it itself (Reply/Ack), when it was done, what it asked for.
+struct Taken {
+    fw_proc: ProcIdx,
+    pending: PendingId,
+    direct: bool,
+    t: SimTime,
+    effects: Effects,
+}
+
 impl Machine {
+    /// A header reached `node`'s NIC. Taken by the firmware, its box
+    /// becomes the receive record in the RX row; refused, the box goes
+    /// back at once.
     pub(super) fn on_net_header(
         &mut self,
         q: &mut EventQueue<Ev>,
         now: SimTime,
         node: usize,
-        inflight: InFlight,
+        mut parcel: Box<Parcel>,
     ) {
+        let Some(taken) = self.take_header(q, now, node, parcel.in_flight()) else {
+            return self.recycle(parcel);
+        };
+        let Taken {
+            fw_proc,
+            pending,
+            direct,
+            t,
+            effects,
+        } = taken;
+        parcel.land();
+        self.nodes[node].rx_store.insert((fw_proc, pending), parcel);
+        self.exec_effects(q, t, node, effects);
+        if direct {
+            self.handle_direct(q, t, node, fw_proc, pending);
+        }
+    }
+
+    /// Everything a header meets before it holds an RX pending: go-back-n
+    /// control, the end-to-end CRC, sequencing, the target process and
+    /// the firmware's pools. `None` for go-back-n control and for every
+    /// refusal.
+    fn take_header(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        now: SimTime,
+        node: usize,
+        inflight: &InFlight,
+    ) -> Option<Taken> {
         let cm = self.config.cost;
-        let msg = inflight.msg;
+        let msg = &inflight.msg;
         let from_node = msg.header.src.nid;
 
         match msg.kind {
             WireKind::GbnNack { expected } => {
-                return self.on_gbn_nack(q, now, node, from_node, expected)
+                self.on_gbn_nack(q, now, node, from_node, expected);
+                return None;
             }
-            WireKind::GbnAck { upto } => return self.on_gbn_ack(q, now, node, from_node, upto),
+            WireKind::GbnAck { upto } => {
+                self.on_gbn_ack(q, now, node, from_node, upto);
+                return None;
+            }
             WireKind::Data => {}
         }
 
@@ -80,20 +137,22 @@ impl Machine {
                 label!("e2e-crc-reject"),
                 msg.tag,
             );
-            return;
+            return None;
         }
 
         // Go-back-n sequencing check (order first, then allocation).
         if let Some(seq) = msg.seq {
             let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
             if seq != rx.expected() {
-                return self.gbn_refuse(q, now, node, from_node, seq, true);
+                self.gbn_refuse(q, now, node, from_node, seq, true);
+                return None;
             }
         }
 
         let dst_pid = msg.header.dst.pid;
         let Some(dst) = self.nodes[node].procs.get(dst_pid as usize) else {
-            return self.drop_stray_header(q, now, node, from_node, msg.seq, msg.tag);
+            self.drop_stray_header(q, now, node, from_node, msg.seq, msg.tag);
+            return None;
         };
         let fw_proc = dst.fw_proc;
         let direct = matches!(msg.header.op, PortalsOp::Reply | PortalsOp::Ack);
@@ -138,9 +197,9 @@ impl Machine {
                 }
                 GbnEvent::Nack { expected } => {
                     self.send_gbn_control(q, t, node, from_node, WireKind::GbnNack { expected });
-                    return;
+                    return None;
                 }
-                GbnEvent::Duplicate => return,
+                GbnEvent::Duplicate => return None,
             }
         }
 
@@ -158,7 +217,7 @@ impl Machine {
                         msg.tag,
                     );
                 }
-                return;
+                return None;
             }
         };
 
@@ -171,21 +230,13 @@ impl Machine {
         );
         self.causal
             .record_chain(TraceId(msg.tag), CausalStage::FwRxDone, t, node as u32, 0);
-        self.nodes[node].rx_store.insert(
-            (fw_proc, pending),
-            RxRecord {
-                header: msg.header,
-                data: msg.data,
-                wire_complete: inflight.complete_at,
-                ticket: None,
-                tag: msg.tag,
-            },
-        );
-        self.exec_effects(q, t, node, effects);
-
-        if direct {
-            self.handle_direct(q, t, node, fw_proc, pending);
-        }
+        Some(Taken {
+            fw_proc,
+            pending,
+            direct,
+            t,
+            effects,
+        })
     }
 
     /// A header for a process this node does not have: the firmware sees
@@ -229,7 +280,7 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) {
-        let rec = &self.nodes[node].rx_store[&(fw_proc, pending)];
+        let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
         match rec.header.op {
             PortalsOp::Ack => {
                 let t = self.ppc_run(node, FwHandler::Completion, t);
@@ -266,8 +317,9 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) {
-        let n = &mut self.nodes[node];
-        let rec = n.rx_store.remove(&(fw_proc, pending)).expect("direct rec");
+        let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+        let parcel = parcel.expect("direct rec");
+        let rec = parcel.record();
         let pid = rec.header.dst.pid;
         let before = self.events_posted(node, pid);
         let n = &mut self.nodes[node];
@@ -287,6 +339,7 @@ impl Machine {
         n.fw.release_direct(fw_proc, pending);
         let visible = t + self.config.cost.ht_write_latency;
         self.causal_eq_post(node, pid, TraceId(rec.tag), visible, before);
+        self.recycle(parcel);
         self.maybe_wake(q, visible, node, pid);
     }
 
@@ -308,7 +361,7 @@ impl Machine {
         let wire_complete = n
             .rx_store
             .get(&(proc, pending))
-            .map(|r| r.wire_complete)
+            .map(|r| r.record().wire_complete)
             .unwrap_or(t);
         let extra = FW_PER_CHUNK.times(chunks - 1);
         let setup_done = self.ppc_run_extra(node, FwHandler::TxDmaSetup, t, extra);
@@ -355,7 +408,7 @@ impl Machine {
             0,
         );
         let n = &mut self.nodes[node];
-        let rec = n.rx_store.get(&(fw_proc, pending));
+        let rec = n.rx_store.get(&(fw_proc, pending)).map(|p| p.record());
         // A firmware-direct reply completes right here: the deposit
         // happened via DMA; ReplyEnd goes straight into the app's EQ.
         let direct_reply = rec.is_some_and(|r| r.header.op == PortalsOp::Reply);
@@ -384,7 +437,7 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) -> HeaderMatch {
-        let rec = &self.nodes[node].rx_store[&(fw_proc, pending)];
+        let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
         let piggy = self.config.cost.piggybacks(rec.data.len());
         let (op, dst_pid, tag) = (rec.header.op, rec.header.dst.pid, rec.tag);
         let match_idx =
@@ -395,7 +448,7 @@ impl Machine {
         // FIFO stays aligned with the queue.
         let before_match = self.events_posted(node, dst_pid);
         let n = &mut self.nodes[node];
-        let header = &n.rx_store[&(fw_proc, pending)].header;
+        let header = &n.rx_store[&(fw_proc, pending)].record().header;
         let outcome = n.procs[dst_pid as usize].lib.match_incoming(header);
         if let Some(mi) = match_idx {
             let after = self.events_posted(node, dst_pid);
@@ -405,7 +458,8 @@ impl Machine {
         let ticket = match outcome {
             DeliverOutcome::Matched(ticket) => Some(ticket),
             _ => {
-                self.nodes[node].rx_store.remove(&(fw_proc, pending));
+                let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+                self.recycle(parcel.expect("rx rec"));
                 None
             }
         };
@@ -421,24 +475,25 @@ impl Machine {
 
     /// Take a matched message's record and finish it in the library —
     /// deposit a put whose payload is in hand (piggybacked, or DMA'ed by
-    /// now), or serve a get — returning the record, the posted-event
-    /// snapshot taken just before (for `causal_eq_post`), and what the
-    /// library wants sent back. `ticket` is the fresh match; `None` means
-    /// the one stored with the record when its deposit was programmed.
+    /// now), or serve a get — then hand the record's box back. `ticket`
+    /// is the fresh match; `None` means the one stored with the record
+    /// when its deposit was programmed.
     pub(super) fn complete_rx(
         &mut self,
         node: usize,
         fw_proc: ProcIdx,
         pending: PendingId,
         ticket: Option<&MatchTicket>,
-    ) -> (RxRecord, u64, IncomingAction) {
-        let n = &mut self.nodes[node];
-        let rec = n.rx_store.remove(&(fw_proc, pending)).expect("rx rec");
-        let before = self.events_posted(node, rec.header.dst.pid);
+    ) -> RxDone {
+        let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+        let parcel = parcel.expect("rx rec");
+        let rec = parcel.record();
+        let (pid, tag) = (rec.header.dst.pid, rec.tag);
+        let before = self.events_posted(node, pid);
         let ticket = ticket
             .or(rec.ticket.as_ref())
             .expect("deposit had a ticket");
-        let proc = &mut self.nodes[node].procs[rec.header.dst.pid as usize];
+        let proc = &mut self.nodes[node].procs[pid as usize];
         let action = match rec.header.op {
             PortalsOp::Get => proc.lib.complete_get_serve(
                 &rec.header,
@@ -450,6 +505,12 @@ impl Machine {
                 .lib
                 .complete_put(&rec.header, ticket, &rec.data, &mut *proc.mem),
         };
-        (rec, before, action)
+        self.recycle(parcel);
+        RxDone {
+            pid,
+            tag,
+            before,
+            action,
+        }
     }
 }

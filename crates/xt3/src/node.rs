@@ -3,6 +3,7 @@
 use crate::app::{App, WaitRequest};
 use crate::config::{MachineConfig, NodeSpec, ProcSpec};
 use crate::host::HostCpu;
+use crate::machine::Parcel;
 use crate::wire::WireMsg;
 // BTreeMap/BTreeSet, not HashMap/HashSet: iteration order must be
 // deterministic for bit-identical replay (enforced by `cargo run -p
@@ -30,8 +31,10 @@ use xt3_topology::coord::NodeId;
 /// Pending ids are small dense integers handed out lowest-first (the RX
 /// pool and the host TX free list both recycle returned ids LIFO, then
 /// issue the lowest fresh one), so a row of `Option<V>` slots per
-/// firmware-level process gives O(1) insert/remove with no per-message
-/// allocation. Each map stores ids relative to `base` (0 for the RX id
+/// firmware-level process gives O(1) insert/remove, and the map itself
+/// allocates nothing per message (the RX map's value is the message's
+/// delivery box, [`Parcel`]: one pointer a slot). Each map stores ids
+/// relative to `base` (0 for the RX id
 /// range, `tx_base` for the TX range), and a row reaches only as far as
 /// the highest id ever in flight at once — a slot or two per node in
 /// practice, not the firmware's table capacity — growing by the per-node
@@ -200,9 +203,11 @@ pub(crate) struct TxRecord {
 }
 
 /// Host/NIC-side record of an in-flight receive: the upper pending of an
-/// RX pending. Nothing here that the header or payload already say — one
-/// of these per message in flight on every node is the largest row a
-/// contended torus holds.
+/// RX pending. It lives in its message's delivery box ([`Parcel`]) from
+/// the firmware taking the header to the end of the receive, and the RX
+/// row holds the box. Nothing here that the header or payload already
+/// say.
+#[derive(Debug)]
 pub(crate) struct RxRecord {
     pub header: PortalsHeader,
     pub data: WireData,
@@ -270,7 +275,7 @@ pub struct Node {
     /// Host-managed TX pending free lists, per firmware-level process.
     pub(crate) tx_free: Vec<TxFreeList>,
     pub(crate) tx_store: PendingMap<TxRecord>,
-    pub(crate) rx_store: PendingMap<RxRecord>,
+    pub(crate) rx_store: PendingMap<Box<Parcel>>,
     /// The host-memory event queues the firmware posts into (generic
     /// procs only; accelerated completions are handled inline).
     pub(crate) fw_eq: Vec<VecDeque<FwEvent>>,
@@ -455,11 +460,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_rx_record_holds_nothing_its_header_or_payload_says() {
-        // One per receive in flight on every node: a contended 512-node
-        // all-to-all holds ~0.2M at once, so each byte here is 0.2 MB
-        // there.
+    fn the_rx_row_points_at_records_in_their_delivery_boxes() {
+        // One record per receive in flight on every node: a contended
+        // 512-node all-to-all holds ~0.2M at once, so each byte of the
+        // box is 0.2 MB there. The row keeps its high water, and holds a
+        // pointer a slot.
+        assert_eq!(std::mem::size_of::<Option<Box<Parcel>>>(), 8);
+        assert!(std::mem::size_of::<Parcel>() <= 176);
         assert_eq!(std::mem::size_of::<RxRecord>(), 168);
-        assert_eq!(std::mem::size_of::<Option<RxRecord>>(), 168);
     }
 }

@@ -27,7 +27,8 @@
 //!   (link cursors, RNG, counters) evolves exactly as in a serial run.
 //! * No heap object changes owner thread. The coordinator allocates the
 //!   box of every delivery ([`apply_send`]); the shard that dispatches
-//!   the header empties it and sends it home in its next intent, where
+//!   the header keeps it as the receive record until the message is done
+//!   with, then empties it and sends it home in its next intent, where
 //!   it carries a later delivery. Freeing it on the shard instead — one
 //!   cross-thread `free` per message — was 7 % of a threaded run's
 //!   samples with the allocator's lock under it. The serial engine keeps
