@@ -11,14 +11,14 @@
 //! deferred-send window protocol; Red Storm exercises real fan-out).
 
 use xt3_netpipe::runner::{build_machine, scenario_matrix, scenario_name, NetpipeConfig};
-use xt3_node::config::MachineConfig;
+use xt3_node::config::{ExhaustionPolicy, MachineConfig};
 use xt3_node::par::run_parallel;
 use xt3_node::workloads::{
     expected_hdr_sum, pattern_stats, red_storm_machine, sparse_pairs_machine, traffic_machine_cfg,
     TrafficPattern,
 };
 use xt3_node::Machine;
-use xt3_sim::{RunOutcome, SimTime};
+use xt3_sim::{FaultPlan, RunOutcome, SimTime, TimeWindow};
 use xt3_topology::coord::Dims;
 
 const WORKERS: [usize; 4] = [1, 2, 3, 8];
@@ -226,5 +226,63 @@ fn real_payloads_verify_through_recycled_delivery_boxes() {
                 );
             }
         }
+    }
+}
+
+/// Go-back-n under a plan that drives every way `on_net_header` refuses a
+/// header — end-to-end CRC rejects, out-of-order and duplicate arrivals,
+/// and an SRAM squeeze on every node — with real payloads. Each refused
+/// header hands its delivery box back at once, and a parallel run sends
+/// it home to carry a later message: every byte is verified, and the run
+/// must match serial exactly at 1, 2 and 3 workers.
+#[test]
+fn go_back_n_refusals_bit_identical_under_parallelism() {
+    let dims = Dims::red_storm(4, 3, 2);
+    let (rounds, msg) = (2, 2048);
+    let build = || {
+        let mut config = MachineConfig::paper(dims);
+        config.synthetic_payload = false;
+        config.exhaustion = ExhaustionPolicy::GoBackN;
+        config.faults = FaultPlan::wire(0x6B4E_5EED, 0.06).with_sram_pulse(
+            None,
+            TimeWindow::new(SimTime::from_us(4), SimTime::from_us(12)),
+        );
+        traffic_machine_cfg(TrafficPattern::AllToAll, config, rounds, msg)
+    };
+    let want = expected_hdr_sum(
+        TrafficPattern::AllToAll,
+        dims,
+        rounds,
+        MachineConfig::paper(dims).seed,
+    );
+    let check = |m: &mut Machine, who: &str| {
+        let stats = pattern_stats(m);
+        assert!(!stats.corrupt, "{who}: a payload failed verification");
+        assert_eq!(stats.outstanding, 0, "{who}: arrivals missing");
+        assert_eq!(stats.hdr_sum, want, "{who}: provenance sum");
+    };
+    let mut serial = build().into_engine();
+    assert_eq!(serial.run(), RunOutcome::Drained, "serial must drain");
+    let (digest, fingerprint) = (serial.digest(), serial.state_fingerprint());
+    let mut m = serial.into_model();
+    let faults = m.fault_stats();
+    assert!(
+        faults.corrupted > 0 && faults.reordered > 0 && faults.sram_rejections > 0,
+        "the plan must corrupt, reorder and squeeze: {faults:?}"
+    );
+    assert!(
+        m.total_gbn_retransmissions() > 0,
+        "go-back-n must retransmit"
+    );
+    check(&mut m, "serial");
+    for workers in [1, 2, 3] {
+        let mut run = run_parallel(build(), workers);
+        assert_eq!(run.outcome, RunOutcome::Drained, "{workers} workers");
+        assert_eq!(run.digest, digest, "{workers} workers: digest");
+        assert_eq!(
+            run.state_fingerprint, fingerprint,
+            "{workers} workers: fingerprint"
+        );
+        check(&mut run.machine, &format!("{workers} workers"));
     }
 }
