@@ -35,7 +35,7 @@ const BLOCKS_PER_MACHINE: u64 = 12;
 
 /// Live heap bytes a node of a drained 4x4x2 all-to-all holds: its rows
 /// of pendings, sources and box pointers. Rows that kept each 168 B
-/// receive record at the high water held about 5 KB a node more.
+/// receive record at the high water held about 3.4 KB a node more.
 const ALLTOALL_BYTES_PER_NODE: u64 = 7_714;
 
 #[test]

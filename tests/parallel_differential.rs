@@ -51,8 +51,12 @@ fn serial_reference(machine: Machine, label: &str) -> SerialRef {
     }
 }
 
-fn assert_parallel_matches(build: impl Fn() -> Machine, label: &str) {
+/// Run `build` serially and at every worker count in [`WORKERS`], assert
+/// each parallel run matches serial, and hand back the merged machines
+/// (with their worker counts) for checks of the caller's own.
+fn assert_parallel_matches(build: impl Fn() -> Machine, label: &str) -> Vec<(usize, Machine)> {
     let reference = serial_reference(build(), label);
+    let mut merged = Vec::new();
     for workers in WORKERS {
         let run = run_parallel(build(), workers);
         assert_eq!(
@@ -86,7 +90,9 @@ fn assert_parallel_matches(build: impl Fn() -> Machine, label: &str) {
             telemetry, reference.telemetry,
             "{label}@{workers}: telemetry report diverged"
         );
+        merged.push((workers, run.machine));
     }
+    merged
 }
 
 /// Every NetPIPE scenario (4 transports x 3 kinds), serial vs parallel.
@@ -179,14 +185,32 @@ fn faulty_wire_bit_identical_under_parallelism() {
     }
 }
 
+/// Every receiver verifies each arrival byte by byte against its
+/// sender's pattern, and the arrivals' provenance sum.
+fn assert_payloads_verified(
+    m: &mut Machine,
+    pattern: TrafficPattern,
+    dims: Dims,
+    rounds: u32,
+    label: &str,
+) {
+    let stats = pattern_stats(m);
+    assert!(!stats.corrupt, "{label}: a payload failed verification");
+    assert_eq!(stats.outstanding, 0, "{label}: arrivals missing");
+    assert_eq!(
+        stats.hdr_sum,
+        expected_hdr_sum(pattern, dims, rounds, MachineConfig::paper(dims).seed),
+        "{label}: provenance sum"
+    );
+}
+
 /// Real payload bytes through the partitioned engine. In a parallel run
 /// the box of every delivered header is emptied by the consuming shard,
 /// rides home in one of its intents and carries a later message; digests
 /// only see lengths and tags, so this is the check that a recycled box
-/// never delivers the message it held before. Every receiver verifies
-/// each arrival byte by byte against its sender's pattern (two sizes:
-/// inside the 12-byte piggyback window and a multi-packet body), over
-/// several rounds so boxes are reused many times, at 2 and 3 workers.
+/// never delivers the message it held before. Two sizes: inside the
+/// 12-byte piggyback window and a multi-packet body, over several rounds
+/// so boxes are reused many times.
 #[test]
 fn real_payloads_verify_through_recycled_delivery_boxes() {
     let dims = Dims::red_storm(4, 3, 2);
@@ -203,26 +227,13 @@ fn real_payloads_verify_through_recycled_delivery_boxes() {
                 traffic_machine_cfg(pattern, config, rounds, msg)
             };
             let label = format!("{}-{msg}B", pattern.name());
-            let seed = MachineConfig::paper(dims).seed;
-            let reference = serial_reference(build(), &label);
-            for workers in [2, 3] {
-                let mut run = run_parallel(build(), workers);
-                assert_eq!(run.outcome, RunOutcome::Drained, "{label}@{workers}");
-                assert_eq!(run.digest, reference.digest, "{label}@{workers}: digest");
-                assert_eq!(
-                    run.state_fingerprint, reference.fingerprint,
-                    "{label}@{workers}: state fingerprint"
-                );
-                let stats = pattern_stats(&mut run.machine);
-                assert!(
-                    !stats.corrupt,
-                    "{label}@{workers}: a payload failed verification"
-                );
-                assert_eq!(stats.outstanding, 0, "{label}@{workers}: arrivals missing");
-                assert_eq!(
-                    stats.hdr_sum,
-                    expected_hdr_sum(pattern, dims, rounds, seed),
-                    "{label}@{workers}: provenance sum"
+            for (workers, mut m) in assert_parallel_matches(build, &label) {
+                assert_payloads_verified(
+                    &mut m,
+                    pattern,
+                    dims,
+                    rounds,
+                    &format!("{label}@{workers}"),
                 );
             }
         }
@@ -233,12 +244,13 @@ fn real_payloads_verify_through_recycled_delivery_boxes() {
 /// header — end-to-end CRC rejects, out-of-order and duplicate arrivals,
 /// and an SRAM squeeze on every node — with real payloads. Each refused
 /// header hands its delivery box back at once, and a parallel run sends
-/// it home to carry a later message: every byte is verified, and the run
-/// must match serial exactly at 1, 2 and 3 workers.
+/// it home to carry a later message: every byte is verified, and every
+/// worker count must match serial exactly.
 #[test]
 fn go_back_n_refusals_bit_identical_under_parallelism() {
     let dims = Dims::red_storm(4, 3, 2);
     let (rounds, msg) = (2, 2048);
+    let pattern = TrafficPattern::AllToAll;
     let build = || {
         let mut config = MachineConfig::paper(dims);
         config.synthetic_payload = false;
@@ -247,23 +259,10 @@ fn go_back_n_refusals_bit_identical_under_parallelism() {
             None,
             TimeWindow::new(SimTime::from_us(4), SimTime::from_us(12)),
         );
-        traffic_machine_cfg(TrafficPattern::AllToAll, config, rounds, msg)
-    };
-    let want = expected_hdr_sum(
-        TrafficPattern::AllToAll,
-        dims,
-        rounds,
-        MachineConfig::paper(dims).seed,
-    );
-    let check = |m: &mut Machine, who: &str| {
-        let stats = pattern_stats(m);
-        assert!(!stats.corrupt, "{who}: a payload failed verification");
-        assert_eq!(stats.outstanding, 0, "{who}: arrivals missing");
-        assert_eq!(stats.hdr_sum, want, "{who}: provenance sum");
+        traffic_machine_cfg(pattern, config, rounds, msg)
     };
     let mut serial = build().into_engine();
     assert_eq!(serial.run(), RunOutcome::Drained, "serial must drain");
-    let (digest, fingerprint) = (serial.digest(), serial.state_fingerprint());
     let mut m = serial.into_model();
     let faults = m.fault_stats();
     assert!(
@@ -274,15 +273,14 @@ fn go_back_n_refusals_bit_identical_under_parallelism() {
         m.total_gbn_retransmissions() > 0,
         "go-back-n must retransmit"
     );
-    check(&mut m, "serial");
-    for workers in [1, 2, 3] {
-        let mut run = run_parallel(build(), workers);
-        assert_eq!(run.outcome, RunOutcome::Drained, "{workers} workers");
-        assert_eq!(run.digest, digest, "{workers} workers: digest");
-        assert_eq!(
-            run.state_fingerprint, fingerprint,
-            "{workers} workers: fingerprint"
+    assert_payloads_verified(&mut m, pattern, dims, rounds, "gbn-refusals");
+    for (workers, mut m) in assert_parallel_matches(build, "gbn-refusals") {
+        assert_payloads_verified(
+            &mut m,
+            pattern,
+            dims,
+            rounds,
+            &format!("gbn-refusals@{workers}"),
         );
-        check(&mut run.machine, &format!("{workers} workers"));
     }
 }
