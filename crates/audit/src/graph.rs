@@ -2,8 +2,8 @@
 //!
 //! The graph is built for reachability rules (today: `panic-reachable`).
 //! It records every `fn` item outside `#[cfg(test)]` regions — with its
-//! file, line, enclosing `impl` type and body token range — plus `use`
-//! edges per file and *name-keyed* call edges: a call site `foo(...)` or
+//! file, line, enclosing `impl` type and body token range — plus
+//! *name-keyed* call edges: a call site `foo(...)` or
 //! `x.foo(...)` produces an edge to **every** known function named
 //! `foo`, while `Type::foo(...)` (and `Self::foo(...)`) narrows to the
 //! matching `impl Type` blocks when any exist.
@@ -48,22 +48,11 @@ impl FnItem {
     }
 }
 
-/// One `use` declaration edge (file → imported path, joined with `::`).
-#[derive(Debug, Clone)]
-pub struct UseEdge {
-    /// Repo-relative path of the importing file.
-    pub path: String,
-    /// The imported path as written, `::`-joined, braces flattened out.
-    pub target: String,
-}
-
 /// The per-tree item graph.
 #[derive(Debug, Default)]
 pub struct ItemGraph {
     /// Every non-test `fn` item, in file order.
     pub fns: Vec<FnItem>,
-    /// `use` edges (module-dependency view; kept for tooling and tests).
-    pub uses: Vec<UseEdge>,
     /// Call edges as (caller index, callee index) into `fns`.
     pub calls: Vec<(usize, usize)>,
 }
@@ -76,12 +65,7 @@ impl ItemGraph {
     }
 
     /// Resolve all call sites into edges. Call after every file has
-    /// been added.
-    pub fn link_calls(&mut self, call_sites: &[CallSite]) {
-        self.link_calls_constrained(call_sites, |_, _| true);
-    }
-
-    /// As [`Self::link_calls`], but an edge is only created when
+    /// been added. An edge is only created when
     /// `may_call(caller_path, callee_path)` allows it — used to confine
     /// name-keyed resolution to the crate dependency direction, which
     /// removes whole families of spurious edges (a `.get(...)` in
@@ -193,9 +177,8 @@ const NON_CALLEES: &[&str] = &[
     "type", "const", "static", "crate", "super", "self", "Self", "box", "await",
 ];
 
-/// Scan one file's tokens: collect `fn` items (with impl context) and
-/// `use` edges into `graph`, and call sites into
-/// `graph`-owned pending storage via the returned list.
+/// Scan one file's tokens: collect `fn` items (with impl context) into
+/// `graph`.
 fn collect_items(path: &str, toks: &[Tok], graph: &mut ItemGraph) {
     let live: Vec<(usize, &Tok)> = toks
         .iter()
@@ -216,20 +199,10 @@ fn collect_items(path: &str, toks: &[Tok], graph: &mut ItemGraph) {
         k += 1;
     }
 
-    // Pass 2: fn items and use edges.
+    // Pass 2: fn items.
     let mut k = 0;
     while k < live.len() {
         let (ti, t) = live[k];
-        if t.kind == TokKind::Ident && t.text == "use" {
-            if let Some((target, next)) = parse_use(&live, k + 1) {
-                graph.uses.push(UseEdge {
-                    path: path.to_string(),
-                    target,
-                });
-                k = next;
-                continue;
-            }
-        }
         if t.kind == TokKind::Ident && t.text == "fn" {
             if let Some((name, name_at)) = ident_after(&live, k) {
                 let body = fn_body_range(&live, name_at);
@@ -309,41 +282,6 @@ fn parse_impl_header(live: &[(usize, &Tok)], k: usize) -> Option<((usize, usize)
         j += 1;
     }
     Some(((start_ti, usize::MAX), ty))
-}
-
-/// Parse a `use` path starting at live-index `k` (after the `use`
-/// keyword), returning the `::`-joined path (brace groups flattened to
-/// their parent) and the live index just past the `;`.
-fn parse_use(live: &[(usize, &Tok)], k: usize) -> Option<(String, usize)> {
-    let mut parts: Vec<String> = Vec::new();
-    let mut j = k;
-    while j < live.len() {
-        let t = live[j].1;
-        match t.kind {
-            TokKind::Ident => parts.push(t.text.clone()),
-            TokKind::Punct => match t.text.as_str() {
-                ";" => return Some((parts.join("::"), j + 1)),
-                "{" => {
-                    // Flatten: record the prefix only; skip to matching.
-                    let mut depth = 1;
-                    j += 1;
-                    while j < live.len() && depth > 0 {
-                        match live[j].1.text.as_str() {
-                            "{" => depth += 1,
-                            "}" => depth -= 1,
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    continue;
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }
 
 /// The identifier right after live-index `k` (skipping nothing else).
@@ -497,7 +435,7 @@ mod tests {
         for (p, t) in &lexed {
             sites.extend(call_sites(p, t, &g));
         }
-        g.link_calls(&sites);
+        g.link_calls_constrained(&sites, |_, _| true);
         g
     }
 
@@ -534,13 +472,6 @@ mod tests {
         )]);
         assert_eq!(g.fns.len(), 1);
         assert_eq!(g.fns[0].name, "live");
-    }
-
-    #[test]
-    fn use_edges_are_recorded() {
-        let g = graph_of(&[("a.rs", "use std::collections::BTreeMap;\nfn f() {}\n")]);
-        assert_eq!(g.uses.len(), 1);
-        assert_eq!(g.uses[0].target, "std::collections::BTreeMap");
     }
 
     #[test]

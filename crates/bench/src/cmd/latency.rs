@@ -24,9 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use xt3_netpipe::runner::{
-    critical_chains, run_explained, tiled_chains, NetpipeConfig, TestKind, Transport,
-};
+use xt3_netpipe::runner::{run_explained, tiled_chains, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
 use xt3_sim::SimTime;
 use xt3_telemetry::{aggregate, Breakdown, Chain, CostClass, HopStall, JsonValue, JsonWriter};
@@ -268,45 +266,29 @@ fn compare_mode(sizes: &[u64], reps: u32) -> CmdResult {
     Ok(())
 }
 
-/// Sum the breakdowns of the chains that partition `round`'s measured
-/// window (see [`critical_chains`] for the selection rules). A get is
-/// measured by the requester alone, so its deliveries are filtered to
-/// node 0. The one-sided put completes through MD Ack events and fences
-/// between rounds — both raise zero-byte chains off the critical data
-/// path — so RMA attribution keeps data-bearing chains only; the
-/// ping-pong data deliveries then tile the measured window exactly, as
-/// in the two-sided cases.
+/// Sum the breakdowns of the chains that tile `round`'s measured window
+/// (see [`tiled_chains`] for the selection rules), plus the turnaround
+/// between a delivery and the next injection that no chain covers — zero
+/// for the raw Portals drivers, which reply in the delivery instant. A
+/// get is measured by the requester alone, so its deliveries are
+/// filtered to node 0. The one-sided put completes through MD Ack events
+/// and fences between rounds — both raise zero-byte chains off the
+/// critical data path — so RMA attribution keeps data-bearing chains
+/// only.
 fn account(
     size: u64,
     round: xt3_netpipe::RoundResult,
     chains: &[Chain],
     transport: Transport,
 ) -> SizeRow {
-    let (critical, turnaround) = match transport {
-        // Raw Portals drivers reply in the delivery instant, so the
-        // latest-delivery-per-id rule tiles with zero turnaround.
-        Transport::Put | Transport::Get => {
-            let filter = (transport == Transport::Get).then_some(0);
-            (critical_chains(chains, &round, filter), SimTime::ZERO)
-        }
-        // The personalities consume several events per message and run
-        // library code between delivery and reply: tile by resumption
-        // and account the turnaround explicitly. RMA additionally drops
-        // the zero-byte sync chains (fences, acks).
-        Transport::Rma | Transport::Mpich1 | Transport::Mpich2 => {
-            let tiled = tiled_chains(chains, &round, None, transport == Transport::Rma)
-                .unwrap_or_else(|| {
-                    panic!("no per-message tiling for {} @ {size} B", transport.label())
-                });
-            (tiled.chains, tiled.turnaround)
-        }
-    };
+    let filter = (transport == Transport::Get).then_some(0);
+    let tiled = tiled_chains(chains, &round, filter, transport == Transport::Rma)
+        .unwrap_or_else(|| panic!("no per-message tiling for {} @ {size} B", transport.label()));
     let mut classes = Breakdown::new();
-    for c in &critical {
+    for c in &tiled.chains {
         classes.merge(&c.breakdown);
     }
-    let kept = critical.len();
-    let covered = classes.total() + turnaround;
+    let covered = classes.total() + tiled.turnaround;
     let residual = covered
         .checked_sub(round.elapsed)
         .unwrap_or_else(|| round.elapsed.saturating_sub(covered));
@@ -314,9 +296,9 @@ fn account(
         size,
         messages: round.messages,
         elapsed: round.elapsed,
-        chains: kept,
+        chains: tiled.chains.len(),
         classes,
-        turnaround,
+        turnaround: tiled.turnaround,
         residual,
     }
 }

@@ -253,8 +253,6 @@ pub struct FwCounters {
     pub rx_piggybacked: u64,
     /// Transmits completed.
     pub tx_completions: u64,
-    /// Receptions completed.
-    pub rx_completions: u64,
     /// Interrupts requested (generic mode).
     pub interrupts: u64,
     /// Interrupts raised for transmit completions (sender side).
@@ -767,7 +765,6 @@ impl Firmware {
         proc: ProcIdx,
         pending: PendingId,
     ) -> Result<Effects, FwError> {
-        self.counters.rx_completions += 1;
         let next = self.pop_rx(proc, pending)?;
 
         let direct = {
@@ -829,7 +826,6 @@ impl Firmware {
     /// written with the header. Completes the pending immediately after
     /// host matching deposits the bytes.
     pub fn rx_piggyback_complete(&mut self, proc: ProcIdx, pending: PendingId) {
-        self.counters.rx_completions += 1;
         let Ok(lp) = self.lower_mut(proc, pending) else {
             debug_assert!(false, "piggyback completion for foreign pending");
             return;
@@ -1175,7 +1171,6 @@ mod tests {
         let (mut f, _) = fw(&[FwMode::Generic]);
         let (p, _) = f.rx_header(0, 7, true, false).unwrap();
         f.rx_piggyback_complete(0, p);
-        assert_eq!(f.counters().rx_completions, 1);
         f.handle_command(0, FwCommand::ReleasePending { pending: p })
             .unwrap();
         assert_eq!(f.rx_pool_stats(0).0, 0);

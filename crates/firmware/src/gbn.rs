@@ -164,8 +164,6 @@ impl<M: Clone> GbnSender<M> {
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct GbnReceiver {
     expected: SeqNo,
-    /// NACKs sent.
-    pub nacks: u64,
     /// Messages dropped (out of order or resource exhaustion).
     pub drops: u64,
 }
@@ -184,7 +182,6 @@ impl GbnReceiver {
         }
         if seq > self.expected || !resources_available {
             self.drops += 1;
-            self.nacks += 1;
             return GbnEvent::Nack {
                 expected: self.expected,
             };
@@ -216,7 +213,7 @@ mod tests {
             tx.ack(rx.expected());
         }
         assert_eq!(tx.in_flight(), 0);
-        assert_eq!(rx.nacks, 0);
+        assert_eq!(rx.drops, 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use control::{
     Effects, Firmware, FwConfig, FwCounters, FwEffect, FwError, FwLayout, FwMode, ProcIdx,
 };
 pub use gbn::{GbnEvent, GbnReceiver, GbnSender, SeqNo};
-pub use mailbox::{FwCommand, FwEvent, FwResult, Mailbox};
+pub use mailbox::{FwCommand, FwEvent, Mailbox};
 pub use pending::{LowerPending, PendingId, PendingState, RxLink};
 pub use pool::Pool;
 pub use source::{SourceId, SourceTable};

@@ -2,9 +2,10 @@
 //!
 //! Paper §4.1 / Figure 2: each firmware-level process (the generic
 //! Portals implementation in the kernel, plus each accelerated process)
-//! owns a mailbox containing a command FIFO and a result FIFO. The host
-//! posts commands by advancing the tail index; commands that return no
-//! immediate result (like transmit) can be streamed without waiting.
+//! owns a mailbox. The host posts commands by advancing the tail index;
+//! commands that return no immediate result (like transmit) can be
+//! streamed without waiting. Every modelled command is of that kind, so
+//! the model keeps the command FIFO and not the paper's result FIFO.
 
 use crate::pending::PendingId;
 use serde::{Deserialize, Serialize};
@@ -55,15 +56,6 @@ pub enum FwCommand {
     },
 }
 
-/// Results the firmware pushes back for commands that return one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FwResult {
-    /// Command accepted.
-    Ok,
-    /// Command referenced an invalid pending.
-    BadPending,
-}
-
 /// Asynchronous events the firmware posts into a process's event queue
 /// (§4.1: "message transmit complete", "message reception complete", plus
 /// the header-arrival event that triggers generic-mode matching).
@@ -87,11 +79,10 @@ pub enum FwEvent {
     },
 }
 
-/// A mailbox: bounded command and result FIFOs.
+/// A mailbox: a bounded command FIFO.
 #[derive(Debug, Clone)]
 pub struct Mailbox {
     cmd: VecDeque<FwCommand>,
-    result: VecDeque<FwResult>,
     cmd_capacity: u32,
     /// Commands rejected because the FIFO was full.
     pub cmd_overflows: u64,
@@ -106,7 +97,6 @@ impl Mailbox {
             // modelled FIFO capacity is `cmd_capacity`, enforced by the
             // backlog accounting, not by the allocation.
             cmd: VecDeque::new(),
-            result: VecDeque::new(),
             cmd_capacity,
             cmd_overflows: 0,
             cmd_high_water: 0,
@@ -134,17 +124,6 @@ impl Mailbox {
     /// Firmware side: take the next command.
     pub fn take_cmd(&mut self) -> Option<FwCommand> {
         self.cmd.pop_front()
-    }
-
-    /// Firmware side: post a result.
-    pub fn post_result(&mut self, r: FwResult) {
-        self.result.push_back(r);
-    }
-
-    /// Host side: take the next result (busy-waited on in the real
-    /// system).
-    pub fn take_result(&mut self) -> Option<FwResult> {
-        self.result.pop_front()
     }
 
     /// Commands waiting.
@@ -201,15 +180,5 @@ mod tests {
         m.take_cmd();
         m.take_cmd();
         assert_eq!(m.post_cmd(tx(3)), 0, "room after drain");
-    }
-
-    #[test]
-    fn results_flow_back() {
-        let mut m = Mailbox::new(2);
-        assert!(m.take_result().is_none());
-        m.post_result(FwResult::Ok);
-        m.post_result(FwResult::BadPending);
-        assert_eq!(m.take_result(), Some(FwResult::Ok));
-        assert_eq!(m.take_result(), Some(FwResult::BadPending));
     }
 }

@@ -108,10 +108,6 @@ pub struct MpiEndpoint {
     retired_bounce_mes: VecDeque<MeHandle>,
     /// Bounce buffers re-armed after filling up.
     pub bounce_rearms: u64,
-    /// Unexpected eager messages seen (statistics).
-    pub unexpected_count: u64,
-    /// Rendezvous transfers performed.
-    pub rendezvous_count: u64,
 }
 
 impl MpiEndpoint {
@@ -187,8 +183,6 @@ impl MpiEndpoint {
             bounce_mes,
             retired_bounce_mes: VecDeque::new(),
             bounce_rearms: 0,
-            unexpected_count: 0,
-            rendezvous_count: 0,
         })
     }
 
@@ -259,7 +253,6 @@ impl MpiEndpoint {
             );
         } else {
             // Rendezvous: expose the buffer, send a zero-byte RTS.
-            self.rendezvous_count += 1;
             let cookie = self.next_cookie;
             self.next_cookie = self.next_cookie.wrapping_add(1).max(1);
             let me = ctx
@@ -502,7 +495,6 @@ impl MpiEndpoint {
         match ev.kind {
             EventKind::PutEnd if ev.user_ptr >= BOUNCE_BASE => {
                 // Unexpected arrival into a bounce buffer.
-                self.unexpected_count += 1;
                 let idx = (ev.user_ptr - BOUNCE_BASE) as u32;
                 let base = self.bounce_addr(idx);
                 let msg = UnexpectedMsg {

@@ -22,12 +22,18 @@
 //! interface (§3.2) — the `xt3-node` machine model exercises exactly that.
 //!
 //! [`addr`] provides the two address-space models the bridges translate
-//! against; [`ssnal`] is the SeaStar NAL entry-point surface.
+//! against.
+//!
+//! Below the bridges sits the SeaStar NAL (SSNAL, §3.3), which "implements
+//! all of the entry-points required by a Portals NAL": `nal_send` starts an
+//! outgoing message, `nal_recv` deposits an incoming message body, an
+//! interrupt handler processes asynchronous SeaStar events, and address
+//! validation and translation are delegated to the bridge. In this
+//! reproduction those mechanics live in the node model (`xt3-node`), which
+//! owns both the host and the firmware side.
 
 pub mod addr;
 pub mod bridge;
-pub mod ssnal;
 
 pub use addr::{AddressSpace, CatamountSpace, LinuxSpace, PAGE_SIZE};
 pub use bridge::{Bridge, BridgeKind, KBridge, QkBridge, UkBridge};
-pub use ssnal::{SsnalCounters, SsnalEntryPoints};

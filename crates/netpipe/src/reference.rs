@@ -1,7 +1,9 @@
 //! The paper's published values (anchors for validation).
 //!
-//! Everything here is quoted from §6 of the paper; the calibration and
-//! shape tests compare simulated results against these.
+//! Everything here is quoted from the paper; the calibration and shape
+//! tests compare simulated results against these, and
+//! `tests/paper_anchors.rs` holds the cost model to the platform
+//! constants.
 
 /// Figure 4 headline: 1-byte latencies in microseconds.
 pub mod latency_1b {
@@ -49,8 +51,6 @@ pub mod platform {
     pub const INTERRUPT_US: f64 = 2.0;
     /// Link payload bandwidth per direction, GB/s.
     pub const LINK_GB_S: f64 = 2.5;
-    /// HyperTransport theoretical peak per direction, GB/s.
-    pub const HT_PEAK_GB_S: f64 = 3.2;
     /// HyperTransport payload peak, GB/s.
     pub const HT_PAYLOAD_GB_S: f64 = 2.8;
     /// Piggyback limit, bytes.

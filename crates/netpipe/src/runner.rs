@@ -450,52 +450,6 @@ pub fn run_explained(
     })
 }
 
-/// Select the chains that exactly partition `round`'s measured window.
-///
-/// Three refinements over "all chains":
-/// * an EQ can carry a start event and an end event per message; only
-///   the delivery that resumed the application (the message's *last*
-///   delivery) lies on the critical path, so one chain is kept per
-///   trace id, the latest;
-/// * setup/control traffic before the timed window is excluded by
-///   anchoring the window to the final delivery and walking back
-///   exactly `round.elapsed`;
-/// * `node_filter` restricts to one side's deliveries — a get is
-///   measured by the requester alone (pass `Some(0)`), while put
-///   ping-pong alternates deliveries across both nodes (pass `None`).
-///
-/// For a ping-pong round the returned chains tile the window: the sum
-/// of their spans equals `round.elapsed` with zero residual.
-pub fn critical_chains<'a>(
-    chains: &'a [xt3_telemetry::Chain],
-    round: &RoundResult,
-    node_filter: Option<u32>,
-) -> Vec<&'a xt3_telemetry::Chain> {
-    use std::collections::BTreeMap;
-    let mut last_by_id: BTreeMap<u64, &xt3_telemetry::Chain> = BTreeMap::new();
-    for c in chains {
-        if node_filter.is_some_and(|n| c.node != n) {
-            continue;
-        }
-        let slot = last_by_id.entry(c.id.0).or_insert(c);
-        if c.end > slot.end {
-            *slot = c;
-        }
-    }
-    let window_end = last_by_id
-        .values()
-        .map(|c| c.end)
-        .max()
-        .unwrap_or(xt3_sim::SimTime::ZERO);
-    let window_start = window_end.saturating_sub(round.elapsed);
-    let mut kept: Vec<&xt3_telemetry::Chain> = last_by_id
-        .into_values()
-        .filter(|c| c.start >= window_start && c.end <= window_end)
-        .collect();
-    kept.sort_by_key(|c| c.end);
-    kept
-}
-
 /// A delivery-to-delivery tiling of a measured round, with the time the
 /// application (or the personality library) spent *between* a delivery
 /// and the next injection accounted separately.
@@ -514,14 +468,13 @@ pub struct TiledChains<'a> {
 /// Select one chain per timed message such that the chains tile the
 /// measured window delivery-to-delivery.
 ///
-/// [`critical_chains`] relies on "the latest delivery per trace id is
-/// the one that resumed the application", which holds for the raw
-/// Portals drivers but not for the personalities: the MPI library
+/// "The latest delivery per trace id resumed the application" holds for
+/// the raw Portals drivers but not for the personalities: the MPI library
 /// consumes several events per message (start/end pairs, its own
 /// send-side completions *after* it already issued the reply), and the
 /// RMA endpoint completes each put through a separate Ack message whose
-/// chain roots at the original API entry. This walks backward instead:
-/// starting from a candidate final delivery, repeatedly take the
+/// chain roots at the original API entry. So the selection walks
+/// backward: starting from a candidate final delivery, repeatedly take the
 /// latest-ending chain that finished before the current chain's API
 /// entry and started inside the window. Sync tails (acks, send-side
 /// completions, fence barriers) never satisfy the "finished before the
@@ -531,6 +484,10 @@ pub struct TiledChains<'a> {
 ///
 /// `data_only` drops zero-byte chains first (RMA fence/barrier
 /// notifications, ack messages — anything that moves no payload).
+/// `node_filter` restricts to one side's deliveries — a get is measured
+/// by the requester alone (pass `Some(0)`), while ping-pong alternates
+/// deliveries across both nodes (pass `None`). The raw drivers reply in
+/// the delivery instant, so their tiling has zero turnaround.
 ///
 /// Returns `None` when no anchor admits a full per-message tiling,
 /// which means the round structure broke an assumption above.

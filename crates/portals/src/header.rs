@@ -8,10 +8,6 @@
 use crate::types::{AckReq, MatchBits, MdHandle, ProcessId};
 use serde::{Deserialize, Serialize};
 
-/// Size of the wire header in bytes, chosen so the header plus the
-/// 12-byte piggyback payload fills the 64-byte packet.
-pub const HEADER_BYTES: u32 = 52;
-
 /// Atomic update applied lane-wise at the target NIC.
 ///
 /// Portals 3.3 itself has no atomic operations; this is the Portals-4
@@ -206,15 +202,6 @@ impl PortalsHeader {
             atomic: None,
         }
     }
-
-    /// Bytes of user payload this message carries on the wire.
-    pub fn wire_payload(&self) -> u64 {
-        match self.op {
-            PortalsOp::Put => self.rlength,
-            PortalsOp::Reply => self.mlength,
-            PortalsOp::Get | PortalsOp::Ack => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,12 +230,12 @@ mod tests {
             mdh(),
         );
         assert_eq!(h.op, PortalsOp::Put);
-        assert_eq!(h.wire_payload(), 100);
+        assert_eq!(h.rlength, 100);
         assert_eq!(h.hdr_data, 0x11);
     }
 
     #[test]
-    fn get_carries_no_payload() {
+    fn get_header_fields() {
         let h = PortalsHeader::get(
             ProcessId::new(0, 1),
             ProcessId::new(2, 3),
@@ -259,7 +246,6 @@ mod tests {
             0,
             mdh(),
         );
-        assert_eq!(h.wire_payload(), 0);
         assert_eq!(h.rlength, 4096);
     }
 
@@ -279,13 +265,13 @@ mod tests {
         assert_eq!(r.op, PortalsOp::Reply);
         assert_eq!(r.src, g.dst);
         assert_eq!(r.dst, g.src);
-        assert_eq!(r.wire_payload(), 4000);
+        assert_eq!(r.mlength, 4000);
         assert_eq!(r.initiator_md, Some(mdh()));
         assert_eq!(r.target_offset, 96);
     }
 
     #[test]
-    fn ack_is_payloadless() {
+    fn ack_reverses_direction() {
         let p = PortalsHeader::put(
             ProcessId::new(0, 1),
             ProcessId::new(2, 3),
@@ -300,7 +286,6 @@ mod tests {
         );
         let a = PortalsHeader::ack_to(&p, 64, 0);
         assert_eq!(a.op, PortalsOp::Ack);
-        assert_eq!(a.wire_payload(), 0);
         assert_eq!(a.mlength, 64);
         assert_eq!(a.dst, p.src);
     }

@@ -28,9 +28,6 @@ pub struct SeaStar {
     /// 384 KB local SRAM: the region ledger the firmware reserved its
     /// structures from at initialization, read-only from then on.
     pub sram: Arc<Sram>,
-    /// Interrupts raised to the host (for the Table "interrupt count"
-    /// experiment).
-    pub interrupts_raised: u64,
 }
 
 impl SeaStar {
@@ -42,13 +39,7 @@ impl SeaStar {
             rx_dma: DmaEngine::new(DmaKind::Rx),
             ht: HyperTransport::new(),
             sram,
-            interrupts_raised: 0,
         }
-    }
-
-    /// Record an interrupt raised to the host.
-    pub fn raise_interrupt(&mut self) {
-        self.interrupts_raised += 1;
     }
 }
 
@@ -63,16 +54,7 @@ mod tests {
         assert_eq!(chip.ppc.free_at(), SimTime::ZERO);
         assert_eq!(chip.tx_dma.free_at(), SimTime::ZERO);
         assert_eq!(chip.rx_dma.free_at(), SimTime::ZERO);
-        assert_eq!(chip.interrupts_raised, 0);
         assert_eq!(chip.sram.used(), 0);
-    }
-
-    #[test]
-    fn interrupt_counter() {
-        let mut chip = SeaStar::new(Arc::default());
-        chip.raise_interrupt();
-        chip.raise_interrupt();
-        assert_eq!(chip.interrupts_raised, 2);
     }
 
     #[test]

@@ -240,6 +240,10 @@ mod tests {
         assert_eq!(m.wire_packet_bytes, 64);
         assert_eq!(m.piggyback_max, 12);
         assert!((m.wire_link_bw.mb_per_sec() - 2500.0).abs() < 1e-9);
+        assert!(
+            m.ht_read_latency > m.ht_write_latency,
+            "reads are round trips"
+        );
     }
 
     #[test]

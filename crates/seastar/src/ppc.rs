@@ -65,8 +65,6 @@ impl FwHandler {
 pub struct Ppc440 {
     cursor: BusyCursor,
     handler_counts: [u64; 6],
-    stalls: u64,
-    stalled_for: SimTime,
 }
 
 impl Ppc440 {
@@ -122,22 +120,10 @@ impl Ppc440 {
     /// Wedge the core from `arrival` for `duration`: no handler makes
     /// progress until the stall ends, and already-queued work simply
     /// resumes afterwards. Used by the fault-injection subsystem to model
-    /// a watchdog-recovered firmware stall; counted separately from
-    /// handler work so utilization attribution stays honest.
+    /// a watchdog-recovered firmware stall; it counts toward no handler
+    /// class.
     pub fn stall(&mut self, arrival: SimTime, duration: SimTime) -> SimTime {
-        self.stalls += 1;
-        self.stalled_for += duration;
         self.cursor.occupy(arrival, duration)
-    }
-
-    /// Number of injected stalls served.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls
-    }
-
-    /// Total time spent wedged by injected stalls.
-    pub fn stalled_for(&self) -> SimTime {
-        self.stalled_for
     }
 
     fn idx(h: FwHandler) -> usize {
@@ -235,8 +221,7 @@ mod tests {
             SimTime::from_us(10) + cm.fw_rx_hdr,
             "work resumes after the stall"
         );
-        assert_eq!(ppc.stall_count(), 1);
-        assert_eq!(ppc.stalled_for(), SimTime::from_us(10));
+        assert_eq!(ppc.count(FwHandler::RxHeader), 1, "a stall is no handler");
     }
 
     #[test]

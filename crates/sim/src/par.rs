@@ -79,12 +79,11 @@
 //!
 //! When exactly one shard is active (its events are the only ones below
 //! every other shard's floor — common in startup ramps, drain tails and
-//! load-imbalanced phases), each window is a full coordinator round for
-//! a single shard's worth of work. With [`ParConfig::coalesce`] the
-//! solo shard instead *sprints*: it keeps running consecutive local
-//! windows — stopping at the first one that defers an intent, at the
-//! earliest event owned by any other shard, or when it drains — before
-//! reporting back. Intent-free windows touch no shared state, so the
+//! load-imbalanced phases), a window would be a full coordinator round
+//! for a single shard's worth of work. So the solo shard *sprints*: it
+//! keeps running consecutive local windows — stopping at the first one
+//! that defers an intent, at the earliest event owned by any other
+//! shard, or when it drains — before reporting back. Intent-free windows touch no shared state, so the
 //! fabric replay order is untouched; the cap at the next foreign event
 //! keeps every sprint intent ahead of all future intents in `(time,
 //! key)` order. Digest lanes, fingerprints and dispatch counts are
@@ -159,21 +158,16 @@ pub struct ParConfig {
     pub event_budget: u64,
     /// How many threads to use (default [`ExecMode::Auto`]).
     pub exec: ExecMode,
-    /// Let a solo-active shard run consecutive windows before reporting
-    /// back (default on; see the module docs — results are identical,
-    /// only coordination overhead changes).
-    pub coalesce: bool,
 }
 
 impl ParConfig {
-    /// A config with the given lookahead and budget, automatic thread
-    /// count and window coalescing on.
+    /// A config with the given lookahead and budget and automatic thread
+    /// count.
     pub fn new(lookahead: SimTime, event_budget: u64) -> Self {
         ParConfig {
             lookahead,
             event_budget,
             exec: ExecMode::Auto,
-            coalesce: true,
         }
     }
 }
@@ -354,7 +348,6 @@ struct Coordinator {
     base_dispatched: u64,
     lookahead: SimTime,
     event_budget: u64,
-    coalesce: bool,
 }
 
 impl Coordinator {
@@ -368,7 +361,6 @@ impl Coordinator {
             completed: vec![SimTime::ZERO; engines.len()],
             lookahead: config.lookahead,
             event_budget: config.event_budget,
-            coalesce: config.coalesce,
         }
     }
 
@@ -397,7 +389,7 @@ impl Coordinator {
         };
         let horizon = SimTime(w.0 + self.lookahead.0 - 1);
         let mut sprint = Sprint::No;
-        if self.coalesce && shards.clone().filter(|&s| self.active(s, horizon)).count() == 1 {
+        if shards.clone().filter(|&s| self.active(s, horizon)).count() == 1 {
             // Solo shard: everything else is beyond the horizon, so the
             // earliest of it is the earliest foreign event.
             let foreign = shards
@@ -922,14 +914,10 @@ mod tests {
         shards: u32,
         hops: u32,
         via: Via,
-        coalesce: bool,
     ) -> (Vec<Engine<RingShard>>, ParOutcome) {
         let (engines, per) = ring_engines(total, shards, hops);
         let route = route_ring(move |node: u32| (node / per) as usize);
-        let mut config = ParConfig {
-            coalesce,
-            ..ParConfig::new(HOP, u64::MAX)
-        };
+        let mut config = ParConfig::new(HOP, u64::MAX);
         let (engines, out) = match via {
             Via::Exec(exec) => {
                 config.exec = exec;
@@ -948,9 +936,8 @@ mod tests {
         shards: u32,
         hops: u32,
         via: Via,
-        coalesce: bool,
     ) -> (u64, Vec<u64>, u64, u64) {
-        let (engines, out) = parallel_engines(total, shards, hops, via, coalesce);
+        let (engines, out) = parallel_engines(total, shards, hops, via);
         let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
         let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
         let mut hits = Vec::new();
@@ -962,7 +949,7 @@ mod tests {
 
     fn parallel_run(total: u32, shards: u32, hops: u32) -> (u64, Vec<u64>, u64) {
         let via = Via::Exec(ExecMode::Auto);
-        let (d, h, n, _) = parallel_run_with(total, shards, hops, via, true);
+        let (d, h, n, _) = parallel_run_with(total, shards, hops, via);
         (d, h, n)
     }
 
@@ -978,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn backends_and_coalescing_are_bit_identical() {
+    fn backends_are_bit_identical() {
         let (sd, sh, sn) = serial_run(12, 9);
         let vias = [
             Via::Exec(ExecMode::Inline),
@@ -993,13 +980,11 @@ mod tests {
         ];
         for shards in [1, 2, 3, 4, 6] {
             for via in vias {
-                for coalesce in [false, true] {
-                    let (pd, ph, pn, _) = parallel_run_with(12, shards, 9, via, coalesce);
-                    let at = format!("{shards} shards, {via:?}, coalesce={coalesce}");
-                    assert_eq!(pd, sd, "digest diverged: {at}");
-                    assert_eq!(ph, sh, "hits diverged: {at}");
-                    assert_eq!(pn, sn, "count diverged: {at}");
-                }
+                let (pd, ph, pn, _) = parallel_run_with(12, shards, 9, via);
+                let at = format!("{shards} shards, {via:?}");
+                assert_eq!(pd, sd, "digest diverged: {at}");
+                assert_eq!(ph, sh, "hits diverged: {at}");
+                assert_eq!(pn, sn, "count diverged: {at}");
             }
         }
     }
@@ -1008,7 +993,7 @@ mod tests {
     fn shards_run_on_the_thread_their_block_belongs_to() {
         let here = thread::current().id();
         let threads_of = |shards, via| -> Vec<Vec<thread::ThreadId>> {
-            let (engines, _) = parallel_engines(12, shards, 9, via, true);
+            let (engines, _) = parallel_engines(12, shards, 9, via);
             engines.iter().map(|e| e.model().ran_on.clone()).collect()
         };
         // A 1-shard run never leaves the caller's thread, in any mode
@@ -1036,17 +1021,13 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_reduces_rounds_for_a_solo_shard() {
-        // One long-running message confined to a single shard's nodes
-        // would cost one coordinator round per hop without coalescing.
-        let total = 8u32;
+    fn solo_shard_round_count_is_pinned() {
+        // Every ring hop is an intent, so every window ends a sprint: the
+        // seeded arrival and its 40 hops take 41 rounds, one per arrival.
+        // A change to the window protocol that adds a round shows here.
         let inline = Via::Exec(ExecMode::Inline);
-        let (_, _, _, plain) = parallel_run_with(total, 2, 40, inline, false);
-        let (_, _, _, coalesced) = parallel_run_with(total, 2, 40, inline, true);
-        assert!(
-            coalesced <= plain,
-            "coalescing must not add rounds ({coalesced} > {plain})"
-        );
+        let (_, _, _, rounds) = parallel_run_with(8, 2, 40, inline);
+        assert_eq!(rounds, 41);
     }
 
     #[test]
@@ -1063,13 +1044,7 @@ mod tests {
     /// driver must refuse.
     fn overstated_lookahead(shards: u32) -> WindowDriver<RingShard> {
         let (engines, _) = ring_engines(8, shards, 4);
-        WindowDriver::new(
-            engines,
-            ParConfig {
-                coalesce: false,
-                ..ParConfig::new(SimTime::from_ns(100), u64::MAX)
-            },
-        )
+        WindowDriver::new(engines, ParConfig::new(SimTime::from_ns(100), u64::MAX))
     }
 
     #[test]

@@ -40,19 +40,6 @@ impl HostCpu {
         self.cursor.occupy(arrival, cost)
     }
 
-    /// Take a kernel trap at `arrival`.
-    pub fn trap(&mut self, cm: &CostModel, arrival: SimTime) -> SimTime {
-        self.counters.traps += 1;
-        self.run(arrival, cm.host_trap)
-    }
-
-    /// Enter an interrupt handler at `arrival` (entry + exit overhead; the
-    /// handler body is charged separately by the caller).
-    pub fn interrupt(&mut self, cm: &CostModel, arrival: SimTime) -> SimTime {
-        self.counters.interrupts += 1;
-        self.run(arrival, cm.host_interrupt)
-    }
-
     /// [`HostCpu::run`] with telemetry: records the occupancy on the
     /// node's host track under `label`. Same cursor math, same return.
     #[inline]
@@ -69,7 +56,7 @@ impl HostCpu {
         done
     }
 
-    /// [`HostCpu::trap`] with telemetry.
+    /// Take a kernel trap at `arrival`, recorded as a "trap" span.
     #[inline]
     pub fn trap_span(
         &mut self,
@@ -84,7 +71,8 @@ impl HostCpu {
         done
     }
 
-    /// [`HostCpu::interrupt`] with telemetry: the entry/exit overhead shows
+    /// Enter an interrupt handler at `arrival` (entry + exit overhead; the
+    /// handler body is charged separately by the caller): the overhead shows
     /// up as an "interrupt" span, and the per-node interrupt counter ticks.
     #[inline]
     pub fn interrupt_span(
@@ -119,14 +107,15 @@ impl HostCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt3_telemetry::NullSink;
 
     #[test]
     fn traps_and_interrupts_serialize() {
         let cm = CostModel::paper();
         let mut h = HostCpu::new();
-        let t1 = h.trap(&cm, SimTime::ZERO);
+        let t1 = h.trap_span(&cm, SimTime::ZERO, 0, &mut NullSink);
         assert_eq!(t1, SimTime::from_ns(75));
-        let t2 = h.interrupt(&cm, SimTime::ZERO);
+        let t2 = h.interrupt_span(&cm, SimTime::ZERO, 0, &mut NullSink);
         assert_eq!(
             t2,
             SimTime::from_ns(75 + 2000),
@@ -140,7 +129,7 @@ mod tests {
     fn idle_cpu_starts_work_at_arrival() {
         let cm = CostModel::paper();
         let mut h = HostCpu::new();
-        let done = h.trap(&cm, SimTime::from_us(10));
+        let done = h.trap_span(&cm, SimTime::from_us(10), 0, &mut NullSink);
         assert_eq!(done, SimTime::from_us(10) + SimTime::from_ns(75));
     }
 }

@@ -56,7 +56,6 @@ impl Machine {
         // still drains every event queued by then (§4.1's
         // coalescing), so a busy host processes events early
         // but pays for every line assertion.
-        self.nodes[node].chip.raise_interrupt();
         let mut deliver = t + self.config.cost.ht_write_latency;
         if self.faults.active() {
             // Fault plan: interrupt-delay spike (host masking

@@ -88,8 +88,8 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
         .map(Machine::into_engine)
         .collect();
     // Mirror the serial engine's budget (see `Machine::into_engine`) so
-    // exhaustion behaves the same. Thread count and window coalescing
-    // are left on automatic — neither can affect results.
+    // exhaustion behaves the same. The thread count is left on
+    // automatic — it cannot affect results.
     let driver = WindowDriver::new(engines, ParConfig::new(lookahead, 2_000_000_000));
 
     // The coordinator owns the real fabric plus observation-only sinks

@@ -17,7 +17,7 @@ use audit::replay::lockstep;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use xt3_netpipe::runner::{
-    build_engine, critical_chains, run_explained, ExplainedRun, NetpipeConfig, TestKind, Transport,
+    build_engine, run_explained, tiled_chains, ExplainedRun, NetpipeConfig, TestKind, Transport,
 };
 use xt3_netpipe::Schedule;
 use xt3_sim::{CausalLog, RunOutcome, SimTime};
@@ -37,6 +37,16 @@ fn fixed_config(size: u64, reps: u32) -> NetpipeConfig {
 fn explained(size: u64, reps: u32, transport: Transport) -> ExplainedRun {
     run_explained(&fixed_config(size, reps), transport, TestKind::PingPong)
         .expect("the log holds the run whole")
+}
+
+/// The chains that tile a raw Portals driver's measured round: one per
+/// timed message, with no turnaround, since the driver replies in the
+/// delivery instant. A get is measured by the requester alone (node 0).
+fn raw_tiling(run: &ExplainedRun, node_filter: Option<u32>) -> Vec<&Chain> {
+    let tiled = tiled_chains(&run.chains, &run.rounds[0], node_filter, false)
+        .expect("a raw driver's round tiles per message");
+    assert_eq!(tiled.turnaround, SimTime::ZERO, "raw drivers reply at once");
+    tiled.chains
 }
 
 fn class_totals(chains: &[&Chain]) -> Breakdown {
@@ -62,8 +72,8 @@ fn piggyback_fence_differs_only_in_dma_and_interrupt() {
     let reps = 4;
     let small = explained(12, reps, Transport::Put);
     let large = explained(13, reps, Transport::Put);
-    let b12 = class_totals(&critical_chains(&small.chains, &small.rounds[0], None));
-    let b13 = class_totals(&critical_chains(&large.chains, &large.rounds[0], None));
+    let b12 = class_totals(&raw_tiling(&small, None));
+    let b13 = class_totals(&raw_tiling(&large, None));
 
     // 12 B rides the header piggyback: no rx-DMA deposit at all.
     assert_eq!(b12.get(CostClass::Dma), SimTime::ZERO);
@@ -93,7 +103,7 @@ fn piggyback_fence_differs_only_in_dma_and_interrupt() {
 #[test]
 fn interrupt_class_is_at_least_two_microseconds_per_message() {
     let run = explained(64, 3, Transport::Put);
-    let chains = critical_chains(&run.chains, &run.rounds[0], None);
+    let chains = raw_tiling(&run, None);
     assert!(!chains.is_empty());
     for c in &chains {
         assert!(
@@ -112,7 +122,6 @@ fn interrupt_class_is_at_least_two_microseconds_per_message() {
 /// term, summing to the measured round exactly.
 #[test]
 fn personality_tiling_is_exact() {
-    use xt3_netpipe::runner::tiled_chains;
     for (transport, data_only) in [
         (Transport::Rma, true),
         (Transport::Mpich1, false),
@@ -219,9 +228,8 @@ proptest! {
         }
 
         // Exactly one critical path per timed message, each a distinct
-        // message id.
-        let filter = use_get.then_some(0);
-        let critical = critical_chains(&run.chains, &round, filter);
+        // message id, with no turnaround between them.
+        let critical = raw_tiling(&run, use_get.then_some(0));
         prop_assert_eq!(critical.len() as u32, round.messages);
         let ids: BTreeSet<u64> = critical.iter().map(|c| c.id.0).collect();
         prop_assert_eq!(ids.len(), critical.len());

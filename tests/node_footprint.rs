@@ -22,8 +22,9 @@ use xt3_topology::coord::Dims;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// `size_of::<Node>()` as landed (1,096 before the row step, 880 before
-/// the host's write-only match counter went).
-const NODE_BYTES: usize = 872;
+/// the host's write-only match counter went, 872 before the write-only
+/// counters of the chip, its PPC and HyperTransport and the firmware went).
+const NODE_BYTES: usize = 824;
 
 /// Live heap blocks per node once a neighbour round has drained (31
 /// before the row step, 27 before each source's RX list was threaded
