@@ -49,6 +49,7 @@ use xt3_bench::cli::{self, Args, CmdResult};
 use xt3_bench::gate::{self, Baseline};
 use xt3_bench::heap::{self, Census, CountingAlloc};
 use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
+use xt3_node::machine::Machine;
 use xt3_node::node::Node;
 use xt3_sim::RunOutcome;
 use xt3_telemetry::{attribute_occupancy, JsonWriter, LinkBucket, LinkSeries, SeriesConfig};
@@ -128,9 +129,11 @@ const CENSUS_SLICE: u64 = 100_000;
 
 /// Run the unobserved 8x8x8 all-to-all in slices of [`CENSUS_SLICE`]
 /// events, print its live heap at every boundary, then the census of the
-/// boundary with the most live bytes and the event queue's length and
-/// capacity there. Receive records leave with their receives, so the
-/// drained machine no longer holds what it held at its peak.
+/// boundary with the most live bytes, with the event queue's length and
+/// capacity and the RX pendings in use there (a receive holds its pending
+/// from its header to its release, and its delivery box until it
+/// completes). Receive records leave with their receives, so the drained
+/// machine no longer holds what it held at its peak.
 fn print_alltoall_at_peak() {
     let mut curve = Vec::with_capacity(64);
     let floor = Census::take();
@@ -146,7 +149,8 @@ fn print_alltoall_at_peak() {
             most = live;
             let q = engine.queue();
             let census = Census::take().since(&floor);
-            peak = Some((census, engine.dispatched(), q.len(), q.capacity()));
+            let rx = rx_pendings_in_use(engine.model());
+            peak = Some((census, engine.dispatched(), q.len(), q.capacity(), rx));
         }
         curve.push(live);
         match outcome {
@@ -163,12 +167,20 @@ fn print_alltoall_at_peak() {
         "\nunobserved 8x8x8 all-to-all, live MB every {CENSUS_SLICE} events: {}",
         mb.join(" ")
     );
-    let (live, at, len, capacity) = peak.expect("the all-to-all dispatches events");
+    let (live, at, len, capacity, rx) = peak.expect("the all-to-all dispatches events");
     let title = format!(
-        "live at its fullest boundary (event {at} of {}; queue {len} events in {capacity} slots)",
+        "live at its fullest boundary (event {at} of {}; queue {len} events in {capacity} slots; \
+         {rx} RX pendings in use)",
         engine.dispatched()
     );
     print_census(&title, &live, engine.model().nodes.len());
+}
+
+/// RX pendings allocated across every node's firmware-level processes.
+fn rx_pendings_in_use(machine: &Machine) -> u64 {
+    let nodes = machine.nodes.iter();
+    let procs = nodes.flat_map(|n| (0..n.fw.process_count()).map(move |p| n.fw.rx_pool_stats(p).0));
+    procs.map(u64::from).sum()
 }
 
 const USAGE: &str = "\

@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use xt3_portals::slab::fit_by_use;
+use xt3_seastar::dma::DmaList;
 use xt3_seastar::sram::{Sram, SramError};
 
 /// Index of a firmware-level process (0 = the generic Portals
@@ -282,6 +283,11 @@ struct FwProcess {
     /// writes a pending before anything reads it), so the vector's length
     /// is the TX-concurrency high-water mark, not the table capacity.
     tx_lower: Vec<LowerPending>,
+}
+
+/// The commands in a host-pushed DMA list, as [`LowerPending::chunks`].
+fn chunk_count(dma: &DmaList) -> u32 {
+    u32::try_from(dma.len()).unwrap_or(u32::MAX)
 }
 
 /// The `next` link of the pending `at` names. RX lists thread through
@@ -580,7 +586,7 @@ impl Firmware {
                     lp.peer = target_node;
                     lp.source = source;
                     lp.length = length;
-                    lp.dma = dma;
+                    lp.chunks = chunk_count(&dma);
                     lp.direct = false;
                 }
                 self.tx_list.push_back((proc, pending));
@@ -596,20 +602,7 @@ impl Firmware {
                 length,
                 drop_length: _,
                 dma,
-            } => {
-                let lp = self.lower_mut(proc, pending)?;
-                if lp.state != PendingState::RxHeaderPending {
-                    return Ok(Effects::new());
-                }
-                lp.state = PendingState::RxQueued;
-                lp.length = length;
-                lp.dma = dma;
-                if !self.push_rx(proc, pending)? {
-                    return Ok(Effects::new());
-                }
-                self.lower_mut(proc, pending)?.state = PendingState::RxActive;
-                Ok(Effects::one(FwEffect::StartRxDma { proc, pending }))
-            }
+            } => self.deposit(proc, pending, length, chunk_count(&dma)),
             FwCommand::RecvDiscard { pending } => {
                 let lp = self.lower_mut(proc, pending)?;
                 if lp.state == PendingState::RxHeaderPending {
@@ -633,25 +626,41 @@ impl Firmware {
     }
 
     /// Queue a firmware-direct deposit (Reply data whose buffer the
-    /// originating get command pushed down): enqueues on the source's RX
-    /// pending list exactly like a host `RecvDeposit`, without a mailbox
-    /// round trip.
+    /// originating get command pushed down, as a list of `chunks` DMA
+    /// commands): enqueues on the source's RX pending list exactly like a
+    /// host `RecvDeposit`, without a mailbox round trip.
     pub fn direct_deposit(
         &mut self,
         proc: ProcIdx,
         pending: PendingId,
         length: u64,
-        dma: xt3_seastar::dma::DmaList,
+        chunks: u32,
     ) -> Result<Effects, FwError> {
-        self.handle_command(
-            proc,
-            FwCommand::RecvDeposit {
-                pending,
-                length,
-                drop_length: 0,
-                dma,
-            },
-        )
+        self.deposit(proc, pending, length, chunks)
+    }
+
+    /// A receive's buffer is known: queue `pending` on its source's RX
+    /// list, and start its deposit if the list was empty. A pending not
+    /// waiting on its buffer is left as it is.
+    fn deposit(
+        &mut self,
+        proc: ProcIdx,
+        pending: PendingId,
+        length: u64,
+        chunks: u32,
+    ) -> Result<Effects, FwError> {
+        let lp = self.lower_mut(proc, pending)?;
+        if lp.state != PendingState::RxHeaderPending {
+            return Ok(Effects::new());
+        }
+        lp.state = PendingState::RxQueued;
+        lp.length = length;
+        lp.chunks = chunks;
+        if !self.push_rx(proc, pending)? {
+            return Ok(Effects::new());
+        }
+        self.lower_mut(proc, pending)?.state = PendingState::RxActive;
+        Ok(Effects::one(FwEffect::StartRxDma { proc, pending }))
     }
 
     /// The TX DMA engine finished streaming the head-of-list pending.
@@ -727,7 +736,7 @@ impl Firmware {
             lp.state = PendingState::RxHeaderPending;
             lp.peer = from_node;
             lp.source = source;
-            lp.dma = xt3_seastar::dma::DmaList::new();
+            lp.chunks = 0;
             lp.direct = direct;
         }
         let mut effects = Effects::one(FwEffect::WriteUpperHeader { proc, pending });
@@ -838,7 +847,7 @@ impl Firmware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt3_seastar::dma::DmaList;
+    use xt3_seastar::dma::DmaCommand;
 
     fn fw(modes: &[FwMode]) -> (Firmware, Sram) {
         let mut sram = Sram::default();
@@ -1086,6 +1095,57 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_keeps_the_count_of_its_dma_list() {
+        // Three commands spill a list to the heap (a paged buffer); each
+        // path that records a receive's or transmit's list keeps only its
+        // length.
+        let paged = || {
+            let cmd = DmaCommand {
+                phys_addr: 0x1000,
+                bytes: 4096,
+            };
+            DmaList::repeat(cmd, 3)
+        };
+        assert!(matches!(paged(), DmaList::Heap(_)));
+        let (mut f, _) = fw(&[FwMode::Generic]);
+
+        let tx = f.tx_base();
+        let transmit = FwCommand::Transmit {
+            pending: tx,
+            target_node: 7,
+            length: 3 * 4096,
+            dma: paged(),
+            tag: 0,
+        };
+        f.handle_command(0, transmit).unwrap();
+        assert_eq!(f.lower(0, tx).unwrap().chunks, 3);
+
+        let (host, _) = f.rx_header(0, 7, false, false).unwrap();
+        assert_eq!(f.lower(0, host).unwrap().chunks, 0);
+        let deposit = FwCommand::RecvDeposit {
+            pending: host,
+            length: 3 * 4096,
+            drop_length: 0,
+            dma: paged(),
+        };
+        f.handle_command(0, deposit).unwrap();
+        assert_eq!(f.lower(0, host).unwrap().chunks, 3);
+
+        let (direct, _) = f.rx_header(0, 8, false, true).unwrap();
+        f.direct_deposit(0, direct, 3 * 4096, chunk_count(&paged()))
+            .unwrap();
+        assert_eq!(f.lower(0, direct).unwrap().chunks, 3);
+
+        // A new header on the recycled pending starts from no list.
+        f.rx_dma_complete(0, host).unwrap();
+        f.handle_command(0, FwCommand::ReleasePending { pending: host })
+            .unwrap();
+        let (again, _) = f.rx_header(0, 7, false, false).unwrap();
+        assert_eq!(again, host, "the pool hands the freed pending out again");
+        assert_eq!(f.lower(0, again).unwrap().chunks, 0);
+    }
+
+    #[test]
     fn rx_pending_exhaustion_reported() {
         let config = FwConfig {
             rx_pendings: 2,
@@ -1147,7 +1207,7 @@ mod tests {
             pending: p,
             length: 64,
             drop_length: 0,
-            dma: xt3_seastar::dma::DmaList::new(),
+            dma: DmaList::new(),
         };
         let effects = f.handle_command(0, deposit).unwrap();
         assert!(matches!(

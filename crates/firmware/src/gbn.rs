@@ -42,8 +42,6 @@ pub enum GbnEvent {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GbnSender<M> {
     next_seq: SeqNo,
-    /// Lowest unacknowledged sequence.
-    base: SeqNo,
     /// Unacknowledged messages `(seq, message)` in order.
     window: VecDeque<(SeqNo, M)>,
     /// Maximum in-flight messages before `send` refuses.
@@ -66,7 +64,6 @@ impl<M: Clone> GbnSender<M> {
         assert!(window_limit > 0);
         GbnSender {
             next_seq: 0,
-            base: 0,
             window: VecDeque::new(),
             window_limit,
             last_nack: None,
@@ -90,16 +87,15 @@ impl<M: Clone> GbnSender<M> {
     /// Cumulative acknowledgement: everything below `ack_seq` is
     /// delivered.
     pub fn ack(&mut self, ack_seq: SeqNo) {
-        let before = self.base;
+        let before = self.window.len();
         while let Some(&(seq, _)) = self.window.front() {
             if seq < ack_seq {
                 self.window.pop_front();
-                self.base = seq + 1;
             } else {
                 break;
             }
         }
-        if self.base != before {
+        if self.window.len() != before {
             // The window advanced: a future NACK is fresh information.
             self.last_nack = None;
             self.dup_nacks = 0;
@@ -152,11 +148,6 @@ impl<M: Clone> GbnSender<M> {
     /// Messages currently in flight.
     pub fn in_flight(&self) -> usize {
         self.window.len()
-    }
-
-    /// Lowest unacknowledged sequence.
-    pub fn base(&self) -> SeqNo {
-        self.base
     }
 }
 
@@ -271,8 +262,9 @@ mod tests {
             tx.send(i).unwrap();
         }
         tx.ack(7);
-        assert_eq!(tx.base(), 7);
         assert_eq!(tx.in_flight(), 3);
+        let resent: Vec<SeqNo> = tx.timeout_retransmit().iter().map(|&(s, _)| s).collect();
+        assert_eq!(resent, [7, 8, 9], "everything below 7 left the window");
     }
 
     #[test]
@@ -308,7 +300,7 @@ mod tests {
             tx.send(i).unwrap();
         }
         let resend = tx.nack(3);
-        assert_eq!(resend.len(), 2);
-        assert_eq!(tx.base(), 3);
+        assert_eq!(resend, [(3, 3), (4, 4)]);
+        assert_eq!(tx.in_flight(), 2, "0..3 acknowledged");
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::control::ProcIdx;
 use serde::{Deserialize, Serialize};
-use xt3_seastar::dma::DmaList;
 
 /// Index of a pending within its process's pool. The wire protocol carries
 /// these so completions can find their state without matching.
@@ -68,8 +67,9 @@ impl RxLink {
     }
 }
 
-/// The lower pending: SeaStar SRAM resident, and exactly the
-/// [`LOWER_PENDING_BYTES`] the SRAM ledger charges for it.
+/// The lower pending: SeaStar SRAM resident. The SRAM ledger charges the
+/// hardware's [`LOWER_PENDING_BYTES`] for it; the host keeps only what the
+/// firmware's handlers read.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LowerPending {
     /// Progress state.
@@ -88,9 +88,12 @@ pub struct LowerPending {
     pub peer: u32,
     /// Payload bytes to move.
     pub length: u64,
-    /// DMA command list (pre-computed by the host for non-contiguous
-    /// buffers, generated by the firmware for contiguous ones).
-    pub dma: DmaList,
+    /// Commands in the DMA list the host pushed down with the message,
+    /// one per physically contiguous piece of the buffer: each past the
+    /// first costs the firmware a per-chunk charge when it programs the
+    /// engine. The commands themselves are not kept: payload bytes move
+    /// through the matched address, never through a command's.
+    pub chunks: u32,
     /// The pending behind this one on its source's RX list;
     /// [`RxLink::END`] at the tail.
     pub next: RxLink,
@@ -110,24 +113,22 @@ pub const LOWER_PENDING_BYTES: u32 = 64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt3_seastar::dma::DmaCommand;
 
     #[test]
     fn default_pending_is_free() {
         let p = LowerPending::default();
         assert_eq!(p.state, PendingState::Free);
-        assert!(p.dma.is_empty());
+        assert_eq!(p.chunks, 0);
         assert_eq!(p.next, RxLink::END);
     }
 
     #[test]
     fn a_lower_pending_is_what_the_ledger_charges() {
-        // The host materializes one of these per in-flight message on
-        // every node: a 512-node all-to-all holds ~0.26M at its peak.
-        assert_eq!(
-            std::mem::size_of::<LowerPending>(),
-            LOWER_PENDING_BYTES as usize
-        );
+        // The host materializes one of these per receive a node holds:
+        // a 512-node all-to-all holds ~0.19M at its fullest. The ledger
+        // charges the hardware's 64 B; the host keeps 24.
+        assert_eq!(std::mem::size_of::<LowerPending>(), 24);
+        assert!(std::mem::size_of::<LowerPending>() <= LOWER_PENDING_BYTES as usize);
     }
 
     #[test]
@@ -152,14 +153,11 @@ mod tests {
             state: PendingState::TxQueued,
             peer: 7,
             length: 4096,
-            dma: DmaList::one(DmaCommand {
-                phys_addr: 0x1000,
-                bytes: 4096,
-            }),
+            chunks: 1,
             ..LowerPending::default()
         };
         p.state = PendingState::TxActive;
         assert_eq!(p.state, PendingState::TxActive);
-        assert_eq!(p.dma[0].bytes, 4096);
+        assert_eq!(p.chunks, 1);
     }
 }

@@ -70,14 +70,6 @@ impl WireData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Truncate to `len` bytes.
-    pub fn truncated(&self, len: u64) -> WireData {
-        match self {
-            WireData::Real(v) => WireData::Real(v[..len as usize].to_vec()),
-            WireData::Synthetic(_) => WireData::Synthetic(len),
-        }
-    }
 }
 
 /// The result of matching one incoming header (the requested length is

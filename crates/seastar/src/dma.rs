@@ -48,8 +48,8 @@ pub const DMA_INLINE: usize = 2;
 
 /// A DMA command list that stores up to [`DMA_INLINE`] commands inline.
 ///
-/// Command lists ride inside every transmit/deposit command and every
-/// lower pending, and on the dominant (Catamount, contiguous) path they
+/// Command lists ride inside every transmit/deposit command, and on the
+/// dominant (Catamount, contiguous) path they
 /// hold exactly one entry — a `Vec` would put a heap allocation and free
 /// on the per-message hot path for nothing. Paged (Linux) buffers with
 /// more commands spill to a `Vec` and behave as before.

@@ -475,7 +475,7 @@ impl AppCtx<'_> {
         self.charge(prepared.prep_cost);
         self.m.nodes[self.node]
             .await_reply
-            .insert((self.pid, md), prepared.commands);
+            .insert((self.pid, md), prepared.commands.len() as u32);
         self.transmit(header, WireData::Synthetic(0), 1, None, api_start);
         Ok(())
     }

@@ -298,8 +298,8 @@ impl Machine {
                 let md = rec.header.initiator_md.expect("reply names its md");
                 let (len, key) = (rec.header.mlength, (rec.header.dst.pid, md));
                 let n = &mut self.nodes[node];
-                let dma = n.await_reply.get(&key).cloned().unwrap_or_default();
-                let result = n.fw.direct_deposit(fw_proc, pending, len, dma);
+                let chunks = n.await_reply.get(&key).copied().unwrap_or_default();
+                let result = n.fw.direct_deposit(fw_proc, pending, len, chunks);
                 self.run_fw(q, t, node, result);
             }
             _ => unreachable!("direct path only handles Reply/Ack"),
@@ -357,7 +357,7 @@ impl Machine {
             n.fw.lower(proc, pending)
                 .expect("pending named by firmware effect");
         let len = lower.length;
-        let chunks = lower.dma.len().max(1) as u64;
+        let chunks = lower.chunks.max(1) as u64;
         let wire_complete = n
             .rx_store
             .get(&(proc, pending))

@@ -264,7 +264,7 @@ impl Machine {
     ) {
         let cm = self.config.cost;
         let n = &self.nodes[node];
-        let chunks = n.fw.lower(proc, pending).map_or(1, |l| l.dma.len().max(1)) as u64;
+        let chunks = n.fw.lower(proc, pending).map_or(1, |l| l.chunks.max(1)) as u64;
         let extra = FW_PER_CHUNK.times(chunks - 1);
         // The header is DMA'ed out of the upper pending first (§4.3): a
         // high-latency HT read round trip. Replies skip both the fetch and

@@ -20,7 +20,6 @@ use xt3_portals::library::{MatchTicket, PortalsLib, WireData};
 use xt3_portals::slab::fit_by_use;
 use xt3_portals::types::{MdHandle, NiLimits, ProcessId};
 use xt3_seastar::chip::SeaStar;
-use xt3_seastar::dma::DmaList;
 use xt3_seastar::sram::Sram;
 use xt3_sim::SimTime;
 use xt3_topology::coord::NodeId;
@@ -279,9 +278,9 @@ pub struct Node {
     /// The host-memory event queues the firmware posts into (generic
     /// procs only; accelerated completions are handled inline).
     pub(crate) fw_eq: Vec<VecDeque<FwEvent>>,
-    /// Reply deposit buffers prepared at `PtlGet` time, keyed by
-    /// `(pid, initiator MD)`.
-    pub(crate) await_reply: BTreeMap<(u32, MdHandle), DmaList>,
+    /// DMA command counts of the reply deposit buffers prepared at
+    /// `PtlGet` time, keyed by `(pid, initiator MD)`.
+    pub(crate) await_reply: BTreeMap<(u32, MdHandle), u32>,
     /// Go-back-n sender state per destination node.
     pub(crate) gbn_tx: BTreeMap<u32, GbnSender<WireMsg>>,
     /// Go-back-n receiver state per source node.
