@@ -49,7 +49,7 @@ use xt3_bench::cli::{self, Args, CmdResult};
 use xt3_bench::gate::{self, Baseline};
 use xt3_bench::heap::{self, Census, CountingAlloc};
 use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
-use xt3_node::machine::Machine;
+use xt3_node::machine::{Machine, Parcel};
 use xt3_node::node::Node;
 use xt3_sim::RunOutcome;
 use xt3_telemetry::{attribute_occupancy, JsonWriter, LinkBucket, LinkSeries, SeriesConfig};
@@ -130,10 +130,12 @@ const CENSUS_SLICE: u64 = 100_000;
 /// Run the unobserved 8x8x8 all-to-all in slices of [`CENSUS_SLICE`]
 /// events, print its live heap at every boundary, then the census of the
 /// boundary with the most live bytes, with the event queue's length and
-/// capacity and the RX pendings in use there (a receive holds its pending
+/// capacity, the RX pendings in use there (a receive holds its pending
 /// from its header to its release, and its delivery box until it
-/// completes). Receive records leave with their receives, so the drained
-/// machine no longer holds what it held at its peak.
+/// completes) and the blocks of `size_of::<Parcel>()` — the delivery
+/// boxes, unless another type shares their size class. Receive records
+/// leave with their receives, so the drained machine no longer holds
+/// what it held at its peak.
 fn print_alltoall_at_peak() {
     let mut curve = Vec::with_capacity(64);
     let floor = Census::take();
@@ -168,9 +170,14 @@ fn print_alltoall_at_peak() {
         mb.join(" ")
     );
     let (live, at, len, capacity, rx) = peak.expect("the all-to-all dispatches events");
+    let parcel = std::mem::size_of::<Parcel>() as u64;
+    let boxes = live
+        .by_size()
+        .find(|&(size, ..)| size == parcel)
+        .map_or(0, |(_, blocks, _)| blocks);
     let title = format!(
         "live at its fullest boundary (event {at} of {}; queue {len} events in {capacity} slots; \
-         {rx} RX pendings in use)",
+         {rx} RX pendings in use; {boxes} blocks of {parcel} B, the delivery box)",
         engine.dispatched()
     );
     print_census(&title, &live, engine.model().nodes.len());

@@ -56,7 +56,7 @@
 //! let DeliverOutcome::Matched(ticket) = target.match_incoming(&header) else {
 //!     panic!("must match");
 //! };
-//! target.complete_put(&header, &ticket, &WireData::Real(b"hello".to_vec()), &mut memory);
+//! target.complete_put(&header, &ticket, &WireData::Real(b"hello".as_slice().into()), &mut memory);
 //! assert_eq!(memory.read(0, 5), b"hello");
 //! assert_eq!(target.eq_get(eq).unwrap().kind, EventKind::PutStart);
 //! assert_eq!(target.eq_get(eq).unwrap().kind, EventKind::PutEnd);

@@ -35,13 +35,15 @@ use serde::{Deserialize, Serialize};
 
 /// Message payload on the wire.
 ///
-/// `Real` carries actual bytes (used by correctness tests and examples);
-/// `Synthetic` carries only a length, letting bulk benchmarks skip
-/// megabyte memcpys while exercising identical protocol paths.
+/// `Real` carries actual bytes (used by correctness tests and examples)
+/// as a boxed slice: a payload is never grown once read, so it keeps no
+/// capacity word; `Synthetic` carries only a length, letting bulk
+/// benchmarks skip megabyte memcpys while exercising identical protocol
+/// paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireData {
     /// Actual payload bytes.
-    Real(Vec<u8>),
+    Real(Box<[u8]>),
     /// Length-only payload for bulk benchmarking.
     Synthetic(u64),
 }
@@ -827,7 +829,7 @@ impl PortalsLib {
         let data = if synthetic {
             WireData::Synthetic(ticket.mlength)
         } else {
-            WireData::Real(mem.read(ticket.address, ticket.mlength as u32))
+            WireData::Real(mem.read(ticket.address, ticket.mlength as u32).into())
         };
         self.post_header_event_checked(
             ticket.md,
@@ -997,6 +999,13 @@ impl PortalsLib {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A real payload is a boxed slice (pointer and length, no capacity),
+    /// so the payload is two words whichever variant it holds.
+    #[test]
+    fn wire_data_is_two_words() {
+        assert_eq!(std::mem::size_of::<WireData>(), 16);
+    }
 
     #[test]
     fn portal_table_is_empty_until_first_attach() {

@@ -85,7 +85,7 @@ fn do_atomic(
             0,
         )
         .unwrap();
-    let data = WireData::Real(src_mem.read(0, len as u32));
+    let data = WireData::Real(src_mem.read(0, len as u32).into());
     let outcome = dst.match_incoming(&hdr);
     if let DeliverOutcome::Matched(ticket) = &outcome {
         dst.complete_put(&hdr, ticket, &data, dst_mem);
@@ -255,7 +255,7 @@ fn plain_put_still_gated_by_op_put() {
         )
         .unwrap();
     let hdr = a.put(md, AckReq::NoAck, b.id(), 3, 0, 0x11, 8, 0).unwrap();
-    let data = WireData::Real(amem.read(0, 8));
+    let data = WireData::Real(amem.read(0, 8).into());
     let DeliverOutcome::Matched(ticket) = b.match_incoming(&hdr) else {
         panic!("plain put must match the rma window");
     };

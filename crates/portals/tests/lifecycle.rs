@@ -368,7 +368,7 @@ fn zero_length_put_matches_and_completes() {
         panic!("zero-length put must match a zero-length MD");
     };
     assert_eq!(t.mlength, 0);
-    lib.complete_put(&hdr, &t, &WireData::Real(vec![]), &mut mem);
+    lib.complete_put(&hdr, &t, &WireData::Real(Box::default()), &mut mem);
     assert_eq!(lib.eq_get(eq).unwrap().kind, EventKind::PutStart);
     assert_eq!(lib.eq_get(eq).unwrap().kind, EventKind::PutEnd);
 }

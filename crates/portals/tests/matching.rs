@@ -61,7 +61,7 @@ fn do_put(
         .put(md, AckReq::Ack, dst.id(), pt, 0, bits, 0, 0xFEED)
         .unwrap();
     let (start, len) = src.tx_region(md).unwrap();
-    let data = WireData::Real(src_mem.read(start, len as u32));
+    let data = WireData::Real(src_mem.read(start, len as u32).into());
     let outcome = dst.match_incoming(&hdr);
     let action = match &outcome {
         DeliverOutcome::Matched(ticket) => Some(dst.complete_put(&hdr, ticket, &data, dst_mem)),
@@ -576,7 +576,7 @@ fn remote_managed_offset_uses_header_offset() {
         )
         .unwrap();
     let hdr = a.put(md, AckReq::NoAck, b.id(), 0, 0, 3, 40, 0).unwrap();
-    let data = WireData::Real(amem.read(0, 8));
+    let data = WireData::Real(amem.read(0, 8).into());
     match b.match_incoming(&hdr) {
         DeliverOutcome::Matched(t) => {
             assert_eq!(t.offset, 40);
@@ -1105,7 +1105,7 @@ fn put_region_sends_subrange() {
     assert_eq!(hdr.rlength, 5);
     let (start, len) = a.tx_region_at(md, 3, 5).unwrap();
     assert_eq!((start, len), (3, 5));
-    let data = WireData::Real(amem.read(start, len as u32));
+    let data = WireData::Real(amem.read(start, len as u32).into());
     let DeliverOutcome::Matched(t) = b.match_incoming(&hdr) else {
         panic!("must match");
     };

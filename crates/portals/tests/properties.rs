@@ -99,7 +99,7 @@ proptest! {
             .md_bind(MEM, 64, payload.len() as u64, MdOptions::default(), Threshold::Count(1), None, 0)
             .unwrap();
         let hdr = a.put(md, AckReq::NoAck, b.id(), 0, 0, 5, 0, 0).unwrap();
-        let data = WireData::Real(amem.read(64, payload.len() as u32));
+        let data = WireData::Real(amem.read(64, payload.len() as u32).into());
         let DeliverOutcome::Matched(t) = b.match_incoming(&hdr) else {
             return Err(TestCaseError::fail("must match"));
         };

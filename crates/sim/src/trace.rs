@@ -85,19 +85,14 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// A disabled (no-op) trace.
-    pub fn disabled() -> Self {
-        Self::new(false, 0)
-    }
-
     /// An enabled trace retaining at most the `capacity` most recent
     /// events (0 = unbounded).
     pub fn enabled(capacity: usize) -> Self {
         Self::new(true, capacity)
     }
 
-    /// [`Trace::enabled`] or [`Trace::disabled`] as `enabled` says — for
-    /// callers holding the choice as a flag.
+    /// [`Trace::enabled`], or a disabled (no-op) trace, as `enabled`
+    /// says — for callers holding the choice as a flag.
     pub fn new(enabled: bool, capacity: usize) -> Self {
         Trace {
             enabled,
@@ -241,7 +236,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
+        let mut t = Trace::new(false, 0);
         t.record(SimTime::ZERO, 0, TraceCategory::Host, label!("x"), 1);
         assert!(t.is_empty());
         assert_eq!(t.recorded(), 0);

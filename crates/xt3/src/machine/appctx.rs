@@ -440,7 +440,7 @@ impl AppCtx<'_> {
         let data = if synthetic {
             WireData::Synthetic(len)
         } else {
-            WireData::Real(proc.mem.read(start, len as u32))
+            WireData::Real(proc.mem.read(start, len as u32).into())
         };
         self.charge(prepared.prep_cost);
         let chunks = prepared.commands.len().max(1) as u32;

@@ -131,12 +131,12 @@ pub enum Ev {
         node: u32,
         /// The message and its completion time. Boxed deliberately: one
         /// allocation per *message* keeps `Ev` small (16 B instead of
-        /// ~176 B), and every queue slot, bucket entry, and slab
-        /// `take()` copies an `Ev` on every *event*. The box outlives
-        /// the event: when the firmware takes the header it becomes the
-        /// receive record (see [`Parcel`]), and a partitioned shard
-        /// sends every box it is done with home (see
-        /// [`super::SendIntent`]'s `spare`) instead of freeing it.
+        /// the ~150 B of an inline message), and every queue slot,
+        /// bucket entry, and slab `take()` copies an `Ev` on every
+        /// *event*. The box outlives the event: when the firmware takes
+        /// the header it becomes the receive record (see [`Parcel`]),
+        /// and a partitioned shard sends every box it is done with home
+        /// (see [`super::SendIntent`]'s `spare`) instead of freeing it.
         parcel: Box<Parcel>,
     },
     /// The RX DMA finished depositing a pending.
@@ -229,7 +229,7 @@ impl Ev {
                 digest.write_u8(inflight.corrupted as u8);
                 digest.write_u64(inflight.msg.tag);
                 digest.write_u64(inflight.msg.wire_bytes());
-                match inflight.msg.seq {
+                match inflight.msg.seq() {
                     Some(seq) => digest.write_u64(1 + seq),
                     None => digest.write_u64(0),
                 }

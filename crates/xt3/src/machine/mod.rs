@@ -97,11 +97,6 @@ pub struct Nodes {
 }
 
 impl Nodes {
-    /// First global node id owned.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
     /// Number of nodes owned.
     pub fn len(&self) -> usize {
         self.inner.len()

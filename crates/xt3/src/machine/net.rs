@@ -179,7 +179,7 @@ impl Machine {
             let (fate, lost) = match self.faults.packet_fate(inject_at, src.0, dst.0, tag) {
                 PacketFate::Deliver => (None, false),
                 PacketFate::Drop => (Some(label!("fault:drop")), true),
-                PacketFate::Corrupt if matches!(msg.kind, WireKind::Data) => {
+                PacketFate::Corrupt if matches!(msg.kind, WireKind::Data { .. }) => {
                     forced_corrupt = true;
                     (Some(label!("fault:corrupt")), false)
                 }
@@ -262,7 +262,7 @@ impl Machine {
             .or_insert_with(|| GbnSender::new(GBN_WINDOW));
         match sender.send(msg.clone()) {
             Some(seq) => {
-                msg.seq = Some(seq);
+                msg.set_seq(seq);
                 self.arm_gbn_timer(q, t, node, dst, self.faults.active());
                 Some(msg)
             }
@@ -336,7 +336,7 @@ impl Machine {
 
     fn resend(&mut self, q: &mut EventQueue<Ev>, t: SimTime, window: Vec<(SeqNo, WireMsg)>) {
         for (seq, mut m) in window {
-            m.seq = Some(seq);
+            m.set_seq(seq);
             self.inject(q, t, t, m);
         }
     }
@@ -395,7 +395,6 @@ impl Machine {
             header,
             data: WireData::Synthetic(0),
             kind,
-            seq: None,
             tag: 0,
         };
         self.inject(q, t, t, msg);
@@ -413,7 +412,7 @@ impl Machine {
                 .expect("sender exists when deferred");
             match sender.send(msg.clone()) {
                 Some(seq) => {
-                    msg.seq = Some(seq);
+                    msg.set_seq(seq);
                     self.inject(q, t, t, msg);
                     self.arm_gbn_timer(q, t, node, dst, self.faults.active());
                 }

@@ -109,7 +109,7 @@ impl Machine {
                 self.on_gbn_ack(q, now, node, from_node, upto);
                 return None;
             }
-            WireKind::Data => {}
+            WireKind::Data { .. } => {}
         }
 
         self.causal.record_chain(
@@ -127,7 +127,7 @@ impl Machine {
         if inflight.corrupted {
             self.nodes[node].chip.rx_dma.record_crc_failure();
             let t = self.ppc_run(node, FwHandler::RxHeader, now);
-            if let Some(seq) = msg.seq {
+            if let Some(seq) = msg.seq() {
                 self.gbn_refuse(q, t, node, from_node, seq, false);
             }
             self.trace.record(
@@ -141,7 +141,7 @@ impl Machine {
         }
 
         // Go-back-n sequencing check (order first, then allocation).
-        if let Some(seq) = msg.seq {
+        if let Some(seq) = msg.seq() {
             let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
             if seq != rx.expected() {
                 self.gbn_refuse(q, now, node, from_node, seq, true);
@@ -151,7 +151,7 @@ impl Machine {
 
         let dst_pid = msg.header.dst.pid;
         let Some(dst) = self.nodes[node].procs.get(dst_pid as usize) else {
-            self.drop_stray_header(q, now, node, from_node, msg.seq, msg.tag);
+            self.drop_stray_header(q, now, node, from_node, msg.seq(), msg.tag);
             return None;
         };
         let fw_proc = dst.fw_proc;
@@ -184,7 +184,7 @@ impl Machine {
         };
 
         // Resolve go-back-n acceptance against allocation success.
-        if let Some(seq) = msg.seq {
+        if let Some(seq) = msg.seq() {
             let ok = result.is_ok();
             let rx = self.nodes[node]
                 .gbn_rx
@@ -206,7 +206,7 @@ impl Machine {
         let (pending, effects) = match result {
             Ok(pe) => pe,
             Err(_) => {
-                if self.config.exhaustion == ExhaustionPolicy::Panic && msg.seq.is_none() {
+                if self.config.exhaustion == ExhaustionPolicy::Panic && msg.seq().is_none() {
                     // §4.3: "The current approach is to panic the node."
                     self.nodes[node].hot.panicked = true;
                     self.trace.record(

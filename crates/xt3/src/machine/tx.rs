@@ -305,8 +305,7 @@ impl Machine {
         let msg = WireMsg {
             header,
             data,
-            kind: WireKind::Data,
-            seq: None,
+            kind: WireKind::Data { seq: None },
             tag,
         };
         // Go-back-n sequencing on the way out (a full window parks it).

@@ -13,7 +13,12 @@ use xt3_seastar::cost::CostModel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireKind {
     /// A Portals message (Put/Get/Reply/Ack header plus payload).
-    Data,
+    Data {
+        /// Go-back-n sequence (under the GoBackN policy, once the
+        /// sender's window admits the message). Only data is sequenced
+        /// (§4.3), so the sequence rides in this kind.
+        seq: Option<SeqNo>,
+    },
     /// Go-back-n negative acknowledgement: "rewind to `expected`".
     GbnNack {
         /// Next sequence the receiver will accept.
@@ -35,10 +40,8 @@ pub struct WireMsg {
     pub header: PortalsHeader,
     /// Payload.
     pub data: WireData,
-    /// Kind.
+    /// Kind (a data message's go-back-n sequence rides in it).
     pub kind: WireKind,
-    /// Go-back-n sequence (data messages under the GoBackN policy).
-    pub seq: Option<SeqNo>,
     /// Trace correlation tag.
     pub tag: u64,
 }
@@ -47,14 +50,35 @@ impl WireMsg {
     /// Payload bytes this message puts on the wire.
     pub fn wire_bytes(&self) -> u64 {
         match self.kind {
-            WireKind::Data => self.data.len(),
+            WireKind::Data { .. } => self.data.len(),
             _ => 0,
         }
     }
 
     /// Whether this payload fits the header-packet piggyback window.
     pub fn piggybacked(&self, cm: &CostModel) -> bool {
-        matches!(self.kind, WireKind::Data) && cm.piggybacks(self.data.len())
+        matches!(self.kind, WireKind::Data { .. }) && cm.piggybacks(self.data.len())
+    }
+
+    /// The go-back-n sequence: `None` for an unsequenced data message and
+    /// for every control message.
+    pub fn seq(&self) -> Option<SeqNo> {
+        match self.kind {
+            WireKind::Data { seq } => seq,
+            _ => None,
+        }
+    }
+
+    /// Sequence a data message. Control messages are never sequenced: a
+    /// debug build asserts on one, a release build leaves it untouched.
+    pub fn set_seq(&mut self, seq: SeqNo) {
+        debug_assert!(
+            matches!(self.kind, WireKind::Data { .. }),
+            "only a data message is sequenced"
+        );
+        if let WireKind::Data { seq: s } = &mut self.kind {
+            *s = Some(seq);
+        }
     }
 }
 
@@ -81,15 +105,19 @@ mod tests {
         )
     }
 
+    fn msg(kind: WireKind) -> WireMsg {
+        WireMsg {
+            header: hdr(),
+            data: WireData::Synthetic(8),
+            kind,
+            tag: 0,
+        }
+    }
+
     #[test]
     fn piggyback_threshold() {
-        let mut m = WireMsg {
-            header: hdr(),
-            data: WireData::Synthetic(12),
-            kind: WireKind::Data,
-            seq: None,
-            tag: 0,
-        };
+        let mut m = msg(WireKind::Data { seq: None });
+        m.data = WireData::Synthetic(12);
         let cm = CostModel::paper();
         assert!(m.piggybacked(&cm));
         m.data = WireData::Synthetic(13);
@@ -100,13 +128,50 @@ mod tests {
 
     #[test]
     fn control_messages_carry_no_wire_payload() {
-        let m = WireMsg {
-            header: hdr(),
-            data: WireData::Synthetic(1000),
-            kind: WireKind::GbnNack { expected: 3 },
-            seq: None,
-            tag: 0,
-        };
+        let mut m = msg(WireKind::GbnNack { expected: 3 });
+        m.data = WireData::Synthetic(1000);
         assert_eq!(m.wire_bytes(), 0);
+    }
+
+    #[test]
+    fn the_sequence_rides_in_the_data_kind() {
+        let mut m = msg(WireKind::Data { seq: None });
+        assert_eq!(m.seq(), None, "a fresh data message is unsequenced");
+        m.set_seq(7);
+        assert_eq!(m.seq(), Some(7));
+        assert_eq!(m.kind, WireKind::Data { seq: Some(7) });
+        for kind in [
+            WireKind::GbnAck { upto: 5 },
+            WireKind::GbnNack { expected: 3 },
+        ] {
+            assert_eq!(msg(kind).seq(), None, "{kind:?} carries no sequence");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "only a data message"))]
+    fn sequencing_an_ack_is_refused() {
+        let mut m = msg(WireKind::GbnAck { upto: 5 });
+        m.set_seq(1);
+        assert_eq!(m.kind, WireKind::GbnAck { upto: 5 });
+        assert_eq!(m.seq(), None);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "only a data message"))]
+    fn sequencing_a_nack_is_refused() {
+        let mut m = msg(WireKind::GbnNack { expected: 3 });
+        m.set_seq(1);
+        assert_eq!(m.kind, WireKind::GbnNack { expected: 3 });
+        assert_eq!(m.seq(), None);
+    }
+
+    /// The sequence folded into the kind: the kind is a tag and a
+    /// `SeqNo`, and a message is header, payload, kind and tag. Layout is
+    /// rustc's choice, so these pins fence it.
+    #[test]
+    fn wire_sizes() {
+        assert_eq!(std::mem::size_of::<WireKind>(), 16);
+        assert_eq!(std::mem::size_of::<WireMsg>(), 128);
     }
 }

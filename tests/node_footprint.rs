@@ -1,6 +1,7 @@
 //! What one node costs, pinned: the inline size of `Node`, the size of
 //! its hot record, the firmware's per-peer and per-receive structures
-//! within the sizes the SRAM ledger charges, the heap blocks a
+//! within the sizes the SRAM ledger charges, the delivery box each
+//! message in flight holds, the heap blocks a
 //! built-then-run machine holds per node, the SRAM ledger every node
 //! of one layout shares, and that no receive record outlives its
 //! receive.
@@ -56,6 +57,10 @@ fn a_node_costs_what_landed() {
     assert!(std::mem::size_of::<Source>() <= 16, "no heap, two links");
     assert_eq!(std::mem::size_of::<LowerPending>(), 24, "no DMA list");
     assert!(std::mem::size_of::<LowerPending>() <= LOWER_PENDING_BYTES as usize);
+    // Its upper pending is the message's delivery box: the sequence rides
+    // in the wire kind, a payload keeps no capacity, and the box's tag
+    // sits in a niche of the receive record's header (176 B before).
+    assert_eq!(std::mem::size_of::<Parcel>(), 160, "no tag word");
 
     let floor = Census::take();
     let dims = Dims::red_storm(4, 4, 2);
