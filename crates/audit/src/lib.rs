@@ -2,8 +2,9 @@
 //! Determinism audit layer.
 //!
 //! Two parts, both runnable from CI (`cargo run -p audit -- lint|replay`)
-//! and from the test suite (a third, [`inventory`], keeps DESIGN.md's
-//! code-line table generated):
+//! and from the test suite (a third, [`inventory`], keeps every generated
+//! doc block — DESIGN.md's code-line table, README's BENCH figures —
+//! current):
 //!
 //! * [`rules`] — the static-analysis lint engine: a dependency-free
 //!   Rust lexer ([`lex`]), an item/call graph ([`graph`]), and eight

@@ -5,7 +5,7 @@
 //! cargo run -p audit -- lint --json   # machine-readable findings (CI artifact)
 //! cargo run -p audit -- replay        # replay-divergence check; exit 1 on divergence
 //! cargo run -p audit -- all           # both
-//! cargo run -p audit -- inventory     # DESIGN.md §2's generated code-line block
+//! cargo run -p audit -- inventory     # every generated doc block, between its marker lines
 //! ```
 //!
 //! Anything else — an unknown subcommand, an unknown argument, `--json`
@@ -75,7 +75,7 @@ fn run_lint(json: bool) -> ExitCode {
 }
 
 fn run_inventory() -> ExitCode {
-    match inventory::render(&rules::repo_root()) {
+    match inventory::render_all(&rules::repo_root()) {
         Ok(block) => {
             print!("{block}");
             ExitCode::SUCCESS

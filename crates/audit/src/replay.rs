@@ -279,18 +279,12 @@ pub fn e2e_scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The CRC-noise end-to-end engine with an explicit machine seed.
+/// The CRC-noise end-to-end machine with an explicit machine seed.
 ///
 /// Exposed so the digest tests can show both directions of the contract:
 /// equal seeds ⇒ equal digests, and different seeds ⇒ different digests
 /// (the seed drives CRC error injection, so the event streams genuinely
 /// differ).
-pub fn crc_noise_engine(seed: u64) -> Engine<Machine> {
-    crc_noise_machine(seed).into_engine()
-}
-
-/// The CRC-noise machine behind [`crc_noise_engine`], un-wrapped so the
-/// parallel checker can run the same construction on the window driver.
 pub fn crc_noise_machine(seed: u64) -> Machine {
     let mut config = MachineConfig::paper_pair();
     config.seed = seed;
@@ -489,12 +483,6 @@ pub fn all_scenarios() -> Vec<Scenario> {
     out.extend(traffic_scenarios());
     out.extend(machine_path_scenarios());
     out
-}
-
-/// Run every scenario; return the per-scenario results or the first
-/// divergence.
-pub fn check_all() -> Result<Vec<ReplayRun>, Divergence> {
-    all_scenarios().iter().map(|s| s.check()).collect()
 }
 
 // ---------------------------------------------------------------------

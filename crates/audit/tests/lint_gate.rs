@@ -1,12 +1,14 @@
 //! The lint half of the audit, as tests: the shipped tree must be clean
 //! under the token-graph engine, the engine's escape hatches must keep
 //! their shrink-only semantics, and the tree-shape checks that ride on
-//! the same walker (file sizes, the fabric seam, the inventory) hold.
+//! the same walker (file sizes, the fabric seam, the generated doc
+//! blocks) hold.
 //! That the engine actually catches seeded violations is the fixture
 //! corpus's job (`rule_fixtures.rs`).
 
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use audit::inventory;
 use audit::rules::{self, AllowStatus, RuleId};
@@ -82,6 +84,24 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
     );
 }
 
+/// The lines strictly between `begin` and `end` in `doc`.
+fn block<'a>(doc: &'a str, begin: &str, end: &str) -> Option<&'a str> {
+    let (_, rest) = doc.split_once(&format!("{begin}\n"))?;
+    Some(rest.split_once(end)?.0)
+}
+
+/// The figures block and its numbers, rendered from the committed BENCH
+/// files.
+fn bench_figures(root: &Path) -> (String, Vec<u64>) {
+    let read = |name: &str| fs::read_to_string(root.join(name)).expect("read a BENCH file");
+    let (mem, core, par) = (
+        read("BENCH_mem.json"),
+        read("BENCH_core.json"),
+        read("BENCH_parallel.json"),
+    );
+    inventory::figures(&mem, &core, &par).expect("the BENCH files render")
+}
+
 /// DESIGN.md §2's code-line table is the generated one: the block between
 /// the `inventory` markers must be what `cargo run -p audit -- inventory`
 /// prints for this tree.
@@ -89,16 +109,83 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
 fn design_inventory_block_is_current() {
     let root = rules::repo_root();
     let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
-    let block = design
-        .split_once(&format!("{}\n", inventory::BEGIN))
-        .and_then(|(_, rest)| rest.split_once(inventory::END))
-        .map(|(block, _)| block)
+    let block = block(&design, inventory::BEGIN, inventory::END)
         .expect("DESIGN.md carries the inventory markers");
     let current = inventory::render(&root).expect("walk");
     assert!(
         block == current,
         "DESIGN.md §2's inventory is stale; replace the block between the markers with the \
-         output of `cargo run -p audit -- inventory`:\n{current}"
+         inventory block `cargo run -p audit -- inventory` prints:\n{current}"
+    );
+}
+
+/// README's figures are the committed BENCH files': the block between
+/// the `figures` markers must be what `cargo run -p audit -- inventory`
+/// renders from them, so regenerating a BENCH file fails this test until
+/// the block is pasted in.
+#[test]
+fn readme_figures_block_is_current() {
+    let root = rules::repo_root();
+    let readme = fs::read_to_string(root.join("README.md")).expect("read README.md");
+    let block = block(&readme, inventory::FIGURES_BEGIN, inventory::FIGURES_END)
+        .expect("README.md carries the figures markers");
+    let (current, _) = bench_figures(&root);
+    assert!(
+        block == current,
+        "README's figures block is stale; replace the block between the markers with the \
+         figures block `cargo run -p audit -- inventory` prints:\n{current}"
+    );
+}
+
+/// A figure the block renders is written nowhere else by hand: no number
+/// of 1,000 or more among them appears, with or without thousands
+/// separators, in README, EXPERIMENTS, the verify skill or DESIGN outside
+/// a generated block. CHANGES.md (a log), ROADMAP.md (a dated snapshot)
+/// and DESIGN §8's history tables are exempt.
+#[test]
+fn rendered_figures_are_not_copied_by_hand() {
+    let root = rules::repo_root();
+    let (_, shown) = bench_figures(&root);
+    let figures: BTreeSet<String> = shown
+        .iter()
+        .filter(|&&v| v >= 1_000)
+        .map(u64::to_string)
+        .collect();
+    assert!(figures.len() > 10, "sanity: the block renders figures");
+    let mut copies = Vec::new();
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = fs::read_to_string(root.join(doc)).expect("read a doc");
+        let mut generated = false;
+        let mut history = false;
+        for (i, line) in text.lines().enumerate() {
+            if line.starts_with("## ") {
+                history = doc == "DESIGN.md" && line.starts_with("## 8.");
+            }
+            if line.starts_with("<!--") && line.contains(":begin") {
+                generated = true;
+            }
+            if !generated && !history {
+                let numbers = line.split(|c: char| !c.is_ascii_digit() && c != ',');
+                for token in numbers.map(|t| t.trim_matches(',')) {
+                    if figures.contains(&token.replace(',', "")) {
+                        copies.push(format!("{doc}:{}: {token}", i + 1));
+                    }
+                }
+            }
+            if line.contains(":end -->") {
+                generated = false;
+            }
+        }
+    }
+    assert!(
+        copies.is_empty(),
+        "figures typed by hand; point at README's figures block instead:\n{}",
+        copies.join("\n")
     );
 }
 

@@ -553,15 +553,6 @@ impl Firmware {
 
     // ----- main-loop entry points (§4.3) -----
 
-    /// Drain and process every queued mailbox command for `proc`.
-    pub fn poll_mailbox(&mut self, proc: ProcIdx) -> Result<Effects, FwError> {
-        let mut effects = Effects::new();
-        while let Some(cmd) = self.process_mut(proc)?.mailbox.take_cmd() {
-            effects.append(&self.handle_command(proc, cmd)?);
-        }
-        Ok(effects)
-    }
-
     /// Process one host command.
     ///
     /// Event handlers return typed errors instead of panicking: the audit
@@ -1242,7 +1233,10 @@ mod tests {
         let base = f.tx_base();
         f.mailbox_mut(0).unwrap().post_cmd(tx_cmd(base, 1));
         f.mailbox_mut(0).unwrap().post_cmd(tx_cmd(base + 1, 1));
-        let effects = f.poll_mailbox(0).unwrap();
+        let mut effects = Effects::new();
+        while let Some(cmd) = f.mailbox_mut(0).unwrap().take_cmd() {
+            effects.append(&f.handle_command(0, cmd).unwrap());
+        }
         // Only the first starts (single TX FIFO).
         assert_eq!(
             effects

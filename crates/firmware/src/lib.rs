@@ -50,7 +50,8 @@
 //!     tag: 0,
 //! });
 //! // ...the firmware's main loop picks it up and programs the TX DMA.
-//! let effects = fw.poll_mailbox(0).unwrap();
+//! let cmd = fw.mailbox_mut(0).unwrap().take_cmd().unwrap();
+//! let effects = fw.handle_command(0, cmd).unwrap();
 //! assert_eq!(effects.as_slice(), &[FwEffect::StartTxDma { proc: 0, pending }]);
 //!
 //! // DMA completion posts the host event and raises the interrupt.

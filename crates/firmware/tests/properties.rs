@@ -297,7 +297,7 @@ fn source_index_matches_map_reference() {
     for seed in SOURCE_SEEDS {
         let mut rng = SimRng::new(seed);
         let mut nodes = nodes.clone();
-        nodes.extend((0..48).map(|_| rng.next_u32()));
+        nodes.extend((0..48).map(|_| (rng.next_u64() >> 32) as u32));
         let mut t = CheckedSources::new(128);
         for swing in 0..6 {
             let rising = swing % 2 == 0;

@@ -100,14 +100,12 @@ impl AddressSpace for CatamountSpace {
 }
 
 /// Linux's paged address space: 4 KB pages scattered across physical
-/// memory, with pin tracking.
+/// memory.
 #[derive(Debug, Clone)]
 pub struct LinuxSpace {
     bytes: Vec<u8>,
     /// `page_frame[v]` = physical frame number of virtual page `v`.
     page_frame: Vec<u64>,
-    /// Pin reference counts per virtual page.
-    pin_counts: Vec<u32>,
 }
 
 impl LinuxSpace {
@@ -122,44 +120,7 @@ impl LinuxSpace {
         LinuxSpace {
             bytes: vec![0; size],
             page_frame: frames,
-            pin_counts: vec![0; pages],
         }
-    }
-
-    fn page_of(addr: u64) -> u64 {
-        addr / PAGE_SIZE as u64
-    }
-
-    /// Pin the pages covering `[addr, addr+len)`, returning how many.
-    pub fn pin(&mut self, addr: u64, len: u32) -> u32 {
-        if len == 0 {
-            return 0;
-        }
-        let first = Self::page_of(addr);
-        let last = Self::page_of(addr + len as u64 - 1);
-        for p in first..=last {
-            self.pin_counts[p as usize] += 1;
-        }
-        (last - first + 1) as u32
-    }
-
-    /// Unpin the pages covering a previously pinned range.
-    pub fn unpin(&mut self, addr: u64, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let first = Self::page_of(addr);
-        let last = Self::page_of(addr + len as u64 - 1);
-        for p in first..=last {
-            let c = &mut self.pin_counts[p as usize];
-            assert!(*c > 0, "unpin of unpinned page {p}");
-            *c -= 1;
-        }
-    }
-
-    /// Pin count of the page containing `addr`.
-    pub fn pin_count(&self, addr: u64) -> u32 {
-        self.pin_counts[Self::page_of(addr) as usize]
     }
 }
 
@@ -252,26 +213,6 @@ mod tests {
             .windows(2)
             .all(|w| w[1].phys_addr == w[0].phys_addr + w[0].bytes as u64);
         assert!(!contiguous, "shuffle should scatter pages");
-    }
-
-    #[test]
-    fn pin_unpin_reference_counting() {
-        let mut s = LinuxSpace::new(1 << 16, 1);
-        let pinned = s.pin(4000, 5000); // pages 0..=2
-        assert_eq!(pinned, 3);
-        assert_eq!(s.pin_count(4000), 1);
-        s.pin(4096, 1);
-        assert_eq!(s.pin_count(4096), 2);
-        s.unpin(4000, 5000);
-        assert_eq!(s.pin_count(4096), 1);
-        assert_eq!(s.pin_count(0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unpin of unpinned")]
-    fn unbalanced_unpin_panics() {
-        let mut s = LinuxSpace::new(1 << 16, 1);
-        s.unpin(0, 10);
     }
 
     #[test]

@@ -86,24 +86,4 @@ proptest! {
         prop_assert_eq!(cat.read(addr, data.len() as u32), data.clone());
         prop_assert_eq!(lin.read(addr, data.len() as u32), data);
     }
-
-    /// Pin/unpin balance: after unpinning everything that was pinned, all
-    /// pages are unpinned.
-    #[test]
-    fn pin_unpin_balances(ranges in proptest::collection::vec((0u64..30_000, 1u32..8_000), 1..20)) {
-        let mut space = LinuxSpace::new(1 << 16, 9);
-        let valid: Vec<(u64, u32)> = ranges
-            .into_iter()
-            .filter(|&(a, l)| a as usize + l as usize <= 1 << 16)
-            .collect();
-        for &(a, l) in &valid {
-            space.pin(a, l);
-        }
-        for &(a, l) in &valid {
-            space.unpin(a, l);
-        }
-        for page in (0..(1 << 16)).step_by(PAGE_SIZE as usize) {
-            prop_assert_eq!(space.pin_count(page as u64), 0);
-        }
-    }
 }

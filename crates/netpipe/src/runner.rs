@@ -273,19 +273,6 @@ pub fn build_machine(config: &NetpipeConfig, transport: Transport, kind: TestKin
     }
 }
 
-/// Run one Portals curve; returns `(initiator results, responder
-/// results)`.
-pub fn run_ptl(
-    config: &NetpipeConfig,
-    pattern: PtlPattern,
-) -> (Vec<RoundResult>, Vec<RoundResult>) {
-    let (mut m, _) = run_to_end(ptl_machine(config, pattern), pattern);
-    (
-        take_results(&mut m, 0, |a: &mut PtlInitiator| &mut a.results),
-        take_results(&mut m, 1, |b: &mut PtlResponder| &mut b.results),
-    )
-}
-
 /// Run one MPI curve; returns `(rank0 results, rank1 results)`.
 pub fn run_mpi(
     config: &NetpipeConfig,

@@ -7,6 +7,12 @@ use xt3_netpipe::runner::{
     bandwidth_curve, latency_curve, run_curve, NetpipeConfig, TestKind, Transport,
 };
 use xt3_netpipe::Schedule;
+use xt3_sim::Series;
+
+/// The curve's y at a size its schedule measured.
+fn y_at(s: &Series, x: f64) -> Option<f64> {
+    s.points.iter().find(|p| p.x == x).map(|p| p.y)
+}
 
 fn small_config() -> NetpipeConfig {
     let mut c = NetpipeConfig::paper_latency();
@@ -64,7 +70,7 @@ fn piggyback_kink_at_12_bytes() {
             .collect(),
     };
     let s = latency_curve(&c, Transport::Put, TestKind::PingPong);
-    let at = |x: f64| s.y_at(x).expect("point");
+    let at = |x: f64| y_at(&s, x).expect("point");
     assert!(
         (at(12.0) - at(1.0)).abs() < 0.3,
         "within the piggyback window latency is flat: {} vs {}",
@@ -168,14 +174,14 @@ fn streaming_hurts_get_much_more_than_put() {
     let get = bandwidth_curve(&config, Transport::Get, TestKind::Stream);
     // In the pipelined regime (small-to-mid sizes) the put stream is far
     // ahead of the serial gets; the gap narrows as wire time dominates.
-    let p = put.y_at(4096.0).unwrap();
-    let g = get.y_at(4096.0).unwrap();
+    let p = y_at(&put, 4096.0).unwrap();
+    let g = y_at(&get, 4096.0).unwrap();
     assert!(
         p > 1.5 * g,
         "put stream {p:.0} MB/s should dwarf blocking get stream {g:.0} MB/s at 4 KB"
     );
-    let p16 = put.y_at(16_384.0).unwrap();
-    let g16 = get.y_at(16_384.0).unwrap();
+    let p16 = y_at(&put, 16_384.0).unwrap();
+    let g16 = y_at(&get, 16_384.0).unwrap();
     assert!(
         p16 > 1.2 * g16,
         "gap persists at 16 KB: {p16:.0} vs {g16:.0}"

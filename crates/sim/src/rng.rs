@@ -61,12 +61,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)` using Lemire's unbiased method.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {

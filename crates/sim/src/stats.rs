@@ -212,27 +212,6 @@ impl Series {
         });
     }
 
-    /// Interpolated y at `x` (series must be sorted by x). Returns `None`
-    /// outside the domain.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        let pts = &self.points;
-        if pts.is_empty() || x < pts[0].x || x > pts[pts.len() - 1].x {
-            return None;
-        }
-        let mut prev = &pts[0];
-        for p in pts {
-            if p.x >= x {
-                if p.x == prev.x {
-                    return Some(p.y);
-                }
-                let t = (x - prev.x) / (p.x - prev.x);
-                return Some(prev.y + t * (p.y - prev.y));
-            }
-            prev = p;
-        }
-        Some(pts[pts.len() - 1].y)
-    }
-
     /// The x at which y first reaches `target` (linear interpolation on a
     /// monotonically increasing series). Used for half-bandwidth points.
     pub fn x_where_y_reaches(&self, target: f64) -> Option<f64> {
@@ -327,9 +306,6 @@ mod tests {
         let mut s = Series::new("put");
         s.push(0.0, 0.0);
         s.push(10.0, 100.0);
-        assert_eq!(s.y_at(5.0), Some(50.0));
-        assert_eq!(s.y_at(10.0), Some(100.0));
-        assert_eq!(s.y_at(11.0), None);
         assert_eq!(s.x_where_y_reaches(50.0), Some(5.0));
         assert_eq!(s.x_where_y_reaches(200.0), None);
         assert_eq!(s.y_max(), 100.0);

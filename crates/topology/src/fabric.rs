@@ -84,9 +84,6 @@ pub struct DeliveredMsg<P> {
     pub complete_at: SimTime,
     /// Network hops traversed.
     pub hops: u32,
-    /// The payload arrived corrupted (escaped the 16-bit link CRC); the
-    /// destination's end-to-end 32-bit check will reject it.
-    pub corrupted: bool,
 }
 
 /// Hand one link transit to every sink that is on: a busy span on the
@@ -130,7 +127,6 @@ pub struct Fabric {
     rng: SimRng,
     messages_sent: u64,
     bytes_sent: u64,
-    corrupted_deliveries: u64,
     /// Time-bucketed per-link/per-node series, allocated only when
     /// enabled (observation-only: excluded from fingerprints, recorded
     /// from values the walk computes anyway). Owned by the fabric so
@@ -152,7 +148,6 @@ impl Fabric {
             rng: SimRng::new(config.seed),
             messages_sent: 0,
             bytes_sent: 0,
-            corrupted_deliveries: 0,
             series: None,
         }
     }
@@ -222,7 +217,6 @@ impl Fabric {
                 header_at: at,
                 complete_at: at,
                 hops: 0,
-                corrupted: false,
             };
         }
 
@@ -274,22 +268,12 @@ impl Fabric {
             complete = done + cfg.hop_latency;
         }
 
-        let corrupted = cfg.e2e_error_prob > 0.0 && self.rng.chance(cfg.e2e_error_prob);
-        if corrupted {
-            self.corrupted_deliveries += 1;
-        }
         DeliveredMsg {
             msg,
             header_at: head + cfg.serialization_time(1),
             complete_at: complete,
             hops,
-            corrupted,
         }
-    }
-
-    /// Messages delivered with payload corruption (end-to-end CRC work).
-    pub fn corrupted_deliveries(&self) -> u64 {
-        self.corrupted_deliveries
     }
 
     /// Utilization of the busiest link over `[0, now]`.

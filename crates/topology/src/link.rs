@@ -28,10 +28,6 @@ pub struct LinkConfig {
     pub crc_error_prob: f64,
     /// Extra link occupancy per retried packet (turnaround + resend).
     pub retry_cost: SimTime,
-    /// Probability that a message arrives corrupted despite the link CRC
-    /// (an escaped error the end-to-end 32-bit CRC must catch, §2). Zero
-    /// outside fault-injection tests.
-    pub e2e_error_prob: f64,
 }
 
 impl Default for LinkConfig {
@@ -43,7 +39,6 @@ impl Default for LinkConfig {
             header_piggyback_max: 12,
             crc_error_prob: 0.0,
             retry_cost: SimTime::from_ns(200),
-            e2e_error_prob: 0.0,
         }
     }
 }

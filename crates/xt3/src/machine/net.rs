@@ -125,7 +125,7 @@ pub(crate) fn apply_send(
     let inflight = InFlight {
         msg: d.msg.body,
         complete_at,
-        corrupted: d.corrupted || forced_corrupt,
+        corrupted: forced_corrupt,
     };
     let parcel = match spare {
         Some(mut spare) => {

@@ -13,7 +13,9 @@ use audit::replay;
 /// the checker names the scenario and the first divergent event index.
 #[test]
 fn replay_scenarios_never_diverge() {
-    let runs = replay::check_all().unwrap_or_else(|d| panic!("{d}"));
+    let runs: Vec<_> = (replay::all_scenarios().iter())
+        .map(|s| s.check().unwrap_or_else(|d| panic!("{d}")))
+        .collect();
     assert_eq!(
         runs.len(),
         30,
@@ -50,7 +52,7 @@ fn replay_scenarios_match_under_parallelism() {
 #[test]
 fn same_seed_yields_identical_digest() {
     let run = |seed: u64| {
-        let mut e = replay::crc_noise_engine(seed);
+        let mut e = replay::crc_noise_machine(seed).into_engine();
         e.run();
         (e.digest(), e.dispatched())
     };
@@ -63,7 +65,7 @@ fn same_seed_yields_identical_digest() {
 #[test]
 fn different_seed_yields_different_digest() {
     let digest = |seed: u64| {
-        let mut e = replay::crc_noise_engine(seed);
+        let mut e = replay::crc_noise_machine(seed).into_engine();
         e.run();
         e.digest()
     };

@@ -6,6 +6,8 @@ use portals_xt3::portals::event::EventKind;
 use portals_xt3::portals::md::{MdOptions, Threshold};
 use portals_xt3::portals::me::{InsertPos, UnlinkOp};
 use portals_xt3::portals::types::{AckReq, EqHandle, ProcessId};
+use portals_xt3::sim::faults::LinkFaults;
+use portals_xt3::sim::{FaultPlan, Trace};
 use portals_xt3::topology::coord::Dims;
 use portals_xt3::xt3::config::{ExhaustionPolicy, MachineConfig, NodeSpec, OsKind, ProcSpec};
 use portals_xt3::xt3::{App, AppCtx, AppEvent, Machine};
@@ -451,11 +453,22 @@ fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     // escapes the per-link 16-bit CRC. Under go-back-n the rejected
     // message is retransmitted; delivery stays exactly-once, in-order and
     // byte-exact.
+    // A corrupted ACK or NACK fails its CRC at the link and is dropped
+    // (`fault:corrupt-ctl-drop`); the trace shows that path ran too.
     let mut config = MachineConfig::paper_pair();
     config.synthetic_payload = false;
-    config.fabric.link.e2e_error_prob = 0.2;
+    config.faults = FaultPlan {
+        seed: config.seed,
+        link: LinkFaults {
+            corrupt_prob: 0.2,
+            ..LinkFaults::NONE
+        },
+        ..FaultPlan::none()
+    };
     config.exhaustion = ExhaustionPolicy::GoBackN;
+    config.trace = true;
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
+    m.trace = Trace::enabled(1 << 20);
     m.spawn(0, 0, Box::new(Pusher::new(ProcessId::new(1, 0), 4096, 20)));
     m.spawn(1, 0, Box::new(Collector::new(4096, 20)));
     let mut engine = m.into_engine();
@@ -463,8 +476,14 @@ fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     let mut m = engine.into_model();
     assert_eq!(m.running_apps(), 0, "all messages must eventually deliver");
     assert!(
-        m.fabric.corrupted_deliveries() > 0,
+        m.fault_stats().corrupted > 0,
         "a 20% corruption rate must have fired"
+    );
+    assert!(
+        m.trace
+            .events()
+            .any(|e| e.label.as_str() == "fault:corrupt-ctl-drop"),
+        "a corrupted control message must have been dropped"
     );
     assert!(
         m.nodes[1].chip.rx_dma.crc_failures() > 0,
@@ -481,7 +500,14 @@ fn e2e_crc_rejection_under_panic_policy_loses_messages() {
     // Without the recovery protocol, a rejected payload is simply gone —
     // the §4.3 state of the world.
     let mut config = MachineConfig::paper_pair();
-    config.fabric.link.e2e_error_prob = 0.3;
+    config.faults = FaultPlan {
+        seed: config.seed,
+        link: LinkFaults {
+            corrupt_prob: 0.3,
+            ..LinkFaults::NONE
+        },
+        ..FaultPlan::none()
+    };
     config.exhaustion = ExhaustionPolicy::Panic;
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     m.spawn(
