@@ -171,10 +171,10 @@ impl Scenario {
         let name = format!("{}@par{workers}", self.name);
 
         let mut m = self.build_machine();
-        // Routed through the config flag so the shards created by
-        // `Machine::split` inherit enabled sinks. The link series ride
+        // The setter writes the config flag too, so the shards created
+        // by `Machine::split` inherit enabled sinks. The link series ride
         // on the real fabric, which the coordinator keeps.
-        m.config.telemetry = true;
+        m.set_telemetry_enabled(true);
         m.set_causal_enabled(true);
         m.enable_link_series(xt3_telemetry::SeriesConfig::default());
         let par = xt3_node::par::run_parallel(m, workers);
@@ -288,9 +288,6 @@ pub fn e2e_scenarios() -> Vec<Scenario> {
 pub fn crc_noise_machine(seed: u64) -> Machine {
     let mut config = MachineConfig::paper_pair();
     config.seed = seed;
-    // The fabric keeps its own injection RNG; thread the seed there too
-    // or two "differently-seeded" runs would corrupt the same packets.
-    config.fabric.seed = seed;
     config.synthetic_payload = false;
     config.fabric.link.crc_error_prob = 0.25;
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
@@ -312,7 +309,8 @@ pub fn fault_scenario() -> Scenario {
         name: "e2e/fault-injection".to_string(),
         build: Box::new(|| {
             let plan = xt3_sim::FaultPlan::wire(0xFA17_5EED, 0.08);
-            let config = NetpipeConfig::quick(4096).with_faults(plan);
+            let mut config = NetpipeConfig::quick(4096);
+            config.machine = config.machine.with_faults(plan);
             let (t, k) = scenario_matrix()[0];
             build_machine(&config, t, k)
         }),

@@ -24,7 +24,7 @@ use audit::replay::{Collector, Pusher};
 use xt3_netpipe::runner::{
     build_engine, scenario_matrix, scenario_name, NetpipeConfig, TestKind, Transport,
 };
-use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
+use xt3_node::config::{MachineConfig, NodeSpec};
 use xt3_node::Machine;
 use xt3_portals::types::ProcessId;
 use xt3_sim::{Engine, FaultPlan, FaultStats, FwFaultKind, RunOutcome, SimTime, TimeWindow};
@@ -206,9 +206,9 @@ fn run_cell(config: &CampaignConfig, cell: &SweepCell) -> ScenarioReport {
         rate,
         plan_seed,
     } = *cell;
-    let mut np =
-        NetpipeConfig::quick(config.max_size).with_faults(FaultPlan::wire(plan_seed, rate));
-    np.telemetry = config.telemetry;
+    let mut np = NetpipeConfig::quick(config.max_size);
+    np.machine = np.machine.with_faults(FaultPlan::wire(plan_seed, rate));
+    np.machine.telemetry = config.telemetry;
     replayed(|| {
         let name = scenario_name(t, k);
         run_faulted(&name, rate, build_engine(&np, t, k), |m, elapsed| {
@@ -362,11 +362,10 @@ pub fn run_traffic_faults(config: &CampaignConfig) -> Vec<ScenarioReport> {
     let patterns = [TrafficPattern::Incast, TrafficPattern::AllToAll];
     let run_one = |pattern: TrafficPattern, rate: f64, plan_seed: u64| -> ScenarioReport {
         let name = format!("traffic/{}", pattern.name());
-        let mut mc = MachineConfig::paper(dims);
+        let mut mc = MachineConfig::paper(dims)
+            .with_faults(with_interrupt_spike(FaultPlan::wire(plan_seed, rate)));
         mc.seed = plan_seed;
         mc.synthetic_payload = false;
-        mc.exhaustion = ExhaustionPolicy::GoBackN;
-        mc.faults = with_interrupt_spike(FaultPlan::wire(plan_seed, rate));
         let engine = traffic_machine_cfg(pattern, mc, ROUNDS, MSG).into_engine();
         run_faulted(&name, rate, engine, |m, _| {
             let pstats = pattern_stats(m);
@@ -415,16 +414,16 @@ pub struct IntegrityReport {
 /// exact.
 pub fn run_payload_integrity(seed: u64, rate: f64) -> IntegrityReport {
     const COUNT: u32 = 24;
-    let mut config = MachineConfig::paper_pair();
-    config.synthetic_payload = false;
-    config.exhaustion = ExhaustionPolicy::GoBackN;
-    config.faults = with_interrupt_spike(FaultPlan::wire(seed, rate).with_sram_pulse(
-        Some(1),
-        TimeWindow {
-            start: SimTime::from_us(30),
-            end: SimTime::from_us(60),
-        },
+    let mut config = MachineConfig::paper_pair().with_faults(with_interrupt_spike(
+        FaultPlan::wire(seed, rate).with_sram_pulse(
+            Some(1),
+            TimeWindow {
+                start: SimTime::from_us(30),
+                end: SimTime::from_us(60),
+            },
+        ),
     ));
+    config.synthetic_payload = false;
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     m.spawn(
         0,
@@ -478,11 +477,10 @@ pub struct IsolationReport {
 /// rather than drained.
 pub fn run_isolation(seed: u64) -> IsolationReport {
     const PER_SENDER: u32 = 3;
-    let mut config = MachineConfig::paper(Dims::mesh(5, 1, 1));
+    let mut config = MachineConfig::paper(Dims::mesh(5, 1, 1)).with_faults(
+        FaultPlan::wire(seed, 0.0).with_fw_event(2, SimTime::from_us(1), FwFaultKind::Fault),
+    );
     config.seed = seed;
-    config.exhaustion = ExhaustionPolicy::GoBackN;
-    config.faults =
-        FaultPlan::wire(seed, 0.0).with_fw_event(2, SimTime::from_us(1), FwFaultKind::Fault);
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     for nid in 1..5 {
         m.spawn(

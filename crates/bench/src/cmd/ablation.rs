@@ -4,6 +4,7 @@ use xt3_mpi::Personality;
 use xt3_netpipe::mpi::MpiPattern;
 use xt3_netpipe::runner::{latency_curve, run_mpi, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
+use xt3_node::config::MachineConfig;
 use xt3_seastar::cost::CostModel;
 use xt3_sim::SimTime;
 
@@ -11,12 +12,14 @@ use crate::cli::{positive, Args, CmdResult};
 use crate::parallel::run_indexed;
 use crate::stopwatch;
 
-/// Latency at the first size of a put ping-pong over `schedule` under `cost`.
-pub fn put_latency(schedule: Schedule, accelerated: bool, cost: CostModel) -> f64 {
-    let mut c = NetpipeConfig::paper_latency();
-    c.schedule = schedule;
-    c.accelerated = accelerated;
-    c.cost = cost;
+/// Latency at the first size of a put ping-pong over `schedule` on
+/// `machine`.
+pub fn put_latency(schedule: Schedule, accelerated: bool, machine: MachineConfig) -> f64 {
+    let c = NetpipeConfig {
+        schedule,
+        accelerated,
+        machine,
+    };
     latency_curve(&c, Transport::Put, TestKind::PingPong).points[0].y
 }
 
@@ -83,9 +86,12 @@ pub fn ppc(args: Args) -> CmdResult {
         "fw scale", "generic (us)", "accelerated (us)", "accel wins?"
     );
     for scale in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
-        let cost = CostModel::paper().with_fw_scale(scale);
-        let g = put_latency(Schedule::standard(4, 0), false, cost);
-        let a = put_latency(Schedule::standard(4, 0), true, cost);
+        let machine = MachineConfig {
+            cost: CostModel::paper().with_fw_scale(scale),
+            ..MachineConfig::paper_pair()
+        };
+        let g = put_latency(Schedule::standard(4, 0), false, machine.clone());
+        let a = put_latency(Schedule::standard(4, 0), true, machine);
         println!(
             "{scale:>10.1} {g:>14.3} {a:>16.3} {:>12}",
             if a < g { "yes" } else { "NO" }
@@ -122,10 +128,12 @@ pub fn sweep(mut args: Args) -> CmdResult {
     // through the grid on this machine.
     let (grid, seconds) = stopwatch::time(|| {
         run_indexed(cells, |&(int_ns, piggy)| {
-            let cost = CostModel::paper()
-                .with_interrupt_cost(SimTime::from_ns(int_ns))
-                .with_piggyback_max(piggy);
-            put_latency(Schedule::fixed(size, 30), false, cost)
+            let mut machine = MachineConfig {
+                cost: CostModel::paper().with_interrupt_cost(SimTime::from_ns(int_ns)),
+                ..MachineConfig::paper_pair()
+            };
+            machine.fabric.link = machine.fabric.link.with_piggyback_max(piggy);
+            put_latency(Schedule::fixed(size, 30), false, machine)
         })
     });
 

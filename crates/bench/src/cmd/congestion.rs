@@ -99,16 +99,20 @@ fn build(pattern: TrafficPattern, sweep: Sweep) -> Machine {
     m
 }
 
-fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> ObservedRun {
+/// `Ok` if `holds`, else the failure naming `pattern` and `identity`.
+fn fence(holds: bool, pattern: &str, identity: &str) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(format!("{pattern}: {identity}"))
+    }
+}
+
+fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, String> {
     let top_k = sweep.top_k;
     let mut engine = build(pattern, sweep).into_engine();
     let outcome = engine.run();
-    assert_eq!(
-        outcome,
-        RunOutcome::Drained,
-        "{}: must drain",
-        pattern.name()
-    );
+    fence(outcome == RunOutcome::Drained, pattern.name(), "must drain")?;
     let digest = engine.digest();
     let fingerprint = engine.state_fingerprint();
     let elapsed = engine.now();
@@ -130,7 +134,7 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> ObservedRun {
         .telemetry()
         .perfetto_json_full(Some(m.causal()), m.link_series());
     let stats = pattern_stats(&mut m);
-    ObservedRun {
+    Ok(ObservedRun {
         digest,
         fingerprint,
         elapsed,
@@ -141,103 +145,117 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> ObservedRun {
         occ_dropped,
         perfetto,
         stats,
-    }
+    })
+}
+
+/// Every expected put arrived, uncorrupted, with the exact provenance
+/// header sum.
+fn check_arrivals(
+    pattern: TrafficPattern,
+    sweep: Sweep,
+    stats: &PatternStats,
+) -> Result<(), String> {
+    let Sweep { dims, rounds, .. } = sweep;
+    let name = pattern.name();
+    fence(stats.outstanding == 0, name, "missing arrivals")?;
+    fence(!stats.corrupt, name, "payload corruption")?;
+    let seed = xt3_node::config::MachineConfig::paper(dims).seed;
+    fence(
+        stats.hdr_sum == expected_hdr_sum(pattern, dims, rounds, seed),
+        name,
+        "provenance sum mismatch",
+    )
 }
 
 /// Run the pattern serially (twice) and in parallel, enforce every
 /// identity, and return the verified primary run.
-fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> ObservedRun {
-    let Sweep { dims, rounds, .. } = sweep;
+fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, String> {
     let top_k = sweep.top_k;
     let name = pattern.name();
-    let run = run_serial(pattern, sweep);
+    let run = run_serial(pattern, sweep)?;
 
     // Accounting fences on the primary run.
-    assert_eq!(run.occ_dropped, 0, "{name}: occupancy log overflowed");
+    fence(run.occ_dropped == 0, name, "occupancy log overflowed")?;
     match &run.causal {
         Ok((causal, residual)) => {
-            assert_eq!(*residual, 0, "{name}: attribution residual must be zero");
-            assert_same_table(
+            fence(*residual == 0, name, "attribution residual must be zero")?;
+            same_table(
                 causal,
                 &run.table,
                 &format!("{name}: series-derived table must reproduce the causal-derived one"),
-            );
+            )?;
         }
         Err(e @ CritPathError::Truncated { .. }) => println!(
             "{e}\n{name}: the table below is the series-derived one; \
              zero residual and occupancy == causal were not checked"
         ),
-        Err(e) => panic!("{name}: causal DAG is malformed: {e}"),
+        Err(e) => return Err(format!("{name}: causal DAG is malformed: {e}")),
     }
-    assert_eq!(run.stats.outstanding, 0, "{name}: missing arrivals");
-    assert!(!run.stats.corrupt, "{name}: payload corruption");
-    let seed = xt3_node::config::MachineConfig::paper(dims).seed;
-    assert_eq!(
-        run.stats.hdr_sum,
-        expected_hdr_sum(pattern, dims, rounds, seed),
-        "{name}: provenance sum mismatch"
-    );
+    check_arrivals(pattern, sweep, &run.stats)?;
 
     // Repeat serial run: everything byte-identical.
-    let rerun = run_serial(pattern, sweep);
-    assert_eq!(run.digest, rerun.digest, "{name}: repeat digest");
-    assert_eq!(
-        run.fingerprint, rerun.fingerprint,
-        "{name}: repeat fingerprint"
-    );
-    assert_eq!(
-        run.series_json, rerun.series_json,
-        "{name}: repeat series JSON"
-    );
-    assert_same_table(
+    let rerun = run_serial(pattern, sweep)?;
+    fence(run.digest == rerun.digest, name, "repeat digest")?;
+    fence(
+        run.fingerprint == rerun.fingerprint,
+        name,
+        "repeat fingerprint",
+    )?;
+    fence(
+        run.series_json == rerun.series_json,
+        name,
+        "repeat series JSON",
+    )?;
+    same_table(
         &run.table,
         &rerun.table,
         &format!("{name}: repeat attribution table"),
-    );
+    )?;
 
     // Parallel run: the coordinator owns the real fabric, so the series
     // — and the series-derived attribution table — must come back byte
     // for byte. Digest and fingerprint pin everything else.
     let par = run_parallel(build(pattern, sweep), 2);
-    assert_eq!(par.digest, run.digest, "{name}: parallel digest");
-    assert_eq!(
-        par.state_fingerprint, run.fingerprint,
-        "{name}: parallel fingerprint"
-    );
+    fence(par.digest == run.digest, name, "parallel digest")?;
+    fence(
+        par.state_fingerprint == run.fingerprint,
+        name,
+        "parallel fingerprint",
+    )?;
     let par_series = par.machine.link_series().expect("series survive merge");
-    assert_eq!(
-        par_series.to_json(),
-        run.series_json,
-        "{name}: parallel series JSON"
-    );
+    fence(
+        par_series.to_json() == run.series_json,
+        name,
+        "parallel series JSON",
+    )?;
     let mut par_occ = attribute_occupancy(par_series, top_k, 4);
     par_occ.canonicalize();
-    assert_same_table(
+    same_table(
         &run.table,
         &par_occ,
         &format!("{name}: parallel attribution table"),
-    );
+    )?;
 
-    run
+    Ok(run)
 }
 
 /// Two attribution tables that must be the same table. On a contended
 /// machine one renders to hundreds of megabytes, so a mismatch reports
 /// the row counts and the first differing row, never both tables.
-fn assert_same_table(a: &CongestionTable, b: &CongestionTable, what: &str) {
+fn same_table(a: &CongestionTable, b: &CongestionTable, what: &str) -> Result<(), String> {
     if a == b {
-        return;
+        return Ok(());
     }
     let first = a.rows.iter().zip(&b.rows).position(|(x, y)| x != y);
-    match first {
-        Some(at) => panic!(
+    Err(match first {
+        Some(at) => format!(
             "{what}: {} vs {} rows, first difference at row {at}:\n  {:?}\n  {:?}",
             a.rows.len(),
             b.rows.len(),
             a.rows[at],
             b.rows[at]
         ),
-        None => panic!(
+        None => format!(
             "{what}: {} vs {} rows, equal up to the shorter; total lost {} vs {} ps, \
              bucket {} vs {} ps, hotspots {}",
             a.rows.len(),
@@ -252,7 +270,7 @@ fn assert_same_table(a: &CongestionTable, b: &CongestionTable, what: &str) {
                 "differ"
             }
         ),
-    }
+    })
 }
 
 fn mesh(text: &str) -> Option<Dims> {
@@ -286,7 +304,7 @@ pub fn run(mut args: Args) -> CmdResult {
     for pattern in TrafficPattern::ALL {
         println!();
         println!("=== {} ===", pattern.name());
-        let run = run_pattern(pattern, sweep);
+        let run = run_pattern(pattern, sweep)?;
         print_pattern(&run);
         if let (TrafficPattern::Incast, Some(path)) = (pattern, &trace) {
             write_file(path, &run.perfetto)?;
@@ -426,4 +444,25 @@ fn render(
     }
     w.end().end();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_arrival_fails_the_run_without_a_panic() {
+        let sweep = Sweep {
+            dims: Dims::mesh(2, 1, 1),
+            rounds: 1,
+            msg: 64,
+            top_k: 1,
+        };
+        let stats = PatternStats {
+            outstanding: 1,
+            ..PatternStats::default()
+        };
+        let err = check_arrivals(TrafficPattern::AllToAll, sweep, &stats).unwrap_err();
+        assert_eq!(err, "alltoall: missing arrivals");
+    }
 }

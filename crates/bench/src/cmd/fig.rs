@@ -133,8 +133,11 @@ pub fn accel(args: Args) -> CmdResult {
     println!("Interrupt-cost sweep (generic mode, 1-byte put):");
     println!("{:>16} {:>14}", "interrupt (us)", "latency (us)");
     for int_ns in [0u64, 500, 1000, 2000, 3000, 4000] {
-        let cost = CostModel::paper().with_interrupt_cost(SimTime::from_ns(int_ns));
-        let lat = put_latency(Schedule::standard(4, 0), false, cost);
+        let machine = MachineConfig {
+            cost: CostModel::paper().with_interrupt_cost(SimTime::from_ns(int_ns)),
+            ..MachineConfig::paper_pair()
+        };
+        let lat = put_latency(Schedule::standard(4, 0), false, machine);
         println!("{:>16.1} {lat:>14.3}", int_ns as f64 / 1000.0);
     }
 
@@ -146,7 +149,7 @@ pub fn accel(args: Args) -> CmdResult {
         c.schedule = Schedule {
             points: [8, 32].map(|size| SizePoint { size, reps: 30 }).to_vec(),
         };
-        c.cost = CostModel::paper().with_piggyback_max(limit);
+        c.machine.fabric.link = c.machine.fabric.link.with_piggyback_max(limit);
         let s = latency_curve(&c, Transport::Put, TestKind::PingPong);
         println!(
             "{limit:>12} {:>12.3} {:>12.3}",

@@ -169,7 +169,7 @@ pub fn requirements(args: Args) -> CmdResult {
     // diameter (the benchmark pair is adjacent; hops are additive).
     let dims = full_machine();
     let extra_hops = RoutingTable::build(dims).diameter().saturating_sub(1);
-    let hop_us = lat_cfg.cost.wire_hop_latency.as_us_f64();
+    let hop_us = lat_cfg.machine.fabric.link.hop_latency.as_us_f64();
     let mpi_far = mpi_near + extra_hops as f64 * hop_us;
 
     // Sustained per-direction node bandwidth (uni-directional put peak).

@@ -38,7 +38,6 @@ pub fn torus512_alltoall() -> Machine {
 /// digest-neutral.
 pub fn observe(m: &mut Machine, registry: bool, causal: bool, series: Option<SeriesConfig>) {
     if registry {
-        m.config.telemetry = true;
         m.set_telemetry_enabled(true);
     }
     m.set_causal_enabled(causal);

@@ -448,8 +448,9 @@ pub struct RmaWorkloadConfig {
     pub real_payload: bool,
     /// Enable the telemetry sink.
     pub telemetry: bool,
-    /// Deterministic fault plan; when active the machine switches to
-    /// `ExhaustionPolicy::GoBackN` so losses are recovered.
+    /// Deterministic fault plan, handed to
+    /// [`MachineConfig::with_faults`]: an active plan runs under
+    /// go-back-n, so losses are recovered.
     pub faults: FaultPlan,
 }
 
@@ -487,13 +488,9 @@ impl RmaWorkloadConfig {
 }
 
 fn workload_machine(cfg: &RmaWorkloadConfig, dims: Dims) -> Machine {
-    let mut mc = MachineConfig::paper(dims);
+    let mut mc = MachineConfig::paper(dims).with_faults(cfg.faults.clone());
     mc.synthetic_payload = !cfg.real_payload;
     mc.telemetry = cfg.telemetry;
-    if cfg.faults.is_active() {
-        mc.faults = cfg.faults.clone();
-        mc.exhaustion = xt3_node::config::ExhaustionPolicy::GoBackN;
-    }
     let spec = NodeSpec {
         os: OsKind::Catamount,
         procs: vec![ProcSpec {

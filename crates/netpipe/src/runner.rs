@@ -8,7 +8,6 @@ use crate::schedule::Schedule;
 use xt3_mpi::Personality;
 use xt3_node::config::{MachineConfig, NodeSpec, ProcSpec};
 use xt3_node::Machine;
-use xt3_seastar::cost::CostModel;
 use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::TelemetryReport;
 
@@ -56,19 +55,12 @@ pub enum TestKind {
 pub struct NetpipeConfig {
     /// The size sweep.
     pub schedule: Schedule,
-    /// The cost model (defaults to the paper calibration).
-    pub cost: CostModel,
     /// Run the accelerated-mode ablation instead of generic mode.
     pub accelerated: bool,
-    /// Carry real payload bytes (slow; for validation runs).
-    pub real_payload: bool,
-    /// Enable the cross-layer telemetry sink (occupancy spans, counters,
-    /// Perfetto export). Digest-neutral: results are identical either way.
-    pub telemetry: bool,
-    /// Deterministic fault-injection plan (inactive by default). An
-    /// active plan flips the machine to `ExhaustionPolicy::GoBackN` so
-    /// injected losses are recovered instead of panicking nodes.
-    pub faults: xt3_sim::FaultPlan,
+    /// The two-node machine the curve runs on: cost model, link, payload
+    /// mode, telemetry and fault plan (set with
+    /// [`MachineConfig::with_faults`]).
+    pub machine: MachineConfig,
 }
 
 impl NetpipeConfig {
@@ -76,11 +68,8 @@ impl NetpipeConfig {
     pub fn paper() -> Self {
         NetpipeConfig {
             schedule: Schedule::paper(),
-            cost: CostModel::paper(),
             accelerated: false,
-            real_payload: false,
-            telemetry: false,
-            faults: xt3_sim::FaultPlan::none(),
+            machine: MachineConfig::paper_pair(),
         }
     }
 
@@ -98,18 +87,6 @@ impl NetpipeConfig {
             schedule: Schedule::quick(max_size),
             ..Self::paper()
         }
-    }
-
-    /// Replace the fault plan (builder style).
-    pub fn with_faults(mut self, faults: xt3_sim::FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Enable telemetry (builder style).
-    pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = true;
-        self
     }
 }
 
@@ -146,20 +123,13 @@ pub fn scenario_name(transport: Transport, kind: TestKind) -> String {
 }
 
 fn machine_for(config: &NetpipeConfig, mem_bytes: u64) -> Machine {
-    let mut mc = MachineConfig::paper_pair().with_cost(config.cost);
-    mc.synthetic_payload = !config.real_payload;
-    mc.telemetry = config.telemetry;
-    if config.faults.is_active() {
-        mc.faults = config.faults.clone();
-        mc.exhaustion = xt3_node::config::ExhaustionPolicy::GoBackN;
-    }
     let proc = ProcSpec {
         accelerated: config.accelerated,
         mem_bytes: mem_bytes as usize,
         ..ProcSpec::catamount_generic()
     };
     Machine::new(
-        mc,
+        config.machine.clone(),
         &[NodeSpec {
             os: xt3_node::config::OsKind::Catamount,
             procs: vec![proc],
@@ -378,11 +348,11 @@ pub fn run_instrumented(
     kind: TestKind,
 ) -> InstrumentedRun {
     let mut cfg = config.clone();
-    cfg.telemetry = true;
+    cfg.machine.telemetry = true;
     let machine = build_machine(&cfg, transport, kind);
     let (mut m, elapsed) = run_to_end(machine, (transport, kind));
     let report = m.telemetry_report(&scenario_name(transport, kind), elapsed);
-    let perfetto = m.telemetry().perfetto_json();
+    let perfetto = m.telemetry().perfetto_json_full(None, None);
     let rounds = extract_rounds(&mut m, transport, kind);
     InstrumentedRun {
         rounds,
@@ -421,13 +391,13 @@ pub fn run_explained(
     kind: TestKind,
 ) -> Result<ExplainedRun, xt3_telemetry::CritPathError> {
     let mut cfg = config.clone();
-    cfg.telemetry = true;
+    cfg.machine.telemetry = true;
     let mut machine = build_machine(&cfg, transport, kind);
     machine.set_causal_enabled(true);
     let (mut m, _) = run_to_end(machine, (transport, kind));
     let chains = xt3_telemetry::extract_chains(m.causal())?;
     let hops = xt3_telemetry::hop_stalls(&chains, m.causal())?;
-    let perfetto = m.telemetry().perfetto_json_with_causal(m.causal());
+    let perfetto = m.telemetry().perfetto_json_full(Some(m.causal()), None);
     let rounds = extract_rounds(&mut m, transport, kind);
     Ok(ExplainedRun {
         rounds,

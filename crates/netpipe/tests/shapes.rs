@@ -240,9 +240,9 @@ fn interrupt_cost_ablation_moves_latency() {
     use xt3_seastar::cost::CostModel;
     use xt3_sim::SimTime;
     let mut cheap = small_config();
-    cheap.cost = CostModel::paper().with_interrupt_cost(SimTime::from_ns(500));
+    cheap.machine.cost = CostModel::paper().with_interrupt_cost(SimTime::from_ns(500));
     let mut dear = small_config();
-    dear.cost = CostModel::paper().with_interrupt_cost(SimTime::from_ns(4000));
+    dear.machine.cost = CostModel::paper().with_interrupt_cost(SimTime::from_ns(4000));
     let c = latency_curve(&cheap, Transport::Put, TestKind::PingPong).points[0].y;
     let d = latency_curve(&dear, Transport::Put, TestKind::PingPong).points[0].y;
     // One interrupt on the piggyback path: the delta should be near the

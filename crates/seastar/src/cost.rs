@@ -1,10 +1,12 @@
-//! The platform cost model: every timing constant in one place.
+//! The platform cost model: every host, firmware and HyperTransport
+//! timing constant in one place. The wire constants (link bandwidth, hop
+//! latency, packet size, the §6 piggyback limit) live in
+//! `xt3_topology::link::LinkConfig`, their one home.
 //!
 //! Constants come in two classes:
 //!
 //! 1. **Published** — taken verbatim from the paper (trap cost, interrupt
-//!    cost, link bandwidth, packet size, clock rates). These are cited
-//!    inline.
+//!    cost, clock rates). These are cited inline.
 //! 2. **Calibrated** — not published (host matching cost, firmware handler
 //!    costs, HyperTransport transaction latencies). These were fitted
 //!    *once* so the four headline NetPIPE numbers match (§6: put 5.39 µs,
@@ -16,7 +18,8 @@
 use serde::{Deserialize, Serialize};
 use xt3_sim::{Bandwidth, SimTime};
 
-/// All timing constants of the simulated platform.
+/// The host, firmware and HyperTransport timing constants of the
+/// simulated platform.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CostModel {
     // ----- Host (AMD Opteron, 2.0 GHz; paper §5.1) -----
@@ -100,18 +103,6 @@ pub struct CostModel {
     /// below 2 x 1108.76; the outgoing read overlaps the incoming write
     /// for roughly half its duration).
     pub ht_duplex_penalty: f64,
-
-    // ----- Wire (modeled in xt3-topology; published in §2) -----
-    /// Router hop latency. The XT3 requirement of 2 µs nearest-neighbor /
-    /// 5 µs cross-machine MPI latency implies tens of ns per hop.
-    pub wire_hop_latency: SimTime,
-    /// Link payload bandwidth per direction. Published: 2.5 GB/s (§2).
-    pub wire_link_bw: Bandwidth,
-    /// Router packet size. Published: 64 bytes (§2).
-    pub wire_packet_bytes: u32,
-    /// User payload that fits in the header packet. Published: 12 bytes
-    /// (§6).
-    pub piggyback_max: u32,
 }
 
 impl CostModel {
@@ -141,17 +132,11 @@ impl CostModel {
             ht_tx_payload: Bandwidth::from_mb_per_sec(1109.93),
             ht_rx_payload: Bandwidth::from_gb_per_sec(2.2),
             ht_duplex_penalty: 0.016,
-
-            wire_hop_latency: SimTime::from_ns(50),
-            wire_link_bw: Bandwidth::from_gb_per_sec(2.5),
-            wire_packet_bytes: 64,
-            piggyback_max: 12,
         }
     }
 
     /// An idealized model with free host processing and no interrupts —
-    /// used by unit tests that check protocol *logic* rather than timing,
-    /// and as the lower-bound curve in ablations.
+    /// used by tests that check protocol *logic* rather than timing.
     pub fn ideal() -> Self {
         let zero = SimTime::ZERO;
         CostModel {
@@ -176,10 +161,6 @@ impl CostModel {
             ht_tx_payload: Bandwidth::from_gb_per_sec(2.8),
             ht_rx_payload: Bandwidth::from_gb_per_sec(2.8),
             ht_duplex_penalty: 0.0,
-            wire_hop_latency: zero,
-            wire_link_bw: Bandwidth::from_gb_per_sec(2.5),
-            wire_packet_bytes: 64,
-            piggyback_max: 12,
         }
     }
 
@@ -189,19 +170,6 @@ impl CostModel {
     pub fn with_interrupt_cost(mut self, cost: SimTime) -> Self {
         self.host_interrupt = cost;
         self
-    }
-
-    /// Paper model with a different piggyback threshold (ablation for the
-    /// 12-byte optimization, §6).
-    pub fn with_piggyback_max(mut self, bytes: u32) -> Self {
-        self.piggyback_max = bytes;
-        self
-    }
-
-    /// Whether a payload of `bytes` rides in the header packet: the one
-    /// rule the send side, the receive side and the firmware share.
-    pub fn piggybacks(&self, bytes: u64) -> bool {
-        bytes <= u64::from(self.piggyback_max)
     }
 
     /// Scale every firmware (PPC 440) handler cost by `factor` — the
@@ -237,9 +205,6 @@ mod tests {
         let m = CostModel::paper();
         assert_eq!(m.host_trap, SimTime::from_ns(75));
         assert_eq!(m.host_interrupt, SimTime::from_us(2));
-        assert_eq!(m.wire_packet_bytes, 64);
-        assert_eq!(m.piggyback_max, 12);
-        assert!((m.wire_link_bw.mb_per_sec() - 2500.0).abs() < 1e-9);
         assert!(
             m.ht_read_latency > m.ht_write_latency,
             "reads are round trips"
@@ -261,8 +226,6 @@ mod tests {
     fn ablation_builders() {
         let m = CostModel::paper().with_interrupt_cost(SimTime::ZERO);
         assert_eq!(m.host_interrupt, SimTime::ZERO);
-        let m = CostModel::paper().with_piggyback_max(0);
-        assert_eq!(m.piggyback_max, 0);
     }
 
     #[test]

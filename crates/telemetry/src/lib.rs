@@ -19,7 +19,7 @@
 //! * [`Telemetry`] — the registry: monotonic counters, gauges that keep
 //!   high-water marks, log-bucketed latency histograms (reusing
 //!   `xt3_sim::Histogram`), and per-`(node, component)` occupancy spans.
-//! * Exporters — [`Telemetry::perfetto_json`] writes a Chrome
+//! * Exporters — [`Telemetry::perfetto_json_full`] writes a Chrome
 //!   trace-event / Perfetto JSON file (one track per component per node),
 //!   and [`TelemetryReport`] is the machine-readable summary the NetPIPE
 //!   runner and bench campaign attach to their results.

@@ -68,33 +68,18 @@ impl Telemetry {
     ///
     /// Timestamps are microseconds (the format's unit); sub-microsecond
     /// spans keep fractional precision so back-to-back firmware handlers
-    /// stay distinguishable.
-    pub fn perfetto_json(&self) -> String {
-        self.render(None, None)
-    }
-
-    /// Like [`Telemetry::perfetto_json`], but also renders `causal`'s
-    /// checkpoint records on a per-node "causal" track and links each
-    /// message's checkpoints with flow arrows, so a NetPIPE round trip
-    /// reads as one arrow chain from the sender's API entry to the
-    /// receiver's EQ delivery.
-    pub fn perfetto_json_with_causal(&self, causal: &CausalLog) -> String {
-        self.render(Some(causal), None)
-    }
-
-    /// Full export: spans, optional causal flows, and — when `series`
-    /// is given — native Perfetto counter tracks (`"C"` events) for
-    /// every touched link (utilization %, queue depth, HOL stall per
-    /// bucket) and each node's injection rate.
+    /// stay distinguishable. With `causal`, its checkpoint records go on
+    /// a per-node "causal" track and each message's checkpoints are
+    /// linked with flow arrows, so a NetPIPE round trip reads as one
+    /// arrow chain from the sender's API entry to the receiver's EQ
+    /// delivery. With `series`, every touched link gets native Perfetto
+    /// counter tracks (`"C"` events: utilization %, queue depth, HOL
+    /// stall per bucket) and each node its injection rate.
     pub fn perfetto_json_full(
         &self,
         causal: Option<&CausalLog>,
         series: Option<&SeriesSet>,
     ) -> String {
-        self.render(causal, series)
-    }
-
-    fn render(&self, causal: Option<&CausalLog>, series: Option<&SeriesSet>) -> String {
         let mut out = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [");
         let mut first = true;
 
@@ -292,7 +277,7 @@ mod tests {
             SimTime::from_ns(100),
             SimTime::from_ns(200),
         );
-        let doc = t.perfetto_json();
+        let doc = t.perfetto_json_full(None, None);
         let v = parse(&doc).expect("perfetto JSON parses");
         let events = v
             .get("traceEvents")
@@ -312,7 +297,7 @@ mod tests {
     fn tracks_carry_sort_indices() {
         let mut t = Telemetry::enabled();
         t.span(0, Component::RxDma, "rx", SimTime::ZERO, SimTime::NS);
-        let doc = t.perfetto_json();
+        let doc = t.perfetto_json_full(None, None);
         let v = parse(&doc).expect("parses");
         let events = v
             .get("traceEvents")
@@ -340,7 +325,7 @@ mod tests {
         let id = TraceId(42);
         let a = log.record(id, CausalStage::ApiEntry, SimTime::from_ns(10), 0, None, 8);
         log.record(id, CausalStage::AppDeliver, SimTime::from_ns(500), 1, a, 1);
-        let doc = t.perfetto_json_with_causal(&log);
+        let doc = t.perfetto_json_full(Some(&log), None);
         let v = parse(&doc).expect("parses");
         let events = v
             .get("traceEvents")
@@ -419,7 +404,7 @@ mod tests {
     #[test]
     fn empty_recorder_exports_valid_document() {
         let t = Telemetry::enabled();
-        let v = parse(&t.perfetto_json()).expect("parses");
+        let v = parse(&t.perfetto_json_full(None, None)).expect("parses");
         assert_eq!(
             v.get("traceEvents")
                 .and_then(|e| e.as_array().map(<[_]>::len)),

@@ -21,38 +21,31 @@ use xt3_sim::{linkhop_info, CausalLog, CausalStage, SimRng, SimTime, TraceId};
 use xt3_telemetry::{Component, NullSink, Occupancy, SeriesConfig, SeriesSet, TelemetrySink};
 
 /// Fabric-wide configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct FabricConfig {
     /// Per-link parameters.
     pub link: LinkConfig,
-    /// Latency for a message from a node to itself (loopback through the
-    /// NIC without entering the network).
-    pub loopback_latency: SimTime,
-    /// RNG seed for CRC error injection.
-    pub seed: u64,
 }
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            link: LinkConfig::default(),
-            loopback_latency: SimTime::from_ns(100),
-            seed: 0x5EA5_7A12,
-        }
-    }
-}
+/// Latency for a message from a node to itself (loopback through the
+/// NIC without entering the network).
+pub const LOOPBACK_LATENCY: SimTime = SimTime::from_ns(100);
+
+/// CRC-retry RNG seed of a fabric built by [`Fabric::new`]; a machine
+/// seeds its fabric from its own seed ([`Fabric::seeded`]).
+const STANDALONE_SEED: u64 = 0x5EA5_7A12;
 
 impl FabricConfig {
     /// The minimum simulated time between a message being injected and
     /// *any* resulting event on another queue: the conservative
     /// lookahead a parallel time-window scheduler may use. A loopback
-    /// arrives after `loopback_latency`; a network message's header
+    /// arrives after [`LOOPBACK_LATENCY`]; a network message's header
     /// cannot arrive before one hop of wire latency plus the
     /// serialization of its header packet (head-of-line stalls, extra
     /// hops and fault-injected delays only push it later).
     pub fn min_lookahead(&self) -> SimTime {
         let network = self.link.hop_latency + self.link.serialization_time(1);
-        self.loopback_latency.min(network)
+        LOOPBACK_LATENCY.min(network)
     }
 }
 
@@ -137,15 +130,22 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a fabric for `dims` with the given configuration.
+    /// Build a fabric for `dims` with the given configuration and a
+    /// fixed CRC-retry seed.
     pub fn new(dims: Dims, config: FabricConfig) -> Self {
+        Self::seeded(dims, config, STANDALONE_SEED)
+    }
+
+    /// [`Fabric::new`] with CRC retries drawn from `seed`. The RNG draws
+    /// only while `crc_error_prob > 0`.
+    pub fn seeded(dims: Dims, config: FabricConfig, seed: u64) -> Self {
         let routes = RoutingTable::build(dims);
         let links = (0..dims.node_count()).map(|_| Default::default()).collect();
         Fabric {
             config,
             routes,
             links,
-            rng: SimRng::new(config.seed),
+            rng: SimRng::new(seed),
             messages_sent: 0,
             bytes_sent: 0,
             series: None,
@@ -211,7 +211,7 @@ impl Fabric {
         }
 
         if msg.src == msg.dst {
-            let at = inject_at + self.config.loopback_latency;
+            let at = inject_at + LOOPBACK_LATENCY;
             return DeliveredMsg {
                 msg,
                 header_at: at,

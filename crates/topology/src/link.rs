@@ -26,9 +26,10 @@ pub struct LinkConfig {
     /// retried. Zero for calibrated benchmark runs; non-zero in fault
     /// injection tests.
     pub crc_error_prob: f64,
-    /// Extra link occupancy per retried packet (turnaround + resend).
-    pub retry_cost: SimTime,
 }
+
+/// Link turnaround per CRC-retried packet, on top of resending it.
+pub const RETRY_TURNAROUND: SimTime = SimTime::from_ns(200);
 
 impl Default for LinkConfig {
     fn default() -> Self {
@@ -38,17 +39,30 @@ impl Default for LinkConfig {
             packet_bytes: 64,
             header_piggyback_max: 12,
             crc_error_prob: 0.0,
-            retry_cost: SimTime::from_ns(200),
         }
     }
 }
 
 impl LinkConfig {
+    /// The same link with a different piggyback limit (ablation for the
+    /// 12-byte optimization, §6).
+    pub fn with_piggyback_max(mut self, bytes: u32) -> Self {
+        self.header_piggyback_max = bytes;
+        self
+    }
+
+    /// Whether a payload of `bytes` rides in the header packet: the one
+    /// rule the fabric, the send side, the receive side and the firmware
+    /// share.
+    pub fn piggybacks(&self, bytes: u64) -> bool {
+        bytes <= u64::from(self.header_piggyback_max)
+    }
+
     /// Number of wire packets for a message with `payload` bytes of user
     /// data: one header packet (which absorbs payloads up to the piggyback
     /// limit) plus payload packets.
     pub fn packets_for(&self, payload: u64) -> u64 {
-        if payload <= self.header_piggyback_max as u64 {
+        if self.piggybacks(payload) {
             1
         } else {
             1 + payload.div_ceil(self.packet_bytes as u64)
@@ -94,7 +108,7 @@ impl Link {
             let errs = sample_packet_errors(rng, packets, cfg.crc_error_prob);
             if errs > 0 {
                 self.retries += errs;
-                occupancy += (cfg.retry_cost + cfg.serialization_time(1)).times(errs);
+                occupancy += (RETRY_TURNAROUND + cfg.serialization_time(1)).times(errs);
             }
         }
         self.packets += packets;
@@ -167,6 +181,14 @@ mod tests {
         assert_eq!(cfg.packets_for(64), 2);
         assert_eq!(cfg.packets_for(65), 3);
         assert_eq!(cfg.packets_for(8 << 20), 1 + (8u64 << 20) / 64);
+    }
+
+    #[test]
+    fn piggyback_limit_is_an_ablation_knob() {
+        let cfg = LinkConfig::default().with_piggyback_max(0);
+        assert!(cfg.piggybacks(0));
+        assert!(!cfg.piggybacks(1));
+        assert_eq!(cfg.packets_for(8), 2);
     }
 
     #[test]

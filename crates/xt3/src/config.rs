@@ -133,7 +133,7 @@ pub struct MachineConfig {
     /// RAS heartbeat interval (Figure 3's control-block heartbeat); None
     /// disables the tick.
     pub ras_heartbeat: Option<xt3_sim::SimTime>,
-    /// Base RNG seed (address-space layout, CRC injection).
+    /// Base RNG seed (address-space layout, the fabric's CRC injection).
     pub seed: u64,
     /// Enable event tracing.
     pub trace: bool,
@@ -141,9 +141,10 @@ pub struct MachineConfig {
     /// deterministic counters). Digest-neutral: simulation outcomes are
     /// bit-identical with this on or off.
     pub telemetry: bool,
-    /// Deterministic fault-injection plan (inactive by default). Active
-    /// plans pair naturally with [`ExhaustionPolicy::GoBackN`]; under
-    /// `Panic`, injected losses kill nodes exactly like real ones.
+    /// Deterministic fault-injection plan (inactive by default). Set it
+    /// with [`MachineConfig::with_faults`], which picks go-back-n for an
+    /// active plan; under `Panic`, injected losses kill nodes exactly
+    /// like real ones.
     pub faults: xt3_sim::FaultPlan,
 }
 
@@ -151,10 +152,9 @@ impl MachineConfig {
     /// The §6 benchmark configuration over `dims` with the calibrated cost
     /// model.
     pub fn paper(dims: Dims) -> Self {
-        let cost = CostModel::paper();
         MachineConfig {
             dims,
-            cost,
+            cost: CostModel::paper(),
             fabric: FabricConfig::default(),
             fw: FwConfig::default(),
             exhaustion: ExhaustionPolicy::Panic,
@@ -165,7 +165,6 @@ impl MachineConfig {
             telemetry: false,
             faults: xt3_sim::FaultPlan::none(),
         }
-        .with_cost(cost)
     }
 
     /// Two adjacent nodes — the NetPIPE configuration.
@@ -173,14 +172,15 @@ impl MachineConfig {
         Self::paper(Dims::mesh(2, 1, 1))
     }
 
-    /// Use a custom cost model, propagating the wire constants into the
-    /// fabric config.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self.fabric.link.payload_bandwidth = cost.wire_link_bw;
-        self.fabric.link.hop_latency = cost.wire_hop_latency;
-        self.fabric.link.packet_bytes = cost.wire_packet_bytes;
-        self.fabric.link.header_piggyback_max = cost.piggyback_max;
+    /// Run under fault plan `plan`. An active plan runs under
+    /// [`ExhaustionPolicy::GoBackN`], so injected losses are recovered
+    /// instead of panicking nodes; an inactive one leaves the policy as
+    /// it is.
+    pub fn with_faults(mut self, plan: xt3_sim::FaultPlan) -> Self {
+        if plan.is_active() {
+            self.exhaustion = ExhaustionPolicy::GoBackN;
+        }
+        self.faults = plan;
         self
     }
 }
@@ -199,10 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn with_cost_propagates_wire_constants() {
-        let cost = CostModel::paper().with_piggyback_max(32);
-        let c = MachineConfig::paper_pair().with_cost(cost);
-        assert_eq!(c.fabric.link.header_piggyback_max, 32);
+    fn an_active_fault_plan_runs_under_go_back_n() {
+        let quiet = MachineConfig::paper_pair().with_faults(xt3_sim::FaultPlan::none());
+        assert_eq!(quiet.exhaustion, ExhaustionPolicy::Panic);
+        let lossy = MachineConfig::paper_pair().with_faults(xt3_sim::FaultPlan::wire(1, 0.1));
+        assert_eq!(lossy.exhaustion, ExhaustionPolicy::GoBackN);
+        assert!(lossy.faults.is_active());
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl Machine {
     /// `dims.node_count()` are given).
     pub fn new(config: MachineConfig, specs: &[NodeSpec]) -> Self {
         assert!(!specs.is_empty(), "at least one node spec required");
-        let fabric = Fabric::new(config.dims, config.fabric);
+        let fabric = Fabric::seeded(config.dims, config.fabric, config.seed);
         let mut layouts = FwLayouts::default();
         let inner = (0..config.dims.node_count())
             .map(|i| {
@@ -310,10 +310,13 @@ impl Machine {
         &mut self.telemetry
     }
 
-    /// Turn the telemetry sink on or off mid-run. Digest-neutral: the
-    /// recorder only observes, so two lockstep engines differing only in
-    /// this flag produce identical digests and fingerprints.
+    /// Turn the telemetry sink on or off mid-run, and with it
+    /// `config.telemetry`, so the shards of a later `split` record too.
+    /// Digest-neutral: the recorder only observes, so two lockstep
+    /// engines differing only in this flag produce identical digests and
+    /// fingerprints.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
+        self.config.telemetry = enabled;
         self.telemetry.set_enabled(enabled);
     }
 

@@ -156,7 +156,7 @@ impl Machine {
         };
         let fw_proc = dst.fw_proc;
         let direct = matches!(msg.header.op, PortalsOp::Reply | PortalsOp::Ack);
-        let piggy = msg.piggybacked(&cm);
+        let piggy = msg.piggybacked(&self.config.fabric.link);
 
         let t = if direct {
             self.ppc_raw(node, now, cm.fw_reply_rx, "fw-reply-rx")
@@ -286,7 +286,7 @@ impl Machine {
                 let t = self.ppc_run(node, FwHandler::Completion, t);
                 self.complete_direct(q, t, node, fw_proc, pending);
             }
-            PortalsOp::Reply if self.config.cost.piggybacks(rec.data.len()) => {
+            PortalsOp::Reply if self.config.fabric.link.piggybacks(rec.data.len()) => {
                 // Payload arrived with the header: deposit and complete
                 // without any DMA program.
                 let t = self.ppc_raw(node, t, self.config.cost.fw_reply_rx, "fw-reply-rx");
@@ -438,7 +438,7 @@ impl Machine {
         pending: PendingId,
     ) -> HeaderMatch {
         let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
-        let piggy = self.config.cost.piggybacks(rec.data.len());
+        let piggy = self.config.fabric.link.piggybacks(rec.data.len());
         let (op, dst_pid, tag) = (rec.header.op, rec.header.dst.pid, rec.tag);
         let match_idx =
             self.causal

@@ -282,7 +282,7 @@ impl Machine {
         let data = std::mem::replace(&mut rec.data, WireData::Synthetic(len));
         let tag = rec.tag;
         let header = rec.header.clone();
-        let piggy = cm.piggybacks(len);
+        let piggy = self.config.fabric.link.piggybacks(len);
 
         // Payload is DMA'ed directly from host memory ("zero-copy",
         // §4.3); piggybacked payloads ride in the header write instead.

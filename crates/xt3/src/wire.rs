@@ -7,7 +7,7 @@
 use xt3_firmware::gbn::SeqNo;
 use xt3_portals::header::PortalsHeader;
 use xt3_portals::library::WireData;
-use xt3_seastar::cost::CostModel;
+use xt3_topology::link::LinkConfig;
 
 /// Control vs. data classification of a wire message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +56,8 @@ impl WireMsg {
     }
 
     /// Whether this payload fits the header-packet piggyback window.
-    pub fn piggybacked(&self, cm: &CostModel) -> bool {
-        matches!(self.kind, WireKind::Data { .. }) && cm.piggybacks(self.data.len())
+    pub fn piggybacked(&self, link: &LinkConfig) -> bool {
+        matches!(self.kind, WireKind::Data { .. }) && link.piggybacks(self.data.len())
     }
 
     /// The go-back-n sequence: `None` for an unsequenced data message and
@@ -118,12 +118,12 @@ mod tests {
     fn piggyback_threshold() {
         let mut m = msg(WireKind::Data { seq: None });
         m.data = WireData::Synthetic(12);
-        let cm = CostModel::paper();
-        assert!(m.piggybacked(&cm));
+        let link = LinkConfig::default();
+        assert!(m.piggybacked(&link));
         m.data = WireData::Synthetic(13);
-        assert!(!m.piggybacked(&cm));
+        assert!(!m.piggybacked(&link));
         m.kind = WireKind::GbnAck { upto: 5 };
-        assert!(!m.piggybacked(&cm), "control messages never piggyback");
+        assert!(!m.piggybacked(&link), "control messages never piggyback");
     }
 
     #[test]

@@ -99,8 +99,22 @@ impl App for OneSink {
     }
 }
 
-fn put_end_time(len: u64, cost: CostModel) -> SimTime {
-    let config = MachineConfig::paper_pair().with_cost(cost);
+/// The NetPIPE pair under `cost`.
+fn pair(cost: CostModel) -> MachineConfig {
+    MachineConfig {
+        cost,
+        ..MachineConfig::paper_pair()
+    }
+}
+
+/// The idealized pair: free host and firmware, and a zero-latency hop.
+fn ideal_pair() -> MachineConfig {
+    let mut config = pair(CostModel::ideal());
+    config.fabric.link.hop_latency = SimTime::ZERO;
+    config
+}
+
+fn put_end_time(len: u64, config: MachineConfig) -> SimTime {
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     m.spawn(
         0,
@@ -132,7 +146,7 @@ fn delivery_time_is_monotone_in_message_size() {
     let cost = CostModel::paper();
     let mut last = SimTime::ZERO;
     for len in [1u64, 12, 13, 64, 1024, 64 << 10, 1 << 20] {
-        let t = put_end_time(len, cost);
+        let t = put_end_time(len, pair(cost));
         assert!(
             t >= last,
             "delivery time must not decrease with size: {len} B at {t} (prev {last})"
@@ -143,10 +157,10 @@ fn delivery_time_is_monotone_in_message_size() {
 
 #[test]
 fn cheaper_interrupts_never_slow_delivery() {
-    let slow = put_end_time(1024, CostModel::paper());
+    let slow = put_end_time(1024, pair(CostModel::paper()));
     let fast = put_end_time(
         1024,
-        CostModel::paper().with_interrupt_cost(SimTime::from_ns(100)),
+        pair(CostModel::paper().with_interrupt_cost(SimTime::from_ns(100))),
     );
     assert!(fast < slow, "cheaper interrupts: {fast} vs {slow}");
 }
@@ -154,14 +168,18 @@ fn cheaper_interrupts_never_slow_delivery() {
 #[test]
 fn ideal_model_is_a_lower_bound() {
     for len in [1u64, 4096, 1 << 20] {
-        let paper = put_end_time(len, CostModel::paper());
-        let ideal = put_end_time(len, CostModel::ideal());
+        let paper = put_end_time(len, pair(CostModel::paper()));
+        let ideal = put_end_time(len, ideal_pair());
         assert!(
             ideal < paper,
             "ideal must lower-bound paper at {len} B: {ideal} vs {paper}"
         );
         // And never below raw wire time: one hop plus serialization.
-        let wire = CostModel::ideal().wire_link_bw.transfer_time(len + 64);
+        let wire = ideal_pair()
+            .fabric
+            .link
+            .payload_bandwidth
+            .transfer_time(len + 64);
         assert!(ideal >= wire, "nothing beats the wire at {len} B");
     }
 }
@@ -171,8 +189,8 @@ fn bulk_transfer_time_tracks_the_ht_read_rate() {
     // For multi-megabyte puts the pipe rate dominates; the delivery time
     // per extra byte must match the calibrated TX DMA rate within 5%.
     let cost = CostModel::paper();
-    let t4 = put_end_time(4 << 20, cost);
-    let t8 = put_end_time(8 << 20, cost);
+    let t4 = put_end_time(4 << 20, pair(cost));
+    let t8 = put_end_time(8 << 20, pair(cost));
     let per_byte_ns = (t8 - t4).as_ns_f64() / (4 << 20) as f64;
     let expect = 1e9 / cost.ht_tx_payload.bytes_per_sec();
     let err = (per_byte_ns - expect).abs() / expect;

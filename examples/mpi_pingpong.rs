@@ -9,7 +9,6 @@
 
 use portals_xt3::mpi::Personality;
 use portals_xt3::netpipe::mpi::{MpiDriver, MpiLayout, MpiPattern};
-use portals_xt3::netpipe::runner::NetpipeConfig;
 use portals_xt3::netpipe::{Schedule, SizePoint};
 use portals_xt3::xt3::config::{MachineConfig, NodeSpec, OsKind, ProcSpec};
 use portals_xt3::xt3::Machine;
@@ -25,9 +24,8 @@ fn run(personality: Personality) {
             })
             .collect(),
     };
-    let config = NetpipeConfig::paper();
     let layout = MpiLayout::for_max(schedule.max_size(), &personality);
-    let mut mc = MachineConfig::paper_pair().with_cost(config.cost);
+    let mut mc = MachineConfig::paper_pair();
     mc.synthetic_payload = true;
     let proc = ProcSpec {
         mem_bytes: layout.mem_bytes as usize,

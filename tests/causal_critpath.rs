@@ -150,15 +150,22 @@ fn personality_tiling_is_exact() {
     }
 }
 
-/// The flow-arrow events of a Perfetto document, and its `metadata`.
-fn flows_and_metadata(doc: &str) -> (usize, Option<JsonValue>) {
+/// The slice events of a Perfetto document, its flow-arrow events, and
+/// its `metadata`.
+fn slices_flows_and_metadata(doc: &str) -> (usize, usize, Option<JsonValue>) {
     let v = parse_json(doc).expect("perfetto JSON parses");
     let events = v.get("traceEvents").unwrap().as_array().unwrap().to_vec();
-    let flows = events
-        .iter()
-        .filter(|e| matches!(e.get("ph").unwrap().as_str(), Ok("s" | "t" | "f")))
-        .count();
-    (flows, v.get("metadata").ok().cloned())
+    let count = |phases: &[&str]| {
+        events
+            .iter()
+            .filter(|e| phases.contains(&e.get("ph").unwrap().as_str().unwrap()))
+            .count()
+    };
+    (
+        count(&["X"]),
+        count(&["s", "t", "f"]),
+        v.get("metadata").ok().cloned(),
+    )
 }
 
 #[test]
@@ -167,7 +174,7 @@ fn a_truncated_causal_log_is_refused_by_name() {
     // one that fills after 64 records.
     let run = |cap: Option<usize>| {
         let mut engine = build_engine(&fixed_config(64, 8), Transport::Put, TestKind::PingPong);
-        engine.model_mut().config.telemetry = true;
+        engine.model_mut().set_telemetry_enabled(true);
         *engine.model_mut().causal_mut() = cap.map_or_else(CausalLog::enabled, CausalLog::with_cap);
         assert_eq!(engine.run(), RunOutcome::Drained);
         engine.into_model()
@@ -179,9 +186,15 @@ fn a_truncated_causal_log_is_refused_by_name() {
     assert!(!chains.is_empty());
     assert!(attribute(&chains, log, None, 8, 4).is_ok());
     assert!(hop_stalls(&chains, log).is_ok());
-    let (flows, metadata) = flows_and_metadata(&whole.telemetry().perfetto_json_with_causal(log));
+    let doc = whole.telemetry().perfetto_json_full(Some(log), None);
+    let (slices, flows, metadata) = slices_flows_and_metadata(&doc);
     assert!(flows > 0);
     assert!(metadata.is_none());
+    // The registry recorded: beside one slice per causal checkpoint the
+    // export carries its occupancy spans.
+    let spans = whole.telemetry().spans().len();
+    assert!(spans > 0);
+    assert_eq!(slices, log.records().len() + spans);
 
     let cut = run(Some(64));
     let log = cut.causal();
@@ -196,7 +209,8 @@ fn a_truncated_causal_log_is_refused_by_name() {
     assert!(refused.to_string().contains("64 records kept"));
     // The export still draws the 64 checkpoints, draws no arrows over
     // chains it cannot know to be whole, and says why.
-    let (flows, metadata) = flows_and_metadata(&cut.telemetry().perfetto_json_with_causal(log));
+    let doc = cut.telemetry().perfetto_json_full(Some(log), None);
+    let (_, flows, metadata) = slices_flows_and_metadata(&doc);
     assert_eq!(flows, 0);
     let named = metadata.expect("truncation is named");
     let named = named.get("causal_log_truncated").unwrap();

@@ -455,17 +455,16 @@ fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     // byte-exact.
     // A corrupted ACK or NACK fails its CRC at the link and is dropped
     // (`fault:corrupt-ctl-drop`); the trace shows that path ran too.
-    let mut config = MachineConfig::paper_pair();
-    config.synthetic_payload = false;
-    config.faults = FaultPlan {
-        seed: config.seed,
+    let paper = MachineConfig::paper_pair();
+    let mut config = paper.clone().with_faults(FaultPlan {
+        seed: paper.seed,
         link: LinkFaults {
             corrupt_prob: 0.2,
             ..LinkFaults::NONE
         },
         ..FaultPlan::none()
-    };
-    config.exhaustion = ExhaustionPolicy::GoBackN;
+    });
+    config.synthetic_payload = false;
     config.trace = true;
     let mut m = Machine::new(config, &[NodeSpec::catamount_compute()]);
     m.trace = Trace::enabled(1 << 20);

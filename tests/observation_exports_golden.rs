@@ -56,7 +56,6 @@ enum Cap {
 }
 
 fn observed(mut m: Machine, cap: Cap) -> Machine {
-    m.config.telemetry = true;
     m.set_telemetry_enabled(true);
     m.set_causal_enabled(true);
     m.enable_link_series(Default::default());

@@ -11,7 +11,7 @@
 //! deferred-send window protocol; Red Storm exercises real fan-out).
 
 use xt3_netpipe::runner::{build_machine, scenario_matrix, scenario_name, NetpipeConfig};
-use xt3_node::config::{ExhaustionPolicy, MachineConfig};
+use xt3_node::config::MachineConfig;
 use xt3_node::par::run_parallel;
 use xt3_node::workloads::{
     expected_hdr_sum, pattern_stats, red_storm_machine, sparse_pairs_machine, traffic_machine_cfg,
@@ -95,10 +95,17 @@ fn assert_parallel_matches(build: impl Fn() -> Machine, label: &str) -> Vec<(usi
     merged
 }
 
+/// `NetpipeConfig::quick(max_size)` with the telemetry sink on.
+fn observed(max_size: u64) -> NetpipeConfig {
+    let mut config = NetpipeConfig::quick(max_size);
+    config.machine.telemetry = true;
+    config
+}
+
 /// Every NetPIPE scenario (4 transports x 3 kinds), serial vs parallel.
 #[test]
 fn netpipe_scenarios_bit_identical_under_parallelism() {
-    let config = NetpipeConfig::quick(4096).with_telemetry();
+    let config = observed(4096);
     for (transport, kind) in scenario_matrix() {
         let label = scenario_name(transport, kind);
         assert_parallel_matches(|| build_machine(&config, transport, kind), &label);
@@ -123,7 +130,7 @@ fn rma_workloads_bit_identical_under_parallelism() {
 /// round boundaries), serial vs parallel.
 #[test]
 fn rma_netpipe_bit_identical_under_parallelism() {
-    let config = NetpipeConfig::quick(2048).with_telemetry();
+    let config = observed(2048);
     let transport = xt3_netpipe::runner::Transport::Rma;
     for kind in [
         xt3_netpipe::runner::TestKind::PingPong,
@@ -167,8 +174,9 @@ fn sparse_peers_bit_identical_under_parallelism() {
 /// from message identity, not draw order.
 #[test]
 fn faulty_wire_bit_identical_under_parallelism() {
-    let config = NetpipeConfig::quick(2048)
-        .with_telemetry()
+    let mut config = observed(2048);
+    config.machine = config
+        .machine
         .with_faults(xt3_sim::FaultPlan::wire(0xFA17_5EED, 0.08));
     for (transport, kind) in [
         (
@@ -252,13 +260,13 @@ fn go_back_n_refusals_bit_identical_under_parallelism() {
     let (rounds, msg) = (2, 2048);
     let pattern = TrafficPattern::AllToAll;
     let build = || {
-        let mut config = MachineConfig::paper(dims);
-        config.synthetic_payload = false;
-        config.exhaustion = ExhaustionPolicy::GoBackN;
-        config.faults = FaultPlan::wire(0x6B4E_5EED, 0.06).with_sram_pulse(
-            None,
-            TimeWindow::new(SimTime::from_us(4), SimTime::from_us(12)),
+        let mut config = MachineConfig::paper(dims).with_faults(
+            FaultPlan::wire(0x6B4E_5EED, 0.06).with_sram_pulse(
+                None,
+                TimeWindow::new(SimTime::from_us(4), SimTime::from_us(12)),
+            ),
         );
+        config.synthetic_payload = false;
         traffic_machine_cfg(pattern, config, rounds, msg)
     };
     let mut serial = build().into_engine();
