@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use xt3_sim::SimTime;
-use xt3_telemetry::{parse_json, quote_json};
+use xt3_telemetry::quote_json;
 
 pub use xt3_sim::stats::Series;
 
@@ -206,11 +206,11 @@ impl FigureData {
 
     /// Serialize to JSON for EXPERIMENTS.md bookkeeping. Hand-rolled (the
     /// build is hermetic, so no serde_json); floats use Rust's shortest
-    /// round-trip formatting so [`FigureData::from_json`] restores them
-    /// bit-exactly — including a non-finite point (bandwidth over an empty
-    /// measured window divides by zero), which `{:?}` prints as `inf` /
-    /// `NaN` and the workspace's one JSON reader
-    /// (`xt3_telemetry::parse_json`) accepts.
+    /// round-trip formatting so the workspace's one JSON reader
+    /// (`xt3_telemetry::parse_json`) reads them back bit-exactly —
+    /// including a non-finite point (bandwidth over an empty measured
+    /// window divides by zero), which `{:?}` prints as `inf` / `NaN` and
+    /// that reader accepts.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\n");
@@ -235,36 +235,28 @@ impl FigureData {
         out.push_str("\n  ]\n}\n");
         out
     }
-
-    /// Parse JSON produced by [`FigureData::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = parse_json(text)?;
-        let title = v.get("title")?.as_str()?.to_string();
-        let y_label = v.get("y_label")?.as_str()?.to_string();
-        let mut series = Vec::new();
-        for sv in v.get("series")?.as_array()? {
-            let mut s = Series::new(sv.get("label")?.as_str()?);
-            for pv in sv.get("points")?.as_array()? {
-                s.points.push(xt3_sim::stats::SeriesPoint {
-                    x: pv.get("x")?.as_f64()?,
-                    y: pv.get("y")?.as_f64()?,
-                    y_min: pv.get("y_min")?.as_f64()?,
-                    y_max: pv.get("y_max")?.as_f64()?,
-                });
-            }
-            series.push(s);
-        }
-        Ok(FigureData {
-            title,
-            y_label,
-            series,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xt3_telemetry::{parse_json, JsonValue};
+
+    /// The string at `key` of a parsed JSON object.
+    fn str_at<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+        v.get(key).and_then(JsonValue::as_str).expect(key)
+    }
+
+    /// The `i`th series' points of a parsed figure, as
+    /// `[x, y, y_min, y_max]`.
+    fn points_of(v: &JsonValue, i: usize) -> Vec<[f64; 4]> {
+        let series = v.get("series").and_then(JsonValue::as_array);
+        let points = series.expect("series")[i].get("points");
+        let points = points.and_then(JsonValue::as_array).expect("points");
+        let num = |p: &JsonValue, key| p.get(key).and_then(JsonValue::as_f64).expect(key);
+        let fields = ["x", "y", "y_min", "y_max"];
+        points.iter().map(|p| fields.map(|k| num(p, k))).collect()
+    }
 
     fn r(size: u64, messages: u32, us: u64) -> RoundResult {
         RoundResult {
@@ -331,13 +323,18 @@ mod tests {
             series: vec![latency_series("put", &[r(1, 2, 10)])],
         };
         let j = fig.to_json();
-        let back = FigureData::from_json(&j).expect("round-trips");
-        assert_eq!(back.title, "t");
-        assert_eq!(back.y_label, "y");
-        assert_eq!(back.series[0].label, "put");
-        assert_eq!(back.series[0].points.len(), 1);
+        let back = parse_json(&j).expect("round-trips");
+        assert_eq!(str_at(&back, "title"), "t");
+        assert_eq!(str_at(&back, "y_label"), "y");
+        let series = back
+            .get("series")
+            .and_then(JsonValue::as_array)
+            .expect("series");
+        assert_eq!(str_at(&series[0], "label"), "put");
+        let points = points_of(&back, 0);
+        assert_eq!(points.len(), 1);
         assert_eq!(
-            back.series[0].points[0].y.to_bits(),
+            points[0][1].to_bits(),
             fig.series[0].points[0].y.to_bits(),
             "floats survive bit-exactly"
         );
@@ -355,9 +352,10 @@ mod tests {
         };
         let ys: Vec<f64> = fig.series[0].points.iter().map(|p| p.y).collect();
         assert!(ys[0].is_nan() && ys[1].is_infinite(), "{ys:?}");
-        let back = FigureData::from_json(&fig.to_json()).expect("round-trips");
-        assert!(back.series[0].points[0].y.is_nan());
-        assert_eq!(back.series[0].points[1].y, f64::INFINITY);
+        let back = parse_json(&fig.to_json()).expect("round-trips");
+        let points = points_of(&back, 0);
+        assert!(points[0][1].is_nan());
+        assert_eq!(points[1][1], f64::INFINITY);
     }
 
     #[test]
@@ -367,8 +365,8 @@ mod tests {
             y_label: "y".into(),
             series: vec![],
         };
-        let back = FigureData::from_json(&fig.to_json()).expect("round-trips");
-        assert_eq!(back.title, fig.title);
+        let back = parse_json(&fig.to_json()).expect("round-trips");
+        assert_eq!(str_at(&back, "title"), fig.title);
     }
 
     #[test]

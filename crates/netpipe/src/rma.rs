@@ -446,8 +446,6 @@ const W_WIN: u64 = 1 << 16;
 pub struct RmaWorkloadConfig {
     /// Carry real payload bytes (required for the integrity checks).
     pub real_payload: bool,
-    /// Enable the telemetry sink.
-    pub telemetry: bool,
     /// Deterministic fault plan, handed to
     /// [`MachineConfig::with_faults`]: an active plan runs under
     /// go-back-n, so losses are recovered.
@@ -460,7 +458,6 @@ impl RmaWorkloadConfig {
     pub fn audit() -> Self {
         RmaWorkloadConfig {
             real_payload: false,
-            telemetry: false,
             faults: FaultPlan::none(),
         }
     }
@@ -479,18 +476,11 @@ impl RmaWorkloadConfig {
         self.faults = faults;
         self
     }
-
-    /// Enable telemetry (builder style).
-    pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = true;
-        self
-    }
 }
 
 fn workload_machine(cfg: &RmaWorkloadConfig, dims: Dims) -> Machine {
     let mut mc = MachineConfig::paper(dims).with_faults(cfg.faults.clone());
     mc.synthetic_payload = !cfg.real_payload;
-    mc.telemetry = cfg.telemetry;
     let spec = NodeSpec {
         os: OsKind::Catamount,
         procs: vec![ProcSpec {

@@ -27,7 +27,7 @@
 //! 2. workers insert the deliveries, run their engine up to the
 //!    horizon, and hand back the *send intents* their model deferred
 //!    (models never touch the shared fabric directly — see
-//!    [`Partitioned::drain_intents`]);
+//!    [`Partitioned::drain_intents_into`]);
 //! 3. the coordinator routes the collected intents through the caller's
 //!    `route` closure — which owns the fabric and replays the intents
 //!    in the exact serial order — producing the next round's
@@ -104,18 +104,11 @@ pub trait Partitioned: Model {
     /// One deferred cross-shard interaction (e.g. a fabric send).
     type Intent: Send;
 
-    /// Take the intents buffered since the last call, in the order the
-    /// model generated them.
-    fn drain_intents(&mut self) -> Vec<Self::Intent>;
-
-    /// Append the buffered intents to `out` (same contract as
-    /// [`Self::drain_intents`], but reusing the caller's buffer, which
-    /// the driver hands back drained every window). Implementers with an
-    /// internal buffer should override this to `append` — or swap, when
-    /// `out` is empty — so neither side reallocates.
-    fn drain_intents_into(&mut self, out: &mut Vec<Self::Intent>) {
-        out.append(&mut self.drain_intents());
-    }
+    /// Append the intents buffered since the last call to `out`, in the
+    /// order the model generated them. `out` is the caller's buffer, which
+    /// the driver hands back drained every window: `append` — or swap,
+    /// when `out` is empty — so neither side reallocates.
+    fn drain_intents_into(&mut self, out: &mut Vec<Self::Intent>);
 }
 
 /// A cross-shard event produced by routing intents: schedule `event`
@@ -816,8 +809,8 @@ mod tests {
 
     impl Partitioned for RingShard {
         type Intent = RingMsg;
-        fn drain_intents(&mut self) -> Vec<RingMsg> {
-            std::mem::take(&mut self.intents)
+        fn drain_intents_into(&mut self, out: &mut Vec<RingMsg>) {
+            out.append(&mut self.intents);
         }
     }
 
@@ -874,11 +867,12 @@ mod tests {
         loop {
             let outcome = e.run();
             assert_eq!(outcome, RunOutcome::Drained);
-            let mut runs = vec![e.model_mut().drain_intents()];
-            if runs[0].is_empty() {
+            let mut run = Vec::new();
+            e.model_mut().drain_intents_into(&mut run);
+            if run.is_empty() {
                 break;
             }
-            route(&mut runs, &mut out);
+            route(&mut vec![run], &mut out);
             for d in out.drain(..) {
                 e.queue_mut().schedule_keyed(d.at, d.key, d.event);
             }

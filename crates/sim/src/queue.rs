@@ -17,23 +17,17 @@
 //!   ties among equal keys (i.e. among unkeyed events), preserving the
 //!   classic FIFO-at-equal-times behaviour.
 //!
-//! Five tiers back the ordering, from the next event outwards. A queue
-//! that never holds more than `MIN_NEAR` = 4,096 events off-bucket uses
-//! only the first two — it *is* a `std` binary heap — and past that it is
-//! a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005) with the heap kept
-//! as its bottom:
+//! Four tiers back the ordering, from the next event outwards. A queue
+//! that never holds more than `MIN_NEAR` = 4,096 events uses only the
+//! first — it *is* a `std` binary heap — and past that it is a ladder
+//! queue (Tang, Goh & Thng, ACM TOMACS 2005) with the heap kept as its
+//! bottom:
 //!
-//! - the **same-instant bucket**: every pending event at one instant
-//!   (`bucket_time`), a small heap on `(key, seq)`. An empty bucket is
-//!   claimed by whatever instant is scheduled next. It earns its lines on
-//!   the 10,368 `AppStart`s at t = 0 and on zero-delay chains between two
-//!   nodes (dispatch at `t` scheduling more work at `t`); on the deep
-//!   workloads it is *not* the dominant pattern — 1.1 % of the full
-//!   machine's pushes and 0.02 % of the contended torus's land on the
-//!   current instant;
-//! - the **inbox**: a `BinaryHeap` of every other event at or before
-//!   `run_end` that arrived after the run was sorted — in a shallow queue
-//!   `run_end` is the end of time and the inbox is everything;
+//! - the **inbox**: a `BinaryHeap` of every event at or before `run_end`
+//!   that arrived after the run was sorted — in a shallow queue `run_end`
+//!   is the end of time and the inbox is everything. A push at an instant
+//!   already pending (the 10,368 `AppStart`s at t = 0, a zero-delay chain
+//!   between two nodes) goes where its `(time, key)` says, like any other;
 //! - the **run**: the current rung, sorted once, earliest last, so a pop
 //!   is `Vec::pop`;
 //! - the **rungs**: power-of-two-picosecond-wide slices of the time after
@@ -55,7 +49,7 @@
 //!    and when the rungs are exhausted redraws the split inside far — one
 //!    sequential pass that moves about 1/16 of it (at least `MIN_NEAR`
 //!    events) into fresh rungs around the `(time, key)` of a sampled
-//!    entry. So the earliest event is the earliest of three tops and
+//!    entry. So the earliest event is the earlier of two tops and
 //!    [`EventQueue::peek_time`] is O(1) on `&self`;
 //! 3. pop order is exactly `(time, key, seq)` **whatever pivot a refill
 //!    draws and however wide it makes the rungs**: both decide only where
@@ -72,11 +66,11 @@
 //!    next key (`node << 32 | counter`), so the next instant is pushed in
 //!    `(time, key)` order and its rung is one run the sort finds in a
 //!    pass (log2 of the rung per entry when a refill scrambled it);
-//! 4. a queue that never holds more than `MIN_NEAR` events off-bucket
-//!    never leaves `run_end == MAX`: run, rungs and far stay unallocated
-//!    and the inbox grows as one `Vec`. Past that the heap's buffer
-//!    *becomes* far (`into_vec`, no copy), and a refill that finds
-//!    `MIN_NEAR` events or fewer hands it back (`BinaryHeap::from`).
+//! 4. a queue that never holds more than `MIN_NEAR` events never leaves
+//!    `run_end == MAX`: run, rungs and far stay unallocated and the inbox
+//!    grows as one `Vec`. Past that the heap's buffer *becomes* far
+//!    (`into_vec`, no copy), and a refill that finds `MIN_NEAR` events or
+//!    fewer hands it back (`BinaryHeap::from`).
 //!
 //! The worst case per operation is the heap's O(log n), as before: no
 //! time pivot divides a tie storm, so its instant is one rung, sorted
@@ -88,27 +82,27 @@
 //! comes and dropped when the next one is (rung buffers kept for reuse
 //! ratchet to the largest rung each slot ever held — 18.7 MB against
 //! 3.1 MB on the full machine's recorded run); a refill makes at most
-//! `keep / RUNG_POP` rungs; the inbox and the bucket give a burst's
-//! buffer back once drained (`BURST_KEEP`). That includes far's buffer:
-//! a refill that hands it back to the heap makes it the inbox's, and the
-//! pop that drains the heap shrinks it (10.5 MB on the contended torus,
+//! `keep / RUNG_POP` rungs; the inbox gives a burst's buffer back once
+//! drained (`BURST_KEEP`). That includes far's buffer: a refill that
+//! hands it back to the heap makes it the inbox's, and the pop that
+//! drains the heap shrinks it (10.5 MB on the contended torus,
 //! otherwise held through its observed twin's reports).
 //! [`EventQueue::capacity`] is held to twice the deepest length, and to
-//! two bursts once drained, by a test.
+//! one burst once drained, by a test.
 //! Measurements and the rejected variants: DESIGN.md §8, "The ladder
 //! step" and "The push-order step".
 //!
-//! `pop` compares the bucket minimum against the earlier of the run's
-//! end and the inbox's top lexicographically by `(time, key, seq)`, so
-//! ordering is exact no matter how pushes interleave — including
-//! scheduling "in the past", which the engine (not the queue) rejects.
+//! `pop` compares the run's end against the inbox's top lexicographically
+//! by `(time, key, seq)`, so ordering is exact no matter how pushes
+//! interleave — including scheduling "in the past", which the engine (not
+//! the queue) rejects.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A queue that never holds more than this many events off-bucket stays a
-/// plain heap (160 KB of machine events); a refill never keeps fewer near.
+/// A queue that never holds more than this many events stays a plain heap
+/// (160 KB of machine events); a refill never keeps fewer near.
 const MIN_NEAR: usize = 4096;
 /// Evenly spaced entries a refill reads to choose its pivot.
 const SAMPLES: usize = 64;
@@ -118,10 +112,10 @@ const REFILL_SHARE: usize = 16;
 /// two, so between this and twice this when time is evenly populated).
 const RUNG_POP: usize = 32;
 
-/// Capacity the bucket and the inbox keep once drained: what a rung's
-/// worth of pushes needs, so the common case never regrows them, while a
-/// burst (10,368 `AppStart`s at t = 0; a lockstep instant delivered by
-/// another shard) gives its buffer back.
+/// Capacity the inbox keeps once drained: what a rung's worth of pushes
+/// needs, so the common case never regrows it, while a burst (10,368
+/// `AppStart`s at t = 0; a lockstep instant delivered by another shard)
+/// gives its buffer back.
 const BURST_KEEP: usize = 2 * RUNG_POP;
 
 /// A `(time, key)` pair as one integer — what the tier bounds are drawn
@@ -134,9 +128,8 @@ fn bound(at: SimTime, key: u64) -> Bound {
     Bound::from(at.0) << 64 | Bound::from(key)
 }
 
-/// Off-bucket entry: the `(time, key, seq)` ordering key plus the
-/// payload. Only the key fields participate in comparisons, so `E` needs
-/// no `Ord`.
+/// Queued entry: the `(time, key, seq)` ordering key plus the payload.
+/// Only the key fields participate in comparisons, so `E` needs no `Ord`.
 struct Entry<E> {
     at: SimTime,
     key: u64,
@@ -192,48 +185,14 @@ fn count_ops(n: u64) {
     OPS.with(|c| c.set(c.get() + n));
 }
 
-/// Bucket entry: events at `bucket_time`, ordered by `(key, seq)`.
-struct BucketEntry<E> {
-    key: u64,
-    seq: u64,
-    ev: E,
-}
-
-impl<E> PartialEq for BucketEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl<E> Eq for BucketEntry<E> {}
-
-impl<E> PartialOrd for BucketEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for BucketEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (key, seq)
-        // pops first.
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 // Slots are reached through `get`/`get_mut`/`last`, never `rungs[i]`, and
 // nothing here unwraps: the audit's `panic-reachable` rule resolves calls
 // by name, so every firmware handler that pops a `Vec` "reaches" this file.
 
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
-    /// Events at `bucket_time`, ordered by `(key, seq)`.
-    bucket: BinaryHeap<BucketEntry<E>>,
-    bucket_time: SimTime,
-    /// Every off-bucket event at or before `run_end` that is not in `run`
-    /// — in a shallow queue, every off-bucket event.
+    /// Every event at or before `run_end` that is not in `run` — in a
+    /// shallow queue, every event.
     inbox: BinaryHeap<Entry<E>>,
     /// The current rung, sorted: the earliest entry is the last.
     run: Vec<Entry<E>>,
@@ -244,7 +203,7 @@ pub struct EventQueue<E> {
     rungs: Vec<Vec<Entry<E>>>,
     /// The first rung not yet sorted into `run`.
     cur: usize,
-    /// Entries in `rungs[cur..]`, so that [`Self::len`] is a sum of five
+    /// Entries in `rungs[cur..]`, so that [`Self::len`] is a sum of four
     /// lengths and no push or pop maintains a count.
     in_rungs: usize,
     base: u64,
@@ -266,8 +225,6 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            bucket: BinaryHeap::new(),
-            bucket_time: SimTime::ZERO,
             inbox: BinaryHeap::new(),
             run: Vec::new(),
             run_end: Bound::MAX,
@@ -286,27 +243,14 @@ impl<E> EventQueue<E> {
     /// Schedule `event` to fire at absolute time `at` with scheduling key
     /// `key`.
     ///
-    /// Events at equal times fire in `(key, seq)` order. An empty bucket
-    /// is claimed by whatever instant is scheduled next; pushes at the
-    /// bucket's instant stay in the bucket, everything else goes to the
-    /// tier its `(time, key)` selects: the inbox heap at or before
-    /// `run_end`, a rung (a shift and an append) up to `split`, `far`
-    /// after it.
+    /// Events at equal times fire in `(key, seq)` order. The event goes to
+    /// the tier its `(time, key)` selects: the inbox heap at or before
+    /// `run_end`, a rung (a shift and an append) up to `split`, `far` after
+    /// it.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.bucket.is_empty() {
-            self.bucket_time = at;
-        }
-        if at == self.bucket_time {
-            self.bucket.push(BucketEntry {
-                key,
-                seq,
-                ev: event,
-            });
-            return;
-        }
         let e = Entry {
             at,
             key,
@@ -367,30 +311,15 @@ impl<E> EventQueue<E> {
     /// [`Self::pop_keyed`], unless the earliest event fires after
     /// `horizon`: then it stays queued and `None` is returned (as for an
     /// empty queue). The engine's run loop pops through this so the
-    /// choice among bucket, run and inbox is made once per event.
+    /// choice between run and inbox is made once per event.
     #[inline]
     pub fn pop_keyed_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        let (near, from_inbox) = match (self.run.last(), self.inbox.peek()) {
-            (Some(r), Some(i)) if i.order() < r.order() => (Some(i), true),
-            (Some(r), _) => (Some(r), false),
-            (None, i) => (i, true),
+        let (next, from_inbox) = match (self.run.last(), self.inbox.peek()) {
+            (Some(r), Some(i)) if i.order() < r.order() => (i, true),
+            (Some(r), _) => (r, false),
+            (None, i) => (i?, true),
         };
-        let from_bucket = match (self.bucket.peek(), near) {
-            (None, None) => return None,
-            (Some(b), Some(k)) => (self.bucket_time, b.key, b.seq) < k.order(),
-            (b, _) => b.is_some(),
-        };
-        if from_bucket {
-            if self.bucket_time > horizon {
-                return None;
-            }
-            let b = self.bucket.pop()?;
-            if self.bucket.is_empty() {
-                self.bucket.shrink_to(BURST_KEEP);
-            }
-            return Some((self.bucket_time, b.key, b.ev));
-        }
-        if near?.at > horizon {
+        if next.at > horizon {
             return None;
         }
         let e = if from_inbox {
@@ -412,7 +341,7 @@ impl<E> EventQueue<E> {
     /// `run` and `inbox` are drained: sort the next non-empty rung into
     /// `run`, redrawing the split inside `far` when the rungs are
     /// exhausted. Eager (called by the pop that drains them), so the
-    /// earliest event is always in the bucket, `run` or the inbox and
+    /// earliest event is always in `run` or the inbox and
     /// [`Self::peek_time`] is O(1) on `&self`.
     fn advance(&mut self) {
         loop {
@@ -511,15 +440,14 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let bucket = self.bucket.peek().map(|_| self.bucket_time);
         let run = self.run.last().map(|e| e.at);
         let inbox = self.inbox.peek().map(|e| e.at);
-        [bucket, run, inbox].into_iter().flatten().min()
+        run.into_iter().chain(inbox).min()
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.bucket.len() + self.inbox.len() + self.run.len() + self.in_rungs + self.far.len()
+        self.inbox.len() + self.run.len() + self.in_rungs + self.far.len()
     }
 
     /// True when no events are pending.
@@ -531,11 +459,7 @@ impl<E> EventQueue<E> {
     /// them has to grow.
     pub fn capacity(&self) -> usize {
         let rungs: usize = self.rungs.iter().map(Vec::capacity).sum();
-        self.bucket.capacity()
-            + self.inbox.capacity()
-            + self.run.capacity()
-            + rungs
-            + self.far.capacity()
+        self.inbox.capacity() + self.run.capacity() + rungs + self.far.capacity()
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -590,8 +514,7 @@ mod tests {
     #[test]
     fn key_order_is_insertion_independent() {
         // The same set of keyed events pops in the same order no matter
-        // how insertions interleave — including when some land in the
-        // bucket and some in the heap.
+        // how insertions interleave.
         let t5 = SimTime::from_ns(5);
         let t9 = SimTime::from_ns(9);
         let mut a = EventQueue::new();
@@ -637,21 +560,20 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fifo_across_bucket_and_heap() {
-        // Same-instant events stay FIFO even when some were routed to the
-        // heap (bucket claimed by a different instant at schedule time)
-        // and some to the bucket.
+    fn same_instant_fifo_across_interleaved_pushes() {
+        // Same-instant events stay FIFO when pushes at another instant
+        // come between them and pops come before the last of them.
         let mut q = EventQueue::new();
         let t5 = SimTime::from_ns(5);
         let t9 = SimTime::from_ns(9);
-        q.schedule_at(t9, 100); // bucket claims t=9
-        q.schedule_at(t5, 0); // heap (earlier than bucket_time)
-        q.schedule_at(t5, 1); // heap
-        q.schedule_at(t9, 101); // bucket
+        q.schedule_at(t9, 100);
+        q.schedule_at(t5, 0); // earlier than everything pending
+        q.schedule_at(t5, 1);
+        q.schedule_at(t9, 101);
         assert_eq!(q.pop(), Some((t5, 0)));
         assert_eq!(q.pop(), Some((t5, 1)));
-        // Bucket drained at t=9; new same-instant pushes join the bucket
-        // behind the pending ones.
+        // A push at t=9 after pops joins the pending t=9 events behind
+        // them.
         q.schedule_at(t9, 102);
         assert_eq!(q.pop(), Some((t9, 100)));
         assert_eq!(q.pop(), Some((t9, 101)));
@@ -665,11 +587,11 @@ mod tests {
         // instead of growing it.
         let mut q = EventQueue::new();
         for round in 0..1000u64 {
-            // Two live heap entries per round (bucket holds a third).
+            // Three live heap entries per round.
             let base = SimTime::from_ns(round * 10);
-            q.schedule_at(base, round); // bucket
-            q.schedule_at(base + SimTime::from_ns(1), round); // heap
-            q.schedule_at(base + SimTime::from_ns(2), round); // heap
+            q.schedule_at(base, round);
+            q.schedule_at(base + SimTime::from_ns(1), round);
+            q.schedule_at(base + SimTime::from_ns(2), round);
             assert!(q.pop().is_some());
             assert!(q.pop().is_some());
             assert!(q.pop().is_some());
@@ -679,17 +601,16 @@ mod tests {
 
     #[test]
     fn entries_are_forty_bytes_around_a_machine_event() {
-        // `xt3::machine::Ev` is pinned at 16 bytes; the near tier's
-        // storage is paid for by these being 40 and 32, not 48 and 40.
+        // `xt3::machine::Ev` is pinned at 16 bytes; every tier's storage
+        // is paid for by this being 40, not 48.
         assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 40);
-        assert_eq!(std::mem::size_of::<BucketEntry<[u64; 2]>>(), 32);
     }
 
     /// The tier invariants of the module doc, checked from inside.
     fn check_tiers<E>(q: &EventQueue<E>) {
         let held =
             q.inbox.len() + q.run.len() + q.rungs.iter().map(Vec::len).sum::<usize>() + q.far.len();
-        assert_eq!(q.len(), q.bucket.len() + held, "len counts every tier");
+        assert_eq!(q.len(), held, "len counts every tier");
         for e in q.inbox.iter().chain(&q.run) {
             assert!(e.bound() <= q.run_end, "inbox, run <= run_end");
         }
@@ -706,7 +627,7 @@ mod tests {
             assert!(q.split < e.bound() && q.far_min <= e.at, "split < far");
         }
         if q.rungs.is_empty() {
-            // The plain heap: everything off-bucket is in the inbox.
+            // The plain heap: everything is in the inbox.
             assert_eq!((q.run_end, q.split), (Bound::MAX, Bound::MAX));
             assert_eq!(q.inbox.len(), held);
             assert!(q.inbox.len() <= MIN_NEAR);
@@ -719,10 +640,9 @@ mod tests {
 
     #[test]
     fn shallow_queue_stays_a_plain_heap() {
-        // Up to MIN_NEAR events off-bucket: no rungs, no far, and the
-        // inbox allocates what a heap of that many entries would.
+        // Up to MIN_NEAR events: no rungs, no far, and the inbox
+        // allocates what a heap of that many entries would.
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::ZERO, 0); // the bucket's instant
         for i in 0..MIN_NEAR as u64 {
             q.schedule_at(SimTime::from_ns(1 + (i * 7919) % 1000), i);
             assert!(q.rungs.is_empty());
@@ -798,7 +718,6 @@ mod tests {
         // entries a refill visits.
         let storm = SimTime::from_ns(1_000);
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::ZERO, 0); // the bucket's instant
         OPS.with(|c| c.set(0));
         let n = 50_000u64;
         for i in 0..n {
@@ -807,7 +726,7 @@ mod tests {
         for i in 0..n {
             q.schedule_keyed(storm, (i * 104_729) % n, i);
             let (at, ..) = q.pop_keyed().expect("held");
-            assert_eq!(at, if i == 0 { SimTime::ZERO } else { storm });
+            assert_eq!(at, storm);
         }
         check_tiers(&q);
         let ops = OPS.with(std::cell::Cell::get);
@@ -827,7 +746,6 @@ mod tests {
         // far entries their refill visited.
         let nodes = 8_192;
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::MAX, u64::MAX); // holds the bucket throughout
         for node in 0..nodes {
             q.schedule_keyed(SimTime::from_us(1), node << 32, node);
         }
@@ -852,8 +770,8 @@ mod tests {
 
     #[test]
     fn zero_delay_chain_exhausts_event_budget() {
-        // A model that keeps rescheduling at the *same* instant lives
-        // entirely in the near-term bucket; the engine's event budget must
+        // A model that keeps rescheduling at the *same* instant never
+        // lets simulated time advance; the engine's event budget must
         // still stop it.
         struct SameInstantSpinner;
         impl Model for SameInstantSpinner {

@@ -115,8 +115,8 @@ impl Model for MeshShard {
 
 impl Partitioned for MeshShard {
     type Intent = Msg;
-    fn drain_intents(&mut self) -> Vec<Msg> {
-        std::mem::take(&mut self.intents)
+    fn drain_intents_into(&mut self, out: &mut Vec<Msg>) {
+        out.append(&mut self.intents);
     }
 }
 
@@ -162,11 +162,12 @@ fn serial(total: u32, sources: &[u32], hops: u32) -> (u64, Vec<u64>, u64) {
     let mut out = Vec::new();
     loop {
         assert_eq!(e.run(), RunOutcome::Drained);
-        let mut runs = vec![e.model_mut().drain_intents()];
-        if runs[0].is_empty() {
+        let mut run = Vec::new();
+        e.model_mut().drain_intents_into(&mut run);
+        if run.is_empty() {
             break;
         }
-        r(&mut runs, &mut out);
+        r(&mut vec![run], &mut out);
         for d in out.drain(..) {
             e.queue_mut().schedule_keyed(d.at, d.key, d.event);
         }

@@ -243,7 +243,6 @@ fn tie_storm_pops_in_key_then_insertion_order() {
         let mut rng = SimRng::new(seed);
         let mut q = CheckedQueue::new();
         let storm = 1_000_000;
-        q.push(5, 0); // claims the same-instant bucket for another instant
         for _ in 0..50_000 {
             q.push(storm, rng.below(1 << 20));
         }
@@ -264,10 +263,9 @@ fn tie_storm_pops_in_key_then_insertion_order() {
 /// popped in key order, so the next one is pushed in key order; it waits
 /// in far, is dealt to rungs by refills and loaded in that order. Each
 /// step first schedules some work of its own zero to three picoseconds
-/// ahead, which keeps the same-instant bucket away from the steps and
-/// lands in the inbox; a quarter of that work, and one step in sixteen,
-/// is pushed twice under one `(time, key)`, so only `seq` parts the
-/// copies. After six instants seven nodes in eight retire and the rest
+/// ahead, which lands in the inbox; a quarter of that work, and one step
+/// in sixteen, is pushed twice under one `(time, key)`, so only `seq`
+/// parts the copies. After six instants seven nodes in eight retire and the rest
 /// run on a plain heap.
 #[test]
 fn lockstep_instants_match_sorted_reference() {
@@ -278,7 +276,6 @@ fn lockstep_instants_match_sorted_reference() {
         let mut q = CheckedQueue::new();
         let mut keys: Vec<u64> = (0..NODES as u64).map(|node| node << 32).collect();
         let mut next_step = vec![STEP; NODES];
-        q.push(0, 0); // claims the same-instant bucket for another instant
         for key in &mut keys {
             q.push(STEP, *key);
             *key += 1;
@@ -384,7 +381,6 @@ fn horizons_across_every_tier_disturb_nothing() {
     for seed in QUEUE_SEEDS {
         let mut rng = SimRng::new(seed);
         let mut q = CheckedQueue::new();
-        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
         for _ in 0..30_000 {
             q.push(1_000_000 + rng.below(1 << 26), rng.below(8));
         }
@@ -422,7 +418,6 @@ fn pushes_on_rung_edges_keep_key_order() {
     for seed in &QUEUE_SEEDS[..4] {
         let mut rng = SimRng::new(*seed);
         let mut q = CheckedQueue::new();
-        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
         for _ in 0..20_000 {
             q.push(1_000 + rng.below(8_192), 1 + rng.below(1 << 16));
         }
@@ -445,7 +440,6 @@ fn equal_time_and_key_around_the_pivot_pop_in_insertion_order() {
         let mut rng = SimRng::new(*seed);
         let mut q = CheckedQueue::new();
         let (at, key) = (1_000_000, 7);
-        q.push(u64::MAX - 1, 0); // holds the same-instant bucket throughout
         for _ in 0..50_000 {
             match rng.below(50) {
                 0..=1 => q.push(at - 1 - rng.below(1_000), rng.below(4)),
@@ -469,10 +463,10 @@ fn equal_time_and_key_around_the_pivot_pop_in_insertion_order() {
 /// 1k <-> 24k twice (hundreds of rungs filled, sorted and dropped, far
 /// refilled and emptied), every buffer together has room for no more than
 /// twice the deepest moment plus two plain heaps' worth, and once it
-/// drains for no more than the two bursts the bucket and the inbox keep
-/// (2 x 64 slots). Rung buffers kept for reuse fail the first: each
-/// ratchets to the largest rung it ever held; far's buffer handed back to
-/// the heap and kept there fails the second.
+/// drains for no more than the one burst the inbox keeps (64 slots). Rung
+/// buffers kept for reuse fail the first: each ratchets to the largest
+/// rung it ever held; far's buffer handed back to the heap and kept there
+/// fails the second.
 #[test]
 fn capacity_follows_the_deepest_moment() {
     for seed in QUEUE_SEEDS {
@@ -501,6 +495,6 @@ fn capacity_follows_the_deepest_moment() {
                 }
             }
         }
-        assert!(q.capacity() <= 128, "{} slots held drained", q.capacity());
+        assert!(q.capacity() <= 64, "{} slots held drained", q.capacity());
     }
 }

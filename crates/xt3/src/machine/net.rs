@@ -552,13 +552,6 @@ impl Machine {
 impl Partitioned for Machine {
     type Intent = SendIntent;
 
-    fn drain_intents(&mut self) -> Vec<SendIntent> {
-        match &mut self.net {
-            NetMode::Inline => Vec::new(),
-            NetMode::Deferred { intents, .. } => std::mem::take(intents),
-        }
-    }
-
     fn drain_intents_into(&mut self, out: &mut Vec<SendIntent>) {
         if let NetMode::Deferred { intents, .. } = &mut self.net {
             if out.is_empty() {

@@ -121,9 +121,14 @@ fn netpipe_scenarios_bit_identical_under_parallelism() {
 #[test]
 fn rma_workloads_bit_identical_under_parallelism() {
     use xt3_netpipe::rma::{dht_machine, window_halo_machine, RmaWorkloadConfig};
-    let cfg = RmaWorkloadConfig::audit().with_telemetry();
-    assert_parallel_matches(|| dht_machine(&cfg), "rma-dht");
-    assert_parallel_matches(|| window_halo_machine(&cfg), "rma-window-halo");
+    let cfg = RmaWorkloadConfig::audit();
+    let observed = |build: fn(&RmaWorkloadConfig) -> Machine| {
+        let mut m = build(&cfg);
+        m.set_telemetry_enabled(true);
+        m
+    };
+    assert_parallel_matches(|| observed(dht_machine), "rma-dht");
+    assert_parallel_matches(|| observed(window_halo_machine), "rma-window-halo");
 }
 
 /// The RMA NetPIPE transport (put ping-pong over windows with fence
