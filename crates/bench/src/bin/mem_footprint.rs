@@ -15,8 +15,8 @@
 //! 8x8x8 all-to-all with the registry, the causal log and the link
 //! series on — peak bytes of the run plus attribution table and series
 //! JSON, and what each sink holds at the end per thing it stored (bytes
-//! per span, per causal record, per non-zero series bucket; each read
-//! off a run with only that sink on, against a run with none).
+//! per span, per causal record made, per non-zero series bucket; each
+//! read off a run with only that sink on, against a run with none).
 //!
 //! The JSON it writes carries the rows of the file it replaces as
 //! `before_*`, so the committed `BENCH_mem.json` holds a before/after
@@ -252,6 +252,8 @@ struct ObservedRun {
     /// Live at the end of the run, the machine still whole.
     end_bytes: u64,
     spans: u64,
+    /// Causal records made — stored whole or folded — so bytes per
+    /// record reads what the log costs per record of the run.
     records: u64,
     nonzero_buckets: u64,
 }
@@ -279,7 +281,7 @@ fn observe(registry: bool, causal: bool, series: bool) -> ObservedRun {
         peak_bytes: heap::peak_bytes().saturating_sub(floor),
         end_bytes,
         spans: m.telemetry().spans().len() as u64,
-        records: m.causal().records().len() as u64,
+        records: m.causal().made(),
         nonzero_buckets: nonzero_buckets as u64,
     }
 }

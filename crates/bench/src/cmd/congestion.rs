@@ -7,12 +7,12 @@
 //! because of competing flows {G, H}"*. The numbers are accounting
 //! identities, not estimates, and every run enforces that:
 //!
-//! * the table's total equals the critical-path hop-queueing class to
-//!   the picosecond (zero residual);
-//! * the series-derived table ([`attribute_occupancy`]) reproduces the
-//!   causal-derived one ([`attribute`]) byte for byte — on a run the
-//!   causal log holds whole; one that overflows its cap is reported from
-//!   the series alone, and says so;
+//! * the series-derived table ([`attribute_occupancy`]) charges every
+//!   link exactly the head-of-line stall, and the same stalled
+//!   crossings, that the causal log's folded critical paths charge it
+//!   ([`folded`]: each chain folded as its delivery was recorded, so a
+//!   run of any length is checked whole), and its total equals their
+//!   hop-queueing class to the picosecond;
 //! * a repeat serial run and a 2-worker parallel run reproduce the
 //!   digest, the series JSON and the attribution table byte for byte;
 //! * every expected put arrived, uncorrupted, with the exact provenance
@@ -31,8 +31,8 @@ use xt3_node::workloads::{
 use xt3_node::Machine;
 use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::{
-    attribute, attribute_occupancy, extract_chains, CongestionTable, CritPathError, JsonWriter,
-    SeriesConfig,
+    attribute_occupancy, folded, folded_hop_stalls, CongestionTable, CostClass, HopStall,
+    JsonWriter, SeriesConfig,
 };
 use xt3_topology::coord::Dims;
 
@@ -79,10 +79,12 @@ struct ObservedRun {
     dispatched: u64,
     /// Canonicalized series-derived attribution table.
     table: CongestionTable,
-    /// The canonicalized causal-derived table — must equal `table` — and
-    /// its residual against the chains — must be zero; or why the causal
-    /// log cannot be attributed.
-    causal: Result<(CongestionTable, i128), CritPathError>,
+    /// The folded critical paths' per-link head-of-line stalls and their
+    /// hop-queueing class, which `table` must reproduce; or why the
+    /// causal log cannot give them.
+    fold: Result<(Vec<HopStall>, SimTime), String>,
+    /// Causal records made.
+    records: u64,
     series_json: String,
     /// Occupancy entries dropped across all links (must be 0).
     occ_dropped: u64,
@@ -120,12 +122,9 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Stri
     let mut m = engine.into_model();
 
     let series = m.link_series().expect("series enabled");
-    let causal = extract_chains(m.causal()).and_then(|chains| {
-        let mut table = attribute(&chains, m.causal(), Some(series), top_k, 4)?;
-        let residual = table.residual(&chains);
-        table.canonicalize();
-        Ok((table, residual))
-    });
+    let fold = folded(m.causal()).map_err(|e| e.to_string());
+    let fold = fold.map(|f| (folded_hop_stalls(f), f.breakdown().get(CostClass::HopQueue)));
+    let records = m.causal().made();
     let mut table = attribute_occupancy(series, top_k, 4);
     table.canonicalize();
     let series_json = series.to_json();
@@ -140,7 +139,8 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Stri
         elapsed,
         dispatched,
         table,
-        causal,
+        fold,
+        records,
         series_json,
         occ_dropped,
         perfetto,
@@ -174,24 +174,20 @@ fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Str
     let name = pattern.name();
     let run = run_serial(pattern, sweep)?;
 
-    // Accounting fences on the primary run.
+    // Accounting fences on the primary run: every message arrived (a
+    // lost one stalled on links but ends no chain), then the identities.
     fence(run.occ_dropped == 0, name, "occupancy log overflowed")?;
-    match &run.causal {
-        Ok((causal, residual)) => {
-            fence(*residual == 0, name, "attribution residual must be zero")?;
-            same_table(
-                causal,
-                &run.table,
-                &format!("{name}: series-derived table must reproduce the causal-derived one"),
-            )?;
-        }
-        Err(e @ CritPathError::Truncated { .. }) => println!(
-            "{e}\n{name}: the table below is the series-derived one; \
-             zero residual and occupancy == causal were not checked"
-        ),
-        Err(e) => return Err(format!("{name}: causal DAG is malformed: {e}")),
-    }
     check_arrivals(pattern, sweep, &run.stats)?;
+    let (hops, hop_queueing) = run
+        .fold
+        .as_ref()
+        .map_err(|e| format!("{name}: the causal log cannot be attributed: {e}"))?;
+    fence(
+        run.table.total_lost == *hop_queueing,
+        name,
+        "the table's total must equal the folded hop-queueing class",
+    )?;
+    same_links(&run.table, hops).map_err(|e| format!("{name}: {e}"))?;
 
     // Repeat serial run: everything byte-identical.
     let rerun = run_serial(pattern, sweep)?;
@@ -237,6 +233,38 @@ fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Str
     )?;
 
     Ok(run)
+}
+
+/// The table's stall and stalled crossings per link must be the folded
+/// critical paths' `hops`, link for link; the first link that differs is
+/// the failure.
+fn same_links(table: &CongestionTable, hops: &[HopStall]) -> Result<(), String> {
+    let mut links: Vec<HopStall> = Vec::new();
+    for row in &table.rows {
+        match links.last_mut() {
+            Some(l) if (l.node, l.port) == (row.node, row.port) => {
+                l.stall += row.lost;
+                l.waits += 1;
+            }
+            _ => links.push(HopStall {
+                node: row.node,
+                port: row.port,
+                stall: row.lost,
+                waits: 1,
+            }),
+        }
+    }
+    match links.iter().zip(hops).position(|(a, b)| a != b) {
+        None if links.len() == hops.len() => Ok(()),
+        at => Err(format!(
+            "occupancy stalls {} links, the folded critical paths {}; first difference at link {}:\n  {:?}\n  {:?}",
+            links.len(),
+            hops.len(),
+            at.unwrap_or(links.len().min(hops.len())),
+            at.map(|i| links[i]),
+            at.map(|i| hops[i]),
+        )),
+    }
 }
 
 /// Two attribution tables that must be the same table. On a contended
@@ -314,14 +342,9 @@ pub fn run(mut args: Args) -> CmdResult {
     }
 
     println!();
-    let truncated = reports.iter().filter(|r| r.1.causal.is_err()).count();
-    if truncated == 0 {
-        println!("all identities held: zero residual, occupancy == causal attribution,");
-    } else {
-        println!("{truncated} pattern(s) overflowed the causal log and were attributed from the");
-        println!("series alone; for the rest: zero residual, occupancy == causal attribution;");
-    }
-    println!("repeat and 2-worker parallel runs byte-identical per pattern");
+    println!("all identities held: per-link stall, occupancy == folded critical paths,");
+    println!("with 0 causal records dropped; repeat and 2-worker parallel runs");
+    println!("byte-identical per pattern");
 
     let baseline = render(&reports, &shape, sweep, false);
     if let Some(path) = &out {
@@ -351,14 +374,11 @@ fn print_pattern(run: &ObservedRun) {
         run.digest
     );
     println!(
-        "hop-queueing lost {:.1} us across {} stalled crossings ({})",
+        "hop-queueing lost {:.1} us across {} stalled crossings (== folded critical paths \
+         over {} causal records, 0 dropped)",
         run.table.total_lost.as_ns_f64() / 1e3,
         run.table.rows.len(),
-        if run.causal.is_ok() {
-            "residual 0"
-        } else {
-            "series only"
-        }
+        run.records
     );
     if run.table.rows.is_empty() {
         println!("no congestion: every crossing went straight through");

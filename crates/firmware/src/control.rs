@@ -500,9 +500,43 @@ impl Firmware {
     /// Find or allocate `node`'s source structure, as the id a
     /// [`LowerPending`] carries. `None` on pool exhaustion (and for an id
     /// that does not fit, which 384 KB of SRAM cannot hold).
+    ///
+    /// A dry pool gives back one idle source first (§4.2: a source is
+    /// allocated to each node the firmware "is sending a message to or
+    /// receiving a message from", so one it is doing neither with is
+    /// free to go): the lowest-numbered source whose RX list is empty
+    /// and that no lower pending still in use names. Go-back-n state is
+    /// keyed by peer, not source, so a reclaimed peer resumes where it
+    /// was. The failed first allocation is counted in the pool's
+    /// `alloc_failures`, reclaimed or not.
     fn source_for(&mut self, node: u32) -> Option<u16> {
-        let id = self.sources.find_or_alloc(node)?;
+        let id = match self.sources.find_or_alloc(node) {
+            Some(id) => id,
+            None => {
+                let named = self.named_sources();
+                self.sources.release_idle(&named)?;
+                self.sources.find_or_alloc(node)?
+            }
+        };
         u16::try_from(id).ok().filter(|&id| id != NO_SOURCE)
+    }
+
+    /// Which sources a lower pending in use names, by source id: RX
+    /// pendings between header and release, TX pendings between transmit
+    /// and release.
+    fn named_sources(&self) -> Vec<bool> {
+        let mut named = vec![false; self.config.sources as usize];
+        for p in &self.processes {
+            let rx = (0..p.rx_pool.materialized()).filter_map(|i| p.rx_pool.get(i));
+            for lp in rx.chain(&p.tx_lower) {
+                if lp.state != PendingState::Free {
+                    if let Some(slot) = named.get_mut(usize::from(lp.source)) {
+                        *slot = true;
+                    }
+                }
+            }
+        }
+        named
     }
 
     /// `proc`'s RX `pending` as a link, the source of the peer it came

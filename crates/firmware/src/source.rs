@@ -19,12 +19,14 @@
 //! touching the pool. The SRAM ledger still charges the paper's
 //! `1,024 × 32 B`; only the host representation is demand-sized.
 //!
-//! Sources are never reclaimed in production today: a peer once contacted
-//! keeps its structure for the life of the run, and
-//! [`SourceTable::release`] has no caller outside tests. It is kept
-//! correct regardless — it closes the gap it leaves by shifting later
-//! entries of the probe run back, so the index never holds tombstones —
-//! for the day an idle-source reclaim policy lands.
+//! A peer keeps its structure while the pool has room. When the pool runs
+//! dry, the firmware reclaims an idle one ([`SourceTable::release_idle`]:
+//! the lowest-numbered source with an empty RX list that no lower pending
+//! in use names), so a node can serve more peers over a run than it has
+//! sources — one at a time past the pool, as §4.2's "has a source
+//! structure allocated to it" allows. [`SourceTable::release`] closes the
+//! gap a released source leaves by shifting later entries of the probe
+//! run back, so the index never holds tombstones.
 
 use crate::pending::RxLink;
 use crate::pool::Pool;
@@ -183,6 +185,20 @@ impl SourceTable {
             self.vacate(pos);
         }
         self.pool.free(id);
+    }
+
+    /// Release the lowest-numbered active source whose RX list is empty
+    /// and whose id `named` does not mark (the caller marks every source
+    /// a pending in flight still names), and return it; `None` when every
+    /// source is busy.
+    pub fn release_idle(&mut self, named: &[bool]) -> Option<SourceId> {
+        let idle = (0..self.pool.materialized()).find(|&id| {
+            let src = self.pool.get(id);
+            let free = src.is_some_and(|s| s.active && s.rx_head == RxLink::END);
+            free && !named.get(id as usize).copied().unwrap_or(false)
+        })?;
+        self.release(idle);
+        Some(idle)
     }
 
     /// Empty slot `hole` and close the gap: each later entry of the same

@@ -272,6 +272,21 @@ impl CheckedSources {
         self.check();
     }
 
+    /// `release_idle(named)`: the lowest live id `named` does not mark
+    /// (at the table's level every RX list is empty), or `None` when it
+    /// marks them all.
+    fn reclaim(&mut self, named: &[bool]) -> Option<SourceId> {
+        let idle = |id: SourceId| !named.get(id as usize).copied().unwrap_or(false);
+        let expected = self.live.values().copied().filter(|&id| idle(id)).min();
+        assert_eq!(self.table.release_idle(named), expected, "reclaim");
+        if let Some(id) = expected {
+            self.live.retain(|_, held| *held != id);
+            self.returned.push(id);
+        }
+        self.check();
+        expected
+    }
+
     /// A kept id resolves for its own node only.
     fn check_kept_ids(&mut self, rng: &mut SimRng) {
         let live: Vec<(u32, SourceId)> = self.live.iter().map(|(&n, &id)| (n, id)).collect();
@@ -283,12 +298,12 @@ impl CheckedSources {
     }
 }
 
-/// Random contacts, lookups and releases over node ids that mix one
-/// shared home slot, one wrapping run, consecutive ids and arbitrary
-/// ones, with the population swinging between nearly empty and exhausted
-/// three times: the index doubles several times on the way up, entries
-/// are released between and after the doublings, and the pool runs dry at
-/// every peak.
+/// Random contacts, lookups, releases and idle reclaims (against a random
+/// mask of busy sources) over node ids that mix one shared home slot, one
+/// wrapping run, consecutive ids and arbitrary ones, with the population
+/// swinging between nearly empty and exhausted three times: the index
+/// doubles several times on the way up, entries are released between and
+/// after the doublings, and the pool runs dry at every peak.
 #[test]
 fn source_index_matches_map_reference() {
     let mut nodes = nodes_homed_at(0x155, 48);
@@ -309,6 +324,9 @@ fn source_index_matches_map_reference() {
                     if t.contact(node).is_none() {
                         failures_wanted -= 1;
                     }
+                } else if rng.chance(0.25) {
+                    let named: Vec<bool> = (0..128).map(|_| rng.chance(0.9)).collect();
+                    t.reclaim(&named);
                 } else if !t.live.is_empty() {
                     let nth = rng.below(t.live.len() as u64) as usize;
                     let node = *t.live.keys().nth(nth).expect("nth < len");
@@ -402,7 +420,10 @@ fn started(fx: &Effects) -> Option<(u32, u32)> {
 /// deposit commands, completions and releases arrive out of step. Every
 /// handler starts exactly the deposit the reference puts at the head,
 /// under the right process; a completion of the deposit behind it is
-/// refused; and every queued pending is in the state its place says.
+/// refused; and every queued pending is in the state its place says. A
+/// dry source pool reclaims a source no pending in use names, so a
+/// header is refused a source exactly when three other peers each hold
+/// a pending.
 #[test]
 fn firmware_rx_lists_keep_each_pending_with_its_process() {
     let config = FwConfig {
@@ -417,16 +438,31 @@ fn firmware_rx_lists_keep_each_pending_with_its_process() {
         let mut fw = Firmware::new(config, &modes, &mut Sram::default()).unwrap();
         let mut lists: BTreeMap<u32, VecDeque<(u32, u32)>> = BTreeMap::new();
         let mut headers: Vec<(u32, u32, u32)> = Vec::new();
-        let mut done: Vec<(u32, u32)> = Vec::new();
+        let mut done: Vec<(u32, u32, u32)> = Vec::new();
         let (mut no_source, mut no_pending) = (0, 0);
         for _ in 0..3_000 {
             match rng.below(4) {
                 0 => {
                     let (proc, peer) = (rng.below(3) as u32, 10 + rng.below(5) as u32);
+                    let mut busy: Vec<u32> = headers.iter().map(|h| h.2).collect();
+                    busy.extend(lists.iter().filter(|l| !l.1.is_empty()).map(|l| *l.0));
+                    busy.extend(done.iter().map(|d| d.2));
+                    busy.sort_unstable();
+                    busy.dedup();
+                    let refused = busy.len() == 3 && !busy.contains(&peer);
                     match fw.rx_header(proc, peer, false, false) {
-                        Ok((pending, _)) => headers.push((proc, pending, peer)),
-                        Err(FwError::NoSource) => no_source += 1,
-                        Err(FwError::NoRxPending) => no_pending += 1,
+                        Ok((pending, _)) => {
+                            assert!(!refused, "a source while {busy:?} held all three");
+                            headers.push((proc, pending, peer));
+                        }
+                        Err(FwError::NoSource) => {
+                            assert!(refused, "refused with an idle source: {busy:?}");
+                            no_source += 1;
+                        }
+                        Err(FwError::NoRxPending) => {
+                            assert!(!refused, "a source while {busy:?} held all three");
+                            no_pending += 1;
+                        }
                         Err(e) => panic!("header refused: {e}"),
                     }
                 }
@@ -458,11 +494,11 @@ fn firmware_rx_lists_keep_each_pending_with_its_process() {
                     }
                     let fx = fw.rx_dma_complete(proc, pending).unwrap();
                     assert_eq!(started(&fx), list.front().copied());
-                    done.push((proc, pending));
+                    done.push((proc, pending, peer));
                 }
                 _ if !done.is_empty() => {
                     let nth = rng.below(done.len() as u64) as usize;
-                    let (proc, pending) = done.swap_remove(nth);
+                    let (proc, pending, _) = done.swap_remove(nth);
                     let release = FwCommand::ReleasePending { pending };
                     fw.handle_command(proc, release).unwrap();
                 }
@@ -477,7 +513,7 @@ fn firmware_rx_lists_keep_each_pending_with_its_process() {
                     assert_eq!(fw.lower(proc, pending).unwrap().state, want);
                 }
             }
-            for &(proc, pending) in &done {
+            for &(proc, pending, _) in &done {
                 let state = fw.lower(proc, pending).unwrap().state;
                 assert_eq!(state, PendingState::AwaitRelease);
             }

@@ -5,10 +5,10 @@
 //! [`TraceId`] at initiation, every significant step along its life
 //! (trap, firmware command, TX DMA, each link hop, remote header match,
 //! interrupt, completion, EQ delivery) appends a [`CausalRecord`], and
-//! each record carries an explicit parent edge. The result is a bounded,
-//! deterministic DAG the `telemetry::critpath` extractor can walk
-//! backwards from an EQ delivery to attribute a measured latency to cost
-//! classes with zero residual.
+//! each record carries an explicit parent edge. The result is a
+//! deterministic DAG that [`crate::chain`] walks backwards from an EQ
+//! delivery to attribute a measured latency to cost classes with zero
+//! residual.
 //!
 //! Like the telemetry registry (and unlike `Trace`), the log is
 //! *observation-only*: it is never folded into a model's state
@@ -16,28 +16,45 @@
 //! keeps its own streaming digest so tests can assert that two
 //! instrumented runs recorded identical causal streams.
 //!
-//! What a record costs is O(1): an append, plus one probe of the
-//! [`LatestIndex`] that chains it onto the message's previous stage. The
-//! index holds one slot per message id among the *stored* records, so the
-//! record cap bounds it too: a record past the cap is folded into the
-//! digest and counted, never indexed or looked up, and the record that
-//! fills the log releases the index — every chain ends there, because no
-//! later record can have a stored child.
+//! **Memory grows with messages in flight, not with run length.** Each
+//! delivery's chain is folded into exact running totals ([`ChainFold`]:
+//! chains, per-class time, per-link head-of-line stall) as it is recorded.
+//! The first [`HEAD`] records are stored whole for good, so a run that
+//! makes no more keeps every record for [`CausalLog::records`], whole-log
+//! extraction and Perfetto, and folds them with [`crate::chain::walk_one`]'s
+//! walk. Past the head a record is not stored: it folds the edge from its
+//! parent — classified by the same per-edge rule — into the parent's
+//! *carry* (the classified path behind it, back to where a walk through
+//! it stops), and only records something still names are held, each with
+//! its carry: a message's latest stage (its carry moves on in place with
+//! each next stage), a completion with EQ posts pending, the activation
+//! cause. A delivery adds its carry to the totals; a message whose
+//! completion the machine has attributed ([`CausalLog::finish`]) drops
+//! out of the index, and its last record goes when its posts are
+//! consumed. So what the log holds past the head is one carry per
+//! message in flight (about 100 bytes, plus 16 a stalled hop) instead of
+//! every record it made.
 //!
-//! What a record *occupies* is 32 bytes: the log keeps each one packed
-//! (private `Stored`: the parent edge as a bare `u32` with a sentinel, the
-//! stage in the low byte of the node word) and hands out [`CausalRecord`]
-//! by value through the [`Records`] view, so the 2²¹-record default cap
-//! is 64 MiB of log and not 80.
+//! What a record costs is O(1): an append, one probe of the
+//! [`LatestIndex`] that chains it onto the message's previous stage, and
+//! past the head one update of that message's carry; a delivery in the
+//! head adds its walk. What a stored record *occupies* is 32 bytes: the
+//! log keeps each one packed (private `Stored`: the parent edge as a bare
+//! `u32` with a sentinel, the stage in the low byte of the node word) and
+//! hands out [`CausalRecord`] by value through the [`Records`] view.
+//! [`CausalLog::with_cap`] is the other shape: every record whole up to a
+//! cap, the rest counted as dropped.
 
-use crate::digest::EventDigest;
-use crate::time::SimTime;
 use std::collections::VecDeque;
 
-/// Default cap on stored causal records. Past it new records are counted
-/// but not stored (the buffer is append-only — a ring would invalidate
-/// parent indices — so truncation keeps the *head* of the stream).
-const DEFAULT_RECORD_CAP: u32 = 1 << 21;
+use crate::chain::{self, Breakdown, ChainFold, CostClass, CritPathError};
+use crate::digest::EventDigest;
+use crate::time::SimTime;
+
+/// Records stored whole at the start of every default log; past them the
+/// log folds without storing. 2^16 records (2 MiB) hold every run the tests,
+/// goldens and `explain` defaults make, with room.
+pub const HEAD: u32 = 1 << 16;
 
 /// Correlation identity of one wire message.
 ///
@@ -310,107 +327,456 @@ impl<'a> Records<'a> {
 /// Index length at first use.
 const MIN_INDEX_LEN: usize = 16;
 
-/// The latest stored record of each message id: an open-addressed
-/// `id → record index` table, empty until the first record, doubled when
-/// more than half full, Fibonacci-hashed and linearly probed. It is only
-/// ever probed for one id, never iterated, so slot order cannot reach any
-/// output.
+/// The latest record of each message id: an open-addressed table of
+/// `(hash, record index)` pairs — 8 bytes a slot, the id itself read
+/// back from the record a matching hash names — empty until the first
+/// record, doubled when more than half full, Fibonacci-hashed and
+/// linearly probed, with backward-shift deletion. It is only ever probed
+/// for one id, never iterated, so slot order cannot reach any output.
 ///
 /// The same pattern as `firmware::source`'s active-source index, and
-/// deliberately not the same type: that one keys on a `u32` node id for
-/// which 0 is a real key (so vacancy lives in the value), takes its live
-/// count from the source pool (a counter of its own would add 8 B to each
-/// of 10,368 nodes, and those workloads' heap is held to the byte), and
-/// needs backward-shift deletion; this one has a free key (0 is
-/// [`TraceId::NONE`], never recorded), counts for itself and is only ever
-/// released whole.
+/// deliberately not the same type: that one keys on a `u32` node id it
+/// stores whole and takes its live count from the source pool (a counter
+/// of its own would add 8 B to each of 10,368 nodes, and those
+/// workloads' heap is held to the byte); this one counts for itself.
 #[derive(Debug, Default)]
 struct LatestIndex {
     /// Empty or a power of two long and never more than half full, so
-    /// every probe run ends at a vacant slot (id 0).
-    slots: Vec<(u64, u32)>,
+    /// every probe run ends at a vacant slot (index [`NO_PARENT`]).
+    slots: Vec<(u32, u32)>,
     live: u32,
 }
 
+/// The hash an id is filed under: the top half of its Fibonacci hash.
+fn id_hash(id: u64) -> u32 {
+    (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+}
+
+/// An empty [`LatestIndex`] slot.
+const VACANT: (u32, u32) = (0, NO_PARENT);
+
 impl LatestIndex {
-    /// The slot holding `id`, or the vacant one ending its probe run.
+    /// Where a hash's probe run starts: its top bits (length >= 16, so
+    /// the shift is below 32).
+    fn home(&self, hash: u32) -> usize {
+        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `id` — `id_of` reads the id of the record a
+    /// matching hash names — or the vacant one ending its probe run.
     /// `None` only while the table is empty.
-    fn probe(&self, id: u64) -> Option<usize> {
+    fn probe(&self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<usize> {
         let mask = self.slots.len().checked_sub(1)?;
-        // Top bits of the Fibonacci hash (length >= 2, so the shift is
-        // below 64).
-        let shift = 64 - self.slots.len().trailing_zeros();
-        let mut pos = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        let hash = id_hash(id);
+        let mut pos = self.home(hash);
         loop {
-            let (held, _) = *self.slots.get(pos)?;
-            if held == id || held == 0 {
+            let (held, idx) = *self.slots.get(pos)?;
+            if idx == NO_PARENT || (held == hash && id_of(idx) == Some(id)) {
                 return Some(pos);
             }
             pos = (pos + 1) & mask;
         }
     }
 
-    /// The latest record of `id` (0 is never a key).
-    fn latest(&self, id: u64) -> Option<u32> {
-        let &(held, idx) = self.slots.get(self.probe(id)?)?;
-        (held == id && id != 0).then_some(idx)
+    /// The latest record of `id`.
+    fn latest(&self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
+        let &(_, idx) = self.slots.get(self.probe(id, id_of)?)?;
+        (idx != NO_PARENT).then_some(idx)
     }
 
     /// Make `idx` the latest record of `id` (non-zero); returns the one
     /// it replaces.
-    fn replace(&mut self, id: u64, idx: u32) -> Option<u32> {
+    fn replace(&mut self, id: u64, idx: u32, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
         if (self.live as usize + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let pos = self.probe(id)?;
+        let pos = self.probe(id, id_of)?;
         let slot = self.slots.get_mut(pos)?;
-        let prev = (slot.0 == id).then_some(slot.1);
+        let prev = (slot.1 != NO_PARENT).then_some(slot.1);
         if prev.is_none() {
             self.live += 1;
         }
-        *slot = (id, idx);
+        *slot = (id_hash(id), idx);
         prev
     }
 
+    /// Forget `id`; returns its latest record. The gap is closed by
+    /// shifting later entries of the probe run back, so no lookup ever
+    /// steps over a deleted slot.
+    fn remove(&mut self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
+        let mut hole = self.probe(id, id_of)?;
+        let (_, idx) = *self.slots.get(hole)?;
+        if idx == NO_PARENT {
+            return None;
+        }
+        self.live -= 1;
+        let mask = self.slots.len() - 1;
+        if let Some(slot) = self.slots.get_mut(hole) {
+            *slot = VACANT;
+        }
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let Some(&(hash, _)) = self.slots.get(pos).filter(|s| s.1 != NO_PARENT) else {
+                return Some(idx);
+            };
+            // Cyclic distances back from `pos`: movable iff the hole is
+            // no further back than the entry's home.
+            let from_home = pos.wrapping_sub(self.home(hash)) & mask;
+            if from_home >= (pos.wrapping_sub(hole) & mask) {
+                self.slots.swap(hole, pos);
+                hole = pos;
+            }
+        }
+    }
+
     /// Double the table (from nothing: [`MIN_INDEX_LEN`]) and re-enter
-    /// every id.
+    /// every entry by its hash.
     fn grow(&mut self) {
         let len = (self.slots.len() * 2).max(MIN_INDEX_LEN);
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
-        for (id, idx) in old.into_iter().filter(|&(id, _)| id != 0) {
-            let vacant = self.probe(id);
-            if let Some(slot) = vacant.and_then(|pos| self.slots.get_mut(pos)) {
-                *slot = (id, idx);
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; len]);
+        let mask = len - 1;
+        for entry in old.into_iter().filter(|s| s.1 != NO_PARENT) {
+            let mut pos = self.home(entry.0);
+            while self.slots.get(pos).is_some_and(|s| s.1 != NO_PARENT) {
+                pos = (pos + 1) & mask;
+            }
+            if let Some(slot) = self.slots.get_mut(pos) {
+                *slot = entry;
             }
         }
     }
 }
 
-/// Bounded, deterministic causal record log.
+/// No hop cell: the end of a [`Hops`] list.
+const NO_HOP: u32 = u32::MAX;
+
+/// Entries a [`Chunks`] allocates at a time (a power of two).
+const CHUNK: u32 = 4096;
+
+/// A growable array allocated in fixed chunks of [`CHUNK`] entries: it
+/// holds at most one chunk past its high water, where a doubling vector
+/// holds as much again.
+#[derive(Debug)]
+struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+    len: u32,
+}
+
+impl<T> Default for Chunks<T> {
+    fn default() -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Chunks<T> {
+    fn get(&self, i: u32) -> Option<&T> {
+        self.chunks
+            .get((i / CHUNK) as usize)?
+            .get((i % CHUNK) as usize)
+    }
+
+    fn get_mut(&mut self, i: u32) -> Option<&mut T> {
+        let chunk = self.chunks.get_mut((i / CHUNK) as usize)?;
+        chunk.get_mut((i % CHUNK) as usize)
+    }
+
+    /// Append `v`; its index.
+    fn push(&mut self, v: T) -> u32 {
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK as usize));
+        }
+        if let Some(chunk) = self.chunks.last_mut() {
+            chunk.push(v);
+        }
+        self.len += 1;
+        self.len - 1
+    }
+}
+
+/// One stalled hop on the path behind a tip: its stall, and a word
+/// holding its link — the node, the router port plus one (0 for none) —
+/// and how many lists share this cell and everything after it.
+#[derive(Debug, Clone, Copy)]
+struct HopCell {
+    stall: SimTime,
+    /// `refs << 27 | node << 3 | port + 1`.
+    word: u32,
+    next: u32,
+}
+
+/// Bits of [`HopCell::word`] below the reference count.
+const HOP_REFS_SHIFT: u32 = 27;
+/// The most lists one cell can be shared by; a copy past it is deep.
+const HOP_REFS_MAX: u32 = (1 << (32 - HOP_REFS_SHIFT)) - 1;
+
+impl HopCell {
+    fn refs(&self) -> u32 {
+        self.word >> HOP_REFS_SHIFT
+    }
+
+    /// `(node, port or -1)`.
+    fn key(&self) -> (u32, i16) {
+        let link = self.word & ((1 << HOP_REFS_SHIFT) - 1);
+        (link >> 3, (link & 7) as i16 - 1)
+    }
+}
+
+/// The stalled hops behind every tip, as persistent singly linked lists
+/// in one arena with a free list: a new stage puts its hop in front of
+/// the list it carries, and a tip that copies another's carry shares its
+/// list, counted in the head cell, so no list is ever copied cell by
+/// cell unless a head is shared [`HOP_REFS_MAX`] times.
+#[derive(Debug)]
+struct Hops {
+    cells: Chunks<HopCell>,
+    /// First free cell, or [`NO_HOP`].
+    free: u32,
+}
+
+impl Default for Hops {
+    fn default() -> Self {
+        Hops {
+            cells: Chunks::default(),
+            free: NO_HOP,
+        }
+    }
+}
+
+impl Hops {
+    /// A cell holding `cell`.
+    fn alloc(&mut self, cell: HopCell) -> u32 {
+        match self.cells.get_mut(self.free) {
+            Some(slot) => {
+                let at = self.free;
+                self.free = slot.next;
+                *slot = cell;
+                at
+            }
+            None => self.cells.push(cell),
+        }
+    }
+
+    /// List `head` with one more hop in front; the new list owns the
+    /// reference the caller held on `head`.
+    fn push(&mut self, head: u32, key: (u32, i16), stall: SimTime) -> u32 {
+        let link = key.0 << 3 | (key.1 + 1) as u32;
+        self.alloc(HopCell {
+            stall,
+            word: 1 << HOP_REFS_SHIFT | link,
+            next: head,
+        })
+    }
+
+    /// The hops of list `head`, by `(node, port or -1)`.
+    fn iter(&self, head: u32) -> impl Iterator<Item = ((u32, i16), SimTime)> + '_ {
+        let mut at = head;
+        std::iter::from_fn(move || {
+            let cell = self.cells.get(at)?;
+            at = cell.next;
+            Some((cell.key(), cell.stall))
+        })
+    }
+
+    /// Another reference on list `head`: the same cells, one more count.
+    fn share(&mut self, head: u32) -> u32 {
+        match self.cells.get_mut(head) {
+            Some(cell) if cell.refs() < HOP_REFS_MAX => {
+                cell.word += 1 << HOP_REFS_SHIFT;
+                head
+            }
+            Some(_) => self.copy(head),
+            None => NO_HOP,
+        }
+    }
+
+    /// A list of its own with the hops of `head`, in the same order.
+    fn copy(&mut self, head: u32) -> u32 {
+        let (mut first, mut last, mut at) = (NO_HOP, NO_HOP, head);
+        while let Some(&cell) = self.cells.get(at) {
+            let own = cell.word & ((1 << HOP_REFS_SHIFT) - 1);
+            let new = self.alloc(HopCell {
+                word: 1 << HOP_REFS_SHIFT | own,
+                next: NO_HOP,
+                ..cell
+            });
+            match self.cells.get_mut(last) {
+                Some(prev) => prev.next = new,
+                None => first = new,
+            }
+            (last, at) = (new, cell.next);
+        }
+        first
+    }
+
+    /// Drop a reference on list `head`: each cell no other list shares
+    /// goes back to the free list.
+    fn free(&mut self, mut head: u32) {
+        while let Some(cell) = self.cells.get_mut(head) {
+            cell.word -= 1 << HOP_REFS_SHIFT;
+            if cell.refs() > 0 {
+                return;
+            }
+            let next = cell.next;
+            cell.next = self.free;
+            self.free = head;
+            head = next;
+        }
+    }
+}
+
+/// What a delivery through a record adds to the fold: the classified
+/// path behind it, back to where a walk through it stops.
+#[derive(Debug, Clone, Copy)]
+struct Carry {
+    sum: Breakdown,
+    /// Its stalled hops ([`Hops`] list head).
+    hops: u32,
+    /// The first defect on the path — the walk's error — as an index
+    /// into the log's defects plus one; 0 for none.
+    defect: u32,
+}
+
+impl Carry {
+    /// Nothing behind: where a walk stops.
+    const ROOT: Carry = Carry {
+        sum: Breakdown::ZERO,
+        hops: NO_HOP,
+        defect: 0,
+    };
+}
+
+/// A record past the head that something still names — the latest
+/// record of a message in flight, a completion with events pending, the
+/// activation cause — with the path behind it folded into its carry.
+#[derive(Debug, Clone, Copy)]
+struct Tip {
+    carry: Carry,
+    id: u64,
+    at: SimTime,
+    /// Handles naming it: the latest-record index, each pending EQ post,
+    /// the cause, an EQ post popped and not yet delivered.
+    refs: u32,
+    /// Its place in the stream (what a whole log would index it by).
+    ordinal: u32,
+    stage: CausalStage,
+    /// The path behind it reaches an `ApiEntry` root.
+    rooted: bool,
+}
+
+/// The tips: a slab with a free list. A record past the head is named by
+/// `head + slot`, so a handle finds its tip without a lookup.
+#[derive(Debug, Default)]
+struct Tips {
+    slab: Chunks<Tip>,
+    free: Vec<u32>,
+}
+
+impl Tips {
+    fn get(&self, slot: u32) -> Option<&Tip> {
+        self.slab.get(slot).filter(|t| t.refs != FREED)
+    }
+
+    fn get_mut(&mut self, slot: u32) -> Option<&mut Tip> {
+        self.slab.get_mut(slot).filter(|t| t.refs != FREED)
+    }
+
+    /// The slot the next [`Self::insert`] fills.
+    fn next_slot(&self) -> u32 {
+        match self.free.last() {
+            Some(&slot) => slot,
+            None => self.slab.len,
+        }
+    }
+
+    fn insert(&mut self, tip: Tip) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                if let Some(free) = self.slab.get_mut(slot) {
+                    *free = tip;
+                }
+                slot
+            }
+            None => self.slab.push(tip),
+        }
+    }
+
+    /// Forget tip `slot`; returns its hops, now the caller's.
+    fn remove(&mut self, slot: u32) -> u32 {
+        let Some(tip) = self.get_mut(slot) else {
+            return NO_HOP;
+        };
+        tip.refs = FREED;
+        let hops = std::mem::replace(&mut tip.carry.hops, NO_HOP);
+        self.free.push(slot);
+        hops
+    }
+
+    fn live(&self) -> u32 {
+        self.slab.len - self.free.len() as u32
+    }
+}
+
+/// The reference count of a free slab slot.
+const FREED: u32 = u32::MAX;
+
+/// The id of record `idx`: in the head, or a held tip past it.
+fn id_at(records: &[Stored], tips: &Tips, head: u32, idx: u32) -> Option<u64> {
+    match records.get(idx as usize) {
+        Some(rec) => Some(rec.id),
+        None => tips.get(idx.checked_sub(head)?).map(|t| t.id),
+    }
+}
+
+/// Deterministic causal record log that folds each chain as it completes.
 ///
 /// Disabled, every record call is one predictable branch. Enabled, the
 /// log appends records, maintains the per-message "latest record" index
 /// that turns independent handler callbacks into parent→child chains,
 /// and tracks the FIFO of pending EQ posts per `(node, pid)` so an
 /// `AppDeliver` can name the completion that produced the event it
-/// consumed.
+/// consumed. Each delivery's chain is folded into the [`ChainFold`] as it
+/// is recorded; past the head only the records something still names are
+/// kept, each with the path behind it folded into it.
 #[derive(Debug)]
 pub struct CausalLog {
     enabled: bool,
+    /// Records below this index are stored whole, for good.
+    head: u32,
     /// At most `u32::MAX`: parent edges are `u32` record indices.
     cap: u32,
+    /// The head, in append order.
     records: Vec<Stored>,
+    /// Records made and not dropped: the next record's index.
+    made: u32,
+    /// Past the head: the records still named, and their stalled hops.
+    tips: Tips,
+    hops: Hops,
+    /// Defects met on paths past the head (a carry names one by index).
+    defects: Vec<CritPathError>,
     dropped: u64,
     digest: EventDigest,
-    /// Latest stored record per trace id (chains stages recorded by
-    /// different handlers).
+    /// Latest record per trace id (chains stages recorded by different
+    /// handlers).
     latest: LatestIndex,
+    /// The last `(id, latest record)` the index was asked for or told:
+    /// a message's stages come in runs (every hop of a route in one
+    /// call), so most records past the head skip the probe. Id 0 (never
+    /// recorded) when empty.
+    recent: (u64, u32),
     /// Pending EQ posts, dense by node: each node's `(pid, record
     /// indices in post order)` lanes, a node having a process or two.
     eq_fifo: Vec<Vec<(u32, VecDeque<u32>)>>,
     /// The record causally responsible for work done in the current
     /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
     cause: Option<u32>,
+    fold: ChainFold,
+    /// Scratch for walks over the head.
+    path: Vec<u32>,
+    stalls: Vec<((u32, i16), SimTime)>,
 }
 
 /// Where a new record's parent edge comes from.
@@ -418,6 +784,9 @@ pub struct CausalLog {
 enum Parent {
     /// The caller names it.
     Given(Option<u32>),
+    /// The caller names it and hands over a reference on it — a popped EQ
+    /// post — so a tip nothing else names gives its hops up, not a copy.
+    Delivered(Option<u32>),
     /// The latest stored record of the same id.
     Latest,
 }
@@ -433,23 +802,32 @@ impl CausalLog {
     pub fn disabled() -> Self {
         CausalLog {
             enabled: false,
-            cap: DEFAULT_RECORD_CAP,
+            head: HEAD,
+            cap: u32::MAX,
             records: Vec::new(),
+            made: 0,
+            tips: Tips::default(),
+            hops: Hops::default(),
+            defects: Vec::new(),
             dropped: 0,
             digest: EventDigest::new(),
             latest: LatestIndex::default(),
+            recent: (0, 0),
             eq_fifo: Vec::new(),
             cause: None,
+            fold: ChainFold::default(),
+            path: Vec::new(),
+            stalls: Vec::new(),
         }
     }
 
-    /// An enabled log with the default record cap.
+    /// An enabled log: the first [`HEAD`] records whole, the rest folded.
     pub fn enabled() -> Self {
         Self::new(true)
     }
 
-    /// A log with the default record cap, recording or not as `enabled`
-    /// says — for callers holding the choice as a flag.
+    /// A log like [`Self::enabled`], recording or not as `enabled` says —
+    /// for callers holding the choice as a flag.
     pub fn new(enabled: bool) -> Self {
         CausalLog {
             enabled,
@@ -457,13 +835,26 @@ impl CausalLog {
         }
     }
 
-    /// An enabled log storing at most `cap` records (and never more
-    /// than `u32::MAX`, the range of a parent edge).
+    /// An enabled log that stores at most `cap` records, all of them
+    /// whole, and counts the rest as dropped (never more than
+    /// `u32::MAX`, the range of a parent edge). It folds the chains it
+    /// stores.
     pub fn with_cap(cap: usize) -> Self {
+        let cap = u32::try_from(cap).unwrap_or(u32::MAX);
         CausalLog {
-            enabled: true,
-            cap: u32::try_from(cap).unwrap_or(u32::MAX),
-            ..Self::disabled()
+            head: cap,
+            cap,
+            ..Self::enabled()
+        }
+    }
+
+    /// An enabled log storing only its first `head` records whole — the
+    /// seam that lets a test fold a small run from its first record.
+    #[doc(hidden)]
+    pub fn with_head(head: usize) -> Self {
+        CausalLog {
+            head: u32::try_from(head).unwrap_or(u32::MAX),
+            ..Self::enabled()
         }
     }
 
@@ -478,12 +869,30 @@ impl CausalLog {
         self.enabled
     }
 
-    /// All stored records, in append order (a child's index is always
+    /// The records stored whole — every record of a run that made no more
+    /// than the head — in append order (a child's index is always
     /// greater than its parent's).
     pub fn records(&self) -> Records<'_> {
         Records {
             stored: &self.records,
         }
+    }
+
+    /// Records made and not dropped: stored whole, or past the head and
+    /// folded.
+    pub fn made(&self) -> u64 {
+        u64::from(self.made)
+    }
+
+    /// Records held right now: the head, plus those past it that
+    /// something still names.
+    pub fn held(&self) -> u64 {
+        self.records.len() as u64 + u64::from(self.tips.live())
+    }
+
+    /// The running totals over every chain delivered so far.
+    pub fn fold(&self) -> &ChainFold {
+        &self.fold
     }
 
     /// Records discarded after the cap was reached.
@@ -499,7 +908,12 @@ impl CausalLog {
 
     /// Set the record causally responsible for the current activation.
     pub fn set_cause(&mut self, cause: Option<u32>) {
-        self.cause = cause;
+        if let Some(idx) = cause {
+            self.hold(idx, 1);
+        }
+        if let Some(old) = std::mem::replace(&mut self.cause, cause) {
+            self.release(old);
+        }
     }
 
     /// The current activation's cause, if any.
@@ -507,9 +921,47 @@ impl CausalLog {
         self.cause
     }
 
+    /// The latest record of `id`.
+    fn latest(&self, id: u64) -> Option<u32> {
+        let id_of = |i| id_at(&self.records, &self.tips, self.head, i);
+        self.latest.latest(id, id_of)
+    }
+
+    /// The tip record `idx` names, if it is past the head and held.
+    fn tip(&self, idx: u32) -> Option<&Tip> {
+        self.tips.get(idx.checked_sub(self.head)?)
+    }
+
+    /// Take `n` references on record `idx` if it is a tip.
+    fn hold(&mut self, idx: u32, n: u32) {
+        let tip = idx
+            .checked_sub(self.head)
+            .and_then(|s| self.tips.get_mut(s));
+        if let Some(tip) = tip {
+            tip.refs += n;
+        }
+    }
+
+    /// Drop a reference on record `idx`; forget it after the last.
+    fn release(&mut self, idx: u32) {
+        let Some(slot) = idx.checked_sub(self.head) else {
+            return;
+        };
+        let Some(tip) = self.tips.get_mut(slot) else {
+            return;
+        };
+        debug_assert!(tip.refs > 0, "causal record #{idx} released unheld");
+        tip.refs = tip.refs.saturating_sub(1);
+        if tip.refs == 0 {
+            let hops = self.tips.remove(slot);
+            self.hops.free(hops);
+        }
+    }
+
     /// Append a record whose parent is the latest record of the same id
     /// (or the explicit `parent` when given). Returns the new record's
-    /// index, or `None` when disabled, capped, or `id` is null.
+    /// index — past the head, a handle that names it while it is held —
+    /// or `None` when disabled, capped, or `id` is null.
     #[inline]
     pub fn record(
         &mut self,
@@ -568,24 +1020,236 @@ impl CausalLog {
             parent: None,
             info,
         };
-        if self.records.len() >= self.cap as usize || rec.check().is_err() {
+        if self.made >= self.cap || rec.check().is_err() {
             self.dropped += 1;
             return None;
         }
-        let idx = self.records.len() as u32;
-        // One probe both finds the previous stage and enters this one.
+        let ordinal = self.made;
+        self.made += 1;
         let indexed = id.is_some() && stage != CausalStage::AppDeliver;
-        let previous = indexed.then(|| self.latest.replace(id.0, idx)).flatten();
-        rec.parent = match parent {
-            Parent::Given(parent) => parent,
+        let resolve = |log: &CausalLog, previous| match parent {
+            Parent::Given(parent) | Parent::Delivered(parent) => parent,
             Parent::Latest if indexed => previous,
-            Parent::Latest => self.latest.latest(id.0),
+            Parent::Latest => log.latest(id.0),
         };
-        self.records.push(Stored::pack(&rec));
-        if self.records.len() >= self.cap as usize {
+        let idx = if ordinal < self.head {
+            // One probe both finds the previous stage and enters this one.
+            let previous = indexed
+                .then(|| {
+                    let (records, tips, head) = (&self.records, &self.tips, self.head);
+                    let id_of = |i| id_at(records, tips, head, i);
+                    self.latest.replace(id.0, ordinal, id_of)
+                })
+                .flatten();
+            rec.parent = resolve(self, previous);
+            self.records.push(Stored::pack(&rec));
+            if stage == CausalStage::AppDeliver {
+                let records = Records {
+                    stored: &self.records,
+                };
+                let (path, stalls) = (&mut self.path, &mut self.stalls);
+                self.fold.fold(records, ordinal, path, stalls);
+            }
+            ordinal
+        } else {
+            let previous = match (indexed, self.recent) {
+                (false, _) => None,
+                (true, (held, idx)) if held == id.0 => Some(idx),
+                (true, _) => self.latest(id.0),
+            };
+            rec.parent = resolve(self, previous);
+            let sole = |p: u32| self.tip(p).is_some_and(|t| t.refs == 1);
+            let idx = match previous.filter(|&p| matches!(parent, Parent::Latest) && sole(p)) {
+                // The message's next stage takes its tip over in place:
+                // nothing else names the stage before.
+                Some(p) => {
+                    self.advance(p, ordinal, &rec);
+                    p
+                }
+                None => {
+                    let take = matches!(parent, Parent::Delivered(_));
+                    self.push_tip(ordinal, &rec, indexed, previous, take)
+                }
+            };
+            if indexed {
+                self.recent = (id.0, idx);
+            }
+            idx
+        };
+        if self.made >= self.cap {
             self.latest = LatestIndex::default();
+            self.recent = (0, 0);
         }
         Some(idx)
+    }
+
+    /// Move tip `p` on to record `ordinal`, its child and its message's
+    /// next stage: the edge between them joins its carry.
+    fn advance(&mut self, p: u32, ordinal: u32, rec: &CausalRecord) {
+        let Some(tip) = p.checked_sub(self.head).and_then(|s| self.tips.get_mut(s)) else {
+            return;
+        };
+        let parent = CausalRecord {
+            id: TraceId(tip.id),
+            stage: tip.stage,
+            at: tip.at,
+            node: 0,
+            parent: None,
+            info: 0,
+        };
+        let (carry, hops) = (&mut tip.carry, &mut self.hops);
+        let added = chain::segments((tip.ordinal, &parent), (ordinal, rec), |s| {
+            carry.sum.add(s.class, s.dur);
+            if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
+                carry.hops = hops.push(carry.hops, chain::link_key(rec), s.dur);
+            }
+        });
+        (tip.at, tip.stage, tip.ordinal) = (rec.at, rec.stage, ordinal);
+        if let Err(e) = added {
+            if tip.carry.defect == 0 {
+                self.defects.push(e);
+                tip.carry.defect = self.defects.len() as u32;
+            }
+        }
+    }
+
+    /// Hold record `ordinal` past the head in a tip of its own; its
+    /// handle. Its carry is its parent's plus the edge between them (the
+    /// parent's hops taken when `take` and nothing else names it, copied
+    /// otherwise); a delivery folds it.
+    fn push_tip(
+        &mut self,
+        ordinal: u32,
+        rec: &CausalRecord,
+        indexed: bool,
+        previous: Option<u32>,
+        take: bool,
+    ) -> u32 {
+        let idx = self.head + self.tips.next_slot();
+        let (carry, rooted) = self.carry(ordinal, rec, take);
+        if rec.stage == CausalStage::AppDeliver && rec.parent.is_some() && rooted {
+            match carry.defect.checked_sub(1) {
+                Some(d) => self.fold.defect(self.defects[d as usize]),
+                None => self.fold.add(&carry.sum, self.hops.iter(carry.hops)),
+            }
+        }
+        self.tips.insert(Tip {
+            carry,
+            id: rec.id.0,
+            at: rec.at,
+            refs: u32::from(indexed),
+            ordinal,
+            stage: rec.stage,
+            rooted,
+        });
+        if indexed {
+            let (records, tips, head) = (&self.records, &self.tips, self.head);
+            let id_of = |i| id_at(records, tips, head, i);
+            self.latest.replace(rec.id.0, idx, id_of);
+        }
+        if let Some(prev) = previous {
+            self.release(prev);
+        }
+        idx
+    }
+
+    /// The carry of record `ordinal` past the head, and whether its path
+    /// is rooted: its parent's carry plus the edge between them,
+    /// classified as a walk would.
+    fn carry(&mut self, ordinal: u32, rec: &CausalRecord, take: bool) -> (Carry, bool) {
+        let Some(p) = rec.parent else {
+            return (Carry::ROOT, rec.stage == CausalStage::ApiEntry);
+        };
+        let (at, parent, mut carry, rooted) = match self.parent_carry(p, rec, take) {
+            Ok(Some(found)) => found,
+            // A walk stops at `rec`: nothing behind it counts.
+            Ok(None) => return (Carry::ROOT, true),
+            Err(e) => {
+                let defect = self.defect(e);
+                return (
+                    Carry {
+                        defect,
+                        ..Carry::ROOT
+                    },
+                    true,
+                );
+            }
+        };
+        let hops = &mut self.hops;
+        let added = chain::segments((at, &parent), (ordinal, rec), |s| {
+            carry.sum.add(s.class, s.dur);
+            if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
+                carry.hops = hops.push(carry.hops, chain::link_key(rec), s.dur);
+            }
+        });
+        if let Err(e) = added {
+            if carry.defect == 0 {
+                carry.defect = self.defect(e);
+            }
+        }
+        (carry, rooted)
+    }
+
+    /// Record `rec`'s parent `p` — where a whole log would index it, and
+    /// as far as an edge from it needs — and its carry and rootedness:
+    /// from its tip (its hops taken when `take` and nothing else names
+    /// it, copied otherwise), or walked in the head. `None` when a walk
+    /// stops at `rec`.
+    fn parent_carry(
+        &mut self,
+        p: u32,
+        rec: &CausalRecord,
+        take: bool,
+    ) -> Result<Option<(u32, CausalRecord, Carry, bool)>, CritPathError> {
+        if let Some(parent) = self.records.get(p as usize).map(Stored::unpack) {
+            if chain::stops(rec, parent.stage) {
+                return Ok(None);
+            }
+            let records = Records {
+                stored: &self.records,
+            };
+            let rooted = chain::walk_from(records, p, &mut self.path)?;
+            let mut carry = Carry::ROOT;
+            if rooted {
+                let hops = &mut self.hops;
+                chain::classify(records, &self.path, |s| {
+                    carry.sum.add(s.class, s.dur);
+                    if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
+                        if let Some(hop) = records.get(s.to as usize) {
+                            carry.hops = hops.push(carry.hops, chain::link_key(&hop), s.dur);
+                        }
+                    }
+                })?;
+            }
+            return Ok(Some((p, parent, carry, rooted)));
+        }
+        let missing = CritPathError::MissingRecord { idx: p };
+        let slot = p.checked_sub(self.head).ok_or(missing)?;
+        let tip = self.tips.get_mut(slot).ok_or(missing)?;
+        if chain::stops(rec, tip.stage) {
+            return Ok(None);
+        }
+        let parent = CausalRecord {
+            id: TraceId(tip.id),
+            stage: tip.stage,
+            at: tip.at,
+            node: 0,
+            parent: None,
+            info: 0,
+        };
+        let (mut carry, rooted, tip_ordinal) = (tip.carry, tip.rooted, tip.ordinal);
+        if take && tip.refs == 1 {
+            tip.carry.hops = NO_HOP;
+        } else {
+            carry.hops = self.hops.share(carry.hops);
+        }
+        Ok(Some((tip_ordinal, parent, carry, rooted)))
+    }
+
+    /// Keep defect `e`; the carry's name for it.
+    fn defect(&mut self, e: CritPathError) -> u32 {
+        self.defects.push(e);
+        self.defects.len() as u32
     }
 
     /// Note that the completion recorded at `idx` posted `count` events
@@ -607,10 +1271,12 @@ impl CausalLog {
         if let Some((_, fifo)) = lanes.iter_mut().find(|(p, _)| *p == pid) {
             fifo.extend(std::iter::repeat_n(idx, count as usize));
         }
+        self.hold(idx, count as u32);
     }
 
     /// Pop the oldest pending EQ post for `(node, pid)` (the event a
-    /// successful `eq_get` just consumed).
+    /// successful `eq_get` just consumed). The post's reference on its
+    /// record passes to the caller, and [`Self::record_deliver`] takes it.
     pub fn pop_eq_post(&mut self, node: u32, pid: u32) -> Option<u32> {
         if !self.enabled {
             return None;
@@ -620,9 +1286,30 @@ impl CausalLog {
         fifo.pop_front()
     }
 
-    /// Convenience: record the `AppDeliver` for a consumed event and make
-    /// it the current activation's cause. `producer` is the `EqPost`-side
-    /// record popped from the FIFO.
+    /// Message `id` records nothing more: its completion is attributed
+    /// (or it found no match). Its latest-record entry goes when that
+    /// record is past the head, so the record is forgotten once no
+    /// pending EQ post or cause names it. (A later record of the id — a
+    /// go-back-n duplicate of a delivered message — starts a chain of its
+    /// own, which no delivery walks.) A caller still holding one of the
+    /// message's record indices makes it the cause first.
+    pub fn finish(&mut self, id: TraceId) {
+        if !self.enabled || self.latest(id.0).is_none_or(|idx| idx < self.head) {
+            return;
+        }
+        if self.recent.0 == id.0 {
+            self.recent = (0, 0);
+        }
+        let (records, tips, head) = (&self.records, &self.tips, self.head);
+        let id_of = |i| id_at(records, tips, head, i);
+        if let Some(idx) = self.latest.remove(id.0, id_of) {
+            self.release(idx);
+        }
+    }
+
+    /// Record the `AppDeliver` for a consumed event, fold its chain, and
+    /// make it the current activation's cause. `producer` is the
+    /// `EqPost`-side record [`Self::pop_eq_post`] returned.
     pub fn record_deliver(
         &mut self,
         node: u32,
@@ -633,18 +1320,22 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        let id = producer
-            .and_then(|i| self.records.get(i as usize))
-            .map_or(TraceId::NONE, |r| TraceId(r.id));
+        let id = producer.and_then(|i| match self.records.get(i as usize) {
+            Some(rec) => Some(rec.id),
+            None => self.tip(i).map(|tip| tip.id),
+        });
         let idx = self.record_slow(
-            id,
+            TraceId(id.unwrap_or(0)),
             CausalStage::AppDeliver,
             at,
             node,
-            Parent::Given(producer),
+            Parent::Delivered(producer),
             pid as u64,
         );
-        self.cause = idx;
+        if let Some(p) = producer {
+            self.release(p);
+        }
+        self.set_cause(idx);
         idx
     }
 }
@@ -655,11 +1346,14 @@ mod tests {
 
     #[test]
     fn stored_record_is_thirty_two_bytes() {
-        // 2^21 of them are the default log: 64 MiB instead of the 80 MiB
-        // of `CausalRecord`s (an `Option<u32>` parent and a one-byte
-        // stage each padded out to eight). DESIGN.md §9 quotes this.
+        // The head is 8 MiB of them instead of the 10 MiB of
+        // `CausalRecord`s (an `Option<u32>` parent and a one-byte stage
+        // each padded out to eight). Past the head a message in flight
+        // is one tip, its path folded into it.
+        // DESIGN.md §9 quotes this.
         assert_eq!(std::mem::size_of::<Stored>(), 32);
         assert_eq!(std::mem::size_of::<CausalRecord>(), 40);
+        assert!(std::mem::size_of::<Tip>() <= 104);
     }
 
     #[test]
@@ -668,6 +1362,7 @@ mod tests {
         log.record_chain(TraceId(1), CausalStage::ApiEntry, SimTime::ZERO, 0, 8);
         log.push_eq_posts(3, 0, 0, 2);
         assert_eq!(log.records.capacity(), 0);
+        assert_eq!(log.tips.slab.chunks.capacity(), 0);
         assert_eq!(log.latest.slots.capacity(), 0);
         assert_eq!(log.eq_fifo.capacity(), 0);
     }

@@ -38,6 +38,7 @@
 //! ```
 
 pub mod causal;
+pub mod chain;
 pub mod cursor;
 pub mod digest;
 pub mod engine;
@@ -52,8 +53,9 @@ pub mod trace;
 
 pub use causal::{
     linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalLog, CausalRecord, CausalStage,
-    Records, TraceId, LINKHOP_STALL_MASK, MAX_CAUSAL_NODE,
+    Records, TraceId, HEAD, LINKHOP_STALL_MASK, MAX_CAUSAL_NODE,
 };
+pub use chain::{walk_one, Breakdown, Chain, ChainFold, CostClass, CritPathError, Segment};
 pub use cursor::BusyCursor;
 pub use digest::EventDigest;
 pub use engine::{fold_digest_lanes, merge_digest_lanes, DigestLane, Engine, Model, RunOutcome};

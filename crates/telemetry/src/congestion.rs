@@ -2,10 +2,14 @@
 //!
 //! The critical-path extractor ([`crate::critpath`]) already charges
 //! head-of-line blocking to the [`CostClass::HopQueue`] class, but only
-//! as one aggregate number per chain. This module joins those segments
-//! with the link-level series ([`crate::series`]) to produce rows of
-//! the form *"flow F lost T ns on link L during bucket B because of
-//! competing flows {G, H}"*:
+//! as one aggregate number per chain. This module turns the link-level
+//! series ([`crate::series`]) into rows of the form *"flow F lost T ns on
+//! link L during bucket B because of competing flows {G, H}"*
+//! ([`attribute_occupancy`], the product), and gives the causal side to
+//! check them by: per-link head-of-line totals over whole chains
+//! ([`hop_stalls`]) or over the log's fold ([`folded_hop_stalls`]). The
+//! row-level join of chains with the series ([`attribute`]) is the
+//! oracle the tests hold the product to:
 //!
 //! * **flow / lost** come from the chain's `HopQueue` segments, so the
 //!   table inherits critpath's zero-residual discipline: the sum of
@@ -26,7 +30,7 @@ use std::fmt::Write as _;
 
 use xt3_sim::{linkhop_port, CausalLog, CausalStage, SimTime, TraceId};
 
-use crate::critpath::{aggregate, require_complete, Chain, CostClass, CritPathError};
+use crate::critpath::{aggregate, require_complete, Chain, ChainFold, CostClass, CritPathError};
 use crate::series::{Hotspot, Occupancy, SeriesConfig, SeriesSet};
 use crate::sink::Component;
 
@@ -332,6 +336,20 @@ pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Result<Vec<HopStall>, Cr
         .collect())
 }
 
+/// The fold's per-link head-of-line totals as [`HopStall`]s, sorted by
+/// `(node, port)`: what [`hop_stalls`] gives over a whole log, for a run
+/// of any length.
+pub fn folded_hop_stalls(fold: &ChainFold) -> Vec<HopStall> {
+    let hops = fold.hop_stalls();
+    hops.map(|(node, port, stall, waits)| HopStall {
+        node,
+        port,
+        stall,
+        waits,
+    })
+    .collect()
+}
+
 /// Human label for a link: node id plus port direction.
 fn link_label(node: u32, port: Option<u8>) -> String {
     match port {
@@ -340,7 +358,10 @@ fn link_label(node: u32, port: Option<u8>) -> String {
     }
 }
 
-/// Build the attribution table for `chains`.
+/// Build the attribution table for `chains`, row by row from the causal
+/// log: the oracle the tests hold [`attribute_occupancy`] to. The product
+/// is `attribute_occupancy`, checked per link against the log's fold,
+/// which needs no whole log.
 ///
 /// `log` must be the causal log the chains were extracted from (rows
 /// index into it). `series`, when given, supplies the bucket geometry,
@@ -348,10 +369,10 @@ fn link_label(node: u32, port: Option<u8>) -> String {
 /// ranking (`top_k` links); without it rows carry bucket indices from
 /// [`SeriesConfig::default`] and empty competitor lists.
 ///
-/// A log that dropped records is refused ([`CritPathError::Truncated`]):
-/// a table over the chains the cap happened to leave would report zero
-/// residual about an unknown share of the run. [`attribute_occupancy`]
-/// needs no log.
+/// A log that is not whole is refused ([`CritPathError::Truncated`],
+/// [`CritPathError::Folded`]): a table over the chains it happens to
+/// hold would report zero residual about an unknown share of the run.
+#[doc(hidden)]
 pub fn attribute(
     chains: &[Chain],
     log: &CausalLog,

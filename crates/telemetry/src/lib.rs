@@ -46,10 +46,12 @@ pub mod critpath;
 pub mod series;
 
 pub use congestion::{
-    attribute, attribute_occupancy, hop_stalls, AttributionRow, CongestionTable, HopStall,
+    attribute, attribute_occupancy, folded_hop_stalls, hop_stalls, AttributionRow, CongestionTable,
+    HopStall,
 };
 pub use critpath::{
-    aggregate, extract_chains, Breakdown, Chain, CostClass, CritPathError, Segment,
+    aggregate, extract_chains, folded, Breakdown, Chain, ChainFold, CostClass, CritPathError,
+    Segment,
 };
 pub use json::{parse as parse_json, quote as quote_json, JsonValue, JsonWriter};
 pub use registry::{Span, Spans, Telemetry};

@@ -118,11 +118,11 @@ impl Telemetry {
         }
 
         if let Some(log) = causal {
-            // A log that dropped records holds an unknown part of each
-            // message: its checkpoints are drawn, but no arrows that would
-            // pass a cut chain off as a whole one (the document's
-            // `metadata` names the truncation instead).
-            let whole = log.dropped() == 0;
+            // A log that dropped records, or folded those past its head,
+            // holds an unknown part of each message: its checkpoints are
+            // drawn, but no arrows that would pass a cut chain off as a
+            // whole one (the document's `metadata` names the cut instead).
+            let whole = log.dropped() == 0 && log.made() == log.records().len() as u64;
             // Group `(node, ts)` by trace id, preserving record order, so
             // each message becomes one flow.
             let mut by_id: BTreeMap<u64, Vec<(u32, f64)>> = BTreeMap::new();
@@ -181,6 +181,14 @@ impl Telemetry {
                  {{\"records_kept\": {}, \"records_dropped\": {}}}}}",
                 log.records().len(),
                 log.dropped()
+            );
+        } else if let Some(log) = causal.filter(|log| log.made() > log.records().len() as u64) {
+            let _ = write!(
+                out,
+                ",\n  \"metadata\": {{\"causal_log_folded\": \
+                 {{\"records_kept\": {}, \"records_folded\": {}}}}}",
+                log.records().len(),
+                log.made() - log.records().len() as u64
             );
         }
         out.push_str("\n}\n");

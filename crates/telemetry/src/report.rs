@@ -117,8 +117,9 @@ pub struct TelemetryReport {
     /// [`TelemetryReport::render_table`] and not part of the JSON: it
     /// describes the recorder that watched the run, not the machine.
     pub spans: SinkKept,
-    /// Records the causal log kept; anything dropped means chains cannot
-    /// be extracted from it ([`crate::CritPathError::Truncated`]).
+    /// Records the causal log made, stored whole or folded; anything
+    /// dropped means neither its chains nor its fold are whole
+    /// ([`crate::CritPathError::Truncated`]).
     pub causal_records: SinkKept,
 }
 

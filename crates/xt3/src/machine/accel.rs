@@ -44,10 +44,10 @@ impl Machine {
                 let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t + ht, done.before);
                 // Cause is the match, not the EqPost: the post's visible
                 // time is later than the ack's own start.
                 self.causal.set_cause(m.match_idx);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t + ht, done.before);
                 let t2 =
                     self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, None);
                 self.maybe_wake(q, t2 + ht, node, dst_pid);
@@ -75,8 +75,8 @@ impl Machine {
                 let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 self.causal.set_cause(m.match_idx);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 let region = Some(ticket.address);
                 let t2 =
                     self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, region);

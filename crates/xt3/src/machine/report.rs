@@ -94,7 +94,7 @@ impl Machine {
                 dropped: self.telemetry.dropped_spans(),
             },
             causal_records: SinkKept {
-                kept: self.causal.records().len() as u64,
+                kept: self.causal.made(),
                 dropped: self.causal.dropped(),
             },
         }
@@ -119,7 +119,10 @@ impl Machine {
     /// posted events to `(node, pid)`'s queue: diffs the library's
     /// posted-event counter across the completion and maps every new
     /// event to this producer record, so a later successful `eq_get` can
-    /// name the message whose completion it consumed.
+    /// name the message whose completion it consumed. The completion is
+    /// the message's last stage, so the log is told it is finished: a
+    /// caller still holding one of its record indices makes it the
+    /// cause first.
     pub(super) fn causal_eq_post(
         &mut self,
         node: usize,
@@ -129,14 +132,19 @@ impl Machine {
         before: u64,
     ) -> Option<u32> {
         let posted = self.events_posted(node, pid).saturating_sub(before);
-        if posted == 0 {
-            return None;
+        let idx = (posted > 0)
+            .then(|| {
+                let info = u64::from(pid);
+                self.causal
+                    .record_chain(id, CausalStage::EqPost, at, node as u32, info)
+            })
+            .flatten();
+        if let Some(idx) = idx {
+            self.causal.push_eq_posts(node as u32, pid, idx, posted);
         }
-        let idx =
-            self.causal
-                .record_chain(id, CausalStage::EqPost, at, node as u32, u64::from(pid))?;
-        self.causal.push_eq_posts(node as u32, pid, idx, posted);
-        Some(idx)
+        // The message's last stage: what it posted now holds its chain.
+        self.causal.finish(id);
+        idx
     }
 
     /// Like [`Self::causal_eq_post`] but for sender-side `SendEnd`
@@ -164,5 +172,6 @@ impl Machine {
         {
             self.causal.push_eq_posts(node as u32, pid, idx, posted);
         }
+        self.causal.finish(id);
     }
 }

@@ -460,6 +460,7 @@ impl Machine {
             _ => {
                 let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
                 self.recycle(parcel.expect("rx rec"));
+                self.causal.finish(TraceId(tag));
                 None
             }
         };
