@@ -31,8 +31,7 @@ use xt3_node::workloads::{
 use xt3_node::Machine;
 use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::{
-    attribute_occupancy, folded, folded_hop_stalls, CongestionTable, CostClass, HopStall,
-    JsonWriter, SeriesConfig,
+    attribute_occupancy, folded, CongestionTable, CostClass, HopStall, JsonWriter, SeriesConfig,
 };
 use xt3_topology::coord::Dims;
 
@@ -123,7 +122,12 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Stri
 
     let series = m.link_series().expect("series enabled");
     let fold = folded(m.causal()).map_err(|e| e.to_string());
-    let fold = fold.map(|f| (folded_hop_stalls(f), f.breakdown().get(CostClass::HopQueue)));
+    let fold = fold.map(|f| {
+        (
+            f.hop_stalls().collect(),
+            f.breakdown().get(CostClass::HopQueue),
+        )
+    });
     let records = m.causal().made();
     let mut table = attribute_occupancy(series, top_k, 4);
     table.canonicalize();

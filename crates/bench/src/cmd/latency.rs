@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 use xt3_netpipe::runner::{run_explained, tiled_chains, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
 use xt3_sim::SimTime;
-use xt3_telemetry::{aggregate, Breakdown, Chain, CostClass, HopStall, JsonValue, JsonWriter};
+use xt3_telemetry::{
+    aggregate, link_label, Breakdown, Chain, CostClass, HopStall, JsonValue, JsonWriter,
+};
 
 use crate::cli::{csv, positive, write_file, ArgError, Args, CmdResult};
 use crate::gate::Baseline;
@@ -336,7 +338,7 @@ fn print_hops(hops: &[HopStall]) {
     for h in hops {
         println!(
             "{:<16} {:>12.1} {:>8}",
-            h.label(),
+            link_label(h.node, h.port),
             h.stall.as_ns_f64(),
             h.waits
         );

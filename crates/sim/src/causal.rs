@@ -16,34 +16,31 @@
 //! keeps its own streaming digest so tests can assert that two
 //! instrumented runs recorded identical causal streams.
 //!
-//! **Memory grows with messages in flight, not with run length.** Each
-//! delivery's chain is folded into exact running totals ([`ChainFold`]:
-//! chains, per-class time, per-link head-of-line stall) as it is recorded.
-//! The first [`HEAD`] records are stored whole for good, so a run that
-//! makes no more keeps every record for [`CausalLog::records`], whole-log
-//! extraction and Perfetto, and folds them with [`crate::chain::walk_one`]'s
-//! walk. Past the head a record is not stored: it folds the edge from its
-//! parent — classified by the same per-edge rule — into the parent's
-//! *carry* (the classified path behind it, back to where a walk through
-//! it stops), and only records something still names are held, each with
-//! its carry: a message's latest stage (its carry moves on in place with
-//! each next stage), a completion with EQ posts pending, the activation
-//! cause. A delivery adds its carry to the totals; a message whose
-//! completion the machine has attributed ([`CausalLog::finish`]) drops
-//! out of the index, and its last record goes when its posts are
-//! consumed. So what the log holds past the head is one carry per
-//! message in flight (about 100 bytes, plus 16 a stalled hop) instead of
-//! every record it made.
+//! **Memory grows with messages in flight, not with run length.** Every
+//! record carries the path behind it forward — its parent's classified
+//! path plus the edge between them, by [`crate::chain`]'s per-edge rule —
+//! and each delivery adds the path it consumed to exact running totals
+//! ([`ChainFold`]: chains, per-class time, per-link head-of-line stall)
+//! as it is recorded. So a record is held only while something names it,
+//! as a *tip* with its carry: a message's latest stage (its carry moves
+//! on in place with each next stage), a completion with EQ posts
+//! pending, the activation cause. A message whose completion the machine
+//! has attributed ([`CausalLog::finish`]) drops out of the index, and its
+//! last record goes when its posts are consumed. What the log holds is
+//! one carry per message in flight (about 100 bytes, plus 16 a stalled
+//! hop) instead of every record it made. The first [`HEAD`] records are
+//! also stored whole, for good, so a run that makes no more keeps every
+//! record for [`CausalLog::records`], whole-log extraction and Perfetto;
+//! their totals come from the same carries.
 //!
 //! What a record costs is O(1): an append, one probe of the
 //! [`LatestIndex`] that chains it onto the message's previous stage, and
-//! past the head one update of that message's carry; a delivery in the
-//! head adds its walk. What a stored record *occupies* is 32 bytes: the
-//! log keeps each one packed (private `Stored`: the parent edge as a bare
-//! `u32` with a sentinel, the stage in the low byte of the node word) and
-//! hands out [`CausalRecord`] by value through the [`Records`] view.
-//! [`CausalLog::with_cap`] is the other shape: every record whole up to a
-//! cap, the rest counted as dropped.
+//! one update of that message's carry. What a stored record *occupies*
+//! is 32 bytes: the log keeps each one packed (private `Stored`: the
+//! parent edge as a bare `u32` with a sentinel, the stage in the low byte
+//! of the node word) and hands out [`CausalRecord`] by value through the
+//! [`Records`] view. [`CausalLog::with_cap`] is the other shape: every
+//! record whole up to a cap, the rest counted as dropped.
 
 use std::collections::VecDeque;
 
@@ -328,9 +325,8 @@ impl<'a> Records<'a> {
 const MIN_INDEX_LEN: usize = 16;
 
 /// The latest record of each message id: an open-addressed table of
-/// `(hash, record index)` pairs — 8 bytes a slot, the id itself read
-/// back from the record a matching hash names — empty until the first
-/// record, doubled when more than half full, Fibonacci-hashed and
+/// `(hash, tip slot)` pairs — 8 bytes a slot, the id itself read back
+/// from the tip a matching hash names — empty until the first record, doubled when more than half full, Fibonacci-hashed and
 /// linearly probed, with backward-shift deletion. It is only ever probed
 /// for one id, never iterated, so slot order cannot reach any output.
 ///
@@ -342,7 +338,7 @@ const MIN_INDEX_LEN: usize = 16;
 #[derive(Debug, Default)]
 struct LatestIndex {
     /// Empty or a power of two long and never more than half full, so
-    /// every probe run ends at a vacant slot (index [`NO_PARENT`]).
+    /// every probe run ends at a vacant slot (tip slot [`NO_PARENT`]).
     slots: Vec<(u32, u32)>,
     live: u32,
 }
@@ -362,8 +358,8 @@ impl LatestIndex {
         (hash >> (32 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The slot holding `id` — `id_of` reads the id of the record a
-    /// matching hash names — or the vacant one ending its probe run.
+    /// The slot holding `id` — `id_of` reads the id of the tip a matching
+    /// hash names — or the vacant one ending its probe run.
     /// `None` only while the table is empty.
     fn probe(&self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<usize> {
         let mask = self.slots.len().checked_sub(1)?;
@@ -378,14 +374,14 @@ impl LatestIndex {
         }
     }
 
-    /// The latest record of `id`.
+    /// The tip slot of `id`'s latest record.
     fn latest(&self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
         let &(_, idx) = self.slots.get(self.probe(id, id_of)?)?;
         (idx != NO_PARENT).then_some(idx)
     }
 
-    /// Make `idx` the latest record of `id` (non-zero); returns the one
-    /// it replaces.
+    /// Make tip `idx` the latest record of `id` (non-zero); returns the
+    /// one it replaces.
     fn replace(&mut self, id: u64, idx: u32, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
         if (self.live as usize + 1) * 2 > self.slots.len() {
             self.grow();
@@ -400,7 +396,7 @@ impl LatestIndex {
         prev
     }
 
-    /// Forget `id`; returns its latest record. The gap is closed by
+    /// Forget `id`; returns its latest record's tip slot. The gap is closed by
     /// shifting later entries of the probe run back, so no lookup ever
     /// steps over a deleted slot.
     fn remove(&mut self, id: u64, id_of: impl Fn(u32) -> Option<u64>) -> Option<u32> {
@@ -649,9 +645,9 @@ impl Carry {
     };
 }
 
-/// A record past the head that something still names — the latest
-/// record of a message in flight, a completion with events pending, the
-/// activation cause — with the path behind it folded into its carry.
+/// A record that something still names — the latest record of a
+/// message in flight, a completion with events pending, the activation
+/// cause — with the path behind it folded into its carry.
 #[derive(Debug, Clone, Copy)]
 struct Tip {
     carry: Carry,
@@ -660,7 +656,7 @@ struct Tip {
     /// Handles naming it: the latest-record index, each pending EQ post,
     /// the cause, an EQ post popped and not yet delivered.
     refs: u32,
-    /// Its place in the stream (what a whole log would index it by).
+    /// Its index in the stream (what a whole log would index it by).
     ordinal: u32,
     stage: CausalStage,
     /// The path behind it reaches an `ApiEntry` root.
@@ -668,7 +664,8 @@ struct Tip {
 }
 
 /// The tips: a slab with a free list. A record past the head is named by
-/// `head + slot`, so a handle finds its tip without a lookup.
+/// `head + slot`, so a handle finds its tip without a lookup; a stored
+/// record by its index, through the tip slot it was made in.
 #[derive(Debug, Default)]
 struct Tips {
     slab: Chunks<Tip>,
@@ -682,14 +679,6 @@ impl Tips {
 
     fn get_mut(&mut self, slot: u32) -> Option<&mut Tip> {
         self.slab.get_mut(slot).filter(|t| t.refs != FREED)
-    }
-
-    /// The slot the next [`Self::insert`] fills.
-    fn next_slot(&self) -> u32 {
-        match self.free.last() {
-            Some(&slot) => slot,
-            None => self.slab.len,
-        }
     }
 
     fn insert(&mut self, tip: Tip) -> u32 {
@@ -723,11 +712,44 @@ impl Tips {
 /// The reference count of a free slab slot.
 const FREED: u32 = u32::MAX;
 
-/// The id of record `idx`: in the head, or a held tip past it.
-fn id_at(records: &[Stored], tips: &Tips, head: u32, idx: u32) -> Option<u64> {
-    match records.get(idx as usize) {
-        Some(rec) => Some(rec.id),
-        None => tips.get(idx.checked_sub(head)?).map(|t| t.id),
+/// No tip slot: what a hold on a record nothing names takes.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A pending EQ post: the record that posted it, and the tip slot its
+/// reference is held on.
+type Post = (u32, u32);
+
+/// Add the edge from `from` — `(ordinal, stage, time)` of the record it
+/// leaves — to record `ordinal` into `carry`, classified as a walk would
+/// classify it: its time to the classes, a stalled hop to the carry's
+/// hops, a defect (the first) to `defects`.
+fn extend(
+    carry: &mut Carry,
+    hops: &mut Hops,
+    defects: &mut Vec<CritPathError>,
+    from: (u32, CausalStage, SimTime),
+    ordinal: u32,
+    rec: &CausalRecord,
+) {
+    let parent = CausalRecord {
+        id: rec.id,
+        stage: from.1,
+        at: from.2,
+        node: 0,
+        parent: None,
+        info: 0,
+    };
+    let added = chain::segments((from.0, &parent), (ordinal, rec), |s| {
+        carry.sum.add(s.class, s.dur);
+        if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
+            carry.hops = hops.push(carry.hops, chain::link_key(rec), s.dur);
+        }
+    });
+    if let Err(e) = added {
+        if carry.defect == 0 {
+            defects.push(e);
+            carry.defect = defects.len() as u32;
+        }
     }
 }
 
@@ -738,9 +760,9 @@ fn id_at(records: &[Stored], tips: &Tips, head: u32, idx: u32) -> Option<u64> {
 /// that turns independent handler callbacks into parent→child chains,
 /// and tracks the FIFO of pending EQ posts per `(node, pid)` so an
 /// `AppDeliver` can name the completion that produced the event it
-/// consumed. Each delivery's chain is folded into the [`ChainFold`] as it
-/// is recorded; past the head only the records something still names are
-/// kept, each with the path behind it folded into it.
+/// consumed. Each record carries the path behind it forward; each
+/// delivery folds its chain into the [`ChainFold`] as it is recorded, and
+/// only the records something still names are kept as tips.
 #[derive(Debug)]
 pub struct CausalLog {
     enabled: bool,
@@ -750,33 +772,31 @@ pub struct CausalLog {
     cap: u32,
     /// The head, in append order.
     records: Vec<Stored>,
+    /// The tip slot each stored record was made in.
+    head_slots: Vec<u32>,
     /// Records made and not dropped: the next record's index.
     made: u32,
-    /// Past the head: the records still named, and their stalled hops.
+    /// The records still named, and their stalled hops.
     tips: Tips,
     hops: Hops,
-    /// Defects met on paths past the head (a carry names one by index).
+    /// Defects met on paths (a carry names one by index).
     defects: Vec<CritPathError>,
     dropped: u64,
     digest: EventDigest,
-    /// Latest record per trace id (chains stages recorded by different
-    /// handlers).
+    /// Latest record per trace id, by tip slot (chains stages recorded
+    /// by different handlers).
     latest: LatestIndex,
-    /// The last `(id, latest record)` the index was asked for or told:
-    /// a message's stages come in runs (every hop of a route in one
-    /// call), so most records past the head skip the probe. Id 0 (never
-    /// recorded) when empty.
-    recent: (u64, u32),
-    /// Pending EQ posts, dense by node: each node's `(pid, record
-    /// indices in post order)` lanes, a node having a process or two.
-    eq_fifo: Vec<Vec<(u32, VecDeque<u32>)>>,
+    /// Pending EQ posts, dense by node: each node's `(pid, posts in
+    /// order)` lanes, a node having a process or two.
+    eq_fifo: Vec<Vec<(u32, VecDeque<Post>)>>,
+    /// The post [`Self::pop_eq_post`] handed out and its tip slot, whose
+    /// reference [`Self::record_deliver`] takes.
+    popped: Option<(u32, u32)>,
     /// The record causally responsible for work done in the current
-    /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
-    cause: Option<u32>,
+    /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`),
+    /// and the tip slot held for it.
+    cause: Option<(u32, u32)>,
     fold: ChainFold,
-    /// Scratch for walks over the head.
-    path: Vec<u32>,
-    stalls: Vec<((u32, i16), SimTime)>,
 }
 
 /// Where a new record's parent edge comes from.
@@ -787,7 +807,7 @@ enum Parent {
     /// The caller names it and hands over a reference on it — a popped EQ
     /// post — so a tip nothing else names gives its hops up, not a copy.
     Delivered(Option<u32>),
-    /// The latest stored record of the same id.
+    /// The latest record of the same id.
     Latest,
 }
 
@@ -805,6 +825,7 @@ impl CausalLog {
             head: HEAD,
             cap: u32::MAX,
             records: Vec::new(),
+            head_slots: Vec::new(),
             made: 0,
             tips: Tips::default(),
             hops: Hops::default(),
@@ -812,12 +833,10 @@ impl CausalLog {
             dropped: 0,
             digest: EventDigest::new(),
             latest: LatestIndex::default(),
-            recent: (0, 0),
             eq_fifo: Vec::new(),
+            popped: None,
             cause: None,
             fold: ChainFold::default(),
-            path: Vec::new(),
-            stalls: Vec::new(),
         }
     }
 
@@ -849,7 +868,7 @@ impl CausalLog {
     }
 
     /// An enabled log storing only its first `head` records whole — the
-    /// seam that lets a test fold a small run from its first record.
+    /// seam that lets a test hold a small run to what a long one keeps.
     #[doc(hidden)]
     pub fn with_head(head: usize) -> Self {
         CausalLog {
@@ -884,7 +903,7 @@ impl CausalLog {
         u64::from(self.made)
     }
 
-    /// Records held right now: the head, plus those past it that
+    /// Records held right now: the head, plus the tips — the records
     /// something still names.
     pub fn held(&self) -> u64 {
         self.records.len() as u64 + u64::from(self.tips.live())
@@ -908,49 +927,61 @@ impl CausalLog {
 
     /// Set the record causally responsible for the current activation.
     pub fn set_cause(&mut self, cause: Option<u32>) {
-        if let Some(idx) = cause {
-            self.hold(idx, 1);
-        }
-        if let Some(old) = std::mem::replace(&mut self.cause, cause) {
+        let held = cause.map(|idx| (idx, self.hold(idx, 1)));
+        if let Some((_, old)) = std::mem::replace(&mut self.cause, held) {
             self.release(old);
         }
     }
 
     /// The current activation's cause, if any.
     pub fn cause(&self) -> Option<u32> {
-        self.cause
+        self.cause.map(|(idx, _)| idx)
     }
 
-    /// The latest record of `id`.
+    /// The tip slot record `idx` names: past the head the handle is
+    /// `head + slot`; a stored record's is the slot it was made in, while
+    /// its tip is still that record (a held tip never moves on, so a
+    /// handle held stays good, and a stale one names nothing).
+    fn slot_of(&self, idx: u32) -> Option<u32> {
+        if let Some(slot) = idx.checked_sub(self.head) {
+            return Some(slot);
+        }
+        let slot = *self.head_slots.get(idx as usize)?;
+        let tip = self.tips.get(slot)?;
+        (tip.ordinal == idx).then_some(slot)
+    }
+
+    /// The tip slot of `id`'s latest record.
     fn latest(&self, id: u64) -> Option<u32> {
-        let id_of = |i| id_at(&self.records, &self.tips, self.head, i);
-        self.latest.latest(id, id_of)
+        let tips = &self.tips;
+        self.latest.latest(id, |slot| tips.get(slot).map(|t| t.id))
     }
 
-    /// The tip record `idx` names, if it is past the head and held.
-    fn tip(&self, idx: u32) -> Option<&Tip> {
-        self.tips.get(idx.checked_sub(self.head)?)
-    }
-
-    /// Take `n` references on record `idx` if it is a tip.
-    fn hold(&mut self, idx: u32, n: u32) {
-        let tip = idx
-            .checked_sub(self.head)
-            .and_then(|s| self.tips.get_mut(s));
-        if let Some(tip) = tip {
-            tip.refs += n;
+    /// Take `n` references on record `idx`'s tip; its slot, which the
+    /// holder releases, or [`NO_SLOT`] for a record nothing names.
+    fn hold(&mut self, idx: u32, n: u32) -> u32 {
+        let Some(slot) = self.slot_of(idx) else {
+            return NO_SLOT;
+        };
+        match self.tips.get_mut(slot) {
+            Some(tip) => {
+                tip.refs += n;
+                slot
+            }
+            None => NO_SLOT,
         }
     }
 
-    /// Drop a reference on record `idx`; forget it after the last.
-    fn release(&mut self, idx: u32) {
-        let Some(slot) = idx.checked_sub(self.head) else {
-            return;
-        };
+    /// Drop a reference on tip `slot`; forget it after the last.
+    fn release(&mut self, slot: u32) {
         let Some(tip) = self.tips.get_mut(slot) else {
             return;
         };
-        debug_assert!(tip.refs > 0, "causal record #{idx} released unheld");
+        debug_assert!(
+            tip.refs > 0,
+            "causal record #{} released unheld",
+            tip.ordinal
+        );
         tip.refs = tip.refs.saturating_sub(1);
         if tip.refs == 0 {
             let hops = self.tips.remove(slot);
@@ -960,8 +991,9 @@ impl CausalLog {
 
     /// Append a record whose parent is the latest record of the same id
     /// (or the explicit `parent` when given). Returns the new record's
-    /// index — past the head, a handle that names it while it is held —
-    /// or `None` when disabled, capped, or `id` is null.
+    /// index — past the head, a handle that names it while it is held or
+    /// its message's latest — or `None` when disabled, capped, or `id` is
+    /// null.
     #[inline]
     pub fn record(
         &mut self,
@@ -1027,113 +1059,74 @@ impl CausalLog {
         let ordinal = self.made;
         self.made += 1;
         let indexed = id.is_some() && stage != CausalStage::AppDeliver;
-        let resolve = |log: &CausalLog, previous| match parent {
-            Parent::Given(parent) | Parent::Delivered(parent) => parent,
-            Parent::Latest if indexed => previous,
-            Parent::Latest => log.latest(id.0),
-        };
-        let idx = if ordinal < self.head {
-            // One probe both finds the previous stage and enters this one.
-            let previous = indexed
-                .then(|| {
-                    let (records, tips, head) = (&self.records, &self.tips, self.head);
-                    let id_of = |i| id_at(records, tips, head, i);
-                    self.latest.replace(id.0, ordinal, id_of)
-                })
-                .flatten();
-            rec.parent = resolve(self, previous);
-            self.records.push(Stored::pack(&rec));
-            if stage == CausalStage::AppDeliver {
-                let records = Records {
-                    stored: &self.records,
+        let chained = matches!(parent, Parent::Latest);
+        let previous = (indexed || chained).then(|| self.latest(id.0)).flatten();
+        let sole = previous
+            .and_then(|s| self.tips.get_mut(s))
+            .filter(|tip| chained && indexed && tip.refs == 1);
+        let slot = match (sole, previous) {
+            // The message's next stage takes its tip over in place:
+            // nothing else names the stage before.
+            (Some(tip), Some(s)) => {
+                rec.parent = Some(tip.ordinal);
+                let from = (tip.ordinal, tip.stage, tip.at);
+                extend(
+                    &mut tip.carry,
+                    &mut self.hops,
+                    &mut self.defects,
+                    from,
+                    ordinal,
+                    &rec,
+                );
+                (tip.at, tip.stage, tip.ordinal) = (at, stage, ordinal);
+                s
+            }
+            _ => {
+                // The parent edge, and the tip it leaves from.
+                let from = match parent {
+                    Parent::Given(p) | Parent::Delivered(p) => p.map(|p| (p, self.slot_of(p))),
+                    Parent::Latest => {
+                        previous.and_then(|s| Some((self.tips.get(s)?.ordinal, Some(s))))
+                    }
                 };
-                let (path, stalls) = (&mut self.path, &mut self.stalls);
-                self.fold.fold(records, ordinal, path, stalls);
+                rec.parent = from.map(|(p, _)| p);
+                let take = matches!(parent, Parent::Delivered(_));
+                let previous = previous.filter(|_| indexed);
+                self.push_tip(ordinal, &rec, from, previous, take)
             }
-            ordinal
-        } else {
-            let previous = match (indexed, self.recent) {
-                (false, _) => None,
-                (true, (held, idx)) if held == id.0 => Some(idx),
-                (true, _) => self.latest(id.0),
-            };
-            rec.parent = resolve(self, previous);
-            let sole = |p: u32| self.tip(p).is_some_and(|t| t.refs == 1);
-            let idx = match previous.filter(|&p| matches!(parent, Parent::Latest) && sole(p)) {
-                // The message's next stage takes its tip over in place:
-                // nothing else names the stage before.
-                Some(p) => {
-                    self.advance(p, ordinal, &rec);
-                    p
-                }
-                None => {
-                    let take = matches!(parent, Parent::Delivered(_));
-                    self.push_tip(ordinal, &rec, indexed, previous, take)
-                }
-            };
-            if indexed {
-                self.recent = (id.0, idx);
-            }
-            idx
         };
         if self.made >= self.cap {
             self.latest = LatestIndex::default();
-            self.recent = (0, 0);
         }
-        Some(idx)
+        if ordinal < self.head {
+            self.records.push(Stored::pack(&rec));
+            self.head_slots.push(slot);
+            return Some(ordinal);
+        }
+        Some(self.head + slot)
     }
 
-    /// Move tip `p` on to record `ordinal`, its child and its message's
-    /// next stage: the edge between them joins its carry.
-    fn advance(&mut self, p: u32, ordinal: u32, rec: &CausalRecord) {
-        let Some(tip) = p.checked_sub(self.head).and_then(|s| self.tips.get_mut(s)) else {
-            return;
-        };
-        let parent = CausalRecord {
-            id: TraceId(tip.id),
-            stage: tip.stage,
-            at: tip.at,
-            node: 0,
-            parent: None,
-            info: 0,
-        };
-        let (carry, hops) = (&mut tip.carry, &mut self.hops);
-        let added = chain::segments((tip.ordinal, &parent), (ordinal, rec), |s| {
-            carry.sum.add(s.class, s.dur);
-            if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
-                carry.hops = hops.push(carry.hops, chain::link_key(rec), s.dur);
-            }
-        });
-        (tip.at, tip.stage, tip.ordinal) = (rec.at, rec.stage, ordinal);
-        if let Err(e) = added {
-            if tip.carry.defect == 0 {
-                self.defects.push(e);
-                tip.carry.defect = self.defects.len() as u32;
-            }
-        }
-    }
-
-    /// Hold record `ordinal` past the head in a tip of its own; its
-    /// handle. Its carry is its parent's plus the edge between them (the
-    /// parent's hops taken when `take` and nothing else names it, copied
-    /// otherwise); a delivery folds it.
+    /// Hold record `ordinal` in a tip of its own; its slot. Its carry is
+    /// its parent's — `from`, the parent edge and its tip — plus the edge
+    /// between them; a delivery folds it. The message's previous tip, if
+    /// any, is released.
     fn push_tip(
         &mut self,
         ordinal: u32,
         rec: &CausalRecord,
-        indexed: bool,
+        from: Option<(u32, Option<u32>)>,
         previous: Option<u32>,
         take: bool,
     ) -> u32 {
-        let idx = self.head + self.tips.next_slot();
-        let (carry, rooted) = self.carry(ordinal, rec, take);
+        let (carry, rooted) = self.carry(ordinal, rec, from, take);
         if rec.stage == CausalStage::AppDeliver && rec.parent.is_some() && rooted {
             match carry.defect.checked_sub(1) {
                 Some(d) => self.fold.defect(self.defects[d as usize]),
                 None => self.fold.add(&carry.sum, self.hops.iter(carry.hops)),
             }
         }
-        self.tips.insert(Tip {
+        let indexed = rec.id.is_some() && rec.stage != CausalStage::AppDeliver;
+        let slot = self.tips.insert(Tip {
             carry,
             id: rec.id.0,
             at: rec.at,
@@ -1143,107 +1136,60 @@ impl CausalLog {
             rooted,
         });
         if indexed {
-            let (records, tips, head) = (&self.records, &self.tips, self.head);
-            let id_of = |i| id_at(records, tips, head, i);
-            self.latest.replace(rec.id.0, idx, id_of);
+            let tips = &self.tips;
+            let id_of = |s: u32| tips.get(s).map(|t| t.id);
+            self.latest.replace(rec.id.0, slot, id_of);
         }
         if let Some(prev) = previous {
             self.release(prev);
         }
-        idx
+        slot
     }
 
-    /// The carry of record `ordinal` past the head, and whether its path
-    /// is rooted: its parent's carry plus the edge between them,
-    /// classified as a walk would.
-    fn carry(&mut self, ordinal: u32, rec: &CausalRecord, take: bool) -> (Carry, bool) {
-        let Some(p) = rec.parent else {
+    /// The carry of record `ordinal`, and whether its path is rooted: its
+    /// parent's carry plus the edge between them, classified as a walk
+    /// would. The parent's hops are taken when `take` and nothing else
+    /// names it, shared otherwise.
+    fn carry(
+        &mut self,
+        ordinal: u32,
+        rec: &CausalRecord,
+        from: Option<(u32, Option<u32>)>,
+        take: bool,
+    ) -> (Carry, bool) {
+        let Some((p, slot)) = from else {
             return (Carry::ROOT, rec.stage == CausalStage::ApiEntry);
         };
-        let (at, parent, mut carry, rooted) = match self.parent_carry(p, rec, take) {
-            Ok(Some(found)) => found,
-            // A walk stops at `rec`: nothing behind it counts.
-            Ok(None) => return (Carry::ROOT, true),
-            Err(e) => {
-                let defect = self.defect(e);
-                return (
-                    Carry {
-                        defect,
-                        ..Carry::ROOT
-                    },
-                    true,
-                );
-            }
+        let Some(tip) = slot.and_then(|s| self.tips.get_mut(s)) else {
+            let defect = self.defect(CritPathError::MissingRecord { idx: p });
+            return (
+                Carry {
+                    defect,
+                    ..Carry::ROOT
+                },
+                true,
+            );
         };
-        let hops = &mut self.hops;
-        let added = chain::segments((at, &parent), (ordinal, rec), |s| {
-            carry.sum.add(s.class, s.dur);
-            if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
-                carry.hops = hops.push(carry.hops, chain::link_key(rec), s.dur);
-            }
-        });
-        if let Err(e) = added {
-            if carry.defect == 0 {
-                carry.defect = self.defect(e);
-            }
-        }
-        (carry, rooted)
-    }
-
-    /// Record `rec`'s parent `p` — where a whole log would index it, and
-    /// as far as an edge from it needs — and its carry and rootedness:
-    /// from its tip (its hops taken when `take` and nothing else names
-    /// it, copied otherwise), or walked in the head. `None` when a walk
-    /// stops at `rec`.
-    fn parent_carry(
-        &mut self,
-        p: u32,
-        rec: &CausalRecord,
-        take: bool,
-    ) -> Result<Option<(u32, CausalRecord, Carry, bool)>, CritPathError> {
-        if let Some(parent) = self.records.get(p as usize).map(Stored::unpack) {
-            if chain::stops(rec, parent.stage) {
-                return Ok(None);
-            }
-            let records = Records {
-                stored: &self.records,
-            };
-            let rooted = chain::walk_from(records, p, &mut self.path)?;
-            let mut carry = Carry::ROOT;
-            if rooted {
-                let hops = &mut self.hops;
-                chain::classify(records, &self.path, |s| {
-                    carry.sum.add(s.class, s.dur);
-                    if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
-                        if let Some(hop) = records.get(s.to as usize) {
-                            carry.hops = hops.push(carry.hops, chain::link_key(&hop), s.dur);
-                        }
-                    }
-                })?;
-            }
-            return Ok(Some((p, parent, carry, rooted)));
-        }
-        let missing = CritPathError::MissingRecord { idx: p };
-        let slot = p.checked_sub(self.head).ok_or(missing)?;
-        let tip = self.tips.get_mut(slot).ok_or(missing)?;
         if chain::stops(rec, tip.stage) {
-            return Ok(None);
+            // A walk stops at `rec`: nothing behind it counts.
+            return (Carry::ROOT, true);
         }
-        let parent = CausalRecord {
-            id: TraceId(tip.id),
-            stage: tip.stage,
-            at: tip.at,
-            node: 0,
-            parent: None,
-            info: 0,
-        };
-        let (mut carry, rooted, tip_ordinal) = (tip.carry, tip.rooted, tip.ordinal);
+        let edge = (tip.ordinal, tip.stage, tip.at);
+        let (mut carry, rooted) = (tip.carry, tip.rooted);
         if take && tip.refs == 1 {
             tip.carry.hops = NO_HOP;
         } else {
             carry.hops = self.hops.share(carry.hops);
         }
-        Ok(Some((tip_ordinal, parent, carry, rooted)))
+        extend(
+            &mut carry,
+            &mut self.hops,
+            &mut self.defects,
+            edge,
+            ordinal,
+            rec,
+        );
+        (carry, rooted)
     }
 
     /// Keep defect `e`; the carry's name for it.
@@ -1258,6 +1204,7 @@ impl CausalLog {
         if !self.enabled || count == 0 {
             return;
         }
+        let slot = self.hold(idx, count as u32);
         let node = node as usize;
         if self.eq_fifo.len() <= node {
             self.eq_fifo.resize_with(node + 1, Vec::new);
@@ -1269,9 +1216,8 @@ impl CausalLog {
             lanes.push((pid, VecDeque::new()));
         }
         if let Some((_, fifo)) = lanes.iter_mut().find(|(p, _)| *p == pid) {
-            fifo.extend(std::iter::repeat_n(idx, count as usize));
+            fifo.extend(std::iter::repeat_n((idx, slot), count as usize));
         }
-        self.hold(idx, count as u32);
     }
 
     /// Pop the oldest pending EQ post for `(node, pid)` (the event a
@@ -1283,7 +1229,11 @@ impl CausalLog {
         }
         let lanes = self.eq_fifo.get_mut(node as usize)?;
         let (_, fifo) = lanes.iter_mut().find(|(p, _)| *p == pid)?;
-        fifo.pop_front()
+        let (idx, slot) = fifo.pop_front()?;
+        if let Some((_, old)) = self.popped.replace((idx, slot)) {
+            self.release(old);
+        }
+        Some(idx)
     }
 
     /// Message `id` records nothing more: its completion is attributed
@@ -1294,16 +1244,17 @@ impl CausalLog {
     /// own, which no delivery walks.) A caller still holding one of the
     /// message's record indices makes it the cause first.
     pub fn finish(&mut self, id: TraceId) {
-        if !self.enabled || self.latest(id.0).is_none_or(|idx| idx < self.head) {
+        if !self.enabled {
             return;
         }
-        if self.recent.0 == id.0 {
-            self.recent = (0, 0);
+        let past_head = |s: u32| self.tips.get(s).is_some_and(|t| t.ordinal >= self.head);
+        if !self.latest(id.0).is_some_and(past_head) {
+            return;
         }
-        let (records, tips, head) = (&self.records, &self.tips, self.head);
-        let id_of = |i| id_at(records, tips, head, i);
-        if let Some(idx) = self.latest.remove(id.0, id_of) {
-            self.release(idx);
+        let tips = &self.tips;
+        let id_of = |s: u32| tips.get(s).map(|t| t.id);
+        if let Some(slot) = self.latest.remove(id.0, id_of) {
+            self.release(slot);
         }
     }
 
@@ -1322,8 +1273,9 @@ impl CausalLog {
         }
         let id = producer.and_then(|i| match self.records.get(i as usize) {
             Some(rec) => Some(rec.id),
-            None => self.tip(i).map(|tip| tip.id),
+            None => self.tips.get(self.slot_of(i)?).map(|tip| tip.id),
         });
+        let popped = self.popped.take();
         let idx = self.record_slow(
             TraceId(id.unwrap_or(0)),
             CausalStage::AppDeliver,
@@ -1332,8 +1284,8 @@ impl CausalLog {
             Parent::Delivered(producer),
             pid as u64,
         );
-        if let Some(p) = producer {
-            self.release(p);
+        if let Some((_, slot)) = popped {
+            self.release(slot);
         }
         self.set_cause(idx);
         idx
@@ -1346,10 +1298,11 @@ mod tests {
 
     #[test]
     fn stored_record_is_thirty_two_bytes() {
-        // The head is 8 MiB of them instead of the 10 MiB of
+        // The head is 2 MiB of them instead of the 2.5 MiB of
         // `CausalRecord`s (an `Option<u32>` parent and a one-byte stage
         // each padded out to eight). Past the head a message in flight
-        // is one tip, its path folded into it.
+        // is one tip, its path folded into it, and its stalled hops sit
+        // in cache-line blocks.
         // DESIGN.md §9 quotes this.
         assert_eq!(std::mem::size_of::<Stored>(), 32);
         assert_eq!(std::mem::size_of::<CausalRecord>(), 40);
@@ -1361,7 +1314,10 @@ mod tests {
         let mut log = CausalLog::disabled();
         log.record_chain(TraceId(1), CausalStage::ApiEntry, SimTime::ZERO, 0, 8);
         log.push_eq_posts(3, 0, 0, 2);
+        log.set_cause(None);
+        log.finish(TraceId(1));
         assert_eq!(log.records.capacity(), 0);
+        assert_eq!(log.head_slots.capacity(), 0);
         assert_eq!(log.tips.slab.chunks.capacity(), 0);
         assert_eq!(log.latest.slots.capacity(), 0);
         assert_eq!(log.eq_fifo.capacity(), 0);

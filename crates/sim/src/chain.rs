@@ -7,12 +7,12 @@
 //! per-class durations telescope and sum *exactly* — to the picosecond —
 //! to its span.
 //!
-//! The walk lives here, beside the log, because the log runs it itself:
-//! [`crate::CausalLog`] folds each chain into its [`ChainFold`] when the
-//! delivery is recorded — by this walk over the records it stores whole,
-//! and past them by the same per-edge classification carried forward
-//! record by record. `telemetry::critpath` runs the same [`walk_one`]
-//! over a whole log.
+//! The classification lives here, beside the log, because the log runs it
+//! itself: [`crate::CausalLog`] classifies each edge as its child is
+//! recorded, carries the classified path forward record by record, and
+//! folds it into its [`ChainFold`] when the delivery is recorded.
+//! `telemetry::critpath` runs [`walk_one`] — the same edges, walked back
+//! from a delivery — over a whole log.
 
 use crate::causal::{linkhop_port, linkhop_stall, CausalRecord, CausalStage, Records, TraceId};
 use crate::time::SimTime;
@@ -293,7 +293,7 @@ fn at(records: Records<'_>, idx: u32) -> Result<CausalRecord, CritPathError> {
 /// (delivery first). `Ok(false)` when the chain is intentionally
 /// unattributable: no producer recorded, or the walk bottoms out on a
 /// non-`ApiEntry` root such as a sender-side completion chain.
-pub(crate) fn walk_path(
+fn walk_path(
     records: Records<'_>,
     deliver: u32,
     path: &mut Vec<u32>,
@@ -303,22 +303,11 @@ pub(crate) fn walk_path(
         // EQ-FIFO attribution missed (e.g. dropped-event overflow).
         return Ok(false);
     }
-    walk_from(records, deliver, path)
-}
-
-/// [`walk_path`] from any record: the path from `from` back to where a
-/// walk through it stops, and whether that is an `ApiEntry` root.
-pub(crate) fn walk_from(
-    records: Records<'_>,
-    from: u32,
-    path: &mut Vec<u32>,
-) -> Result<bool, CritPathError> {
-    path.clear();
-    path.push(from);
-    let mut cur_idx = from;
+    path.push(deliver);
+    let mut cur_idx = deliver;
     loop {
         if path.len() > records.len() {
-            return Err(CritPathError::Cycle { deliver: from });
+            return Err(CritPathError::Cycle { deliver });
         }
         let cur = at(records, cur_idx)?;
         let Some(parent) = cur.parent else {
@@ -344,7 +333,7 @@ pub(crate) fn stops(rec: &CausalRecord, parent: CausalStage) -> bool {
 
 /// Classify a [`walk_path`] path forward (root → delivery), handing each
 /// segment to `seg`.
-pub(crate) fn classify(
+fn classify(
     records: Records<'_>,
     path: &[u32],
     mut seg: impl FnMut(Segment),
@@ -455,7 +444,21 @@ pub(crate) fn link_key(rec: &CausalRecord) -> (u32, i16) {
     (rec.node, linkhop_port(rec.info).map_or(-1, i16::from))
 }
 
-/// Exact running totals over every chain a log has walked as its
+/// Head-of-line stall folded by physical link: where the aggregate
+/// [`CostClass::HopQueue`] class was actually paid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HopStall {
+    /// Node owning the link.
+    pub node: u32,
+    /// Router port (`None` for a record without one).
+    pub port: Option<u8>,
+    /// Total head-of-line stall paid at this link.
+    pub stall: SimTime,
+    /// Stalled crossings (one per `HopQueue` segment).
+    pub waits: u64,
+}
+
+/// Exact running totals over every chain a log has folded as its
 /// deliveries were recorded: the same chains, classes and per-link
 /// head-of-line stalls a whole-log extraction of the run would sum to.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -482,18 +485,18 @@ impl ChainFold {
         self.breakdown
     }
 
-    /// Head-of-line stall per link, sorted by `(node, port)`: the node,
-    /// the router port (`None` for a record without one), the stall and
-    /// the stalled crossings.
-    pub fn hop_stalls(&self) -> impl Iterator<Item = (u32, Option<u8>, SimTime, u64)> + '_ {
+    /// Head-of-line stall per link, sorted by `(node, port)`.
+    pub fn hop_stalls(&self) -> impl Iterator<Item = HopStall> + '_ {
         let links = self
             .hops
             .iter()
             .enumerate()
             .filter(|(_, &(_, waits))| waits > 0);
-        links.map(|(i, &(stall, waits))| {
-            let (node, port) = (i / LINK_SLOTS, (i % LINK_SLOTS) as u8);
-            (node as u32, port.checked_sub(1), stall, waits)
+        links.map(|(i, &(stall, waits))| HopStall {
+            node: (i / LINK_SLOTS) as u32,
+            port: ((i % LINK_SLOTS) as u8).checked_sub(1),
+            stall,
+            waits,
         })
     }
 
@@ -524,38 +527,6 @@ impl ChainFold {
                 e.0 += stall;
                 e.1 += 1;
             }
-        }
-    }
-
-    /// Walk delivery `deliver` through whole `records` and add its chain,
-    /// using `path` and `stalls` as scratch. A defect is kept (the first
-    /// one) instead.
-    pub(crate) fn fold(
-        &mut self,
-        records: Records<'_>,
-        deliver: u32,
-        path: &mut Vec<u32>,
-        stalls: &mut Vec<((u32, i16), SimTime)>,
-    ) {
-        stalls.clear();
-        let mut breakdown = Breakdown::new();
-        let walked = walk_path(records, deliver, path).and_then(|rooted| {
-            if rooted {
-                classify(records, path, |s| {
-                    breakdown.add(s.class, s.dur);
-                    if s.class == CostClass::HopQueue && s.stage == CausalStage::LinkHop {
-                        if let Some(rec) = records.get(s.to as usize) {
-                            stalls.push((link_key(&rec), s.dur));
-                        }
-                    }
-                })?;
-            }
-            Ok(rooted)
-        });
-        match walked {
-            Ok(false) => {}
-            Ok(true) => self.add(&breakdown, stalls.drain(..)),
-            Err(e) => self.defect(e),
         }
     }
 }

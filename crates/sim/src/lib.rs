@@ -55,7 +55,9 @@ pub use causal::{
     linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalLog, CausalRecord, CausalStage,
     Records, TraceId, HEAD, LINKHOP_STALL_MASK, MAX_CAUSAL_NODE,
 };
-pub use chain::{walk_one, Breakdown, Chain, ChainFold, CostClass, CritPathError, Segment};
+pub use chain::{
+    walk_one, Breakdown, Chain, ChainFold, CostClass, CritPathError, HopStall, Segment,
+};
 pub use cursor::BusyCursor;
 pub use digest::EventDigest;
 pub use engine::{fold_digest_lanes, merge_digest_lanes, DigestLane, Engine, Model, RunOutcome};

@@ -5,11 +5,11 @@
 //! as one aggregate number per chain. This module turns the link-level
 //! series ([`crate::series`]) into rows of the form *"flow F lost T ns on
 //! link L during bucket B because of competing flows {G, H}"*
-//! ([`attribute_occupancy`], the product), and gives the causal side to
-//! check them by: per-link head-of-line totals over whole chains
-//! ([`hop_stalls`]) or over the log's fold ([`folded_hop_stalls`]). The
-//! row-level join of chains with the series ([`attribute`]) is the
-//! oracle the tests hold the product to:
+//! ([`attribute_occupancy`]), and gives the causal side to check them
+//! by: per-link head-of-line totals over whole chains ([`hop_stalls`]),
+//! or over the log's fold ([`xt3_sim::ChainFold::hop_stalls`]) for a run
+//! of any length. The tests also hold the rows to a row-level join of
+//! whole chains with the series (`crates/telemetry/tests/support/`):
 //!
 //! * **flow / lost** come from the chain's `HopQueue` segments, so the
 //!   table inherits critpath's zero-residual discipline: the sum of
@@ -30,8 +30,8 @@ use std::fmt::Write as _;
 
 use xt3_sim::{linkhop_port, CausalLog, CausalStage, SimTime, TraceId};
 
-use crate::critpath::{aggregate, require_complete, Chain, ChainFold, CostClass, CritPathError};
-use crate::series::{Hotspot, Occupancy, SeriesConfig, SeriesSet};
+use crate::critpath::{aggregate, require_complete, Chain, CostClass, CritPathError, HopStall};
+use crate::series::{Hotspot, Occupancy, SeriesSet};
 use crate::sink::Component;
 
 /// One attribution row: a flow's wait at one hop.
@@ -51,7 +51,7 @@ pub struct AttributionRow {
     /// How long the flow waited (the `HopQueue` segment duration).
     pub lost: SimTime,
     /// Tags of competing flows whose link transit overlapped the wait,
-    /// in transit order, capped at [`attribute`]'s `max_competitors`.
+    /// in transit order, capped at `max_competitors`.
     pub competitors: Vec<u64>,
 }
 
@@ -194,9 +194,9 @@ impl CongestionTable {
 
 impl CongestionTable {
     /// Sort rows into the canonical `(node, port, wait_start, flow)`
-    /// order. [`attribute`] emits rows in chain (delivery) order and
-    /// [`attribute_occupancy`] in link order; after canonicalization the
-    /// two renders are byte-comparable.
+    /// order. [`attribute_occupancy`] emits rows in link order, a join
+    /// over chains in delivery order; after canonicalization the two
+    /// renders are byte-comparable.
     pub fn canonicalize(&mut self) {
         self.rows.sort_by_key(|r| {
             (
@@ -215,14 +215,14 @@ impl CongestionTable {
 /// occupancy logs (go-back-n control traffic, tag 0, never forms a row
 /// but is still named as a competitor when it held the link).
 ///
-/// On a clean run this reproduces [`attribute`]'s rows exactly (after
-/// [`CongestionTable::canonicalize`] on both): the stall the fabric
-/// packed into each `LinkHop` causal record is the same
-/// `start − arrival` interval it logged in the occupancy entry. And
-/// because the series ride on the real fabric — which the parallel
-/// coordinator owns and feeds in exact serial order — this table is
-/// bit-identical for any worker count, where [`attribute`] needs the
-/// serial causal log.
+/// On a clean run this reproduces, row for row, the join of the whole
+/// log's chains with the series (after [`CongestionTable::canonicalize`]
+/// on both): the stall the fabric packed into each `LinkHop` causal
+/// record is the same `start − arrival` interval it logged in the
+/// occupancy entry. And because the series ride on the real fabric —
+/// which the parallel coordinator owns and feeds in exact serial order —
+/// this table is bit-identical for any worker count, where the join
+/// needs the serial causal log.
 pub fn attribute_occupancy(
     series: &SeriesSet,
     top_k: usize,
@@ -279,33 +279,13 @@ pub fn attribute_occupancy(
     }
 }
 
-/// Hop-queueing folded by physical link: where the aggregate
-/// [`CostClass::HopQueue`] class was actually paid. The per-hop breakout
-/// `explain latency` prints alongside the class totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopStall {
-    /// Node owning the link.
-    pub node: u32,
-    /// Router port (`None` for pre-port-packing causal logs).
-    pub port: Option<u8>,
-    /// Total head-of-line stall paid at this link.
-    pub stall: SimTime,
-    /// Stalled crossings (one per `HopQueue` segment).
-    pub waits: u64,
-}
-
-impl HopStall {
-    /// Human label: node id plus port direction.
-    pub fn label(&self) -> String {
-        link_label(self.node, self.port)
-    }
-}
-
 /// Fold every `HopQueue` segment of `chains` into per-`(node, port)`
 /// totals, sorted by `(node, port)`. The sum of `stall` over the rows
-/// equals the chains' aggregate hop-queueing class exactly — the same
-/// zero-residual identity [`attribute`] provides per flow, here per
-/// link. Errors as [`attribute`] does.
+/// equals the chains' aggregate hop-queueing class exactly — the
+/// zero-residual identity of the attribution rows, here per link. A log
+/// that is not whole is refused ([`CritPathError::Truncated`],
+/// [`CritPathError::Folded`]), and a record a segment names that is not
+/// stored is [`CritPathError::MissingRecord`].
 pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Result<Vec<HopStall>, CritPathError> {
     use std::collections::BTreeMap;
     require_complete(log)?;
@@ -336,115 +316,19 @@ pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Result<Vec<HopStall>, Cr
         .collect())
 }
 
-/// The fold's per-link head-of-line totals as [`HopStall`]s, sorted by
-/// `(node, port)`: what [`hop_stalls`] gives over a whole log, for a run
-/// of any length.
-pub fn folded_hop_stalls(fold: &ChainFold) -> Vec<HopStall> {
-    let hops = fold.hop_stalls();
-    hops.map(|(node, port, stall, waits)| HopStall {
-        node,
-        port,
-        stall,
-        waits,
-    })
-    .collect()
-}
-
 /// Human label for a link: node id plus port direction.
-fn link_label(node: u32, port: Option<u8>) -> String {
+pub fn link_label(node: u32, port: Option<u8>) -> String {
     match port {
         Some(p) => format!("n{} {}", node, Component::Link(p).track_name()),
         None => format!("n{node} link ?"),
     }
 }
 
-/// Build the attribution table for `chains`, row by row from the causal
-/// log: the oracle the tests hold [`attribute_occupancy`] to. The product
-/// is `attribute_occupancy`, checked per link against the log's fold,
-/// which needs no whole log.
-///
-/// `log` must be the causal log the chains were extracted from (rows
-/// index into it). `series`, when given, supplies the bucket geometry,
-/// the occupancy logs used to name competitors, and the hotspot
-/// ranking (`top_k` links); without it rows carry bucket indices from
-/// [`SeriesConfig::default`] and empty competitor lists.
-///
-/// A log that is not whole is refused ([`CritPathError::Truncated`],
-/// [`CritPathError::Folded`]): a table over the chains it happens to
-/// hold would report zero residual about an unknown share of the run.
-#[doc(hidden)]
-pub fn attribute(
-    chains: &[Chain],
-    log: &CausalLog,
-    series: Option<&SeriesSet>,
-    top_k: usize,
-    max_competitors: usize,
-) -> Result<CongestionTable, CritPathError> {
-    require_complete(log)?;
-    let default_cfg = SeriesConfig::default();
-    let cfg = series.map_or(&default_cfg, SeriesSet::config);
-    let records = log.records();
-    let mut rows = Vec::new();
-    let mut total_lost = SimTime::ZERO;
-    for chain in chains {
-        for seg in &chain.segments {
-            if seg.class != CostClass::HopQueue || seg.stage != CausalStage::LinkHop {
-                continue;
-            }
-            let rec = records
-                .get(seg.to as usize)
-                .ok_or(CritPathError::MissingRecord { idx: seg.to })?;
-            let port = linkhop_port(rec.info);
-            // The LinkHop record's timestamp is serialization start;
-            // the wait is the stall interval just before it.
-            let wait_start = rec.at.saturating_sub(seg.dur);
-            let bucket_idx = (wait_start.ps() / cfg.bucket.ps().max(1)) as u32;
-            let bucket = bucket_idx.min(cfg.max_buckets.saturating_sub(1));
-            let mut competitors = Vec::new();
-            if let (Some(set), Some(p)) = (series, port) {
-                if let Some(link) = set.link(rec.node, p) {
-                    for occ in link.occupancy() {
-                        if occ.tag == chain.id.0 {
-                            continue;
-                        }
-                        // Overlaps the wait if it held or contested the
-                        // link anywhere inside [wait_start, rec.at).
-                        if occ.arrival < rec.at && occ.done > wait_start {
-                            if !competitors.contains(&occ.tag) {
-                                competitors.push(occ.tag);
-                            }
-                            if competitors.len() >= max_competitors {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            total_lost += seg.dur;
-            rows.push(AttributionRow {
-                flow: chain.id,
-                node: rec.node,
-                port,
-                bucket,
-                wait_start,
-                lost: seg.dur,
-                competitors,
-            });
-        }
-    }
-    Ok(CongestionTable {
-        bucket: cfg.bucket,
-        rows,
-        total_lost,
-        hotspots: series.map_or_else(Vec::new, |s| s.hotspots(top_k)),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::critpath::extract_chains;
-    use xt3_sim::{linkhop_info, CausalStage};
+    use xt3_sim::linkhop_info;
 
     /// Two flows over the same link: flow 2 arrives while flow 1 is
     /// serializing and stalls behind it.
@@ -479,79 +363,6 @@ mod tests {
         log
     }
 
-    fn contended_series() -> SeriesSet {
-        let mut s = SeriesSet::new(2, SeriesConfig::default());
-        let us = |n: u64| SimTime::from_us(n);
-        let occ = |tag, start, done| crate::series::Occupancy {
-            tag,
-            arrival: us(1),
-            start,
-            done,
-        };
-        s.record_hop(0, 2, occ(1, us(1), us(11)), 64);
-        s.record_hop(0, 2, occ(2, us(11), us(21)), 64);
-        s
-    }
-
-    #[test]
-    fn rows_partition_hop_queueing_exactly() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let series = contended_series();
-        let table = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
-        assert_eq!(table.rows.len(), 1, "only flow 2 stalled");
-        let row = &table.rows[0];
-        assert_eq!(row.flow, TraceId(2));
-        assert_eq!((row.node, row.port), (0, Some(2)));
-        assert_eq!(row.lost, SimTime::from_us(10));
-        assert_eq!(row.wait_start, SimTime::from_us(1));
-        assert_eq!(row.bucket, 0);
-        assert_eq!(row.competitors, vec![1], "queued behind flow 1");
-        assert_eq!(table.residual(&chains), 0);
-        assert_eq!(table.total_lost, SimTime::from_us(10));
-    }
-
-    #[test]
-    fn hotspots_come_from_the_series() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let series = contended_series();
-        let table = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
-        assert_eq!(table.hotspots.len(), 1);
-        assert_eq!(table.hotspots[0].node, 0);
-        assert_eq!(table.hotspots[0].port, 2);
-        assert_eq!(table.hotspots[0].stall, SimTime::from_us(10));
-    }
-
-    #[test]
-    fn renders_are_deterministic() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let series = contended_series();
-        let a = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
-        let b = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
-        assert_eq!(a.render_text(), b.render_text());
-        assert_eq!(a.render_json(), b.render_json());
-        assert!(a.render_text().contains("n0 link Y+"));
-        assert!(a.render_json().contains("\"total_lost_ps\":10000000"));
-    }
-
-    #[test]
-    fn occupancy_table_reproduces_the_chain_table() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let series = contended_series();
-        let mut from_chains = attribute(&chains, &log, Some(&series), 4, 4).unwrap();
-        let mut from_occ = attribute_occupancy(&series, 4, 4);
-        from_chains.canonicalize();
-        from_occ.canonicalize();
-        assert_eq!(from_chains.rows, from_occ.rows);
-        assert_eq!(from_chains.total_lost, from_occ.total_lost);
-        assert_eq!(from_chains.render_text(), from_occ.render_text());
-        assert_eq!(from_chains.render_json(), from_occ.render_json());
-        assert_eq!(from_occ.residual(&chains), 0);
-    }
-
     #[test]
     fn hop_stalls_fold_by_link_with_zero_residual() {
         let log = contended_log();
@@ -561,19 +372,10 @@ mod tests {
         assert_eq!((hops[0].node, hops[0].port), (0, Some(2)));
         assert_eq!(hops[0].stall, SimTime::from_us(10));
         assert_eq!(hops[0].waits, 1);
-        assert_eq!(hops[0].label(), "n0 link Y+");
+        assert_eq!(link_label(hops[0].node, hops[0].port), "n0 link Y+");
         let total: SimTime = hops.iter().map(|h| h.stall).sum();
         assert_eq!(total, aggregate(&chains).get(CostClass::HopQueue));
-    }
-
-    #[test]
-    fn no_series_means_no_competitors() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let table = attribute(&chains, &log, None, 4, 4).unwrap();
-        assert_eq!(table.rows.len(), 1);
-        assert!(table.rows[0].competitors.is_empty());
-        assert!(table.hotspots.is_empty());
-        assert_eq!(table.residual(&chains), 0);
+        // The log's own fold holds the same per-link totals.
+        assert_eq!(log.fold().hop_stalls().collect::<Vec<_>>(), hops);
     }
 }

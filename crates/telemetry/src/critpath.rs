@@ -11,11 +11,14 @@
 //! Fig. 4-style breakdown tables from these chains.
 //!
 //! The walk and the classes live in [`xt3_sim::chain`], because the log
-//! runs the same walk itself: it folds each chain as its delivery is
-//! recorded ([`folded`]), which is what a run past the log's head leaves.
+//! classifies the same edges itself: it folds each chain as its delivery
+//! is recorded ([`folded`]), which is what a run past the log's head
+//! leaves.
 
 use xt3_sim::chain::walk_one;
-pub use xt3_sim::chain::{Breakdown, Chain, ChainFold, CostClass, CritPathError, Segment};
+pub use xt3_sim::chain::{
+    Breakdown, Chain, ChainFold, CostClass, CritPathError, HopStall, Segment,
+};
 use xt3_sim::{CausalLog, CausalStage};
 
 /// `Err(Truncated)` for a log that dropped records, and `Err(Folded)` for

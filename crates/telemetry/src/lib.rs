@@ -46,12 +46,11 @@ pub mod critpath;
 pub mod series;
 
 pub use congestion::{
-    attribute, attribute_occupancy, folded_hop_stalls, hop_stalls, AttributionRow, CongestionTable,
-    HopStall,
+    attribute_occupancy, hop_stalls, link_label, AttributionRow, CongestionTable,
 };
 pub use critpath::{
     aggregate, extract_chains, folded, Breakdown, Chain, ChainFold, CostClass, CritPathError,
-    Segment,
+    HopStall, Segment,
 };
 pub use json::{parse as parse_json, quote as quote_json, JsonValue, JsonWriter};
 pub use registry::{Span, Spans, Telemetry};

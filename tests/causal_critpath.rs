@@ -22,9 +22,12 @@ use xt3_netpipe::runner::{
 use xt3_netpipe::Schedule;
 use xt3_sim::{CausalLog, RunOutcome, SimTime};
 use xt3_telemetry::{
-    attribute, extract_chains, hop_stalls, parse_json, Breakdown, Chain, CostClass, CritPathError,
-    JsonValue,
+    extract_chains, hop_stalls, parse_json, Breakdown, Chain, CostClass, CritPathError, JsonValue,
 };
+
+#[path = "../crates/telemetry/tests/support/attribute.rs"]
+mod oracle;
+use oracle::attribute;
 
 fn fixed_config(size: u64, reps: u32) -> NetpipeConfig {
     NetpipeConfig {

@@ -17,7 +17,7 @@ use xt3_netpipe::Schedule;
 use xt3_node::workloads::{traffic_machine, TrafficPattern};
 use xt3_node::Machine;
 use xt3_sim::{CausalLog, ChainFold};
-use xt3_telemetry::{aggregate, extract_chains, folded_hop_stalls, hop_stalls};
+use xt3_telemetry::{aggregate, extract_chains, hop_stalls};
 use xt3_topology::coord::Dims;
 
 /// Every machine in scope, by name.
@@ -65,7 +65,8 @@ fn assert_fold_is_whole(name: &str, fold: &ChainFold, whole: &CausalLog) {
     assert_eq!(fold.chains(), chains.len() as u64, "{name}: chains");
     assert_eq!(fold.breakdown(), aggregate(&chains), "{name}: classes");
     let hops = hop_stalls(&chains, whole).unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(folded_hop_stalls(fold), hops, "{name}: per-link stall");
+    let folded: Vec<_> = fold.hop_stalls().collect();
+    assert_eq!(folded, hops, "{name}: per-link stall");
 }
 
 #[test]

