@@ -87,8 +87,33 @@ struct ObservedRun {
     series_json: String,
     /// Occupancy entries dropped across all links (must be 0).
     occ_dropped: u64,
-    perfetto: String,
     stats: PatternStats,
+}
+
+/// What the summary baseline reads of a verified run, once its
+/// documents are written and dropped.
+struct Summary {
+    digest: u64,
+    received: u64,
+    dispatched: u64,
+    elapsed: SimTime,
+    total_lost: SimTime,
+    stalled: usize,
+    hotspots: Vec<xt3_telemetry::Hotspot>,
+}
+
+impl ObservedRun {
+    fn summary(self) -> Summary {
+        Summary {
+            digest: self.digest,
+            received: self.stats.received,
+            dispatched: self.dispatched,
+            elapsed: self.elapsed,
+            total_lost: self.table.total_lost,
+            stalled: self.table.rows.len(),
+            hotspots: self.table.hotspots,
+        }
+    }
 }
 
 fn build(pattern: TrafficPattern, sweep: Sweep) -> Machine {
@@ -109,7 +134,13 @@ fn fence(holds: bool, pattern: &str, identity: &str) -> Result<(), String> {
     }
 }
 
-fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, String> {
+/// One serial observed run; with `trace`, its Perfetto document is
+/// written there (and not kept).
+fn run_serial(
+    pattern: TrafficPattern,
+    sweep: Sweep,
+    trace: Option<&str>,
+) -> Result<ObservedRun, String> {
     let top_k = sweep.top_k;
     let mut engine = build(pattern, sweep).into_engine();
     let outcome = engine.run();
@@ -133,9 +164,13 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Stri
     table.canonicalize();
     let series_json = series.to_json();
     let occ_dropped = machines::links(series).map(|l| l.occ_dropped()).sum();
-    let perfetto = m
-        .telemetry()
-        .perfetto_json_full(Some(m.causal()), m.link_series());
+    if let Some(path) = trace {
+        let perfetto = m
+            .telemetry()
+            .perfetto_json_full(Some(m.causal()), m.link_series());
+        write_file(path, perfetto)?;
+        println!("Perfetto trace ({}) written to {path}", pattern.name());
+    }
     let stats = pattern_stats(&mut m);
     Ok(ObservedRun {
         digest,
@@ -147,7 +182,6 @@ fn run_serial(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Stri
         records,
         series_json,
         occ_dropped,
-        perfetto,
         stats,
     })
 }
@@ -172,11 +206,16 @@ fn check_arrivals(
 }
 
 /// Run the pattern serially (twice) and in parallel, enforce every
-/// identity, and return the verified primary run.
-fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, String> {
+/// identity, and return the verified primary run (whose Perfetto document
+/// went to `trace`, if given).
+fn run_pattern(
+    pattern: TrafficPattern,
+    sweep: Sweep,
+    trace: Option<&str>,
+) -> Result<ObservedRun, String> {
     let top_k = sweep.top_k;
     let name = pattern.name();
-    let run = run_serial(pattern, sweep)?;
+    let run = run_serial(pattern, sweep, trace)?;
 
     // Accounting fences on the primary run: every message arrived (a
     // lost one stalled on links but ends no chain), then the identities.
@@ -194,7 +233,7 @@ fn run_pattern(pattern: TrafficPattern, sweep: Sweep) -> Result<ObservedRun, Str
     same_links(&run.table, hops).map_err(|e| format!("{name}: {e}"))?;
 
     // Repeat serial run: everything byte-identical.
-    let rerun = run_serial(pattern, sweep)?;
+    let rerun = run_serial(pattern, sweep, None)?;
     fence(run.digest == rerun.digest, name, "repeat digest")?;
     fence(
         run.fingerprint == rerun.fingerprint,
@@ -332,17 +371,26 @@ pub fn run(mut args: Args) -> CmdResult {
         sweep.rounds, sweep.msg, sweep.top_k
     );
 
+    // Each pattern's documents — the Perfetto trace, the full report's
+    // entry — are written as the pattern finishes and dropped; only the
+    // summary is kept.
+    let mut full = match &out {
+        Some(path) => Some(FullReport::create(path, &shape, sweep)?),
+        None => None,
+    };
     let mut reports = Vec::new();
     for pattern in TrafficPattern::ALL {
         println!();
         println!("=== {} ===", pattern.name());
-        let run = run_pattern(pattern, sweep)?;
+        let trace = trace
+            .as_deref()
+            .filter(|_| pattern == TrafficPattern::Incast);
+        let run = run_pattern(pattern, sweep, trace)?;
         print_pattern(&run);
-        if let (TrafficPattern::Incast, Some(path)) = (pattern, &trace) {
-            write_file(path, &run.perfetto)?;
-            println!("Perfetto trace (incast) written to {path}");
+        if let Some(full) = &mut full {
+            full.push(pattern, &run)?;
         }
-        reports.push((pattern, run));
+        reports.push((pattern, run.summary()));
     }
 
     println!();
@@ -350,9 +398,9 @@ pub fn run(mut args: Args) -> CmdResult {
     println!("with 0 causal records dropped; repeat and 2-worker parallel runs");
     println!("byte-identical per pattern");
 
-    let baseline = render(&reports, &shape, sweep, false);
-    if let Some(path) = &out {
-        write_file(path, render(&reports, &shape, sweep, true))?;
+    let baseline = render(&reports, &shape, sweep);
+    if let (Some(full), Some(path)) = (full, &out) {
+        full.finish()?;
         println!("full report written to {path}");
     }
     match check {
@@ -414,49 +462,32 @@ fn print_pattern(run: &ObservedRun) {
     print!("{}", shown.render_text());
 }
 
-/// The committed baseline — per-pattern digest, loss totals and hotspot
-/// ranking, everything in it simulation-deterministic — or, with `full`,
-/// the `--out` report: digest plus every attribution row and the
-/// complete series for each pattern.
-fn render(
-    reports: &[(TrafficPattern, ObservedRun)],
-    shape: &str,
-    sweep: Sweep,
-    full: bool,
-) -> String {
-    let mut w = JsonWriter::new();
-    w.object(true)
-        .field_str(
-            "bench",
-            if full {
-                "congestion-full"
-            } else {
-                "congestion"
-            },
-        )
-        .field_str("dims", shape);
+/// The report's opening fields, into `w`'s open top-level object.
+fn header(w: &mut JsonWriter, bench: &str, shape: &str, sweep: Sweep) {
+    w.field_str("bench", bench).field_str("dims", shape);
     w.glue().field("rounds", sweep.rounds);
     w.glue().field("msg", sweep.msg);
     w.glue().field("top", sweep.top_k);
+}
+
+/// The committed baseline: per-pattern digest, loss totals and hotspot
+/// ranking, everything in it simulation-deterministic.
+fn render(reports: &[(TrafficPattern, Summary)], shape: &str, sweep: Sweep) -> String {
+    let mut w = JsonWriter::new();
+    w.object(true);
+    header(&mut w, "congestion", shape, sweep);
     w.key("patterns").array(true);
     for (pattern, run) in reports {
-        let table = &run.table;
         w.object(false)
             .field_str("pattern", pattern.name())
-            .field_str("digest", &format!("{:#018x}", run.digest));
-        if full {
-            w.field("attribution", table.render_json())
-                .field("series", &run.series_json)
-                .end();
-            continue;
-        }
-        w.field("messages", run.stats.received)
+            .field_str("digest", &format!("{:#018x}", run.digest))
+            .field("messages", run.received)
             .field("events", run.dispatched)
             .field("elapsed_ps", run.elapsed.ps())
-            .field("total_lost_ps", table.total_lost.ps())
-            .field("stalled", table.rows.len());
+            .field("total_lost_ps", run.total_lost.ps())
+            .field("stalled", run.stalled);
         w.key("hotspots").array(false);
-        for h in &table.hotspots {
+        for h in &run.hotspots {
             w.object(false)
                 .field("node", h.node)
                 .field("port", h.port)
@@ -468,6 +499,68 @@ fn render(
     }
     w.end().end();
     w.finish()
+}
+
+/// The `--out` report — each pattern's digest, every attribution row and
+/// its complete series — written a pattern at a time.
+struct FullReport {
+    file: std::io::BufWriter<std::fs::File>,
+    path: String,
+    /// The document's close, after the last pattern.
+    tail: String,
+    patterns: usize,
+}
+
+impl FullReport {
+    fn create(path: &str, shape: &str, sweep: Sweep) -> Result<Self, String> {
+        // The frame is an empty report, split where its pattern array opens.
+        let mut w = JsonWriter::new();
+        w.object(true);
+        header(&mut w, "congestion-full", shape, sweep);
+        w.key("patterns").array(true).end().end();
+        let frame = w.finish();
+        let (head, tail) = frame.split_at(frame.find('[').map_or(0, |i| i + 1));
+        let file =
+            std::fs::File::create(path).map_err(|e| format!("failed to write {path}: {e}"))?;
+        let mut report = FullReport {
+            file: std::io::BufWriter::new(file),
+            path: path.to_string(),
+            tail: tail.to_string(),
+            patterns: 0,
+        };
+        report.write(head)?;
+        Ok(report)
+    }
+
+    fn write(&mut self, text: &str) -> Result<(), String> {
+        use std::io::Write;
+        let failed = |e| format!("failed to write {}: {e}", self.path);
+        self.file.write_all(text.as_bytes()).map_err(failed)
+    }
+
+    /// One pattern's entry.
+    fn push(&mut self, pattern: TrafficPattern, run: &ObservedRun) -> Result<(), String> {
+        let mut w = JsonWriter::new();
+        w.object(false)
+            .field_str("pattern", pattern.name())
+            .field_str("digest", &format!("{:#018x}", run.digest))
+            .field("attribution", run.table.render_json())
+            .field("series", &run.series_json)
+            .end();
+        let entry = w.finish();
+        let sep = if self.patterns == 0 { "" } else { "," };
+        self.patterns += 1;
+        self.write(&format!("{sep}\n    {}", entry.trim_end()))
+    }
+
+    fn finish(mut self) -> Result<(), String> {
+        let tail = std::mem::take(&mut self.tail);
+        self.write(&tail)?;
+        use std::io::Write;
+        self.file
+            .flush()
+            .map_err(|e| format!("failed to write {}: {e}", self.path))
+    }
 }
 
 #[cfg(test)]

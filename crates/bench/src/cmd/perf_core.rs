@@ -14,7 +14,11 @@
 //! depth and the sinks' price show; their event digests are pinned, so a
 //! queue that reorders anything or a sink that perturbs the run fails
 //! here before it is timed. The observed twin's wall time over the plain
-//! row's is `sink_overhead`.
+//! row's is `sink_overhead`: the two run as [`SINK_PAIRS`] alternating
+//! pairs, and the median pair's ratio is what is written and gated, so a
+//! box that slows down for a while moves both halves of a pair instead of
+//! deciding the verdict (one run of each read 1.55–1.94 on one unchanged
+//! build).
 //!
 //! A scenario the `--out` file already lists keeps that file's
 //! events/sec as `before_events_per_sec` (and the file's `sink_overhead`
@@ -44,6 +48,9 @@ pub const USAGE: &str = "\
                   and sink_overhead to the ceiling of gate::check_core,
                   against a committed BENCH_core.json";
 
+/// Alternating plain/observed pairs `sink_overhead` is the median of.
+const SINK_PAIRS: usize = 3;
+
 /// One scenario's measurement.
 struct Row {
     name: String,
@@ -55,27 +62,35 @@ struct Row {
     digest: Option<u64>,
 }
 
-/// Best-of-`reps` timing of `engine.run()` over freshly built engines;
-/// every rep's event digest must equal `pinned` where one is given.
+/// One timed `engine.run()` of a freshly built engine: events and
+/// seconds. Its event digest must equal `pinned` where one is given.
+fn run_once(name: &str, pinned: Option<u64>, build: impl Fn() -> Engine<Machine>) -> (u64, f64) {
+    let mut engine = build();
+    let (outcome, wall) = time(|| engine.run());
+    assert_eq!(outcome, RunOutcome::Drained, "{name}: run must drain");
+    if let Some(pinned) = pinned {
+        let digest = engine.digest();
+        assert_eq!(
+            digest, pinned,
+            "{name}: event digest {digest:#018x} differs from the pinned {pinned:#018x}"
+        );
+    }
+    (engine.dispatched(), wall)
+}
+
+/// Best-of-`reps` [`run_once`].
 fn measure(
     name: String,
     reps: u32,
     pinned: Option<u64>,
     build: impl Fn() -> Engine<Machine>,
 ) -> Row {
-    let (events, wall_s) = best_of(reps, || {
-        let mut engine = build();
-        let (outcome, wall) = time(|| engine.run());
-        assert_eq!(outcome, RunOutcome::Drained, "{name}: run must drain");
-        if let Some(pinned) = pinned {
-            let digest = engine.digest();
-            assert_eq!(
-                digest, pinned,
-                "{name}: event digest {digest:#018x} differs from the pinned {pinned:#018x}"
-            );
-        }
-        (engine.dispatched(), wall)
-    });
+    let (events, wall_s) = best_of(reps, || run_once(&name, pinned, &build));
+    row(name, events, wall_s, pinned)
+}
+
+/// A row of `events` in `wall_s`, printed.
+fn row(name: String, events: u64, wall_s: f64, pinned: Option<u64>) -> Row {
     let events_per_sec = events as f64 / wall_s;
     println!(
         "{:<28} {:>10} {:>10.2} {:>14.0}",
@@ -134,17 +149,34 @@ pub fn run(mut args: Args) -> CmdResult {
     let total_wall: f64 = rows.iter().map(|r| r.wall_s).sum();
     let aggregate = total_events as f64 / total_wall;
 
-    for (name, build, pinned) in DEEP {
+    // The 512-node twins first, in alternating pairs: each row's best
+    // run, and the median pair's ratio.
+    let [plain, observed] = [PLAIN, OBSERVED].map(|name| {
+        let deep = DEEP.into_iter().find(|d| d.0 == name);
+        deep.expect("both 512-node rows are in DEEP")
+    });
+    let mut walls = [Vec::new(), Vec::new()];
+    let mut events = [0; 2];
+    for _ in 0..SINK_PAIRS {
+        for (i, (name, build, pinned)) in [plain, observed].into_iter().enumerate() {
+            let (n, wall) = run_once(name, Some(pinned), || build().into_engine());
+            events[i] = n;
+            walls[i].push(wall);
+        }
+    }
+    let mut pairs: Vec<f64> = walls[1].iter().zip(&walls[0]).map(|(o, p)| o / p).collect();
+    pairs.sort_by(f64::total_cmp);
+    let sink_overhead = pairs[SINK_PAIRS / 2];
+    for (i, (name, _, pinned)) in [plain, observed].into_iter().enumerate() {
+        let best = walls[i].iter().copied().fold(f64::INFINITY, f64::min);
+        rows.push(row(name.to_string(), events[i], best, Some(pinned)));
+    }
+    let twins = |name: &str| name == PLAIN || name == OBSERVED;
+    for (name, build, pinned) in DEEP.into_iter().filter(|d| !twins(d.0)) {
         rows.push(measure(name.to_string(), reps, Some(pinned), || {
             build().into_engine()
         }));
     }
-
-    let wall_of = |name: &str| {
-        let row = rows.iter().find(|r| r.name == name);
-        row.expect("both 512-node rows are in DEEP").wall_s
-    };
-    let sink_overhead = wall_of(OBSERVED) / wall_of(PLAIN);
 
     println!();
     println!(
@@ -152,7 +184,11 @@ pub fn run(mut args: Args) -> CmdResult {
         total_wall * 1e3,
         aggregate
     );
-    println!("sink_overhead = wall({OBSERVED}) / wall({PLAIN}) = {sink_overhead:.3}");
+    let pairs_text: Vec<String> = pairs.iter().map(|r| format!("{r:.3}")).collect();
+    println!(
+        "sink_overhead = wall({OBSERVED}) / wall({PLAIN}), median of {SINK_PAIRS} alternating pairs [{}] = {sink_overhead:.3}",
+        pairs_text.join(", ")
+    );
 
     let before = Baseline::load(&out).ok();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -164,7 +200,8 @@ pub fn run(mut args: Args) -> CmdResult {
         .field("reps", reps)
         .field("cores", cores)
         .field("aggregate_events_per_sec", format_args!("{aggregate:.0}"))
-        .field("sink_overhead", format_args!("{sink_overhead:.3}"));
+        .field("sink_overhead", format_args!("{sink_overhead:.3}"))
+        .field_str("sink_overhead_pairs", &pairs_text.join(" "));
     if let Some(was) = before.as_ref().and_then(|b| b.number("sink_overhead").ok()) {
         w.field("before_sink_overhead", format_args!("{was:.3}"));
     }

@@ -33,7 +33,18 @@
 //! record for [`CausalLog::records`], whole-log extraction and Perfetto;
 //! their totals come from the same carries.
 //!
-//! What a record costs is O(1): an append, one probe of the
+//! **Two halves, one stream.** The [`CausalLog`] the model calls only
+//! numbers a record — its handle is its index in the stream, so a handle
+//! held after its record was forgotten names nothing rather than whatever
+//! record took its place — and keeps what the model reads back at once
+//! (the activation cause, the pending EQ posts). Everything else is its
+//! [`CausalFolder`]'s, which applies the log's fixed-size [`Observation`]
+//! records in order: in line, or on a consumer thread
+//! ([`crate::par::offload`]) from the start of a run to its settle
+//! ([`crate::Model::settle`]), beside the link series the same hop records
+//! feed. Either way it computes the same thing.
+//!
+//! What a record costs the folder is O(1): one probe of the
 //! [`LatestIndex`] that chains it onto the message's previous stage, and
 //! one update of that message's carry. What a stored record *occupies*
 //! is 32 bytes: the log keeps each one packed (private `Stored`: the
@@ -46,6 +57,7 @@ use std::collections::VecDeque;
 
 use crate::chain::{self, Breakdown, ChainFold, CostClass, CritPathError};
 use crate::digest::EventDigest;
+use crate::par::offload::{self, Consume, Pipe, Worker};
 use crate::time::SimTime;
 
 /// Records stored whole at the start of every default log; past them the
@@ -651,6 +663,8 @@ impl Carry {
 #[derive(Debug, Clone, Copy)]
 struct Tip {
     carry: Carry,
+    /// The key it is filed under in the latest-record index: its id, or
+    /// a resent copy's key.
     id: u64,
     at: SimTime,
     /// Handles naming it: the latest-record index, each pending EQ post,
@@ -663,9 +677,9 @@ struct Tip {
     rooted: bool,
 }
 
-/// The tips: a slab with a free list. A record past the head is named by
-/// `head + slot`, so a handle finds its tip without a lookup; a stored
-/// record by its index, through the tip slot it was made in.
+/// The tips: a slab with a free list. A handle finds its tip through the
+/// slot its record was made in while that tip is still its record
+/// ([`CausalFolder`]'s `slot_of`).
 #[derive(Debug, Default)]
 struct Tips {
     slab: Chunks<Tip>,
@@ -707,6 +721,11 @@ impl Tips {
     fn live(&self) -> u32 {
         self.slab.len - self.free.len() as u32
     }
+
+    /// The slot of the tip that is record `ordinal`, by a scan.
+    fn find(&self, ordinal: u32) -> Option<u32> {
+        (0..self.slab.len).find(|&s| self.get(s).is_some_and(|t| t.ordinal == ordinal))
+    }
 }
 
 /// The reference count of a free slab slot.
@@ -714,10 +733,6 @@ const FREED: u32 = u32::MAX;
 
 /// No tip slot: what a hold on a record nothing names takes.
 const NO_SLOT: u32 = u32::MAX;
-
-/// A pending EQ post: the record that posted it, and the tip slot its
-/// reference is held on.
-type Post = (u32, u32);
 
 /// Add the edge from `from` — `(ordinal, stage, time)` of the record it
 /// leaves — to record `ordinal` into `carry`, classified as a walk would
@@ -753,55 +768,91 @@ fn extend(
     }
 }
 
-/// Deterministic causal record log that folds each chain as it completes.
-///
-/// Disabled, every record call is one predictable branch. Enabled, the
-/// log appends records, maintains the per-message "latest record" index
-/// that turns independent handler callbacks into parent→child chains,
-/// and tracks the FIFO of pending EQ posts per `(node, pid)` so an
-/// `AppDeliver` can name the completion that produced the event it
-/// consumed. Each record carries the path behind it forward; each
-/// delivery folds its chain into the [`ChainFold`] as it is recorded, and
-/// only the records something still names are kept as tips.
+/// Pending EQ posts, dense by node: each node's `(pid, posts in order)`
+/// lanes, a node having a process or two. The log keeps one of record
+/// indices (what [`CausalLog::pop_eq_post`] hands back), its folder one of
+/// the tip slots each post holds.
 #[derive(Debug)]
-pub struct CausalLog {
-    enabled: bool,
-    /// Records below this index are stored whole, for good.
-    head: u32,
-    /// At most `u32::MAX`: parent edges are `u32` record indices.
-    cap: u32,
-    /// The head, in append order.
-    records: Vec<Stored>,
-    /// The tip slot each stored record was made in.
-    head_slots: Vec<u32>,
-    /// Records made and not dropped: the next record's index.
-    made: u32,
-    /// The records still named, and their stalled hops.
-    tips: Tips,
-    hops: Hops,
-    /// Defects met on paths (a carry names one by index).
-    defects: Vec<CritPathError>,
-    dropped: u64,
-    digest: EventDigest,
-    /// Latest record per trace id, by tip slot (chains stages recorded
-    /// by different handlers).
-    latest: LatestIndex,
-    /// Pending EQ posts, dense by node: each node's `(pid, posts in
-    /// order)` lanes, a node having a process or two.
-    eq_fifo: Vec<Vec<(u32, VecDeque<Post>)>>,
-    /// The post [`Self::pop_eq_post`] handed out and its tip slot, whose
-    /// reference [`Self::record_deliver`] takes.
-    popped: Option<(u32, u32)>,
-    /// The record causally responsible for work done in the current
-    /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`),
-    /// and the tip slot held for it.
-    cause: Option<(u32, u32)>,
-    fold: ChainFold,
+struct EqLanes<T>(Vec<Vec<(u32, VecDeque<T>)>>);
+
+impl<T> Default for EqLanes<T> {
+    fn default() -> Self {
+        EqLanes(Vec::new())
+    }
+}
+
+impl<T: Copy> EqLanes<T> {
+    /// Queue `count` posts of `v` on `(node, pid)`.
+    fn push(&mut self, node: u32, pid: u32, v: T, count: u64) {
+        let node = node as usize;
+        if self.0.len() <= node {
+            self.0.resize_with(node + 1, Vec::new);
+        }
+        let Some(lanes) = self.0.get_mut(node) else {
+            return;
+        };
+        if !lanes.iter().any(|&(p, _)| p == pid) {
+            lanes.push((pid, VecDeque::new()));
+        }
+        if let Some((_, fifo)) = lanes.iter_mut().find(|(p, _)| *p == pid) {
+            fifo.extend(std::iter::repeat_n(v, count as usize));
+        }
+    }
+
+    /// The oldest post on `(node, pid)`.
+    fn pop(&mut self, node: u32, pid: u32) -> Option<T> {
+        let lanes = self.0.get_mut(node as usize)?;
+        let (_, fifo) = lanes.iter_mut().find(|(p, _)| *p == pid)?;
+        fifo.pop_front()
+    }
+}
+
+/// What the log decided about a record before it went down the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Not a causal record (the log is off, or the id is null): only a
+    /// link series takes it.
+    Off,
+    /// Past the cap or unstorable: the digest covers it, nothing keeps it.
+    Dropped,
+    /// Made, under the next record index.
+    Kept,
+}
+
+/// One link transit, as the fabric's walk computed it: the `LinkHop`
+/// causal record and the link series' occupancy in one.
+#[derive(Debug, Clone, Copy)]
+pub struct Transit {
+    /// The message's tag (its trace id).
+    pub tag: u64,
+    /// When the header reached the link.
+    pub arrival: SimTime,
+    /// When it started serializing onto it.
+    pub start: SimTime,
+    /// When the last packet left it.
+    pub done: SimTime,
+    /// Packets on the wire.
+    pub packets: u64,
+    /// Node owning the link.
+    pub node: u32,
+    /// Router port.
+    pub port: u8,
+    /// Set by [`CausalLog::hop`].
+    pub fate: Fate,
+    /// A resent copy's hop (set by [`CausalLog::hop`]).
+    pub resent: bool,
+}
+
+impl Transit {
+    /// The packed `LinkHop` info: the port and the head-of-line stall.
+    pub fn info(&self) -> u64 {
+        linkhop_info(self.port, self.start.saturating_sub(self.arrival).ps())
+    }
 }
 
 /// Where a new record's parent edge comes from.
-#[derive(Clone, Copy)]
-enum Parent {
+#[derive(Debug, Clone, Copy)]
+pub enum Parent {
     /// The caller names it.
     Given(Option<u32>),
     /// The caller names it and hands over a reference on it — a popped EQ
@@ -809,6 +860,144 @@ enum Parent {
     Delivered(Option<u32>),
     /// The latest record of the same id.
     Latest,
+    /// None: the first stage of a resent copy of its message, filed under
+    /// the copy's own key so its hops chain onto it and not onto the
+    /// stages of another copy still in flight.
+    Resent,
+    /// The latest record under the copy's key (a resent copy's hop).
+    Copy,
+    /// The latest record under the copy's key, which it leaves for the
+    /// message's own entry (a resent copy reaching its destination).
+    Arrived,
+}
+
+/// The latest-record key of a resent copy's stages: its id with a bit no
+/// trace id carries (tags are `node << 40 | counter`; the send chain has
+/// the top bit).
+const RESENT_KEY: u64 = 1 << 62;
+
+impl Parent {
+    /// The key `id`'s record is filed under, and the key its parent is
+    /// the latest record of (`None` for an explicit or no parent).
+    fn keys(self, id: u64) -> (u64, Option<u64>) {
+        let copy = id | RESENT_KEY;
+        match self {
+            Parent::Given(_) | Parent::Delivered(_) => (id, None),
+            Parent::Latest => (id, Some(id)),
+            Parent::Resent => (copy, None),
+            Parent::Copy => (copy, Some(copy)),
+            Parent::Arrived => (id, Some(copy)),
+        }
+    }
+}
+
+/// One fixed-size record of the observation stream: everything a
+/// [`CausalLog`] is told, in the order it was told, for its
+/// [`CausalFolder`] to apply — in line, or on a consumer thread
+/// ([`crate::par::offload`]) together with the link series.
+#[derive(Debug, Clone, Copy)]
+pub enum Observation {
+    /// A stage record.
+    Record {
+        /// Message identity.
+        id: TraceId,
+        /// When the stage was reached.
+        at: SimTime,
+        /// Stage detail.
+        info: u64,
+        /// Node it was reached on.
+        node: u32,
+        /// Its parent edge.
+        parent: Parent,
+        /// Which stage.
+        stage: CausalStage,
+        /// Kept or dropped.
+        fate: Fate,
+    },
+    /// A link transit: a `LinkHop` record chained onto the message's
+    /// previous stage, unless its fate is [`Fate::Off`].
+    Hop(Transit),
+    /// A message injected at a node: for the link series only.
+    Inject {
+        /// Source node.
+        node: u32,
+        /// Injection time.
+        at: SimTime,
+        /// Payload bytes.
+        bytes: u64,
+    },
+    /// The activation cause changed.
+    Cause(Option<u32>),
+    /// `count` events posted to `(node, pid)`'s queue by record `idx`.
+    Posts {
+        /// Posting node.
+        node: u32,
+        /// Process.
+        pid: u32,
+        /// Producing record.
+        idx: u32,
+        /// Events posted.
+        count: u64,
+    },
+    /// The oldest pending post on `(node, pid)` was consumed.
+    Pop {
+        /// Node.
+        node: u32,
+        /// Process.
+        pid: u32,
+    },
+    /// An `AppDeliver` for the post popped last.
+    Deliver {
+        /// When the application consumed the event.
+        at: SimTime,
+        /// The popped post's record.
+        producer: Option<u32>,
+        /// Consuming node.
+        node: u32,
+        /// Consuming process.
+        pid: u32,
+        /// Kept or dropped.
+        fate: Fate,
+    },
+    /// A message records nothing more.
+    Finish(TraceId),
+}
+
+/// Deterministic causal record log that folds each chain as it completes.
+///
+/// Disabled, every record call is one predictable branch. Enabled, the
+/// log itself only numbers records — a record's index is the count of
+/// records made before it, so a handle never names a later record — and
+/// keeps what the model reads back at once: the activation cause and the
+/// FIFO of pending EQ posts per `(node, pid)`, so an `AppDeliver` can name
+/// the completion that produced the event it consumed. Everything else —
+/// the per-message "latest record" index that turns independent handler
+/// callbacks into parent→child chains, the tips and their carries, the
+/// fold, the stored head, the digest — is its [`CausalFolder`]'s, which
+/// applies the log's [`Observation`] stream: in line, or on a consumer
+/// thread between [`Self::offload`] and [`Self::settle`], while the
+/// folder's readers ([`Self::records`], [`Self::fold`], [`Self::held`],
+/// [`Self::digest`]) wait for the settle.
+#[derive(Debug)]
+pub struct CausalLog {
+    enabled: bool,
+    /// Hop and injection records go down the pipe for a link series.
+    lanes: bool,
+    /// Stages chained from now on belong to a resent copy.
+    resent: bool,
+    /// At most `u32::MAX`: parent edges are `u32` record indices.
+    cap: u32,
+    /// Records made and not dropped: the next record's index.
+    made: u32,
+    dropped: u64,
+    /// The record causally responsible for work done in the current
+    /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
+    cause: Option<u32>,
+    /// Pending EQ posts, by record index.
+    posts: EqLanes<u32>,
+    /// Applies the stream while no pipe is open (a placeholder while one is).
+    folder: CausalFolder,
+    pipe: Option<Pipe<Observation>>,
 }
 
 impl Default for CausalLog {
@@ -822,21 +1011,15 @@ impl CausalLog {
     pub fn disabled() -> Self {
         CausalLog {
             enabled: false,
-            head: HEAD,
+            lanes: false,
+            resent: false,
             cap: u32::MAX,
-            records: Vec::new(),
-            head_slots: Vec::new(),
             made: 0,
-            tips: Tips::default(),
-            hops: Hops::default(),
-            defects: Vec::new(),
             dropped: 0,
-            digest: EventDigest::new(),
-            latest: LatestIndex::default(),
-            eq_fifo: Vec::new(),
-            popped: None,
             cause: None,
-            fold: ChainFold::default(),
+            posts: EqLanes::default(),
+            folder: CausalFolder::default(),
+            pipe: None,
         }
     }
 
@@ -861,8 +1044,12 @@ impl CausalLog {
     pub fn with_cap(cap: usize) -> Self {
         let cap = u32::try_from(cap).unwrap_or(u32::MAX);
         CausalLog {
-            head: cap,
             cap,
+            folder: CausalFolder {
+                head: cap,
+                cap,
+                ..CausalFolder::default()
+            },
             ..Self::enabled()
         }
     }
@@ -872,7 +1059,10 @@ impl CausalLog {
     #[doc(hidden)]
     pub fn with_head(head: usize) -> Self {
         CausalLog {
-            head: u32::try_from(head).unwrap_or(u32::MAX),
+            folder: CausalFolder {
+                head: u32::try_from(head).unwrap_or(u32::MAX),
+                ..CausalFolder::default()
+            },
             ..Self::enabled()
         }
     }
@@ -888,12 +1078,21 @@ impl CausalLog {
         self.enabled
     }
 
+    /// The folder, which only a settled log has.
+    fn folder(&self) -> &CausalFolder {
+        assert!(
+            self.pipe.is_none(),
+            "causal log read while its records are on the consumer thread: settle it first"
+        );
+        &self.folder
+    }
+
     /// The records stored whole — every record of a run that made no more
     /// than the head — in append order (a child's index is always
     /// greater than its parent's).
     pub fn records(&self) -> Records<'_> {
         Records {
-            stored: &self.records,
+            stored: &self.folder().records,
         }
     }
 
@@ -906,12 +1105,13 @@ impl CausalLog {
     /// Records held right now: the head, plus the tips — the records
     /// something still names.
     pub fn held(&self) -> u64 {
-        self.records.len() as u64 + u64::from(self.tips.live())
+        let folder = self.folder();
+        folder.records.len() as u64 + u64::from(folder.tips.live())
     }
 
     /// The running totals over every chain delivered so far.
     pub fn fold(&self) -> &ChainFold {
-        &self.fold
+        &self.folder().fold
     }
 
     /// Records discarded after the cap was reached.
@@ -922,33 +1122,422 @@ impl CausalLog {
     /// Streaming digest over every record made while enabled (covers the
     /// full stream even past the retention cap).
     pub fn digest(&self) -> u64 {
-        self.digest.value()
+        self.folder().digest.value()
+    }
+
+    /// Hand `obs` to the folder: down the pipe while one is open.
+    #[inline]
+    fn send(&mut self, obs: Observation) {
+        match &mut self.pipe {
+            Some(pipe) => pipe.feed(obs),
+            None => self.folder.apply(&obs),
+        }
+    }
+
+    /// Run the folder on a consumer thread: `state` wraps it into what
+    /// the thread drives, and the log's records go down a pipe to it —
+    /// with `lanes`, its hop and injection records too, for a link series
+    /// the state keeps. [`Self::settle`] takes it back.
+    pub fn offload<C: Consume<Rec = Observation>>(
+        &mut self,
+        lanes: bool,
+        state: impl FnOnce(CausalFolder) -> C,
+    ) -> Worker<C> {
+        assert!(self.pipe.is_none(), "causal log offloaded twice");
+        let (pipe, worker) = offload::spawn(state(std::mem::take(&mut self.folder)));
+        self.pipe = Some(pipe);
+        self.lanes = lanes;
+        worker
+    }
+
+    /// Close the pipe [`Self::offload`] opened, wait for its consumer to
+    /// apply every record, and take the folder back (`folder` finds it in
+    /// the state); the state, for whatever else it kept.
+    pub fn settle<C>(
+        &mut self,
+        worker: Worker<C>,
+        folder: impl FnOnce(&mut C) -> CausalFolder,
+    ) -> C {
+        if let Some(pipe) = self.pipe.take() {
+            pipe.close();
+        }
+        let mut state = worker.join();
+        self.folder = folder(&mut state);
+        self.lanes = false;
+        state
     }
 
     /// Set the record causally responsible for the current activation.
     pub fn set_cause(&mut self, cause: Option<u32>) {
-        let held = cause.map(|idx| (idx, self.hold(idx, 1)));
-        if let Some((_, old)) = std::mem::replace(&mut self.cause, held) {
-            self.release(old);
+        self.cause = cause;
+        if self.enabled {
+            self.send(Observation::Cause(cause));
         }
     }
 
     /// The current activation's cause, if any.
     pub fn cause(&self) -> Option<u32> {
-        self.cause.map(|(idx, _)| idx)
+        self.cause
     }
 
-    /// The tip slot record `idx` names: past the head the handle is
-    /// `head + slot`; a stored record's is the slot it was made in, while
-    /// its tip is still that record (a held tip never moves on, so a
-    /// handle held stays good, and a stale one names nothing).
-    fn slot_of(&self, idx: u32) -> Option<u32> {
-        if let Some(slot) = idx.checked_sub(self.head) {
-            return Some(slot);
+    /// Count a record bound for the log: kept under the next index, or
+    /// dropped past the cap or the node limit.
+    fn fate(&mut self, node: u32) -> Fate {
+        if self.made >= self.cap || node > MAX_CAUSAL_NODE {
+            self.dropped += 1;
+            Fate::Dropped
+        } else {
+            self.made += 1;
+            Fate::Kept
         }
-        let slot = *self.head_slots.get(idx as usize)?;
-        let tip = self.tips.get(slot)?;
-        (tip.ordinal == idx).then_some(slot)
+    }
+
+    /// Append a record whose parent is the latest record of the same id
+    /// (or the explicit `parent` when given). Returns the new record's
+    /// index — a handle that names it while it is held or its message's
+    /// latest, and nothing after — or `None` when disabled, capped, or
+    /// `id` is null.
+    #[inline]
+    pub fn record(
+        &mut self,
+        id: TraceId,
+        stage: CausalStage,
+        at: SimTime,
+        node: u32,
+        parent: Option<u32>,
+        info: u64,
+    ) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        self.record_slow(id, stage, at, node, Parent::Given(parent), info)
+    }
+
+    /// Append a record chained onto the message's previous stage.
+    #[inline]
+    pub fn record_chain(
+        &mut self,
+        id: TraceId,
+        stage: CausalStage,
+        at: SimTime,
+        node: u32,
+        info: u64,
+    ) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        let parent = match (self.resent, stage) {
+            (false, _) => Parent::Latest,
+            (true, CausalStage::TxInject) => Parent::Resent,
+            (true, _) => Parent::Copy,
+        };
+        self.record_slow(id, stage, at, node, parent, info)
+    }
+
+    /// While `on`, the stages [`Self::record_chain`] and [`Self::hop`]
+    /// record belong to a resent copy of their message (a go-back-n
+    /// retransmission): its `TxInject` starts a chain of its own, and its
+    /// hops chain onto it rather than onto the latest stage of another
+    /// copy, which may be later in time.
+    pub fn set_resent(&mut self, on: bool) {
+        self.resent = on;
+    }
+
+    /// The `NetArrive` of a resent copy: chained onto that copy's last
+    /// hop, and the message's latest stage from now on.
+    pub fn record_copy_arrival(&mut self, id: TraceId, at: SimTime, node: u32) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        let stage = CausalStage::NetArrive;
+        self.record_slow(id, stage, at, node, Parent::Arrived, 0)
+    }
+
+    #[inline(never)]
+    fn record_slow(
+        &mut self,
+        id: TraceId,
+        stage: CausalStage,
+        at: SimTime,
+        node: u32,
+        parent: Parent,
+        info: u64,
+    ) -> Option<u32> {
+        if !id.is_some() && stage != CausalStage::AppDeliver {
+            return None;
+        }
+        let idx = self.made;
+        let fate = self.fate(node);
+        self.send(Observation::Record {
+            id,
+            at,
+            info,
+            node,
+            parent,
+            stage,
+            fate,
+        });
+        (fate == Fate::Kept).then_some(idx)
+    }
+
+    /// Is anything watching link transits: the log, or a link series it
+    /// carries?
+    #[inline]
+    pub fn observes_hops(&self) -> bool {
+        self.enabled || self.lanes
+    }
+
+    /// A link transit: a `LinkHop` record chained onto the message's
+    /// previous stage (whose `info` packs the port and the stall), and,
+    /// while the log carries a link series, that series' occupancy.
+    pub fn hop(&mut self, mut transit: Transit) {
+        transit.resent = self.resent;
+        transit.fate = if self.enabled && transit.tag != 0 {
+            self.fate(transit.node)
+        } else {
+            Fate::Off
+        };
+        if transit.fate != Fate::Off || self.lanes {
+            self.send(Observation::Hop(transit));
+        }
+    }
+
+    /// A message injected at `node`: for the link series the log carries,
+    /// if any.
+    pub fn inject(&mut self, node: u32, at: SimTime, bytes: u64) {
+        if self.lanes {
+            self.send(Observation::Inject { node, at, bytes });
+        }
+    }
+
+    /// Note that the completion recorded at `idx` posted `count` events
+    /// to `(node, pid)`'s event queue.
+    pub fn push_eq_posts(&mut self, node: u32, pid: u32, idx: u32, count: u64) {
+        if !self.enabled || count == 0 {
+            return;
+        }
+        self.posts.push(node, pid, idx, count);
+        self.send(Observation::Posts {
+            node,
+            pid,
+            idx,
+            count,
+        });
+    }
+
+    /// Pop the oldest pending EQ post for `(node, pid)` (the event a
+    /// successful `eq_get` just consumed). The post's reference on its
+    /// record passes to the caller, and [`Self::record_deliver`] takes it.
+    pub fn pop_eq_post(&mut self, node: u32, pid: u32) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        let idx = self.posts.pop(node, pid)?;
+        self.send(Observation::Pop { node, pid });
+        Some(idx)
+    }
+
+    /// Message `id` records nothing more: its completion is attributed
+    /// (or it found no match). Its latest-record entry goes when that
+    /// record is past the head, so the record is forgotten once no
+    /// pending EQ post or cause names it. (A later record of the id — a
+    /// go-back-n duplicate of a delivered message — starts a chain of its
+    /// own, which no delivery walks.) A caller still holding one of the
+    /// message's record indices makes it the cause first.
+    pub fn finish(&mut self, id: TraceId) {
+        if self.enabled {
+            self.send(Observation::Finish(id));
+        }
+    }
+
+    /// Record the `AppDeliver` for a consumed event, fold its chain, and
+    /// make it the current activation's cause. `producer` is the
+    /// `EqPost`-side record [`Self::pop_eq_post`] returned.
+    pub fn record_deliver(
+        &mut self,
+        node: u32,
+        pid: u32,
+        at: SimTime,
+        producer: Option<u32>,
+    ) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        let idx = self.made;
+        let fate = self.fate(node);
+        self.send(Observation::Deliver {
+            at,
+            producer,
+            node,
+            pid,
+            fate,
+        });
+        self.cause = (fate == Fate::Kept).then_some(idx);
+        self.cause
+    }
+}
+
+/// Ordinals whose tip slot [`CausalFolder`] remembers (a power of two):
+/// a handle is almost always used within a handler of its record.
+const RECENT: u32 = 1 << 12;
+
+/// What a [`CausalLog`]'s stream builds: the records still named (tips,
+/// with the path behind each folded into its carry), the latest record of
+/// each message, the stored head, the running fold and the digest. A
+/// plain single-threaded type: the log applies its stream in line, or a
+/// consumer thread does between [`CausalLog::offload`] and
+/// [`CausalLog::settle`].
+#[derive(Debug)]
+pub struct CausalFolder {
+    /// Records below this index are stored whole, for good.
+    head: u32,
+    cap: u32,
+    /// The head, in append order.
+    records: Vec<Stored>,
+    /// Records made: the next record's index.
+    made: u32,
+    /// The records still named, and their stalled hops.
+    tips: Tips,
+    hops: Hops,
+    /// Defects met on paths (a carry names one by index).
+    defects: Vec<CritPathError>,
+    digest: EventDigest,
+    /// Latest record per trace id, by tip slot (chains stages recorded
+    /// by different handlers).
+    latest: LatestIndex,
+    /// The tip slot record `i` was made in, at `i % RECENT` (empty
+    /// until the first record).
+    recent: Vec<u32>,
+    /// The tip slot each pending EQ post holds.
+    posts: EqLanes<u32>,
+    /// The tip slot of the post last popped, whose reference the next
+    /// delivery takes.
+    popped: Option<u32>,
+    /// The tip slot held for the activation cause.
+    cause: Option<u32>,
+    fold: ChainFold,
+}
+
+impl Default for CausalFolder {
+    fn default() -> Self {
+        CausalFolder {
+            head: HEAD,
+            cap: u32::MAX,
+            records: Vec::new(),
+            made: 0,
+            tips: Tips::default(),
+            hops: Hops::default(),
+            defects: Vec::new(),
+            digest: EventDigest::new(),
+            latest: LatestIndex::default(),
+            recent: Vec::new(),
+            posts: EqLanes::default(),
+            popped: None,
+            cause: None,
+            fold: ChainFold::default(),
+        }
+    }
+}
+
+impl CausalFolder {
+    /// Apply one record of the stream.
+    pub fn apply(&mut self, obs: &Observation) {
+        match *obs {
+            Observation::Record {
+                id,
+                at,
+                info,
+                node,
+                parent,
+                stage,
+                fate,
+            } => {
+                self.digest(id, stage, at, node, info);
+                if fate == Fate::Kept {
+                    self.record(id, stage, at, node, parent, info);
+                }
+            }
+            Observation::Hop(t) => {
+                if t.fate != Fate::Off {
+                    let (id, info) = (TraceId(t.tag), t.info());
+                    self.digest(id, CausalStage::LinkHop, t.start, t.node, info);
+                    if t.fate == Fate::Kept {
+                        let parent = if t.resent {
+                            Parent::Copy
+                        } else {
+                            Parent::Latest
+                        };
+                        self.record(id, CausalStage::LinkHop, t.start, t.node, parent, info);
+                    }
+                }
+            }
+            Observation::Inject { .. } => {}
+            Observation::Cause(cause) => {
+                let held = cause.map(|idx| self.hold(idx, 1));
+                self.set_cause(held);
+            }
+            Observation::Posts {
+                node,
+                pid,
+                idx,
+                count,
+            } => {
+                let slot = self.hold(idx, count as u32);
+                self.posts.push(node, pid, slot, count);
+            }
+            Observation::Pop { node, pid } => {
+                if let Some(slot) = self.posts.pop(node, pid) {
+                    if let Some(old) = self.popped.replace(slot) {
+                        self.release(old);
+                    }
+                }
+            }
+            Observation::Deliver {
+                at,
+                producer,
+                node,
+                pid,
+                fate,
+            } => self.deliver(at, producer, node, pid, fate),
+            Observation::Finish(id) => self.finish(id),
+        }
+    }
+
+    fn digest(&mut self, id: TraceId, stage: CausalStage, at: SimTime, node: u32, info: u64) {
+        self.digest.write_u64(id.0);
+        self.digest.write_u8(stage as u8);
+        self.digest.write_u64(at.ps());
+        self.digest.write_u32(node);
+        self.digest.write_u64(info);
+    }
+
+    /// Make `held` — a tip slot with a reference taken for it — the
+    /// cause, releasing the one it replaces.
+    fn set_cause(&mut self, held: Option<u32>) {
+        if let Some(old) = std::mem::replace(&mut self.cause, held) {
+            self.release(old);
+        }
+    }
+
+    /// The tip slot record `idx` names: the tip made in it, while that
+    /// tip is still that record (a held tip never moves on, so a handle
+    /// held stays good, and a stale one names nothing).
+    fn slot_of(&self, idx: u32) -> Option<u32> {
+        let names = |s: u32| self.tips.get(s).is_some_and(|t| t.ordinal == idx);
+        let recent = self.recent.get((idx % RECENT) as usize).copied();
+        if let Some(s) = [self.popped, self.cause, recent]
+            .into_iter()
+            .flatten()
+            .find(|&s| names(s))
+        {
+            return Some(s);
+        }
+        // Remembered slots hold the last RECENT records; an older record
+        // is found only where a tip still is it.
+        if idx >= self.made || self.made - idx <= RECENT {
+            return None;
+        }
+        self.tips.find(idx)
     }
 
     /// The tip slot of `id`'s latest record.
@@ -989,45 +1578,8 @@ impl CausalLog {
         }
     }
 
-    /// Append a record whose parent is the latest record of the same id
-    /// (or the explicit `parent` when given). Returns the new record's
-    /// index — past the head, a handle that names it while it is held or
-    /// its message's latest — or `None` when disabled, capped, or `id` is
-    /// null.
-    #[inline]
-    pub fn record(
-        &mut self,
-        id: TraceId,
-        stage: CausalStage,
-        at: SimTime,
-        node: u32,
-        parent: Option<u32>,
-        info: u64,
-    ) -> Option<u32> {
-        if !self.enabled {
-            return None;
-        }
-        self.record_slow(id, stage, at, node, Parent::Given(parent), info)
-    }
-
-    /// Append a record chained onto the message's previous stage.
-    #[inline]
-    pub fn record_chain(
-        &mut self,
-        id: TraceId,
-        stage: CausalStage,
-        at: SimTime,
-        node: u32,
-        info: u64,
-    ) -> Option<u32> {
-        if !self.enabled {
-            return None;
-        }
-        self.record_slow(id, stage, at, node, Parent::Latest, info)
-    }
-
-    #[inline(never)]
-    fn record_slow(
+    /// Make record `made` (the next index) with its parent edge; its index.
+    fn record(
         &mut self,
         id: TraceId,
         stage: CausalStage,
@@ -1035,15 +1587,7 @@ impl CausalLog {
         node: u32,
         parent: Parent,
         info: u64,
-    ) -> Option<u32> {
-        if !id.is_some() && stage != CausalStage::AppDeliver {
-            return None;
-        }
-        self.digest.write_u64(id.0);
-        self.digest.write_u8(stage as u8);
-        self.digest.write_u64(at.ps());
-        self.digest.write_u32(node);
-        self.digest.write_u64(info);
+    ) -> u32 {
         let mut rec = CausalRecord {
             id,
             stage,
@@ -1052,15 +1596,23 @@ impl CausalLog {
             parent: None,
             info,
         };
-        if self.made >= self.cap || rec.check().is_err() {
-            self.dropped += 1;
-            return None;
-        }
         let ordinal = self.made;
         self.made += 1;
-        let indexed = id.is_some() && stage != CausalStage::AppDeliver;
-        let chained = matches!(parent, Parent::Latest);
-        let previous = (indexed || chained).then(|| self.latest(id.0)).flatten();
+        // Where the message's own chain is: a resent copy joins it only
+        // while it is on the sender side — a copy reaching a receive
+        // already under way is a duplicate, off the spine.
+        let spine = matches!(parent, Parent::Resent | Parent::Arrived)
+            .then(|| self.latest(id.0))
+            .flatten()
+            .and_then(|s| Some((s, self.tips.get(s)?)))
+            .filter(|(_, tip)| tip.stage < CausalStage::NetArrive)
+            .map(|(s, tip)| (s, tip.stage, tip.at));
+        let duplicate =
+            matches!(parent, Parent::Arrived) && self.latest(id.0).is_some() && spine.is_none();
+        let indexed = id.is_some() && stage != CausalStage::AppDeliver && !duplicate;
+        let (key, chain) = parent.keys(id.0);
+        let chained = chain == Some(key);
+        let previous = (indexed || chained).then(|| self.latest(key)).flatten();
         let sole = previous
             .and_then(|s| self.tips.get_mut(s))
             .filter(|tip| chained && indexed && tip.refs == 1);
@@ -1085,37 +1637,56 @@ impl CausalLog {
                 // The parent edge, and the tip it leaves from.
                 let from = match parent {
                     Parent::Given(p) | Parent::Delivered(p) => p.map(|p| (p, self.slot_of(p))),
-                    Parent::Latest => {
-                        previous.and_then(|s| Some((self.tips.get(s)?.ordinal, Some(s))))
-                    }
+                    Parent::Latest | Parent::Copy => previous.and_then(|s| self.edge_from(s)),
+                    Parent::Arrived => self
+                        .latest(id.0 | RESENT_KEY)
+                        .and_then(|s| self.edge_from(s)),
+                    // The sender-side tail it was resent from, unless that
+                    // is later than the copy (another copy's hop).
+                    Parent::Resent => spine
+                        .filter(|&(_, st, t)| st == CausalStage::TxCmdPost || t <= at)
+                        .and_then(|(s, ..)| self.edge_from(s)),
                 };
                 rec.parent = from.map(|(p, _)| p);
                 let take = matches!(parent, Parent::Delivered(_));
-                let previous = previous.filter(|_| indexed);
-                self.push_tip(ordinal, &rec, from, previous, take)
+                let file = indexed.then_some((key, previous));
+                let slot = self.push_tip(ordinal, &rec, from, file, take);
+                if matches!(parent, Parent::Arrived) {
+                    self.unfile(id.0 | RESENT_KEY);
+                    if duplicate {
+                        // Nothing names it.
+                        let hops = self.tips.remove(slot);
+                        self.hops.free(hops);
+                    }
+                }
+                slot
             }
         };
         if self.made >= self.cap {
             self.latest = LatestIndex::default();
         }
+        if self.recent.is_empty() {
+            self.recent = vec![NO_SLOT; RECENT as usize];
+        }
+        if let Some(r) = self.recent.get_mut((ordinal % RECENT) as usize) {
+            *r = slot;
+        }
         if ordinal < self.head {
             self.records.push(Stored::pack(&rec));
-            self.head_slots.push(slot);
-            return Some(ordinal);
         }
-        Some(self.head + slot)
+        ordinal
     }
 
     /// Hold record `ordinal` in a tip of its own; its slot. Its carry is
     /// its parent's — `from`, the parent edge and its tip — plus the edge
-    /// between them; a delivery folds it. The message's previous tip, if
-    /// any, is released.
+    /// between them; a delivery folds it. With `file`, it becomes the
+    /// latest record under that key, releasing the one it replaces.
     fn push_tip(
         &mut self,
         ordinal: u32,
         rec: &CausalRecord,
         from: Option<(u32, Option<u32>)>,
-        previous: Option<u32>,
+        file: Option<(u64, Option<u32>)>,
         take: bool,
     ) -> u32 {
         let (carry, rooted) = self.carry(ordinal, rec, from, take);
@@ -1125,23 +1696,22 @@ impl CausalLog {
                 None => self.fold.add(&carry.sum, self.hops.iter(carry.hops)),
             }
         }
-        let indexed = rec.id.is_some() && rec.stage != CausalStage::AppDeliver;
         let slot = self.tips.insert(Tip {
             carry,
-            id: rec.id.0,
+            id: file.map_or(rec.id.0, |(key, _)| key),
             at: rec.at,
-            refs: u32::from(indexed),
+            refs: u32::from(file.is_some()),
             ordinal,
             stage: rec.stage,
             rooted,
         });
-        if indexed {
+        if let Some((key, previous)) = file {
             let tips = &self.tips;
             let id_of = |s: u32| tips.get(s).map(|t| t.id);
-            self.latest.replace(rec.id.0, slot, id_of);
-        }
-        if let Some(prev) = previous {
-            self.release(prev);
+            self.latest.replace(key, slot, id_of);
+            if let Some(prev) = previous {
+                self.release(prev);
+            }
         }
         slot
     }
@@ -1198,97 +1768,60 @@ impl CausalLog {
         self.defects.len() as u32
     }
 
-    /// Note that the completion recorded at `idx` posted `count` events
-    /// to `(node, pid)`'s event queue.
-    pub fn push_eq_posts(&mut self, node: u32, pid: u32, idx: u32, count: u64) {
-        if !self.enabled || count == 0 {
-            return;
-        }
-        let slot = self.hold(idx, count as u32);
-        let node = node as usize;
-        if self.eq_fifo.len() <= node {
-            self.eq_fifo.resize_with(node + 1, Vec::new);
-        }
-        let Some(lanes) = self.eq_fifo.get_mut(node) else {
-            return;
-        };
-        if !lanes.iter().any(|&(p, _)| p == pid) {
-            lanes.push((pid, VecDeque::new()));
-        }
-        if let Some((_, fifo)) = lanes.iter_mut().find(|(p, _)| *p == pid) {
-            fifo.extend(std::iter::repeat_n((idx, slot), count as usize));
-        }
+    /// The edge from tip `slot`: its record and the slot.
+    fn edge_from(&self, slot: u32) -> Option<(u32, Option<u32>)> {
+        Some((self.tips.get(slot)?.ordinal, Some(slot)))
     }
 
-    /// Pop the oldest pending EQ post for `(node, pid)` (the event a
-    /// successful `eq_get` just consumed). The post's reference on its
-    /// record passes to the caller, and [`Self::record_deliver`] takes it.
-    pub fn pop_eq_post(&mut self, node: u32, pid: u32) -> Option<u32> {
-        if !self.enabled {
-            return None;
-        }
-        let lanes = self.eq_fifo.get_mut(node as usize)?;
-        let (_, fifo) = lanes.iter_mut().find(|(p, _)| *p == pid)?;
-        let (idx, slot) = fifo.pop_front()?;
-        if let Some((_, old)) = self.popped.replace((idx, slot)) {
-            self.release(old);
-        }
-        Some(idx)
+    /// Message `id` records nothing more (see [`CausalLog::finish`]): nor
+    /// does a resent copy of it still in flight.
+    fn finish(&mut self, id: TraceId) {
+        self.forget(id.0);
+        self.forget(id.0 | RESENT_KEY);
     }
 
-    /// Message `id` records nothing more: its completion is attributed
-    /// (or it found no match). Its latest-record entry goes when that
-    /// record is past the head, so the record is forgotten once no
-    /// pending EQ post or cause names it. (A later record of the id — a
-    /// go-back-n duplicate of a delivered message — starts a chain of its
-    /// own, which no delivery walks.) A caller still holding one of the
-    /// message's record indices makes it the cause first.
-    pub fn finish(&mut self, id: TraceId) {
-        if !self.enabled {
-            return;
-        }
+    /// Drop `key`'s latest-record entry if its record is past the head.
+    fn forget(&mut self, key: u64) {
         let past_head = |s: u32| self.tips.get(s).is_some_and(|t| t.ordinal >= self.head);
-        if !self.latest(id.0).is_some_and(past_head) {
-            return;
+        if self.latest(key).is_some_and(past_head) {
+            self.unfile(key);
         }
+    }
+
+    /// Drop `key`'s latest-record entry.
+    fn unfile(&mut self, key: u64) {
         let tips = &self.tips;
         let id_of = |s: u32| tips.get(s).map(|t| t.id);
-        if let Some(slot) = self.latest.remove(id.0, id_of) {
+        if let Some(slot) = self.latest.remove(key, id_of) {
             self.release(slot);
         }
     }
 
-    /// Record the `AppDeliver` for a consumed event, fold its chain, and
-    /// make it the current activation's cause. `producer` is the
-    /// `EqPost`-side record [`Self::pop_eq_post`] returned.
-    pub fn record_deliver(
-        &mut self,
-        node: u32,
-        pid: u32,
-        at: SimTime,
-        producer: Option<u32>,
-    ) -> Option<u32> {
-        if !self.enabled {
-            return None;
+    /// The id of record `idx`: stored, or still a tip.
+    fn id_of(&self, idx: u32) -> Option<TraceId> {
+        match self.records.get(idx as usize) {
+            Some(rec) => Some(TraceId(rec.id)),
+            None => self.tips.get(self.slot_of(idx)?).map(|tip| TraceId(tip.id)),
         }
-        let id = producer.and_then(|i| match self.records.get(i as usize) {
-            Some(rec) => Some(rec.id),
-            None => self.tips.get(self.slot_of(i)?).map(|tip| tip.id),
+    }
+
+    /// The `AppDeliver` of the post popped last (its chain folds), made
+    /// the activation's cause.
+    fn deliver(&mut self, at: SimTime, producer: Option<u32>, node: u32, pid: u32, fate: Fate) {
+        let id = producer
+            .and_then(|i| self.id_of(i))
+            .unwrap_or(TraceId::NONE);
+        let stage = CausalStage::AppDeliver;
+        self.digest(id, stage, at, node, u64::from(pid));
+        let idx = (fate == Fate::Kept).then(|| {
+            let parent = Parent::Delivered(producer);
+            self.record(id, stage, at, node, parent, u64::from(pid))
         });
-        let popped = self.popped.take();
-        let idx = self.record_slow(
-            TraceId(id.unwrap_or(0)),
-            CausalStage::AppDeliver,
-            at,
-            node,
-            Parent::Delivered(producer),
-            pid as u64,
-        );
-        if let Some((_, slot)) = popped {
+        if let Some(slot) = self.popped.take() {
             self.release(slot);
         }
-        self.set_cause(idx);
-        idx
+        let held = idx.map(|idx| self.hold(idx, 1));
+        self.set_cause(held);
     }
 }
 
@@ -1307,6 +1840,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<Stored>(), 32);
         assert_eq!(std::mem::size_of::<CausalRecord>(), 40);
         assert!(std::mem::size_of::<Tip>() <= 104);
+        // What one record costs in flight to a consumer thread.
+        assert_eq!(std::mem::size_of::<Observation>(), 56);
     }
 
     #[test]
@@ -1316,11 +1851,94 @@ mod tests {
         log.push_eq_posts(3, 0, 0, 2);
         log.set_cause(None);
         log.finish(TraceId(1));
-        assert_eq!(log.records.capacity(), 0);
-        assert_eq!(log.head_slots.capacity(), 0);
-        assert_eq!(log.tips.slab.chunks.capacity(), 0);
-        assert_eq!(log.latest.slots.capacity(), 0);
-        assert_eq!(log.eq_fifo.capacity(), 0);
+        assert_eq!(log.posts.0.capacity(), 0);
+        let folder = &log.folder;
+        assert_eq!(folder.records.capacity(), 0);
+        assert_eq!(folder.recent.capacity(), 0);
+        assert_eq!(folder.tips.slab.chunks.capacity(), 0);
+        assert_eq!(folder.latest.slots.capacity(), 0);
+        assert_eq!(folder.posts.0.capacity(), 0);
+    }
+
+    /// A consumer that only folds.
+    struct Folds(CausalFolder);
+
+    impl Consume for Folds {
+        type Rec = Observation;
+        fn apply(&mut self, rec: &Observation) {
+            self.0.apply(rec);
+        }
+    }
+
+    /// Ten thousand messages of five stages, every delivery consumed.
+    fn drive(log: &mut CausalLog) {
+        for m in 1..=10_000u64 {
+            let (id, at) = (TraceId(m), SimTime::from_ns(m));
+            let api = log.record(id, CausalStage::ApiEntry, at, 0, log.cause(), 8);
+            assert!(api.is_some());
+            for (k, stage) in [CausalStage::TxInject, CausalStage::NetArrive]
+                .into_iter()
+                .enumerate()
+            {
+                log.record_chain(id, stage, at + SimTime::from_ns(k as u64 + 1), 1, 0);
+            }
+            log.hop(Transit {
+                tag: m,
+                arrival: at + SimTime::from_ns(3),
+                start: at + SimTime::from_ns(4),
+                done: at + SimTime::from_ns(5),
+                packets: 1,
+                node: 1,
+                port: 2,
+                fate: Fate::Off,
+                resent: false,
+            });
+            let post = log.record_chain(id, CausalStage::EqPost, at + SimTime::from_ns(6), 1, 0);
+            log.push_eq_posts(1, 0, post.expect("made"), 1);
+            log.finish(id);
+            let producer = log.pop_eq_post(1, 0);
+            assert_eq!(producer, post);
+            log.record_deliver(1, 0, at + SimTime::from_ns(7), producer);
+        }
+    }
+
+    #[test]
+    fn an_offloaded_log_settles_to_the_in_line_result() {
+        let mut here = CausalLog::enabled();
+        drive(&mut here);
+        let mut piped = CausalLog::enabled();
+        let worker = piped.offload(false, Folds);
+        drive(&mut piped);
+        piped.settle(worker, |f| std::mem::take(&mut f.0));
+        assert_eq!(piped.digest(), here.digest());
+        assert_eq!(piped.fold(), here.fold());
+        assert_eq!(piped.fold().chains(), 10_000);
+        assert_eq!((piped.made(), piped.held()), (here.made(), here.held()));
+        assert_eq!(
+            piped.records().iter().collect::<Vec<_>>(),
+            here.records().iter().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_handle_to_a_freed_record_names_nothing() {
+        // Past the head: `a`'s tip is freed when its message finishes,
+        // and `b`'s record takes its slot. A child of `a` has no parent to
+        // fold from — it must not chain onto `b`.
+        let mut log = CausalLog::with_head(0);
+        let a = log.record_chain(TraceId(1), CausalStage::ApiEntry, SimTime::ZERO, 0, 0);
+        log.finish(TraceId(1));
+        let at = SimTime::from_ns(1);
+        log.record_chain(TraceId(2), CausalStage::ApiEntry, at, 0, 0);
+        assert_eq!(log.folder.tips.live(), 1, "a's slot was reused");
+        let c = log.record(TraceId(3), CausalStage::EqPost, at, 0, a, 0);
+        log.push_eq_posts(0, 0, c.expect("made"), 1);
+        let producer = log.pop_eq_post(0, 0);
+        log.record_deliver(0, 0, at, producer);
+        assert_eq!(
+            log.fold().error(),
+            Some(CritPathError::MissingRecord { idx: 0 })
+        );
     }
 
     #[test]

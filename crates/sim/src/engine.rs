@@ -78,6 +78,11 @@ pub trait Model {
     fn state_fingerprint(&self) -> u64 {
         0
     }
+
+    /// Finish whatever observation work the model handed to another
+    /// thread, so its readers see the run's final state. [`Engine::run`]
+    /// calls it before it returns; the default has nothing to finish.
+    fn settle(&mut self) {}
 }
 
 /// Why a [`Engine::run`] call returned.
@@ -264,9 +269,12 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Run until the queue drains.
+    /// Run until the queue drains (or the budget runs out), then settle
+    /// the model ([`Model::settle`]).
     pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
+        let outcome = self.run_until(SimTime::MAX);
+        self.model.settle();
+        outcome
     }
 
     /// Run until the queue drains or the next event would fire after

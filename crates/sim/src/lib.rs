@@ -52,8 +52,9 @@ pub mod time;
 pub mod trace;
 
 pub use causal::{
-    linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalLog, CausalRecord, CausalStage,
-    Records, TraceId, HEAD, LINKHOP_STALL_MASK, MAX_CAUSAL_NODE,
+    linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalFolder, CausalLog, CausalRecord,
+    CausalStage, Fate, Observation, Records, TraceId, Transit, HEAD, LINKHOP_STALL_MASK,
+    MAX_CAUSAL_NODE,
 };
 pub use chain::{
     walk_one, Breakdown, Chain, ChainFold, CostClass, CritPathError, HopStall, Segment,

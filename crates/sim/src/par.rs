@@ -94,6 +94,8 @@ use crate::time::SimTime;
 use std::sync::mpsc;
 use std::thread;
 
+pub mod offload;
+
 /// A model that can run as one shard of a spatial partition.
 ///
 /// Shard models must not interact with shared state (the fabric) while

@@ -17,7 +17,8 @@ use crate::coord::{Dims, NodeId, Port};
 use crate::link::{Link, LinkConfig};
 use crate::route::RoutingTable;
 use serde::{Deserialize, Serialize};
-use xt3_sim::{linkhop_info, CausalLog, CausalStage, SimRng, SimTime, TraceId};
+use xt3_sim::par::offload::{Consume, Worker};
+use xt3_sim::{CausalFolder, CausalLog, Fate, Observation, SimRng, SimTime, Transit};
 use xt3_telemetry::{Component, NullSink, Occupancy, SeriesConfig, SeriesSet, TelemetrySink};
 
 /// Fabric-wide configuration.
@@ -81,34 +82,66 @@ pub struct DeliveredMsg<P> {
 
 /// Hand one link transit to every sink that is on: a busy span on the
 /// link's track and the head-of-line wait into the `net.hol_stall`
-/// histogram, the series lanes, and a `LinkHop` causal record whose
-/// `info` carries the port and the stall. Outlined, so an unobserved
+/// histogram, the series lanes kept on this thread, and one record to
+/// `causal` — its `LinkHop` and, while the log carries the series to a
+/// consumer thread, the series' occupancy too. Outlined, so an unobserved
 /// walk carries none of it.
 #[inline(never)]
 fn observe_hop(
     sink: &mut impl TelemetrySink,
     series: Option<&mut SeriesSet>,
     causal: &mut CausalLog,
-    node: u32,
-    port: u8,
-    occ: Occupancy,
-    packets: u64,
+    transit: Transit,
 ) {
-    let stall = occ.start.saturating_sub(occ.arrival);
+    let (node, port) = (transit.node, transit.port);
     if sink.is_enabled() {
-        sink.span(node, Component::Link(port), "link", occ.start, occ.done);
+        let stall = transit.start.saturating_sub(transit.arrival);
+        sink.span(
+            node,
+            Component::Link(port),
+            "link",
+            transit.start,
+            transit.done,
+        );
         sink.sample("net.hol_stall", stall);
     }
     if let Some(series) = series {
-        series.record_hop(node, port, occ, packets);
+        series.record_hop(node, port, occupancy(&transit), transit.packets);
     }
-    causal.record_chain(
-        TraceId(occ.tag),
-        CausalStage::LinkHop,
-        occ.start,
-        node,
-        linkhop_info(port, stall.ps()),
-    );
+    causal.hop(transit);
+}
+
+/// The series' view of a transit.
+fn occupancy(t: &Transit) -> Occupancy {
+    Occupancy {
+        tag: t.tag,
+        arrival: t.arrival,
+        start: t.start,
+        done: t.done,
+    }
+}
+
+/// What a fabric's observation consumer thread owns while a run is on:
+/// the causal log's folder and the link series, driven by one stream.
+#[derive(Debug)]
+struct Observers {
+    folder: CausalFolder,
+    series: Option<Box<SeriesSet>>,
+}
+
+impl Consume for Observers {
+    type Rec = Observation;
+
+    fn apply(&mut self, rec: &Observation) {
+        if let Some(series) = self.series.as_deref_mut() {
+            match rec {
+                Observation::Hop(t) => series.record_hop(t.node, t.port, occupancy(t), t.packets),
+                &Observation::Inject { node, at, bytes } => series.record_inject(node, at, bytes),
+                _ => {}
+            }
+        }
+        self.folder.apply(rec);
+    }
 }
 
 /// The interconnect: routing tables plus per-link state.
@@ -127,6 +160,9 @@ pub struct Fabric {
     /// send on the one real fabric in exact serial order — the series
     /// are bit-identical to serial and survive `Machine::merge`.
     series: Option<Box<SeriesSet>>,
+    /// The consumer thread holding the series and a causal log's folder
+    /// between [`Fabric::offload`] and [`Fabric::settle`].
+    observers: Option<Worker<Observers>>,
 }
 
 impl Fabric {
@@ -149,6 +185,7 @@ impl Fabric {
             messages_sent: 0,
             bytes_sent: 0,
             series: None,
+            observers: None,
         }
     }
 
@@ -156,13 +193,42 @@ impl Fabric {
     /// HOL stall per link; injections per node) with `cfg`'s bucket
     /// geometry. Replaces any series recorded so far.
     pub fn enable_series(&mut self, cfg: SeriesConfig) {
+        assert!(self.observers.is_none(), "series enabled mid-run");
         let nodes = self.dims().node_count() as usize;
         self.series = Some(Box::new(SeriesSet::new(nodes, cfg)));
     }
 
-    /// The recorded series, if enabled.
+    /// The recorded series, if enabled. Panics between [`Fabric::offload`]
+    /// and [`Fabric::settle`], when they are a consumer thread's.
     pub fn series(&self) -> Option<&SeriesSet> {
+        assert!(
+            self.observers.is_none(),
+            "link series read while a consumer thread holds them: settle first"
+        );
         self.series.as_deref()
+    }
+
+    /// Hand the series and `causal`'s folding to one consumer thread:
+    /// from now on every transit and injection is one record down
+    /// `causal`'s pipe, applied there in stream order. Nothing to do
+    /// when neither is on, or when a thread already has them.
+    pub fn offload(&mut self, causal: &mut CausalLog) {
+        if self.observers.is_some() || (self.series.is_none() && !causal.is_enabled()) {
+            return;
+        }
+        let series = self.series.take();
+        let lanes = series.is_some();
+        let worker = causal.offload(lanes, |folder| Observers { folder, series });
+        self.observers = Some(worker);
+    }
+
+    /// Wait for the consumer thread [`Fabric::offload`] started to apply
+    /// every record, and take the series and `causal`'s folder back.
+    pub fn settle(&mut self, causal: &mut CausalLog) {
+        if let Some(worker) = self.observers.take() {
+            let observers = causal.settle(worker, |o| std::mem::take(&mut o.folder));
+            self.series = observers.series;
+        }
     }
 
     /// The machine shape.
@@ -206,8 +272,9 @@ impl Fabric {
     ) -> DeliveredMsg<P> {
         self.messages_sent += 1;
         self.bytes_sent += msg.payload_bytes;
-        if let Some(series) = self.series.as_deref_mut() {
-            series.record_inject(msg.src.0, inject_at, msg.payload_bytes);
+        match self.series.as_deref_mut() {
+            Some(series) => series.record_inject(msg.src.0, inject_at, msg.payload_bytes),
+            None => causal.inject(msg.src.0, inject_at, msg.payload_bytes),
         }
 
         if msg.src == msg.dst {
@@ -233,7 +300,7 @@ impl Fabric {
         );
         let mut hops = 0u32;
         // The one test a hop pays when nothing is watching.
-        let observed = sink.is_enabled() || series.is_some() || causal.is_enabled();
+        let observed = sink.is_enabled() || series.is_some() || causal.observes_hops();
 
         // Cut-through: the head waits for each link in turn; each link is
         // occupied for the full packet train. `head` tracks when the first
@@ -245,22 +312,18 @@ impl Fabric {
             let link = &mut links[node.0 as usize][port.index()];
             let (start, done) = link.transmit(&cfg, rng, head, packets);
             if observed {
-                let occ = Occupancy {
+                let transit = Transit {
                     tag: msg.tag,
                     arrival: head,
                     start,
                     done,
-                };
-                let port = port.index() as u8;
-                observe_hop(
-                    sink,
-                    series.as_deref_mut(),
-                    causal,
-                    node.0,
-                    port,
-                    occ,
                     packets,
-                );
+                    node: node.0,
+                    port: port.index() as u8,
+                    fate: Fate::Off,
+                    resent: false,
+                };
+                observe_hop(sink, series.as_deref_mut(), causal, transit);
             }
             head = start + cfg.hop_latency;
             // The last byte clears this link at `done` and still needs the
@@ -494,13 +557,36 @@ mod tests {
         let hop = causal
             .records()
             .iter()
-            .find(|r| r.stage == CausalStage::LinkHop)
+            .find(|r| r.stage == xt3_sim::CausalStage::LinkHop)
             .expect("hop recorded");
         assert_eq!(
             xt3_sim::linkhop_port(hop.info),
             Some(Port::XPlus.index() as u8)
         );
         assert_eq!(xt3_sim::linkhop_stall(hop.info), 0);
+    }
+
+    #[test]
+    fn an_offloaded_fabric_settles_to_the_in_line_series_and_log() {
+        // The same contended sends in line and through the consumer
+        // thread: identical series, causal stream and fold once settled.
+        let run = |offload: bool| {
+            let mut f = Fabric::new(Dims::mesh(4, 1, 1), FabricConfig::default());
+            f.enable_series(xt3_telemetry::SeriesConfig::default());
+            let mut causal = CausalLog::enabled();
+            if offload {
+                f.offload(&mut causal);
+            }
+            for i in 0..5_000u64 {
+                let at = SimTime::from_ns(i * 7);
+                let (src, dst) = ((i % 3) as u32, 3);
+                f.send_full(at, msg(src, dst, 4096, i + 1), &mut NullSink, &mut causal);
+            }
+            f.settle(&mut causal);
+            let json = f.series().expect("series back").to_json();
+            (json, causal.digest(), causal.fold().clone(), causal.made())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

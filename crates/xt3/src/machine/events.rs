@@ -15,6 +15,9 @@ pub struct InFlight {
     pub complete_at: SimTime,
     /// The end-to-end 32-bit CRC will reject this payload (§2).
     pub corrupted: bool,
+    /// A go-back-n retransmission: its causal stages chain as a copy of
+    /// their own.
+    pub resent: bool,
 }
 
 /// A message's delivery box, and then its receive record: one heap

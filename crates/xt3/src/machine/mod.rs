@@ -184,6 +184,9 @@ pub struct Machine {
     cur_key: u64,
     /// Dispatch time of the event currently being dispatched.
     cur_now: SimTime,
+    /// A run is on: the sinks that fold off this thread have been handed
+    /// to the fabric's consumer ([`Fabric::offload`]) until the settle.
+    observing: bool,
 }
 
 impl Machine {
@@ -225,6 +228,7 @@ impl Machine {
             net: Default::default(),
             cur_key: 0,
             cur_now: SimTime::ZERO,
+            observing: false,
             config,
         }
     }
@@ -545,7 +549,17 @@ impl Model for Machine {
         // the serial engine's inline fabric walks interleave.
         self.cur_key = key;
         self.cur_now = now;
+        if !self.observing {
+            self.observe();
+        }
         self.dispatch(now, event, q);
+    }
+
+    /// The causal log's folding and the link series run on the fabric's
+    /// consumer thread until the run ends; readers wait for this.
+    fn settle(&mut self) {
+        self.fabric.settle(&mut self.causal);
+        self.observing = false;
     }
 
     /// Digest lane = owning node, so a partitioned run's per-shard

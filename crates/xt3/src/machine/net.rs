@@ -74,6 +74,8 @@ pub struct SendIntent {
     pub(crate) msg: WireMsg,
     /// Fault plan forced an end-to-end CRC rejection.
     pub(crate) forced_corrupt: bool,
+    /// A go-back-n retransmission (see [`InFlight::resent`]).
+    pub(crate) resent: bool,
     /// Fault plan reorder delay.
     pub(crate) extra_delay: SimTime,
     /// An emptied delivery box for [`apply_send`] to refill, when the
@@ -98,6 +100,7 @@ pub(crate) fn apply_send(
         dma_done,
         msg,
         forced_corrupt,
+        resent,
         extra_delay,
         delivery_key,
         spare,
@@ -107,6 +110,7 @@ pub(crate) fn apply_send(
     let dst = NodeId(msg.header.dst.nid);
     let tag = msg.tag;
     let wire_bytes = msg.wire_bytes();
+    causal.set_resent(resent);
     causal.record_chain(TraceId(tag), CausalStage::TxInject, inject_at, src.0, 0);
     let d = fabric.send_full(
         inject_at, // the header packet leaves as soon as it is fetched
@@ -120,12 +124,14 @@ pub(crate) fn apply_send(
         telemetry,
         causal,
     );
+    causal.set_resent(false);
     let head_latency = d.header_at.saturating_sub(inject_at);
     let complete_at = d.complete_at.max(dma_done + head_latency) + extra_delay;
     let inflight = InFlight {
         msg: d.msg.body,
         complete_at,
         corrupted: forced_corrupt,
+        resent,
     };
     let parcel = match spare {
         Some(mut spare) => {
@@ -147,12 +153,14 @@ pub(crate) fn apply_send(
 impl Machine {
     /// Put a message on the wire at `inject_at`; delivery is throttled by
     /// the slower of the fabric and the TX DMA stream (`dma_done`).
+    /// `resent`: a go-back-n retransmission of a message sent before.
     pub(super) fn inject(
         &mut self,
         q: &mut EventQueue<Ev>,
         inject_at: SimTime,
         dma_done: SimTime,
         msg: WireMsg,
+        resent: bool,
     ) {
         let src = NodeId(msg.header.src.nid);
         let dst = NodeId(msg.header.dst.nid);
@@ -209,6 +217,7 @@ impl Machine {
             dma_done,
             msg,
             forced_corrupt,
+            resent,
             extra_delay,
             spare: None,
         };
@@ -226,6 +235,18 @@ impl Machine {
                 intent.spare = spares.pop();
                 intents.push(intent);
             }
+        }
+    }
+
+    /// A run starts: a serial machine hands its causal folding and link
+    /// series to the fabric's consumer thread until the settle that ends
+    /// the run (`Model::settle`). A shard of a partitioned run keeps its
+    /// log in line (nothing reads it: [`Machine::merge`] gives the
+    /// machine fresh sinks); the coordinator offloads the real fabric.
+    pub(super) fn observe(&mut self) {
+        self.observing = true;
+        if matches!(self.net, NetMode::Inline) {
+            self.fabric.offload(&mut self.causal);
         }
     }
 
@@ -337,7 +358,7 @@ impl Machine {
     fn resend(&mut self, q: &mut EventQueue<Ev>, t: SimTime, window: Vec<(SeqNo, WireMsg)>) {
         for (seq, mut m) in window {
             m.set_seq(seq);
-            self.inject(q, t, t, m);
+            self.inject(q, t, t, m, true);
         }
     }
 
@@ -397,7 +418,7 @@ impl Machine {
             kind,
             tag: 0,
         };
-        self.inject(q, t, t, msg);
+        self.inject(q, t, t, msg, false);
     }
 
     fn drain_gbn_deferred(&mut self, q: &mut EventQueue<Ev>, t: SimTime, node: usize, dst: u32) {
@@ -413,7 +434,7 @@ impl Machine {
             match sender.send(msg.clone()) {
                 Some(seq) => {
                     msg.set_seq(seq);
-                    self.inject(q, t, t, msg);
+                    self.inject(q, t, t, msg, false);
                     self.arm_gbn_timer(q, t, node, dst, self.faults.active());
                 }
                 None => {

@@ -112,13 +112,13 @@ impl Machine {
             WireKind::Data { .. } => {}
         }
 
-        self.causal.record_chain(
-            TraceId(msg.tag),
-            CausalStage::NetArrive,
-            now,
-            node as u32,
-            0,
-        );
+        let id = TraceId(msg.tag);
+        if inflight.resent {
+            self.causal.record_copy_arrival(id, now, node as u32);
+        } else {
+            self.causal
+                .record_chain(id, CausalStage::NetArrive, now, node as u32, 0);
+        }
 
         // End-to-end CRC (§2): a payload that escaped the link CRC is
         // rejected by the RX DMA's 32-bit check. Under go-back-n the drop

@@ -319,6 +319,6 @@ impl Machine {
             label!("tx-inject"),
             tag,
         );
-        self.inject(q, fetch_done, dma_done, msg);
+        self.inject(q, fetch_done, dma_done, msg, false);
     }
 }

@@ -95,9 +95,12 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
     // The coordinator owns the real fabric plus observation-only sinks
     // for the fabric-side records (link spans, hop traces). Those sinks
     // are not merged back — like the shard-side span logs, they observe
-    // and never feed back, so digests and reports are unaffected.
+    // and never feed back, so digests and reports are unaffected. The
+    // series and the hop log fold on the fabric's consumer thread, which
+    // is settled before the fabric goes back into the machine.
     let mut tele = Telemetry::new(telemetry_on);
     let mut causal = CausalLog::new(causal_on);
+    fabric.offload(&mut causal);
     let route = |by_shard: &mut Vec<Vec<SendIntent>>, out: &mut Vec<xt3_sim::Delivery<Ev>>| {
         // Serial dispatch order: the engine dispatches events in
         // ascending (time, key), and within one dispatch sends are
@@ -121,6 +124,7 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
     };
 
     let (engines, out) = driver.run(route);
+    fabric.settle(&mut causal);
     let ParOutcome {
         outcome,
         now,

@@ -55,11 +55,15 @@ fn run(mut m: Machine, log: CausalLog) -> CausalLog {
 }
 
 /// The fold must equal the whole log's extraction: the same totals, or
-/// the same first defect.
+/// the same first defect. A faulted run records none — its go-back-n
+/// copies chain as copies of their own — so its totals are compared.
 fn assert_fold_is_whole(name: &str, fold: &ChainFold, whole: &CausalLog) {
     let chains = match extract_chains(whole) {
         Ok(chains) => chains,
-        Err(e) => return assert_eq!(fold.error(), Some(e), "{name}"),
+        Err(e) if name != "e2e/fault-injection" => {
+            return assert_eq!(fold.error(), Some(e), "{name}")
+        }
+        Err(e) => panic!("{name}: {e}"),
     };
     assert_eq!(fold.error(), None, "{name}");
     assert_eq!(fold.chains(), chains.len() as u64, "{name}: chains");
