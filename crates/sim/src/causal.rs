@@ -1921,6 +1921,26 @@ mod tests {
     }
 
     #[test]
+    fn an_old_handle_to_a_live_record_still_names_it() {
+        // Record `a` stays its message's latest while more than RECENT
+        // records are made, so only the scan of the tips finds it.
+        let mut log = CausalLog::with_head(0);
+        let a = log.record_chain(TraceId(1), CausalStage::ApiEntry, SimTime::ZERO, 0, 0);
+        for m in 2..2 + u64::from(RECENT) {
+            let at = SimTime::from_ns(1);
+            log.record_chain(TraceId(m), CausalStage::ApiEntry, at, 0, 0);
+            log.finish(TraceId(m));
+        }
+        let at = SimTime::from_ns(2);
+        let post = log.record(TraceId(1), CausalStage::EqPost, at, 0, a, 0);
+        log.push_eq_posts(0, 0, post.expect("made"), 1);
+        let producer = log.pop_eq_post(0, 0);
+        log.record_deliver(0, 0, at, producer);
+        assert_eq!(log.fold().error(), None);
+        assert_eq!(log.fold().chains(), 1);
+    }
+
+    #[test]
     fn a_handle_to_a_freed_record_names_nothing() {
         // Past the head: `a`'s tip is freed when its message finishes,
         // and `b`'s record takes its slot. A child of `a` has no parent to
