@@ -374,8 +374,9 @@ pub struct ExplainedRun {
     pub chains: Vec<xt3_telemetry::Chain>,
     /// Chrome trace-event JSON with causal flow arrows.
     pub perfetto: String,
-    /// Hop-queueing folded by physical link over *all* chains; sums
-    /// exactly to the chains' aggregate hop-queueing class.
+    /// Hop-queueing by physical link, from the causal log's fold over
+    /// *all* chains; sums exactly to the chains' aggregate hop-queueing
+    /// class.
     pub hops: Vec<xt3_telemetry::HopStall>,
 }
 
@@ -396,7 +397,7 @@ pub fn run_explained(
     machine.set_causal_enabled(true);
     let (mut m, _) = run_to_end(machine, (transport, kind));
     let chains = xt3_telemetry::extract_chains(m.causal())?;
-    let hops = xt3_telemetry::hop_stalls(&chains, m.causal())?;
+    let hops = m.causal().fold().hop_stalls().collect();
     let perfetto = m.telemetry().perfetto_json_full(Some(m.causal()), None);
     let rounds = extract_rounds(&mut m, transport, kind);
     Ok(ExplainedRun {

@@ -36,13 +36,14 @@
 //! **Two halves, one stream.** The [`CausalLog`] the model calls only
 //! numbers a record — its handle is its index in the stream, so a handle
 //! held after its record was forgotten names nothing rather than whatever
-//! record took its place — and keeps what the model reads back at once
-//! (the activation cause, the pending EQ posts). Everything else is its
-//! [`CausalFolder`]'s, which applies the log's fixed-size [`Observation`]
-//! records in order: in line, or on a consumer thread
-//! ([`crate::par::offload`]) from the start of a run to its settle
-//! ([`crate::Model::settle`]), beside the link series the same hop records
-//! feed. Either way it computes the same thing.
+//! record took its place — and keeps what the model reads back at once,
+//! the activation cause. Everything else is its [`CausalFolder`]'s — the
+//! pending EQ posts too, so an `AppDeliver` names its producer on the
+//! side that holds the producer's tip — which applies the log's
+//! fixed-size [`Observation`] records in order: in line, or on a consumer
+//! thread ([`crate::par::offload`]) from the start of a run to its settle
+//! ([`crate::Model::settle`]), beside the link series the same hop
+//! records feed. Either way it computes the same thing.
 //!
 //! What a record costs the folder is O(1): one probe of the
 //! [`LatestIndex`] that chains it onto the message's previous stage, and
@@ -668,7 +669,7 @@ struct Tip {
     id: u64,
     at: SimTime,
     /// Handles naming it: the latest-record index, each pending EQ post,
-    /// the cause, an EQ post popped and not yet delivered.
+    /// the cause.
     refs: u32,
     /// Its index in the stream (what a whole log would index it by).
     ordinal: u32,
@@ -769,21 +770,19 @@ fn extend(
 }
 
 /// Pending EQ posts, dense by node: each node's `(pid, posts in order)`
-/// lanes, a node having a process or two. The log keeps one of record
-/// indices (what [`CausalLog::pop_eq_post`] hands back), its folder one of
-/// the tip slots each post holds.
-#[derive(Debug)]
-struct EqLanes<T>(Vec<Vec<(u32, VecDeque<T>)>>);
+/// lanes, a node having a process or two. A post is its producer's record
+/// index and the tip slot it holds: a delivery names the producer by the
+/// index — its id from the head when the tip is gone — and folds from
+/// the tip.
+#[derive(Debug, Default)]
+struct EqLanes(Vec<Vec<(u32, VecDeque<Post>)>>);
 
-impl<T> Default for EqLanes<T> {
-    fn default() -> Self {
-        EqLanes(Vec::new())
-    }
-}
+/// A pending EQ post: its producer's record index and the tip slot held.
+type Post = (u32, u32);
 
-impl<T: Copy> EqLanes<T> {
+impl EqLanes {
     /// Queue `count` posts of `v` on `(node, pid)`.
-    fn push(&mut self, node: u32, pid: u32, v: T, count: u64) {
+    fn push(&mut self, node: u32, pid: u32, v: Post, count: u64) {
         let node = node as usize;
         if self.0.len() <= node {
             self.0.resize_with(node + 1, Vec::new);
@@ -800,7 +799,7 @@ impl<T: Copy> EqLanes<T> {
     }
 
     /// The oldest post on `(node, pid)`.
-    fn pop(&mut self, node: u32, pid: u32) -> Option<T> {
+    fn pop(&mut self, node: u32, pid: u32) -> Option<Post> {
         let lanes = self.0.get_mut(node as usize)?;
         let (_, fifo) = lanes.iter_mut().find(|(p, _)| *p == pid)?;
         fifo.pop_front()
@@ -855,9 +854,10 @@ impl Transit {
 pub enum Parent {
     /// The caller names it.
     Given(Option<u32>),
-    /// The caller names it and hands over a reference on it — a popped EQ
-    /// post — so a tip nothing else names gives its hops up, not a copy.
-    Delivered(Option<u32>),
+    /// A popped EQ post's record and the tip slot it holds, whose
+    /// reference passes to the new record — so a tip nothing else names
+    /// gives its hops up, not a copy.
+    Delivered(u32, u32),
     /// The latest record of the same id.
     Latest,
     /// None: the first stage of a resent copy of its message, filed under
@@ -882,7 +882,7 @@ impl Parent {
     fn keys(self, id: u64) -> (u64, Option<u64>) {
         let copy = id | RESENT_KEY;
         match self {
-            Parent::Given(_) | Parent::Delivered(_) => (id, None),
+            Parent::Given(_) | Parent::Delivered(..) => (id, None),
             Parent::Latest => (id, Some(id)),
             Parent::Resent => (copy, None),
             Parent::Copy => (copy, Some(copy)),
@@ -939,19 +939,11 @@ pub enum Observation {
         /// Events posted.
         count: u64,
     },
-    /// The oldest pending post on `(node, pid)` was consumed.
-    Pop {
-        /// Node.
-        node: u32,
-        /// Process.
-        pid: u32,
-    },
-    /// An `AppDeliver` for the post popped last.
+    /// An `AppDeliver` for the oldest pending post on `(node, pid)`,
+    /// which it consumes.
     Deliver {
         /// When the application consumed the event.
         at: SimTime,
-        /// The popped post's record.
-        producer: Option<u32>,
         /// Consuming node.
         node: u32,
         /// Consuming process.
@@ -968,16 +960,16 @@ pub enum Observation {
 /// Disabled, every record call is one predictable branch. Enabled, the
 /// log itself only numbers records — a record's index is the count of
 /// records made before it, so a handle never names a later record — and
-/// keeps what the model reads back at once: the activation cause and the
-/// FIFO of pending EQ posts per `(node, pid)`, so an `AppDeliver` can name
-/// the completion that produced the event it consumed. Everything else —
-/// the per-message "latest record" index that turns independent handler
-/// callbacks into parent→child chains, the tips and their carries, the
-/// fold, the stored head, the digest — is its [`CausalFolder`]'s, which
-/// applies the log's [`Observation`] stream: in line, or on a consumer
-/// thread between [`Self::offload`] and [`Self::settle`], while the
-/// folder's readers ([`Self::records`], [`Self::fold`], [`Self::held`],
-/// [`Self::digest`]) wait for the settle.
+/// keeps what the model reads back at once: the activation cause.
+/// Everything else — the per-message "latest record" index that turns
+/// independent handler callbacks into parent→child chains, the FIFO of
+/// pending EQ posts per `(node, pid)` through which an `AppDeliver` names
+/// the completion that produced the event it consumed, the tips and their
+/// carries, the fold, the stored head, the digest — is its
+/// [`CausalFolder`]'s, which applies the log's [`Observation`] stream: in
+/// line, or on a consumer thread between [`Self::offload`] and
+/// [`Self::settle`], while the folder's readers ([`Self::records`],
+/// [`Self::fold`], [`Self::held`], [`Self::digest`]) wait for the settle.
 #[derive(Debug)]
 pub struct CausalLog {
     enabled: bool,
@@ -993,8 +985,6 @@ pub struct CausalLog {
     /// The record causally responsible for work done in the current
     /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
     cause: Option<u32>,
-    /// Pending EQ posts, by record index.
-    posts: EqLanes<u32>,
     /// Applies the stream while no pipe is open (a placeholder while one is).
     folder: CausalFolder,
     pipe: Option<Pipe<Observation>>,
@@ -1017,7 +1007,6 @@ impl CausalLog {
             made: 0,
             dropped: 0,
             cause: None,
-            posts: EqLanes::default(),
             folder: CausalFolder::default(),
             pipe: None,
         }
@@ -1316,25 +1305,12 @@ impl CausalLog {
         if !self.enabled || count == 0 {
             return;
         }
-        self.posts.push(node, pid, idx, count);
         self.send(Observation::Posts {
             node,
             pid,
             idx,
             count,
         });
-    }
-
-    /// Pop the oldest pending EQ post for `(node, pid)` (the event a
-    /// successful `eq_get` just consumed). The post's reference on its
-    /// record passes to the caller, and [`Self::record_deliver`] takes it.
-    pub fn pop_eq_post(&mut self, node: u32, pid: u32) -> Option<u32> {
-        if !self.enabled {
-            return None;
-        }
-        let idx = self.posts.pop(node, pid)?;
-        self.send(Observation::Pop { node, pid });
-        Some(idx)
     }
 
     /// Message `id` records nothing more: its completion is attributed
@@ -1350,16 +1326,11 @@ impl CausalLog {
         }
     }
 
-    /// Record the `AppDeliver` for a consumed event, fold its chain, and
-    /// make it the current activation's cause. `producer` is the
-    /// `EqPost`-side record [`Self::pop_eq_post`] returned.
-    pub fn record_deliver(
-        &mut self,
-        node: u32,
-        pid: u32,
-        at: SimTime,
-        producer: Option<u32>,
-    ) -> Option<u32> {
+    /// Record the `AppDeliver` for the event a successful `eq_get` on
+    /// `(node, pid)` just consumed — chained onto the completion behind
+    /// the oldest pending post there ([`Self::push_eq_posts`]), whose
+    /// chain folds — and make it the current activation's cause.
+    pub fn record_deliver(&mut self, node: u32, pid: u32, at: SimTime) -> Option<u32> {
         if !self.enabled {
             return None;
         }
@@ -1367,7 +1338,6 @@ impl CausalLog {
         let fate = self.fate(node);
         self.send(Observation::Deliver {
             at,
-            producer,
             node,
             pid,
             fate,
@@ -1408,11 +1378,8 @@ pub struct CausalFolder {
     /// The tip slot record `i` was made in, at `i % RECENT` (empty
     /// until the first record).
     recent: Vec<u32>,
-    /// The tip slot each pending EQ post holds.
-    posts: EqLanes<u32>,
-    /// The tip slot of the post last popped, whose reference the next
-    /// delivery takes.
-    popped: Option<u32>,
+    /// Pending EQ posts: each its record and the tip slot it holds.
+    posts: EqLanes,
     /// The tip slot held for the activation cause.
     cause: Option<u32>,
     fold: ChainFold,
@@ -1432,7 +1399,6 @@ impl Default for CausalFolder {
             latest: LatestIndex::default(),
             recent: Vec::new(),
             posts: EqLanes::default(),
-            popped: None,
             cause: None,
             fold: ChainFold::default(),
         }
@@ -1483,22 +1449,14 @@ impl CausalFolder {
                 count,
             } => {
                 let slot = self.hold(idx, count as u32);
-                self.posts.push(node, pid, slot, count);
-            }
-            Observation::Pop { node, pid } => {
-                if let Some(slot) = self.posts.pop(node, pid) {
-                    if let Some(old) = self.popped.replace(slot) {
-                        self.release(old);
-                    }
-                }
+                self.posts.push(node, pid, (idx, slot), count);
             }
             Observation::Deliver {
                 at,
-                producer,
                 node,
                 pid,
                 fate,
-            } => self.deliver(at, producer, node, pid, fate),
+            } => self.deliver(at, node, pid, fate),
             Observation::Finish(id) => self.finish(id),
         }
     }
@@ -1525,7 +1483,7 @@ impl CausalFolder {
     fn slot_of(&self, idx: u32) -> Option<u32> {
         let names = |s: u32| self.tips.get(s).is_some_and(|t| t.ordinal == idx);
         let recent = self.recent.get((idx % RECENT) as usize).copied();
-        if let Some(s) = [self.popped, self.cause, recent]
+        if let Some(s) = [self.cause, recent]
             .into_iter()
             .flatten()
             .find(|&s| names(s))
@@ -1636,7 +1594,8 @@ impl CausalFolder {
             _ => {
                 // The parent edge, and the tip it leaves from.
                 let from = match parent {
-                    Parent::Given(p) | Parent::Delivered(p) => p.map(|p| (p, self.slot_of(p))),
+                    Parent::Given(p) => p.map(|p| (p, self.slot_of(p))),
+                    Parent::Delivered(p, slot) => Some((p, Some(slot))),
                     Parent::Latest | Parent::Copy => previous.and_then(|s| self.edge_from(s)),
                     Parent::Arrived => self
                         .latest(id.0 | RESENT_KEY)
@@ -1648,7 +1607,7 @@ impl CausalFolder {
                         .and_then(|(s, ..)| self.edge_from(s)),
                 };
                 rec.parent = from.map(|(p, _)| p);
-                let take = matches!(parent, Parent::Delivered(_));
+                let take = matches!(parent, Parent::Delivered(..));
                 let file = indexed.then_some((key, previous));
                 let slot = self.push_tip(ordinal, &rec, from, file, take);
                 if matches!(parent, Parent::Arrived) {
@@ -1797,27 +1756,24 @@ impl CausalFolder {
         }
     }
 
-    /// The id of record `idx`: stored, or still a tip.
-    fn id_of(&self, idx: u32) -> Option<TraceId> {
-        match self.records.get(idx as usize) {
-            Some(rec) => Some(TraceId(rec.id)),
-            None => self.tips.get(self.slot_of(idx)?).map(|tip| TraceId(tip.id)),
-        }
-    }
-
-    /// The `AppDeliver` of the post popped last (its chain folds), made
-    /// the activation's cause.
-    fn deliver(&mut self, at: SimTime, producer: Option<u32>, node: u32, pid: u32, fate: Fate) {
-        let id = producer
-            .and_then(|i| self.id_of(i))
-            .unwrap_or(TraceId::NONE);
+    /// The `AppDeliver` of the oldest pending post on `(node, pid)` (its
+    /// chain folds), made the activation's cause. The producer's id is
+    /// its stored record's, or its tip's while the post holds one.
+    fn deliver(&mut self, at: SimTime, node: u32, pid: u32, fate: Fate) {
+        let post = self.posts.pop(node, pid);
+        let id = post
+            .and_then(|(idx, slot)| match self.records.get(idx as usize) {
+                Some(rec) => Some(rec.id),
+                None => self.tips.get(slot).map(|tip| tip.id),
+            })
+            .map_or(TraceId::NONE, TraceId);
         let stage = CausalStage::AppDeliver;
         self.digest(id, stage, at, node, u64::from(pid));
         let idx = (fate == Fate::Kept).then(|| {
-            let parent = Parent::Delivered(producer);
+            let parent = post.map_or(Parent::Given(None), |(p, slot)| Parent::Delivered(p, slot));
             self.record(id, stage, at, node, parent, u64::from(pid))
         });
-        if let Some(slot) = self.popped.take() {
+        if let Some((_, slot)) = post {
             self.release(slot);
         }
         let held = idx.map(|idx| self.hold(idx, 1));
@@ -1851,7 +1807,6 @@ mod tests {
         log.push_eq_posts(3, 0, 0, 2);
         log.set_cause(None);
         log.finish(TraceId(1));
-        assert_eq!(log.posts.0.capacity(), 0);
         let folder = &log.folder;
         assert_eq!(folder.records.capacity(), 0);
         assert_eq!(folder.recent.capacity(), 0);
@@ -1896,9 +1851,7 @@ mod tests {
             let post = log.record_chain(id, CausalStage::EqPost, at + SimTime::from_ns(6), 1, 0);
             log.push_eq_posts(1, 0, post.expect("made"), 1);
             log.finish(id);
-            let producer = log.pop_eq_post(1, 0);
-            assert_eq!(producer, post);
-            log.record_deliver(1, 0, at + SimTime::from_ns(7), producer);
+            log.record_deliver(1, 0, at + SimTime::from_ns(7));
         }
     }
 
@@ -1934,8 +1887,7 @@ mod tests {
         let at = SimTime::from_ns(2);
         let post = log.record(TraceId(1), CausalStage::EqPost, at, 0, a, 0);
         log.push_eq_posts(0, 0, post.expect("made"), 1);
-        let producer = log.pop_eq_post(0, 0);
-        log.record_deliver(0, 0, at, producer);
+        log.record_deliver(0, 0, at);
         assert_eq!(log.fold().error(), None);
         assert_eq!(log.fold().chains(), 1);
     }
@@ -1953,8 +1905,7 @@ mod tests {
         assert_eq!(log.folder.tips.live(), 1, "a's slot was reused");
         let c = log.record(TraceId(3), CausalStage::EqPost, at, 0, a, 0);
         log.push_eq_posts(0, 0, c.expect("made"), 1);
-        let producer = log.pop_eq_post(0, 0);
-        log.record_deliver(0, 0, at, producer);
+        log.record_deliver(0, 0, at);
         assert_eq!(
             log.fold().error(),
             Some(CritPathError::MissingRecord { idx: 0 })
@@ -2137,14 +2088,18 @@ mod tests {
             .unwrap();
         log.push_eq_posts(0, 0, p1, 1);
         log.push_eq_posts(0, 0, p2, 1);
-        let got = log.pop_eq_post(0, 0);
-        assert_eq!(got, Some(p1));
-        let d = log.record_deliver(0, 0, SimTime::from_ns(3), got).unwrap();
-        let delivered = log.records().get(d as usize).unwrap();
-        assert_eq!(delivered.id, TraceId(1));
-        assert_eq!(delivered.parent, Some(p1));
-        assert_eq!(log.cause(), Some(d));
-        assert_eq!(log.pop_eq_post(0, 0), Some(p2));
-        assert_eq!(log.pop_eq_post(0, 0), None);
+        let at = SimTime::from_ns(3);
+        let parent = |log: &CausalLog, d: Option<u32>| {
+            let rec = log.records().get(d.unwrap() as usize).unwrap();
+            (rec.id, rec.parent)
+        };
+        let d = log.record_deliver(0, 0, at);
+        assert_eq!(parent(&log, d), (TraceId(1), Some(p1)));
+        assert_eq!(log.cause(), d);
+        let d = log.record_deliver(0, 0, at);
+        assert_eq!(parent(&log, d), (TraceId(2), Some(p2)));
+        // Nothing pending: a delivery with no producer.
+        let d = log.record_deliver(0, 0, at);
+        assert_eq!(parent(&log, d), (TraceId::NONE, None));
     }
 }

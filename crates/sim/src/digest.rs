@@ -99,6 +99,72 @@ impl Default for EventDigest {
     }
 }
 
+/// Streaming digests kept in lanes — one per node for the machine — so
+/// that a spatially partitioned run reproduces the serial value by
+/// merging the disjoint lane sets its shards touched, without agreeing
+/// on a global interleaving. A lane grows when first touched; untouched
+/// lanes (count 0) are skipped by the canonical fold, so the vector's
+/// length never matters.
+#[derive(Debug, Clone, Default)]
+pub struct DigestLanes {
+    lanes: Vec<(u64, EventDigest)>,
+}
+
+impl DigestLanes {
+    /// No lane touched yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Count one record into `lane`, whose digest `fields` folds the
+    /// record's fields into.
+    #[inline]
+    pub fn write_lane(&mut self, lane: u32, fields: impl FnOnce(&mut EventDigest)) {
+        let lane = lane as usize;
+        if lane >= self.lanes.len() {
+            self.lanes.resize(lane + 1, (0, EventDigest::new()));
+        }
+        if let Some((count, digest)) = self.lanes.get_mut(lane) {
+            *count += 1;
+            fields(digest);
+        }
+    }
+
+    /// The combined value: each touched lane, in lane order, contributes
+    /// its index, its record count and its digest. Byte-equal lane sets
+    /// fold to byte-equal values, however they were assembled.
+    pub fn value(&self) -> u64 {
+        let mut d = EventDigest::new();
+        for (i, (count, lane)) in self.lanes.iter().enumerate() {
+            if *count > 0 {
+                d.write_u64(i as u64);
+                d.write_u64(*count);
+                d.write_u64(lane.value());
+            }
+        }
+        d.value()
+    }
+
+    /// Take over `other`'s touched lanes. Lanes must be disjoint — each
+    /// touched by one shard only, the invariant a spatial partition
+    /// provides (each node's records are made on exactly one worker).
+    pub fn merge_from(&mut self, other: &DigestLanes) {
+        if other.lanes.len() > self.lanes.len() {
+            self.lanes
+                .resize(other.lanes.len(), (0, EventDigest::new()));
+        }
+        for (i, (mine, theirs)) in self.lanes.iter_mut().zip(&other.lanes).enumerate() {
+            if theirs.0 > 0 {
+                assert!(
+                    mine.0 == 0,
+                    "digest lane {i} touched on more than one shard"
+                );
+                *mine = *theirs;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,5 +198,14 @@ mod tests {
         b.write_bytes(b"a");
         b.write_bytes(b"bc");
         assert_ne!(a.value(), b.value());
+    }
+
+    #[test]
+    #[should_panic(expected = "digest lane 1 touched on more than one shard")]
+    fn a_lane_merged_twice_is_refused() {
+        let mut a = DigestLanes::new();
+        a.write_lane(1, |d| d.write_u64(1));
+        let b = a.clone();
+        a.merge_from(&b);
     }
 }

@@ -14,7 +14,7 @@
 //! digest exactly by merging lane vectors, without ever agreeing on a
 //! global interleaving.
 
-use crate::digest::EventDigest;
+use crate::digest::{DigestLanes, EventDigest};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
@@ -96,55 +96,13 @@ pub enum RunOutcome {
     EventBudgetExhausted,
 }
 
-/// One digest lane: how many events it has folded, and their streaming
-/// digest. Untouched lanes (count 0) are skipped by the canonical fold,
-/// so lane-vector length never matters.
-pub type DigestLane = (u64, EventDigest);
-
-/// Combine digest lanes in canonical order: each touched lane contributes
-/// its index, its event count and its digest value. This is the single
-/// definition of "the run's digest" shared by the serial engine and the
-/// parallel merge — byte-equal lane vectors produce byte-equal digests.
-pub fn fold_digest_lanes(lanes: &[DigestLane]) -> u64 {
-    let mut d = EventDigest::new();
-    for (i, (count, lane)) in lanes.iter().enumerate() {
-        if *count > 0 {
-            d.write_u64(i as u64);
-            d.write_u64(*count);
-            d.write_u64(lane.value());
-        }
-    }
-    d.value()
-}
-
-/// Merge per-shard lane vectors into one. Lanes must be disjoint: each
-/// index may be touched by at most one shard — the invariant a spatial
-/// partition provides (each node's events dispatch on exactly one
-/// worker).
-pub fn merge_digest_lanes(shards: &[&[DigestLane]]) -> Vec<DigestLane> {
-    let width = shards.iter().map(|s| s.len()).max().unwrap_or(0);
-    let mut out: Vec<DigestLane> = vec![(0, EventDigest::new()); width];
-    for shard in shards {
-        for (i, lane) in shard.iter().enumerate() {
-            if lane.0 > 0 {
-                assert!(
-                    out[i].0 == 0,
-                    "digest lane {i} touched by more than one shard"
-                );
-                out[i] = *lane;
-            }
-        }
-    }
-    out
-}
-
 /// The discrete-event simulation engine.
 pub struct Engine<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
     now: SimTime,
     dispatched: u64,
-    lanes: Vec<DigestLane>,
+    lanes: DigestLanes,
     /// Hard cap on dispatched events per `run*` call; guards against
     /// accidental infinite event loops in models under test.
     event_budget: u64,
@@ -158,7 +116,7 @@ impl<M: Model> Engine<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
-            lanes: Vec::new(),
+            lanes: DigestLanes::new(),
             event_budget: u64::MAX,
         }
     }
@@ -209,18 +167,17 @@ impl<M: Model> Engine<M> {
     /// Streaming digest of every event dispatched so far: firing time
     /// plus the model's [`Model::fingerprint`] detail, folded per
     /// [`Model::lane`] and combined in canonical lane order (see
-    /// [`fold_digest_lanes`]). Equal seeds must yield equal digests at
+    /// [`DigestLanes::value`]). Equal seeds must yield equal digests at
     /// equal dispatch counts — the replay-divergence audit
     /// (`crates/audit`) enforces exactly that, and the parallel engine
     /// must reproduce it for any worker count.
     pub fn digest(&self) -> u64 {
-        fold_digest_lanes(&self.lanes)
+        self.lanes.value()
     }
 
-    /// The per-lane digest vector (lane index → event count + digest).
-    /// The parallel driver merges shard lane vectors with
-    /// [`merge_digest_lanes`] to reproduce the serial digest.
-    pub fn digest_lanes(&self) -> &[DigestLane] {
+    /// The per-lane digests. The parallel driver merges the shards' with
+    /// [`DigestLanes::merge_from`] to reproduce the serial digest.
+    pub fn digest_lanes(&self) -> &DigestLanes {
         &self.lanes
     }
 
@@ -247,14 +204,10 @@ impl<M: Model> Engine<M> {
         );
         self.now = at;
         self.dispatched += 1;
-        let lane = M::lane(&ev) as usize;
-        if lane >= self.lanes.len() {
-            self.lanes.resize(lane + 1, (0, EventDigest::new()));
-        }
-        let (count, digest) = &mut self.lanes[lane];
-        *count += 1;
-        digest.write_u64(at.0);
-        M::fingerprint(&ev, digest);
+        self.lanes.write_lane(M::lane(&ev), |digest| {
+            digest.write_u64(at.0);
+            M::fingerprint(&ev, digest);
+        });
         self.model.dispatch_keyed(at, key, ev, &mut self.queue);
     }
 
@@ -433,8 +386,10 @@ mod tests {
         serial.run();
         s0.run();
         s1.run();
-        let merged = merge_digest_lanes(&[s0.digest_lanes(), s1.digest_lanes()]);
-        assert_eq!(fold_digest_lanes(&merged), serial.digest());
+        let mut merged = DigestLanes::new();
+        merged.merge_from(s0.digest_lanes());
+        merged.merge_from(s1.digest_lanes());
+        assert_eq!(merged.value(), serial.digest());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! pulsed off right now?") and applies the answers itself, recording each
 //! injected fault in its [`crate::Trace`].
 
-use crate::digest::EventDigest;
-use crate::engine::{fold_digest_lanes, DigestLane};
+use crate::digest::{DigestLanes, EventDigest};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -293,7 +292,7 @@ const D_FAULT: u8 = 7;
 pub struct FaultInjector {
     plan: FaultPlan,
     stats: FaultStats,
-    lanes: Vec<DigestLane>,
+    lanes: DigestLanes,
     active: bool,
 }
 
@@ -304,7 +303,7 @@ impl FaultInjector {
         FaultInjector {
             plan,
             stats: FaultStats::default(),
-            lanes: Vec::new(),
+            lanes: DigestLanes::new(),
             active,
         }
     }
@@ -331,7 +330,7 @@ impl FaultInjector {
     /// so replay comparison covers the fault stream, not just the event
     /// stream; a partitioned run reproduces it by merging per-node lanes.
     pub fn digest(&self) -> u64 {
-        fold_digest_lanes(&self.lanes)
+        self.lanes.value()
     }
 
     /// Fold another injector's decisions into this one (parallel-shard
@@ -346,16 +345,7 @@ impl FaultInjector {
         self.stats.interrupt_spikes += s.interrupt_spikes;
         self.stats.fw_stalls += s.fw_stalls;
         self.stats.fw_faults += s.fw_faults;
-        if other.lanes.len() > self.lanes.len() {
-            self.lanes
-                .resize(other.lanes.len(), (0, EventDigest::new()));
-        }
-        for (i, lane) in other.lanes.iter().enumerate() {
-            if lane.0 > 0 {
-                assert!(self.lanes[i].0 == 0, "fault lane {i} decided on two shards");
-                self.lanes[i] = *lane;
-            }
-        }
+        self.lanes.merge_from(&other.lanes);
     }
 
     /// Decide the fate of one wire message injected at `now` from `src`
@@ -444,16 +434,11 @@ impl FaultInjector {
     }
 
     fn fold(&mut self, code: u8, now: SimTime, node: u32, detail: u64) {
-        let lane = node as usize;
-        if lane >= self.lanes.len() {
-            self.lanes.resize(lane + 1, (0, EventDigest::new()));
-        }
-        if let Some((count, digest)) = self.lanes.get_mut(lane) {
-            *count += 1;
+        self.lanes.write_lane(node, |digest| {
             digest.write_u8(code);
             digest.write_u64(now.0);
             digest.write_u64(detail);
-        }
+        });
     }
 }
 

@@ -60,8 +60,8 @@ pub use chain::{
     walk_one, Breakdown, Chain, ChainFold, CostClass, CritPathError, HopStall, Segment,
 };
 pub use cursor::BusyCursor;
-pub use digest::EventDigest;
-pub use engine::{fold_digest_lanes, merge_digest_lanes, DigestLane, Engine, Model, RunOutcome};
+pub use digest::{DigestLanes, EventDigest};
+pub use engine::{Engine, Model, RunOutcome};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FwFaultKind, PacketFate, TimeWindow};
 pub use label::Label;
 pub use par::{

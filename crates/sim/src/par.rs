@@ -36,7 +36,7 @@
 //! Because windows are disjoint and ascending, replaying each window's
 //! intents in serial dispatch order reproduces the serial engine's
 //! fabric interaction sequence exactly; combined with per-lane digests
-//! ([`crate::engine::fold_digest_lanes`]) the parallel run is
+//! ([`crate::DigestLanes`]) the parallel run is
 //! bit-identical to the serial one for any worker count.
 //!
 //! # Execution backends
@@ -695,8 +695,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::DigestLanes;
     use crate::digest::EventDigest;
-    use crate::engine::{fold_digest_lanes, merge_digest_lanes};
     use crate::queue::EventQueue;
 
     /// A toy "machine": `nodes` counters on a ring. Each event bumps its
@@ -934,8 +934,11 @@ mod tests {
         via: Via,
     ) -> (u64, Vec<u64>, u64, u64) {
         let (engines, out) = parallel_engines(total, shards, hops, via);
-        let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
-        let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
+        let mut lanes = DigestLanes::new();
+        for e in &engines {
+            lanes.merge_from(e.digest_lanes());
+        }
+        let digest = lanes.value();
         let mut hits = Vec::new();
         for e in &engines {
             hits.extend_from_slice(&e.model().hits);

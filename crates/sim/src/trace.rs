@@ -13,7 +13,7 @@
 //! trace and an uncapped trace of the same run digest identically — the
 //! cap bounds memory, not the determinism check.
 
-use crate::engine::{fold_digest_lanes, DigestLane};
+use crate::digest::DigestLanes;
 use crate::label::Label;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,7 @@ pub struct Trace {
     /// canonical order by [`Trace::digest`]. Lanes let a spatially
     /// partitioned run reproduce the serial trace digest by merging
     /// disjoint per-node streams.
-    lanes: Vec<DigestLane>,
+    lanes: DigestLanes,
 }
 
 impl Trace {
@@ -99,7 +99,7 @@ impl Trace {
             events: VecDeque::new(),
             capacity: if enabled { capacity } else { 0 },
             recorded: 0,
-            lanes: Vec::new(),
+            lanes: DigestLanes::new(),
         }
     }
 
@@ -125,17 +125,12 @@ impl Trace {
             return;
         }
         self.recorded += 1;
-        let lane = node as usize;
-        if lane >= self.lanes.len() {
-            self.lanes
-                .resize(lane + 1, (0, crate::digest::EventDigest::new()));
-        }
-        let (count, digest) = &mut self.lanes[lane];
-        *count += 1;
-        digest.write_u64(at.0);
-        digest.write_u8(category as u8);
-        digest.write_u64(label.id());
-        digest.write_u64(tag);
+        self.lanes.write_lane(node, |digest| {
+            digest.write_u64(at.0);
+            digest.write_u8(category as u8);
+            digest.write_u64(label.id());
+            digest.write_u64(tag);
+        });
         if self.capacity != 0 && self.events.len() == self.capacity {
             self.events.pop_front();
         }
@@ -176,7 +171,7 @@ impl Trace {
     /// traced runs; a partitioned parallel run reproduces it by merging
     /// per-node lanes.
     pub fn digest(&self) -> u64 {
-        fold_digest_lanes(&self.lanes)
+        self.lanes.value()
     }
 
     /// Fold another trace's records into this one. Shard traces record
@@ -185,19 +180,7 @@ impl Trace {
     /// first at equal instants) and re-trimmed to this trace's cap.
     pub fn merge_from(&mut self, other: &Trace) {
         self.recorded += other.recorded;
-        if other.lanes.len() > self.lanes.len() {
-            self.lanes
-                .resize(other.lanes.len(), (0, crate::digest::EventDigest::new()));
-        }
-        for (i, lane) in other.lanes.iter().enumerate() {
-            if lane.0 > 0 {
-                assert!(
-                    self.lanes[i].0 == 0,
-                    "trace lane {i} recorded on two shards"
-                );
-                self.lanes[i] = *lane;
-            }
-        }
+        self.lanes.merge_from(&other.lanes);
         let mut merged: Vec<TraceEvent> = self.events.drain(..).collect();
         merged.extend(other.events.iter().copied());
         merged.sort_by_key(|e| e.at);

@@ -7,7 +7,9 @@
 //! (`tag | 1 << 63`), EQ posts and deliveries run through both under
 //! record caps of 0, 7 and none; every stored record (parents included),
 //! the drop count, the stream digest and the activation cause must agree
-//! at every step.
+//! at every step. The log keeps the pending posts on its folder's side
+//! only; the oracle keeps its own FIFO, so every delivery's handle, and
+//! the id and parent it names, are checked against it as it is made.
 //!
 //! The oracle keeps whole [`CausalRecord`]s; the log keeps them packed in
 //! 32 bytes and unpacks them through its `records()` view, so the same
@@ -16,8 +18,8 @@
 //!
 //! Without a cap, each stream also runs through a log whose head is 0, so
 //! that every handle names a record past the head: it must return the same
-//! handles, causes and posts, and fold to exactly what the whole
-//! log folds — a random handle to a record whose tip was freed names
+//! handles and causes, and fold to exactly what the whole log folds,
+//! delivery by delivery — a random handle to a record whose tip was freed names
 //! nothing there too, not whichever record took its slot.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -106,19 +108,11 @@ impl Oracle {
         }
     }
 
-    fn pop_eq_post(&mut self, node: u32, pid: u32) -> Option<u32> {
-        self.eq_fifo
+    fn record_deliver(&mut self, node: u32, pid: u32, at: SimTime) -> Option<u32> {
+        let producer = self
+            .eq_fifo
             .get_mut(&(node, pid))
-            .and_then(VecDeque::pop_front)
-    }
-
-    fn record_deliver(
-        &mut self,
-        node: u32,
-        pid: u32,
-        at: SimTime,
-        producer: Option<u32>,
-    ) -> Option<u32> {
+            .and_then(VecDeque::pop_front);
         let id = producer
             .and_then(|i| self.records.get(i as usize))
             .map_or(TraceId::NONE, |r| r.id);
@@ -208,16 +202,7 @@ fn drive(seed: u64, cap: Option<usize>, ops: u64) {
                     }
                 }
             }
-            8 => {
-                let producer = log.pop_eq_post(node, pid);
-                assert_eq!(producer, oracle.pop_eq_post(node, pid));
-                let got = log.record_deliver(node, pid, at, producer);
-                assert_eq!(got, oracle.record_deliver(node, pid, at, producer));
-                if let Some(lean) = &mut lean {
-                    assert_eq!(lean.pop_eq_post(node, pid), producer);
-                    assert_eq!(lean.record_deliver(node, pid, at, producer), got);
-                }
-            }
+            8 => deliver(&mut log, lean.as_mut(), &mut oracle, (node, pid, at), op),
             _ => {
                 let cause = rng
                     .chance(0.5)
@@ -245,14 +230,38 @@ fn drive(seed: u64, cap: Option<usize>, ops: u64) {
         assert!(lean.records().is_empty());
         assert_eq!(lean.made(), log.made());
     }
-    // Whatever is still queued drains identically.
+    // Whatever is still queued drains identically, and then nothing is.
+    let at = SimTime::from_ns(ops);
     for node in 0..24 {
         for pid in 0..3 {
-            while let Some(idx) = oracle.pop_eq_post(node, pid) {
-                assert_eq!(log.pop_eq_post(node, pid), Some(idx));
+            let pending = oracle.eq_fifo.get(&(node, pid)).map_or(0, VecDeque::len);
+            for _ in 0..=pending {
+                deliver(&mut log, lean.as_mut(), &mut oracle, (node, pid, at), ops);
             }
-            assert_eq!(log.pop_eq_post(node, pid), None);
         }
+    }
+    assert_same_records(&log, &oracle);
+}
+
+/// One delivery through all three: the same handle, and — where the
+/// whole log stores it — the same record, naming the same producer id
+/// and parent as the oracle's FIFO; the fold past the head agrees.
+fn deliver(
+    log: &mut CausalLog,
+    lean: Option<&mut CausalLog>,
+    oracle: &mut Oracle,
+    (node, pid, at): (u32, u32, SimTime),
+    op: u64,
+) {
+    let got = log.record_deliver(node, pid, at);
+    assert_eq!(got, oracle.record_deliver(node, pid, at), "op {op}");
+    if let Some(idx) = got {
+        let rec = log.records().get(idx as usize);
+        assert_eq!(rec, oracle.records.get(idx as usize).copied(), "op {op}");
+    }
+    if let Some(lean) = lean {
+        assert_eq!(lean.record_deliver(node, pid, at), got, "op {op}");
+        assert_eq!(lean.fold(), log.fold(), "op {op}: fold past the head");
     }
 }
 

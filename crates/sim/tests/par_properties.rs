@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use xt3_sim::{
-    fold_digest_lanes, merge_digest_lanes, Delivery, Engine, EventDigest, EventQueue, ExecMode,
-    Model, ParConfig, Partitioned, RunOutcome, SimTime, WindowDriver,
+    Delivery, DigestLanes, Engine, EventDigest, EventQueue, ExecMode, Model, ParConfig,
+    Partitioned, RunOutcome, SimTime, WindowDriver,
 };
 
 const HOP: SimTime = SimTime::from_ns(40);
@@ -196,8 +196,11 @@ fn parallel(
     };
     let (engines, out) = WindowDriver::new(engines, config).run(route(assign.to_vec()));
     assert_eq!(out.outcome, RunOutcome::Drained);
-    let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
-    let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
+    let mut lanes = DigestLanes::new();
+    for e in &engines {
+        lanes.merge_from(e.digest_lanes());
+    }
+    let digest = lanes.value();
     // Reassemble per-node hits in global node order from the scattered
     // shard slots.
     let mut hits = vec![0u64; total as usize];

@@ -5,11 +5,11 @@
 //! as one aggregate number per chain. This module turns the link-level
 //! series ([`crate::series`]) into rows of the form *"flow F lost T ns on
 //! link L during bucket B because of competing flows {G, H}"*
-//! ([`attribute_occupancy`]), and gives the causal side to check them
-//! by: per-link head-of-line totals over whole chains ([`hop_stalls`]),
-//! or over the log's fold ([`xt3_sim::ChainFold::hop_stalls`]) for a run
-//! of any length. The tests also hold the rows to a row-level join of
-//! whole chains with the series (`crates/telemetry/tests/support/`):
+//! ([`attribute_occupancy`]), checked per link against the causal log's
+//! fold ([`xt3_sim::ChainFold::hop_stalls`]) for a run of any length.
+//! The tests also hold the rows to a row-level join of whole chains with
+//! the series, and the fold to per-link totals over whole chains
+//! (`crates/telemetry/tests/support/`):
 //!
 //! * **flow / lost** come from the chain's `HopQueue` segments, so the
 //!   table inherits critpath's zero-residual discipline: the sum of
@@ -28,9 +28,8 @@
 
 use std::fmt::Write as _;
 
-use xt3_sim::{linkhop_port, CausalLog, CausalStage, SimTime, TraceId};
+use xt3_sim::{SimTime, TraceId};
 
-use crate::critpath::{aggregate, require_complete, Chain, CostClass, CritPathError, HopStall};
 use crate::series::{Hotspot, Occupancy, SeriesSet};
 use crate::sink::Component;
 
@@ -71,14 +70,6 @@ pub struct CongestionTable {
 }
 
 impl CongestionTable {
-    /// Difference between the table total and the chains' aggregate
-    /// hop-queueing class. Zero for the chains the table was built
-    /// from — the acceptance fence `explain congestion` gates on.
-    pub fn residual(&self, chains: &[Chain]) -> i128 {
-        let agg = aggregate(chains).get(CostClass::HopQueue);
-        self.total_lost.ps() as i128 - agg.ps() as i128
-    }
-
     /// Render the per-flow attribution table as fixed-width text.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -279,103 +270,10 @@ pub fn attribute_occupancy(
     }
 }
 
-/// Fold every `HopQueue` segment of `chains` into per-`(node, port)`
-/// totals, sorted by `(node, port)`. The sum of `stall` over the rows
-/// equals the chains' aggregate hop-queueing class exactly — the
-/// zero-residual identity of the attribution rows, here per link. A log
-/// that is not whole is refused ([`CritPathError::Truncated`],
-/// [`CritPathError::Folded`]), and a record a segment names that is not
-/// stored is [`CritPathError::MissingRecord`].
-pub fn hop_stalls(chains: &[Chain], log: &CausalLog) -> Result<Vec<HopStall>, CritPathError> {
-    use std::collections::BTreeMap;
-    require_complete(log)?;
-    let records = log.records();
-    let mut map: BTreeMap<(u32, i16), (SimTime, u64)> = BTreeMap::new();
-    for chain in chains {
-        for seg in &chain.segments {
-            if seg.class != CostClass::HopQueue || seg.stage != CausalStage::LinkHop {
-                continue;
-            }
-            let rec = records
-                .get(seg.to as usize)
-                .ok_or(CritPathError::MissingRecord { idx: seg.to })?;
-            let key = (rec.node, linkhop_port(rec.info).map_or(-1, i16::from));
-            let e = map.entry(key).or_insert((SimTime::ZERO, 0));
-            e.0 += seg.dur;
-            e.1 += 1;
-        }
-    }
-    let fold = map.into_iter();
-    Ok(fold
-        .map(|((node, port), (stall, waits))| HopStall {
-            node,
-            port: u8::try_from(port).ok(),
-            stall,
-            waits,
-        })
-        .collect())
-}
-
 /// Human label for a link: node id plus port direction.
 pub fn link_label(node: u32, port: Option<u8>) -> String {
     match port {
         Some(p) => format!("n{} {}", node, Component::Link(p).track_name()),
         None => format!("n{node} link ?"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::critpath::extract_chains;
-    use xt3_sim::linkhop_info;
-
-    /// Two flows over the same link: flow 2 arrives while flow 1 is
-    /// serializing and stalls behind it.
-    fn contended_log() -> CausalLog {
-        let mut log = CausalLog::enabled();
-        let us = |n: u64| SimTime::from_us(n);
-        for (id, api, start, stall_us, deliver) in
-            [(1u64, 0u64, 1u64, 0u64, 12u64), (2, 0, 11, 10, 22)]
-        {
-            let a = log
-                .record(TraceId(id), CausalStage::ApiEntry, us(api), 0, None, 4096)
-                .unwrap();
-            let h = log
-                .record(
-                    TraceId(id),
-                    CausalStage::LinkHop,
-                    us(start),
-                    0,
-                    Some(a),
-                    linkhop_info(2, us(stall_us).ps()),
-                )
-                .unwrap();
-            log.record(
-                TraceId(id),
-                CausalStage::AppDeliver,
-                us(deliver),
-                1,
-                Some(h),
-                0,
-            );
-        }
-        log
-    }
-
-    #[test]
-    fn hop_stalls_fold_by_link_with_zero_residual() {
-        let log = contended_log();
-        let chains = extract_chains(&log).unwrap();
-        let hops = hop_stalls(&chains, &log).unwrap();
-        assert_eq!(hops.len(), 1, "one contended link");
-        assert_eq!((hops[0].node, hops[0].port), (0, Some(2)));
-        assert_eq!(hops[0].stall, SimTime::from_us(10));
-        assert_eq!(hops[0].waits, 1);
-        assert_eq!(link_label(hops[0].node, hops[0].port), "n0 link Y+");
-        let total: SimTime = hops.iter().map(|h| h.stall).sum();
-        assert_eq!(total, aggregate(&chains).get(CostClass::HopQueue));
-        // The log's own fold holds the same per-link totals.
-        assert_eq!(log.fold().hop_stalls().collect::<Vec<_>>(), hops);
     }
 }

@@ -45,9 +45,7 @@ pub mod congestion;
 pub mod critpath;
 pub mod series;
 
-pub use congestion::{
-    attribute_occupancy, hop_stalls, link_label, AttributionRow, CongestionTable,
-};
+pub use congestion::{attribute_occupancy, link_label, AttributionRow, CongestionTable};
 pub use critpath::{
     aggregate, extract_chains, folded, Breakdown, Chain, ChainFold, CostClass, CritPathError,
     HopStall, Segment,

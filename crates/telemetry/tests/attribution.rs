@@ -1,12 +1,19 @@
 //! The attribution table on a hand-built two-flow log, held to the
-//! row-level oracle (`support/attribute.rs`).
+//! row-level oracle (`support/attribute.rs`), and the log's per-link fold
+//! held to the per-link oracle (`support/hop_stalls.rs`).
 
 #[path = "support/attribute.rs"]
 mod oracle;
+#[path = "support/hop_stalls.rs"]
+mod per_link;
 
-use oracle::attribute;
+use oracle::{attribute, residual};
+use per_link::hop_stalls;
 use xt3_sim::{linkhop_info, CausalLog, CausalStage, SimTime, TraceId};
-use xt3_telemetry::{attribute_occupancy, extract_chains, Occupancy, SeriesConfig, SeriesSet};
+use xt3_telemetry::{
+    aggregate, attribute_occupancy, extract_chains, link_label, CostClass, Occupancy, SeriesConfig,
+    SeriesSet,
+};
 
 /// Two flows over the same link: flow 2 arrives while flow 1 is
 /// serializing and stalls behind it.
@@ -68,7 +75,7 @@ fn rows_partition_hop_queueing_exactly() {
     assert_eq!(row.wait_start, SimTime::from_us(1));
     assert_eq!(row.bucket, 0);
     assert_eq!(row.competitors, vec![1], "queued behind flow 1");
-    assert_eq!(table.residual(&chains), 0);
+    assert_eq!(residual(&table, &chains), 0);
     assert_eq!(table.total_lost, SimTime::from_us(10));
 }
 
@@ -110,7 +117,7 @@ fn occupancy_table_reproduces_the_chain_table() {
     assert_eq!(from_chains.total_lost, from_occ.total_lost);
     assert_eq!(from_chains.render_text(), from_occ.render_text());
     assert_eq!(from_chains.render_json(), from_occ.render_json());
-    assert_eq!(from_occ.residual(&chains), 0);
+    assert_eq!(residual(&from_occ, &chains), 0);
 }
 
 #[test]
@@ -121,5 +128,21 @@ fn no_series_means_no_competitors() {
     assert_eq!(table.rows.len(), 1);
     assert!(table.rows[0].competitors.is_empty());
     assert!(table.hotspots.is_empty());
-    assert_eq!(table.residual(&chains), 0);
+    assert_eq!(residual(&table, &chains), 0);
+}
+
+#[test]
+fn hop_stalls_fold_by_link_with_zero_residual() {
+    let log = contended_log();
+    let chains = extract_chains(&log).unwrap();
+    let hops = hop_stalls(&chains, &log).unwrap();
+    assert_eq!(hops.len(), 1, "one contended link");
+    assert_eq!((hops[0].node, hops[0].port), (0, Some(2)));
+    assert_eq!(hops[0].stall, SimTime::from_us(10));
+    assert_eq!(hops[0].waits, 1);
+    assert_eq!(link_label(hops[0].node, hops[0].port), "n0 link Y+");
+    let total: SimTime = hops.iter().map(|h| h.stall).sum();
+    assert_eq!(total, aggregate(&chains).get(CostClass::HopQueue));
+    // The log's own fold holds the same per-link totals.
+    assert_eq!(log.fold().hop_stalls().collect::<Vec<_>>(), hops);
 }

@@ -11,9 +11,17 @@
 
 use xt3_sim::{linkhop_port, CausalLog, CausalStage, SimTime};
 use xt3_telemetry::{
-    extract_chains, AttributionRow, Chain, CongestionTable, CostClass, CritPathError, SeriesConfig,
-    SeriesSet,
+    aggregate, extract_chains, AttributionRow, Chain, CongestionTable, CostClass, CritPathError,
+    SeriesConfig, SeriesSet,
 };
+
+/// Difference between `table`'s total and the hop-queueing class of
+/// `chains`: zero for the chains the table was built from — the
+/// zero-residual identity every table is held to.
+pub fn residual(table: &CongestionTable, chains: &[Chain]) -> i128 {
+    let agg = aggregate(chains).get(CostClass::HopQueue);
+    table.total_lost.ps() as i128 - agg.ps() as i128
+}
 
 /// Build the attribution table for `chains`, row by row from `log`, the
 /// causal log they were extracted from (rows index into it). `series`,

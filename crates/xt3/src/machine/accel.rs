@@ -44,10 +44,12 @@ impl Machine {
                 let done = self.complete_rx(node, fw_proc, pending, Some(&ticket));
                 self.nodes[node].fw.rx_piggyback_complete(fw_proc, pending);
                 self.fw_command(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
-                // Cause is the match, not the EqPost: the post's visible
-                // time is later than the ack's own start.
+                // Cause is the match, not the EqPost. The post is stamped
+                // when the match is done (`t`): `complete_rx` has already
+                // queued the event, so a polling app may read it before
+                // the HT write would land.
                 self.causal.set_cause(m.match_idx);
-                self.causal_eq_post(node, dst_pid, TraceId(tag), t + ht, done.before);
+                self.causal_eq_post(node, dst_pid, TraceId(tag), t, done.before);
                 let t2 =
                     self.handle_incoming_action(q, t, node, fw_proc, dst_pid, done.action, None);
                 self.maybe_wake(q, t2 + ht, node, dst_pid);
@@ -104,7 +106,8 @@ impl Machine {
                     self.nodes[node].procs[rec.src_pid as usize]
                         .lib
                         .on_send_complete(md, rec.data.len());
-                    self.causal_eq_post_send(node, rec.src_pid, rec.tag, t + ht, before);
+                    // Readable from `t`, like the piggybacked put's.
+                    self.causal_eq_post_send(node, rec.src_pid, rec.tag, t, before);
                     self.maybe_wake(q, t + ht, node, rec.src_pid);
                 }
             }

@@ -97,8 +97,7 @@ impl Machine {
                         // app just consumed, close the message's causal
                         // chain with an `AppDeliver`, and make it the
                         // cause of whatever the app does next.
-                        let producer = self.causal.pop_eq_post(node as u32, pid);
-                        self.causal.record_deliver(node as u32, pid, t, producer);
+                        self.causal.record_deliver(node as u32, pid, t);
                         self.run_app(q, t, node, pid, AppEvent::Ptl(ev));
                     }
                     Err(PtlError::EqEmpty) => {

@@ -202,17 +202,19 @@ impl Machine {
                 Node::new(&config, NodeId(i), spec, &mut layouts)
             })
             .collect();
+        let registry = config.telemetry;
         Machine {
             nodes: Nodes { base: 0, inner },
-            ..Machine::around(config, fabric, false)
+            ..Machine::around(config, fabric, registry)
         }
     }
 
     /// A serial machine that owns no nodes yet, around `config` and
-    /// `fabric`: the one place the sinks are built — trace and telemetry
-    /// as configured, the causal log as asked — beside a fresh injector
-    /// for the fault plan. `new`, `split` and `merge` fill in the rest.
-    fn around(config: MachineConfig, fabric: Fabric, causal_on: bool) -> Self {
+    /// `fabric`: the one place the sinks are built — the trace as
+    /// configured, the registry on as `registry` says, the causal log off
+    /// until [`Self::set_causal_enabled`] — beside a fresh injector for
+    /// the fault plan. `new`, `split` and `merge` fill in the rest.
+    fn around(config: MachineConfig, fabric: Fabric, registry: bool) -> Self {
         Machine {
             nodes: Nodes {
                 base: 0,
@@ -221,8 +223,8 @@ impl Machine {
             fabric,
             trace: Trace::new(config.trace, TRACE_CAPACITY),
             faults: FaultInjector::new(config.faults.clone()),
-            telemetry: Telemetry::new(config.telemetry),
-            causal: CausalLog::new(causal_on),
+            telemetry: Telemetry::new(registry),
+            causal: CausalLog::disabled(),
             spawned: Vec::new(),
             scratch_events: Vec::new(),
             net: Default::default(),
@@ -315,7 +317,8 @@ impl Machine {
     }
 
     /// Turn the telemetry sink on or off mid-run, and with it
-    /// `config.telemetry`, so the shards of a later `split` record too.
+    /// `config.telemetry`, so the machine a later `merge` reassembles
+    /// records too (the shards between record nothing).
     /// Digest-neutral: the recorder only observes, so two lockstep
     /// engines differing only in this flag produce identical digests and
     /// fingerprints.

@@ -240,9 +240,8 @@ impl Machine {
 
     /// A run starts: a serial machine hands its causal folding and link
     /// series to the fabric's consumer thread until the settle that ends
-    /// the run (`Model::settle`). A shard of a partitioned run keeps its
-    /// log in line (nothing reads it: [`Machine::merge`] gives the
-    /// machine fresh sinks); the coordinator offloads the real fabric.
+    /// the run (`Model::settle`). A shard of a partitioned run has
+    /// neither; the coordinator offloads the real fabric.
     pub(super) fn observe(&mut self) {
         self.observing = true;
         if matches!(self.net, NetMode::Inline) {
@@ -487,7 +486,8 @@ impl Machine {
     /// machines plus the real fabric, which the *coordinator* owns: the
     /// shards get placeholder fabrics they never touch (their sends are
     /// deferred as [`SendIntent`]s and replayed by the coordinator in
-    /// serial order).
+    /// serial order), and no registry or causal log: nothing would read
+    /// what they recorded ([`Machine::merge`] builds fresh sinks).
     pub fn split(mut self, shards: usize) -> (Vec<Machine>, Fabric) {
         assert!(shards > 0, "at least one shard");
         assert!(
@@ -528,7 +528,7 @@ impl Machine {
                     intents: Vec::new(),
                     spares: Vec::new(),
                 },
-                ..Machine::around(self.config.clone(), placeholder(), self.causal.is_enabled())
+                ..Machine::around(self.config.clone(), placeholder(), false)
             });
             base += take;
         }
@@ -538,19 +538,21 @@ impl Machine {
     /// Reassemble shard machines (after their engines drained) into one
     /// machine equivalent to the serial run: nodes concatenated in slab
     /// order, trace and fault lanes disjoint-merged, and the
-    /// coordinator's real `fabric` restored. Telemetry spans and the
-    /// causal DAG are observation-only and are not merged — the merged
-    /// machine gets fresh (empty) sinks; `telemetry_report` reads node
-    /// hardware counters and fabric links, so it is unaffected.
+    /// coordinator's real `fabric` restored. The shards kept no spans or
+    /// causal records — the merged machine gets fresh (empty) sinks, the
+    /// registry on as configured and the causal log off;
+    /// `telemetry_report` reads node hardware counters and fabric links,
+    /// so it is unaffected.
     pub fn merge(shards: Vec<Machine>, fabric: Fabric) -> Machine {
         let node_count: usize = shards.iter().map(|s| s.nodes.len()).sum();
         let mut shards = shards.into_iter();
         let first = shards.next().expect("at least one shard");
         assert!(first.nodes.base == 0, "shards must be merged in slab order");
+        let registry = first.config.telemetry;
         let mut m = Machine {
             nodes: first.nodes,
             spawned: first.spawned,
-            ..Machine::around(first.config, fabric, first.causal.is_enabled())
+            ..Machine::around(first.config, fabric, registry)
         };
         m.trace.merge_from(&first.trace);
         m.faults.merge_from(&first.faults);

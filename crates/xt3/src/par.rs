@@ -41,8 +41,8 @@
 
 use crate::machine::{apply_send, Ev, Machine, SendIntent};
 use xt3_sim::{
-    fold_digest_lanes, merge_digest_lanes, merge_ordered_runs, CausalLog, Model, ParConfig,
-    ParOutcome, RunOutcome, SimTime, WindowDriver,
+    merge_ordered_runs, CausalLog, DigestLanes, Model, ParConfig, ParOutcome, RunOutcome, SimTime,
+    WindowDriver,
 };
 use xt3_telemetry::Telemetry;
 
@@ -79,7 +79,6 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
     let shards = workers.max(1).min(node_count);
     let per = node_count.div_ceil(shards);
     let lookahead = machine.config.fabric.min_lookahead();
-    let telemetry_on = machine.config.telemetry;
     let causal_on = machine.causal().is_enabled();
 
     let (shard_machines, mut fabric) = machine.split(shards);
@@ -92,14 +91,13 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
     // automatic — it cannot affect results.
     let driver = WindowDriver::new(engines, ParConfig::new(lookahead, 2_000_000_000));
 
-    // The coordinator owns the real fabric plus observation-only sinks
-    // for the fabric-side records (link spans, hop traces). Those sinks
-    // are not merged back — like the shard-side span logs, they observe
-    // and never feed back, so digests and reports are unaffected. The
-    // series and the hop log fold on the fabric's consumer thread, which
-    // is settled before the fabric goes back into the machine.
-    let mut tele = Telemetry::new(telemetry_on);
-    let mut causal = CausalLog::new(causal_on);
+    // The coordinator owns the real fabric. Like the shards, it keeps no
+    // spans and no causal records — nothing would read them — but its
+    // disabled log still carries the link series' records to the
+    // fabric's consumer thread, which is settled before the fabric goes
+    // back into the machine.
+    let mut tele = Telemetry::disabled();
+    let mut causal = CausalLog::disabled();
     fabric.offload(&mut causal);
     let route = |by_shard: &mut Vec<Vec<SendIntent>>, out: &mut Vec<xt3_sim::Delivery<Ev>>| {
         // Serial dispatch order: the engine dispatches events in
@@ -133,10 +131,14 @@ pub fn run_parallel(machine: Machine, workers: usize) -> ParRun {
         threads,
     } = out;
 
-    let lanes: Vec<&[_]> = engines.iter().map(|e| e.digest_lanes()).collect();
-    let digest = fold_digest_lanes(&merge_digest_lanes(&lanes));
+    let mut lanes = DigestLanes::new();
+    for e in &engines {
+        lanes.merge_from(e.digest_lanes());
+    }
+    let digest = lanes.value();
     let shards: Vec<Machine> = engines.into_iter().map(|e| e.into_model()).collect();
-    let machine = Machine::merge(shards, fabric);
+    let mut machine = Machine::merge(shards, fabric);
+    machine.set_causal_enabled(causal_on);
     let state_fingerprint = machine.state_fingerprint();
     ParRun {
         machine,

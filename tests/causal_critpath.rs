@@ -22,12 +22,15 @@ use xt3_netpipe::runner::{
 use xt3_netpipe::Schedule;
 use xt3_sim::{CausalLog, RunOutcome, SimTime};
 use xt3_telemetry::{
-    extract_chains, hop_stalls, parse_json, Breakdown, Chain, CostClass, CritPathError, JsonValue,
+    extract_chains, parse_json, Breakdown, Chain, CostClass, CritPathError, JsonValue,
 };
 
 #[path = "../crates/telemetry/tests/support/attribute.rs"]
 mod oracle;
-use oracle::attribute;
+#[path = "../crates/telemetry/tests/support/hop_stalls.rs"]
+mod per_link;
+use oracle::{attribute, residual};
+use per_link::hop_stalls;
 
 fn fixed_config(size: u64, reps: u32) -> NetpipeConfig {
     NetpipeConfig {
@@ -187,7 +190,8 @@ fn a_truncated_causal_log_is_refused_by_name() {
     let log = whole.causal();
     let chains = extract_chains(log).expect("complete log");
     assert!(!chains.is_empty());
-    assert!(attribute(&chains, log, None, 8, 4).is_ok());
+    let table = attribute(&chains, log, None, 8, 4).expect("whole log");
+    assert_eq!(residual(&table, &chains), 0);
     assert!(hop_stalls(&chains, log).is_ok());
     let doc = whole.telemetry().perfetto_json_full(Some(log), None);
     let (slices, flows, metadata) = slices_flows_and_metadata(&doc);

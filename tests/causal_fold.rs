@@ -17,8 +17,12 @@ use xt3_netpipe::Schedule;
 use xt3_node::workloads::{traffic_machine, TrafficPattern};
 use xt3_node::Machine;
 use xt3_sim::{CausalLog, ChainFold};
-use xt3_telemetry::{aggregate, extract_chains, hop_stalls};
+use xt3_telemetry::{aggregate, extract_chains};
 use xt3_topology::coord::Dims;
+
+#[path = "../crates/telemetry/tests/support/hop_stalls.rs"]
+mod per_link;
+use per_link::hop_stalls;
 
 /// Every machine in scope, by name.
 fn machines() -> Vec<(String, Machine)> {
@@ -54,13 +58,22 @@ fn run(mut m: Machine, log: CausalLog) -> CausalLog {
     std::mem::take(engine.into_model().causal_mut())
 }
 
-/// The fold must equal the whole log's extraction: the same totals, or
-/// the same first defect. A faulted run records none — its go-back-n
-/// copies chain as copies of their own — so its totals are compared.
+/// The one run in scope that records a non-monotone edge. Its NIC match
+/// puts the GET event in the queue when the handler runs, before the
+/// match is done, so the app reads it (`AppDeliver` #798, 216.04 µs)
+/// before the `EqPost` it chains onto (#796, 216.75 µs): the model's
+/// timing, not the log's (ROADMAP items 4 and 14).
+const READ_BEFORE_MATCHED: &str = "accel/get-pingpong";
+
+/// The fold must equal the whole log's extraction: the same totals. A
+/// faulted run records no defect — its go-back-n copies chain as copies
+/// of their own — nor does an accelerated completion, whose `EqPost` is
+/// stamped when its event is readable, not when the HT write lands; only
+/// [`READ_BEFORE_MATCHED`] is compared by its first defect.
 fn assert_fold_is_whole(name: &str, fold: &ChainFold, whole: &CausalLog) {
     let chains = match extract_chains(whole) {
         Ok(chains) => chains,
-        Err(e) if name != "e2e/fault-injection" => {
+        Err(e) if name == READ_BEFORE_MATCHED => {
             return assert_eq!(fold.error(), Some(e), "{name}")
         }
         Err(e) => panic!("{name}: {e}"),

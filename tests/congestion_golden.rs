@@ -28,7 +28,7 @@ use xt3_topology::coord::Dims;
 
 #[path = "../crates/telemetry/tests/support/attribute.rs"]
 mod oracle;
-use oracle::attribute;
+use oracle::{attribute, residual};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/congestion_incast.txt")
@@ -52,7 +52,7 @@ fn incast_attribution_table_matches_golden() {
     let mut table =
         attribute(&chains, m.causal(), Some(series), 8, 4).expect("the log holds the run whole");
     assert_eq!(
-        table.residual(&chains),
+        residual(&table, &chains),
         0,
         "attribution must sum exactly to the hop-queueing class"
     );

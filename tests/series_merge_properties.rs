@@ -15,7 +15,7 @@ use xt3_node::par::run_parallel;
 use xt3_node::workloads::{traffic_machine, TrafficPattern};
 use xt3_node::Machine;
 use xt3_sim::RunOutcome;
-use xt3_telemetry::SeriesConfig;
+use xt3_telemetry::{SeriesConfig, TelemetrySink};
 use xt3_topology::coord::Dims;
 
 /// Mesh shapes the property sweeps (kept ≤ 12 nodes for debug-profile
@@ -69,4 +69,46 @@ proptest! {
             pattern.name(), workers
         );
     }
+}
+
+/// With the registry, the causal log and the series on, a partitioned
+/// run keeps no sink it would throw away: each shard's registry and
+/// causal log are off and stay empty through a run of its own, and the
+/// coordinator's, locals of `run_parallel`, leave nothing behind either.
+/// The merged machine gets the caller's flags back over empty sinks,
+/// and the series and digests are still the serial run's.
+#[test]
+fn a_partitioned_run_fills_no_sink_it_would_throw_away() {
+    let observed = || {
+        let mut m = build(TrafficPattern::AllToAll, Dims::mesh(3, 2, 2), 1, 2048);
+        m.set_telemetry_enabled(true);
+        m.set_causal_enabled(true);
+        m
+    };
+    let mut serial = observed().into_engine();
+    assert_eq!(serial.run(), RunOutcome::Drained);
+    let m = serial.model();
+    assert!(m.causal().made() > 0 && !m.telemetry().spans().is_empty());
+
+    let (shards, _) = observed().split(2);
+    for shard in shards {
+        assert!(!shard.telemetry().is_enabled() && !shard.causal().is_enabled());
+        // Alone, a shard runs its own nodes and defers every send.
+        let mut engine = shard.into_engine();
+        engine.run();
+        let shard = engine.model();
+        assert_eq!(shard.causal().made(), 0);
+        assert!(shard.telemetry().spans().is_empty());
+    }
+
+    let par = run_parallel(observed(), 2);
+    assert_eq!(par.outcome, RunOutcome::Drained);
+    assert_eq!(par.digest, serial.digest());
+    assert_eq!(par.state_fingerprint, serial.state_fingerprint());
+    let merged = &par.machine;
+    assert!(merged.telemetry().is_enabled() && merged.causal().is_enabled());
+    assert_eq!(merged.causal().made(), 0);
+    assert!(merged.telemetry().spans().is_empty());
+    let json = |m: &Machine| m.link_series().expect("series on").to_json();
+    assert_eq!(json(merged), json(m));
 }
