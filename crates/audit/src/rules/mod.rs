@@ -337,8 +337,6 @@ pub const DIGEST_FEEDING_MODULES: &[&str] = &[
     "crates/sim/src/digest.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/queue.rs",
-    "crates/sim/src/trace.rs",
-    "crates/sim/src/label.rs",
     "crates/sim/src/causal.rs",
 ];
 

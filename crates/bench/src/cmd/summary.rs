@@ -1,6 +1,7 @@
 //! `summary`: every paper anchor vs. the simulated value — the artifact
-//! EXPERIMENTS.md references. `trace-put`: one put traced end to end,
-//! the tool used to verify that file's calibration decomposition.
+//! EXPERIMENTS.md references. `trace-put`: the causal records of one put
+//! ping-pong, the tool used to verify that file's calibration
+//! decomposition.
 
 use xt3_netpipe::ptl::PtlPattern;
 use xt3_netpipe::reference as r;
@@ -10,7 +11,7 @@ use xt3_node::config::MachineConfig;
 use xt3_sim::SimTime;
 
 use crate::cli::{Args, CmdResult};
-use crate::machines::put_pair;
+use crate::machines::{pair_machine, run_pair};
 
 /// One-shot reproduction report with pass/deviation marks.
 pub fn summary(args: Args) -> CmdResult {
@@ -124,37 +125,39 @@ pub fn summary(args: Args) -> CmdResult {
     Ok(())
 }
 
-/// Latency breakdown: trace a single put end to end and print where
-/// every nanosecond of the one-way path goes.
+/// Latency breakdown: the causal log's records of a single put
+/// ping-pong, by time, so every nanosecond of the one-way path shows
+/// between two steps of one message.
 pub fn trace_put(mut args: Args) -> CmdResult {
     // Zero is a size: the header-only put.
     let size = args.positional("bytes", |t| t.parse::<u64>().ok())?;
     let size = size.unwrap_or(1);
     args.finish()?;
 
-    let mut config = MachineConfig::paper_pair();
-    config.trace = true;
-    let m = put_pair(config, PtlPattern::PingPongPut, size, 1, false).machine;
+    let config = MachineConfig::paper_pair();
+    let mut m = pair_machine(config, PtlPattern::PingPongPut, size, 1, false);
+    m.set_causal_enabled(true);
+    let m = run_pair(m).machine;
+    let mut records: Vec<_> = m.causal().records().iter().collect();
+    records.sort_by_key(|r| r.at);
 
-    println!("Trace of one {size}-byte put ping-pong (round-trip = 2 messages):\n");
-    let mut prev: Option<SimTime> = None;
-    for e in m.trace.events() {
-        let delta = prev
-            .map(|p| e.at.saturating_sub(p))
-            .unwrap_or(SimTime::ZERO);
-        println!(
-            "{:>14}  (+{:>10})  n{} {:<5} {}",
-            e.at.to_string(),
-            delta.to_string(),
-            e.node,
-            e.category.to_string(),
-            e.label
-        );
-        prev = Some(e.at);
-    }
     println!(
-        "\n(total events: {}; the second half mirrors the first as the pong)",
-        m.trace.len()
+        "Causal records of one {size}-byte put ping-pong, by time: the responder's \
+         zero-byte READY, then the ping and the pong:\n"
     );
+    let mut prev: Option<SimTime> = None;
+    for r in &records {
+        let delta = prev.map_or(SimTime::ZERO, |p| r.at.saturating_sub(p));
+        println!(
+            "{:>14}  (+{:>10})  n{} {:<12} msg {:#x}",
+            r.at.to_string(),
+            delta.to_string(),
+            r.node,
+            r.stage.name(),
+            r.id.0
+        );
+        prev = Some(r.at);
+    }
+    println!("\n(total records: {})", records.len());
     Ok(())
 }

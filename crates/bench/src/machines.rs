@@ -107,6 +107,17 @@ pub fn put_pair(
     reps: u32,
     accelerated: bool,
 ) -> PutPair {
+    run_pair(pair_machine(config, pattern, size, reps, accelerated))
+}
+
+/// The machine [`put_pair`] runs, with both apps spawned.
+pub fn pair_machine(
+    config: MachineConfig,
+    pattern: PtlPattern,
+    size: u64,
+    reps: u32,
+    accelerated: bool,
+) -> Machine {
     let schedule = Schedule::fixed(size, reps);
     let far = config.dims.node_count() - 1;
     let proc = ProcSpec {
@@ -124,6 +135,11 @@ pub fn put_pair(
     let initiator = PtlInitiator::with_peer(pattern, schedule.clone(), far);
     m.spawn(0, 0, Box::new(initiator));
     m.spawn(far, 0, Box::new(PtlResponder::new(pattern, schedule)));
+    m
+}
+
+/// Run a [`pair_machine`] to the end.
+pub fn run_pair(m: Machine) -> PutPair {
     let mut engine = m.into_engine();
     assert_eq!(engine.run(), RunOutcome::Drained, "put pair must drain");
     let now = engine.now();

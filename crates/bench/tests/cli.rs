@@ -2,7 +2,9 @@
 //! offending token and the subcommand's usage on stderr, exit status 2,
 //! nothing on stdout — for every subcommand, including the sixteen that
 //! take no flags at all. (As separate bins, `sweep abc`, `trace_put abc`
-//! and `fig5_unidir --bogus` ran their defaults and exited 0.)
+//! and `fig5_unidir --bogus` ran their defaults and exited 0.) A
+//! well-formed command runs, and `trace-put` prints the causal records
+//! that show the piggyback edge.
 
 use std::process::{Command, Output};
 
@@ -78,6 +80,41 @@ fn mem_footprint_reads_its_flags_through_the_same_reader() {
     );
     assert_refused(&run(exe, &["--dims", "2", "2"]), &["--dims needs a value"]);
     assert_refused(&run(exe, &["--dims", "2", "0", "2"]), &["\"2 0 2\""]);
+}
+
+#[test]
+fn trace_put_shows_the_second_interrupt_past_the_piggyback() {
+    // Up to 12 B a put rides in its header packet and completes on the
+    // header's interrupt; a 13 B put is deposited by DMA and interrupts
+    // the receiving host a second time (`FwEvent::RxComplete`).
+    // `trace-put` prints the causal log's records, one a line, the
+    // message id last: count the `int-deliver` lines per message.
+    let int_delivers = |bytes: &str| {
+        let out = xt3_bench(&["trace-put", bytes]);
+        assert!(out.status.success(), "trace-put {bytes}");
+        let mut per_msg: Vec<(String, u32)> = Vec::new();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for line in stdout.lines().filter(|l| l.contains(" int-deliver ")) {
+            let msg = line.rsplit(' ').next().expect("a message id").to_string();
+            match per_msg.iter_mut().find(|(m, _)| *m == msg) {
+                Some((_, n)) => *n += 1,
+                None => per_msg.push((msg, 1)),
+            }
+        }
+        per_msg
+    };
+    let counts = |per_msg: &[(String, u32)]| per_msg.iter().map(|&(_, n)| n).collect::<Vec<_>>();
+    let (piggybacked, deposited) = (int_delivers("12"), int_delivers("13"));
+    let ids =
+        |per_msg: &[(String, u32)]| per_msg.iter().map(|(m, _)| m.clone()).collect::<Vec<_>>();
+    assert_eq!(
+        ids(&piggybacked),
+        ids(&deposited),
+        "the same three messages"
+    );
+    // The zero-byte READY, then the ping and the pong.
+    assert_eq!(counts(&piggybacked), [1, 1, 1]);
+    assert_eq!(counts(&deposited), [1, 2, 2]);
 }
 
 #[test]

@@ -27,7 +27,7 @@ pub enum FwCommand {
         /// DMA command list (one entry for contiguous buffers; the host
         /// pre-computes the list for paged buffers, §3.3).
         dma: DmaList,
-        /// Trace correlation tag.
+        /// Correlation tag (the message's causal id).
         tag: u64,
     },
     /// Deposit a received message into the target buffer (generic mode:

@@ -1,16 +1,16 @@
 //! Causal message tracing.
 //!
-//! Where [`crate::Trace`] records *that* a protocol step happened, the
-//! [`CausalLog`] records *why*: every Portals operation gets a
-//! [`TraceId`] at initiation, every significant step along its life
-//! (trap, firmware command, TX DMA, each link hop, remote header match,
-//! interrupt, completion, EQ delivery) appends a [`CausalRecord`], and
-//! each record carries an explicit parent edge. The result is a
+//! The [`CausalLog`] records each protocol step of a message and *why*
+//! it happened: every Portals operation gets a [`TraceId`] at
+//! initiation, every significant step along its life (trap, firmware
+//! command, TX DMA, each link hop, remote header match, interrupt,
+//! completion, EQ delivery) appends a [`CausalRecord`], and each record
+//! carries an explicit parent edge. The result is a
 //! deterministic DAG that [`crate::chain`] walks backwards from an EQ
 //! delivery to attribute a measured latency to cost classes with zero
 //! residual.
 //!
-//! Like the telemetry registry (and unlike `Trace`), the log is
+//! Like the telemetry registry, the log is
 //! *observation-only*: it is never folded into a model's state
 //! fingerprint, so enabling it cannot perturb replay digests. It still
 //! keeps its own streaming digest so tests can assert that two
@@ -70,8 +70,8 @@ pub const HEAD: u32 = 1 << 16;
 ///
 /// The simulator's per-node `fresh_tag()` counter already mints a
 /// globally unique id for every message a node injects ("tag"); the
-/// causal layer adopts it as the trace id, so `Trace`, telemetry and the
-/// causal DAG all correlate on the same value. Id 0 means "no identity"
+/// causal layer adopts it as the trace id, so telemetry and the causal
+/// DAG all correlate on the same value. Id 0 means "no identity"
 /// (control traffic such as go-back-n acks) and is never recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);

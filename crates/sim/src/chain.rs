@@ -153,7 +153,7 @@ pub struct Segment {
 /// from its EQ delivery to the API call that caused it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chain {
-    /// Trace id of the message whose completion was delivered.
+    /// Id of the message whose completion was delivered.
     pub id: TraceId,
     /// Causal-log index of the [`CausalStage::ApiEntry`] root.
     pub root: u32,

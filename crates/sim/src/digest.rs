@@ -30,7 +30,7 @@ const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 impl EventDigest {
     /// Fresh digest at the FNV offset basis.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         EventDigest { state: FNV_OFFSET }
     }
 
@@ -88,7 +88,7 @@ impl EventDigest {
     }
 
     /// Current digest value.
-    pub fn value(&self) -> u64 {
+    pub const fn value(&self) -> u64 {
         self.state
     }
 }

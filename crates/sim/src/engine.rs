@@ -70,7 +70,7 @@ pub trait Model {
     }
 
     /// A digest of model-*internal* state the event stream alone cannot
-    /// see — trace digests, injected-fault streams, retransmission
+    /// see — injected-fault streams, node health, retransmission
     /// counters. The replay audit compares this alongside
     /// [`Engine::digest`] so divergence hidden inside the model (rather
     /// than in event timing) is still caught. The default reports

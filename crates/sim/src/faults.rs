@@ -13,8 +13,9 @@
 //!
 //! The injector is pure policy: it never touches model state. The machine
 //! asks it questions ("what is this packet's fate?", "is the SRAM pool
-//! pulsed off right now?") and applies the answers itself, recording each
-//! injected fault in its [`crate::Trace`].
+//! pulsed off right now?") and applies the answers itself; the
+//! injector's own counters ([`FaultStats`]) and decision digest are the
+//! record of what was injected.
 
 use crate::digest::{DigestLanes, EventDigest};
 use crate::rng::SimRng;

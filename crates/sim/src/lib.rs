@@ -43,13 +43,11 @@ pub mod cursor;
 pub mod digest;
 pub mod engine;
 pub mod faults;
-pub mod label;
 pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use causal::{
     linkhop_info, linkhop_port, linkhop_stall, CausalError, CausalFolder, CausalLog, CausalRecord,
@@ -63,7 +61,6 @@ pub use cursor::BusyCursor;
 pub use digest::{DigestLanes, EventDigest};
 pub use engine::{Engine, Model, RunOutcome};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FwFaultKind, PacketFate, TimeWindow};
-pub use label::Label;
 pub use par::{
     merge_ordered_runs, Delivery, ExecMode, ParConfig, ParOutcome, Partitioned, WindowDriver,
 };
@@ -71,4 +68,3 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, Series, SeriesPoint};
 pub use time::{Bandwidth, SimTime};
-pub use trace::{Trace, TraceCategory, TraceEvent};

@@ -13,7 +13,7 @@
 //!
 //! * [`TelemetrySink`] — the recording interface every layer writes
 //!   through. The concrete [`Telemetry`] recorder is zero-cost when
-//!   disabled (a single branch, same pattern as `Trace::record`), and
+//!   disabled (a single branch, same pattern as `CausalLog::record`), and
 //!   [`NullSink`] compiles away entirely for call sites that are generic
 //!   over the sink.
 //! * [`Telemetry`] — the registry: monotonic counters, gauges that keep

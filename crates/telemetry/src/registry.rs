@@ -13,8 +13,8 @@
 //! Spans are the one store that grows with the run, so each is kept in 24
 //! bytes (private `StoredSpan`): the label is a `u16` into the recorder's
 //! own label table, found by pointer and length like a metric name, and
-//! [`Span`] is what the [`Spans`] view hands out by value. Label ids are
-//! first-use order within one recorder and never leave it: two recorders
+//! [`Span`] is what the [`Spans`] view hands out by value. The label ids
+//! are first-use order within one recorder and never leave it: two recorders
 //! that met the same labels in a different order still read back equal
 //! spans.
 
@@ -180,7 +180,7 @@ fn rows(table: &Named<Column>) -> impl Iterator<Item = (u32, &'static str, u64)>
 /// Iteration — and therefore every export — is deterministic: counters
 /// and gauges come out ordered by `(node, name)`, histograms by name.
 /// Disabled, every record call is a single predictable branch (the same
-/// zero-cost pattern as `Trace::record`) and nothing is allocated.
+/// zero-cost pattern as `CausalLog::record`) and nothing is allocated.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,

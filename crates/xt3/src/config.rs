@@ -135,8 +135,6 @@ pub struct MachineConfig {
     pub ras_heartbeat: Option<xt3_sim::SimTime>,
     /// Base RNG seed (address-space layout, the fabric's CRC injection).
     pub seed: u64,
-    /// Enable event tracing.
-    pub trace: bool,
     /// Enable the cross-layer telemetry sink (occupancy timelines,
     /// deterministic counters). Digest-neutral: simulation outcomes are
     /// bit-identical with this on or off.
@@ -161,7 +159,6 @@ impl MachineConfig {
             synthetic_payload: true,
             ras_heartbeat: None,
             seed: 0xC0FFEE,
-            trace: false,
             telemetry: false,
             faults: xt3_sim::FaultPlan::none(),
         }

@@ -37,5 +37,6 @@ pub use app::{App, AppCtx, AppEvent};
 pub use config::{ExhaustionPolicy, MachineConfig, NodeSpec, OsKind, ProcSpec};
 pub use host::HostCpu;
 pub use machine::{Ev, Machine};
+pub use node::PanicCause;
 pub use par::{run_parallel, ParRun};
 pub use wire::{WireKind, WireMsg};

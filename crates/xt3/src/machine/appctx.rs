@@ -16,7 +16,7 @@ use xt3_portals::me::{InsertPos, UnlinkOp};
 use xt3_portals::types::{
     AckReq, EqHandle, MatchBits, MdHandle, MeHandle, ProcessId, PtlError, PtlResult,
 };
-use xt3_sim::{label, EventQueue, SimTime, TraceCategory};
+use xt3_sim::{EventQueue, SimTime};
 use xt3_telemetry::TelemetrySink;
 
 /// Host-side cost of the small setup API calls (MD bind, ME attach, EQ
@@ -86,13 +86,6 @@ impl Machine {
                 match proc.lib.eq_get(eq) {
                     Ok(ev) => {
                         proc.wait = WaitState::Idle;
-                        self.trace.record(
-                            t,
-                            node as u32,
-                            TraceCategory::App,
-                            label!("app-event"),
-                            0,
-                        );
                         // Resolve which completion produced the event the
                         // app just consumed, close the message's causal
                         // chain with an `AppDeliver`, and make it the

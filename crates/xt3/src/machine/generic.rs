@@ -12,7 +12,7 @@ use xt3_firmware::control::ProcIdx;
 use xt3_firmware::mailbox::{FwCommand, FwEvent};
 use xt3_firmware::pending::PendingId;
 use xt3_portals::header::PortalsOp;
-use xt3_sim::{label, CausalStage, EventQueue, SimTime, TraceCategory, TraceId};
+use xt3_sim::{CausalStage, EventQueue, SimTime, TraceId};
 use xt3_telemetry::TelemetrySink;
 
 impl Machine {
@@ -43,13 +43,6 @@ impl Machine {
     /// `FwEffect::RaiseInterrupt` (the firmware raises it for generic
     /// processes only).
     pub(super) fn raise_interrupt(&mut self, q: &mut EventQueue<Ev>, t: SimTime, node: usize) {
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Firmware,
-            label!("int-raise"),
-            0,
-        );
         // Every raise costs the host a full handler entry/exit
         // (§3.3: interrupts are "very costly, requiring at
         // least 2 us of overhead each"); a handler invocation
@@ -60,17 +53,7 @@ impl Machine {
         if self.faults.active() {
             // Fault plan: interrupt-delay spike (host masking
             // interrupts through a long critical section).
-            let extra = self.faults.interrupt_extra(t, node as u32);
-            if extra > SimTime::ZERO {
-                self.trace.record(
-                    t,
-                    node as u32,
-                    TraceCategory::Host,
-                    label!("fault:int-delay"),
-                    0,
-                );
-                deliver += extra;
-            }
+            deliver += self.faults.interrupt_extra(t, node as u32);
         }
         let key = self.next_key(node as u32);
         q.schedule_keyed(deliver, key, Ev::HostInterrupt { node: node as u32 });
@@ -80,13 +63,6 @@ impl Machine {
         let (cm, tele) = (&self.config.cost, &mut self.telemetry);
         let host = &mut self.nodes[node].host;
         let mut t = host.interrupt_span(cm, now, node as u32, tele);
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Host,
-            label!("int-handler-done"),
-            0,
-        );
 
         // §4.1: the handler processes ALL new events each invocation. The
         // drain buffer is reused across interrupts (taken, not borrowed,
@@ -145,13 +121,6 @@ impl Machine {
                     0,
                 );
                 t = self.host_span(node, t, cm.host_event_post, "event-post");
-                self.trace.record(
-                    t,
-                    node as u32,
-                    TraceCategory::Portals,
-                    label!("put-end-posted"),
-                    0,
-                );
                 t = self.post_cmd(q, t, node, fw_proc, FwCommand::ReleasePending { pending });
                 self.causal.set_cause(int_idx);
                 let pid = done.pid;
@@ -175,13 +144,6 @@ impl Machine {
     ) -> SimTime {
         let cm = self.config.cost;
         let mut t = self.host_span(node, t, cm.host_match, "match");
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Portals,
-            label!("host-match"),
-            0,
-        );
         let m = self.match_header(t, node, fw_proc, pending);
         let Some(ticket) = m.ticket else {
             return self.post_cmd(q, t, node, fw_proc, FwCommand::RecvDiscard { pending });

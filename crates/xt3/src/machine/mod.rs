@@ -57,34 +57,25 @@ pub use net::SendIntent;
 
 use crate::app::{App, AppEvent};
 use crate::config::{MachineConfig, NodeSpec};
-use crate::node::{FwLayouts, Node};
+use crate::node::{FwLayouts, Node, PanicCause};
 use net::NetMode;
 use xt3_firmware::control::{Effects, FwEffect, FwError, FwMode, ProcIdx};
 use xt3_firmware::mailbox::FwEvent;
 use xt3_seastar::ppc::FwHandler;
 use xt3_sim::{
-    label, CausalLog, Engine, EventDigest, EventQueue, FaultInjector, FaultStats, FwFaultKind,
-    Label, Model, SimTime, Trace, TraceCategory,
+    CausalLog, Engine, EventDigest, EventQueue, FaultInjector, FaultStats, FwFaultKind, Model,
+    SimTime,
 };
 use xt3_telemetry::Telemetry;
 use xt3_topology::coord::NodeId;
 use xt3_topology::fabric::Fabric;
 
-/// Events the trace buffer retains (the tail of the stream).
-const TRACE_CAPACITY: usize = 1 << 20;
-
-/// Static trace label for a firmware fault, one per [`FwError`] variant
-/// (replaces a per-fault `format!` on what is otherwise an
-/// allocation-free dispatch path).
-fn fw_error_label(err: FwError) -> Label {
-    match err {
-        FwError::NoRxPending => label!("fw-fault:no-rx-pending"),
-        FwError::NoSource => label!("fw-fault:no-source"),
-        FwError::BadPending => label!("fw-fault:bad-pending"),
-        FwError::BadProcess => label!("fw-fault:bad-process"),
-        FwError::SpuriousCompletion => label!("fw-fault:spurious-completion"),
-    }
-}
+/// The first word of [`Machine::state_fingerprint`]: the digest of an
+/// empty stream. Every pinned fingerprint — the benchmark's reference
+/// digests, the campaign's `state`, `ParRun::state_fingerprint` — was
+/// taken with this word in front (it was an event recorder's digest,
+/// always empty on those runs), so writing it keeps their values.
+const FINGERPRINT_HEAD: u64 = EventDigest::new().value();
 
 /// The nodes a machine (or one shard of a partitioned machine) owns,
 /// indexed by *global* node id. A full machine has `base == 0`; a shard
@@ -159,8 +150,6 @@ pub struct Machine {
     /// The interconnect. On a partitioned shard this is a placeholder:
     /// shards never walk the fabric — the coordinator owns the real one.
     pub fabric: Fabric,
-    /// Trace buffer.
-    pub trace: Trace,
     /// The fault-injection subsystem executing `config.faults`.
     pub(crate) faults: FaultInjector,
     /// Cross-layer telemetry recorder. Deliberately excluded from
@@ -210,10 +199,10 @@ impl Machine {
     }
 
     /// A serial machine that owns no nodes yet, around `config` and
-    /// `fabric`: the one place the sinks are built — the trace as
-    /// configured, the registry on as `registry` says, the causal log off
-    /// until [`Self::set_causal_enabled`] — beside a fresh injector for
-    /// the fault plan. `new`, `split` and `merge` fill in the rest.
+    /// `fabric`: the one place the sinks are built — the registry on as
+    /// `registry` says, the causal log off until
+    /// [`Self::set_causal_enabled`] — beside a fresh injector for the
+    /// fault plan. `new`, `split` and `merge` fill in the rest.
     fn around(config: MachineConfig, fabric: Fabric, registry: bool) -> Self {
         Machine {
             nodes: Nodes {
@@ -221,7 +210,6 @@ impl Machine {
                 inner: Vec::new(),
             },
             fabric,
-            trace: Trace::new(config.trace, TRACE_CAPACITY),
             faults: FaultInjector::new(config.faults.clone()),
             telemetry: Telemetry::new(registry),
             causal: CausalLog::disabled(),
@@ -273,7 +261,7 @@ impl Machine {
 
     /// Did any node panic on resource exhaustion?
     pub fn any_panicked(&self) -> bool {
-        self.nodes.iter().any(|n| n.hot.panicked)
+        self.nodes.iter().any(|n| n.hot.panic.is_some())
     }
 
     /// Nodes whose firmware took an injected unrecoverable fault.
@@ -450,7 +438,7 @@ impl Machine {
     // ----- firmware effects -----
 
     /// Carry out what a firmware handler that finished at `t` asked for,
-    /// or isolate the node if it reported a protocol fault.
+    /// or mark the node panicked if it reported a protocol fault.
     fn run_fw(
         &mut self,
         q: &mut EventQueue<Ev>,
@@ -460,25 +448,18 @@ impl Machine {
     ) {
         match result {
             Ok(effects) => self.exec_effects(q, t, node, effects),
-            Err(err) => self.fw_fault(t, node, err),
+            Err(err) => self.panic_node(node, PanicCause::Firmware(err)),
         }
     }
 
-    /// A firmware handler reported a protocol fault (bad pending id,
-    /// spurious completion, ...). On the real XT3 the firmware panics the
-    /// node and RAS reboots it (§4.3); the model isolates the node instead
-    /// so the run finishes and `any_panicked()` reports the failure.
-    /// The label is per-variant so the fault cause stays visible in the
-    /// trace without a per-fault `format!`.
-    fn fw_fault(&mut self, t: SimTime, node: usize, err: FwError) {
-        self.nodes[node].hot.panicked = true;
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Firmware,
-            fw_error_label(err),
-            0,
-        );
+    /// Mark `node` panicked for `cause`: a firmware handler reported a
+    /// protocol fault (bad pending id, spurious completion, ...), or a pool
+    /// ran dry under the `Panic` policy. On the real XT3 the firmware panics the
+    /// node and RAS reboots it (§4.3); the model records the first cause
+    /// on the node instead, so the run finishes and `any_panicked()`
+    /// reports the failure (the node itself keeps serving).
+    pub(super) fn panic_node(&mut self, node: usize, cause: PanicCause) {
+        self.nodes[node].hot.panic.get_or_insert(cause);
     }
 
     fn exec_effects(&mut self, q: &mut EventQueue<Ev>, t: SimTime, node: usize, effects: Effects) {
@@ -508,20 +489,16 @@ impl Machine {
 
     /// A fault-plan firmware event fires on `node`.
     fn on_fault_at(&mut self, now: SimTime, node: usize, kind: FwFaultKind) {
-        let fault = match kind {
+        match kind {
             FwFaultKind::Stall(duration) => {
                 self.faults.note_fw_stall(now, node as u32, duration);
                 self.nodes[node].chip.ppc.stall(now, duration);
-                label!("fault:fw-stall")
             }
             FwFaultKind::Fault => {
                 self.faults.note_fw_fault(now, node as u32);
                 self.nodes[node].hot.dark = true;
-                label!("fault:fw-dark")
             }
-        };
-        self.trace
-            .record(now, node as u32, TraceCategory::Firmware, fault, 0);
+        }
     }
 
     /// The firmware's main loop stamps the control block; the RAS system
@@ -608,17 +585,16 @@ impl Model for Machine {
         event.fingerprint(digest);
     }
 
-    /// Model-internal state the event stream alone cannot see: the trace
-    /// digest (covers every record, including fault annotations), the
-    /// fault injector's decision digest, and per-node health/recovery
-    /// counters. Two same-seed runs must agree on all of it.
+    /// Model-internal state the event stream alone cannot see: the fault
+    /// injector's decision digest and per-node health/recovery counters.
+    /// Two same-seed runs must agree on all of it.
     fn state_fingerprint(&self) -> u64 {
         let mut d = EventDigest::new();
-        d.write_u64(self.trace.digest());
+        d.write_u64(FINGERPRINT_HEAD);
         d.write_u64(self.faults.digest());
         d.write_u64(self.faults.stats().total());
         for n in &self.nodes {
-            d.write_u8(u8::from(n.hot.panicked));
+            d.write_u8(u8::from(n.hot.panic.is_some()));
             d.write_u8(u8::from(n.hot.dark));
             d.write_u64(n.gbn_retransmissions());
         }

@@ -19,10 +19,7 @@ use xt3_portals::header::PortalsHeader;
 use xt3_portals::library::WireData;
 use xt3_portals::types::{AckReq, MdHandle, ProcessId};
 use xt3_seastar::ppc::FwHandler;
-use xt3_sim::{
-    label, CausalLog, CausalStage, EventQueue, PacketFate, Partitioned, SimTime, TraceCategory,
-    TraceId,
-};
+use xt3_sim::{CausalLog, CausalStage, EventQueue, PacketFate, Partitioned, SimTime, TraceId};
 use xt3_telemetry::Telemetry;
 use xt3_topology::coord::{Dims, NodeId};
 use xt3_topology::fabric::{Fabric, NetMessage};
@@ -184,23 +181,19 @@ impl Machine {
             // for the receiver's end-to-end 32-bit check (§2); a
             // corrupted ACK/NACK fails its CRC at the link and is
             // discarded — equivalent to a drop.
-            let (fate, lost) = match self.faults.packet_fate(inject_at, src.0, dst.0, tag) {
-                PacketFate::Deliver => (None, false),
-                PacketFate::Drop => (Some(label!("fault:drop")), true),
+            let lost = match self.faults.packet_fate(inject_at, src.0, dst.0, tag) {
+                PacketFate::Deliver => false,
+                PacketFate::Drop => true,
                 PacketFate::Corrupt if matches!(msg.kind, WireKind::Data { .. }) => {
                     forced_corrupt = true;
-                    (Some(label!("fault:corrupt")), false)
+                    false
                 }
-                PacketFate::Corrupt => (Some(label!("fault:corrupt-ctl-drop")), true),
+                PacketFate::Corrupt => true,
                 PacketFate::Delay(d) => {
                     extra_delay = d;
-                    (Some(label!("fault:reorder")), false)
+                    false
                 }
             };
-            if let Some(fate) = fate {
-                self.trace
-                    .record(inject_at, src.0, TraceCategory::Network, fate, tag);
-            }
             if lost {
                 return;
             }
@@ -537,8 +530,8 @@ impl Machine {
 
     /// Reassemble shard machines (after their engines drained) into one
     /// machine equivalent to the serial run: nodes concatenated in slab
-    /// order, trace and fault lanes disjoint-merged, and the
-    /// coordinator's real `fabric` restored. The shards kept no spans or
+    /// order, fault lanes disjoint-merged, and the coordinator's real
+    /// `fabric` restored. The shards kept no spans or
     /// causal records — the merged machine gets fresh (empty) sinks, the
     /// registry on as configured and the causal log off;
     /// `telemetry_report` reads node hardware counters and fabric links,
@@ -554,7 +547,6 @@ impl Machine {
             spawned: first.spawned,
             ..Machine::around(first.config, fabric, registry)
         };
-        m.trace.merge_from(&first.trace);
         m.faults.merge_from(&first.faults);
         m.nodes.inner.reserve_exact(node_count - m.nodes.len());
         for s in shards {
@@ -565,7 +557,6 @@ impl Machine {
             );
             m.nodes.inner.extend(s.nodes.inner);
             m.spawned.extend(s.spawned);
-            m.trace.merge_from(&s.trace);
             m.faults.merge_from(&s.faults);
         }
         m

@@ -10,6 +10,7 @@
 use super::tx::FW_PER_CHUNK;
 use super::{Ev, InFlight, Machine, Parcel};
 use crate::config::ExhaustionPolicy;
+use crate::node::PanicCause;
 use crate::wire::WireKind;
 use xt3_firmware::control::{Effects, FwError, ProcIdx};
 use xt3_firmware::gbn::{GbnEvent, SeqNo};
@@ -18,7 +19,7 @@ use xt3_portals::header::PortalsOp;
 use xt3_portals::library::{DeliverOutcome, IncomingAction, MatchTicket};
 use xt3_seastar::ht::HtDir;
 use xt3_seastar::ppc::FwHandler;
-use xt3_sim::{label, CausalStage, EventQueue, SimTime, TraceCategory, TraceId};
+use xt3_sim::{CausalStage, EventQueue, SimTime, TraceId};
 
 /// What the match prologue hands each completion policy.
 pub(super) struct HeaderMatch {
@@ -130,13 +131,6 @@ impl Machine {
             if let Some(seq) = msg.seq() {
                 self.gbn_refuse(q, t, node, from_node, seq, false);
             }
-            self.trace.record(
-                t,
-                node as u32,
-                TraceCategory::Dma,
-                label!("e2e-crc-reject"),
-                msg.tag,
-            );
             return None;
         }
 
@@ -151,7 +145,7 @@ impl Machine {
 
         let dst_pid = msg.header.dst.pid;
         let Some(dst) = self.nodes[node].procs.get(dst_pid as usize) else {
-            self.drop_stray_header(q, now, node, from_node, msg.seq(), msg.tag);
+            self.drop_stray_header(q, now, node, from_node, msg.seq());
             return None;
         };
         let fw_proc = dst.fw_proc;
@@ -169,13 +163,6 @@ impl Machine {
         let squeezed = self.faults.active() && self.faults.sram_exhausted(t, node as u32);
         let result = if squeezed {
             self.nodes[node].fw.note_injected_exhaustion();
-            self.trace.record(
-                t,
-                node as u32,
-                TraceCategory::Firmware,
-                label!("fault:sram-squeeze"),
-                msg.tag,
-            );
             Err(FwError::NoRxPending)
         } else {
             self.nodes[node]
@@ -205,29 +192,15 @@ impl Machine {
 
         let (pending, effects) = match result {
             Ok(pe) => pe,
-            Err(_) => {
+            Err(err) => {
                 if self.config.exhaustion == ExhaustionPolicy::Panic && msg.seq().is_none() {
                     // §4.3: "The current approach is to panic the node."
-                    self.nodes[node].hot.panicked = true;
-                    self.trace.record(
-                        t,
-                        node as u32,
-                        TraceCategory::Firmware,
-                        label!("panic-exhaustion"),
-                        msg.tag,
-                    );
+                    self.panic_node(node, PanicCause::Firmware(err));
                 }
                 return None;
             }
         };
 
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Firmware,
-            label!("rx-header"),
-            msg.tag,
-        );
         self.causal
             .record_chain(TraceId(msg.tag), CausalStage::FwRxDone, t, node as u32, 0);
         Some(Taken {
@@ -252,17 +225,9 @@ impl Machine {
         node: usize,
         from_node: u32,
         seq: Option<SeqNo>,
-        tag: u64,
     ) {
         let t = self.ppc_run(node, FwHandler::RxHeader, now);
         self.nodes[node].bad_process_drops += 1;
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Firmware,
-            label!("rx-bad-process"),
-            tag,
-        );
         if let Some(seq) = seq {
             let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
             rx.on_arrival(seq, true);
@@ -400,13 +365,6 @@ impl Machine {
         pending: PendingId,
     ) {
         let t = self.ppc_run(node, FwHandler::Completion, now);
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Dma,
-            label!("rx-deposit-done"),
-            0,
-        );
         let n = &mut self.nodes[node];
         let rec = n.rx_store.get(&(fw_proc, pending)).map(|p| p.record());
         // A firmware-direct reply completes right here: the deposit

@@ -8,7 +8,7 @@
 //! unchanged.
 
 use super::{Ev, Machine};
-use crate::node::TxRecord;
+use crate::node::{PanicCause, TxRecord};
 use crate::wire::{WireKind, WireMsg};
 use xt3_firmware::control::ProcIdx;
 use xt3_firmware::mailbox::FwCommand;
@@ -19,7 +19,7 @@ use xt3_portals::types::MdHandle;
 use xt3_seastar::dma::{DmaCommand, DmaList};
 use xt3_seastar::ht::HtDir;
 use xt3_seastar::ppc::FwHandler;
-use xt3_sim::{label, CausalStage, EventQueue, SimTime, TraceCategory, TraceId};
+use xt3_sim::{CausalStage, EventQueue, SimTime, TraceId};
 use xt3_telemetry::TelemetrySink;
 
 /// PPC cost of feeding one additional scatter/gather chunk to a DMA
@@ -85,25 +85,11 @@ impl Machine {
     ) -> SimTime {
         let Some(pending) = self.nodes[node].alloc_tx_pending(fw_proc) else {
             // Host-managed TX pool exhausted: the run will stall, and
-            // this label plus `any_panicked()` tell the harness why.
-            self.trace.record(
-                t,
-                node as u32,
-                TraceCategory::Host,
-                label!("tx-pending-exhausted"),
-                0,
-            );
-            self.nodes[node].hot.panicked = true;
+            // the node's panic cause tells the harness why.
+            self.panic_node(node, PanicCause::TxPending);
             return t;
         };
         let tag = self.nodes[node].fresh_tag();
-        self.trace.record(
-            t,
-            node as u32,
-            TraceCategory::Host,
-            label!("tx-cmd-post"),
-            tag,
-        );
         let len = data.len();
         let cause = self.causal.cause();
         self.causal.record(
@@ -312,13 +298,6 @@ impl Machine {
         let Some(msg) = self.gbn_sequence(q, fetch_done, node, msg) else {
             return;
         };
-        self.trace.record(
-            fetch_done,
-            node as u32,
-            TraceCategory::Dma,
-            label!("tx-inject"),
-            tag,
-        );
         self.inject(q, fetch_done, dma_done, msg, false);
     }
 }

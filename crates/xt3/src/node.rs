@@ -9,7 +9,7 @@ use crate::wire::WireMsg;
 // deterministic for bit-identical replay (enforced by `cargo run -p
 // audit -- lint`).
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use xt3_firmware::control::{Firmware, FwLayout, FwMode, ProcIdx};
+use xt3_firmware::control::{Firmware, FwError, FwLayout, FwMode, ProcIdx};
 use xt3_firmware::gbn::{GbnReceiver, GbnSender};
 use xt3_firmware::mailbox::FwEvent;
 use xt3_firmware::pending::PendingId;
@@ -247,9 +247,23 @@ pub struct NodeHot {
     /// plan): the NIC stops serving traffic and the RAS layer isolates
     /// the node without aborting the rest of the machine.
     pub dark: bool,
-    /// The node hit unrecoverable resource exhaustion under the `Panic`
-    /// policy (paper §4.3's shipped behaviour).
-    pub panicked: bool,
+    /// Why the node panicked, if it did — the first cause: a pool that
+    /// ran dry (paper §4.3's shipped panic) or a firmware protocol fault.
+    /// Read it through [`Node::panic_cause`].
+    pub(crate) panic: Option<PanicCause>,
+}
+
+/// Why a node panicked. On the real XT3 the firmware panics the node and
+/// RAS reboots it (§4.3); the model keeps the cause on the node and lets
+/// the run finish, so a harness can tell a pool that ran dry from a
+/// protocol fault. Nothing in the model reads it: the node keeps serving.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanicCause {
+    /// The firmware reported this error: a pool it sizes (sources, RX
+    /// pendings) ran dry, or a command broke the protocol.
+    Firmware(FwError),
+    /// The host-managed TX pending pool ran dry.
+    TxPending,
 }
 
 /// One node.
@@ -438,6 +452,11 @@ impl Node {
     pub(crate) fn fresh_tag(&mut self) -> u64 {
         self.hot.next_tag += 1;
         self.hot.next_tag
+    }
+
+    /// Why this node panicked; `None` if it never did.
+    pub fn panic_cause(&self) -> Option<PanicCause> {
+        self.hot.panic
     }
 
     /// Total go-back-n retransmissions this node has performed (across

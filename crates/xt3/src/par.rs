@@ -48,8 +48,8 @@ use xt3_telemetry::Telemetry;
 
 /// Everything a parallel run produces.
 pub struct ParRun {
-    /// The reassembled machine (nodes, trace, fault lanes, real fabric)
-    /// — equivalent to the serial machine after the same run.
+    /// The reassembled machine (nodes, fault lanes, real fabric) —
+    /// equivalent to the serial machine after the same run.
     pub machine: Machine,
     /// Event digest, bit-identical to the serial engine's
     /// [`xt3_sim::Engine::digest`].

@@ -42,7 +42,7 @@ pub struct WireMsg {
     pub data: WireData,
     /// Kind (a data message's go-back-n sequence rides in it).
     pub kind: WireKind,
-    /// Trace correlation tag.
+    /// Correlation tag (the message's causal [`xt3_sim::TraceId`]).
     pub tag: u64,
 }
 

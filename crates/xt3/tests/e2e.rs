@@ -3,8 +3,9 @@
 //! -> event -> app.
 
 use std::any::Any;
+use xt3_firmware::control::FwError;
 use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
-use xt3_node::{App, AppCtx, AppEvent, Machine};
+use xt3_node::{App, AppCtx, AppEvent, Machine, PanicCause};
 use xt3_portals::event::EventKind;
 use xt3_portals::md::{MdOptions, Threshold};
 use xt3_portals::me::{InsertPos, UnlinkOp};
@@ -539,9 +540,10 @@ fn exhaustion_panics_node_under_paper_policy() {
     let mut engine = m.into_engine();
     engine.run();
     let m = engine.into_model();
-    assert!(
-        m.nodes[1].hot.panicked,
-        "paper policy: node panics on exhaustion"
+    assert_eq!(
+        m.nodes[1].panic_cause(),
+        Some(PanicCause::Firmware(FwError::NoRxPending)),
+        "paper policy: node panics on RX-pending exhaustion"
     );
 }
 

@@ -1,15 +1,16 @@
 //! Golden fence around `xt3::machine`: every replay-audit scenario, run
-//! once with the trace, the telemetry registry, the causal log and the
-//! link series all on, pinned to one line of outcomes in
+//! once with the telemetry registry, the causal log and the link series
+//! all on, pinned to one line of outcomes in
 //! `tests/golden/machine_paths.txt`.
 //!
 //! The replay audit compares two runs of the *same* build and the
 //! figure goldens allow 0.1 %; this file compares *across* builds, to the
 //! bit, on the things a restructure of the machine can move without
-//! changing a NetPIPE curve: dispatch order (event digest), trace record
-//! order (state fingerprint), causal record order and parents (causal
-//! digest), every span, counter, gauge and series bucket (registry
-//! hash), and the hardware counters behind `telemetry_report`.
+//! changing a NetPIPE curve: dispatch order (event digest), fault
+//! decisions and per-node health (state fingerprint), causal record
+//! order and parents (causal digest), every span, counter, gauge and
+//! series bucket (registry hash), and the hardware counters behind
+//! `telemetry_report`.
 //!
 //! To bless an intentional behaviour change:
 //!
@@ -21,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use audit::replay;
-use portals_xt3::sim::{EventDigest, Trace};
+use portals_xt3::sim::EventDigest;
 use portals_xt3::xt3::Machine;
 
 fn golden_path() -> PathBuf {
@@ -83,8 +84,6 @@ fn render() -> String {
     let mut out = String::new();
     for scenario in replay::all_scenarios() {
         let mut m = scenario.build_machine();
-        m.config.trace = true;
-        m.trace = Trace::enabled(1 << 20);
         m.set_telemetry_enabled(true);
         m.set_causal_enabled(true);
         m.enable_link_series(Default::default());

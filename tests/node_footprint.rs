@@ -32,7 +32,7 @@ const NODE_BYTES: usize = 824;
 /// through its pendings) ...
 const BLOCKS_PER_NODE: u64 = 26;
 /// ... and the ones the machine holds once: node vector, queue, fabric,
-/// trace, the shared SRAM ledger and its names.
+/// the shared SRAM ledger and its names.
 const BLOCKS_PER_MACHINE: u64 = 12;
 
 /// Live heap bytes a node of a drained 4x4x2 all-to-all holds: its rows

@@ -2,11 +2,11 @@
 //!
 //! The parallel engine's contract is *bit-identity*: for any worker
 //! count, a partitioned run must produce the same event digest, the same
-//! model state fingerprint (trace digest + fault decisions + per-node
-//! health counters) and the same telemetry-report JSON as the serial
-//! engine. This suite enforces that over every NetPIPE scenario in
-//! `scenario_matrix()` plus the Red Storm nearest-neighbor workload, at
-//! worker counts {1, 2, 3, 8} (clamped to the node count — the NetPIPE
+//! model state fingerprint (fault decisions + per-node health counters)
+//! and the same telemetry-report JSON as the serial engine. This suite
+//! enforces that over every NetPIPE scenario in `scenario_matrix()`
+//! plus the Red Storm nearest-neighbor workload, at worker counts
+//! {1, 2, 3, 8} (clamped to the node count — the NetPIPE
 //! pairs degenerate to 2 shards, which still exercises the full
 //! deferred-send window protocol; Red Storm exercises real fan-out).
 

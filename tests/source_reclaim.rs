@@ -11,15 +11,16 @@
 //! exactly once and byte-exact, serially and on the 2-worker window
 //! driver. Under the panic policy a cell either does the same or loses
 //! exactly what `pattern_stats` says is missing (the source-pool rows with
-//! their exact counts); no cell runs out its event budget.
+//! their exact counts), and isolates a node for the very pool its row
+//! shrank; no cell runs out its event budget.
 
-use xt3_firmware::control::FwConfig;
+use xt3_firmware::control::{FwConfig, FwError};
 use xt3_node::config::{ExhaustionPolicy, MachineConfig};
 use xt3_node::par::run_parallel;
 use xt3_node::workloads::{
     expected_hdr_sum, pattern_stats, traffic_machine_cfg, PatternStats, TrafficPattern,
 };
-use xt3_node::Machine;
+use xt3_node::{Machine, PanicCause};
 use xt3_sim::RunOutcome;
 use xt3_topology::coord::Dims;
 
@@ -52,30 +53,43 @@ fn machine(pattern: TrafficPattern, fw: FwConfig, policy: ExhaustionPolicy) -> M
     traffic_machine_cfg(pattern, config, 1, 64)
 }
 
-/// Run serially; the outcome, digest and the pattern's end state.
+/// One cell of the matrix, run serially.
+struct Cell {
+    name: String,
+    /// The table its row shrank ("paper": none).
+    pool: &'static str,
+    digest: u64,
+    stats: PatternStats,
+    /// Why each node the run isolated was isolated, in node order.
+    isolated: Vec<PanicCause>,
+}
+
+/// Run serially; the outcome, digest, the pattern's end state and the
+/// cause of every isolated node.
 fn serial(
     pattern: TrafficPattern,
     fw: FwConfig,
     policy: ExhaustionPolicy,
-) -> (RunOutcome, u64, PatternStats) {
+) -> (RunOutcome, u64, PatternStats, Vec<PanicCause>) {
     let mut engine = machine(pattern, fw, policy)
         .into_engine()
         .with_event_budget(EVENT_BUDGET);
     let outcome = engine.run();
     let digest = engine.digest();
     let mut m = engine.into_model();
-    (outcome, digest, pattern_stats(&mut m))
+    let isolated = m.nodes.iter().filter_map(|n| n.panic_cause()).collect();
+    (outcome, digest, pattern_stats(&mut m), isolated)
 }
 
 /// Every configuration of the matrix: the paper's, then each table at
-/// 2, 4 and 8.
-fn configs() -> Vec<(String, FwConfig)> {
-    let mut out = vec![("paper".to_string(), FwConfig::default())];
+/// 2, 4 and 8 — the table shrunk, the row's name, the firmware sizes.
+fn configs() -> Vec<(&'static str, String, FwConfig)> {
+    let mut out = vec![("paper", "paper".to_string(), FwConfig::default())];
     for (name, knob) in KNOBS {
         for value in [2, 4, 8] {
             let mut fw = FwConfig::default();
             *knob(&mut fw) = value;
-            out.push((format!("{name}={value}"), fw));
+            out.push((name, format!("{name}={value}"), fw));
         }
     }
     out
@@ -84,7 +98,7 @@ fn configs() -> Vec<(String, FwConfig)> {
 /// Run every cell of the matrix under `policy`; each cell's end state.
 /// Every cell drains with every put counted, byte-exact; one that lost
 /// nothing received each put exactly once.
-fn matrix(policy: ExhaustionPolicy) -> Vec<(String, u64, PatternStats)> {
+fn matrix(policy: ExhaustionPolicy) -> Vec<Cell> {
     let dims = Dims::mesh(4, 4, 2);
     let seed = MachineConfig::paper(dims).seed;
     let mut cells = Vec::new();
@@ -92,17 +106,23 @@ fn matrix(policy: ExhaustionPolicy) -> Vec<(String, u64, PatternStats)> {
         let want = expected_hdr_sum(pattern, dims, 1, seed);
         let targets = pattern.targets(dims, seed);
         let sent: u64 = targets.iter().map(|t| t.len() as u64).sum();
-        for (fw_name, fw) in configs() {
-            let cell = format!("{} {fw_name} {policy:?}", pattern.name());
-            let (outcome, digest, stats) = serial(pattern, fw, policy);
-            assert_eq!(outcome, RunOutcome::Drained, "{cell}: must drain");
-            assert!(!stats.corrupt, "{cell}: byte-exact");
+        for (pool, fw_name, fw) in configs() {
+            let name = format!("{} {fw_name} {policy:?}", pattern.name());
+            let (outcome, digest, stats, isolated) = serial(pattern, fw, policy);
+            assert_eq!(outcome, RunOutcome::Drained, "{name}: must drain");
+            assert!(!stats.corrupt, "{name}: byte-exact");
             let counted = stats.received + stats.outstanding;
-            assert_eq!(counted, sent, "{cell}: every put counted");
+            assert_eq!(counted, sent, "{name}: every put counted");
             if stats.outstanding == 0 {
-                assert_eq!(stats.hdr_sum, want, "{cell}: each put exactly once");
+                assert_eq!(stats.hdr_sum, want, "{name}: each put exactly once");
             }
-            cells.push((cell, digest, stats));
+            cells.push(Cell {
+                name,
+                pool,
+                digest,
+                stats,
+                isolated,
+            });
         }
     }
     cells
@@ -115,12 +135,13 @@ fn a_shrunken_source_pool_drains_under_go_back_n() {
     let mut par = PATTERNS
         .iter()
         .flat_map(|&p| configs().into_iter().map(move |c| (p, c)));
-    for (cell, digest, stats) in matrix(ExhaustionPolicy::GoBackN) {
-        assert_eq!(stats.outstanding, 0, "{cell}: every put arrives");
-        let (pattern, (_, fw)) = par.next().expect("one twin a cell");
+    for cell in matrix(ExhaustionPolicy::GoBackN) {
+        let name = &cell.name;
+        assert_eq!(cell.stats.outstanding, 0, "{name}: every put arrives");
+        let (pattern, (_, _, fw)) = par.next().expect("one twin a cell");
         let run = run_parallel(machine(pattern, fw, ExhaustionPolicy::GoBackN), 2);
-        assert_eq!(run.outcome, RunOutcome::Drained, "{cell}: 2 workers drain");
-        assert_eq!(run.digest, digest, "{cell}: 2 workers == serial");
+        assert_eq!(run.outcome, RunOutcome::Drained, "{name}: 2 workers drain");
+        assert_eq!(run.digest, cell.digest, "{name}: 2 workers == serial");
     }
 }
 
@@ -128,19 +149,45 @@ fn a_shrunken_source_pool_drains_under_go_back_n() {
 fn a_shrunken_source_pool_under_panic_loses_what_it_panics() {
     // A header panics its target only when all eight of its sources are
     // busy; before reclaim every header past the eighth peer did (256
-    // received and 736 lost on the all-to-all). A panicked target takes
-    // no more headers, and the run still drains.
+    // received and 736 lost on the all-to-all). A panicked target keeps
+    // taking headers (the model records the panic, it does not stop the
+    // node), and the run still drains.
     let pinned = [
         ("alltoall sources=8 Panic", 681, 311),
         ("incast sources=8 Panic", 8, 23),
     ];
     let cells = matrix(ExhaustionPolicy::Panic);
     for (name, received, lost) in pinned {
-        let (_, _, stats) = cells.iter().find(|c| c.0 == name).expect("cell");
+        let stats = &cells.iter().find(|c| c.name == name).expect("cell").stats;
         assert_eq!(
             (stats.received, stats.outstanding),
             (received, lost),
             "{name}"
         );
+    }
+    // What was lost was lost to isolated nodes, each for the pool its
+    // row shrank; a cell that lost nothing isolated nothing.
+    for cell in &cells {
+        let name = &cell.name;
+        if cell.stats.outstanding == 0 {
+            assert_eq!(
+                cell.isolated,
+                [],
+                "{name}: a lossless cell isolates no node"
+            );
+            continue;
+        }
+        assert!(
+            !cell.isolated.is_empty(),
+            "{name}: a lost put isolated a node"
+        );
+        let cause = match cell.pool {
+            "sources" => PanicCause::Firmware(FwError::NoSource),
+            "rx_pendings" => PanicCause::Firmware(FwError::NoRxPending),
+            pool => panic!("{name}: the {pool} row lost puts"),
+        };
+        for isolated in &cell.isolated {
+            assert_eq!(*isolated, cause, "{name}: isolated for its own pool");
+        }
     }
 }
