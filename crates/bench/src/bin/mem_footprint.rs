@@ -16,7 +16,9 @@
 //! series on — peak bytes of the run plus attribution table and series
 //! JSON, and what each sink holds at the end per thing it stored (bytes
 //! per span, per causal record made, per non-zero series bucket; each
-//! read off a run with only that sink on, against a run with none).
+//! read off a run with only that sink on, against a run with none) — and
+//! the series' heap ratio: the peak with the series alone over the peak
+//! with no sink.
 //!
 //! The JSON it writes carries the rows of the file it replaces as
 //! `before_*`, so the committed `BENCH_mem.json` holds a before/after
@@ -24,7 +26,8 @@
 //! regression gate: the counts are allocator-exact and the run is
 //! deterministic, so any size whose peak bytes per node — or any number
 //! of the observed row — exceeds the committed value by more than 2 %
-//! fails.
+//! fails, and so does a series heap ratio past
+//! [`gate::SERIES_HEAP_RATIO_CEILING`].
 //!
 //! `--series` measures the same sweep with the per-link congestion
 //! series enabled and enforces the observability heap envelope instead:
@@ -199,7 +202,8 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
 --out PATH        JSON output path (default BENCH_mem.json); the rows
                   of the file it replaces are kept as before_*
 --check PATH      hold every size's peak bytes and every number of the
-                  observed row to gate::HEAP_LIMIT x the baseline's
+                  observed row to gate::HEAP_LIMIT x the baseline's, and
+                  the series heap ratio to gate::SERIES_HEAP_RATIO_CEILING
 --series          enable per-link congestion series and hold the peaks to
                   --check's (default BENCH_mem.json) plain ones plus
                   gate::SERIES_BYTES_PER_NODE a node; no JSON output
@@ -291,7 +295,7 @@ type Observed = (&'static str, f64);
 
 /// Measure the observed row: one run with every sink on for the peak,
 /// one with each sink alone against one with none for what that sink
-/// holds at the end.
+/// holds at the end, and the series-alone peak over the unobserved one.
 fn observed_row() -> Vec<Observed> {
     let none = observe(false, false, false);
     let all = observe(true, true, true);
@@ -312,6 +316,10 @@ fn observed_row() -> Vec<Observed> {
         (
             "bytes_per_nonzero_bucket",
             held(&series, series.nonzero_buckets),
+        ),
+        (
+            "series_heap_ratio",
+            series.peak_bytes as f64 / none.peak_bytes as f64,
         ),
     ]
 }

@@ -58,6 +58,7 @@ use std::collections::VecDeque;
 
 use crate::chain::{self, Breakdown, ChainFold, CostClass, CritPathError};
 use crate::digest::EventDigest;
+use crate::narrow::{join, split, Spill};
 use crate::par::offload::{self, Consume, Pipe, Worker};
 use crate::time::SimTime;
 
@@ -506,12 +507,14 @@ impl<T> Chunks<T> {
     }
 }
 
-/// One stalled hop on the path behind a tip: its stall, and a word
-/// holding its link — the node, the router port plus one (0 for none) —
-/// and how many lists share this cell and everything after it.
+/// One stalled hop on the path behind a tip: its stall in picoseconds
+/// (the low 32 bits; the high ones, when any is set, are the cell's row
+/// in [`Hops::spill`]), and a word holding its link — the node, the
+/// router port plus one (0 for none) — and how many lists share this
+/// cell and everything after it.
 #[derive(Debug, Clone, Copy)]
 struct HopCell {
-    stall: SimTime,
+    stall: u32,
     /// `refs << 27 | node << 3 | port + 1`.
     word: u32,
     next: u32,
@@ -542,6 +545,8 @@ impl HopCell {
 #[derive(Debug)]
 struct Hops {
     cells: Chunks<HopCell>,
+    /// The high words of stalls of 2^32 ps or more, by cell.
+    spill: Spill<1>,
     /// First free cell, or [`NO_HOP`].
     free: u32,
 }
@@ -550,15 +555,22 @@ impl Default for Hops {
     fn default() -> Self {
         Hops {
             cells: Chunks::default(),
+            spill: Spill::default(),
             free: NO_HOP,
         }
     }
 }
 
 impl Hops {
-    /// A cell holding `cell`.
-    fn alloc(&mut self, cell: HopCell) -> u32 {
-        match self.cells.get_mut(self.free) {
+    /// A cell holding a hop of `stall` with `word` and `next`.
+    fn alloc(&mut self, stall: SimTime, word: u32, next: u32) -> u32 {
+        let (low, high) = split(stall.ps(), 32);
+        let cell = HopCell {
+            stall: low,
+            word,
+            next,
+        };
+        let at = match self.cells.get_mut(self.free) {
             Some(slot) => {
                 let at = self.free;
                 self.free = slot.next;
@@ -566,18 +578,23 @@ impl Hops {
                 at
             }
             None => self.cells.push(cell),
-        }
+        };
+        // A reused cell drops the row its last holder left.
+        self.spill.set(at, [high]);
+        at
+    }
+
+    /// The stall of cell `at`, which holds `cell`.
+    fn stall(&self, at: u32, cell: &HopCell) -> SimTime {
+        let [high] = self.spill.get(at);
+        SimTime::from_ps(join(cell.stall, high, 32))
     }
 
     /// List `head` with one more hop in front; the new list owns the
     /// reference the caller held on `head`.
     fn push(&mut self, head: u32, key: (u32, i16), stall: SimTime) -> u32 {
         let link = key.0 << 3 | (key.1 + 1) as u32;
-        self.alloc(HopCell {
-            stall,
-            word: 1 << HOP_REFS_SHIFT | link,
-            next: head,
-        })
+        self.alloc(stall, 1 << HOP_REFS_SHIFT | link, head)
     }
 
     /// The hops of list `head`, by `(node, port or -1)`.
@@ -585,8 +602,9 @@ impl Hops {
         let mut at = head;
         std::iter::from_fn(move || {
             let cell = self.cells.get(at)?;
+            let hop = (cell.key(), self.stall(at, cell));
             at = cell.next;
-            Some((cell.key(), cell.stall))
+            Some(hop)
         })
     }
 
@@ -607,11 +625,7 @@ impl Hops {
         let (mut first, mut last, mut at) = (NO_HOP, NO_HOP, head);
         while let Some(&cell) = self.cells.get(at) {
             let own = cell.word & ((1 << HOP_REFS_SHIFT) - 1);
-            let new = self.alloc(HopCell {
-                word: 1 << HOP_REFS_SHIFT | own,
-                next: NO_HOP,
-                ..cell
-            });
+            let new = self.alloc(self.stall(at, &cell), 1 << HOP_REFS_SHIFT | own, NO_HOP);
             match self.cells.get_mut(last) {
                 Some(prev) => prev.next = new,
                 None => first = new,
@@ -1786,6 +1800,29 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_stall_past_u32_reads_back_through_copy_and_reuse() {
+        let mut hops = Hops::default();
+        let (long, short) = (SimTime::from_ps((1 << 32) + 5), SimTime::from_ps(7));
+        let a = hops.push(NO_HOP, (3, 1), long);
+        let b = hops.push(a, (4, -1), short);
+        let want = [((4, -1), short), ((3, 1), long)];
+        assert_eq!(hops.iter(b).collect::<Vec<_>>(), want);
+        let copy = hops.copy(b);
+        assert_eq!(hops.iter(copy).collect::<Vec<_>>(), want);
+        // Both of `b`'s cells go back to the free list and are reused
+        // for short stalls: the long one's row goes with its holder.
+        hops.free(b);
+        let d = hops.push(NO_HOP, (5, 2), short);
+        let e = hops.push(d, (6, 0), short);
+        assert_eq!(
+            hops.iter(e).collect::<Vec<_>>(),
+            [((6, 0), short), ((5, 2), short)]
+        );
+        assert_eq!(hops.iter(copy).collect::<Vec<_>>(), want);
+        assert_eq!(hops.spill.len(), 1, "only the copy's long stall");
+    }
+
+    #[test]
     fn stored_record_is_thirty_two_bytes() {
         // The head is 2 MiB of them instead of the 2.5 MiB of
         // `CausalRecord`s (an `Option<u32>` parent and a one-byte stage
@@ -1796,6 +1833,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Stored>(), 32);
         assert_eq!(std::mem::size_of::<CausalRecord>(), 40);
         assert!(std::mem::size_of::<Tip>() <= 104);
+        assert_eq!(std::mem::size_of::<HopCell>(), 12);
         // What one record costs in flight to a consumer thread.
         assert_eq!(std::mem::size_of::<Observation>(), 56);
     }

@@ -237,8 +237,12 @@ pub enum PacketFate {
 pub struct FaultStats {
     /// Messages dropped in flight.
     pub dropped: u64,
-    /// Messages delivered corrupted.
-    pub corrupted: u64,
+    /// Data payloads delivered corrupted: each reaches its receiver's
+    /// end-to-end CRC.
+    pub corrupted_data: u64,
+    /// Control messages (ACK/NACK) corrupted: each fails its CRC at the
+    /// link and is dropped there.
+    pub corrupted_control: u64,
     /// Messages delayed/reordered.
     pub reordered: u64,
     /// Headers rejected by a forced SRAM pool squeeze.
@@ -255,7 +259,8 @@ impl FaultStats {
     /// Total injected faults across all categories.
     pub fn total(&self) -> u64 {
         self.dropped
-            + self.corrupted
+            + self.corrupted_data
+            + self.corrupted_control
             + self.reordered
             + self.sram_rejections
             + self.interrupt_spikes
@@ -265,7 +270,7 @@ impl FaultStats {
 
     /// Wire-level faults only (drop + corrupt + reorder).
     pub fn wire_total(&self) -> u64 {
-        self.dropped + self.corrupted + self.reordered
+        self.dropped + self.corrupted_data + self.corrupted_control + self.reordered
     }
 }
 
@@ -340,7 +345,8 @@ impl FaultInjector {
     pub fn merge_from(&mut self, other: &FaultInjector) {
         let s = other.stats;
         self.stats.dropped += s.dropped;
-        self.stats.corrupted += s.corrupted;
+        self.stats.corrupted_data += s.corrupted_data;
+        self.stats.corrupted_control += s.corrupted_control;
         self.stats.reordered += s.reordered;
         self.stats.sram_rejections += s.sram_rejections;
         self.stats.interrupt_spikes += s.interrupt_spikes;
@@ -357,8 +363,17 @@ impl FaultInjector {
     /// with the plan seed into a one-shot RNG, so it depends only on the
     /// message itself — never on how many other messages were queried
     /// first. Digest folds land in `src`'s lane: the fate is decided at
-    /// the sending node's dispatch, on the sending node's shard.
-    pub fn packet_fate(&mut self, now: SimTime, src: u32, dst: u32, tag: u64) -> PacketFate {
+    /// the sending node's dispatch, on the sending node's shard. `control`
+    /// says the message is an ACK or NACK, so that a corruption is counted
+    /// as one of a control message; the decision does not read it.
+    pub fn packet_fate(
+        &mut self,
+        now: SimTime,
+        src: u32,
+        dst: u32,
+        tag: u64,
+        control: bool,
+    ) -> PacketFate {
         let lf = self.plan.link;
         if !lf.is_active() {
             return PacketFate::Deliver;
@@ -376,7 +391,10 @@ impl FaultInjector {
             return PacketFate::Drop;
         }
         if lf.corrupt_prob > 0.0 && rng.chance(lf.corrupt_prob) {
-            self.stats.corrupted += 1;
+            match control {
+                true => self.stats.corrupted_control += 1,
+                false => self.stats.corrupted_data += 1,
+            }
             self.fold(D_CORRUPT, now, src, u64::from(dst) ^ tag);
             return PacketFate::Corrupt;
         }
@@ -453,7 +471,7 @@ mod tests {
         assert!(!inj.active());
         for i in 0..100 {
             assert_eq!(
-                inj.packet_fate(SimTime::from_ns(i), 0, 1, i),
+                inj.packet_fate(SimTime::from_ns(i), 0, 1, i, false),
                 PacketFate::Deliver
             );
         }
@@ -469,8 +487,8 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
         for i in 0..500 {
-            let fa = a.packet_fate(SimTime::from_ns(i), 0, 1, i);
-            let fb = b.packet_fate(SimTime::from_ns(i), 0, 1, i);
+            let fa = a.packet_fate(SimTime::from_ns(i), 0, 1, i, false);
+            let fb = b.packet_fate(SimTime::from_ns(i), 0, 1, i, false);
             assert_eq!(fa, fb);
         }
         assert_eq!(a.digest(), b.digest());
@@ -479,13 +497,39 @@ mod tests {
     }
 
     #[test]
+    fn a_control_corruption_is_counted_apart_and_decided_alike() {
+        let plan = FaultPlan {
+            seed: 5,
+            link: LinkFaults {
+                corrupt_prob: 0.3,
+                ..LinkFaults::NONE
+            },
+            ..FaultPlan::none()
+        };
+        let (mut data, mut control) = (FaultInjector::new(plan.clone()), FaultInjector::new(plan));
+        for i in 0..500 {
+            let at = SimTime::from_ns(i);
+            assert_eq!(
+                data.packet_fate(at, 0, 1, i, false),
+                control.packet_fate(at, 0, 1, i, true)
+            );
+        }
+        let (d, c) = (data.stats(), control.stats());
+        assert!(d.corrupted_data > 0);
+        assert_eq!((d.corrupted_control, c.corrupted_data), (0, 0));
+        assert_eq!(c.corrupted_control, d.corrupted_data);
+        assert_eq!((c.total(), c.wire_total()), (d.total(), d.wire_total()));
+        assert_eq!(data.digest(), control.digest());
+    }
+
+    #[test]
     fn different_seeds_diverge() {
         let mut a = FaultInjector::new(FaultPlan::wire(1, 0.3));
         let mut b = FaultInjector::new(FaultPlan::wire(2, 0.3));
         let mut differ = false;
         for i in 0..200 {
-            let fa = a.packet_fate(SimTime::from_ns(i), 0, 1, i);
-            let fb = b.packet_fate(SimTime::from_ns(i), 0, 1, i);
+            let fa = a.packet_fate(SimTime::from_ns(i), 0, 1, i, false);
+            let fb = b.packet_fate(SimTime::from_ns(i), 0, 1, i, false);
             differ |= fa != fb;
         }
         assert!(differ, "independent seeds should disagree somewhere");
@@ -503,7 +547,7 @@ mod tests {
         });
         let n = 10_000u64;
         for i in 0..n {
-            inj.packet_fate(SimTime::from_ns(i), 0, 1, i);
+            inj.packet_fate(SimTime::from_ns(i), 0, 1, i, false);
         }
         let dropped = inj.stats().dropped;
         assert!(
@@ -562,7 +606,7 @@ mod tests {
             ..FaultPlan::none()
         });
         for i in 0..1000 {
-            match inj.packet_fate(SimTime::from_ns(i), 0, 1, i) {
+            match inj.packet_fate(SimTime::from_ns(i), 0, 1, i, false) {
                 PacketFate::Delay(d) => {
                     assert!(d > SimTime::ZERO && d <= SimTime::from_us(5));
                 }

@@ -43,6 +43,7 @@ pub mod cursor;
 pub mod digest;
 pub mod engine;
 pub mod faults;
+pub mod narrow;
 pub mod par;
 pub mod queue;
 pub mod rng;

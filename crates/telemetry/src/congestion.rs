@@ -227,7 +227,7 @@ pub fn attribute_occupancy(
     // A stalled data crossing is a row. Counted first: on a contended
     // machine the table is megabytes, and grown by doubling it held half
     // as much again in spare capacity.
-    let stalled = |occ: &&Occupancy| occ.tag != 0 && occ.start > occ.arrival;
+    let stalled = |occ: &Occupancy| occ.tag != 0 && occ.start > occ.arrival;
     let count = links().map(|(_, _, link)| link.occupancy().iter().filter(stalled).count());
     let mut rows = Vec::with_capacity(count.sum());
     let mut total_lost = SimTime::ZERO;
@@ -237,7 +237,7 @@ pub fn attribute_occupancy(
             let bucket_idx = (occ.arrival.ps() / cfg.bucket.ps().max(1)) as u32;
             let bucket = bucket_idx.min(cfg.max_buckets.saturating_sub(1));
             let mut competitors = Vec::new();
-            for other in link.occupancy() {
+            for other in link.occupancy().iter() {
                 if other.tag == occ.tag {
                     continue;
                 }

@@ -54,7 +54,7 @@ pub use json::{parse as parse_json, quote as quote_json, JsonValue, JsonWriter};
 pub use registry::{Span, Spans, Telemetry};
 pub use report::{DmaSummary, LinkSummary, NodeReport, SinkKept, TelemetryReport};
 pub use series::{
-    Hotspot, InjectBucket, InjectSeries, LinkBucket, LinkSeries, NodeSeries, Occupancy,
-    SeriesConfig, SeriesSet,
+    Hotspot, InjectBucket, InjectSeries, LinkBucket, LinkSeries, NodeSeries, Occupancies,
+    Occupancy, SeriesConfig, SeriesSet,
 };
 pub use sink::{Component, NullSink, TelemetrySink};

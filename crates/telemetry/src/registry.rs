@@ -10,15 +10,21 @@
 //! names yields exactly the `(node, name)` order every export has always
 //! had.
 //!
-//! Spans are the one store that grows with the run, so each is kept in 24
-//! bytes (private `StoredSpan`): the label is a `u16` into the recorder's
-//! own label table, found by pointer and length like a metric name, and
-//! [`Span`] is what the [`Spans`] view hands out by value. The label ids
-//! are first-use order within one recorder and never leave it: two recorders
-//! that met the same labels in a different order still read back equal
-//! spans.
+//! Spans are the one store that grows with the run, so each is kept in 16
+//! bytes (private `StoredSpan`): its start, its duration's low 32 bits,
+//! and one word packing the low bits of its node, its component's track id
+//! and its label — a `u16` into the recorder's own label table, found by
+//! pointer and length like a metric name. Whatever does not fit (a span of
+//! 2^32 ps or more, or one ending before it starts; a node past 2^20, a
+//! link port past 11, a label id past 255) keeps its high bits in a
+//! side table by the `xt3_sim::narrow` rule, so [`Span`], what the
+//! [`Spans`] view hands out by value, reads back exactly what was
+//! recorded. The label ids are first-use order within one recorder and
+//! never leave it: two recorders that met the same labels in a different
+//! order still read back equal spans.
 
 use crate::sink::{Component, TelemetrySink};
+use xt3_sim::narrow::{join, split, Spill};
 use xt3_sim::{Histogram, SimTime};
 
 /// Default cap on stored occupancy spans. Beyond it new spans are counted
@@ -27,7 +33,7 @@ use xt3_sim::{Histogram, SimTime};
 const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
 /// One busy interval of one component on one node, as [`Spans`] hands it
-/// out (the recorder keeps the packed 24-byte form).
+/// out (the recorder keeps the packed 16-byte form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Node the component belongs to.
@@ -42,22 +48,78 @@ pub struct Span {
     pub end: SimTime,
 }
 
-/// A span as the recorder keeps it.
+/// A span as the recorder keeps it: `end - start` (wrapping) and the
+/// fields of `word` are the low bits; the high bits, when any is set, are
+/// the span's row in the recorder's spill, keyed by its position.
 #[derive(Debug, Clone, Copy)]
 struct StoredSpan {
     start: SimTime,
-    end: SimTime,
-    node: u32,
-    component: Component,
-    /// Index into the recorder's label table.
-    label: u16,
+    duration: u32,
+    /// `node << 12 | track id << 8 | label id`, each to its width.
+    word: u32,
+}
+
+/// Widths of the fields of [`StoredSpan::word`], low to high.
+const LABEL_BITS: u32 = 8;
+const TRACK_BITS: u32 = 4;
+const NODE_BITS: u32 = 32 - TRACK_BITS - LABEL_BITS;
+
+/// A span's high bits: duration, node, track id, label id.
+type SpanSpill = Spill<4>;
+
+impl StoredSpan {
+    /// A span packed, with the high bits its spill row must hold.
+    fn pack(
+        node: u32,
+        component: Component,
+        label: u16,
+        start: SimTime,
+        end: SimTime,
+    ) -> (Self, [u32; 4]) {
+        let (duration, duration_high) = split(end.ps().wrapping_sub(start.ps()), 32);
+        let (node, node_high) = split(u64::from(node), NODE_BITS);
+        let (track, track_high) = split(u64::from(component.track_id()), TRACK_BITS);
+        let (label, label_high) = split(u64::from(label), LABEL_BITS);
+        let word = (node << TRACK_BITS | track) << LABEL_BITS | label;
+        let stored = StoredSpan {
+            start,
+            duration,
+            word,
+        };
+        (stored, [duration_high, node_high, track_high, label_high])
+    }
+
+    /// The span back from the packed form and its spill row, its label
+    /// resolved in `labels`.
+    fn unpack(&self, high: [u32; 4], labels: &[&'static str]) -> Span {
+        let field = |shift: u32, bits: u32| self.word >> shift & ((1 << bits) - 1);
+        let duration = join(self.duration, high[0], 32);
+        let node = join(
+            field(TRACK_BITS + LABEL_BITS, NODE_BITS),
+            high[1],
+            NODE_BITS,
+        );
+        let track = join(field(LABEL_BITS, TRACK_BITS), high[2], TRACK_BITS);
+        let label = join(field(0, LABEL_BITS), high[3], LABEL_BITS);
+        Span {
+            node: node as u32,
+            component: Component::from_track_id(track as u32),
+            // Ids are only ever minted by `label_id`, which entered the
+            // label before returning its index.
+            label: labels.get(label as usize).copied().unwrap_or(""),
+            start: self.start,
+            end: SimTime::from_ps(self.start.ps().wrapping_add(duration)),
+        }
+    }
 }
 
 /// The stored spans of a [`Telemetry`] recorder, in record order: a
-/// borrowed view that resolves each span's label as it is read.
+/// borrowed view that unpacks each span and resolves its label as it is
+/// read.
 #[derive(Debug, Clone, Copy)]
 pub struct Spans<'a> {
     stored: &'a [StoredSpan],
+    spill: &'a SpanSpill,
     labels: &'a [&'static str],
 }
 
@@ -74,25 +136,20 @@ impl<'a> Spans<'a> {
 
     /// Span `idx`, if stored.
     pub fn get(&self, idx: usize) -> Option<Span> {
-        self.stored.get(idx).map(|s| self.view(s))
+        self.stored.get(idx).map(|s| self.view(idx, s))
     }
 
     /// Every span, in record order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Span> + 'a {
         let view = *self;
-        view.stored.iter().map(move |s| view.view(s))
+        let stored = view.stored.iter().enumerate();
+        stored.map(move |(idx, s)| view.view(idx, s))
     }
 
-    fn view(&self, s: &StoredSpan) -> Span {
-        Span {
-            node: s.node,
-            component: s.component,
-            // Ids are only ever minted by `label_id`, which entered the
-            // label before returning its index.
-            label: self.labels.get(s.label as usize).copied().unwrap_or(""),
-            start: s.start,
-            end: s.end,
-        }
+    fn view(&self, idx: usize, s: &StoredSpan) -> Span {
+        // Positions are below the span cap, which `span_slow` holds under
+        // 2^32.
+        s.unpack(self.spill.get(idx as u32), self.labels)
     }
 }
 
@@ -186,6 +243,8 @@ pub struct Telemetry {
     enabled: bool,
     span_cap: usize,
     spans: Vec<StoredSpan>,
+    /// High bits of the spans that did not fit their packed fields.
+    span_spill: SpanSpill,
     /// Span labels in first-use order; a stored span names one by index.
     labels: Vec<&'static str>,
     dropped_spans: u64,
@@ -207,6 +266,7 @@ impl Telemetry {
             enabled: false,
             span_cap: DEFAULT_SPAN_CAP,
             spans: Vec::new(),
+            span_spill: SpanSpill::default(),
             labels: Vec::new(),
             dropped_spans: 0,
             counters: Vec::new(),
@@ -247,6 +307,7 @@ impl Telemetry {
     pub fn spans(&self) -> Spans<'_> {
         Spans {
             stored: &self.spans,
+            spill: &self.span_spill,
             labels: &self.labels,
         }
     }
@@ -293,18 +354,6 @@ impl Telemetry {
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.hists.iter().map(|(k, h)| (*k, h))
     }
-
-    /// Total busy time of `component` on `node` across recorded spans:
-    /// one pass over them, O(spans) a call.
-    pub fn busy_total(&self, node: u32, component: Component) -> SimTime {
-        let mut total = SimTime::ZERO;
-        for s in &self.spans {
-            if s.node == node && s.component == component {
-                total += s.end.saturating_sub(s.start);
-            }
-        }
-        total
-    }
 }
 
 // The recording bodies are deliberately outlined (`#[inline(never)]`):
@@ -338,18 +387,15 @@ impl Telemetry {
         start: SimTime,
         end: SimTime,
     ) {
-        let room = self.spans.len() < self.span_cap;
+        // A span's position keys its spill row: a `u32`.
+        let room = self.spans.len() < self.span_cap.min(u32::MAX as usize);
         let Some(label) = room.then(|| self.label_id(label)).flatten() else {
             self.dropped_spans += 1;
             return;
         };
-        self.spans.push(StoredSpan {
-            start,
-            end,
-            node,
-            component,
-            label,
-        });
+        let (stored, high) = StoredSpan::pack(node, component, label, start, end);
+        self.span_spill.set(self.spans.len() as u32, high);
+        self.spans.push(stored);
     }
 
     /// `label`'s index in the label table, entered on first use: found by
@@ -419,11 +465,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stored_span_is_twenty_four_bytes() {
-        // 2^20 of them are the default timeline: 24 MiB instead of the
+    fn stored_span_is_sixteen_bytes() {
+        // 2^20 of them are the default timeline: 16 MiB instead of the
         // 40 MiB of `Span`s (a 16-byte label and a 2-byte component
         // padded to 8). DESIGN.md §9 quotes this.
-        assert_eq!(std::mem::size_of::<StoredSpan>(), 24);
+        assert_eq!(std::mem::size_of::<StoredSpan>(), 16);
         assert_eq!(std::mem::size_of::<Span>(), 40);
     }
 
@@ -435,6 +481,7 @@ mod tests {
         t.sample("h", SimTime::from_ns(10));
         t.span(3, Component::Host, "x", SimTime::ZERO, SimTime::from_ns(1));
         assert_eq!(t.spans.capacity() + t.labels.capacity(), 0);
+        assert!(t.span_spill.is_empty());
         assert_eq!(t.counters.capacity() + t.gauges.capacity(), 0);
         assert_eq!(t.hists.capacity(), 0);
     }
@@ -523,6 +570,7 @@ mod tests {
         }
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.dropped_spans(), 2);
-        assert_eq!(t.busy_total(0, Component::Ppc), SimTime::from_ns(2));
+        let ends: Vec<_> = t.spans().iter().map(|s| s.end).collect();
+        assert_eq!(ends, [SimTime::from_ns(1), SimTime::from_ns(2)]);
     }
 }

@@ -15,14 +15,19 @@
 //! only the buckets something was recorded in, as one run of
 //! `(bucket index, bucket)` sorted by index (private `Run`) — a link is
 //! busy in bursts, and on the contended 512-node torus two thirds of the
-//! buckets between its first and last transit stay zero. Time moves
+//! buckets between its first and last transit stay zero. A bucket keeps
+//! each field's low 32 bits (a link bucket is 24 bytes with its index);
+//! a field that passes `u32::MAX` carries into a side table by the
+//! `xt3_sim::narrow` rule, so every bucket reads back exact. Time moves
 //! forward, so a write lands on the run's tail or appends to it; only a
 //! wait that reaches back behind the tail searches, and rarely inserts.
 //! Indices are clamped at [`SeriesConfig::max_buckets`]; activity past
 //! the clamp accumulates into the final bucket so totals stay exact.
 //! Each link also keeps a capped *occupancy log* of `(tag, arrival,
 //! start, done)` tuples — the raw material the congestion attribution
-//! engine uses to name the competing flows that caused a wait.
+//! engine uses to name the competing flows that caused a wait — each in
+//! 24 bytes by the same rule: the wait and the transit as `u32`s of
+//! picoseconds, whatever passes them in the link's side table.
 //!
 //! Like telemetry and the causal log, the series are observation-only:
 //! never folded into a machine fingerprint, recorded from values the
@@ -35,6 +40,7 @@
 
 use std::fmt::Write as _;
 
+use xt3_sim::narrow::{self, join, split, Spill};
 use xt3_sim::SimTime;
 
 use crate::sink::Component;
@@ -95,6 +101,25 @@ pub struct LinkBucket {
     pub packets: u64,
 }
 
+impl LinkBucket {
+    /// Field numbers in a link [`Run`], in `to_json` order.
+    const BUSY: usize = 0;
+    const QUEUED: usize = 1;
+    const STALL: usize = 2;
+    const MSGS: usize = 3;
+    const PACKETS: usize = 4;
+
+    fn from_fields([busy_ps, queued_ps, stall_ps, msgs, packets]: [u64; 5]) -> Self {
+        LinkBucket {
+            busy_ps,
+            queued_ps,
+            stall_ps,
+            msgs,
+            packets,
+        }
+    }
+}
+
 /// One stored link transit: who held or waited for the link, when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
@@ -108,56 +133,139 @@ pub struct Occupancy {
     pub done: SimTime,
 }
 
-/// The buckets of one series that hold anything, sorted by index:
-/// `buckets[i]` is bucket number `index[i]`. A bucket enters the run when
-/// something is first added to it and every caller of [`Run::at`] adds a
-/// non-zero amount, so the run holds exactly the non-zero buckets. Two
-/// columns, not one of pairs: a `u32` beside a bucket of `u64`s is
-/// padded to eight bytes.
-#[derive(Debug)]
-struct Run<B> {
-    index: Vec<u32>,
-    buckets: Vec<B>,
+/// An [`Occupancy`] as a link keeps it: `start - arrival` and
+/// `done - start` (wrapping) by their low 32 bits; their high bits, when
+/// any is set, are the entry's row in the link's spill, keyed by its
+/// position in the log.
+#[derive(Debug, Clone, Copy)]
+struct StoredOcc {
+    tag: u64,
+    arrival: SimTime,
+    wait: u32,
+    transit: u32,
 }
 
-impl<B> Default for Run<B> {
-    fn default() -> Self {
-        Run {
-            index: Vec::new(),
-            buckets: Vec::new(),
+impl StoredOcc {
+    /// `occ` packed, with the high words its spill row must hold.
+    fn pack(occ: Occupancy) -> (Self, [u32; 2]) {
+        let (arrival, start, done) = (occ.arrival.ps(), occ.start.ps(), occ.done.ps());
+        let (wait, wait_high) = split(start.wrapping_sub(arrival), 32);
+        let (transit, transit_high) = split(done.wrapping_sub(start), 32);
+        let stored = StoredOcc {
+            tag: occ.tag,
+            arrival: occ.arrival,
+            wait,
+            transit,
+        };
+        (stored, [wait_high, transit_high])
+    }
+
+    fn unpack(&self, [wait_high, transit_high]: [u32; 2]) -> Occupancy {
+        let start = self
+            .arrival
+            .ps()
+            .wrapping_add(join(self.wait, wait_high, 32));
+        let done = start.wrapping_add(join(self.transit, transit_high, 32));
+        Occupancy {
+            tag: self.tag,
+            arrival: self.arrival,
+            start: SimTime::from_ps(start),
+            done: SimTime::from_ps(done),
         }
     }
 }
 
-impl<B: Copy + Default> Run<B> {
+/// A link's stored occupancy entries, in transit order: a borrowed view
+/// that unpacks each entry as it is read.
+#[derive(Debug, Clone, Copy)]
+pub struct Occupancies<'a> {
+    stored: &'a [StoredOcc],
+    spill: &'a Spill<2>,
+}
+
+impl<'a> Occupancies<'a> {
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.stored.len()
+    }
+
+    /// Were no entries stored?
+    pub fn is_empty(&self) -> bool {
+        self.stored.is_empty()
+    }
+
+    /// Entry `idx`, if stored.
+    pub fn get(&self, idx: usize) -> Option<Occupancy> {
+        // Positions are below `SeriesConfig::occupancy_cap`, a `u32`.
+        let stored = self.stored.get(idx)?;
+        Some(stored.unpack(self.spill.get(idx as u32)))
+    }
+
+    /// Every entry, in transit order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Occupancy> + 'a {
+        let spill = self.spill;
+        let stored = self.stored.iter().enumerate();
+        stored.map(move |(idx, s)| s.unpack(spill.get(idx as u32)))
+    }
+}
+
+/// The buckets of one series that hold anything, sorted by index, each
+/// as its index and the low 32 bits of its `N` fields; a field's high
+/// bits, once it passes `u32::MAX`, are the bucket's row in `spill`. A
+/// bucket enters the run when something is first added to it and every
+/// caller of [`Run::add`] adds a non-zero amount to one of its fields,
+/// so the run holds exactly the non-zero buckets.
+#[derive(Debug)]
+struct Run<const N: usize> {
+    held: Vec<(u32, [u32; N])>,
+    spill: Spill<N>,
+}
+
+impl<const N: usize> Default for Run<N> {
+    fn default() -> Self {
+        Run {
+            held: Vec::new(),
+            spill: Spill::default(),
+        }
+    }
+}
+
+impl<const N: usize> Run<N> {
     /// Where bucket `idx` is, or where it would be entered. Time moves
     /// forward, so `idx` is the tail bucket or past it unless a wait
     /// reaches back; behind the tail a busy link's run is unbroken, so
     /// the position `idx` would have in an unbroken run is tried before
     /// searching.
     fn locate(&self, idx: u32) -> usize {
-        let Some(&tail) = self.index.last() else {
+        let Some(&(tail, _)) = self.held.last() else {
             return 0;
         };
         if idx > tail {
-            return self.index.len();
+            return self.held.len();
         }
-        let unbroken = (self.index.len() - 1).checked_sub((tail - idx) as usize);
+        let unbroken = (self.held.len() - 1).checked_sub((tail - idx) as usize);
         match unbroken {
-            Some(pos) if self.index[pos] == idx => pos,
-            _ => self.index.binary_search(&idx).unwrap_or_else(|pos| pos),
+            Some(pos) if self.held[pos].0 == idx => pos,
+            _ => self
+                .held
+                .binary_search_by_key(&idx, |&(at, _)| at)
+                .unwrap_or_else(|pos| pos),
         }
     }
 
-    /// Bucket `idx`, which is or belongs at position `pos`
-    /// ([`Run::locate`]; the bucket after it is or belongs at `pos + 1`),
-    /// entered empty if the run does not hold it yet.
+    /// Add `deltas` to the fields of bucket `idx`, which is or belongs
+    /// at position `pos` ([`Run::locate`]; the bucket after it is or
+    /// belongs at `pos + 1`), entered empty if the run does not hold it
+    /// yet.
     #[inline]
-    fn bucket(&mut self, pos: usize, idx: u32) -> &mut B {
-        if self.index.get(pos) != Some(&idx) {
+    fn add<const K: usize>(&mut self, pos: usize, idx: u32, deltas: [(usize, u64); K]) {
+        if self.held.get(pos).map(|&(at, _)| at) != Some(idx) {
             self.enter(pos, idx);
         }
-        &mut self.buckets[pos]
+        let low = &mut self.held[pos].1;
+        for (field, delta) in deltas {
+            narrow::add(low, &mut self.spill, idx, field, delta);
+        }
     }
 
     /// Enter an empty bucket `idx` at position `pos`. A full run doubles
@@ -169,34 +277,35 @@ impl<B: Copy + Default> Run<B> {
     /// of its pass in `memcpy`.
     #[inline(never)]
     fn enter(&mut self, pos: usize, idx: u32) {
-        if self.index.len() == self.index.capacity() {
-            let len = self.index.len();
+        if self.held.len() == self.held.capacity() {
+            let len = self.held.len();
             let more = if len < 64 { len.max(4) } else { len / 4 };
-            self.index.reserve_exact(more);
-            self.buckets.reserve_exact(more);
+            self.held.reserve_exact(more);
         }
-        self.index.insert(pos, idx);
-        self.buckets.insert(pos, B::default());
+        self.held.insert(pos, (idx, [0; N]));
     }
 
-    /// Bucket `idx`, entered empty if the run does not hold it yet.
-    fn at(&mut self, idx: u32) -> &mut B {
-        self.bucket(self.locate(idx), idx)
+    /// Add `deltas` to the fields of bucket `idx`, wherever it is.
+    fn add_at<const K: usize>(&mut self, idx: u32, deltas: [(usize, u64); K]) {
+        self.add(self.locate(idx), idx, deltas);
     }
 
-    /// `(index, bucket)` of every bucket held, in index order.
-    fn iter(&self) -> impl Iterator<Item = (u32, B)> + '_ {
-        self.index.iter().copied().zip(self.buckets.iter().copied())
+    /// `(index, fields)` of every bucket held, in index order.
+    fn iter(&self) -> impl Iterator<Item = (u32, [u64; N])> + '_ {
+        self.held.iter().map(|&(idx, low)| {
+            let high = self.spill.get(idx);
+            (idx, std::array::from_fn(|f| join(low[f], high[f], 32)))
+        })
     }
 
     /// Every bucket from 0 to the last one held, zero where the run
     /// holds none.
-    fn dense(&self) -> impl Iterator<Item = B> + '_ {
-        let len = self.index.last().map_or(0, |&last| last + 1);
+    fn dense(&self) -> impl Iterator<Item = [u64; N]> + '_ {
+        let len = self.held.last().map_or(0, |&(last, _)| last + 1);
         let mut held = self.iter().peekable();
         (0..len).map(move |idx| {
             let here = held.next_if(|&(at, _)| at == idx);
-            here.map_or_else(B::default, |(_, bucket)| bucket)
+            here.map_or([0; N], |(_, fields)| fields)
         })
     }
 }
@@ -204,8 +313,10 @@ impl<B: Copy + Default> Run<B> {
 /// Time-bucketed series for one directed link.
 #[derive(Debug, Default)]
 pub struct LinkSeries {
-    buckets: Run<LinkBucket>,
-    occupancy: Vec<Occupancy>,
+    buckets: Run<5>,
+    occupancy: Vec<StoredOcc>,
+    /// High words of the occupancy entries that did not fit.
+    occ_spill: Spill<2>,
     occ_dropped: u64,
     total_stall_ps: u64,
     total_busy_ps: u64,
@@ -217,12 +328,15 @@ impl LinkSeries {
     /// Every bucket from 0 to the last one written, in order (zero
     /// where nothing was recorded).
     pub fn buckets(&self) -> impl Iterator<Item = LinkBucket> + '_ {
-        self.buckets.dense()
+        self.buckets.dense().map(LinkBucket::from_fields)
     }
 
     /// Stored occupancy entries, in transit order.
-    pub fn occupancy(&self) -> &[Occupancy] {
-        &self.occupancy
+    pub fn occupancy(&self) -> Occupancies<'_> {
+        Occupancies {
+            stored: &self.occupancy,
+            spill: &self.occ_spill,
+        }
     }
 
     /// Occupancy entries dropped past the cap.
@@ -264,10 +378,16 @@ pub struct InjectBucket {
     pub bytes: u64,
 }
 
+impl InjectBucket {
+    /// Field numbers in an injection [`Run`], in `to_json` order.
+    const MSGS: usize = 0;
+    const BYTES: usize = 1;
+}
+
 /// Per-node injection-path series.
 #[derive(Debug, Default)]
 pub struct InjectSeries {
-    buckets: Run<InjectBucket>,
+    buckets: Run<2>,
     total_msgs: u64,
     total_bytes: u64,
 }
@@ -276,7 +396,8 @@ impl InjectSeries {
     /// Every bucket from 0 to the last touched one, in order (zero
     /// where nothing was injected).
     pub fn buckets(&self) -> impl Iterator<Item = InjectBucket> + '_ {
-        self.buckets.dense()
+        let bucket = |[msgs, bytes]: [u64; 2]| InjectBucket { msgs, bytes };
+        self.buckets.dense().map(bucket)
     }
 
     /// Total messages injected.
@@ -382,9 +503,8 @@ impl SeriesSet {
     pub fn record_inject(&mut self, node: u32, at: SimTime, bytes: u64) {
         let idx = self.config.index(at.ps());
         let inject = &mut self.lane(node).inject;
-        let b = inject.buckets.at(idx);
-        b.msgs += 1;
-        b.bytes += bytes;
+        let deltas = [(InjectBucket::MSGS, 1), (InjectBucket::BYTES, bytes)];
+        inject.buckets.add_at(idx, deltas);
         inject.total_msgs += 1;
         inject.total_bytes += bytes;
     }
@@ -400,26 +520,18 @@ impl SeriesSet {
         let stall = start.saturating_sub(arrival);
         let first = cfg.index(arrival);
         let pos = link.buckets.locate(first);
-        let b = link.buckets.bucket(pos, first);
-        b.stall_ps += stall;
-        b.msgs += 1;
-        b.packets += packets;
+        let run = &mut link.buckets;
+        let arrived = [
+            (LinkBucket::STALL, stall),
+            (LinkBucket::MSGS, 1),
+            (LinkBucket::PACKETS, packets),
+        ];
+        run.add(pos, first, arrived);
 
         // One walk along the run: the wait starts in the arrival bucket
         // and the transit in the bucket the wait ended in.
-        let at = spread(
-            &mut link.buckets,
-            &cfg,
-            (first, pos),
-            arrival,
-            start,
-            |b, ps| {
-                b.queued_ps += ps;
-            },
-        );
-        spread(&mut link.buckets, &cfg, at, start, done, |b, ps| {
-            b.busy_ps += ps;
-        });
+        let at = spread::<{ LinkBucket::QUEUED }>(run, &cfg, (first, pos), arrival, start);
+        spread::<{ LinkBucket::BUSY }>(run, &cfg, at, start, done);
 
         link.total_stall_ps += stall;
         link.total_busy_ps += occ.done.saturating_sub(occ.start).ps();
@@ -427,7 +539,9 @@ impl SeriesSet {
         link.packets += packets;
 
         if link.occupancy.len() < cfg.occupancy_cap as usize {
-            link.occupancy.push(occ);
+            let (stored, high) = StoredOcc::pack(occ);
+            link.occ_spill.set(link.occupancy.len() as u32, high);
+            link.occupancy.push(stored);
         } else {
             link.occ_dropped += 1;
         }
@@ -488,9 +602,9 @@ impl SeriesSet {
             out.text("{\"node\":");
             out.num(node as u64);
             out.text(",\"inject\":[");
-            for (i, (idx, b)) in lanes.inject.buckets.iter().enumerate() {
+            for (i, (idx, [msgs, bytes])) in lanes.inject.buckets.iter().enumerate() {
                 out.text(if i == 0 { "" } else { "," });
-                out.row(&[u64::from(idx), b.msgs, b.bytes]);
+                out.row(&[u64::from(idx), msgs, bytes]);
             }
             out.text("],\"links\":[");
             let mut first_link = true;
@@ -515,10 +629,11 @@ impl SeriesSet {
                     out.num(value);
                 }
                 out.text(",\"buckets\":[");
-                for (i, (idx, b)) in link.buckets.iter().enumerate() {
+                for (i, (idx, [busy, queued, stall, msgs, packets])) in
+                    link.buckets.iter().enumerate()
+                {
                     out.text(if i == 0 { "" } else { "," });
-                    let idx = u64::from(idx);
-                    out.row(&[idx, b.busy_ps, b.queued_ps, b.stall_ps, b.msgs, b.packets]);
+                    out.row(&[u64::from(idx), busy, queued, stall, msgs, packets]);
                 }
                 out.text("]}");
             }
@@ -573,14 +688,14 @@ impl JsonOut for JsonLen {
 /// buckets: whatever falls past the clamp piles into the final bucket so
 /// the distributed total is exact. `at` is a bucket the run holds, as
 /// `(index, position)`, and the one `from` falls in unless `from` is
-/// earlier; the bucket `to` falls in comes back the same way.
-fn spread(
-    buckets: &mut Run<LinkBucket>,
+/// earlier; the bucket `to` falls in comes back the same way. The time
+/// goes to field `FIELD` of each bucket.
+fn spread<const FIELD: usize>(
+    buckets: &mut Run<5>,
     cfg: &SeriesConfig,
     at: (u32, usize),
     from: u64,
     to: u64,
-    mut add: impl FnMut(&mut LinkBucket, u64),
 ) -> (u32, usize) {
     let last = cfg.last();
     let width = cfg.bucket.ps().max(1);
@@ -597,7 +712,7 @@ fn spread(
             (u64::from(idx) + 1) * width
         };
         let end = to.min(edge);
-        add(buckets.bucket(pos, idx), end - cur);
+        buckets.add(pos, idx, [(FIELD, end - cur)]);
         cur = end;
         if end == edge {
             (idx, pos) = (idx + 1, pos + 1);
@@ -616,6 +731,15 @@ mod tests {
             max_buckets: max,
             occupancy_cap: 4,
         }
+    }
+
+    #[test]
+    fn stored_entries_are_packed() {
+        // A link bucket with its index, an injection bucket with its
+        // index, an occupancy entry. DESIGN.md §9 quotes these.
+        assert_eq!(std::mem::size_of::<(u32, [u32; 5])>(), 24);
+        assert_eq!(std::mem::size_of::<(u32, [u32; 2])>(), 12);
+        assert_eq!(std::mem::size_of::<StoredOcc>(), 24);
     }
 
     #[test]
@@ -714,21 +838,22 @@ mod tests {
 
     #[test]
     fn a_run_holds_only_what_was_written_in_index_order() {
-        let mut run = Run::<InjectBucket>::default();
+        let mut run = Run::<2>::default();
         for idx in [9, 9, 4, 30, 4, 0, 12] {
-            run.at(idx).msgs += 1;
+            run.add_at(idx, [(InjectBucket::MSGS, 1)]);
         }
-        assert_eq!(run.index, [0, 4, 9, 12, 30]);
-        let msgs: Vec<u64> = run.iter().map(|(_, b)| b.msgs).collect();
+        let index: Vec<u32> = run.held.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(index, [0, 4, 9, 12, 30]);
+        let msgs: Vec<u64> = run.iter().map(|(_, [msgs, _])| msgs).collect();
         assert_eq!(msgs, [1, 2, 2, 1, 1]);
         assert_eq!(run.dense().count(), 31);
-        assert_eq!(run.dense().filter(|b| b.msgs != 0).count(), 5);
+        assert_eq!(run.dense().filter(|[msgs, _]| *msgs != 0).count(), 5);
         // A long run grows by a quarter, not by doubling.
         for idx in 31..1000 {
-            run.at(idx).msgs += 1;
+            run.add_at(idx, [(InjectBucket::MSGS, 1)]);
         }
-        assert!(run.index.capacity() <= run.index.len() + run.index.len() / 4);
-        assert_eq!(run.index.capacity(), run.buckets.capacity());
+        assert!(run.held.capacity() <= run.held.len() + run.held.len() / 4);
+        assert!(run.spill.is_empty());
     }
 
     #[test]
@@ -803,7 +928,7 @@ mod tests {
         let link = s.link(0, 0).unwrap();
         assert_eq!(link.occupancy().len(), 4);
         assert_eq!(link.occ_dropped(), 2);
-        assert_eq!(link.occupancy()[0].tag, 1);
+        assert_eq!(link.occupancy().get(0).map(|o| o.tag), Some(1));
     }
 
     #[test]

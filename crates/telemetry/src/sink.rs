@@ -30,6 +30,18 @@ impl Component {
         }
     }
 
+    /// The component whose [`Component::track_id`] is `id`.
+    pub fn from_track_id(id: u32) -> Component {
+        match id {
+            0 => Component::Host,
+            1 => Component::Ppc,
+            2 => Component::TxDma,
+            3 => Component::RxDma,
+            // Track ids are made from a `u8` port.
+            port => Component::Link((port - 4) as u8),
+        }
+    }
+
     /// Human-readable track name.
     pub fn track_name(self) -> &'static str {
         match self {
@@ -128,6 +140,20 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), all.len());
+    }
+
+    #[test]
+    fn a_track_id_names_its_component_back() {
+        let fixed = [
+            Component::Host,
+            Component::Ppc,
+            Component::TxDma,
+            Component::RxDma,
+        ];
+        let links = (0..=u8::MAX).map(Component::Link);
+        for c in fixed.into_iter().chain(links) {
+            assert_eq!(Component::from_track_id(c.track_id()), c);
+        }
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! accessor and the full `(node, name)` iteration order must agree, span
 //! cap and dropped-span count included.
 //!
-//! The oracle keeps whole [`Span`]s; the recorder keeps each in 24 bytes
-//! with its label as an index into its own label table and resolves it
-//! through the `spans()` view, so the same comparison also holds the
-//! table: more labels than one byte counts, and two recorders that met
-//! the labels in different orders.
+//! The oracle keeps whole [`Span`]s; the recorder keeps each in 16 bytes
+//! — a duration's low 32 bits, and the low bits of node, track id and a
+//! label index into its own label table in one word, with whatever does
+//! not fit in a side table — and resolves it through the `spans()` view,
+//! so the same comparison also holds the packing: spans of 2^32 ps and
+//! longer or ending before they start, nodes past 2^20, every link port,
+//! more labels than one byte counts, and two recorders that met the
+//! labels in different orders.
 
 use std::collections::BTreeMap;
 
@@ -57,6 +60,17 @@ const COMPONENTS: [Component; 6] = [
     Component::Link(0),
     Component::Link(5),
 ];
+
+/// Total busy time of `component` on `node` across `spans`.
+fn busy_total(spans: impl Iterator<Item = Span>, node: u32, component: Component) -> SimTime {
+    let mut total = SimTime::ZERO;
+    for s in spans {
+        if s.node == node && s.component == component {
+            total += s.end.saturating_sub(s.start);
+        }
+    }
+    total
+}
 
 /// The recorder's view resolves to exactly the spans the oracle kept.
 fn assert_same_spans(new: &Telemetry, want: &[Span]) {
@@ -168,13 +182,8 @@ fn drive(seed: u64, nodes: std::ops::Range<u32>, span_cap: usize, ops: u64) {
     assert_eq!(new.dropped_spans(), old.dropped_spans);
     for node in probe_nodes {
         for component in COMPONENTS {
-            let mut want = SimTime::ZERO;
-            for s in &old.spans {
-                if s.node == node && s.component == component {
-                    want += s.end.saturating_sub(s.start);
-                }
-            }
-            assert_eq!(new.busy_total(node, component), want);
+            let want = busy_total(old.spans.iter().copied(), node, component);
+            assert_eq!(busy_total(new.spans().iter(), node, component), want);
         }
     }
 }
@@ -277,4 +286,80 @@ fn label_ids_are_remapped_by_content_across_a_shard_merge() {
     }
     want_high.extend(want_low);
     assert_same_spans(&merged, &want_high);
+}
+
+#[test]
+fn spans_past_every_packed_range_read_back_exactly() {
+    // Each field at, below and past the width the recorder packs it in:
+    // durations around 2^32 ps and ends before starts, nodes around 2^20,
+    // every link port (track ids past 15 spill), and 300 labels — drawn
+    // at random so packed and spilled spans interleave, with spans that
+    // fit between them.
+    const TWO_32: u64 = 1 << 32;
+    let durations = [
+        0,
+        1,
+        TWO_32 - 1,
+        TWO_32,
+        TWO_32 + 1,
+        3 * TWO_32 + 7,
+        u64::MAX / 2,
+    ];
+    let nodes = [
+        0,
+        7,
+        (1 << 20) - 1,
+        1 << 20,
+        (1 << 20) + 1,
+        1 << 31,
+        u32::MAX,
+    ];
+    let labels = minted_labels(300);
+    let mut rng = SimRng::new(0xB0DE);
+    for span_cap in [usize::MAX, 700] {
+        let mut new = Telemetry::with_span_cap(span_cap);
+        let mut want = Vec::new();
+        for op in 0..2_000u64 {
+            let start = SimTime::from_ps(rng.below(1 << 50));
+            let end = match rng.below(8) {
+                0 => SimTime::from_ps(start.ps().saturating_sub(1 + rng.below(TWO_32 * 2))),
+                1..=3 => start + SimTime::from_ps(durations[rng.below(7) as usize]),
+                _ => start + SimTime::from_ps(rng.below(1 << 20)),
+            };
+            let node = match rng.below(2) {
+                0 => nodes[rng.below(7) as usize],
+                _ => rng.below(64) as u32,
+            };
+            let component = match rng.below(3) {
+                0 => COMPONENTS[rng.below(4) as usize],
+                _ => Component::Link(rng.below(256) as u8),
+            };
+            // Every label in order first, so ids past 255 are in use.
+            let label = labels[if op < 300 { op } else { rng.below(300) } as usize];
+            let span = Span {
+                node,
+                component,
+                label,
+                start,
+                end,
+            };
+            new.span(node, component, label, start, end);
+            if want.len() < span_cap {
+                want.push(span);
+            }
+        }
+        assert_same_spans(&new, &want);
+        for (idx, span) in want.iter().enumerate().step_by(37) {
+            assert_eq!(new.spans().get(idx), Some(*span), "span {idx}");
+        }
+        let dropped = 2_000 - want.len() as u64;
+        assert_eq!(new.dropped_spans(), dropped);
+        for node in nodes {
+            for port in [0, 5, 11, 12, 255] {
+                let link = Component::Link(port);
+                let wide = busy_total(want.iter().copied(), node, link);
+                assert_eq!(busy_total(new.spans().iter(), node, link), wide);
+            }
+        }
+    }
 }

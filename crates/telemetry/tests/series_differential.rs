@@ -31,7 +31,7 @@ mod dense {
     #[derive(Default)]
     struct Link {
         buckets: Vec<Bucket>,
-        occupancy: usize,
+        occupancy: Vec<Occupancy>,
         occ_dropped: u64,
         total_stall_ps: u64,
         total_busy_ps: u64,
@@ -135,8 +135,8 @@ mod dense {
             link.total_busy_ps += occ.done.saturating_sub(occ.start).ps();
             link.msgs += 1;
             link.packets += packets;
-            if link.occupancy < occ_cap {
-                link.occupancy += 1;
+            if link.occupancy.len() < occ_cap {
+                link.occupancy.push(occ);
             } else {
                 link.occ_dropped += 1;
             }
@@ -240,6 +240,13 @@ mod dense {
             out
         }
 
+        /// A link's stored occupancy entries.
+        pub fn occupancy(&self, node: u32, port: u8) -> &[Occupancy] {
+            self.nodes[node as usize]
+                .as_ref()
+                .map_or(&[], |lanes| &lanes.links[port as usize].occupancy)
+        }
+
         /// Every link's dense bucket rows, for the accessor comparison.
         pub fn dense_rows(&self, node: u32, port: u8) -> Vec<[u64; 5]> {
             let Some(lanes) = &self.nodes[node as usize] else {
@@ -309,6 +316,10 @@ fn assert_same(new: &SeriesSet, old: &dense::Set) {
                     .collect()
             });
             assert_eq!(rows, old.dense_rows(node, port), "node {node} port {port}");
+            let occ: Vec<Occupancy> = new
+                .link(node, port)
+                .map_or_else(Vec::new, |l| l.occupancy().iter().collect());
+            assert_eq!(occ, old.occupancy(node, port), "node {node} port {port}");
         }
     }
 }
@@ -385,4 +396,110 @@ fn chunked_store_matches_dense_store_past_the_clamp() {
         let (new, old) = drive(7, cfg);
         assert_same(&new, &old);
     }
+}
+
+#[test]
+fn bucket_fields_past_u32_max_match_the_dense_store() {
+    // A bucket keeps each field's low 32 bits and carries the rest to a
+    // side table. 10 ms buckets hold 2.3 x u32::MAX ps, so single waits,
+    // stalls and transits cross it inside one bucket, and sums of short
+    // ones cross it over many hops; the clamp bucket gathers whatever
+    // runs past 8 buckets. Packet and byte counts cross it in one write.
+    // An occupancy entry keeps its wait and transit the same way, so the
+    // logs hold waits and transits of 2^32 ps and more, and a few that
+    // start before they arrive or end before they start.
+    let cfg = SeriesConfig {
+        bucket: SimTime::from_ms(10),
+        max_buckets: 8,
+        occupancy_cap: 40,
+    };
+    let two_32 = 1u64 << 32;
+    let spans = [
+        0,
+        1,
+        two_32 - 1,
+        two_32,
+        two_32 + 1,
+        3 * two_32,
+        40 * two_32,
+    ];
+    let mut rng = SimRng::new(0xB16B);
+    let mut new = SeriesSet::new(NODES as usize, cfg);
+    let mut old = dense::Set::new(NODES as usize, cfg);
+    let width = cfg.bucket.ps();
+    for i in 0..4_000u64 {
+        // Arrivals over 12 bucket widths: the last third is clamped.
+        let arrival = rng.below(12 * width);
+        let pick = |rng: &mut SimRng| match rng.below(3) {
+            0 => spans[rng.below(7) as usize],
+            _ => rng.below(width / 8),
+        };
+        let (wait, transit) = (pick(&mut rng), pick(&mut rng));
+        let start = match rng.below(16) {
+            0 => arrival.saturating_sub(wait),
+            _ => arrival + wait,
+        };
+        let done = match rng.below(16) {
+            0 => start.saturating_sub(transit),
+            _ => start + transit,
+        };
+        let occ = Occupancy {
+            tag: i + 1,
+            arrival: SimTime::from_ps(arrival),
+            start: SimTime::from_ps(start),
+            done: SimTime::from_ps(done),
+        };
+        let node = rng.below(4) as u32;
+        let port = rng.below(6) as u8;
+        let packets = pick(&mut rng);
+        new.record_hop(node, port, occ, packets);
+        old.record_hop(node, port, occ, packets);
+        let bytes = pick(&mut rng);
+        new.record_inject(node, occ.arrival, bytes);
+        old.record_inject(node, occ.arrival, bytes);
+    }
+    assert_same(&new, &old);
+    // The stream did cross: some bucket holds each field past u32::MAX
+    // (but `msgs`, one a hop), the clamp bucket among them.
+    let wide = |rows: Vec<[u64; 5]>, field: usize| {
+        rows.iter()
+            .filter(|r| r[field] > u64::from(u32::MAX))
+            .count()
+    };
+    for field in [0, 1, 2, 4] {
+        let crossed: usize = (0..4)
+            .flat_map(|n| (0..6).map(move |p| (n, p)))
+            .map(|(n, p)| wide(old.dense_rows(n, p), field))
+            .sum();
+        assert!(crossed > 0, "no bucket's field {field} passed u32::MAX");
+    }
+    let logged: Vec<Occupancy> = (0..4)
+        .flat_map(|n| (0..6).map(move |p| (n, p)))
+        .flat_map(|(n, p)| old.occupancy(n, p).to_vec())
+        .collect();
+    let wide_wait =
+        |o: &&Occupancy| o.start.ps().wrapping_sub(o.arrival.ps()) > u64::from(u32::MAX);
+    assert!(
+        logged.iter().any(|o| wide_wait(&o)),
+        "no logged wait past u32::MAX"
+    );
+    assert!(
+        logged.iter().any(|o| o.start < o.arrival),
+        "no start before arrival"
+    );
+    assert!(
+        logged.iter().any(|o| o.done < o.start),
+        "no end before start"
+    );
+    let clamp = old.dense_rows(0, 0);
+    assert_eq!(clamp.len(), 8);
+    assert!(clamp[7][0] > u64::from(u32::MAX), "clamp busy");
+    let bytes: Vec<u64> = new
+        .node(0)
+        .unwrap()
+        .inject()
+        .buckets()
+        .map(|b| b.bytes)
+        .collect();
+    assert!(bytes.iter().any(|&b| b > u64::from(u32::MAX)));
 }

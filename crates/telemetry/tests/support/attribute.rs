@@ -64,7 +64,7 @@ pub fn attribute(
             let mut competitors = Vec::new();
             if let (Some(set), Some(p)) = (series, port) {
                 if let Some(link) = set.link(rec.node, p) {
-                    for occ in link.occupancy() {
+                    for occ in link.occupancy().iter() {
                         if occ.tag == chain.id.0 {
                             continue;
                         }

@@ -181,10 +181,11 @@ impl Machine {
             // for the receiver's end-to-end 32-bit check (§2); a
             // corrupted ACK/NACK fails its CRC at the link and is
             // discarded — equivalent to a drop.
-            let lost = match self.faults.packet_fate(inject_at, src.0, dst.0, tag) {
+            let data = matches!(msg.kind, WireKind::Data { .. });
+            let lost = match self.faults.packet_fate(inject_at, src.0, dst.0, tag, !data) {
                 PacketFate::Deliver => false,
                 PacketFate::Drop => true,
-                PacketFate::Corrupt if matches!(msg.kind, WireKind::Data { .. }) => {
+                PacketFate::Corrupt if data => {
                     forced_corrupt = true;
                     false
                 }

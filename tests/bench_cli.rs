@@ -170,6 +170,7 @@ fn every_committed_bench_file_yields_the_keys_its_gate_reads() {
         "bytes_per_record",
         "nonzero_buckets",
         "bytes_per_nonzero_bucket",
+        "series_heap_ratio",
     ]
     .map(|name| (name, 0.0));
     let counts: Vec<gate::MemCount> = ["node_bytes", "live_blocks_per_node"]

@@ -453,10 +453,9 @@ fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     // escapes the per-link 16-bit CRC. Under go-back-n the rejected
     // message is retransmitted; delivery stays exactly-once, in-order and
     // byte-exact.
-    // A corrupted ACK or NACK fails its CRC at the link and is dropped.
-    // Every corrupted data payload reaches its receiver's end-to-end
-    // check, so the corruptions the injector made past the receivers'
-    // CRC failures are dropped control messages: that path ran too.
+    // A corrupted ACK or NACK fails its CRC at the link and is dropped;
+    // every corrupted data payload reaches its receiver's end-to-end
+    // check. The injector counts the two apart.
     let paper = MachineConfig::paper_pair();
     let mut config = paper.clone().with_faults(FaultPlan {
         seed: paper.seed,
@@ -474,14 +473,15 @@ fn e2e_crc_rejection_is_repaired_by_go_back_n() {
     engine.run();
     let mut m = engine.into_model();
     assert_eq!(m.running_apps(), 0, "all messages must eventually deliver");
+    let faults = m.fault_stats();
     assert!(
-        m.fault_stats().corrupted > 0,
-        "a 20% corruption rate must have fired"
+        faults.corrupted_control > 0,
+        "a corrupted control message must have been dropped"
     );
     let payload_rejections: u64 = m.nodes.iter().map(|n| n.chip.rx_dma.crc_failures()).sum();
-    assert!(
-        m.fault_stats().corrupted > payload_rejections,
-        "a corrupted control message must have been dropped"
+    assert_eq!(
+        faults.corrupted_data, payload_rejections,
+        "every corrupted payload is one end-to-end CRC rejection"
     );
     assert!(
         m.nodes[1].chip.rx_dma.crc_failures() > 0,

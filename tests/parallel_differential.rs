@@ -279,7 +279,7 @@ fn go_back_n_refusals_bit_identical_under_parallelism() {
     let mut m = serial.into_model();
     let faults = m.fault_stats();
     assert!(
-        faults.corrupted > 0 && faults.reordered > 0 && faults.sram_rejections > 0,
+        faults.corrupted_data > 0 && faults.reordered > 0 && faults.sram_rejections > 0,
         "the plan must corrupt, reorder and squeeze: {faults:?}"
     );
     assert!(
