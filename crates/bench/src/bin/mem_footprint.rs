@@ -16,9 +16,12 @@
 //! series on — peak bytes of the run plus attribution table and series
 //! JSON, and what each sink holds at the end per thing it stored (bytes
 //! per span, per causal record made, per non-zero series bucket; each
-//! read off a run with only that sink on, against a run with none) — and
-//! the series' heap ratio: the peak with the series alone over the peak
-//! with no sink.
+//! read off a run with only that sink on, against a run with none) — the
+//! series' heap ratio: the peak with the series alone over the peak with
+//! no sink — and the RX-pending ledger: at the unobserved all-to-all's
+//! fullest 100k-event boundary, the host bytes an RX pending in use costs
+//! (its delivery box, RX row slot and lower pending) beside the paper's
+//! 128 B (§4.2's 64 B lower and 64 B upper pending).
 //!
 //! The JSON it writes carries the rows of the file it replaces as
 //! `before_*`, so the committed `BENCH_mem.json` holds a before/after
@@ -52,7 +55,8 @@ use xt3_bench::cli::{self, Args, CmdResult};
 use xt3_bench::gate::{self, Baseline};
 use xt3_bench::heap::{self, Census, CountingAlloc};
 use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
-use xt3_node::machine::{Machine, Parcel};
+use xt3_firmware::pending::{LowerPending, LOWER_PENDING_BYTES};
+use xt3_node::machine::{Ev, Machine, Parcel};
 use xt3_node::node::Node;
 use xt3_sim::RunOutcome;
 use xt3_telemetry::{attribute_occupancy, JsonWriter, LinkBucket, LinkSeries, SeriesConfig};
@@ -127,19 +131,53 @@ fn print_census(title: &str, live: &Census, nodes: usize) {
 }
 
 /// Events between two looks at the heap while the all-to-all of
-/// [`print_alltoall_at_peak`] runs.
+/// [`alltoall_at_peak`] runs.
 const CENSUS_SLICE: u64 = 100_000;
 
+/// The host bytes §4.2 needs for one RX pending: a 64 B lower pending in
+/// SeaStar SRAM and a 64 B upper pending in host memory, which holds "the
+/// Portals header + other info".
+const PAPER_RX_PENDING_BYTES: u64 = LOWER_PENDING_BYTES as u64 + 64;
+
+/// The unobserved 8x8x8 all-to-all at the slice boundary with the most
+/// live bytes.
+struct Fullest {
+    /// Live bytes at every boundary.
+    curve: Vec<u64>,
+    live: Census,
+    /// Events dispatched by the boundary, and over the whole run.
+    at: u64,
+    events: u64,
+    queue_len: usize,
+    queue_capacity: usize,
+    nodes: usize,
+    /// RX pendings in use: a receive holds its pending from its header
+    /// to its release.
+    rx_pendings: u64,
+    /// Receives that hold their delivery box in an RX row slot.
+    rx_slots: u64,
+    /// Delivery boxes: those in RX rows, and those a queued header
+    /// carries.
+    boxes: u64,
+}
+
+impl Fullest {
+    /// Host bytes an RX pending in use costs: the delivery boxes, the row
+    /// slots that point at them and the lower pendings, over the pendings.
+    fn bytes_per_rx_pending(&self) -> f64 {
+        let parcel = std::mem::size_of::<Parcel>() as u64;
+        let lower = std::mem::size_of::<LowerPending>() as u64;
+        let host = self.boxes * parcel + self.rx_slots * 8 + self.rx_pendings * lower;
+        host as f64 / self.rx_pendings.max(1) as f64
+    }
+}
+
 /// Run the unobserved 8x8x8 all-to-all in slices of [`CENSUS_SLICE`]
-/// events, print its live heap at every boundary, then the census of the
-/// boundary with the most live bytes, with the event queue's length and
-/// capacity, the RX pendings in use there (a receive holds its pending
-/// from its header to its release, and its delivery box until it
-/// completes) and the blocks of `size_of::<Parcel>()` — the delivery
-/// boxes, unless another type shares their size class. Receive records
-/// leave with their receives, so the drained machine no longer holds
-/// what it held at its peak.
-fn print_alltoall_at_peak() {
+/// events and take the census of the boundary with the most live bytes,
+/// with what its RX pendings hold there. Receive records leave with
+/// their receives, so the drained machine no longer holds what it held
+/// at its peak.
+fn alltoall_at_peak() -> Fullest {
     let mut curve = Vec::with_capacity(64);
     let floor = Census::take();
     let base = heap::live_bytes();
@@ -152,10 +190,22 @@ fn print_alltoall_at_peak() {
         let live = heap::live_bytes().saturating_sub(base);
         if live > most {
             most = live;
-            let q = engine.queue();
-            let census = Census::take().since(&floor);
-            let rx = rx_pendings_in_use(engine.model());
-            peak = Some((census, engine.dispatched(), q.len(), q.capacity(), rx));
+            let live = Census::take().since(&floor);
+            let (q, m) = (engine.queue(), engine.model());
+            let rx_slots: usize = m.nodes.iter().map(Node::receives_in_flight).sum();
+            let queued = q.iter().filter(|e| matches!(e, Ev::NetHeader { .. }));
+            peak = Some(Fullest {
+                curve: Vec::new(),
+                live,
+                at: engine.dispatched(),
+                events: 0,
+                queue_len: q.len(),
+                queue_capacity: q.capacity(),
+                nodes: m.nodes.len(),
+                rx_pendings: rx_pendings_in_use(m),
+                rx_slots: rx_slots as u64,
+                boxes: (rx_slots + queued.count()) as u64,
+            });
         }
         curve.push(live);
         match outcome {
@@ -164,7 +214,20 @@ fn print_alltoall_at_peak() {
             other => panic!("all-to-all stopped early: {other:?}"),
         }
     }
-    let mb: Vec<String> = curve
+    let peak = peak.expect("the all-to-all dispatches events");
+    Fullest {
+        curve,
+        events: engine.dispatched(),
+        ..peak
+    }
+}
+
+/// Print [`alltoall_at_peak`]'s live MB at every boundary, and the
+/// census of the fullest with its queue, RX pendings, delivery boxes and
+/// the host bytes an RX pending costs against the paper's.
+fn print_alltoall_at_peak(f: &Fullest) {
+    let mb: Vec<String> = f
+        .curve
         .iter()
         .map(|b| format!("{:.1}", *b as f64 / 1e6))
         .collect();
@@ -172,18 +235,23 @@ fn print_alltoall_at_peak() {
         "\nunobserved 8x8x8 all-to-all, live MB every {CENSUS_SLICE} events: {}",
         mb.join(" ")
     );
-    let (live, at, len, capacity, rx) = peak.expect("the all-to-all dispatches events");
-    let parcel = std::mem::size_of::<Parcel>() as u64;
-    let boxes = live
-        .by_size()
-        .find(|&(size, ..)| size == parcel)
-        .map_or(0, |(_, blocks, _)| blocks);
+    let per = f.bytes_per_rx_pending();
     let title = format!(
-        "live at its fullest boundary (event {at} of {}; queue {len} events in {capacity} slots; \
-         {rx} RX pendings in use; {boxes} blocks of {parcel} B, the delivery box)",
-        engine.dispatched()
+        "live at its fullest boundary (event {} of {}; queue {} events in {} slots; \
+         {} RX pendings in use; {} delivery boxes of {} B, {} of them in RX rows; \
+         {per:.1} host B an RX pending in use, the paper's {PAPER_RX_PENDING_BYTES} B \
+         (64 B lower + 64 B upper pending): {:.2}x)",
+        f.at,
+        f.events,
+        f.queue_len,
+        f.queue_capacity,
+        f.rx_pendings,
+        f.boxes,
+        std::mem::size_of::<Parcel>(),
+        f.rx_slots,
+        per / PAPER_RX_PENDING_BYTES as f64
     );
-    print_census(&title, &live, engine.model().nodes.len());
+    print_census(&title, &f.live, f.nodes);
 }
 
 /// RX pendings allocated across every node's firmware-level processes.
@@ -210,7 +278,8 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
 --histogram       after each size, and at the unobserved 8x8x8
                   all-to-all's fullest 100k-event boundary, print what is
                   live per node by allocation size, and each machine-wide
-                  class of 1 MiB or more";
+                  class of 1 MiB or more; the boundary's line prints the
+                  host bytes an RX pending in use costs there";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;
@@ -296,7 +365,7 @@ type Observed = (&'static str, f64);
 /// Measure the observed row: one run with every sink on for the peak,
 /// one with each sink alone against one with none for what that sink
 /// holds at the end, and the series-alone peak over the unobserved one.
-fn observed_row() -> Vec<Observed> {
+fn observed_row(fullest: &Fullest) -> Vec<Observed> {
     let none = observe(false, false, false);
     let all = observe(true, true, true);
     let held = |run: &ObservedRun, stored: u64| {
@@ -321,6 +390,8 @@ fn observed_row() -> Vec<Observed> {
             "series_heap_ratio",
             series.peak_bytes as f64 / none.peak_bytes as f64,
         ),
+        ("rx_pending_host_bytes", fullest.bytes_per_rx_pending()),
+        ("rx_pending_paper_bytes", PAPER_RX_PENDING_BYTES as f64),
     ]
 }
 
@@ -370,11 +441,14 @@ fn run(mut args: Args) -> CmdResult {
             r.events
         );
     }
+    // The all-to-all's fullest boundary: the histogram prints it, and
+    // the observed row carries its RX-pending ledger.
+    let fullest = (histogram || slice.is_none()).then(alltoall_at_peak);
     if histogram {
         for r in &rows {
             print_census("live after the run", &r.live, r.nodes);
         }
-        print_alltoall_at_peak();
+        print_alltoall_at_peak(fullest.as_ref().expect("taken for the histogram"));
     }
 
     let headline = rows.last().expect("at least one size");
@@ -393,9 +467,9 @@ fn run(mut args: Args) -> CmdResult {
         return Ok(());
     }
 
-    let observed = match slice {
-        Some(_) => Vec::new(),
-        None => observed_row(),
+    let observed = match (slice, &fullest) {
+        (None, Some(fullest)) => observed_row(fullest),
+        _ => Vec::new(),
     };
     if !observed.is_empty() {
         println!("\nobserved 8x8x8 all-to-all of 4 KiB (registry + causal log + link series):");

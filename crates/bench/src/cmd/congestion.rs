@@ -23,7 +23,12 @@
 //! the working directory; `--check PATH` instead fails if any pattern's
 //! digest, total lost time or hotspot ranking differs from the committed
 //! baseline — the CI gate that keeps congestion behavior pinned.
+//!
+//! `--policy gbn` runs every pattern under go-back-n instead of the
+//! paper's shipped panic on pool exhaustion (§4.3). The baseline names
+//! its policy, and `--check` refuses a baseline of the other one.
 
+use xt3_node::config::ExhaustionPolicy;
 use xt3_node::par::run_parallel;
 use xt3_node::workloads::{
     expected_hdr_sum, pattern_stats, traffic_machine, PatternStats, TrafficPattern,
@@ -40,12 +45,15 @@ use crate::{gate, machines};
 
 /// The arguments, and what each flag means.
 pub const USAGE: &str = "\
-[--dims XxYxZ] [--rounds N] [--msg BYTES] [--top K] [--out PATH] [--trace PATH] [--check PATH]
+[--dims XxYxZ] [--rounds N] [--msg BYTES] [--top K] [--policy panic|gbn] [--out PATH]
+[--trace PATH] [--check PATH]
 
 --dims XxYxZ   torus dimensions (default 4x4x2)
 --rounds N     repetitions of each pattern's target list (default 2)
 --msg BYTES    put payload size (default 4096)
 --top K        hotspot links to rank (default 8)
+--policy P     pool exhaustion policy: panic (the paper's, default) or gbn
+               (go-back-n retransmission)
 --out PATH     write the full machine-readable report JSON
 --trace PATH   write a Perfetto trace (spans + flows + counter tracks)
                of the incast run
@@ -58,6 +66,23 @@ struct Sweep {
     rounds: u32,
     msg: u64,
     top_k: usize,
+    policy: ExhaustionPolicy,
+}
+
+/// The `--policy` values, by the name the baseline records.
+fn policy(text: &str) -> Option<ExhaustionPolicy> {
+    match text {
+        "panic" => Some(ExhaustionPolicy::Panic),
+        "gbn" => Some(ExhaustionPolicy::GoBackN),
+        _ => None,
+    }
+}
+
+fn policy_name(policy: ExhaustionPolicy) -> &'static str {
+    match policy {
+        ExhaustionPolicy::Panic => "panic",
+        ExhaustionPolicy::GoBackN => "gbn",
+    }
 }
 
 /// Series geometry for report runs: default buckets, but an occupancy
@@ -118,6 +143,7 @@ impl ObservedRun {
 
 fn build(pattern: TrafficPattern, sweep: Sweep) -> Machine {
     let mut m = traffic_machine(pattern, sweep.dims, sweep.rounds, sweep.msg);
+    m.config.exhaustion = sweep.policy;
     // Read by the window driver alone: its shards record spans, the
     // serial runs' registry stays off.
     m.config.telemetry = true;
@@ -359,6 +385,9 @@ pub fn run(mut args: Args) -> CmdResult {
         rounds: args.parsed("--rounds", positive)?.unwrap_or(2),
         msg: args.parsed("--msg", positive)?.unwrap_or(4096),
         top_k: args.parsed("--top", positive)?.unwrap_or(8),
+        policy: args
+            .parsed("--policy", policy)?
+            .unwrap_or(ExhaustionPolicy::Panic),
     };
     let out = args.value("--out")?;
     let trace = args.value("--trace")?;
@@ -367,8 +396,11 @@ pub fn run(mut args: Args) -> CmdResult {
 
     let shape = format!("{}x{}x{}", sweep.dims.nx, sweep.dims.ny, sweep.dims.nz);
     println!(
-        "congestion_report: {shape} torus, {} round(s), {} B puts, top-{} hotspots",
-        sweep.rounds, sweep.msg, sweep.top_k
+        "congestion_report: {shape} torus, {} round(s), {} B puts, top-{} hotspots, {} policy",
+        sweep.rounds,
+        sweep.msg,
+        sweep.top_k,
+        policy_name(sweep.policy)
     );
 
     // Each pattern's documents — the Perfetto trace, the full report's
@@ -468,6 +500,7 @@ fn header(w: &mut JsonWriter, bench: &str, shape: &str, sweep: Sweep) {
     w.glue().field("rounds", sweep.rounds);
     w.glue().field("msg", sweep.msg);
     w.glue().field("top", sweep.top_k);
+    w.glue().field_str("policy", policy_name(sweep.policy));
 }
 
 /// The committed baseline: per-pattern digest, loss totals and hotspot
@@ -574,6 +607,7 @@ mod tests {
             rounds: 1,
             msg: 64,
             top_k: 1,
+            policy: ExhaustionPolicy::Panic,
         };
         let stats = PatternStats {
             outstanding: 1,

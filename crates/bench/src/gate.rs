@@ -303,9 +303,26 @@ pub fn check_series(b: &Baseline, peaks: &[(usize, u64)]) -> Result<(), String> 
 /// `BENCH_congestion.json`: everything in it is simulation-deterministic,
 /// so the file must equal `current` byte for byte. On drift, shows the
 /// first line that moved — a pattern's whole row.
+///
+/// A baseline of another exhaustion policy is refused by name: every
+/// number in it would differ, for a reason that is no drift.
 pub fn check_congestion(path: &str, current: &str) -> Result<(), String> {
     let committed =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let policy = |text: &str| {
+        let doc = parse_json(text).ok()?;
+        doc.get("policy").ok()?.as_str().ok().map(str::to_owned)
+    };
+    let (was, is) = (policy(&committed), policy(current));
+    if was != is {
+        let name = |p: Option<String>| p.unwrap_or_else(|| "(none)".into());
+        return Err(format!(
+            "congestion baseline {path} is of policy {}, this sweep ran policy {}: \
+             --check compares runs of one policy",
+            name(was),
+            name(is)
+        ));
+    }
     if committed == current {
         println!("baseline check: {path} matches");
         return Ok(());

@@ -92,6 +92,48 @@ pub struct MatchTicket {
     pub address: u64,
 }
 
+impl MatchTicket {
+    /// Keep this ticket beside the request it matched, in one word less:
+    /// the request's remote offset is spent once the match has chosen
+    /// its own, so the ticket's offset takes that word of `request`.
+    pub fn stow(self, request: &mut PortalsHeader) -> StowedTicket {
+        request.set_remote_offset(self.offset);
+        StowedTicket {
+            md: self.md,
+            mlength: self.mlength,
+            address: self.address,
+            unlinked: self.unlinked,
+            ack_needed: self.ack_needed,
+        }
+    }
+}
+
+/// A [`MatchTicket`] less its offset, which the matched request header
+/// holds ([`MatchTicket::stow`]): 32 bytes instead of 40, which is what
+/// lets a receive record fit a 136-byte box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StowedTicket {
+    md: MdHandle,
+    mlength: u64,
+    address: u64,
+    unlinked: bool,
+    ack_needed: bool,
+}
+
+impl StowedTicket {
+    /// The ticket again, given the header it was stowed with.
+    pub fn ticket(&self, request: &PortalsHeader) -> MatchTicket {
+        MatchTicket {
+            md: self.md,
+            offset: request.remote_offset(),
+            mlength: self.mlength,
+            unlinked: self.unlinked,
+            ack_needed: self.ack_needed,
+            address: self.address,
+        }
+    }
+}
+
 /// Outcome of header matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeliverOutcome {
@@ -576,7 +618,7 @@ impl PortalsLib {
         {
             return Err(PtlError::InvalidArg);
         }
-        let mut header = self.put_region(
+        let header = self.put_region(
             md_h,
             local_offset,
             length,
@@ -588,8 +630,7 @@ impl PortalsLib {
             remote_offset,
             hdr_data,
         )?;
-        header.atomic = Some(op);
-        Ok(header)
+        Ok(header.with_atomic(op))
     }
 
     /// The transmit region for a region put (what the TX DMA reads).
@@ -661,38 +702,38 @@ impl PortalsLib {
 
     /// Match an incoming Put/Get header against the portal table.
     pub fn match_incoming(&mut self, header: &PortalsHeader) -> DeliverOutcome {
-        debug_assert!(matches!(header.op, PortalsOp::Put | PortalsOp::Get));
+        debug_assert!(matches!(header.op(), PortalsOp::Put | PortalsOp::Get));
 
         // Access control.
         let permitted = self
             .ac_table
-            .get(header.ac_index as usize)
+            .get(header.ac_index() as usize)
             .and_then(|e| *e)
-            .map(|e| e.permits(header.src, header.pt_index))
+            .map(|e| e.permits(header.src(), header.pt_index()))
             .unwrap_or(false);
-        if !permitted || header.pt_index >= self.limits.pt_size {
+        if !permitted || header.pt_index() >= self.limits.pt_size {
             self.counters.permission_violations += 1;
             return DeliverOutcome::PermissionViolation;
         }
 
         // Walk by position: the loop returns at its first match, the only
         // point where the list changes.
-        let pt = header.pt_index as usize;
+        let pt = header.pt_index() as usize;
         let mut walk = 0;
         while let Some(me_h) = self.portal_table.get(pt).and_then(|list| list.get(walk)) {
             walk += 1;
             let Some(me) = self.mes.get(me_h.index, me_h.generation) else {
                 continue;
             };
-            if !me.matches(header.src, header.match_bits) {
+            if !me.matches(header.src(), header.match_bits()) {
                 continue;
             }
             let Some(md_h) = me.md else { continue };
             let Some(md) = self.mds.get(md_h.index, md_h.generation) else {
                 continue;
             };
-            let op_ok = match header.op {
-                PortalsOp::Put if header.atomic.is_some() => md.options.op_atomic,
+            let op_ok = match header.op() {
+                PortalsOp::Put if header.atomic().is_some() => md.options.op_atomic,
                 PortalsOp::Put => md.options.op_put,
                 PortalsOp::Get => md.options.op_get,
                 _ => unreachable!(),
@@ -700,14 +741,15 @@ impl PortalsLib {
             if !op_ok || !md.threshold.available() {
                 continue;
             }
-            let offset = md.operation_offset(header.remote_offset);
-            let Some(mlength) = md.accept_length(offset, header.rlength) else {
+            let offset = md.operation_offset(header.remote_offset());
+            let Some(mlength) = md.accept_length(offset, header.rlength()) else {
                 continue;
             };
             // An atomic must land on whole lanes: a misaligned or
             // truncated-to-partial-lane target cannot be combined
             // read-modify-write, so the entry does not match.
-            if header.atomic.is_some() && (!offset.is_multiple_of(8) || !mlength.is_multiple_of(8))
+            if header.atomic().is_some()
+                && (!offset.is_multiple_of(8) || !mlength.is_multiple_of(8))
             {
                 continue;
             }
@@ -723,8 +765,8 @@ impl PortalsLib {
                 md.local_offset += mlength;
             }
             let address = md.start + offset;
-            let ack_needed = header.op == PortalsOp::Put
-                && header.ack_req == AckReq::Ack
+            let ack_needed = header.op() == PortalsOp::Put
+                && header.ack_req() == AckReq::Ack
                 && !md.options.ack_disable;
             let start_disabled = md.options.event_start_disable;
 
@@ -743,7 +785,7 @@ impl PortalsLib {
             }
 
             if !start_disabled {
-                let kind = match header.op {
+                let kind = match header.op() {
                     PortalsOp::Put => EventKind::PutStart,
                     PortalsOp::Get => EventKind::GetStart,
                     _ => unreachable!(),
@@ -777,9 +819,9 @@ impl PortalsLib {
         data: &WireData,
         mem: &mut dyn ProcessMemory,
     ) -> IncomingAction {
-        debug_assert_eq!(header.op, PortalsOp::Put);
+        debug_assert_eq!(header.op(), PortalsOp::Put);
         if let WireData::Real(bytes) = data {
-            match header.atomic {
+            match header.atomic() {
                 Some(op) => {
                     // Lane-wise read-modify-write: the simulated SeaStar
                     // combines at line rate during deposit, so the
@@ -825,7 +867,7 @@ impl PortalsLib {
         mem: &dyn ProcessMemory,
         synthetic: bool,
     ) -> IncomingAction {
-        debug_assert_eq!(header.op, PortalsOp::Get);
+        debug_assert_eq!(header.op(), PortalsOp::Get);
         let data = if synthetic {
             WireData::Synthetic(ticket.mlength)
         } else {
@@ -851,8 +893,8 @@ impl PortalsLib {
         data: &WireData,
         mem: &mut dyn ProcessMemory,
     ) -> DeliverOutcome {
-        debug_assert_eq!(header.op, PortalsOp::Reply);
-        let Some(md_h) = header.initiator_md else {
+        debug_assert_eq!(header.op(), PortalsOp::Reply);
+        let Some(md_h) = header.initiator_md() else {
             self.counters.stale_completions += 1;
             return DeliverOutcome::StaleHandle;
         };
@@ -862,7 +904,7 @@ impl PortalsLib {
         };
         // Replies land at the MD start: PtlGet has no local offset in
         // Portals 3.3 and NetPIPE reuses one MD per round.
-        let deposit_len = header.mlength.min(md.length);
+        let deposit_len = header.mlength().min(md.length);
         let address = md.start;
         if let WireData::Real(bytes) = data {
             mem.write(address, &bytes[..deposit_len as usize]);
@@ -881,8 +923,8 @@ impl PortalsLib {
 
     /// Deliver an ack to the put's originating MD.
     pub fn deliver_ack(&mut self, header: &PortalsHeader) -> DeliverOutcome {
-        debug_assert_eq!(header.op, PortalsOp::Ack);
-        let Some(md_h) = header.initiator_md else {
+        debug_assert_eq!(header.op(), PortalsOp::Ack);
+        let Some(md_h) = header.initiator_md() else {
             self.counters.stale_completions += 1;
             return DeliverOutcome::StaleHandle;
         };
@@ -894,13 +936,13 @@ impl PortalsLib {
             md_h,
             EventKind::Ack,
             header,
-            header.mlength,
-            header.target_offset,
+            header.mlength(),
+            header.target_offset(),
         );
         DeliverOutcome::Matched(MatchTicket {
             md: md_h,
-            offset: header.target_offset,
-            mlength: header.mlength,
+            offset: header.target_offset(),
+            mlength: header.mlength(),
             unlinked: false,
             ack_needed: false,
             address: 0,
@@ -950,14 +992,14 @@ impl PortalsLib {
         let user_ptr = md.user_ptr;
         let event = Event {
             kind,
-            initiator: header.src,
-            match_bits: header.match_bits,
-            rlength: header.rlength,
+            initiator: header.src(),
+            match_bits: header.match_bits(),
+            rlength: header.rlength(),
             mlength,
             offset,
             md: md_h,
             user_ptr,
-            hdr_data: header.hdr_data,
+            hdr_data: header.hdr_data(),
         };
         if let Some(eq) = self.eqs.get_mut(eq_h.index, eq_h.generation) {
             if eq.post(event) {

@@ -12,10 +12,15 @@ fn target_lib() -> PortalsLib {
 }
 
 fn put_header(bits: u64, len: u64) -> PortalsHeader {
+    put_on(0, bits, len)
+}
+
+/// A put to portal `pt`.
+fn put_on(pt: u32, bits: u64, len: u64) -> PortalsHeader {
     PortalsHeader::put(
         ProcessId::new(0, 0),
         ProcessId::new(1, 0),
-        0,
+        pt,
         0,
         bits,
         len,
@@ -234,8 +239,7 @@ fn pt_index_bounds_are_enforced() {
     );
     // An incoming header naming an out-of-range portal is a permission
     // violation, not a panic.
-    let mut hdr = put_header(0, 8);
-    hdr.pt_index = pt_size + 10;
+    let hdr = put_on(pt_size + 10, 0, 8);
     assert_eq!(
         lib.match_incoming(&hdr),
         DeliverOutcome::PermissionViolation
@@ -273,18 +277,17 @@ fn never_attached_portal_is_no_match() {
     // The portal table only grows to the highest index attached to; a
     // valid index it has not reached is a portal with no entries.
     let mut lib = target_lib();
-    let mut hdr = put_header(1, 8);
-    hdr.pt_index = 5;
+    let hdr = put_on(5, 1, 8);
     assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
     assert_eq!(lib.counters().dropped_no_match, 1);
 
     attach_put_target(&mut lib, 2, 1);
     assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch, "above");
-    hdr.pt_index = 1;
+    let hdr = put_on(1, 1, 8);
     assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch, "below");
     assert_eq!(lib.counters().dropped_no_match, 3);
     assert_eq!(lib.counters().permission_violations, 0);
-    hdr.pt_index = 2;
+    let hdr = put_on(2, 1, 8);
     assert!(matches!(
         lib.match_incoming(&hdr),
         DeliverOutcome::Matched(_)
@@ -296,8 +299,7 @@ fn highest_portal_index_attaches_inserts_and_unlinks() {
     let mut lib = target_lib();
     let top = lib.limits().pt_size - 1;
     let first = attach_put_target(&mut lib, top, 1);
-    let mut hdr = put_header(2, 8);
-    hdr.pt_index = top;
+    let hdr = put_on(top, 2, 8);
     assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
 
     // Insert relative to an entry of the highest list, then walk to it.
@@ -330,7 +332,7 @@ fn highest_portal_index_attaches_inserts_and_unlinks() {
     lib.me_unlink(second).unwrap();
     assert_eq!(lib.match_incoming(&hdr), DeliverOutcome::NoMatch);
     assert_eq!(lib.me_unlink(second).unwrap_err(), PtlError::InvalidHandle);
-    hdr.match_bits = 1;
+    let hdr = put_on(top, 1, 8);
     assert!(matches!(
         lib.match_incoming(&hdr),
         DeliverOutcome::Matched(_)

@@ -1102,7 +1102,7 @@ fn put_region_sends_subrange() {
     let hdr = a
         .put_region(md, 3, 5, AckReq::NoAck, b.id(), 0, 0, 5, 0, 0)
         .unwrap();
-    assert_eq!(hdr.rlength, 5);
+    assert_eq!(hdr.rlength(), 5);
     let (start, len) = a.tx_region_at(md, 3, 5).unwrap();
     assert_eq!((start, len), (3, 5));
     let data = WireData::Real(amem.read(start, len as u32).into());

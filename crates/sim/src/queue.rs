@@ -462,6 +462,14 @@ impl<E> EventQueue<E> {
         self.inbox.capacity() + self.run.capacity() + rungs + self.far.capacity()
     }
 
+    /// Every pending event, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        let rungs = self.rungs.get(self.cur..).unwrap_or_default();
+        let tiers = [self.inbox.as_slice(), &self.run, &self.far];
+        let entries = tiers.into_iter().chain(rungs.iter().map(Vec::as_slice));
+        entries.flatten().map(|e| &e.ev)
+    }
+
     /// Total number of events ever scheduled on this queue.
     pub fn total_scheduled(&self) -> u64 {
         self.next_seq
@@ -611,6 +619,7 @@ mod tests {
         let held =
             q.inbox.len() + q.run.len() + q.rungs.iter().map(Vec::len).sum::<usize>() + q.far.len();
         assert_eq!(q.len(), held, "len counts every tier");
+        assert_eq!(q.iter().count(), held, "iter visits every tier");
         for e in q.inbox.iter().chain(&q.run) {
             assert!(e.bound() <= q.run_end, "inbox, run <= run_end");
         }

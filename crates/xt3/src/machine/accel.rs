@@ -65,10 +65,10 @@ impl Machine {
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
-                    drop_length: rec.header.rlength - ticket.mlength,
+                    drop_length: rec.header.rlength() - ticket.mlength,
                     dma,
                 };
-                rec.ticket = Some(ticket);
+                rec.keep(ticket);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::RxCmdPost, t, node as u32, 0);
                 self.fw_command(q, t, node, fw_proc, cmd);

@@ -72,7 +72,7 @@ impl Parcel {
             header: msg.header,
             data: msg.data,
             wire_complete: complete_at,
-            ticket: None,
+            stowed: None,
             tag: msg.tag,
         });
     }
@@ -134,7 +134,7 @@ pub enum Ev {
         node: u32,
         /// The message and its completion time. Boxed deliberately: one
         /// allocation per *message* keeps `Ev` small (16 B instead of
-        /// the ~150 B of an inline message), and every queue slot,
+        /// the ~130 B of an inline message), and every queue slot,
         /// bucket entry, and slab `take()` copies an `Ev` on every
         /// *event*. The box outlives the event: when the firmware takes
         /// the header it becomes the receive record (see [`Parcel`]),

@@ -180,10 +180,10 @@ impl Machine {
                 let cmd = FwCommand::RecvDeposit {
                     pending,
                     length: ticket.mlength,
-                    drop_length: rec.header.rlength - ticket.mlength,
+                    drop_length: rec.header.rlength() - ticket.mlength,
                     dma: prepared.commands,
                 };
-                rec.ticket = Some(ticket);
+                rec.keep(ticket);
                 let t = self.post_cmd(q, t, node, fw_proc, cmd);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::RxCmdPost, t, node as u32, 0);

@@ -103,8 +103,8 @@ pub(crate) fn apply_send(
         spare,
         ..
     } = intent;
-    let src = NodeId(msg.header.src.nid);
-    let dst = NodeId(msg.header.dst.nid);
+    let src = NodeId(msg.header.src().nid);
+    let dst = NodeId(msg.header.dst().nid);
     let tag = msg.tag;
     let wire_bytes = msg.wire_bytes();
     causal.set_resent(resent);
@@ -159,8 +159,8 @@ impl Machine {
         msg: WireMsg,
         resent: bool,
     ) {
-        let src = NodeId(msg.header.src.nid);
-        let dst = NodeId(msg.header.dst.nid);
+        let src = NodeId(msg.header.src().nid);
+        let dst = NodeId(msg.header.dst().nid);
         let tag = msg.tag;
 
         // Reserve the delivery's scheduling key up front, from the
@@ -268,7 +268,7 @@ impl Machine {
         if self.config.exhaustion != ExhaustionPolicy::GoBackN {
             return Some(msg);
         }
-        let dst = msg.header.dst.nid;
+        let dst = msg.header.dst().nid;
         let n = &mut self.nodes[node];
         let sender = n
             .gbn_tx

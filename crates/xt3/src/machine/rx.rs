@@ -99,7 +99,7 @@ impl Machine {
     ) -> Option<Taken> {
         let cm = self.config.cost;
         let msg = &inflight.msg;
-        let from_node = msg.header.src.nid;
+        let from_node = msg.header.src().nid;
 
         match msg.kind {
             WireKind::GbnNack { expected } => {
@@ -143,13 +143,13 @@ impl Machine {
             }
         }
 
-        let dst_pid = msg.header.dst.pid;
+        let dst_pid = msg.header.dst().pid;
         let Some(dst) = self.nodes[node].procs.get(dst_pid as usize) else {
             self.drop_stray_header(q, now, node, from_node, msg.seq());
             return None;
         };
         let fw_proc = dst.fw_proc;
-        let direct = matches!(msg.header.op, PortalsOp::Reply | PortalsOp::Ack);
+        let direct = matches!(msg.header.op(), PortalsOp::Reply | PortalsOp::Ack);
         let piggy = msg.piggybacked(&self.config.fabric.link);
 
         let t = if direct {
@@ -246,7 +246,7 @@ impl Machine {
         pending: PendingId,
     ) {
         let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
-        match rec.header.op {
+        match rec.header.op() {
             PortalsOp::Ack => {
                 let t = self.ppc_run(node, FwHandler::Completion, t);
                 self.complete_direct(q, t, node, fw_proc, pending);
@@ -260,8 +260,8 @@ impl Machine {
             PortalsOp::Reply => {
                 // Bulk reply: the get command pushed the deposit buffer
                 // down; program the RX DMA directly.
-                let md = rec.header.initiator_md.expect("reply names its md");
-                let (len, key) = (rec.header.mlength, (rec.header.dst.pid, md));
+                let md = rec.header.initiator_md().expect("reply names its md");
+                let (len, key) = (rec.header.mlength(), (rec.header.dst().pid, md));
                 let n = &mut self.nodes[node];
                 let chunks = n.await_reply.get(&key).copied().unwrap_or_default();
                 let result = n.fw.direct_deposit(fw_proc, pending, len, chunks);
@@ -285,18 +285,18 @@ impl Machine {
         let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
         let parcel = parcel.expect("direct rec");
         let rec = parcel.record();
-        let pid = rec.header.dst.pid;
+        let pid = rec.header.dst().pid;
         let before = self.events_posted(node, pid);
         let n = &mut self.nodes[node];
         let proc = &mut n.procs[pid as usize];
-        match rec.header.op {
+        match rec.header.op() {
             PortalsOp::Ack => {
                 proc.lib.deliver_ack(&rec.header);
             }
             _ => {
                 proc.lib
                     .complete_reply(&rec.header, &rec.data, &mut *proc.mem);
-                if let Some(md) = rec.header.initiator_md {
+                if let Some(md) = rec.header.initiator_md() {
                     n.await_reply.remove(&(pid, md));
                 }
             }
@@ -369,7 +369,7 @@ impl Machine {
         let rec = n.rx_store.get(&(fw_proc, pending)).map(|p| p.record());
         // A firmware-direct reply completes right here: the deposit
         // happened via DMA; ReplyEnd goes straight into the app's EQ.
-        let direct_reply = rec.is_some_and(|r| r.header.op == PortalsOp::Reply);
+        let direct_reply = rec.is_some_and(|r| r.header.op() == PortalsOp::Reply);
         if let Some(tag) = rec.map(|r| r.tag) {
             self.causal
                 .record_chain(TraceId(tag), CausalStage::DepositDone, t, node as u32, 0);
@@ -397,7 +397,7 @@ impl Machine {
     ) -> HeaderMatch {
         let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
         let piggy = self.config.fabric.link.piggybacks(rec.data.len());
-        let (op, dst_pid, tag) = (rec.header.op, rec.header.dst.pid, rec.tag);
+        let (op, dst_pid, tag) = (rec.header.op(), rec.header.dst().pid, rec.tag);
         let match_idx =
             self.causal
                 .record_chain(TraceId(tag), CausalStage::MatchDone, t, node as u32, 0);
@@ -447,13 +447,12 @@ impl Machine {
         let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
         let parcel = parcel.expect("rx rec");
         let rec = parcel.record();
-        let (pid, tag) = (rec.header.dst.pid, rec.tag);
+        let (pid, tag) = (rec.header.dst().pid, rec.tag);
         let before = self.events_posted(node, pid);
-        let ticket = ticket
-            .or(rec.ticket.as_ref())
-            .expect("deposit had a ticket");
+        let stowed = rec.ticket();
+        let ticket = ticket.or(stowed.as_ref()).expect("deposit had a ticket");
         let proc = &mut self.nodes[node].procs[pid as usize];
-        let action = match rec.header.op {
+        let action = match rec.header.op() {
             PortalsOp::Get => proc.lib.complete_get_serve(
                 &rec.header,
                 ticket,

@@ -100,7 +100,7 @@ impl Machine {
             cause,
             len,
         );
-        let target_node = header.dst.nid;
+        let target_node = header.dst().nid;
         self.nodes[node].tx_store.insert(
             (fw_proc, pending),
             TxRecord {

@@ -16,7 +16,7 @@ use xt3_firmware::pending::PendingId;
 use xt3_nal::addr::{AddressSpace, CatamountSpace, LinuxSpace};
 use xt3_nal::bridge::{bridge_for, Bridge};
 use xt3_portals::header::{PortalsHeader, PortalsOp};
-use xt3_portals::library::{MatchTicket, PortalsLib, WireData};
+use xt3_portals::library::{MatchTicket, PortalsLib, StowedTicket, WireData};
 use xt3_portals::slab::fit_by_use;
 use xt3_portals::types::{MdHandle, NiLimits, ProcessId};
 use xt3_seastar::chip::SeaStar;
@@ -96,6 +96,11 @@ impl<V> PendingMap<V> {
     pub fn remove(&mut self, key: &(ProcIdx, PendingId)) -> Option<V> {
         let id = self.slot_of(key.1)?;
         self.slots.get_mut(key.0 as usize)?.get_mut(id)?.take()
+    }
+
+    /// Slots that hold a record, over every row.
+    pub fn occupied(&self) -> usize {
+        self.slots.iter().flatten().filter(|v| v.is_some()).count()
     }
 
     /// Slots process `proc`'s row has been allocated: the next power of
@@ -202,20 +207,36 @@ pub(crate) struct TxRecord {
 }
 
 /// Host/NIC-side record of an in-flight receive: the upper pending of an
-/// RX pending. It lives in its message's delivery box ([`Parcel`]) from
-/// the firmware taking the header to the end of the receive, and the RX
-/// row holds the box. Nothing here that the header or payload already
-/// say: at 160 B it fills the box exactly, and the box's own tag sits in
-/// a niche of the header (see the test below).
+/// RX pending, which holds "the Portals header + other info" (paper
+/// §4.2). It lives in its message's delivery box ([`Parcel`]) from the
+/// firmware taking the header to the end of the receive, and the RX row
+/// holds the box. Nothing here that the header or payload already say:
+/// once a deposit is programmed, its match's offset takes the word of the
+/// spent remote offset in the header ([`MatchTicket::stow`]). At 136 B it
+/// sizes the box, and the box's own tag sits in a niche (see the test
+/// below).
 #[derive(Debug)]
 pub(crate) struct RxRecord {
     pub header: PortalsHeader,
     pub data: WireData,
     pub wire_complete: SimTime,
-    pub ticket: Option<MatchTicket>,
+    /// The match of a programmed deposit, less the offset `header` holds.
+    pub stowed: Option<StowedTicket>,
     /// The message's wire tag, which the causal tracer uses as its
     /// [`xt3_sim::TraceId`] on the receive path.
     pub tag: u64,
+}
+
+impl RxRecord {
+    /// Keep the match of the deposit just programmed until it completes.
+    pub fn keep(&mut self, ticket: MatchTicket) {
+        self.stowed = Some(ticket.stow(&mut self.header));
+    }
+
+    /// The match kept by [`Self::keep`], if any.
+    pub fn ticket(&self) -> Option<MatchTicket> {
+        self.stowed.map(|s| s.ticket(&self.header))
+    }
 }
 
 /// The firmware layouts a machine under construction has taken so far,
@@ -445,7 +466,13 @@ impl Node {
     pub(crate) fn tx_is_reply(&self, fw_proc: ProcIdx, pending: PendingId) -> bool {
         self.tx_store
             .get(&(fw_proc, pending))
-            .is_some_and(|r| r.header.op == PortalsOp::Reply)
+            .is_some_and(|r| r.header.op() == PortalsOp::Reply)
+    }
+
+    /// Receives whose header the firmware took and that have not
+    /// finished: each holds its delivery box in an RX row slot.
+    pub fn receives_in_flight(&self) -> usize {
+        self.rx_store.occupied()
     }
 
     /// Fresh trace tag.
@@ -484,12 +511,16 @@ mod tests {
         // 512-node all-to-all holds ~0.2M at once, so each byte of the
         // box is 0.2 MB there. The row keeps its high water, and holds a
         // pointer a slot. The box is its larger cargo and no tag word:
-        // the 144 B in-flight message ends before the record's header
-        // enums (bytes 156-158), so rustc keeps the cargo's tag in their
-        // niche (176 B while the wire message kept its own sequence and a
-        // payload its capacity). Layout is rustc's choice: this pins it.
+        // the in-flight message ends before a niche of the record, so
+        // rustc keeps the cargo's tag there. 72 B headers (88 before the
+        // request and response words shared) and a stowed ticket (40 B
+        // as a whole `MatchTicket`) took the in-flight message from 144
+        // to 128 B, the record and the box from 160 to 136 (176 while the
+        // wire message kept its own sequence and a payload its capacity).
+        // Layout is rustc's choice: this pins it.
         assert_eq!(std::mem::size_of::<Option<Box<Parcel>>>(), 8);
-        assert_eq!(std::mem::size_of::<Parcel>(), 160);
-        assert_eq!(std::mem::size_of::<RxRecord>(), 160);
+        assert_eq!(std::mem::size_of::<crate::machine::InFlight>(), 128);
+        assert_eq!(std::mem::size_of::<Parcel>(), 136);
+        assert_eq!(std::mem::size_of::<RxRecord>(), 136);
     }
 }

@@ -1,7 +1,7 @@
 //! The wire message format.
 //!
 //! What actually crosses the fabric: a Portals header (riding in the first
-//! 64-byte packet), the payload, and — when the go-back-n exhaustion
+//! 64-byte packet; 72 B here, see [`PortalsHeader`]), the payload, and — when the go-back-n exhaustion
 //! policy is active — per-peer sequencing information.
 
 use xt3_firmware::gbn::SeqNo;
@@ -167,11 +167,12 @@ mod tests {
     }
 
     /// The sequence folded into the kind: the kind is a tag and a
-    /// `SeqNo`, and a message is header, payload, kind and tag. Layout is
-    /// rustc's choice, so these pins fence it.
+    /// `SeqNo`, and a message is header, payload, kind and tag: 128 B
+    /// with an 88 B header, 112 B with the 72 B one. Layout is rustc's
+    /// choice, so these pins fence it.
     #[test]
     fn wire_sizes() {
         assert_eq!(std::mem::size_of::<WireKind>(), 16);
-        assert_eq!(std::mem::size_of::<WireMsg>(), 128);
+        assert_eq!(std::mem::size_of::<WireMsg>(), 112);
     }
 }

@@ -39,6 +39,7 @@ fn pending_map_matches_a_btree_across_every_growth_edge() {
             assert_eq!(map.remove(&key), model.remove(&key));
             assert_eq!(map.get(&key), None);
             assert_eq!(map.remove(&key), None, "taken once");
+            assert_eq!(map.occupied(), model.len(), "an emptied slot holds nothing");
             let record = [u64::from(id) + 1000; 17];
             assert_eq!(map.insert(key, record), None);
             model.insert(key, record);
@@ -49,6 +50,7 @@ fn pending_map_matches_a_btree_across_every_growth_edge() {
     for (key, record) in &model {
         assert_eq!(map.get(key), Some(record));
     }
+    assert_eq!(map.occupied(), model.len());
     assert_eq!(map.row_capacity(0), 0, "the other process's row is its own");
     assert_eq!(map.get(&(0, BASE)), None);
     assert_eq!(map.get(&(1, BASE - 1)), None, "below the base");

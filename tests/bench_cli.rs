@@ -171,6 +171,8 @@ fn every_committed_bench_file_yields_the_keys_its_gate_reads() {
         "nonzero_buckets",
         "bytes_per_nonzero_bucket",
         "series_heap_ratio",
+        "rx_pending_host_bytes",
+        "rx_pending_paper_bytes",
     ]
     .map(|name| (name, 0.0));
     let counts: Vec<gate::MemCount> = ["node_bytes", "live_blocks_per_node"]
@@ -188,4 +190,10 @@ fn every_committed_bench_file_yields_the_keys_its_gate_reads() {
     let drifted = committed.replacen("\"stalled\": 23", "\"stalled\": 24", 1);
     let drift = gate::check_congestion(&congestion, &drifted).expect_err("one field moved");
     assert!(drift.contains("\"pattern\": \"uniform\""), "{drift}");
+    let other = committed.replacen("\"policy\": \"panic\"", "\"policy\": \"gbn\"", 1);
+    let refused = gate::check_congestion(&congestion, &other).expect_err("another policy");
+    assert!(
+        refused.contains("policy panic, this sweep ran policy gbn"),
+        "{refused}"
+    );
 }

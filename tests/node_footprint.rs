@@ -58,9 +58,10 @@ fn a_node_costs_what_landed() {
     assert_eq!(std::mem::size_of::<LowerPending>(), 24, "no DMA list");
     assert!(std::mem::size_of::<LowerPending>() <= LOWER_PENDING_BYTES as usize);
     // Its upper pending is the message's delivery box: the sequence rides
-    // in the wire kind, a payload keeps no capacity, and the box's tag
-    // sits in a niche of the receive record's header (176 B before).
-    assert_eq!(std::mem::size_of::<Parcel>(), 160, "no tag word");
+    // in the wire kind, a payload keeps no capacity, the box's tag sits
+    // in a niche of the receive record, and the record keeps a 72 B
+    // header and a stowed ticket (176 B, then 160 B before).
+    assert_eq!(std::mem::size_of::<Parcel>(), 136, "no tag word");
 
     let floor = Census::take();
     let dims = Dims::red_storm(4, 4, 2);
