@@ -84,6 +84,33 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
     );
 }
 
+/// ROADMAP item 5's ratchet: the code lines of `crates/*/src` — the
+/// total of `audit inventory`'s table — may not grow past this ceiling
+/// unseen. A change that shrinks the code lowers it to the new count; one
+/// that must grow it raises it here and says in CHANGES.md which lines
+/// and why.
+const CODE_LINE_CEILING: usize = 22_843;
+
+#[test]
+fn crate_code_lines_stay_under_the_ratchet() {
+    let root = rules::repo_root();
+    let mut total = 0;
+    for file in rules::source_files(&root).expect("walk") {
+        let rel = rules::rel_path(&root, &file);
+        let in_src = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once("/src/"));
+        if in_src.is_some() {
+            total += inventory::code_lines(&fs::read_to_string(&file).expect("read source"));
+        }
+    }
+    assert!(
+        total <= CODE_LINE_CEILING,
+        "crates/*/src has {total} code lines, over the ratchet's {CODE_LINE_CEILING}: cut as \
+         many, or raise the ceiling and say in CHANGES.md which lines and why"
+    );
+}
+
 /// The lines strictly between `begin` and `end` in `doc`.
 fn block<'a>(doc: &'a str, begin: &str, end: &str) -> Option<&'a str> {
     let (_, rest) = doc.split_once(&format!("{begin}\n"))?;

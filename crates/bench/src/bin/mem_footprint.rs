@@ -9,7 +9,12 @@
 //! both as absolute bytes and bytes per node. The full 10,368-node
 //! machine (27x16x24) is the headline row: the demand-allocation work
 //! (lazy pending pools, on-demand routing, write-materialized address
-//! spaces) is accountable to keeping it far under the 4 GB line.
+//! spaces) is accountable to keeping it far under the 4 GB line. Each
+//! row also carries its **paper ledger**, read at the round's fullest
+//! 1,000-event boundary: the sources and pendings in use at §4.2's sizes
+//! (32 B a source, 64 B lower + 64 B upper a pending) per node, beside
+//! the live MDs and the EQ slots holding an event, which §4.2 does not
+//! size.
 //!
 //! The default sweep ends with the **observed row**: the contended
 //! 8x8x8 all-to-all with the registry, the causal log and the link
@@ -56,6 +61,7 @@ use xt3_bench::gate::{self, Baseline};
 use xt3_bench::heap::{self, Census, CountingAlloc};
 use xt3_bench::machines::{self, full_machine, NEIGHBOR_MSG};
 use xt3_firmware::pending::{LowerPending, LOWER_PENDING_BYTES};
+use xt3_firmware::source::SOURCE_BYTES;
 use xt3_node::machine::{Ev, Machine, Parcel};
 use xt3_node::node::Node;
 use xt3_sim::RunOutcome;
@@ -74,20 +80,69 @@ struct Row {
     events: u64,
     /// What is live once the run has drained, the machine still whole.
     live: Census,
+    /// §4.2's structures in use at the round's fullest boundary.
+    ledger: Ledger,
 }
 
 impl Row {
-    /// The two numbers of this row the gate holds exactly: `Node`'s
-    /// inline size and the live heap blocks per node after the run (whole
+    /// The numbers of this row the gate holds exactly: `Node`'s inline
+    /// size and the live heap blocks per node after the run (whole
     /// blocks: the few the machine holds once — queue, fabric, the node
-    /// vector — do not make one more per node).
-    fn counts(&self) -> [gate::MemCount; 2] {
+    /// vector — do not make one more per node), and the paper ledger.
+    fn counts(&self) -> [gate::MemCount; 5] {
         let node_bytes = std::mem::size_of::<Node>() as u64;
-        let blocks = self.live.blocks() / self.nodes as u64;
+        let (l, nodes) = (&self.ledger, self.nodes);
+        let blocks = self.live.blocks() / nodes as u64;
+        let paper = l.paper_bytes() / nodes as u64;
         [
-            (self.nodes, "node_bytes", node_bytes),
-            (self.nodes, "live_blocks_per_node", blocks),
+            (nodes, "node_bytes", node_bytes),
+            (nodes, "live_blocks_per_node", blocks),
+            (nodes, "paper_bytes_per_node", paper),
+            (nodes, "live_mds", l.mds),
+            (nodes, "live_eq_slots", l.eq_slots),
         ]
+    }
+}
+
+/// Events between two looks at a round's machine: the paper ledger is
+/// read at the boundary with the most live bytes.
+const ROUND_SLICE: u64 = 1_000;
+
+/// §4.2's per-node structures in use across the machine — sources, and
+/// RX and TX pendings — and the host structures it does not size: MDs
+/// and the EQ slots that hold an event.
+#[derive(Clone, Copy, Default)]
+struct Ledger {
+    sources: u64,
+    rx_pendings: u64,
+    tx_pendings: u64,
+    mds: u64,
+    eq_slots: u64,
+}
+
+impl Ledger {
+    fn take(m: &Machine) -> Self {
+        let mut l = Ledger::default();
+        for n in &m.nodes {
+            l.sources += u64::from(n.fw.sources().in_use());
+            l.tx_pendings += n.transmits_in_flight() as u64;
+            for p in 0..n.fw.process_count() {
+                l.rx_pendings += u64::from(n.fw.rx_pool_stats(p).0);
+            }
+            for proc in &n.procs {
+                let (mds, events) = proc.lib.live_mds_and_events();
+                l.mds += u64::from(mds);
+                l.eq_slots += u64::from(events);
+            }
+        }
+        l
+    }
+
+    /// What §4.2's sizes make of the sources and pendings in use: a 32 B
+    /// source each, a 64 B lower and a 64 B upper pending each.
+    fn paper_bytes(&self) -> u64 {
+        let pendings = self.rx_pendings + self.tx_pendings;
+        self.sources * u64::from(SOURCE_BYTES) + pendings * PAPER_PENDING_BYTES
     }
 }
 
@@ -134,10 +189,10 @@ fn print_census(title: &str, live: &Census, nodes: usize) {
 /// [`alltoall_at_peak`] runs.
 const CENSUS_SLICE: u64 = 100_000;
 
-/// The host bytes §4.2 needs for one RX pending: a 64 B lower pending in
-/// SeaStar SRAM and a 64 B upper pending in host memory, which holds "the
-/// Portals header + other info".
-const PAPER_RX_PENDING_BYTES: u64 = LOWER_PENDING_BYTES as u64 + 64;
+/// The bytes §4.2 needs for one pending, RX or TX: a 64 B lower pending
+/// in SeaStar SRAM and a 64 B upper pending in host memory, which holds
+/// "the Portals header + other info".
+const PAPER_PENDING_BYTES: u64 = LOWER_PENDING_BYTES as u64 + 64;
 
 /// The unobserved 8x8x8 all-to-all at the slice boundary with the most
 /// live bytes.
@@ -202,7 +257,7 @@ fn alltoall_at_peak() -> Fullest {
                 queue_len: q.len(),
                 queue_capacity: q.capacity(),
                 nodes: m.nodes.len(),
-                rx_pendings: rx_pendings_in_use(m),
+                rx_pendings: Ledger::take(m).rx_pendings,
                 rx_slots: rx_slots as u64,
                 boxes: (rx_slots + queued.count()) as u64,
             });
@@ -239,7 +294,7 @@ fn print_alltoall_at_peak(f: &Fullest) {
     let title = format!(
         "live at its fullest boundary (event {} of {}; queue {} events in {} slots; \
          {} RX pendings in use; {} delivery boxes of {} B, {} of them in RX rows; \
-         {per:.1} host B an RX pending in use, the paper's {PAPER_RX_PENDING_BYTES} B \
+         {per:.1} host B an RX pending in use, the paper's {PAPER_PENDING_BYTES} B \
          (64 B lower + 64 B upper pending): {:.2}x)",
         f.at,
         f.events,
@@ -249,16 +304,9 @@ fn print_alltoall_at_peak(f: &Fullest) {
         f.boxes,
         std::mem::size_of::<Parcel>(),
         f.rx_slots,
-        per / PAPER_RX_PENDING_BYTES as f64
+        per / PAPER_PENDING_BYTES as f64
     );
     print_census(&title, &f.live, f.nodes);
-}
-
-/// RX pendings allocated across every node's firmware-level processes.
-fn rx_pendings_in_use(machine: &Machine) -> u64 {
-    let nodes = machine.nodes.iter();
-    let procs = nodes.flat_map(|n| (0..n.fw.process_count()).map(move |p| n.fw.rx_pool_stats(p).0));
-    procs.map(u64::from).sum()
 }
 
 const USAGE: &str = "\
@@ -278,8 +326,9 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
 --histogram       after each size, and at the unobserved 8x8x8
                   all-to-all's fullest 100k-event boundary, print what is
                   live per node by allocation size, and each machine-wide
-                  class of 1 MiB or more; the boundary's line prints the
-                  host bytes an RX pending in use costs there";
+                  class of 1 MiB or more; each size's paper ledger with
+                  its peak over the paper's bytes, and the boundary's line
+                  the host bytes an RX pending in use costs there";
 
 fn measure(dims: Dims, series: bool) -> Row {
     let nodes = dims.node_count() as usize;
@@ -293,8 +342,16 @@ fn measure(dims: Dims, series: bool) -> Row {
     }
     let built = heap::live_bytes().saturating_sub(floor);
 
-    let mut engine = machine.into_engine();
-    let outcome = engine.run();
+    let mut engine = machine.into_engine().with_event_budget(ROUND_SLICE);
+    let (mut most, mut ledger) = (0, Ledger::default());
+    let mut outcome = RunOutcome::EventBudgetExhausted;
+    while outcome == RunOutcome::EventBudgetExhausted {
+        outcome = engine.run();
+        if heap::live_bytes() > most {
+            most = heap::live_bytes();
+            ledger = Ledger::take(engine.model());
+        }
+    }
     assert_eq!(outcome, RunOutcome::Drained, "scale run must drain");
     assert_eq!(
         engine.model().running_apps(),
@@ -313,6 +370,7 @@ fn measure(dims: Dims, series: bool) -> Row {
         peak_bytes: peak,
         events,
         live,
+        ledger,
     }
 }
 
@@ -391,7 +449,7 @@ fn observed_row(fullest: &Fullest) -> Vec<Observed> {
             series.peak_bytes as f64 / none.peak_bytes as f64,
         ),
         ("rx_pending_host_bytes", fullest.bytes_per_rx_pending()),
-        ("rx_pending_paper_bytes", PAPER_RX_PENDING_BYTES as f64),
+        ("rx_pending_paper_bytes", PAPER_PENDING_BYTES as f64),
     ]
 }
 
@@ -447,6 +505,20 @@ fn run(mut args: Args) -> CmdResult {
     if histogram {
         for r in &rows {
             print_census("live after the run", &r.live, r.nodes);
+            let (l, nodes) = (&r.ledger, r.nodes as f64);
+            let (paper, peak) = (l.paper_bytes() as f64 / nodes, r.peak_bytes as f64 / nodes);
+            println!(
+                "paper ledger at the fullest {ROUND_SLICE}-event boundary: {} sources, {} RX \
+                 and {} TX pendings in use, {paper:.1} B a node at §4.2's sizes ({SOURCE_BYTES} \
+                 B a source, {PAPER_PENDING_BYTES} B a pending); peak {peak:.1} B a node, \
+                 {:.2}x; not sized by §4.2: {} MDs live, {} events in EQ slots",
+                l.sources,
+                l.rx_pendings,
+                l.tx_pendings,
+                peak / paper.max(1.0),
+                l.mds,
+                l.eq_slots
+            );
         }
         print_alltoall_at_peak(fullest.as_ref().expect("taken for the histogram"));
     }
@@ -518,6 +590,9 @@ fn render_json(rows: &[Row], observed: &[Observed], before: Option<&Baseline>) -
             "peak_bytes",
             "node_bytes",
             "live_blocks_per_node",
+            "paper_bytes_per_node",
+            "live_mds",
+            "live_eq_slots",
         ] {
             let was = |b: &Baseline| b.row_number("sizes", "nodes", &r.nodes.to_string(), field);
             if let Some(bytes) = before.and_then(|b| was(b).ok()) {

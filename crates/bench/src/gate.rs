@@ -237,18 +237,20 @@ pub fn check_rma(b: &Baseline, points: &[(&str, u64, f64)]) -> Result<usize, Str
     Ok(compared)
 }
 
-/// One allocator-exact count of a `mem_footprint` size row: node count of
-/// the row, field name, value.
+/// One exact count of a `mem_footprint` size row: node count of the row,
+/// field name, value.
 pub type MemCount = (usize, &'static str, u64);
 
 /// `BENCH_mem.json`: every measured size's peak against [`HEAP_LIMIT`] x
 /// the baseline's at the same node count, every number of the observed
-/// row likewise, and every count (`node_bytes`, `live_blocks_per_node`:
-/// small whole numbers, where 2 % is no room at all) against the
-/// baseline's own, not one more. A row missing from the baseline is an
-/// error: a silently skipped row would read as covered. The observed
-/// row's `series_heap_ratio`, when measured, is also held to
-/// [`SERIES_HEAP_RATIO_CEILING`], whatever the baseline says.
+/// row likewise, and every count (`node_bytes`, `live_blocks_per_node`,
+/// the paper ledger's `paper_bytes_per_node`, `live_mds` and
+/// `live_eq_slots`: whole numbers of a deterministic run, where 2 % is
+/// room for a real change) against the baseline's own, not one more. A
+/// row missing from the baseline is an error: a silently skipped row
+/// would read as covered. The observed row's `series_heap_ratio`, when
+/// measured, is also held to [`SERIES_HEAP_RATIO_CEILING`], whatever the
+/// baseline says.
 pub fn check_mem(
     b: &Baseline,
     peaks: &[(usize, u64)],

@@ -13,7 +13,6 @@ use crate::pending::{
 };
 use crate::pool::Pool;
 use crate::source::{Source, SourceId, SourceTable, NUM_SOURCES, SOURCE_BYTES};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use xt3_portals::slab::fit_by_use;
@@ -25,7 +24,7 @@ use xt3_seastar::sram::{Sram, SramError};
 pub type ProcIdx = u32;
 
 /// Operating mode of a firmware-level process (§3.3/§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FwMode {
     /// Host-driven: headers and completions interrupt the host, which does
     /// all Portals processing in the kernel.
@@ -36,7 +35,7 @@ pub enum FwMode {
 }
 
 /// Compile-time-style firmware configuration (§4.2's constants).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FwConfig {
     /// RX pendings per firmware-level process (firmware-managed pool).
     pub rx_pendings: u32,
@@ -215,7 +214,7 @@ impl<'a> IntoIterator for &'a Effects {
 }
 
 /// Resource-exhaustion conditions (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FwError {
     /// The target process's RX pending free list is empty.
     NoRxPending,
@@ -246,7 +245,7 @@ impl std::fmt::Display for FwError {
 }
 
 /// Firmware counters exposed to the experiments.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FwCounters {
     /// Headers received.
     pub rx_headers: u64,

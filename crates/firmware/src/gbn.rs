@@ -15,14 +15,13 @@
 //! retransmits from the requested sequence. Cumulative ACKs (piggybacked
 //! by the platform on deliveries) advance the window.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A per-peer message sequence number.
 pub type SeqNo = u64;
 
 /// Events the receiver side emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GbnEvent {
     /// Accept and process the message; implicitly acknowledges `seq`.
     Accept {
@@ -39,7 +38,7 @@ pub enum GbnEvent {
 }
 
 /// Sender-side go-back-n state for one peer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbnSender<M> {
     next_seq: SeqNo,
     /// Unacknowledged messages `(seq, message)` in order.
@@ -152,7 +151,7 @@ impl<M: Clone> GbnSender<M> {
 }
 
 /// Receiver-side go-back-n state for one peer.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GbnReceiver {
     expected: SeqNo,
     /// Messages dropped (out of order or resource exhaustion).

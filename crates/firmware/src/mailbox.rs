@@ -8,13 +8,12 @@
 //! the model keeps the command FIFO and not the paper's result FIFO.
 
 use crate::pending::PendingId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use xt3_portals::slab::fit_ring_by_use;
 use xt3_seastar::dma::DmaList;
 
 /// Commands the host pushes to the firmware (§4.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FwCommand {
     /// Transmit the message described by a host-initialized pending.
     Transmit {
@@ -59,7 +58,7 @@ pub enum FwCommand {
 /// Asynchronous events the firmware posts into a process's event queue
 /// (§4.1: "message transmit complete", "message reception complete", plus
 /// the header-arrival event that triggers generic-mode matching).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FwEvent {
     /// A transmit finished; the host may release the TX pending.
     TxComplete {

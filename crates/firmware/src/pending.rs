@@ -12,14 +12,13 @@
 //! `xt3-node`), keyed by the same `(process, pending)` pair.
 
 use crate::control::ProcIdx;
-use serde::{Deserialize, Serialize};
 
 /// Index of a pending within its process's pool. The wire protocol carries
 /// these so completions can find their state without matching.
 pub type PendingId = u32;
 
 /// Progress state of a pending (the lower half's "current state").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PendingState {
     /// Unused (on the free list).
     #[default]
@@ -70,7 +69,7 @@ impl RxLink {
 /// The lower pending: SeaStar SRAM resident. The SRAM ledger charges the
 /// hardware's [`LOWER_PENDING_BYTES`] for it; the host keeps only what the
 /// firmware's handlers read.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LowerPending {
     /// Progress state.
     pub state: PendingState,

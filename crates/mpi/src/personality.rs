@@ -10,11 +10,10 @@
 //! path, which is why the paper sees "both MPI implementations achieving
 //! the same performance" there.
 
-use serde::{Deserialize, Serialize};
 use xt3_sim::SimTime;
 
 /// Tunable constants of one MPI implementation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Personality {
     /// Display name.
     pub name: &'static str,

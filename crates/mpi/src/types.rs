@@ -1,7 +1,5 @@
 //! MPI-level identifiers and the match-bit encoding.
 
-use serde::{Deserialize, Serialize};
-
 /// A rank within the communicator.
 pub type Rank = u32;
 /// An MPI tag.
@@ -15,7 +13,7 @@ pub const ANY_SOURCE: Rank = u32::MAX;
 pub const ANY_TAG: Tag = u32::MAX;
 
 /// MPI-layer errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpiError {
     /// Rank outside the communicator.
     BadRank,

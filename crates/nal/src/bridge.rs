@@ -6,13 +6,12 @@
 //! lists (single command vs. pinned scatter/gather).
 
 use crate::addr::AddressSpace;
-use serde::{Deserialize, Serialize};
 use xt3_seastar::cost::CostModel;
 use xt3_seastar::dma::DmaList;
 use xt3_sim::SimTime;
 
 /// Which bridge a process uses (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BridgeKind {
     /// Catamount compute-node application.
     Qk,

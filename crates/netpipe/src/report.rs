@@ -1,6 +1,5 @@
 //! Result containers and figure rendering.
 
-use serde::{Deserialize, Serialize};
 use xt3_sim::SimTime;
 use xt3_telemetry::quote_json;
 
@@ -8,7 +7,7 @@ pub use xt3_sim::stats::Series;
 
 /// One completed round: `messages` transfers of `size` bytes in
 /// `elapsed`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoundResult {
     /// Message size in bytes.
     pub size: u64,
@@ -107,7 +106,7 @@ pub fn bandwidth_series(label: &str, rounds: &[RoundResult]) -> Series {
 }
 
 /// One figure: several curves plus axis labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureData {
     /// Figure title (e.g. "Figure 4. Latency performance").
     pub title: String,

@@ -6,10 +6,8 @@
 //! count per size so each measurement takes comparable time. We keep the
 //! same structure with a deterministic repetition formula.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured point: a message size and how many iterations to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizePoint {
     /// Message size in bytes.
     pub size: u64,
@@ -18,7 +16,7 @@ pub struct SizePoint {
 }
 
 /// A full sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Points in ascending size order.
     pub points: Vec<SizePoint>,

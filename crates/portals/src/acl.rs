@@ -6,13 +6,12 @@
 //! wildcard) the portal index being addressed.
 
 use crate::types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// Wildcard portal index in an AC entry.
 pub const PT_INDEX_ANY: u32 = u32::MAX;
 
 /// One access control entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcEntry {
     /// Which initiators are allowed (wildcards permitted).
     pub allowed: ProcessId,

@@ -10,10 +10,9 @@
 
 use crate::slab::fit_ring_by_use;
 use crate::types::{MatchBits, MdHandle, ProcessId, PtlError, PtlResult};
-use serde::{Deserialize, Serialize};
 
 /// Event types (`ptl_event_kind_t` subset used by the stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A put began arriving into a local MD (target side).
     PutStart,
@@ -36,7 +35,7 @@ pub enum EventKind {
 }
 
 /// One completion event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// What completed.
     pub kind: EventKind,
@@ -68,7 +67,7 @@ pub struct Event {
 /// Typical queues hold a handful of events at a time, so the deque
 /// (grown by [`fit_ring_by_use`]) stays tiny and the drop semantics are
 /// unchanged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EventQueue {
     ring: std::collections::VecDeque<Event>,
     capacity: u32,

@@ -31,7 +31,6 @@ use crate::slab::{fit_by_use, Slab};
 use crate::types::{
     AckReq, EqHandle, MatchBits, MdHandle, MeHandle, NiLimits, ProcessId, PtlError, PtlResult,
 };
-use serde::{Deserialize, Serialize};
 
 /// Message payload on the wire.
 ///
@@ -159,7 +158,7 @@ pub enum IncomingAction {
 }
 
 /// `PtlNIStatus` registers (the subset `ptl_sr_index_t` the stack uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NiStatusRegister {
     /// Messages dropped with no matching entry (`PTL_SR_DROP_COUNT`).
     DropCount,
@@ -170,7 +169,7 @@ pub enum NiStatusRegister {
 }
 
 /// Counters the node model exposes to experiments.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LibCounters {
     /// Headers matched successfully.
     pub matched: u64,
@@ -287,6 +286,13 @@ impl PortalsLib {
             .get(h.index, h.generation)
             .ok_or(PtlError::InvalidHandle)?
             .len())
+    }
+
+    /// MDs live and the EQ slots holding an event, over this interface's
+    /// event queues: host structures a memory ledger counts beside §4.2's.
+    pub fn live_mds_and_events(&self) -> (u32, u32) {
+        let events = self.eqs.iter().map(|(_, _, eq)| eq.len()).sum();
+        (self.mds.len(), events)
     }
 
     /// Deepest any of this interface's event queues has ever been

@@ -6,10 +6,9 @@
 //! manages the offset, and which EQ receives its events.
 
 use crate::types::{EqHandle, PtlError, PtlResult};
-use serde::{Deserialize, Serialize};
 
 /// MD option flags (a faithful subset of `ptl_md_t.options`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MdOptions {
     /// Accept put operations (`PTL_MD_OP_PUT`).
     pub op_put: bool,
@@ -67,7 +66,7 @@ impl MdOptions {
 }
 
 /// MD operation threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threshold {
     /// Unlimited operations (`PTL_MD_THRESH_INF`).
     Infinite,
@@ -96,7 +95,7 @@ impl Threshold {
 }
 
 /// A memory descriptor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Md {
     /// Start address in the owning process's virtual address space.
     pub start: u64,

@@ -8,10 +8,9 @@
 //! list front to back.
 
 use crate::types::{MatchBits, MdHandle, MeHandle, ProcessId};
-use serde::{Deserialize, Serialize};
 
 /// What happens to a matched ME when its MD's threshold exhausts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnlinkOp {
     /// Unlink the ME (and its MD) automatically (`PTL_UNLINK`).
     Unlink,
@@ -21,7 +20,7 @@ pub enum UnlinkOp {
 
 /// Where to insert a new ME relative to an existing one
 /// (`PtlMEInsert`/`PtlMEAttach` position).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertPos {
     /// Before the reference entry / at the list head.
     Before,
@@ -30,7 +29,7 @@ pub enum InsertPos {
 }
 
 /// A match entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Me {
     /// Which initiators may match (wildcards allowed).
     pub match_id: ProcessId,
@@ -52,7 +51,7 @@ impl Me {
 }
 
 /// The ordered ME list of one portal table entry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MeList {
     entries: Vec<MeHandle>,
 }

@@ -1,6 +1,5 @@
 //! Fundamental Portals identifiers, handles and error codes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Wildcard node id in a match criterion (`PTL_NID_ANY`).
@@ -9,7 +8,7 @@ pub const NID_ANY: u32 = u32::MAX;
 pub const PID_ANY: u32 = u32::MAX;
 
 /// A Portals process identifier: node id plus process id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcessId {
     /// Node id (the Portals "nid").
     pub nid: u32,
@@ -53,7 +52,7 @@ impl fmt::Display for ProcessId {
 pub type MatchBits = u64;
 
 /// Acknowledgement request for a put (`PTL_ACK_REQ` / `PTL_NOACK_REQ`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckReq {
     /// Request an acknowledgement event from the target.
     Ack,
@@ -66,7 +65,7 @@ macro_rules! handle_type {
         $(#[$doc])*
         // Ord so handles can key deterministic ordered maps (BTreeMap):
         // the determinism audit bans HashMap in simulation-facing crates.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name {
             /// Slot index in the owning table.
             pub index: u32,
@@ -96,7 +95,7 @@ handle_type!(
 );
 
 /// Per-network-interface resource limits (`PtlNIInit` desired/actual).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NiLimits {
     /// Maximum concurrently bound memory descriptors.
     pub max_mds: u32,
@@ -123,7 +122,7 @@ impl Default for NiLimits {
 }
 
 /// Portals error codes (a subset of `ptl_err_t` sufficient for the stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PtlError {
     /// Invalid or stale handle.
     InvalidHandle,

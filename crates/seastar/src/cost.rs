@@ -15,12 +15,11 @@
 //!    and test in the repository. The calibration test lives in
 //!    `crates/netpipe` and the fit is documented in `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
 use xt3_sim::{Bandwidth, SimTime};
 
 /// The host, firmware and HyperTransport timing constants of the
 /// simulated platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     // ----- Host (AMD Opteron, 2.0 GHz; paper §5.1) -----
     /// Cost of a null trap into the Catamount kernel. Published: ~75 ns

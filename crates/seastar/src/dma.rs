@@ -12,12 +12,11 @@
 //! programming work — this is how the Linux (paged) vs. Catamount
 //! (contiguous) difference becomes visible in the benchmarks.
 
-use serde::{Deserialize, Serialize};
 use xt3_sim::{BusyCursor, SimTime};
 use xt3_telemetry::{Component, TelemetrySink};
 
 /// Which engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaKind {
     /// Transmit (host memory -> wire).
     Tx,
@@ -26,7 +25,7 @@ pub enum DmaKind {
 }
 
 /// A DMA command: one physically contiguous chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaCommand {
     /// Physical start address.
     pub phys_addr: u64,
@@ -185,11 +184,6 @@ impl DmaEngine {
         }
     }
 
-    /// Engine kind.
-    pub fn kind(&self) -> DmaKind {
-        self.kind
-    }
-
     /// Reserve the engine for a transfer occupying `[max(arrival, free),
     /// ..+duration]`. The caller computes `duration` from the HT model (the
     /// engine itself is not the bandwidth bottleneck; HT is). Returns
@@ -264,11 +258,6 @@ impl DmaEngine {
     /// End-to-end CRC failures recorded.
     pub fn crc_failures(&self) -> u64 {
         self.crc_failures
-    }
-
-    /// Utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.cursor.utilization(now)
     }
 }
 
@@ -360,9 +349,8 @@ mod tests {
         let mut e = DmaEngine::new(DmaKind::Rx);
         e.occupy(SimTime::ZERO, SimTime::from_ns(100), 64, 3);
         e.record_crc_failure();
-        assert_eq!(e.kind(), DmaKind::Rx);
         assert_eq!(e.commands(), 3);
         assert_eq!(e.crc_failures(), 1);
-        assert!(e.utilization(SimTime::from_ns(200)) > 0.4);
+        assert_eq!(e.busy_total(), SimTime::from_ns(100));
     }
 }

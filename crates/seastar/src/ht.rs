@@ -13,11 +13,10 @@
 //! simultaneously (calibrated to Fig. 7).
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 use xt3_sim::{BusyCursor, SimTime};
 
 /// Transfer direction across the HT link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HtDir {
     /// NIC reads from host memory (TX DMA payload fetch).
     Read,

@@ -13,12 +13,12 @@
 //! which firmware processing shows up in the bidirectional results.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 use xt3_sim::{BusyCursor, SimTime};
 use xt3_telemetry::{Component, TelemetrySink};
 
-/// Firmware handler classes, each with a cost-model duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Firmware handler classes, each with a cost-model duration; a class's
+/// declaration index is its slot in [`Ppc440`]'s invocation counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FwHandler {
     /// Transmit command dispatch from a mailbox.
     TxCommand,
@@ -76,7 +76,7 @@ impl Ppc440 {
     /// Run `handler` with work arriving at `arrival`; returns when the
     /// handler completes (start is delayed while earlier handlers run).
     pub fn run(&mut self, cm: &CostModel, handler: FwHandler, arrival: SimTime) -> SimTime {
-        self.handler_counts[Self::idx(handler)] += 1;
+        self.handler_counts[handler as usize] += 1;
         self.cursor.occupy(arrival, handler.cost(cm))
     }
 
@@ -93,7 +93,7 @@ impl Ppc440 {
         node: u32,
         sink: &mut impl TelemetrySink,
     ) -> SimTime {
-        self.handler_counts[Self::idx(handler)] += 1;
+        self.handler_counts[handler as usize] += 1;
         let cost = handler.cost(cm) + extra;
         let (start, done) = self.cursor.occupy_span(arrival, cost);
         sink.span(node, Component::Ppc, handler.label(), start, done);
@@ -126,20 +126,9 @@ impl Ppc440 {
         self.cursor.occupy(arrival, duration)
     }
 
-    fn idx(h: FwHandler) -> usize {
-        match h {
-            FwHandler::TxCommand => 0,
-            FwHandler::TxDmaSetup => 1,
-            FwHandler::RxHeader => 2,
-            FwHandler::RxCommand => 3,
-            FwHandler::Completion => 4,
-            FwHandler::Match => 5,
-        }
-    }
-
     /// Invocation count for a handler class.
     pub fn count(&self, handler: FwHandler) -> u64 {
-        self.handler_counts[Self::idx(handler)]
+        self.handler_counts[handler as usize]
     }
 
     /// When the core becomes idle.

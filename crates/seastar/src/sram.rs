@@ -13,7 +13,6 @@
 //! allocation, §4.2); this module provides the region accounting that the
 //! firmware's pools sit on, and enforces the hard 384 KB budget.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -49,7 +48,7 @@ impl fmt::Display for SramError {
 impl std::error::Error for SramError {}
 
 /// A named, reserved region of SRAM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SramRegion {
     /// Human-readable purpose ("sources", "pendings\[0\]", "firmware image",
     /// ...). Borrowed for the fixed names, so a 10,368-node machine does
@@ -63,7 +62,7 @@ pub struct SramRegion {
 
 /// The SRAM allocator: bump reservation of named regions at initialization
 /// time, mirroring the firmware's compile-time layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sram {
     capacity: u32,
     used: u32,

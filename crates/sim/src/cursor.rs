@@ -11,16 +11,13 @@
 //! cycle-by-cycle.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A serialized resource that is busy until some instant.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BusyCursor {
     free_at: SimTime,
     /// Total time the resource has spent occupied (for utilization stats).
     busy_total: SimTime,
-    /// Number of work items processed.
-    jobs: u64,
 }
 
 impl BusyCursor {
@@ -38,12 +35,7 @@ impl BusyCursor {
     /// `arrival`. Returns the *completion* time: work starts when both the
     /// work has arrived and the resource is free.
     pub fn occupy(&mut self, arrival: SimTime, duration: SimTime) -> SimTime {
-        let start = self.free_at.max(arrival);
-        let done = start + duration;
-        self.free_at = done;
-        self.busy_total += duration;
-        self.jobs += 1;
-        done
+        self.occupy_span(arrival, duration).1
     }
 
     /// Like [`occupy`](Self::occupy) but also returns the start time
@@ -53,7 +45,6 @@ impl BusyCursor {
         let done = start + duration;
         self.free_at = done;
         self.busy_total += duration;
-        self.jobs += 1;
         (start, done)
     }
 
@@ -66,11 +57,6 @@ impl BusyCursor {
     /// Total occupied time.
     pub fn busy_total(&self) -> SimTime {
         self.busy_total
-    }
-
-    /// Number of work items processed.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Utilization over the window `[0, now]`, in `[0, 1]`.
@@ -95,7 +81,6 @@ mod tests {
         assert_eq!(c.occupy(SimTime::ZERO, d), SimTime::from_ns(200));
         // A job arriving after the resource is free starts immediately.
         assert_eq!(c.occupy(SimTime::from_ns(500), d), SimTime::from_ns(600));
-        assert_eq!(c.jobs(), 3);
         assert_eq!(c.busy_total(), SimTime::from_ns(300));
     }
 

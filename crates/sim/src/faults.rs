@@ -20,10 +20,9 @@
 use crate::digest::{DigestLanes, EventDigest};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A half-open interval of simulated time `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeWindow {
     /// First instant inside the window.
     pub start: SimTime,
@@ -51,7 +50,7 @@ impl TimeWindow {
 /// receiver's end-to-end 32-bit check rejects the deposit (§2); a
 /// *reorder* holds the message back by up to [`LinkFaults::reorder_window`]
 /// so it lands behind traffic injected after it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaults {
     /// Probability a message is silently dropped in flight.
     pub drop_prob: f64,
@@ -85,7 +84,7 @@ impl LinkFaults {
 /// `rx_pendings`) as a forcible squeeze, driving the configured
 /// [exhaustion policy](https://en.wikipedia.org/wiki/Go-Back-N_ARQ) —
 /// NACK + go-back-N recovery, or firmware panic under the strict policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramPulse {
     /// Affected node, or `None` for every node.
     pub node: Option<u32>,
@@ -94,7 +93,7 @@ pub struct SramPulse {
 }
 
 /// What kind of firmware misbehaviour a planned event injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FwFaultKind {
     /// The embedded PowerPC stops serving handlers for this long (e.g. a
     /// watchdog-recovered wedge); queued work resumes afterwards.
@@ -105,7 +104,7 @@ pub enum FwFaultKind {
 }
 
 /// One scheduled firmware fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FwFaultEvent {
     /// The node whose firmware misbehaves.
     pub node: u32,
@@ -118,7 +117,7 @@ pub struct FwFaultEvent {
 /// A window during which host interrupt delivery on a node incurs extra
 /// latency (e.g. the host OS masking interrupts through a long critical
 /// section — the jitter source Catamount exists to avoid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterruptSpike {
     /// Affected node, or `None` for every node.
     pub node: Option<u32>,
@@ -133,7 +132,7 @@ pub struct InterruptSpike {
 /// The plan is data: it can be cloned into a [`crate::engine::Model`]'s
 /// config, serialized, and compared. All randomness derives from
 /// [`FaultPlan::seed`], so equal plans make equal decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's private RNG streams.
     pub seed: u64,
@@ -233,7 +232,7 @@ pub enum PacketFate {
 }
 
 /// Counters for every category of injected fault.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped in flight.
     pub dropped: u64,

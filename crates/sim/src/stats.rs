@@ -5,10 +5,8 @@
 //! histograms for latency distributions, and `(x, y)` series matching the
 //! paper's figure axes (message size vs. latency / bandwidth).
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / min / max via Welford's algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -79,7 +77,7 @@ impl OnlineStats {
 }
 
 /// A histogram with logarithmic buckets (one per power of two).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))`; bucket 0 also
     /// counts zero.
@@ -172,7 +170,7 @@ impl Histogram {
 }
 
 /// One `(x, y)` point of a figure series, with spread information.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesPoint {
     /// X value (message size in bytes, for every figure in the paper).
     pub x: f64,
@@ -185,7 +183,7 @@ pub struct SeriesPoint {
 }
 
 /// A named data series: one curve of one figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Curve label as it appears in the paper's legend (e.g. "put").
     pub label: String,

@@ -9,16 +9,13 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A point in (or duration of) simulated time, in picoseconds.
 ///
 /// `SimTime` is used both as an absolute timestamp and as a duration; the
 /// arithmetic is the same and keeping one type avoids conversion noise in
 /// the cost model.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -236,7 +233,7 @@ impl fmt::Display for SimTime {
 ///
 /// Constructors mirror the units the paper quotes (MB/s and GB/s are
 /// decimal, matching the paper's NetPIPE-style reporting).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth {
     bytes_per_sec: f64,
 }

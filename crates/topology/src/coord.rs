@@ -1,10 +1,9 @@
 //! Coordinates, node identifiers, and machine shape.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node's logical identifier (the Portals "nid").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -14,7 +13,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A position in the 3-D mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// X position.
     pub x: u16,
@@ -38,7 +37,7 @@ impl fmt::Display for Coord {
 }
 
 /// A router output port: six network directions plus the host interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
     /// +X neighbor.
     XPlus,
@@ -87,7 +86,7 @@ impl Port {
 /// classified/unclassified switching cabinets restrict the torus to the Z
 /// dimension only (paper §5.1), so `wrap = (false, false, true)` for the
 /// machine the paper measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dims {
     /// Nodes in X.
     pub nx: u16,

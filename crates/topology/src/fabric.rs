@@ -16,13 +16,12 @@
 use crate::coord::{Dims, NodeId, Port};
 use crate::link::{Link, LinkConfig};
 use crate::route::RoutingTable;
-use serde::{Deserialize, Serialize};
 use xt3_sim::par::offload::{Consume, Worker};
 use xt3_sim::{CausalFolder, CausalLog, Fate, Observation, SimRng, SimTime, Transit};
 use xt3_telemetry::{Component, NullSink, Occupancy, SeriesConfig, SeriesSet, TelemetrySink};
 
 /// Fabric-wide configuration.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FabricConfig {
     /// Per-link parameters.
     pub link: LinkConfig,

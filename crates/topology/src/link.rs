@@ -6,11 +6,10 @@
 //! message occupies the link for its serialization time (packet count ×
 //! packet time), and injected CRC errors add per-packet retry time.
 
-use serde::{Deserialize, Serialize};
 use xt3_sim::{Bandwidth, BusyCursor, SimRng, SimTime};
 
 /// Static link parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
     /// Data payload bandwidth per direction. Paper §2: 2.5 GB/s after
     /// packet and reliability-protocol overhead.

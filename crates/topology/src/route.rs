@@ -12,11 +12,10 @@
 //! delivery order is identical to the literal-table implementation.
 
 use crate::coord::{Coord, Dims, NodeId, Port};
-use serde::{Deserialize, Serialize};
 
 /// Per-node routing tables for an entire machine (evaluated on demand;
 /// see the module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingTable {
     dims: Dims,
 }

@@ -1,6 +1,5 @@
 //! Machine, node and process configuration.
 
-use serde::{Deserialize, Serialize};
 use xt3_firmware::control::FwConfig;
 use xt3_nal::bridge::BridgeKind;
 use xt3_seastar::cost::CostModel;
@@ -8,7 +7,7 @@ use xt3_topology::coord::Dims;
 use xt3_topology::fabric::FabricConfig;
 
 /// Operating system on a node (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OsKind {
     /// The Catamount lightweight compute-node kernel.
     Catamount,
@@ -17,7 +16,7 @@ pub enum OsKind {
 }
 
 /// What happens when firmware resources run out (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustionPolicy {
     /// The paper's shipped behaviour: panic the node ("results in
     /// application failure").
@@ -27,7 +26,7 @@ pub enum ExhaustionPolicy {
 }
 
 /// One process on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcSpec {
     /// Which bridge its API calls cross.
     pub bridge: BridgeKind,
@@ -78,7 +77,7 @@ impl ProcSpec {
 }
 
 /// One node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Operating system.
     pub os: OsKind,
@@ -115,7 +114,7 @@ impl NodeSpec {
 }
 
 /// Whole-machine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Machine shape.
     pub dims: Dims,

@@ -6,13 +6,12 @@
 //! and interrupt costs come from the cost model (75 ns null trap, ≥2 µs
 //! interrupt; §3.3).
 
-use serde::{Deserialize, Serialize};
 use xt3_seastar::cost::CostModel;
 use xt3_sim::{BusyCursor, SimTime};
 use xt3_telemetry::{Component, TelemetrySink};
 
 /// Host CPU counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostCounters {
     /// Kernel traps taken (API crossings).
     pub traps: u64,

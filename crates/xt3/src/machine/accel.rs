@@ -60,7 +60,7 @@ impl Machine {
                 let (dma, _) = self.nodes[node].procs[dst_pid as usize]
                     .mem
                     .translate(ticket.address, ticket.mlength as u32);
-                let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
+                let rec = self.nodes[node].rows[fw_proc as usize].rx.get_mut(pending);
                 let rec = rec.expect("rec").record_mut();
                 let cmd = FwCommand::RecvDeposit {
                     pending,

@@ -466,6 +466,7 @@ impl AppCtx<'_> {
             .ok_or(PtlError::InvalidArg)?;
         self.charge(prepared.prep_cost);
         self.m.nodes[self.node]
+            .peer_state()
             .await_reply
             .insert((self.pid, md), prepared.commands.len() as u32);
         self.transmit(header, WireData::Synthetic(0), 1, None, api_start);

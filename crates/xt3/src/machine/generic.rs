@@ -34,7 +34,7 @@ impl Machine {
     /// `FwEffect::PostEvent` for a generic process: the event waits in
     /// the host-memory queue for the next interrupt.
     pub(super) fn queue_fw_event(&mut self, node: usize, fw_proc: ProcIdx, event: FwEvent) {
-        let eq = &mut self.nodes[node].fw_eq[fw_proc as usize];
+        let eq = &mut self.nodes[node].rows[fw_proc as usize].eq;
         eq.push_back(event);
         self.telemetry
             .gauge(node as u32, "fw.eq_depth", eq.len() as u64);
@@ -69,8 +69,8 @@ impl Machine {
         // because `process_fw_event` needs `&mut self`).
         let mut events = std::mem::take(&mut self.scratch_events);
         events.clear();
-        for (fw_proc, eq) in self.nodes[node].fw_eq.iter_mut().enumerate() {
-            while let Some(ev) = eq.pop_front() {
+        for (fw_proc, rows) in self.nodes[node].rows.iter_mut().enumerate() {
+            while let Some(ev) = rows.eq.pop_front() {
                 events.push((fw_proc as ProcIdx, ev));
             }
         }
@@ -103,9 +103,9 @@ impl Machine {
                 t
             }
             FwEvent::RxHeader { pending } => {
-                let tag = self.nodes[node]
-                    .rx_store
-                    .get(&(fw_proc, pending))
+                let tag = self.nodes[node].rows[fw_proc as usize]
+                    .rx
+                    .get(pending)
                     .map_or(0, |r| r.record().tag);
                 self.causal
                     .record_chain(TraceId(tag), CausalStage::IntDeliver, t, node as u32, 0);
@@ -175,7 +175,7 @@ impl Machine {
                     )
                     .expect("matched region is valid");
                 t = self.host_span(node, t, prepared.prep_cost, "rx-prepare");
-                let rec = self.nodes[node].rx_store.get_mut(&(fw_proc, pending));
+                let rec = self.nodes[node].rows[fw_proc as usize].rx.get_mut(pending);
                 let rec = rec.expect("rec").record_mut();
                 let cmd = FwCommand::RecvDeposit {
                     pending,

@@ -269,8 +269,8 @@ impl Machine {
             return Some(msg);
         }
         let dst = msg.header.dst().nid;
-        let n = &mut self.nodes[node];
-        let sender = n
+        let peers = self.nodes[node].peer_state();
+        let sender = peers
             .gbn_tx
             .entry(dst)
             .or_insert_with(|| GbnSender::new(GBN_WINDOW));
@@ -281,7 +281,7 @@ impl Machine {
                 Some(msg)
             }
             None => {
-                n.gbn_deferred.entry(dst).or_default().push_back(msg);
+                peers.gbn_deferred.entry(dst).or_default().push_back(msg);
                 None
             }
         }
@@ -298,6 +298,7 @@ impl Machine {
     ) {
         let t = self.ppc_run(node, FwHandler::RxHeader, now);
         let resend = self.nodes[node]
+            .peer_state()
             .gbn_tx
             .get_mut(&from_node)
             .map(|s| s.nack(expected))
@@ -321,7 +322,7 @@ impl Machine {
         upto: SeqNo,
     ) {
         let t = self.ppc_run(node, FwHandler::Completion, now);
-        if let Some(s) = self.nodes[node].gbn_tx.get_mut(&from_node) {
+        if let Some(s) = self.nodes[node].peer_state().gbn_tx.get_mut(&from_node) {
             s.ack(upto);
         }
         self.drain_gbn_deferred(q, t, node, from_node);
@@ -335,8 +336,9 @@ impl Machine {
         node: usize,
         peer: u32,
     ) {
-        self.nodes[node].gbn_timer_armed.remove(&peer);
-        let resend = self.nodes[node]
+        let peers = self.nodes[node].peer_state();
+        peers.gbn_timer_armed.remove(&peer);
+        let resend = peers
             .gbn_tx
             .get_mut(&peer)
             .filter(|s| s.in_flight() > 0)
@@ -370,7 +372,8 @@ impl Machine {
         seq: SeqNo,
         usable: bool,
     ) {
-        let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
+        let rx = self.nodes[node].peer_state().gbn_rx.entry(from_node);
+        let rx = rx.or_default();
         let kind = match rx.on_arrival(seq, usable) {
             GbnEvent::Nack { expected } => WireKind::GbnNack { expected },
             GbnEvent::Duplicate if self.faults.active() => WireKind::GbnAck {
@@ -415,30 +418,23 @@ impl Machine {
     }
 
     fn drain_gbn_deferred(&mut self, q: &mut EventQueue<Ev>, t: SimTime, node: usize, dst: u32) {
-        while let Some(mut msg) = self.nodes[node]
-            .gbn_deferred
-            .get_mut(&dst)
-            .and_then(|d| d.pop_front())
-        {
-            let sender = self.nodes[node]
+        loop {
+            let peers = self.nodes[node].peer_state();
+            let Some(deferred) = peers.gbn_deferred.get_mut(&dst) else {
+                return;
+            };
+            let Some(msg) = deferred.front() else { return };
+            let sender = peers
                 .gbn_tx
                 .get_mut(&dst)
                 .expect("sender exists when deferred");
-            match sender.send(msg.clone()) {
-                Some(seq) => {
-                    msg.set_seq(seq);
-                    self.inject(q, t, t, msg, false);
-                    self.arm_gbn_timer(q, t, node, dst, self.faults.active());
-                }
-                None => {
-                    self.nodes[node]
-                        .gbn_deferred
-                        .get_mut(&dst)
-                        .expect("entry")
-                        .push_front(msg);
-                    break;
-                }
-            }
+            let Some(seq) = sender.send(msg.clone()) else {
+                return;
+            };
+            let mut msg = deferred.pop_front().expect("the front was sent");
+            msg.set_seq(seq);
+            self.inject(q, t, t, msg, false);
+            self.arm_gbn_timer(q, t, node, dst, self.faults.active());
         }
     }
 
@@ -458,9 +454,9 @@ impl Machine {
         peer: u32,
         wanted: bool,
     ) {
-        let n = &mut self.nodes[node];
-        let in_flight = n.gbn_tx.get(&peer).map_or(0, |s| s.in_flight());
-        if wanted && in_flight > 0 && n.gbn_timer_armed.insert(peer) {
+        let peers = self.nodes[node].peer_state();
+        let in_flight = peers.gbn_tx.get(&peer).map_or(0, |s| s.in_flight());
+        if wanted && in_flight > 0 && peers.gbn_timer_armed.insert(peer) {
             let key = self.next_key(node as u32);
             q.schedule_keyed(
                 t + GBN_TIMEOUT,

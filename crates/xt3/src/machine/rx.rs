@@ -79,7 +79,8 @@ impl Machine {
             effects,
         } = taken;
         parcel.land();
-        self.nodes[node].rx_store.insert((fw_proc, pending), parcel);
+        let rows = &mut self.nodes[node].rows[fw_proc as usize];
+        rows.rx.insert(pending, parcel);
         self.exec_effects(q, t, node, effects);
         if direct {
             self.handle_direct(q, t, node, fw_proc, pending);
@@ -136,8 +137,8 @@ impl Machine {
 
         // Go-back-n sequencing check (order first, then allocation).
         if let Some(seq) = msg.seq() {
-            let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
-            if seq != rx.expected() {
+            let rx = self.nodes[node].peer_state().gbn_rx.entry(from_node);
+            if seq != rx.or_default().expected() {
                 self.gbn_refuse(q, now, node, from_node, seq, true);
                 return None;
             }
@@ -174,6 +175,7 @@ impl Machine {
         if let Some(seq) = msg.seq() {
             let ok = result.is_ok();
             let rx = self.nodes[node]
+                .peer_state()
                 .gbn_rx
                 .get_mut(&from_node)
                 .expect("entry above");
@@ -229,7 +231,8 @@ impl Machine {
         let t = self.ppc_run(node, FwHandler::RxHeader, now);
         self.nodes[node].bad_process_drops += 1;
         if let Some(seq) = seq {
-            let rx = self.nodes[node].gbn_rx.entry(from_node).or_default();
+            let rx = self.nodes[node].peer_state().gbn_rx.entry(from_node);
+            let rx = rx.or_default();
             rx.on_arrival(seq, true);
             let upto = rx.expected();
             self.send_gbn_control(q, t, node, from_node, WireKind::GbnAck { upto });
@@ -245,7 +248,8 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) {
-        let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
+        let rec = self.nodes[node].rows[fw_proc as usize].rx.get(pending);
+        let rec = rec.expect("rx rec").record();
         match rec.header.op() {
             PortalsOp::Ack => {
                 let t = self.ppc_run(node, FwHandler::Completion, t);
@@ -263,8 +267,9 @@ impl Machine {
                 let md = rec.header.initiator_md().expect("reply names its md");
                 let (len, key) = (rec.header.mlength(), (rec.header.dst().pid, md));
                 let n = &mut self.nodes[node];
-                let chunks = n.await_reply.get(&key).copied().unwrap_or_default();
-                let result = n.fw.direct_deposit(fw_proc, pending, len, chunks);
+                let chunks = n.peer_state().await_reply.get(&key).copied();
+                let result =
+                    n.fw.direct_deposit(fw_proc, pending, len, chunks.unwrap_or(0));
                 self.run_fw(q, t, node, result);
             }
             _ => unreachable!("direct path only handles Reply/Ack"),
@@ -282,7 +287,7 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) {
-        let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+        let parcel = self.nodes[node].rows[fw_proc as usize].rx.remove(pending);
         let parcel = parcel.expect("direct rec");
         let rec = parcel.record();
         let pid = rec.header.dst().pid;
@@ -297,7 +302,7 @@ impl Machine {
                 proc.lib
                     .complete_reply(&rec.header, &rec.data, &mut *proc.mem);
                 if let Some(md) = rec.header.initiator_md() {
-                    n.await_reply.remove(&(pid, md));
+                    n.peer_state().await_reply.remove(&(pid, md));
                 }
             }
         }
@@ -323,9 +328,9 @@ impl Machine {
                 .expect("pending named by firmware effect");
         let len = lower.length;
         let chunks = lower.chunks.max(1) as u64;
-        let wire_complete = n
-            .rx_store
-            .get(&(proc, pending))
+        let wire_complete = n.rows[proc as usize]
+            .rx
+            .get(pending)
             .map(|r| r.record().wire_complete)
             .unwrap_or(t);
         let extra = FW_PER_CHUNK.times(chunks - 1);
@@ -366,7 +371,7 @@ impl Machine {
     ) {
         let t = self.ppc_run(node, FwHandler::Completion, now);
         let n = &mut self.nodes[node];
-        let rec = n.rx_store.get(&(fw_proc, pending)).map(|p| p.record());
+        let rec = n.rows[fw_proc as usize].rx.get(pending).map(|p| p.record());
         // A firmware-direct reply completes right here: the deposit
         // happened via DMA; ReplyEnd goes straight into the app's EQ.
         let direct_reply = rec.is_some_and(|r| r.header.op() == PortalsOp::Reply);
@@ -395,7 +400,8 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) -> HeaderMatch {
-        let rec = self.nodes[node].rx_store[&(fw_proc, pending)].record();
+        let rec = self.nodes[node].rows[fw_proc as usize].rx.get(pending);
+        let rec = rec.expect("rx rec").record();
         let piggy = self.config.fabric.link.piggybacks(rec.data.len());
         let (op, dst_pid, tag) = (rec.header.op(), rec.header.dst().pid, rec.tag);
         let match_idx =
@@ -406,7 +412,8 @@ impl Machine {
         // FIFO stays aligned with the queue.
         let before_match = self.events_posted(node, dst_pid);
         let n = &mut self.nodes[node];
-        let header = &n.rx_store[&(fw_proc, pending)].record().header;
+        let rec = n.rows[fw_proc as usize].rx.get(pending).expect("rx rec");
+        let header = &rec.record().header;
         let outcome = n.procs[dst_pid as usize].lib.match_incoming(header);
         if let Some(mi) = match_idx {
             let after = self.events_posted(node, dst_pid);
@@ -416,7 +423,7 @@ impl Machine {
         let ticket = match outcome {
             DeliverOutcome::Matched(ticket) => Some(ticket),
             _ => {
-                let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+                let parcel = self.nodes[node].rows[fw_proc as usize].rx.remove(pending);
                 self.recycle(parcel.expect("rx rec"));
                 self.causal.finish(TraceId(tag));
                 None
@@ -444,7 +451,7 @@ impl Machine {
         pending: PendingId,
         ticket: Option<&MatchTicket>,
     ) -> RxDone {
-        let parcel = self.nodes[node].rx_store.remove(&(fw_proc, pending));
+        let parcel = self.nodes[node].rows[fw_proc as usize].rx.remove(pending);
         let parcel = parcel.expect("rx rec");
         let rec = parcel.record();
         let (pid, tag) = (rec.header.dst().pid, rec.tag);

@@ -83,7 +83,7 @@ impl Machine {
         md: Option<MdHandle>,
         api_start: SimTime,
     ) -> SimTime {
-        let Some(pending) = self.nodes[node].alloc_tx_pending(fw_proc) else {
+        let Some(pending) = self.nodes[node].rows[fw_proc as usize].tx_free.pop() else {
             // Host-managed TX pool exhausted: the run will stall, and
             // the node's panic cause tells the harness why.
             self.panic_node(node, PanicCause::TxPending);
@@ -101,8 +101,8 @@ impl Machine {
             len,
         );
         let target_node = header.dst().nid;
-        self.nodes[node].tx_store.insert(
-            (fw_proc, pending),
+        self.nodes[node].rows[fw_proc as usize].tx.insert(
+            pending,
             TxRecord {
                 header,
                 data,
@@ -227,9 +227,9 @@ impl Machine {
         fw_proc: ProcIdx,
         pending: PendingId,
     ) -> (TxRecord, u64) {
-        let n = &mut self.nodes[node];
-        let rec = n.tx_store.remove(&(fw_proc, pending)).expect("tx rec");
-        n.free_tx_pending(fw_proc, pending);
+        let rows = &mut self.nodes[node].rows[fw_proc as usize];
+        let rec = rows.tx.remove(pending).expect("tx rec");
+        rows.tx_free.push(pending);
         let before = self.events_posted(node, rec.src_pid);
         (rec, before)
     }
@@ -263,7 +263,10 @@ impl Machine {
         };
 
         let n = &mut self.nodes[node];
-        let rec = n.tx_store.get_mut(&(proc, pending)).expect("tx record");
+        let rec = n.rows[proc as usize]
+            .tx
+            .get_mut(pending)
+            .expect("tx record");
         let len = rec.data.len();
         let data = std::mem::replace(&mut rec.data, WireData::Synthetic(len));
         let tag = rec.tag;

@@ -24,97 +24,83 @@ use xt3_seastar::sram::Sram;
 use xt3_sim::SimTime;
 use xt3_topology::coord::NodeId;
 
-/// A slab map keyed by `(fw_proc, pending)`: the host's record of each
-/// message in flight.
+/// A row of `Option<V>` slots keyed by pending id: the host's record of
+/// each message in flight on one firmware-level process.
 ///
 /// Pending ids are small dense integers handed out lowest-first (the RX
 /// pool and the host TX free list both recycle returned ids LIFO, then
-/// issue the lowest fresh one), so a row of `Option<V>` slots per
-/// firmware-level process gives O(1) insert/remove, and the map itself
-/// allocates nothing per message (the RX map's value is the message's
-/// delivery box, [`Parcel`]: one pointer a slot). Each map stores ids
-/// relative to `base` (0 for the RX id
-/// range, `tx_base` for the TX range), and a row reaches only as far as
-/// the highest id ever in flight at once — a slot or two per node in
-/// practice, not the firmware's table capacity — growing by the per-node
-/// row rule, [`fit_by_use`]. Iteration, were it needed, is index-ordered
-/// and so as deterministic as the `BTreeMap` whose API this keeps.
+/// issue the lowest fresh one), so a row gives O(1) insert/remove and
+/// allocates nothing per message (the RX row's value is the message's
+/// delivery box, [`Parcel`]: one pointer a slot). A row stores ids
+/// relative to `base` (0 for the RX id range, the firmware's TX base for
+/// the TX range), and reaches only as far as the highest id ever in
+/// flight at once — a slot or two per node in practice, not the
+/// firmware's table capacity — growing by the per-node row rule,
+/// [`fit_by_use`]. Iteration, were it needed, is index-ordered and so as
+/// deterministic as the `BTreeMap` whose API this keeps.
 ///
 /// Not part of the crate's interface: `pub` so that the tier-1 suite
 /// (`tests/rows.rs`) can step it against a `BTreeMap`.
 #[doc(hidden)]
-pub struct PendingMap<V> {
-    slots: Vec<Vec<Option<V>>>,
+pub struct PendingRow<V> {
+    slots: Vec<Option<V>>,
     base: u32,
 }
 
-impl<V> PendingMap<V> {
-    /// An empty map of `procs` rows holding ids at or above `base`.
-    pub fn new(procs: usize, base: u32) -> Self {
-        let mut slots = Vec::with_capacity(procs);
-        slots.resize_with(procs, Vec::new);
-        PendingMap { slots, base }
+impl<V> PendingRow<V> {
+    /// An empty row holding ids at or above `base`.
+    pub fn new(base: u32) -> Self {
+        PendingRow {
+            slots: Vec::new(),
+            base,
+        }
     }
 
     fn slot_of(&self, id: PendingId) -> Option<usize> {
         id.checked_sub(self.base).map(|s| s as usize)
     }
 
-    /// Store `v` under `key`, returning what was there.
+    /// Store `v` under `id`, returning what was there.
     ///
     /// # Panics
     ///
-    /// Panics on a pending id below the map's base.
-    pub fn insert(&mut self, key: (ProcIdx, PendingId), v: V) -> Option<V> {
-        let p = key.0 as usize;
-        let id = self.slot_of(key.1).expect("pending id below map base");
-        if p >= self.slots.len() {
-            self.slots.resize_with(p + 1, Vec::new);
+    /// Panics on a pending id below the row's base.
+    pub fn insert(&mut self, id: PendingId, v: V) -> Option<V> {
+        let slot = self.slot_of(id).expect("pending id below row base");
+        if slot >= self.slots.len() {
+            fit_by_use(&mut self.slots, slot + 1);
+            self.slots.resize_with(slot + 1, || None);
         }
-        let row = &mut self.slots[p];
-        if id >= row.len() {
-            fit_by_use(row, id + 1);
-            row.resize_with(id + 1, || None);
-        }
-        row[id].replace(v)
+        self.slots[slot].replace(v)
     }
 
-    /// The record under `key`.
-    pub fn get(&self, key: &(ProcIdx, PendingId)) -> Option<&V> {
-        let id = self.slot_of(key.1)?;
-        self.slots.get(key.0 as usize)?.get(id)?.as_ref()
+    /// The record under `id`.
+    pub fn get(&self, id: PendingId) -> Option<&V> {
+        self.slots.get(self.slot_of(id)?)?.as_ref()
     }
 
-    /// The record under `key`, mutably.
-    pub fn get_mut(&mut self, key: &(ProcIdx, PendingId)) -> Option<&mut V> {
-        let id = self.slot_of(key.1)?;
-        self.slots.get_mut(key.0 as usize)?.get_mut(id)?.as_mut()
+    /// The record under `id`, mutably.
+    pub fn get_mut(&mut self, id: PendingId) -> Option<&mut V> {
+        let slot = self.slot_of(id)?;
+        self.slots.get_mut(slot)?.as_mut()
     }
 
-    /// Take the record under `key` out; its slot stays for the id's next
+    /// Take the record under `id` out; its slot stays for the id's next
     /// use.
-    pub fn remove(&mut self, key: &(ProcIdx, PendingId)) -> Option<V> {
-        let id = self.slot_of(key.1)?;
-        self.slots.get_mut(key.0 as usize)?.get_mut(id)?.take()
+    pub fn remove(&mut self, id: PendingId) -> Option<V> {
+        let slot = self.slot_of(id)?;
+        self.slots.get_mut(slot)?.take()
     }
 
-    /// Slots that hold a record, over every row.
+    /// Slots that hold a record.
     pub fn occupied(&self) -> usize {
-        self.slots.iter().flatten().filter(|v| v.is_some()).count()
+        self.slots.iter().filter(|v| v.is_some()).count()
     }
 
-    /// Slots process `proc`'s row has been allocated: the next power of
-    /// two above the highest id it ever held (relative to the base).
-    #[doc(hidden)]
-    pub fn row_capacity(&self, proc: ProcIdx) -> usize {
-        self.slots.get(proc as usize).map_or(0, Vec::capacity)
-    }
-}
-
-impl<V> std::ops::Index<&(ProcIdx, PendingId)> for PendingMap<V> {
-    type Output = V;
-    fn index(&self, key: &(ProcIdx, PendingId)) -> &V {
-        self.get(key).expect("no record for pending")
+    /// Slots the row has been allocated: the next power of two above the
+    /// highest id it ever held (relative to the base).
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 }
 
@@ -127,7 +113,7 @@ impl<V> std::ops::Index<&(ProcIdx, PendingId)> for PendingMap<V> {
 /// mark), not the full table range. (Bare ids, so `Vec`'s own growth:
 /// see [`fit_by_use`].)
 ///
-/// `pub` for the same reason [`PendingMap`] is.
+/// `pub` for the same reason [`PendingRow`] is.
 #[doc(hidden)]
 pub struct TxFreeList {
     returned: Vec<PendingId>,
@@ -162,6 +148,39 @@ impl TxFreeList {
         debug_assert!(id < self.next_fresh, "freed TX pending was never issued");
         self.returned.push(id);
     }
+}
+
+/// The host's state for one firmware-level process: its TX pending free
+/// list, the upper pendings of its transmits and receives in flight, and
+/// the host-memory event queue the firmware posts into (generic
+/// processes only; accelerated completions are handled inline). One
+/// record a process, so a node of one generic process holds one block
+/// for all four.
+pub(crate) struct HostRows {
+    pub tx_free: TxFreeList,
+    pub tx: PendingRow<TxRecord>,
+    pub rx: PendingRow<Box<Parcel>>,
+    pub eq: VecDeque<FwEvent>,
+}
+
+/// What only go-back-n and a Get's reply use, boxed behind
+/// [`Node::peer_state`] and made on first use: a node of a Panic-policy,
+/// put-only run never allocates it.
+#[derive(Default)]
+pub(crate) struct PeerState {
+    /// DMA command counts of the reply deposit buffers prepared at
+    /// `PtlGet` time, keyed by `(pid, initiator MD)`.
+    pub await_reply: BTreeMap<(u32, MdHandle), u32>,
+    /// Go-back-n sender state per destination node.
+    pub gbn_tx: BTreeMap<u32, GbnSender<WireMsg>>,
+    /// Go-back-n receiver state per source node.
+    pub gbn_rx: BTreeMap<u32, GbnReceiver>,
+    /// Transmits deferred because the go-back-n window was full, per
+    /// destination node.
+    pub gbn_deferred: BTreeMap<u32, VecDeque<WireMsg>>,
+    /// Peers with a retransmission timer already armed (one timer per
+    /// peer at a time).
+    pub gbn_timer_armed: BTreeSet<u32>,
 }
 
 /// A process's wait status between activations.
@@ -307,26 +326,10 @@ pub struct Node {
     pub fw: Firmware,
     /// Processes, indexed by Portals pid.
     pub procs: Vec<ProcState>,
-    /// Host-managed TX pending free lists, per firmware-level process.
-    pub(crate) tx_free: Vec<TxFreeList>,
-    pub(crate) tx_store: PendingMap<TxRecord>,
-    pub(crate) rx_store: PendingMap<Box<Parcel>>,
-    /// The host-memory event queues the firmware posts into (generic
-    /// procs only; accelerated completions are handled inline).
-    pub(crate) fw_eq: Vec<VecDeque<FwEvent>>,
-    /// DMA command counts of the reply deposit buffers prepared at
-    /// `PtlGet` time, keyed by `(pid, initiator MD)`.
-    pub(crate) await_reply: BTreeMap<(u32, MdHandle), u32>,
-    /// Go-back-n sender state per destination node.
-    pub(crate) gbn_tx: BTreeMap<u32, GbnSender<WireMsg>>,
-    /// Go-back-n receiver state per source node.
-    pub(crate) gbn_rx: BTreeMap<u32, GbnReceiver>,
-    /// Transmits deferred because the go-back-n window was full, per
-    /// destination node.
-    pub(crate) gbn_deferred: BTreeMap<u32, VecDeque<WireMsg>>,
-    /// Peers with a retransmission timer already armed (one timer per
-    /// peer at a time).
-    pub(crate) gbn_timer_armed: BTreeSet<u32>,
+    /// The host's rows, one record per firmware-level process.
+    pub(crate) rows: Vec<HostRows>,
+    /// Go-back-n and reply state; `None` until first used.
+    peer_state: Option<Box<PeerState>>,
     /// Node id (the Portals nid).
     pub id: NodeId,
     /// Headers this node's firmware dropped because they named a process
@@ -421,11 +424,14 @@ impl Node {
             .collect();
 
         let tx_base = fw.config().rx_pendings;
-        let tx_count = fw.config().tx_pendings;
-        let tx_free = (0..fw_modes.len())
-            .map(|_| TxFreeList::new(tx_base, tx_count))
+        let rows = (0..fw_modes.len())
+            .map(|_| HostRows {
+                tx_free: TxFreeList::new(tx_base, fw.config().tx_pendings),
+                tx: PendingRow::new(tx_base),
+                rx: PendingRow::new(0),
+                eq: VecDeque::new(),
+            })
             .collect();
-        let fw_eq = (0..fw_modes.len()).map(|_| VecDeque::new()).collect();
 
         Node {
             hot: NodeHot {
@@ -437,42 +443,31 @@ impl Node {
             fw,
             host: HostCpu::new(),
             procs,
-            tx_free,
-            tx_store: PendingMap::new(fw_modes.len(), tx_base),
-            rx_store: PendingMap::new(fw_modes.len(), 0),
-            fw_eq,
-            await_reply: BTreeMap::new(),
-            gbn_tx: BTreeMap::new(),
-            gbn_rx: BTreeMap::new(),
-            gbn_deferred: BTreeMap::new(),
-            gbn_timer_armed: BTreeSet::new(),
+            rows,
+            peer_state: None,
             bad_process_drops: 0,
         }
-    }
-
-    /// Allocate a host-managed TX pending for firmware-level process
-    /// `fw_proc`.
-    pub(crate) fn alloc_tx_pending(&mut self, fw_proc: ProcIdx) -> Option<PendingId> {
-        self.tx_free[fw_proc as usize].pop()
-    }
-
-    /// Return a TX pending to the host free list.
-    pub(crate) fn free_tx_pending(&mut self, fw_proc: ProcIdx, pending: PendingId) {
-        self.tx_free[fw_proc as usize].push(pending);
     }
 
     /// Is the in-flight transmit `(fw_proc, pending)` a Reply (whose
     /// header the firmware synthesizes instead of fetching)?
     pub(crate) fn tx_is_reply(&self, fw_proc: ProcIdx, pending: PendingId) -> bool {
-        self.tx_store
-            .get(&(fw_proc, pending))
+        self.rows[fw_proc as usize]
+            .tx
+            .get(pending)
             .is_some_and(|r| r.header.op() == PortalsOp::Reply)
     }
 
     /// Receives whose header the firmware took and that have not
     /// finished: each holds its delivery box in an RX row slot.
     pub fn receives_in_flight(&self) -> usize {
-        self.rx_store.occupied()
+        self.rows.iter().map(|r| r.rx.occupied()).sum()
+    }
+
+    /// Transmits handed to the firmware that have not completed: each
+    /// holds a host-managed TX pending and its record in a TX row slot.
+    pub fn transmits_in_flight(&self) -> usize {
+        self.rows.iter().map(|r| r.tx.occupied()).sum()
     }
 
     /// Fresh trace tag.
@@ -489,7 +484,20 @@ impl Node {
     /// Total go-back-n retransmissions this node has performed (across
     /// all peers).
     pub fn gbn_retransmissions(&self) -> u64 {
-        self.gbn_tx.values().map(|s| s.retransmissions).sum()
+        self.peer_state
+            .as_ref()
+            .map_or(0, |p| p.gbn_tx.values().map(|s| s.retransmissions).sum())
+    }
+
+    /// The node's go-back-n and reply state, made on first use.
+    pub(crate) fn peer_state(&mut self) -> &mut PeerState {
+        self.peer_state.get_or_insert_with(Box::default)
+    }
+
+    /// Does this node hold its go-back-n and reply state — has it sent or
+    /// taken a sequenced message, or awaited a Get's reply?
+    pub fn holds_peer_state(&self) -> bool {
+        self.peer_state.is_some()
     }
 
     pub(crate) fn set_wait(&mut self, pid: u32, req: WaitRequest) {

@@ -282,6 +282,32 @@ impl TrafficPattern {
     }
 }
 
+/// Two periods of the payload pattern, byte `i` is `i % 251`, so that
+/// the period starting at any phase is one slice of it.
+const PATTERN: [u8; 502] = {
+    let mut p = [0; 502];
+    let mut i = 0;
+    while i < p.len() {
+        p[i] = (i % 251) as u8;
+        i += 1;
+    }
+    p
+};
+
+/// One period of the payload `key` sends: byte `i` of it is
+/// `(key + i) % 251`, and the payload repeats it.
+fn pattern_period(key: u64) -> &'static [u8] {
+    let phase = (key % 251) as usize;
+    &PATTERN[phase..phase + 251]
+}
+
+/// Is `data` the payload `key` sends, compared a period at a time?
+fn pattern_intact(key: u64, data: &[u8]) -> bool {
+    let period = pattern_period(key);
+    data.chunks(period.len())
+        .all(|chunk| chunk == &period[..chunk.len()])
+}
+
 /// One node of a traffic-pattern run: issues one put per entry of its
 /// target list (pipelined one-at-a-time, next put on the previous
 /// `SendEnd`) and absorbs `expect` puts into a locally-managed region.
@@ -390,9 +416,12 @@ impl App for PatternNode {
                 .expect("pattern md-attach");
                 if !self.sends.is_empty() {
                     if !ctx.synthetic() {
-                        let me_key = u64::from(self.me);
-                        let payload: Vec<u8> =
-                            (0..self.msg).map(|i| ((me_key + i) % 251) as u8).collect();
+                        let (period, len) = (pattern_period(u64::from(self.me)), self.msg as usize);
+                        let mut payload = Vec::with_capacity(len);
+                        while payload.len() < len {
+                            let take = period.len().min(len - payload.len());
+                            payload.extend_from_slice(&period[..take]);
+                        }
                         ctx.write_mem(0, &payload);
                     }
                     let md = ctx
@@ -426,11 +455,7 @@ impl App for PatternNode {
                             // `ev.offset` is MD-relative; the receive MD
                             // starts after the send buffer.
                             let data = ctx.read_mem(self.msg + ev.offset, ev.mlength as u32);
-                            let ok = data
-                                .iter()
-                                .enumerate()
-                                .all(|(i, &b)| b == ((src + i as u64) % 251) as u8);
-                            if !ok {
+                            if !pattern_intact(src, &data) {
                                 self.corrupt = true;
                             }
                         }
@@ -608,6 +633,26 @@ mod tests {
 
     fn dims() -> Dims {
         Dims::mesh(4, 3, 2)
+    }
+
+    #[test]
+    fn one_flipped_byte_fails_the_period_check() {
+        // The bytes the per-byte formula wrote, at lengths around the
+        // period and for keys past it.
+        for key in [0, 1, 250, 251, 1000, u64::from(u32::MAX)] {
+            for len in [0, 1, 250, 251, 252, 1000] {
+                let bytes: Vec<u8> = (0..len).map(|i| ((key + i) % 251) as u8).collect();
+                assert!(pattern_intact(key, &bytes), "key {key}, {len} B");
+                let n = bytes.len().min(251);
+                assert_eq!(pattern_period(key)[..n], bytes[..n]);
+                // One flipped byte anywhere, in any period, is caught.
+                for at in (0..len as usize).step_by(97) {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 1;
+                    assert!(!pattern_intact(key, &flipped), "key {key}, byte {at}");
+                }
+            }
+        }
     }
 
     #[test]

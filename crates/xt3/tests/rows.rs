@@ -1,10 +1,10 @@
-//! The host's per-node pending rows: `PendingMap` and `TxFreeList`
+//! The host's per-process pending rows: `PendingRow` and `TxFreeList`
 //! stepped against their obvious models across every growth edge of the
 //! per-node row rule (`xt3_portals::slab::fit_by_use`), and the node
 //! array itself across `Machine::split` and `merge`.
 
 use std::collections::BTreeMap;
-use xt3_node::node::{PendingMap, TxFreeList};
+use xt3_node::node::{PendingRow, TxFreeList};
 use xt3_node::workloads::red_storm_machine;
 use xt3_node::Machine;
 use xt3_topology::coord::Dims;
@@ -18,58 +18,60 @@ type Record = [u64; 17];
 
 #[test]
 fn pending_map_matches_a_btree_across_every_growth_edge() {
+    // A node keeps one row per firmware-level process; the map they make
+    // together is keyed by `(process, pending)`.
     const BASE: u32 = 768;
-    let mut map: PendingMap<Record> = PendingMap::new(2, BASE);
-    let mut model: BTreeMap<(u32, u32), Record> = BTreeMap::new();
-    assert_eq!(map.row_capacity(0), 0, "nothing before the first insert");
+    let mut rows: [PendingRow<Record>; 2] = [PendingRow::new(BASE), PendingRow::new(BASE)];
+    let mut model: BTreeMap<(usize, u32), Record> = BTreeMap::new();
+    assert_eq!(rows[0].capacity(), 0, "nothing before the first insert");
     let mut top = 0;
     for &edge in &EDGES {
         // Ids are issued lowest first, so a row fills from its base up.
         while top < edge {
             let key = (1, BASE + top);
             let record = [u64::from(top); 17];
-            assert_eq!(map.insert(key, record), model.insert(key, record));
+            assert_eq!(rows[1].insert(key.1, record), model.insert(key, record));
             top += 1;
-            assert_eq!(map.row_capacity(1), (top as usize).next_power_of_two());
+            assert_eq!(rows[1].capacity(), (top as usize).next_power_of_two());
         }
         // Take every third record out and put another under the same id:
         // the slot is still there, the row does not move.
         for id in (0..top).step_by(3) {
-            let key = (1, BASE + id);
-            assert_eq!(map.remove(&key), model.remove(&key));
-            assert_eq!(map.get(&key), None);
-            assert_eq!(map.remove(&key), None, "taken once");
-            assert_eq!(map.occupied(), model.len(), "an emptied slot holds nothing");
+            let id = BASE + id;
+            assert_eq!(rows[1].remove(id), model.remove(&(1, id)));
+            assert_eq!(rows[1].get(id), None);
+            assert_eq!(rows[1].remove(id), None, "taken once");
+            let occupied: usize = rows.iter().map(PendingRow::occupied).sum();
+            assert_eq!(occupied, model.len(), "an emptied slot holds nothing");
             let record = [u64::from(id) + 1000; 17];
-            assert_eq!(map.insert(key, record), None);
-            model.insert(key, record);
-            assert_eq!(map[&key], record);
+            assert_eq!(rows[1].insert(id, record), None);
+            model.insert((1, id), record);
+            assert_eq!(rows[1].get(id), Some(&record));
         }
-        assert_eq!(map.row_capacity(1), (top as usize).next_power_of_two());
+        assert_eq!(rows[1].capacity(), (top as usize).next_power_of_two());
     }
-    for (key, record) in &model {
-        assert_eq!(map.get(key), Some(record));
+    for (&(proc, id), record) in &model {
+        assert_eq!(rows[proc].get(id), Some(record));
     }
-    assert_eq!(map.occupied(), model.len());
-    assert_eq!(map.row_capacity(0), 0, "the other process's row is its own");
-    assert_eq!(map.get(&(0, BASE)), None);
-    assert_eq!(map.get(&(1, BASE - 1)), None, "below the base");
-    assert_eq!(map.get(&(7, BASE)), None, "no such process");
+    assert_eq!(rows[1].occupied(), model.len());
+    assert_eq!(rows[0].capacity(), 0, "the other process's row is its own");
+    assert_eq!(rows[0].get(BASE), None);
+    assert_eq!(rows[1].get(BASE - 1), None, "below the base");
 }
 
 #[test]
 fn one_message_in_flight_is_one_slot() {
-    let mut map: PendingMap<Record> = PendingMap::new(1, 0);
+    let mut row: PendingRow<Record> = PendingRow::new(0);
     for round in 0..50 {
-        assert_eq!(map.insert((0, 0), [round; 17]), None);
-        assert_eq!(map.remove(&(0, 0)), Some([round; 17]));
+        assert_eq!(row.insert(0, [round; 17]), None);
+        assert_eq!(row.remove(0), Some([round; 17]));
     }
-    assert_eq!(map.row_capacity(0), 1);
+    assert_eq!(row.capacity(), 1);
     // A second in flight is a second slot, a third is four.
-    map.insert((0, 1), [0; 17]);
-    assert_eq!(map.row_capacity(0), 2);
-    map.insert((0, 2), [0; 17]);
-    assert_eq!(map.row_capacity(0), 4);
+    row.insert(1, [0; 17]);
+    assert_eq!(row.capacity(), 2);
+    row.insert(2, [0; 17]);
+    assert_eq!(row.capacity(), 4);
 }
 
 #[test]

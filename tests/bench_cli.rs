@@ -175,10 +175,16 @@ fn every_committed_bench_file_yields_the_keys_its_gate_reads() {
         "rx_pending_paper_bytes",
     ]
     .map(|name| (name, 0.0));
-    let counts: Vec<gate::MemCount> = ["node_bytes", "live_blocks_per_node"]
-        .iter()
-        .flat_map(|&field| peaks.map(|(nodes, _)| (nodes, field, 0)))
-        .collect();
+    let counts: Vec<gate::MemCount> = [
+        "node_bytes",
+        "live_blocks_per_node",
+        "paper_bytes_per_node",
+        "live_mds",
+        "live_eq_slots",
+    ]
+    .iter()
+    .flat_map(|&field| peaks.map(|(nodes, _)| (nodes, field, 0)))
+    .collect();
     gate::check_mem(&mem, &peaks, &counts, &observed).expect("BENCH_mem.json keys");
     gate::check_series(&mem, &peaks).expect("the --series gate");
     mem.row_number("sizes", "nodes", "10368", "built_bytes")

@@ -22,15 +22,19 @@ use xt3_topology::coord::Dims;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `size_of::<Node>()` as landed (1,096 before the row step, 880 before
-/// the host's write-only match counter went, 872 before the write-only
-/// counters of the chip, its PPC and HyperTransport and the firmware went).
-const NODE_BYTES: usize = 824;
+/// `size_of::<Node>()` as landed: 824 → 576 in the node-diet step (the
+/// busy cursors' job counts went, go-back-n and reply maps moved into a
+/// box made on first use, the host's per-process rows became one record
+/// a process); 1,096 before the row step, 880 before the host's
+/// write-only match counter went, 872 before the write-only counters of
+/// the chip, its PPC and HyperTransport and the firmware went.
+const NODE_BYTES: usize = 576;
 
-/// Live heap blocks per node once a neighbour round has drained (31
-/// before the row step, 27 before each source's RX list was threaded
-/// through its pendings) ...
-const BLOCKS_PER_NODE: u64 = 26;
+/// Live heap blocks per node once a neighbour round has drained: 26 → 23
+/// in the node-diet step (one record a firmware-level process instead of
+/// four one-element rows); 31 before the row step, 27 before each
+/// source's RX list was threaded through its pendings ...
+const BLOCKS_PER_NODE: u64 = 23;
 /// ... and the ones the machine holds once: node vector, queue, fabric,
 /// the shared SRAM ledger and its names.
 const BLOCKS_PER_MACHINE: u64 = 12;

@@ -1,7 +1,7 @@
 //! Tier-1 guard for the per-node rows.
 //!
 //! `cargo test -q` at the repo root builds only the root package, so the
-//! member crates' own `tests/rows.rs` — `Slab`, `Pool`, `PendingMap` and
+//! member crates' own `tests/rows.rs` — `Slab`, `Pool`, `PendingRow` and
 //! `TxFreeList` stepped against their models across every growth edge of
 //! the row rule (`xt3_portals::slab::fit_by_use`), and the demand-sized
 //! access control table at its edges, and the node array across

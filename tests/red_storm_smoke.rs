@@ -5,6 +5,7 @@
 //! `examples/red_storm_scale.rs` and `perf parallel` run the full-size
 //! version.
 
+use xt3_node::config::ExhaustionPolicy;
 use xt3_node::par::run_parallel;
 use xt3_node::workloads::red_storm_machine;
 use xt3_sim::RunOutcome;
@@ -36,4 +37,21 @@ fn red_storm_512_nodes_completes_and_matches_serial() {
     assert_eq!(run.dispatched, dispatched);
     assert_eq!(run.now, now);
     assert_eq!(run.machine.running_apps(), 0);
+}
+
+#[test]
+fn a_panic_policy_round_makes_no_go_back_n_state() {
+    // Go-back-n and Get-reply state is made on a node's first use of it:
+    // the Red Storm round, put-only under the paper's Panic policy, makes
+    // it on no node.
+    let machine = red_storm_machine(Dims::red_storm(4, 4, 2), 2, 1024);
+    assert_eq!(machine.config.exhaustion, ExhaustionPolicy::Panic);
+    let mut engine = machine.into_engine();
+    assert_eq!(engine.run(), RunOutcome::Drained);
+    let m = engine.into_model();
+    assert_eq!(m.running_apps(), 0);
+    for n in &m.nodes {
+        assert!(!n.holds_peer_state(), "node {} made go-back-n state", n.id);
+        assert_eq!(n.gbn_retransmissions(), 0);
+    }
 }

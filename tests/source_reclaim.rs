@@ -64,13 +64,13 @@ struct Cell {
     isolated: Vec<PanicCause>,
 }
 
-/// Run serially; the outcome, digest, the pattern's end state and the
-/// cause of every isolated node.
+/// Run serially; the outcome, digest, the pattern's end state, the
+/// cause of every isolated node and which nodes made go-back-n state.
 fn serial(
     pattern: TrafficPattern,
     fw: FwConfig,
     policy: ExhaustionPolicy,
-) -> (RunOutcome, u64, PatternStats, Vec<PanicCause>) {
+) -> (RunOutcome, u64, PatternStats, Vec<PanicCause>, Vec<bool>) {
     let mut engine = machine(pattern, fw, policy)
         .into_engine()
         .with_event_budget(EVENT_BUDGET);
@@ -78,7 +78,8 @@ fn serial(
     let digest = engine.digest();
     let mut m = engine.into_model();
     let isolated = m.nodes.iter().filter_map(|n| n.panic_cause()).collect();
-    (outcome, digest, pattern_stats(&mut m), isolated)
+    let peer_state = m.nodes.iter().map(|n| n.holds_peer_state()).collect();
+    (outcome, digest, pattern_stats(&mut m), isolated, peer_state)
 }
 
 /// Every configuration of the matrix: the paper's, then each table at
@@ -97,7 +98,9 @@ fn configs() -> Vec<(&'static str, String, FwConfig)> {
 
 /// Run every cell of the matrix under `policy`; each cell's end state.
 /// Every cell drains with every put counted, byte-exact; one that lost
-/// nothing received each put exactly once.
+/// nothing received each put exactly once. Go-back-n state is made on
+/// first use: under go-back-n on exactly the nodes that sequenced (sent
+/// or were sent a put), under Panic on none.
 fn matrix(policy: ExhaustionPolicy) -> Vec<Cell> {
     let dims = Dims::mesh(4, 4, 2);
     let seed = MachineConfig::paper(dims).seed;
@@ -106,9 +109,16 @@ fn matrix(policy: ExhaustionPolicy) -> Vec<Cell> {
         let want = expected_hdr_sum(pattern, dims, 1, seed);
         let targets = pattern.targets(dims, seed);
         let sent: u64 = targets.iter().map(|t| t.len() as u64).sum();
+        let sequenced: Vec<bool> = (0..targets.len() as u32)
+            .map(|i| !targets[i as usize].is_empty() || targets.iter().any(|t| t.contains(&i)))
+            .collect();
+        let peer_state_on = match policy {
+            ExhaustionPolicy::GoBackN => sequenced,
+            ExhaustionPolicy::Panic => vec![false; targets.len()],
+        };
         for (pool, fw_name, fw) in configs() {
             let name = format!("{} {fw_name} {policy:?}", pattern.name());
-            let (outcome, digest, stats, isolated) = serial(pattern, fw, policy);
+            let (outcome, digest, stats, isolated, peer_state) = serial(pattern, fw, policy);
             assert_eq!(outcome, RunOutcome::Drained, "{name}: must drain");
             assert!(!stats.corrupt, "{name}: byte-exact");
             let counted = stats.received + stats.outstanding;
@@ -116,6 +126,10 @@ fn matrix(policy: ExhaustionPolicy) -> Vec<Cell> {
             if stats.outstanding == 0 {
                 assert_eq!(stats.hdr_sum, want, "{name}: each put exactly once");
             }
+            assert_eq!(
+                peer_state, peer_state_on,
+                "{name}: go-back-n state where used"
+            );
             cells.push(Cell {
                 name,
                 pool,
