@@ -39,10 +39,11 @@
 //!
 //! `--series` measures the same sweep with the per-link congestion
 //! series enabled and enforces the observability heap envelope instead:
-//! at every size the instrumented peak must stay within
+//! at every size the instrumented peak must stay within the observation
+//! pipe's batches ([`gate::SERIES_PIPE_BYTES`]) plus
 //! [`gate::SERIES_BYTES_PER_NODE`] a node of the committed
-//! `BENCH_mem.json` plain peak — demand-allocated series lanes may cost heap proportional to
-//! *traffic*, never a dense per-node tax.
+//! `BENCH_mem.json` plain peak — demand-allocated series lanes may cost
+//! heap proportional to *traffic*, never a dense per-node tax.
 //!
 //! This is its own executable, not an `xt3-bench` subcommand, because of
 //! the allocator: a counting `#[global_allocator]` is per-binary, and
@@ -322,7 +323,8 @@ usage: mem_footprint [--dims X Y Z] [--out PATH] [--series] [--check PATH]
                   the series heap ratio to gate::SERIES_HEAP_RATIO_CEILING
 --series          enable per-link congestion series and hold the peaks to
                   --check's (default BENCH_mem.json) plain ones plus
-                  gate::SERIES_BYTES_PER_NODE a node; no JSON output
+                  gate::SERIES_PIPE_BYTES plus gate::SERIES_BYTES_PER_NODE
+                  a node; no JSON output
 --histogram       after each size, and at the unobserved 8x8x8
                   all-to-all's fullest 100k-event boundary, print what is
                   live per node by allocation size, and each machine-wide

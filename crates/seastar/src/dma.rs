@@ -220,7 +220,6 @@ impl DmaEngine {
             DmaKind::Rx => (Component::RxDma, "rx-dma"),
         };
         sink.span(node, component, label, start, done);
-        sink.add(node, "dma.transfers", 1);
         (start, done)
     }
 

@@ -150,7 +150,7 @@ impl Ppc440 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt3_telemetry::NullSink;
+    use xt3_telemetry::Telemetry;
 
     #[test]
     fn handlers_serialize_on_the_single_core() {
@@ -181,7 +181,7 @@ mod tests {
             SimTime::ZERO,
             extra,
             0,
-            &mut NullSink,
+            &mut Telemetry::disabled(),
         );
         assert_eq!(done, cm.fw_tx_dma_setup + extra);
     }

@@ -105,9 +105,10 @@ impl<R> Pipe<R> {
     }
 
     /// Send what is left and hang up: the consumer finishes the stream.
-    pub fn close(mut self) {
+    /// Nothing is fed after this, so no batch replaces the last one.
+    pub fn close(self) {
         if !self.batch.is_empty() {
-            self.flush();
+            let _ = self.tx.send(self.batch);
         }
     }
 }

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
-//! Cross-layer telemetry: deterministic counters, occupancy timelines and
-//! Perfetto trace export.
+//! Cross-layer telemetry: occupancy timelines, the report of the models'
+//! own counters, and Perfetto trace export.
 //!
 //! The paper's performance story (§5–§6) is an *accounting* story: generic
 //! mode costs two host interrupts per message, the 12-byte header
@@ -12,17 +12,17 @@
 //! Three pieces:
 //!
 //! * [`TelemetrySink`] — the recording interface every layer writes
-//!   through. The concrete [`Telemetry`] recorder is zero-cost when
-//!   disabled (a single branch, same pattern as `CausalLog::record`), and
-//!   [`NullSink`] compiles away entirely for call sites that are generic
-//!   over the sink.
-//! * [`Telemetry`] — the registry: monotonic counters, gauges that keep
-//!   high-water marks, log-bucketed latency histograms (reusing
-//!   `xt3_sim::Histogram`), and per-`(node, component)` occupancy spans.
+//!   through: one busy span at a time. The concrete [`Telemetry`]
+//!   recorder is zero-cost when disabled (a single branch, same pattern
+//!   as `CausalLog::record`).
+//! * [`Telemetry`] — the registry: per-`(node, component)` occupancy
+//!   spans and their label table. It keeps no counts; every count lives
+//!   in the hardware model that produces it.
 //! * Exporters — [`Telemetry::perfetto_json_full`] writes a Chrome
 //!   trace-event / Perfetto JSON file (one track per component per node),
-//!   and [`TelemetryReport`] is the machine-readable summary the NetPIPE
-//!   runner and bench campaign attach to their results.
+//!   and [`TelemetryReport`] — the models' counters, harvested on read —
+//!   is the machine-readable summary the NetPIPE runner and bench
+//!   campaign attach to their results.
 //!
 //! # Digest neutrality
 //!
@@ -57,4 +57,4 @@ pub use series::{
     Hotspot, InjectBucket, InjectSeries, LinkBucket, LinkSeries, NodeSeries, Occupancies,
     Occupancy, SeriesConfig, SeriesSet,
 };
-pub use sink::{Component, NullSink, TelemetrySink};
+pub use sink::{Component, TelemetrySink};

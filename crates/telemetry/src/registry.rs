@@ -1,23 +1,18 @@
-//! The concrete telemetry recorder: counters, gauges, histograms, spans.
+//! The concrete telemetry recorder: occupancy spans.
 //!
-//! A run uses fewer than twenty metric names on thousands of nodes, so
-//! the store is a short name table with one dense per-node column behind
-//! each counter and gauge name, and one histogram behind each histogram
-//! name. A record call finds its name by pointer and length (metric names
-//! are literals; the string compare runs only on a miss), then indexes the
-//! column by node: O(1), with no allocation once the column reaches the
-//! node. Each table is kept sorted by name, so walking nodes and then
-//! names yields exactly the `(node, name)` order every export has always
-//! had.
+//! Every count a run reports lives in the model that produces it (the
+//! host's, the firmware's and the DMA engines' own counters, the mailbox
+//! and EQ high-water marks); the recorder keeps the one thing the models
+//! do not: each busy interval, for the timeline.
 //!
 //! Spans are the one store that grows with the run, so each is kept in 16
 //! bytes (private `StoredSpan`): its start, its duration's low 32 bits,
 //! and one word packing the low bits of its node, its component's track id
 //! and its label — a `u16` into the recorder's own label table, found by
-//! pointer and length like a metric name. Whatever does not fit (a span of
-//! 2^32 ps or more, or one ending before it starts; a node past 2^20, a
-//! link port past 11, a label id past 255) keeps its high bits in a
-//! side table by the `xt3_sim::narrow` rule, so [`Span`], what the
+//! pointer and length (labels are literals). Whatever does not fit (a
+//! span of 2^32 ps or more, or one ending before it starts; a node past
+//! 2^20, a link port past 11, a label id past 255) keeps its high bits in
+//! a side table by the `xt3_sim::narrow` rule, so [`Span`], what the
 //! [`Spans`] view hands out by value, reads back exactly what was
 //! recorded. The label ids are first-use order within one recorder and
 //! never leave it: two recorders that met the same labels in a different
@@ -25,11 +20,10 @@
 
 use crate::sink::{Component, TelemetrySink};
 use xt3_sim::narrow::{join, split, Spill};
-use xt3_sim::{Histogram, SimTime};
+use xt3_sim::SimTime;
 
 /// Default cap on stored occupancy spans. Beyond it new spans are counted
-/// but not stored, bounding memory on long campaign runs (counters,
-/// gauges and histograms keep accumulating — only the timeline truncates).
+/// but not stored, bounding memory on long campaign runs.
 const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
 /// One busy interval of one component on one node, as [`Spans`] hands it
@@ -153,89 +147,9 @@ impl<'a> Spans<'a> {
     }
 }
 
-/// A name-sorted table of metrics.
-type Named<T> = Vec<(&'static str, T)>;
-
-/// Where `name` is in `table`, or where it would be inserted.
-fn locate<T>(table: &[(&'static str, T)], name: &str) -> Result<usize, usize> {
-    match table.iter().position(|&(held, _)| std::ptr::eq(held, name)) {
-        Some(at) => Ok(at),
-        None => table.binary_search_by(|&(held, _)| held.cmp(name)),
-    }
-}
-
-/// `name`'s entry, entered with its default on first use.
-fn entry<'a, T: Default>(table: &'a mut Named<T>, name: &'static str) -> &'a mut T {
-    let at = locate(table, name).unwrap_or_else(|at| {
-        table.insert(at, (name, T::default()));
-        at
-    });
-    &mut table[at].1
-}
-
-/// One metric's values by node: `cells[node - base]`, `None` where the
-/// node never recorded it (a recorded 0 is still listed). The column
-/// starts at the first node written — a shard of the parallel engine
-/// records only its own node range — and extends either way on demand.
-#[derive(Debug, Default)]
-struct Column {
-    base: u32,
-    cells: Vec<Option<u64>>,
-}
-
-impl Column {
-    fn get(&self, node: u32) -> Option<u64> {
-        let at = node.checked_sub(self.base)?;
-        self.cells.get(at as usize).copied().flatten()
-    }
-
-    fn cell(&mut self, node: u32) -> &mut Option<u64> {
-        if self.cells.is_empty() {
-            self.base = node;
-        }
-        if node < self.base {
-            // At least double the room below, so a descending stream of
-            // nodes moves the column O(log n) times.
-            let below = (self.base - node)
-                .max(self.cells.len() as u32)
-                .min(self.base);
-            self.cells
-                .splice(0..0, std::iter::repeat_n(None, below as usize));
-            self.base -= below;
-        }
-        let at = (node - self.base) as usize;
-        if self.cells.len() <= at {
-            self.cells.resize(at + 1, None);
-        }
-        &mut self.cells[at]
-    }
-}
-
-/// `node`'s value of metric `name` (0 if never recorded).
-fn read(table: &Named<Column>, node: u32, name: &str) -> u64 {
-    let column = locate(table, name).ok().map(|at| &table[at].1);
-    column.and_then(|c| c.get(node)).unwrap_or(0)
-}
-
-/// Every `(node, name, value)` of `table`, ordered by node then name.
-fn rows(table: &Named<Column>) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
-    let ends = table.iter().filter(|(_, c)| !c.cells.is_empty());
-    let lo = ends.clone().map(|(_, c)| c.base).min().unwrap_or(1);
-    let hi = ends
-        .map(|(_, c)| c.base + (c.cells.len() - 1) as u32)
-        .max()
-        .unwrap_or(0);
-    (lo..=hi).flat_map(move |node| {
-        table
-            .iter()
-            .filter_map(move |(name, c)| c.get(node).map(|v| (node, *name, v)))
-    })
-}
-
-/// The metrics registry and occupancy recorder.
+/// The occupancy recorder.
 ///
-/// Iteration — and therefore every export — is deterministic: counters
-/// and gauges come out ordered by `(node, name)`, histograms by name.
+/// Spans come out in record order, so every export is deterministic.
 /// Disabled, every record call is a single predictable branch (the same
 /// zero-cost pattern as `CausalLog::record`) and nothing is allocated.
 #[derive(Debug)]
@@ -248,9 +162,6 @@ pub struct Telemetry {
     /// Span labels in first-use order; a stored span names one by index.
     labels: Vec<&'static str>,
     dropped_spans: u64,
-    counters: Named<Column>,
-    gauges: Named<Column>,
-    hists: Named<Histogram>,
 }
 
 impl Default for Telemetry {
@@ -269,9 +180,6 @@ impl Telemetry {
             span_spill: SpanSpill::default(),
             labels: Vec::new(),
             dropped_spans: 0,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hists: Vec::new(),
         }
     }
 
@@ -316,68 +224,13 @@ impl Telemetry {
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }
-
-    /// Value of a per-node counter (0 if never touched).
-    pub fn counter(&self, node: u32, name: &str) -> u64 {
-        read(&self.counters, node, name)
-    }
-
-    /// Sum of a counter across all nodes.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        locate(&self.counters, name).map_or(0, |at| {
-            let cells = &self.counters[at].1.cells;
-            cells.iter().flatten().sum()
-        })
-    }
-
-    /// High-water mark of a per-node gauge (0 if never observed).
-    pub fn gauge_high_water(&self, node: u32, name: &str) -> u64 {
-        read(&self.gauges, node, name)
-    }
-
-    /// A latency histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        locate(&self.hists, name).ok().map(|at| &self.hists[at].1)
-    }
-
-    /// Iterate `(node, name, value)` over all counters.
-    pub fn counters(&self) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
-        rows(&self.counters)
-    }
-
-    /// Iterate `(node, name, high_water)` over all gauges.
-    pub fn gauges(&self) -> impl Iterator<Item = (u32, &'static str, u64)> + '_ {
-        rows(&self.gauges)
-    }
-
-    /// Iterate `(name, histogram)` over all histograms.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(k, h)| (*k, h))
-    }
 }
 
-// The recording bodies are deliberately outlined (`#[inline(never)]`):
+// The recording body is deliberately outlined (`#[inline(never)]`):
 // only the `enabled` test inlines into the simulator's hot dispatch
 // code, so the disabled path costs one predictable branch and no icache
 // pressure from the store's machinery.
 impl Telemetry {
-    #[inline(never)]
-    fn add_slow(&mut self, node: u32, name: &'static str, delta: u64) {
-        let cell = entry(&mut self.counters, name).cell(node);
-        *cell = Some(cell.unwrap_or(0) + delta);
-    }
-
-    #[inline(never)]
-    fn gauge_slow(&mut self, node: u32, name: &'static str, value: u64) {
-        let cell = entry(&mut self.gauges, name).cell(node);
-        *cell = Some(cell.unwrap_or(0).max(value));
-    }
-
-    #[inline(never)]
-    fn sample_slow(&mut self, name: &'static str, value: SimTime) {
-        entry(&mut self.hists, name).record(value.ps());
-    }
-
     #[inline(never)]
     fn span_slow(
         &mut self,
@@ -425,27 +278,6 @@ impl TelemetrySink for Telemetry {
     }
 
     #[inline]
-    fn add(&mut self, node: u32, name: &'static str, delta: u64) {
-        if self.enabled {
-            self.add_slow(node, name, delta);
-        }
-    }
-
-    #[inline]
-    fn gauge(&mut self, node: u32, name: &'static str, value: u64) {
-        if self.enabled {
-            self.gauge_slow(node, name, value);
-        }
-    }
-
-    #[inline]
-    fn sample(&mut self, name: &'static str, value: SimTime) {
-        if self.enabled {
-            self.sample_slow(name, value);
-        }
-    }
-
-    #[inline]
     fn span(
         &mut self,
         node: u32,
@@ -477,13 +309,9 @@ mod tests {
     fn a_disabled_recorder_holds_no_heap() {
         let mut t = Telemetry::disabled();
         t.add(3, "c", 5);
-        t.gauge(3, "g", 9);
-        t.sample("h", SimTime::from_ns(10));
         t.span(3, Component::Host, "x", SimTime::ZERO, SimTime::from_ns(1));
         assert_eq!(t.spans.capacity() + t.labels.capacity(), 0);
         assert!(t.span_spill.is_empty());
-        assert_eq!(t.counters.capacity() + t.gauges.capacity(), 0);
-        assert_eq!(t.hists.capacity(), 0);
     }
 
     #[test]
@@ -515,45 +343,9 @@ mod tests {
     #[test]
     fn disabled_recorder_stores_nothing() {
         let mut t = Telemetry::disabled();
-        t.add(0, "c", 5);
-        t.gauge(0, "g", 9);
-        t.sample("h", SimTime::from_ns(10));
         t.span(0, Component::Host, "x", SimTime::ZERO, SimTime::from_ns(1));
-        assert_eq!(t.counter(0, "c"), 0);
-        assert_eq!(t.gauge_high_water(0, "g"), 0);
-        assert!(t.histogram("h").is_none());
         assert!(t.spans().is_empty());
-    }
-
-    #[test]
-    fn counters_accumulate_per_node() {
-        let mut t = Telemetry::enabled();
-        t.add(0, "ints", 1);
-        t.add(0, "ints", 1);
-        t.add(1, "ints", 3);
-        assert_eq!(t.counter(0, "ints"), 2);
-        assert_eq!(t.counter(1, "ints"), 3);
-        assert_eq!(t.counter_total("ints"), 5);
-        assert_eq!(t.counter(2, "ints"), 0);
-    }
-
-    #[test]
-    fn gauges_keep_high_water() {
-        let mut t = Telemetry::enabled();
-        t.gauge(0, "depth", 3);
-        t.gauge(0, "depth", 7);
-        t.gauge(0, "depth", 2);
-        assert_eq!(t.gauge_high_water(0, "depth"), 7);
-    }
-
-    #[test]
-    fn histograms_record_picoseconds() {
-        let mut t = Telemetry::enabled();
-        t.sample("lat", SimTime::from_ns(2)); // 2000 ps
-        t.sample("lat", SimTime::from_ns(2));
-        let h = t.histogram("lat").expect("histogram exists");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.p50(), 1024, "2000 ps lands in the [1024,2048) bucket");
+        assert_eq!(t.dropped_spans(), 0);
     }
 
     #[test]

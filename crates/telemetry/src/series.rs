@@ -1,10 +1,11 @@
 //! Time-bucketed fabric series.
 //!
-//! Where the [`crate::Telemetry`] registry records *aggregate* link
-//! statistics (counters, histograms, high-water gauges), the series
-//! layer adds the **time dimension**: per-link utilization, queue
-//! depth, and head-of-line-stall series in fixed [`SimTime`] buckets,
-//! plus a per-node injection series for the firmware injection path.
+//! Where each link keeps *aggregate* statistics (packets, retries, busy
+//! and stall totals) and the [`crate::Telemetry`] registry its busy
+//! spans, the series layer adds the **time dimension**: per-link
+//! utilization, queue depth, and head-of-line-stall series in fixed
+//! [`SimTime`] buckets, plus a per-node injection series for the
+//! firmware injection path.
 //! This is what turns "link (3,1) x+ stalled for 1.2 ms total" into
 //! "link (3,1) x+ melted between 40 µs and 90 µs".
 //!

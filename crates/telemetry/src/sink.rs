@@ -63,22 +63,20 @@ impl Component {
 ///
 /// Implementors must be pure observers: a call may update the sink's own
 /// storage and nothing else. Hot paths take `&mut impl TelemetrySink`, so
-/// the [`NullSink`] specializes to nothing and the concrete
-/// [`crate::Telemetry`] recorder inlines down to one `enabled` branch.
+/// the concrete [`crate::Telemetry`] recorder inlines down to one
+/// `enabled` branch; `Telemetry::disabled()` records nothing.
 pub trait TelemetrySink {
     /// True when the sink is recording. Callers may use this to skip
     /// building expensive arguments.
     fn is_enabled(&self) -> bool;
 
-    /// Add `delta` to the per-node counter `name`.
-    fn add(&mut self, node: u32, name: &'static str, delta: u64);
-
-    /// Observe gauge `name` at `value`; the sink keeps the high-water
-    /// mark.
-    fn gauge(&mut self, node: u32, name: &'static str, value: u64);
-
-    /// Record one latency/duration sample into histogram `name`.
-    fn sample(&mut self, name: &'static str, value: SimTime);
+    /// Does nothing. Every count lives in the model that produces it
+    /// (`HostCounters`, `FwCounters`, the DMA engines, the high-water
+    /// marks `telemetry_report` reads), so a sink keeps none. The method
+    /// stays because the benchmark package's registry probe
+    /// (`benchmark/src/probes.rs`), held fixed as a baseline, calls it.
+    #[inline(always)]
+    fn add(&mut self, _node: u32, _name: &'static str, _delta: u64) {}
 
     /// Record that `component` on `node` was busy over `[start, end)`.
     fn span(
@@ -89,37 +87,6 @@ pub trait TelemetrySink {
         start: SimTime,
         end: SimTime,
     );
-}
-
-/// A sink that records nothing; generic call sites monomorphize it away.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn add(&mut self, _node: u32, _name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    fn gauge(&mut self, _node: u32, _name: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn sample(&mut self, _name: &'static str, _value: SimTime) {}
-
-    #[inline(always)]
-    fn span(
-        &mut self,
-        _node: u32,
-        _component: Component,
-        _label: &'static str,
-        _start: SimTime,
-        _end: SimTime,
-    ) {
-    }
 }
 
 #[cfg(test)]
@@ -154,13 +121,5 @@ mod tests {
         for c in fixed.into_iter().chain(links) {
             assert_eq!(Component::from_track_id(c.track_id()), c);
         }
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut s = NullSink;
-        assert!(!s.is_enabled());
-        s.add(0, "x", 1);
-        s.span(0, Component::Host, "x", SimTime::ZERO, SimTime::from_ns(1));
     }
 }

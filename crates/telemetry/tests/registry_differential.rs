@@ -1,11 +1,10 @@
-//! Differential test: the [`Telemetry`] registry's name-table × per-node
-//! column store against the `BTreeMap<(node, name), u64>` maps it
-//! replaced, kept here as the oracle.
+//! Differential test: the [`Telemetry`] registry's packed span store
+//! against a plain `Vec<Span>`, kept here as the oracle.
 //!
-//! Random `add`/`gauge`/`sample`/`span` streams over 1, 2 and 600 nodes
-//! and over a shard-style node range that starts at 5,000; every read
-//! accessor and the full `(node, name)` iteration order must agree, span
-//! cap and dropped-span count included.
+//! Random `span` streams over 1, 2 and 600 nodes and over a node range
+//! that starts at 5,000; the `spans()` view must read back exactly what
+//! the oracle kept, span cap, dropped-span count and busy totals
+//! included.
 //!
 //! The oracle keeps whole [`Span`]s; the recorder keeps each in 16 bytes
 //! — a duration's low 32 bits, and the low bits of node, track id and a
@@ -16,37 +15,31 @@
 //! more labels than one byte counts, and two recorders that met the
 //! labels in different orders.
 
-use std::collections::BTreeMap;
-
-use xt3_sim::{Histogram, SimRng, SimTime};
+use xt3_sim::{SimRng, SimTime};
 use xt3_telemetry::{Component, Span, Telemetry, TelemetrySink};
 
-/// The replaced store.
-#[derive(Default)]
+/// The reference store: every span whole, in a plain list.
 struct Oracle {
     span_cap: usize,
     spans: Vec<Span>,
     dropped_spans: u64,
-    counters: BTreeMap<(u32, &'static str), u64>,
-    gauges: BTreeMap<(u32, &'static str), u64>,
-    hists: BTreeMap<&'static str, Histogram>,
 }
 
-// Literal names, as every call site uses; `ALIAS` is "fw.eq_depth" at
+// Literal labels, as every call site uses; `ALIAS` is "fw-rx-hdr" at
 // another address, which the pointer compare misses and the string
 // compare must still find.
-const NAMES: [&str; 9] = [
-    "host.traps",
-    "dma.transfers",
-    "host.interrupts",
-    "fw.eq_depth",
-    "net.hol_stall",
+const LABELS: [&str; 9] = [
+    "trap",
+    "tx-dma",
+    "interrupt",
+    "fw-rx-hdr",
+    "link",
     "a",
-    "fw.mailbox_depth",
+    "rx-dma",
     "z.last",
-    "ptl.eq_depth",
+    "cmd-post",
 ];
-static ALIAS_BYTES: [u8; 11] = *b"fw.eq_depth";
+static ALIAS_BYTES: [u8; 9] = *b"fw-rx-hdr";
 
 fn alias() -> &'static str {
     std::str::from_utf8(&ALIAS_BYTES).expect("ascii")
@@ -89,97 +82,38 @@ fn drive(seed: u64, nodes: std::ops::Range<u32>, span_cap: usize, ops: u64) {
     let mut new = Telemetry::with_span_cap(span_cap);
     let mut old = Oracle {
         span_cap,
-        ..Oracle::default()
+        spans: Vec::new(),
+        dropped_spans: 0,
     };
     let width = u64::from(nodes.end - nodes.start);
     for op in 0..ops {
         let node = nodes.start + rng.below(width) as u32;
-        let name = match rng.below(10) {
+        let label = match rng.below(10) {
             0 => alias(),
-            n => NAMES[n as usize - 1],
+            n => LABELS[n as usize - 1],
         };
         let value = rng.below(5) * rng.below(1000);
-        match rng.below(4) {
-            0 => {
-                new.add(node, name, value);
-                *old.counters.entry((node, name)).or_insert(0) += value;
-            }
-            1 => {
-                new.gauge(node, name, value);
-                let hwm = old.gauges.entry((node, name)).or_insert(0);
-                *hwm = (*hwm).max(value);
-            }
-            2 => {
-                new.sample(name, SimTime::from_ps(value));
-                old.hists.entry(name).or_default().record(value);
-            }
-            _ => {
-                let component = COMPONENTS[rng.below(6) as usize];
-                let (start, end) = (SimTime::from_ns(op), SimTime::from_ns(op + value));
-                new.span(node, component, name, start, end);
-                if old.spans.len() >= old.span_cap {
-                    old.dropped_spans += 1;
-                } else {
-                    old.spans.push(Span {
-                        node,
-                        component,
-                        label: name,
-                        start,
-                        end,
-                    });
-                }
-            }
+        let component = COMPONENTS[rng.below(6) as usize];
+        let (start, end) = (SimTime::from_ns(op), SimTime::from_ns(op + value));
+        new.span(node, component, label, start, end);
+        if old.spans.len() >= old.span_cap {
+            old.dropped_spans += 1;
+        } else {
+            old.spans.push(Span {
+                node,
+                component,
+                label,
+                start,
+                end,
+            });
         }
     }
 
-    // Iteration: same rows in the same `(node, name)` order.
-    let rows = |m: &BTreeMap<(u32, &'static str), u64>| -> Vec<(u32, &'static str, u64)> {
-        m.iter().map(|(&(n, k), &v)| (n, k, v)).collect()
-    };
-    assert_eq!(new.counters().collect::<Vec<_>>(), rows(&old.counters));
-    assert_eq!(new.gauges().collect::<Vec<_>>(), rows(&old.gauges));
-    let hists = |h: &Histogram| (h.count(), h.iter_nonzero().collect::<Vec<_>>());
-    assert_eq!(
-        new.histograms()
-            .map(|(k, h)| (k, hists(h)))
-            .collect::<Vec<_>>(),
-        old.hists
-            .iter()
-            .map(|(&k, h)| (k, hists(h)))
-            .collect::<Vec<_>>()
-    );
-
-    // Point reads, hits and misses (a node outside the range, a name
-    // never recorded, a name recorded only as the other kind).
-    let probe_nodes = [nodes.start, nodes.end - 1, nodes.end, 0, u32::MAX];
-    for name in NAMES.into_iter().chain([alias(), "never.recorded", ""]) {
-        for node in probe_nodes {
-            let want = old.counters.get(&(node, name)).copied().unwrap_or(0);
-            assert_eq!(new.counter(node, name), want, "counter {node} {name}");
-            let want = old.gauges.get(&(node, name)).copied().unwrap_or(0);
-            assert_eq!(
-                new.gauge_high_water(node, name),
-                want,
-                "gauge {node} {name}"
-            );
-        }
-        let total: u64 = old
-            .counters
-            .iter()
-            .filter(|((_, k), _)| *k == name)
-            .map(|(_, v)| *v)
-            .sum();
-        assert_eq!(new.counter_total(name), total, "total {name}");
-        assert_eq!(
-            new.histogram(name).map(hists),
-            old.hists.get(name).map(hists),
-            "histogram {name}"
-        );
-    }
-
-    // Spans: stored head, dropped tail, busy totals.
+    // Stored head, dropped tail, busy totals at nodes in and out of the
+    // range.
     assert_same_spans(&new, &old.spans);
     assert_eq!(new.dropped_spans(), old.dropped_spans);
+    let probe_nodes = [nodes.start, nodes.end - 1, nodes.end, 0, u32::MAX];
     for node in probe_nodes {
         for component in COMPONENTS {
             let want = busy_total(old.spans.iter().copied(), node, component);
@@ -198,24 +132,6 @@ fn registry_matches_map_reference() {
             drive(0x7E1E + (i * 3 + j) as u64, nodes.clone(), span_cap, 6_000);
         }
     }
-}
-
-#[test]
-fn a_shard_range_costs_its_own_nodes_only() {
-    // Descending nodes from 5,599: the columns must end up holding about
-    // the range, not 5,600 cells each, and read back exactly.
-    let mut t = Telemetry::enabled();
-    for node in (5_000..5_600u32).rev() {
-        t.add(node, "dma.transfers", u64::from(node));
-    }
-    assert_eq!(t.counters().count(), 600);
-    assert_eq!(t.counter(5_000, "dma.transfers"), 5_000);
-    assert_eq!(t.counter(4_999, "dma.transfers"), 0);
-    assert_eq!(
-        t.counters().next(),
-        Some((5_000, "dma.transfers", 5_000)),
-        "iteration starts at the lowest node written"
-    );
 }
 
 /// `n` distinct labels that are not literals.

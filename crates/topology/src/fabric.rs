@@ -18,7 +18,7 @@ use crate::link::{Link, LinkConfig};
 use crate::route::RoutingTable;
 use xt3_sim::par::offload::{Consume, Worker};
 use xt3_sim::{CausalFolder, CausalLog, Fate, Observation, SimRng, SimTime, Transit};
-use xt3_telemetry::{Component, NullSink, Occupancy, SeriesConfig, SeriesSet, TelemetrySink};
+use xt3_telemetry::{Component, Occupancy, SeriesConfig, SeriesSet, Telemetry, TelemetrySink};
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -80,8 +80,7 @@ pub struct DeliveredMsg<P> {
 }
 
 /// Hand one link transit to every sink that is on: a busy span on the
-/// link's track and the head-of-line wait into the `net.hol_stall`
-/// histogram, the series lanes kept on this thread, and one record to
+/// link's track, the series lanes kept on this thread, and one record to
 /// `causal` — its `LinkHop` and, while the log carries the series to a
 /// consumer thread, the series' occupancy too. Outlined, so an unobserved
 /// walk carries none of it.
@@ -93,17 +92,13 @@ fn observe_hop(
     transit: Transit,
 ) {
     let (node, port) = (transit.node, transit.port);
-    if sink.is_enabled() {
-        let stall = transit.start.saturating_sub(transit.arrival);
-        sink.span(
-            node,
-            Component::Link(port),
-            "link",
-            transit.start,
-            transit.done,
-        );
-        sink.sample("net.hol_stall", stall);
-    }
+    sink.span(
+        node,
+        Component::Link(port),
+        "link",
+        transit.start,
+        transit.done,
+    );
     if let Some(series) = series {
         series.record_hop(node, port, occupancy(&transit), transit.packets);
     }
@@ -250,16 +245,16 @@ impl Fabric {
     /// at `inject_at`. Returns the delivery record; the caller schedules
     /// the corresponding events.
     pub fn send<P>(&mut self, inject_at: SimTime, msg: NetMessage<P>) -> DeliveredMsg<P> {
-        self.send_full(inject_at, msg, &mut NullSink, &mut CausalLog::disabled())
+        let mut sink = Telemetry::disabled();
+        self.send_full(inject_at, msg, &mut sink, &mut CausalLog::disabled())
     }
 
     /// [`Fabric::send`], observed: each traversed link records a busy span
-    /// on its owning node's track in `sink`, and the head-of-line wait in
-    /// front of a busy link is sampled into the `net.hol_stall` histogram;
-    /// each hop appends a `LinkHop` record to `causal` (chained onto the
-    /// message's `TxInject`) whose `info` carries the head-of-line stall at
-    /// that hop in picoseconds — the detail the critical-path extractor
-    /// uses to split transit time into wire vs. hop-queueing classes.
+    /// on its owning node's track in `sink`; each hop appends a `LinkHop`
+    /// record to `causal` (chained onto the message's `TxInject`) whose
+    /// `info` carries the head-of-line stall at that hop in picoseconds —
+    /// the detail the critical-path extractor uses to split transit time
+    /// into wire vs. hop-queueing classes.
     /// Recording observes the timing the cut-through walk computes anyway,
     /// so delivery is bit-identical to the unobserved path.
     pub fn send_full<P>(
@@ -551,7 +546,7 @@ mod tests {
     fn linkhop_records_carry_the_port() {
         let mut f = two_node_fabric();
         let mut causal = CausalLog::enabled();
-        let mut sink = NullSink;
+        let mut sink = Telemetry::disabled();
         f.send_full(SimTime::ZERO, msg(0, 1, 4096, 9), &mut sink, &mut causal);
         let hop = causal
             .records()
@@ -576,10 +571,11 @@ mod tests {
             if offload {
                 f.offload(&mut causal);
             }
+            let mut sink = Telemetry::disabled();
             for i in 0..5_000u64 {
                 let at = SimTime::from_ns(i * 7);
                 let (src, dst) = ((i % 3) as u32, 3);
-                f.send_full(at, msg(src, dst, 4096, i + 1), &mut NullSink, &mut causal);
+                f.send_full(at, msg(src, dst, 4096, i + 1), &mut sink, &mut causal);
             }
             f.settle(&mut causal);
             let json = f.series().expect("series back").to_json();

@@ -134,9 +134,10 @@ pub struct MachineConfig {
     pub ras_heartbeat: Option<xt3_sim::SimTime>,
     /// Base RNG seed (address-space layout, the fabric's CRC injection).
     pub seed: u64,
-    /// Enable the cross-layer telemetry sink (occupancy timelines,
-    /// deterministic counters). Digest-neutral: simulation outcomes are
-    /// bit-identical with this on or off.
+    /// Enable the cross-layer telemetry sink (occupancy timelines; the
+    /// counts `telemetry_report` reads are the models' own and kept
+    /// either way). Digest-neutral: simulation outcomes are bit-identical
+    /// with this on or off.
     pub telemetry: bool,
     /// Deterministic fault-injection plan (inactive by default). Set it
     /// with [`MachineConfig::with_faults`], which picks go-back-n for an

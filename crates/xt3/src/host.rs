@@ -65,9 +65,7 @@ impl HostCpu {
         sink: &mut impl TelemetrySink,
     ) -> SimTime {
         self.counters.traps += 1;
-        let done = self.run_span(arrival, cm.host_trap, "trap", node, sink);
-        sink.add(node, "host.traps", 1);
-        done
+        self.run_span(arrival, cm.host_trap, "trap", node, sink)
     }
 
     /// Enter an interrupt handler at `arrival` (entry + exit overhead; the
@@ -82,9 +80,7 @@ impl HostCpu {
         sink: &mut impl TelemetrySink,
     ) -> SimTime {
         self.counters.interrupts += 1;
-        let done = self.run_span(arrival, cm.host_interrupt, "interrupt", node, sink);
-        sink.add(node, "host.interrupts", 1);
-        done
+        self.run_span(arrival, cm.host_interrupt, "interrupt", node, sink)
     }
 
     /// Total time the CPU spent occupied.
@@ -106,15 +102,15 @@ impl HostCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt3_telemetry::NullSink;
+    use xt3_telemetry::Telemetry;
 
     #[test]
     fn traps_and_interrupts_serialize() {
         let cm = CostModel::paper();
         let mut h = HostCpu::new();
-        let t1 = h.trap_span(&cm, SimTime::ZERO, 0, &mut NullSink);
+        let t1 = h.trap_span(&cm, SimTime::ZERO, 0, &mut Telemetry::disabled());
         assert_eq!(t1, SimTime::from_ns(75));
-        let t2 = h.interrupt_span(&cm, SimTime::ZERO, 0, &mut NullSink);
+        let t2 = h.interrupt_span(&cm, SimTime::ZERO, 0, &mut Telemetry::disabled());
         assert_eq!(
             t2,
             SimTime::from_ns(75 + 2000),
@@ -128,7 +124,7 @@ mod tests {
     fn idle_cpu_starts_work_at_arrival() {
         let cm = CostModel::paper();
         let mut h = HostCpu::new();
-        let done = h.trap_span(&cm, SimTime::from_us(10), 0, &mut NullSink);
+        let done = h.trap_span(&cm, SimTime::from_us(10), 0, &mut Telemetry::disabled());
         assert_eq!(done, SimTime::from_us(10) + SimTime::from_ns(75));
     }
 }

@@ -17,7 +17,6 @@ use xt3_portals::types::{
     AckReq, EqHandle, MatchBits, MdHandle, MeHandle, ProcessId, PtlError, PtlResult,
 };
 use xt3_sim::{EventQueue, SimTime};
-use xt3_telemetry::TelemetrySink;
 
 /// Host-side cost of the small setup API calls (MD bind, ME attach, EQ
 /// alloc): table manipulation in the kernel library.
@@ -31,16 +30,12 @@ impl Machine {
         node: usize,
         pid: u32,
     ) {
-        let tele = &mut self.telemetry;
         let proc = &mut self.nodes[node].procs[pid as usize];
         if proc.wake_scheduled || proc.finished {
             return;
         }
         if let WaitState::Eq(eq) = proc.wait {
-            let depth = proc.lib.eq_len(eq).unwrap_or(0);
-            tele.gauge(node as u32, "ptl.eq_depth", depth as u64);
-            let ready = depth > 0;
-            if ready {
+            if proc.lib.eq_len(eq).unwrap_or(0) > 0 {
                 proc.wake_scheduled = true;
                 let key = self.next_key(node as u32);
                 q.schedule_keyed(

@@ -13,7 +13,6 @@ use xt3_firmware::mailbox::{FwCommand, FwEvent};
 use xt3_firmware::pending::PendingId;
 use xt3_portals::header::PortalsOp;
 use xt3_sim::{CausalStage, EventQueue, SimTime, TraceId};
-use xt3_telemetry::TelemetrySink;
 
 impl Machine {
     /// API entry of a generic process: the call crosses its bridge into
@@ -34,10 +33,7 @@ impl Machine {
     /// `FwEffect::PostEvent` for a generic process: the event waits in
     /// the host-memory queue for the next interrupt.
     pub(super) fn queue_fw_event(&mut self, node: usize, fw_proc: ProcIdx, event: FwEvent) {
-        let eq = &mut self.nodes[node].rows[fw_proc as usize].eq;
-        eq.push_back(event);
-        self.telemetry
-            .gauge(node as u32, "fw.eq_depth", eq.len() as u64);
+        self.nodes[node].rows[fw_proc as usize].eq.push_back(event);
     }
 
     /// `FwEffect::RaiseInterrupt` (the firmware raises it for generic

@@ -264,7 +264,8 @@ impl Machine {
         self.nodes.iter().any(|n| n.hot.panic.is_some())
     }
 
-    /// Nodes whose firmware took an injected unrecoverable fault.
+    /// Nodes that are down: their firmware took an injected unrecoverable
+    /// fault, or it panicked (`Node::panic_cause` says why).
     pub fn dark_nodes(&self) -> Vec<u32> {
         self.nodes
             .iter()
@@ -294,7 +295,7 @@ impl Machine {
             .take()
     }
 
-    /// The cross-layer telemetry recorder (counters, gauges, spans).
+    /// The cross-layer telemetry recorder (occupancy spans).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -452,14 +453,18 @@ impl Machine {
         }
     }
 
-    /// Mark `node` panicked for `cause`: a firmware handler reported a
-    /// protocol fault (bad pending id, spurious completion, ...), or a pool
-    /// ran dry under the `Panic` policy. On the real XT3 the firmware panics the
-    /// node and RAS reboots it (§4.3); the model records the first cause
-    /// on the node instead, so the run finishes and `any_panicked()`
-    /// reports the failure (the node itself keeps serving).
+    /// Panic `node` for `cause`: a firmware handler reported a protocol
+    /// fault (bad pending id, spurious completion, ...), or a pool ran dry
+    /// under the `Panic` policy. On the real XT3 the firmware panics the
+    /// node and RAS reboots it (§4.3); the model takes the node down the
+    /// way an injected firmware fault does — `dispatch` discards every
+    /// later event it owns, so its host and firmware stop while its router
+    /// still forwards transit traffic — and keeps the first cause, which
+    /// `Node::panic_cause` reads and `any_panicked()` reports.
     pub(super) fn panic_node(&mut self, node: usize, cause: PanicCause) {
-        self.nodes[node].hot.panic.get_or_insert(cause);
+        let hot = &mut self.nodes[node].hot;
+        hot.panic.get_or_insert(cause);
+        hot.dark = true;
     }
 
     fn exec_effects(&mut self, q: &mut EventQueue<Ev>, t: SimTime, node: usize, effects: Effects) {
@@ -549,10 +554,10 @@ impl Model for Machine {
     }
 
     fn dispatch(&mut self, now: SimTime, event: Ev, q: &mut EventQueue<Ev>) {
-        // A node taken dark by an injected firmware fault serves nothing:
-        // every event targeting it is discarded (except further fault
-        // events). RAS isolates the node; the rest of the machine keeps
-        // running — the paper's §4.3 goal of containing NIC faults.
+        // A node taken dark by an injected firmware fault or a panic serves
+        // nothing: every event targeting it is discarded (except further
+        // fault events). RAS isolates the node; the rest of the machine
+        // keeps running — the paper's §4.3 goal of containing NIC faults.
         let owner = event.owner();
         if self.nodes[owner as usize].hot.dark && !matches!(event, Ev::FaultAt { .. }) {
             if let Ev::NetHeader { parcel, .. } = event {

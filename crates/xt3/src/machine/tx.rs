@@ -20,7 +20,6 @@ use xt3_seastar::dma::{DmaCommand, DmaList};
 use xt3_seastar::ht::HtDir;
 use xt3_seastar::ppc::FwHandler;
 use xt3_sim::{CausalStage, EventQueue, SimTime, TraceId};
-use xt3_telemetry::TelemetrySink;
 
 /// PPC cost of feeding one additional scatter/gather chunk to a DMA
 /// engine beyond the first (Linux paged buffers; §3.3). Catamount buffers
@@ -149,10 +148,6 @@ impl Machine {
             .mailbox_mut(fw_proc)
             .expect("machine-owned fw proc");
         let backlog = mailbox.post_cmd(cmd);
-        if self.telemetry.is_enabled() {
-            let depth = mailbox.cmd_len() as u64;
-            self.telemetry.gauge(node as u32, "fw.mailbox_depth", depth);
-        }
         if backlog > 0 {
             // The host busy-waits for mailbox space when the command
             // FIFO is over capacity (§4.1): stall roughly one firmware

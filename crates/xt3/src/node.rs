@@ -283,9 +283,10 @@ pub struct NodeHot {
     /// per-node so a partitioned shard never needs machine-global
     /// state).
     pub(crate) running_apps: u32,
-    /// The node's firmware took an injected unrecoverable fault (fault
-    /// plan): the NIC stops serving traffic and the RAS layer isolates
-    /// the node without aborting the rest of the machine.
+    /// The node is down: its firmware took an injected unrecoverable
+    /// fault (fault plan) or panicked. The NIC stops serving traffic and
+    /// the RAS layer isolates the node without aborting the rest of the
+    /// machine.
     pub dark: bool,
     /// Why the node panicked, if it did — the first cause: a pool that
     /// ran dry (paper §4.3's shipped panic) or a firmware protocol fault.
@@ -294,9 +295,10 @@ pub struct NodeHot {
 }
 
 /// Why a node panicked. On the real XT3 the firmware panics the node and
-/// RAS reboots it (§4.3); the model keeps the cause on the node and lets
-/// the run finish, so a harness can tell a pool that ran dry from a
-/// protocol fault. Nothing in the model reads it: the node keeps serving.
+/// RAS reboots it (§4.3); the model takes the node down (it goes dark, as
+/// for an injected fault), keeps the cause on it and lets the rest of the
+/// run finish, so a harness can tell a pool that ran dry from a protocol
+/// fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanicCause {
     /// The firmware reported this error: a pool it sizes (sources, RX

@@ -8,8 +8,8 @@
 //! bit, on the things a restructure of the machine can move without
 //! changing a NetPIPE curve: dispatch order (event digest), fault
 //! decisions and per-node health (state fingerprint), causal record
-//! order and parents (causal digest), every span, counter, gauge and
-//! series bucket (registry hash), and the hardware counters behind
+//! order and parents (causal digest), every span and series bucket
+//! (registry hash), and the hardware counters behind
 //! `telemetry_report`.
 //!
 //! To bless an intentional behaviour change:
@@ -35,11 +35,6 @@ fn registry_hash(m: &Machine) -> u64 {
     let tele = m.telemetry();
     d.write_str(&tele.perfetto_json_full(Some(m.causal()), m.link_series()));
     d.write_str(&m.link_series().expect("series on").to_json());
-    for (node, name, value) in tele.counters().chain(tele.gauges()) {
-        d.write_u32(node);
-        d.write_str(name);
-        d.write_u64(value);
-    }
     d.value()
 }
 

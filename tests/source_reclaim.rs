@@ -12,7 +12,8 @@
 //! driver. Under the panic policy a cell either does the same or loses
 //! exactly what `pattern_stats` says is missing (the source-pool rows with
 //! their exact counts), and isolates a node for the very pool its row
-//! shrank; no cell runs out its event budget.
+//! shrank; an isolated node takes no header after its panic, and no cell
+//! runs out its event budget.
 
 use xt3_firmware::control::{FwConfig, FwError};
 use xt3_node::config::{ExhaustionPolicy, MachineConfig};
@@ -162,13 +163,12 @@ fn a_shrunken_source_pool_drains_under_go_back_n() {
 #[test]
 fn a_shrunken_source_pool_under_panic_loses_what_it_panics() {
     // A header panics its target only when all eight of its sources are
-    // busy; before reclaim every header past the eighth peer did (256
-    // received and 736 lost on the all-to-all). A panicked target keeps
-    // taking headers (the model records the panic, it does not stop the
-    // node), and the run still drains.
+    // busy. A panicked target goes down, as paper §4.3's node does: it
+    // takes no header after its panic, so every put still aimed at it is
+    // lost, and the rest of the machine still drains.
     let pinned = [
-        ("alltoall sources=8 Panic", 681, 311),
-        ("incast sources=8 Panic", 8, 23),
+        ("alltoall sources=8 Panic", 56, 936),
+        ("incast sources=8 Panic", 0, 31),
     ];
     let cells = matrix(ExhaustionPolicy::Panic);
     for (name, received, lost) in pinned {
@@ -204,4 +204,45 @@ fn a_shrunken_source_pool_under_panic_loses_what_it_panics() {
             assert_eq!(*isolated, cause, "{name}: isolated for its own pool");
         }
     }
+}
+
+#[test]
+fn a_panicked_node_takes_no_header_after_its_panic() {
+    // Step the all-to-all with eight sources to drain, noting each node's
+    // received headers at the step it panicked.
+    let fw = FwConfig {
+        sources: 8,
+        ..FwConfig::default()
+    };
+    let mut engine = machine(TrafficPattern::AllToAll, fw, ExhaustionPolicy::Panic).into_engine();
+    let mut at_panic = vec![None; engine.model().nodes.len()];
+    let mut steps = 0u64;
+    while engine.step() {
+        steps += 1;
+        assert!(steps < EVENT_BUDGET, "the cell must drain");
+        for (seen, n) in at_panic.iter_mut().zip(&engine.model().nodes) {
+            if seen.is_none() && n.panic_cause().is_some() {
+                *seen = Some(n.fw.counters().rx_headers);
+            }
+        }
+    }
+    let m = engine.model();
+    let mut panicked = 0;
+    let mut after = 0;
+    for (seen, n) in at_panic.iter().zip(&m.nodes) {
+        if let Some(at) = seen {
+            panicked += 1;
+            after += n.fw.counters().rx_headers - at;
+        }
+    }
+    assert!(panicked > 0, "the cell panics a node");
+    assert_eq!(
+        after, 0,
+        "headers taken by panicked nodes after their panic"
+    );
+    assert_eq!(
+        m.dark_nodes().len(),
+        panicked,
+        "every panicked node is down"
+    );
 }

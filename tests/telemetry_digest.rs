@@ -8,6 +8,9 @@
 //!    exactly one receive interrupt; larger ones pay exactly two.
 //! 3. **Perfetto export**: the emitted trace is valid JSON with the
 //!    trace-event fields Perfetto requires.
+//! 4. **One home per count**: every count in `telemetry_report` is the
+//!    hardware model's own, so the report is the same JSON whether or not
+//!    the registry recorded spans.
 
 use xt3_netpipe::runner::{build_engine, run_instrumented, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
@@ -43,16 +46,38 @@ fn telemetry_sink_is_digest_neutral() {
     );
     assert_eq!(bare.dispatched(), instrumented.dispatched());
 
-    // The comparison only means something if the sink actually recorded:
-    // the instrumented side must have collected spans and counters.
+    // The comparison only means something if the sink actually recorded
+    // and the run took the interrupts the spans time.
+    let elapsed = instrumented.now();
     let m = instrumented.into_model();
     assert!(
         !m.telemetry().spans().is_empty(),
         "instrumented run recorded no spans — the sink never fired"
     );
-    assert!(m.telemetry().counter_total("host.interrupts") > 0);
+    let report = m.telemetry_report("digest", elapsed);
+    let interrupts: u64 = report.nodes.iter().map(|n| n.host_interrupts).sum();
+    assert!(interrupts > 0);
     let bare_m = bare.into_model();
     assert!(bare_m.telemetry().spans().is_empty());
+}
+
+#[test]
+fn telemetry_report_is_the_same_with_the_registry_off() {
+    // Generic mode, so the host takes traps and interrupts, and 13 B
+    // puts, so every receive pays both of its interrupts.
+    let config = fixed_config(13, 20);
+    let report = |registry: bool| {
+        let mut engine = build_engine(&config, Transport::Put, TestKind::PingPong);
+        engine.model_mut().set_telemetry_enabled(registry);
+        assert_eq!(engine.run(), RunOutcome::Drained);
+        let elapsed = engine.now();
+        let m = engine.into_model();
+        assert_eq!(m.telemetry().spans().is_empty(), !registry);
+        m.telemetry_report("one home", elapsed).to_json()
+    };
+    let (on, off) = (report(true), report(false));
+    assert!(on.contains("\"host_interrupts\": "));
+    assert_eq!(on, off, "a count in the report depends on the registry");
 }
 
 #[test]
