@@ -89,7 +89,7 @@ fn xt3_files_stay_small_and_the_fabric_seam_stays_in_one() {
 /// unseen. A change that shrinks the code lowers it to the new count; one
 /// that must grow it raises it here and says in CHANGES.md which lines
 /// and why.
-const CODE_LINE_CEILING: usize = 22_683;
+const CODE_LINE_CEILING: usize = 22_364;
 
 #[test]
 fn crate_code_lines_stay_under_the_ratchet() {

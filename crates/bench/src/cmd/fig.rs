@@ -2,10 +2,11 @@
 //! sweeps; `fig distance` and `fig accel` are the two figures the paper
 //! argues for in prose.
 
-use xt3_netpipe::ptl::PtlPattern;
 use xt3_netpipe::reference as r;
 use xt3_netpipe::report::FigureData;
-use xt3_netpipe::runner::{latency_curve, NetpipeConfig, TestKind, Transport};
+use xt3_netpipe::runner::{
+    build_machine, finish, latency_curve, NetpipeConfig, TestKind, Transport,
+};
 use xt3_netpipe::{Schedule, SizePoint};
 use xt3_node::config::MachineConfig;
 use xt3_seastar::cost::CostModel;
@@ -14,7 +15,6 @@ use xt3_topology::coord::Dims;
 
 use super::ablation::put_latency;
 use crate::cli::{Args, CmdResult};
-use crate::machines::put_pair;
 use crate::{figure, save_json};
 
 /// Figure `n`: ASCII plot, table, and the JSON under `results/`. `fig 4
@@ -75,8 +75,13 @@ pub fn distance(args: Args) -> CmdResult {
     args.finish()?;
     // Node 0 to the far end of a 1-D chain `hops` links long.
     let latency_at_hops = |hops: u16| {
-        let config = MachineConfig::paper(Dims::mesh(hops + 1, 1, 1));
-        put_pair(config, PtlPattern::PingPongPut, 1, 40, false).latency_us()
+        let config = NetpipeConfig {
+            schedule: Schedule::fixed(1, 40),
+            accelerated: false,
+            machine: MachineConfig::paper(Dims::mesh(hops + 1, 1, 1)),
+        };
+        let (t, k) = (Transport::Put, TestKind::PingPong);
+        finish(build_machine(&config, t, k), t, k).2[0].latency_us()
     };
     println!(
         "1-byte put latency vs network distance (paper §1: 2 us near / 5 us far MPI targets)\n"

@@ -3,15 +3,14 @@
 //! ping-pong, the tool used to verify that file's calibration
 //! decomposition.
 
-use xt3_netpipe::ptl::PtlPattern;
 use xt3_netpipe::reference as r;
-use xt3_netpipe::runner::{bandwidth_curve, latency_curve, NetpipeConfig, TestKind, Transport};
+use xt3_netpipe::runner::{
+    bandwidth_curve, build_machine, finish, latency_curve, NetpipeConfig, TestKind, Transport,
+};
 use xt3_netpipe::Schedule;
-use xt3_node::config::MachineConfig;
 use xt3_sim::SimTime;
 
 use crate::cli::{Args, CmdResult};
-use crate::machines::{pair_machine, run_pair};
 
 /// One-shot reproduction report with pass/deviation marks.
 pub fn summary(args: Args) -> CmdResult {
@@ -134,10 +133,14 @@ pub fn trace_put(mut args: Args) -> CmdResult {
     let size = size.unwrap_or(1);
     args.finish()?;
 
-    let config = MachineConfig::paper_pair();
-    let mut m = pair_machine(config, PtlPattern::PingPongPut, size, 1, false);
+    let config = NetpipeConfig {
+        schedule: Schedule::fixed(size, 1),
+        ..NetpipeConfig::paper()
+    };
+    let (t, k) = (Transport::Put, TestKind::PingPong);
+    let mut m = build_machine(&config, t, k);
     m.set_causal_enabled(true);
-    let m = run_pair(m).machine;
+    let (m, _, _) = finish(m, t, k);
     let mut records: Vec<_> = m.causal().records().iter().collect();
     records.sort_by_key(|r| r.at);
 

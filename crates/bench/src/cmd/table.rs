@@ -4,18 +4,21 @@ use audit::replay::{Collector, Pusher};
 use xt3_firmware::control::{Firmware, FwConfig, FwMode};
 use xt3_firmware::pending::LOWER_PENDING_BYTES;
 use xt3_firmware::source::SOURCE_BYTES;
-use xt3_netpipe::ptl::PtlPattern;
 use xt3_netpipe::reference::platform as req;
-use xt3_netpipe::runner::{bandwidth_curve, latency_curve, NetpipeConfig, TestKind, Transport};
+use xt3_netpipe::runner::{
+    bandwidth_curve, build_machine, finish, latency_curve, NetpipeConfig, TestKind, Transport,
+};
+use xt3_netpipe::RoundResult;
 use xt3_netpipe::Schedule;
 use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
 use xt3_node::Machine;
 use xt3_portals::types::ProcessId;
 use xt3_seastar::sram::Sram;
+use xt3_sim::SimTime;
 use xt3_topology::route::RoutingTable;
 
 use crate::cli::{Args, CmdResult};
-use crate::machines::{full_machine, put_pair};
+use crate::machines::full_machine;
 
 /// Puts in the exhaustion burst — [`Pusher::burst`] issues them all at
 /// once, 2 KiB each, into a [`Collector`] whose RX pool is the variable.
@@ -78,6 +81,26 @@ pub fn exhaustion(args: Args) -> CmdResult {
     Ok(())
 }
 
+/// `reps` Portals puts of `size` bytes in `kind` on the paper's pair, run
+/// to the end.
+fn put_run(
+    kind: TestKind,
+    size: u64,
+    reps: u32,
+    accelerated: bool,
+) -> (Machine, SimTime, Vec<RoundResult>) {
+    let config = NetpipeConfig {
+        schedule: Schedule::fixed(size, reps),
+        accelerated,
+        ..NetpipeConfig::paper()
+    };
+    finish(
+        build_machine(&config, Transport::Put, kind),
+        Transport::Put,
+        kind,
+    )
+}
+
 /// The §6 interrupt-count analysis: messages up to 12 bytes ride in the
 /// header packet and complete with one interrupt; longer messages need
 /// two (header processing + completion). Accelerated mode needs none.
@@ -90,17 +113,16 @@ pub fn interrupts(args: Args) -> CmdResult {
     );
     let generic = [1u64, 8, 12, 13, 64, 1024, 4096].map(|size| (size, false));
     for (size, accelerated) in generic.into_iter().chain([(12, true), (4096, true)]) {
-        let pattern = PtlPattern::PingPongPut;
-        let run = put_pair(MachineConfig::paper_pair(), pattern, size, 50, accelerated);
+        let (m, _, rounds) = put_run(TestKind::PingPong, size, 50, accelerated);
         // Receive side: node 1's interrupts include one per local
         // transmit completion (it sends the pongs plus control).
-        let fw = run.machine.nodes[1].fw.counters();
+        let fw = m.nodes[1].fw.counters();
         println!(
             "{size:>8} {:>6} {:>14} {:>14} {:>12.3}",
             if accelerated { "accel" } else { "gen" },
             fw.interrupts,
             fw.rx_headers,
-            run.latency_us()
+            rounds[0].latency_us()
         );
     }
     println!(
@@ -125,14 +147,13 @@ pub fn overhead(args: Args) -> CmdResult {
     );
     for size in [64u64, 1024, 16 << 10, 256 << 10] {
         for accelerated in [false, true] {
-            let pattern = PtlPattern::StreamPut;
-            let run = put_pair(MachineConfig::paper_pair(), pattern, size, 200, accelerated);
-            let rx = &run.machine.nodes[1];
+            let (m, now, _) = put_run(TestKind::Stream, size, 200, accelerated);
+            let rx = &m.nodes[1];
             println!(
                 "{size:>10} {:>8} {:>12.1} {:>12.1} {:>12}",
                 if accelerated { "accel" } else { "generic" },
-                rx.host.utilization(run.now) * 100.0,
-                rx.chip.ppc.utilization(run.now) * 100.0,
+                rx.host.utilization(now) * 100.0,
+                rx.chip.ppc.utilization(now) * 100.0,
                 rx.fw.counters().interrupts
             );
         }

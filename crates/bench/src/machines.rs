@@ -1,14 +1,10 @@
 //! The machines more than one command builds: the digest-pinned deep
 //! machines of `perf core`, the contended 8x8x8 all-to-all and its
-//! observed twin (also `mem_footprint`'s observed row), the Red Storm
-//! neighbour push, and the two-node put pair behind the small tables.
+//! observed twin (also `mem_footprint`'s observed row) and the Red Storm
+//! neighbour push.
 
-use xt3_netpipe::ptl::{Layout, PtlInitiator, PtlPattern, PtlResponder};
-use xt3_netpipe::{RoundResult, Schedule};
-use xt3_node::config::{MachineConfig, NodeSpec, OsKind, ProcSpec};
 use xt3_node::workloads::{red_storm_machine, traffic_machine, TrafficPattern};
 use xt3_node::Machine;
-use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::{LinkSeries, SeriesConfig, SeriesSet};
 use xt3_topology::coord::Dims;
 
@@ -80,77 +76,3 @@ pub const DEEP: [Deep; 3] = [
         0x4d63_ac28_4b90_1695,
     ),
 ];
-
-/// A finished [`put_pair`] run.
-pub struct PutPair {
-    /// The machine, drained.
-    pub machine: Machine,
-    /// Simulated time at the end.
-    pub now: SimTime,
-    /// The initiator's per-size measurements.
-    pub rounds: Vec<RoundResult>,
-}
-
-impl PutPair {
-    /// The first size's latency in microseconds.
-    pub fn latency_us(&self) -> f64 {
-        self.rounds.first().map_or(f64::NAN, |r| r.latency_us())
-    }
-}
-
-/// Run `reps` puts of `size` bytes in `pattern` from node 0 to the last
-/// node of `config`'s machine (Catamount, one process each), to the end.
-pub fn put_pair(
-    config: MachineConfig,
-    pattern: PtlPattern,
-    size: u64,
-    reps: u32,
-    accelerated: bool,
-) -> PutPair {
-    run_pair(pair_machine(config, pattern, size, reps, accelerated))
-}
-
-/// The machine [`put_pair`] runs, with both apps spawned.
-pub fn pair_machine(
-    config: MachineConfig,
-    pattern: PtlPattern,
-    size: u64,
-    reps: u32,
-    accelerated: bool,
-) -> Machine {
-    let schedule = Schedule::fixed(size, reps);
-    let far = config.dims.node_count() - 1;
-    let proc = ProcSpec {
-        accelerated,
-        mem_bytes: Layout::for_max(size).mem_bytes as usize,
-        ..ProcSpec::catamount_generic()
-    };
-    let mut m = Machine::new(
-        config,
-        &[NodeSpec {
-            os: OsKind::Catamount,
-            procs: vec![proc],
-        }],
-    );
-    let initiator = PtlInitiator::with_peer(pattern, schedule.clone(), far);
-    m.spawn(0, 0, Box::new(initiator));
-    m.spawn(far, 0, Box::new(PtlResponder::new(pattern, schedule)));
-    m
-}
-
-/// Run a [`pair_machine`] to the end.
-pub fn run_pair(m: Machine) -> PutPair {
-    let mut engine = m.into_engine();
-    assert_eq!(engine.run(), RunOutcome::Drained, "put pair must drain");
-    let now = engine.now();
-    let mut machine = engine.into_model();
-    assert_eq!(machine.running_apps(), 0, "both apps must finish");
-    let mut app = machine.take_app(0, 0).expect("initiator");
-    let initiator = app.as_any().downcast_mut::<PtlInitiator>();
-    let rounds = std::mem::take(&mut initiator.expect("node 0 runs the initiator").results);
-    PutPair {
-        machine,
-        now,
-        rounds,
-    }
-}

@@ -17,6 +17,9 @@
 //!
 //! * [`schedule`] — the perturbed message-size schedule and per-size
 //!   repetition counts;
+//! * [`measure`] — the round ledger every driver keeps: the schedule
+//!   cursor, the round clocks, the stream pump and the [`RoundResult`]
+//!   each pattern records (the conventions below), plus the payload fill;
 //! * [`ptl`] — Portals-level drivers (put/get ping-pong, streaming,
 //!   bidirectional), each rebuilding its MDs per round exactly as the
 //!   paper's module does;
@@ -28,9 +31,10 @@
 //! * [`report`] — result containers, series construction, ASCII figure
 //!   rendering, and JSON export;
 //! * [`mod@reference`] — the paper's published anchor values (Figures 4–7);
-//! * [`runner`] — machine assembly: one call per paper curve.
+//! * [`runner`] — machine assembly, and one run path
+//!   ([`runner::finish`]) for every pair.
 //!
-//! Measurement conventions (documented here once, used everywhere):
+//! Measurement conventions (kept once, in [`measure::Record`]):
 //!
 //! * **ping-pong put**: one iteration = ping + pong; reported latency is
 //!   round-trip/2, bandwidth is `size / latency`;
@@ -44,6 +48,7 @@
 //! * **bidirectional**: both directions run ping-pong simultaneously;
 //!   reported bandwidth is the aggregate `2 * size / iteration-time`.
 
+pub mod measure;
 pub mod mpi;
 pub mod ptl;
 pub mod reference;

@@ -7,6 +7,7 @@
 //! control puts on a second portal, which cost one header packet and
 //! carry their information in `hdr_data`.
 
+use crate::measure::{fill, Record, Rounds};
 use crate::report::RoundResult;
 use crate::schedule::Schedule;
 use std::any::Any;
@@ -15,7 +16,6 @@ use xt3_portals::event::EventKind;
 use xt3_portals::md::{MdOptions, Threshold};
 use xt3_portals::me::{InsertPos, UnlinkOp};
 use xt3_portals::types::{AckReq, EqHandle, MdHandle, MeHandle, ProcessId};
-use xt3_sim::SimTime;
 
 /// Portal index for benchmark data.
 pub const PT_DATA: u32 = 4;
@@ -37,6 +37,8 @@ const UPTR_DATA: u64 = 0;
 const UPTR_TX: u64 = 7;
 /// Outstanding-message window for the streaming driver.
 const STREAM_WINDOW: u32 = 32;
+/// The `expect` message for a driver's plumbing, which `Started` sets up.
+const SET_UP: &str = "the plumbing is set up at Started";
 
 /// Buffer layout for a benchmark process.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +65,12 @@ impl Layout {
     }
 }
 
-/// Shared per-app plumbing: EQ, control-plane entries, round state.
+/// Shared per-app plumbing: EQ, control-plane entries, this round's
+/// descriptors.
 struct Plumbing {
     eq: EqHandle,
     peer: ProcessId,
     layout: Layout,
-    round: usize,
     data_me: Option<MeHandle>,
     tx_md: Option<MdHandle>,
     /// READY received before this side finished its round (ordering
@@ -109,7 +111,6 @@ impl Plumbing {
             eq,
             peer,
             layout,
-            round: 0,
             data_me: None,
             tx_md: None,
             ready_pending: false,
@@ -182,15 +183,16 @@ impl Plumbing {
         self.data_me = Some(me);
     }
 
-    /// Rebuild the transmit MD for a round.
-    fn rebuild_tx(&mut self, ctx: &mut AppCtx<'_>, size: u64, with_events: bool) {
+    /// Rebuild the initiator-bound MD for a round: the transmit buffer
+    /// for puts, or the receive buffer a get deposits into.
+    fn rebuild_tx(&mut self, ctx: &mut AppCtx<'_>, base: u64, size: u64, with_events: bool) {
         if let Some(md) = self.tx_md.take() {
             ctx.md_unlink(md).expect("stale tx md");
         }
         let eq = if with_events { Some(self.eq) } else { None };
         let md = ctx
             .md_bind(
-                self.layout.tx,
+                base,
                 size,
                 MdOptions::default(),
                 Threshold::Infinite,
@@ -206,6 +208,12 @@ impl Plumbing {
         ctx.put(md, AckReq::NoAck, self.peer, PT_DATA, 0, DATA_BITS, 0, 0)
             .expect("data put");
     }
+
+    fn get_data(&mut self, ctx: &mut AppCtx<'_>) {
+        let md = self.tx_md.expect("get md");
+        ctx.get(md, self.peer, PT_DATA, 0, DATA_BITS, 0)
+            .expect("get");
+    }
 }
 
 /// Which benchmark pattern a driver runs.
@@ -213,12 +221,11 @@ impl Plumbing {
 pub enum PtlPattern {
     /// Ping-pong with puts (Figs. 4, 5).
     PingPongPut,
-    /// Serial gets (Figs. 4, 5; a get is its own round trip).
+    /// Serial gets (Figs. 4, 5; a get is its own round trip). A get
+    /// blocks, so it is also Fig. 6's streamed get curve.
     PingPongGet,
     /// Uni-directional streaming puts (Fig. 6).
     StreamPut,
-    /// Serial streaming gets (Fig. 6's blocking get curve).
-    StreamGet,
     /// Bidirectional simultaneous ping-pong (Fig. 7).
     Bidir,
     /// Bidirectional gets: both sides pull from each other simultaneously
@@ -230,13 +237,9 @@ pub enum PtlPattern {
 /// taken at the receiver — see [`PtlResponder`].
 pub struct PtlInitiator {
     pattern: PtlPattern,
-    schedule: Schedule,
     peer_nid: u32,
     p: Option<Plumbing>,
-    i: u32,
-    issued: u32,
-    outstanding: u32,
-    t0: SimTime,
+    rounds: Rounds,
     /// Completed round measurements (empty for streaming; the responder
     /// records those).
     pub results: Vec<RoundResult>,
@@ -253,158 +256,79 @@ impl PtlInitiator {
     pub fn with_peer(pattern: PtlPattern, schedule: Schedule, peer_nid: u32) -> Self {
         PtlInitiator {
             pattern,
-            schedule,
             peer_nid,
             p: None,
-            i: 0,
-            issued: 0,
-            outstanding: 0,
-            t0: SimTime::ZERO,
+            rounds: Rounds::new(schedule),
             results: Vec::new(),
         }
     }
 
-    /// The memory layout this driver requires.
-    pub fn layout(&self) -> Layout {
-        Layout::for_max(self.schedule.max_size())
-    }
-
-    fn begin_round_setup(&mut self, ctx: &mut AppCtx<'_>) {
-        let size = self.schedule.points[self.p.as_ref().unwrap().round].size;
-        let p = self.p.as_mut().unwrap();
+    /// Rebuild this round's descriptors; a bidirectional side then tells
+    /// its peer it is ready.
+    fn begin_round(&mut self, ctx: &mut AppCtx<'_>) {
+        let size = self.rounds.size();
+        let p = self.p.as_mut().expect(SET_UP);
+        let (tx, rx) = (p.layout.tx, p.layout.rx);
         match self.pattern {
-            PtlPattern::PingPongPut | PtlPattern::StreamPut => {
+            PtlPattern::PingPongPut | PtlPattern::StreamPut | PtlPattern::Bidir => {
                 p.rebuild_rx(ctx, size, false);
-                p.rebuild_tx(ctx, size, self.pattern == PtlPattern::StreamPut);
+                p.rebuild_tx(ctx, tx, size, self.pattern == PtlPattern::StreamPut);
             }
-            PtlPattern::PingPongGet | PtlPattern::StreamGet => {
-                // The get deposits into an initiator-bound MD; rebuild it
-                // per round. (`rebuild_tx` doubles as the get MD over the
-                // rx buffer.)
-                if let Some(md) = p.tx_md.take() {
-                    ctx.md_unlink(md).expect("stale get md");
-                }
-                let md = ctx
-                    .md_bind(
-                        p.layout.rx,
-                        size,
-                        MdOptions::default(),
-                        Threshold::Infinite,
-                        Some(p.eq),
-                        UPTR_TX,
-                    )
-                    .expect("get md");
-                p.tx_md = Some(md);
-            }
-            PtlPattern::Bidir => {
-                p.rebuild_rx(ctx, size, false);
-                p.rebuild_tx(ctx, size, false);
-            }
+            PtlPattern::PingPongGet => p.rebuild_tx(ctx, rx, size, true),
             PtlPattern::BidirGet => {
                 // Expose the tx region for the peer's gets AND bind the
                 // local get descriptor over the rx buffer.
                 p.rebuild_rx(ctx, size, true);
-                if let Some(md) = p.tx_md.take() {
-                    ctx.md_unlink(md).expect("stale get md");
-                }
-                let md = ctx
-                    .md_bind(
-                        p.layout.rx,
-                        size,
-                        MdOptions::default(),
-                        Threshold::Infinite,
-                        Some(p.eq),
-                        UPTR_TX,
-                    )
-                    .expect("get md");
-                p.tx_md = Some(md);
+                p.rebuild_tx(ctx, rx, size, true);
             }
         }
-        self.i = 0;
-        self.issued = 0;
-        self.outstanding = 0;
+        if matches!(self.pattern, PtlPattern::Bidir | PtlPattern::BidirGet) {
+            p.send_ctrl(ctx, CTRL_READY, self.rounds.index() as u64);
+        }
     }
 
     fn start_round(&mut self, ctx: &mut AppCtx<'_>) {
-        self.t0 = ctx.now();
-        let point = self.schedule.points[self.p.as_ref().unwrap().round];
+        self.rounds.start(ctx.now());
         match self.pattern {
             PtlPattern::PingPongPut | PtlPattern::Bidir => {
-                self.p.as_mut().unwrap().put_data(ctx);
+                self.p.as_mut().expect(SET_UP).put_data(ctx)
             }
-            PtlPattern::PingPongGet | PtlPattern::StreamGet | PtlPattern::BidirGet => {
-                self.issue_get(ctx);
+            PtlPattern::PingPongGet | PtlPattern::BidirGet => {
+                self.p.as_mut().expect(SET_UP).get_data(ctx)
             }
-            PtlPattern::StreamPut => {
-                self.pump_stream(ctx, point.reps);
-            }
+            PtlPattern::StreamPut => self.pump_stream(ctx),
         }
     }
 
-    fn issue_get(&mut self, ctx: &mut AppCtx<'_>) {
-        let p = self.p.as_mut().unwrap();
-        let md = p.tx_md.expect("get md");
-        ctx.get(md, p.peer, PT_DATA, 0, DATA_BITS, 0).expect("get");
-    }
-
-    fn pump_stream(&mut self, ctx: &mut AppCtx<'_>, reps: u32) {
-        while self.issued < reps && self.outstanding < STREAM_WINDOW {
-            self.p.as_mut().unwrap().put_data(ctx);
-            self.issued += 1;
-            self.outstanding += 1;
+    fn pump_stream(&mut self, ctx: &mut AppCtx<'_>) {
+        for _ in 0..self.rounds.pump(STREAM_WINDOW) {
+            self.p.as_mut().expect(SET_UP).put_data(ctx);
         }
     }
 
+    /// Record the round this side measured, then go on.
     fn round_complete(&mut self, ctx: &mut AppCtx<'_>) {
-        let point = self.schedule.points[self.p.as_ref().unwrap().round];
-        let elapsed = ctx.now() - self.t0;
-        let (messages, bw_factor) = match self.pattern {
-            // Ping-pong put: reps round trips = 2*reps one-way messages.
-            PtlPattern::PingPongPut => (2 * point.reps, 1),
-            // A get is a full round trip; count each get once.
-            PtlPattern::PingPongGet | PtlPattern::StreamGet => (point.reps, 1),
-            // Both sides pull simultaneously: aggregate both directions.
-            PtlPattern::BidirGet => (point.reps, 2),
-            // Bidirectional: each iteration moves one message per
-            // direction; report per-iteration latency and 2x aggregate
-            // bandwidth.
-            PtlPattern::Bidir => (point.reps, 2),
-            PtlPattern::StreamPut => (point.reps, 1), // recorded at responder
+        let how = match self.pattern {
+            PtlPattern::PingPongPut => Record::PingPong,
+            PtlPattern::PingPongGet => Record::Get,
+            PtlPattern::Bidir | PtlPattern::BidirGet => Record::Bidir,
+            PtlPattern::StreamPut => unreachable!("the receiver measures a stream"),
         };
-        self.results.push(RoundResult {
-            size: point.size,
-            messages,
-            elapsed,
-            bw_factor,
-        });
+        self.rounds.record(how, ctx.now(), &mut self.results);
         self.advance_round(ctx);
     }
 
     fn advance_round(&mut self, ctx: &mut AppCtx<'_>) {
-        let p = self.p.as_mut().unwrap();
-        p.round += 1;
-        if p.round >= self.schedule.len() {
+        if !self.rounds.advance() {
             ctx.finish();
             return;
         }
-        self.begin_round_setup(ctx);
-        if matches!(self.pattern, PtlPattern::Bidir | PtlPattern::BidirGet) {
-            let p = self.p.as_mut().unwrap();
-            p.send_ctrl(ctx, CTRL_READY, p.round as u64);
-        }
-        let p = self.p.as_mut().unwrap();
+        self.begin_round(ctx);
+        let p = self.p.as_mut().expect(SET_UP);
         if p.ready_pending {
             p.ready_pending = false;
             self.start_round(ctx);
         }
-        if !self.finished_check(ctx) {
-            let eq = self.p.as_ref().unwrap().eq;
-            ctx.wait_eq(eq);
-        }
-    }
-
-    fn finished_check(&self, _ctx: &mut AppCtx<'_>) -> bool {
-        false
     }
 }
 
@@ -412,85 +336,42 @@ impl App for PtlInitiator {
     fn on_event(&mut self, ctx: &mut AppCtx<'_>, event: AppEvent) {
         match event {
             AppEvent::Started => {
-                let layout = self.layout();
+                let layout = Layout::for_max(self.rounds.max_size());
+                fill(ctx, layout.tx, self.rounds.max_size(), 253);
                 let peer = ProcessId::new(self.peer_nid, 0);
-                if !ctx.synthetic() {
-                    let max = self.schedule.max_size().max(64) as usize;
-                    let pattern: Vec<u8> = (0..max).map(|i| (i % 253) as u8).collect();
-                    ctx.write_mem(layout.tx, &pattern);
-                }
-                let mut p = Plumbing::setup(ctx, peer, layout);
-                p.round = 0;
-                self.p = Some(p);
-                self.begin_round_setup(ctx);
-                if matches!(self.pattern, PtlPattern::Bidir | PtlPattern::BidirGet) {
-                    let p = self.p.as_mut().unwrap();
-                    p.send_ctrl(ctx, CTRL_READY, 0);
-                }
-                let eq = self.p.as_ref().unwrap().eq;
-                ctx.wait_eq(eq);
+                self.p = Some(Plumbing::setup(ctx, peer, layout));
+                self.begin_round(ctx);
             }
-            AppEvent::Ptl(ev) => {
-                let reps = self.schedule.points[self.p.as_ref().unwrap().round].reps;
-                match (ev.user_ptr, ev.kind) {
-                    (UPTR_CTRL, EventKind::PutEnd) => {
-                        let kind = ev.match_bits & 0xFF;
-                        if kind == CTRL_READY {
-                            // Peer ready for the current round.
-                            if self.i == 0 && self.issued == 0 {
-                                self.start_round(ctx);
-                            } else {
-                                self.p.as_mut().unwrap().ready_pending = true;
-                            }
-                        } else if kind == CTRL_DONE {
-                            // Streaming round acknowledged by receiver.
-                            debug_assert_eq!(self.pattern, PtlPattern::StreamPut);
-                            self.round_complete(ctx);
-                            return;
-                        }
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
-                    }
-                    (UPTR_DATA, EventKind::PutEnd) => {
-                        // Pong (ping-pong put) or peer data (bidir).
-                        self.i += 1;
-                        if self.i < reps {
-                            self.p.as_mut().unwrap().put_data(ctx);
-                            let eq = self.p.as_ref().unwrap().eq;
-                            ctx.wait_eq(eq);
-                        } else {
-                            self.round_complete(ctx);
-                        }
-                    }
-                    (UPTR_TX, EventKind::ReplyEnd) => {
-                        // A get completed.
-                        self.i += 1;
-                        if self.i < reps {
-                            self.issue_get(ctx);
-                            let eq = self.p.as_ref().unwrap().eq;
-                            ctx.wait_eq(eq);
-                        } else {
-                            self.round_complete(ctx);
-                        }
-                    }
-                    (UPTR_TX, EventKind::SendEnd) => {
-                        // Streaming throttle.
-                        self.outstanding -= 1;
-                        self.pump_stream(ctx, reps);
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
-                    }
-                    _ => {
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
+            AppEvent::Ptl(ev) => match (ev.user_ptr, ev.kind) {
+                (UPTR_CTRL, EventKind::PutEnd) => match ev.match_bits & 0xFF {
+                    // Peer ready for the current round.
+                    CTRL_READY if self.rounds.idle() => self.start_round(ctx),
+                    CTRL_READY => self.p.as_mut().expect(SET_UP).ready_pending = true,
+                    // Streaming round acknowledged by the receiver.
+                    CTRL_DONE => self.advance_round(ctx),
+                    _ => {}
+                },
+                // A pong (ping-pong put), the peer's data (bidir) or a
+                // get's reply.
+                (UPTR_DATA, EventKind::PutEnd) | (UPTR_TX, EventKind::ReplyEnd) => {
+                    let last = self.rounds.arrive(ctx.now());
+                    let p = self.p.as_mut().expect(SET_UP);
+                    match ev.kind {
+                        _ if last => self.round_complete(ctx),
+                        EventKind::ReplyEnd => p.get_data(ctx),
+                        _ => p.put_data(ctx),
                     }
                 }
-            }
-            _ => {
-                let eq = self.p.as_ref().unwrap().eq;
-                ctx.wait_eq(eq);
-            }
+                // Streaming throttle.
+                (UPTR_TX, EventKind::SendEnd) => {
+                    self.rounds.retire();
+                    self.pump_stream(ctx);
+                }
+                _ => {}
+            },
+            _ => {}
         }
+        ctx.wait_eq(self.p.as_ref().expect(SET_UP).eq);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -498,14 +379,11 @@ impl App for PtlInitiator {
     }
 }
 
-/// The responder-side driver (node 1).
+/// The responder-side driver (the machine's last node; node 1 of a pair).
 pub struct PtlResponder {
     pattern: PtlPattern,
-    schedule: Schedule,
     p: Option<Plumbing>,
-    count: u32,
-    t_first: SimTime,
-    t_last: SimTime,
+    rounds: Rounds,
     /// Streaming measurements (receiver side, steady-state intervals).
     pub results: Vec<RoundResult>,
 }
@@ -515,62 +393,40 @@ impl PtlResponder {
     pub fn new(pattern: PtlPattern, schedule: Schedule) -> Self {
         PtlResponder {
             pattern,
-            schedule,
             p: None,
-            count: 0,
-            t_first: SimTime::ZERO,
-            t_last: SimTime::ZERO,
+            rounds: Rounds::new(schedule),
             results: Vec::new(),
         }
     }
 
     fn begin_round(&mut self, ctx: &mut AppCtx<'_>) {
-        let size = self.schedule.points[self.p.as_ref().unwrap().round].size;
-        let p = self.p.as_mut().unwrap();
+        let size = self.rounds.size();
+        let p = self.p.as_mut().expect(SET_UP);
         match self.pattern {
             PtlPattern::PingPongPut | PtlPattern::Bidir => {
                 p.rebuild_rx(ctx, size, false);
-                p.rebuild_tx(ctx, size, false);
+                p.rebuild_tx(ctx, p.layout.tx, size, false);
             }
-            PtlPattern::StreamPut => {
-                p.rebuild_rx(ctx, size, false);
-            }
-            PtlPattern::PingPongGet | PtlPattern::StreamGet => {
-                // Expose the source buffer for gets.
-                p.rebuild_rx(ctx, size, true);
-            }
-            PtlPattern::BidirGet => {
-                unreachable!("BidirGet runs an initiator on both nodes")
-            }
+            PtlPattern::StreamPut => p.rebuild_rx(ctx, size, false),
+            // Expose the source buffer for gets.
+            PtlPattern::PingPongGet => p.rebuild_rx(ctx, size, true),
+            PtlPattern::BidirGet => unreachable!("BidirGet runs an initiator on both nodes"),
         }
-        self.count = 0;
-        let p = self.p.as_mut().unwrap();
-        p.send_ctrl(ctx, CTRL_READY, p.round as u64);
+        p.send_ctrl(ctx, CTRL_READY, self.rounds.index() as u64);
     }
 
     fn end_round(&mut self, ctx: &mut AppCtx<'_>) {
-        let point = self.schedule.points[self.p.as_ref().unwrap().round];
         if self.pattern == PtlPattern::StreamPut {
-            // Steady-state receiver measurement across reps-1 intervals.
-            if point.reps > 1 && self.t_last > self.t_first {
-                self.results.push(RoundResult {
-                    size: point.size,
-                    messages: point.reps - 1,
-                    elapsed: self.t_last - self.t_first,
-                    bw_factor: 1,
-                });
-            }
-            let p = self.p.as_mut().unwrap();
-            p.send_ctrl(ctx, CTRL_DONE, 0);
+            self.rounds
+                .record(Record::Stream, ctx.now(), &mut self.results);
+            self.p.as_mut().expect(SET_UP).send_ctrl(ctx, CTRL_DONE, 0);
         }
-        let p = self.p.as_mut().unwrap();
-        p.round += 1;
-        if p.round >= self.schedule.len() {
+        if !self.rounds.advance() {
             ctx.finish();
             return;
         }
         self.begin_round(ctx);
-        let p = self.p.as_mut().unwrap();
+        let p = self.p.as_mut().expect(SET_UP);
         if p.ready_pending {
             p.ready_pending = false;
             // Bidir: we already got the peer's READY for this round.
@@ -578,8 +434,6 @@ impl PtlResponder {
                 p.put_data(ctx);
             }
         }
-        let eq = self.p.as_ref().unwrap().eq;
-        ctx.wait_eq(eq);
     }
 }
 
@@ -587,86 +441,41 @@ impl App for PtlResponder {
     fn on_event(&mut self, ctx: &mut AppCtx<'_>, event: AppEvent) {
         match event {
             AppEvent::Started => {
-                let layout = Layout::for_max(self.schedule.max_size());
-                if !ctx.synthetic() {
-                    let max = self.schedule.max_size().max(64) as usize;
-                    let pattern: Vec<u8> = (0..max).map(|i| (i % 253) as u8).collect();
-                    ctx.write_mem(layout.tx, &pattern);
-                }
-                let p = Plumbing::setup(ctx, ProcessId::new(0, 0), layout);
-                self.p = Some(p);
+                let layout = Layout::for_max(self.rounds.max_size());
+                fill(ctx, layout.tx, self.rounds.max_size(), 253);
+                self.p = Some(Plumbing::setup(ctx, ProcessId::new(0, 0), layout));
                 self.begin_round(ctx);
-                let eq = self.p.as_ref().unwrap().eq;
-                ctx.wait_eq(eq);
             }
-            AppEvent::Ptl(ev) => {
-                let reps = self.schedule.points[self.p.as_ref().unwrap().round].reps;
-                match (ev.user_ptr, ev.kind) {
-                    (UPTR_DATA, EventKind::PutEnd) => {
-                        self.count += 1;
-                        match self.pattern {
-                            PtlPattern::PingPongPut => {
-                                self.p.as_mut().unwrap().put_data(ctx);
-                                if self.count >= reps {
-                                    self.end_round(ctx);
-                                    return;
-                                }
-                            }
-                            PtlPattern::StreamPut => {
-                                if self.count == 1 {
-                                    self.t_first = ctx.now();
-                                }
-                                self.t_last = ctx.now();
-                                if self.count >= reps {
-                                    self.end_round(ctx);
-                                    return;
-                                }
-                            }
-                            PtlPattern::Bidir => {
-                                if self.count < reps {
-                                    self.p.as_mut().unwrap().put_data(ctx);
-                                } else {
-                                    self.end_round(ctx);
-                                    return;
-                                }
-                            }
-                            _ => {}
-                        }
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
+            AppEvent::Ptl(ev) => match (ev.user_ptr, ev.kind) {
+                // A ping, streamed or bidirectional data, or a served get.
+                (UPTR_DATA, EventKind::PutEnd | EventKind::GetEnd) => {
+                    let last = self.rounds.arrive(ctx.now());
+                    // Ping-pong answers every ping; bidir answers all
+                    // but the round's last message.
+                    let bidir = self.pattern == PtlPattern::Bidir;
+                    if self.pattern == PtlPattern::PingPongPut || (bidir && !last) {
+                        self.p.as_mut().expect(SET_UP).put_data(ctx);
                     }
-                    (UPTR_DATA, EventKind::GetEnd) => {
-                        self.count += 1;
-                        if self.count >= reps {
-                            self.end_round(ctx);
-                            return;
-                        }
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
-                    }
-                    (UPTR_CTRL, EventKind::PutEnd) => {
-                        // Bidir READY from the initiator.
-                        if ev.match_bits & 0xFF == CTRL_READY && self.pattern == PtlPattern::Bidir {
-                            if self.count == 0 {
-                                self.p.as_mut().unwrap().put_data(ctx);
-                            } else {
-                                self.p.as_mut().unwrap().ready_pending = true;
-                            }
-                        }
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
-                    }
-                    _ => {
-                        let eq = self.p.as_ref().unwrap().eq;
-                        ctx.wait_eq(eq);
+                    if last {
+                        self.end_round(ctx);
                     }
                 }
-            }
-            _ => {
-                let eq = self.p.as_ref().unwrap().eq;
-                ctx.wait_eq(eq);
-            }
+                // Bidir READY from the initiator.
+                (UPTR_CTRL, EventKind::PutEnd)
+                    if ev.match_bits & 0xFF == CTRL_READY && self.pattern == PtlPattern::Bidir =>
+                {
+                    let p = self.p.as_mut().expect(SET_UP);
+                    if self.rounds.idle() {
+                        p.put_data(ctx);
+                    } else {
+                        p.ready_pending = true;
+                    }
+                }
+                _ => {}
+            },
+            _ => {}
         }
+        ctx.wait_eq(self.p.as_ref().expect(SET_UP).eq);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -7,7 +7,7 @@ pub use xt3_sim::stats::Series;
 
 /// One completed round: `messages` transfers of `size` bytes in
 /// `elapsed`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundResult {
     /// Message size in bytes.
     pub size: u64,

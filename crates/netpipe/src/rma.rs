@@ -9,17 +9,12 @@
 //! no receives are ever posted, and the target observes arrivals only
 //! through window events ([`RmaCompletionKind::WindowPut`]).
 //!
-//! Measurement conventions match `ptl.rs`/`mpi.rs` exactly so curves
-//! are comparable:
-//!
-//! * **ping-pong put/accumulate**: one iteration = ping + pong (the
-//!   target answers each window arrival with its own put back);
-//!   `messages = 2 * reps`, `bw_factor = 1`;
-//! * **ping-pong get**: a get is its own round trip; `messages = reps`;
-//! * **streaming**: measured at the *receiver* between its first and
-//!   last window arrival: `(reps - 1, t_last - t_first, 1)`;
-//! * **bidirectional**: both ranks ping-pong simultaneously; rank 0
-//!   records `(reps, elapsed, 2)`.
+//! The rounds are kept and recorded by [`crate::measure`]: a put or
+//! accumulate ping-pong answers each window arrival with its own write
+//! back ([`Record::PingPong`]), a get is its own round trip
+//! ([`Record::Get`]), a stream is measured at the receiving rank 1
+//! between its first and last window arrival, and rank 0 records a
+//! bidirectional round.
 //!
 //! The module also hosts the two RMA-native workloads the audit and
 //! fault campaigns replay:
@@ -37,6 +32,7 @@
 //!   neighbors' windows and fences; after the fence each incoming face
 //!   must carry the neighbor's exact pattern bytes.
 
+use crate::measure::{fill, Record, Rounds};
 use crate::report::RoundResult;
 use crate::schedule::Schedule;
 use std::any::Any;
@@ -45,7 +41,7 @@ use xt3_node::config::{MachineConfig, NodeSpec, OsKind, ProcSpec};
 use xt3_node::{App, AppCtx, AppEvent, Machine};
 use xt3_portals::header::AtomicOp;
 use xt3_portals::types::ProcessId;
-use xt3_sim::{FaultPlan, SimRng, SimTime};
+use xt3_sim::{FaultPlan, SimRng};
 use xt3_topology::coord::Dims;
 
 /// Outstanding puts a streaming sender keeps in flight (remote acks
@@ -105,19 +101,11 @@ impl RmaLayout {
 /// except for streaming where the receiving rank 1 measures).
 pub struct RmaDriver {
     pattern: RmaPattern,
-    schedule: Schedule,
     rank: u32,
     layout: RmaLayout,
     ep: Option<RmaEndpoint>,
     win: u64,
-    round: usize,
-    i: u32,
-    issued: u32,
-    outstanding: u32,
-    count: u32,
-    t0: SimTime,
-    t_first: SimTime,
-    t_last: SimTime,
+    rounds: Rounds,
     done: bool,
     /// Round measurements (rank 0 for ping-pong/bidir; rank 1 for
     /// streaming).
@@ -130,118 +118,71 @@ impl RmaDriver {
         let layout = RmaLayout::for_max(schedule.max_size());
         RmaDriver {
             pattern,
-            schedule,
             rank,
             layout,
             ep: None,
             win: 0,
-            round: 0,
-            i: 0,
-            issued: 0,
-            outstanding: 0,
-            count: 0,
-            t0: SimTime::ZERO,
-            t_first: SimTime::ZERO,
-            t_last: SimTime::ZERO,
+            rounds: Rounds::new(schedule),
             done: false,
             results: Vec::new(),
         }
     }
 
-    /// The memory layout this driver requires.
-    pub fn layout(&self) -> RmaLayout {
-        self.layout
+    /// The pattern's one-sided write into `target`'s window: an
+    /// `Accumulate(Sum)` for the accumulate ping-pong, whose payload
+    /// rounds up to whole 8-byte lanes (results are still recorded under
+    /// the nominal size, so curves stay comparable), a put otherwise.
+    fn write(&self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>, target: u32) {
+        let (win, tx, size) = (self.win, self.layout.tx, self.rounds.size());
+        if self.pattern == RmaPattern::PingPongAcc {
+            let lanes = (size + 7) & !7;
+            ep.accumulate(ctx, win, target, tx, lanes, AtomicOp::Sum, 0)
+                .expect("acc");
+        } else {
+            ep.put(ctx, win, target, tx, size, 0).expect("put");
+        }
     }
 
-    fn size(&self) -> u64 {
-        self.schedule.points[self.round].size
+    fn get(&self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>) {
+        ep.get(ctx, self.win, 1, self.layout.rx, self.rounds.size(), 0)
+            .expect("ping get");
     }
 
-    /// Accumulate payloads round up to whole 8-byte lanes; results are
-    /// still recorded under the nominal size so curves stay comparable.
-    fn acc_len(&self) -> u64 {
-        (self.size() + 7) & !7
-    }
-
-    fn reps(&self) -> u32 {
-        self.schedule.points[self.round].reps
-    }
-
-    fn peer(&self) -> u32 {
-        1 - self.rank
-    }
-
-    fn record(&mut self, messages: u32, elapsed: SimTime, bw_factor: u32) {
-        self.results.push(RoundResult {
-            size: self.size(),
-            messages,
-            elapsed,
-            bw_factor,
-        });
-    }
-
-    /// Close this rank's round: advance the counter and fence. The
-    /// fence drains whatever this round still has in flight, so the
-    /// next round starts from a quiet wire.
-    fn close_round(&mut self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>) {
-        self.round += 1;
+    /// Record the round as `how` measures it, if this rank measures it, then
+    /// close the round: move on and fence. The fence drains whatever
+    /// this round still has in flight, so the next round starts from a
+    /// quiet wire.
+    fn close_round(&mut self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>, how: Option<Record>) {
+        if let Some(how) = how {
+            self.rounds.record(how, ctx.now(), &mut self.results);
+        }
+        self.rounds.advance();
         ep.fence(ctx).expect("fence");
     }
 
     fn pump_stream(&mut self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>) {
-        let reps = self.reps();
-        while self.issued < reps && self.outstanding < STREAM_WINDOW {
-            ep.put(ctx, self.win, 1, self.layout.tx, self.size(), 0)
-                .expect("stream put");
-            self.issued += 1;
-            self.outstanding += 1;
+        for _ in 0..self.rounds.pump(STREAM_WINDOW) {
+            self.write(ep, ctx, 1);
         }
     }
 
     /// A boundary fence completed: either start the next round's work
     /// or finish.
     fn on_fence(&mut self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>) {
-        if self.round >= self.schedule.len() {
+        if self.rounds.finished() {
             self.done = true;
             return;
         }
-        self.i = 0;
-        self.issued = 0;
-        self.outstanding = 0;
-        self.count = 0;
-        self.t0 = ctx.now();
+        self.rounds.start(ctx.now());
         match (self.pattern, self.rank) {
-            (RmaPattern::PingPongPut, 0) => {
-                ep.put(ctx, self.win, 1, self.layout.tx, self.size(), 0)
-                    .expect("ping put");
-            }
-            (RmaPattern::PingPongGet, 0) => {
-                ep.get(ctx, self.win, 1, self.layout.rx, self.size(), 0)
-                    .expect("ping get");
-            }
-            (RmaPattern::PingPongGet, 1) => {
-                // Fully passive: the NIC serves the gets. Rejoin the
-                // round boundary immediately; the barrier holds until
-                // rank 0 finishes its reps.
-                self.close_round(ep, ctx);
-            }
-            (RmaPattern::PingPongAcc, 0) => {
-                ep.accumulate(
-                    ctx,
-                    self.win,
-                    1,
-                    self.layout.tx,
-                    self.acc_len(),
-                    AtomicOp::Sum,
-                    0,
-                )
-                .expect("ping acc");
-            }
+            (RmaPattern::PingPongPut | RmaPattern::PingPongAcc, 0) => self.write(ep, ctx, 1),
+            (RmaPattern::PingPongGet, 0) => self.get(ep, ctx),
+            // Fully passive: the NIC serves the gets. Rejoin the round
+            // boundary immediately; the barrier holds until rank 0
+            // finishes its reps.
+            (RmaPattern::PingPongGet, 1) => self.close_round(ep, ctx, None),
             (RmaPattern::Stream, 0) => self.pump_stream(ep, ctx),
-            (RmaPattern::Bidir, _) => {
-                ep.put(ctx, self.win, self.peer(), self.layout.tx, self.size(), 0)
-                    .expect("bidir put");
-            }
+            (RmaPattern::Bidir, _) => self.write(ep, ctx, 1 - self.rank),
             // Put/acc/stream targets start passive and react to window
             // arrivals.
             _ => {}
@@ -250,86 +191,24 @@ impl RmaDriver {
 
     /// A remote put/accumulate landed in our window.
     fn on_window_put(&mut self, ep: &mut RmaEndpoint, ctx: &mut AppCtx<'_>) {
+        let last = self.rounds.arrive(ctx.now());
         match (self.pattern, self.rank) {
-            (RmaPattern::PingPongPut | RmaPattern::PingPongAcc, 0) => {
-                // The pong is back: one iteration done.
-                self.i += 1;
-                if self.i < self.reps() {
-                    match self.pattern {
-                        RmaPattern::PingPongPut => ep
-                            .put(ctx, self.win, 1, self.layout.tx, self.size(), 0)
-                            .expect("ping put"),
-                        _ => ep
-                            .accumulate(
-                                ctx,
-                                self.win,
-                                1,
-                                self.layout.tx,
-                                self.acc_len(),
-                                AtomicOp::Sum,
-                                0,
-                            )
-                            .expect("ping acc"),
-                    };
-                } else {
-                    let reps = self.reps();
-                    let elapsed = ctx.now() - self.t0;
-                    self.record(2 * reps, elapsed, 1);
-                    self.close_round(ep, ctx);
-                }
+            // The pong is back: one iteration done.
+            (RmaPattern::PingPongPut | RmaPattern::PingPongAcc, 0) if last => {
+                self.close_round(ep, ctx, Some(Record::PingPong))
             }
+            (RmaPattern::PingPongPut | RmaPattern::PingPongAcc, 0) => self.write(ep, ctx, 1),
+            // A ping arrived: answer with the pong.
             (RmaPattern::PingPongPut | RmaPattern::PingPongAcc, 1) => {
-                // A ping arrived: answer with the pong.
-                self.count += 1;
-                match self.pattern {
-                    RmaPattern::PingPongPut => ep
-                        .put(ctx, self.win, 0, self.layout.tx, self.size(), 0)
-                        .expect("pong put"),
-                    _ => ep
-                        .accumulate(
-                            ctx,
-                            self.win,
-                            0,
-                            self.layout.tx,
-                            self.acc_len(),
-                            AtomicOp::Sum,
-                            0,
-                        )
-                        .expect("pong acc"),
-                };
-                if self.count >= self.reps() {
-                    self.close_round(ep, ctx);
+                self.write(ep, ctx, 0);
+                if last {
+                    self.close_round(ep, ctx, None);
                 }
             }
-            (RmaPattern::Stream, 1) => {
-                self.count += 1;
-                if self.count == 1 {
-                    self.t_first = ctx.now();
-                }
-                self.t_last = ctx.now();
-                let reps = self.reps();
-                if self.count >= reps {
-                    if reps > 1 && self.t_last > self.t_first {
-                        let elapsed = self.t_last - self.t_first;
-                        self.record(reps - 1, elapsed, 1);
-                    }
-                    self.close_round(ep, ctx);
-                }
-            }
-            (RmaPattern::Bidir, _) => {
-                self.i += 1;
-                if self.i < self.reps() {
-                    ep.put(ctx, self.win, self.peer(), self.layout.tx, self.size(), 0)
-                        .expect("bidir put");
-                } else {
-                    if self.rank == 0 {
-                        let reps = self.reps();
-                        let elapsed = ctx.now() - self.t0;
-                        self.record(reps, elapsed, 2);
-                    }
-                    self.close_round(ep, ctx);
-                }
-            }
+            (RmaPattern::Stream, 1) if last => self.close_round(ep, ctx, Some(Record::Stream)),
+            (RmaPattern::Bidir, 0) if last => self.close_round(ep, ctx, Some(Record::Bidir)),
+            (RmaPattern::Bidir, _) if last => self.close_round(ep, ctx, None),
+            (RmaPattern::Bidir, _) => self.write(ep, ctx, 1 - self.rank),
             _ => {}
         }
     }
@@ -340,24 +219,18 @@ impl RmaDriver {
             RmaCompletionKind::WindowPut => self.on_window_put(ep, ctx),
             RmaCompletionKind::Put if self.pattern == RmaPattern::Stream && self.rank == 0 => {
                 // Remote ack: retire one in-flight put, keep the pipe
-                // full. When all reps are acked the round is over.
-                self.outstanding -= 1;
+                // full. When every rep is acked the round is over.
+                self.rounds.retire();
                 self.pump_stream(ep, ctx);
-                if self.issued >= self.reps() && self.outstanding == 0 {
-                    self.close_round(ep, ctx);
+                if self.rounds.arrive(ctx.now()) {
+                    self.close_round(ep, ctx, None);
                 }
             }
             RmaCompletionKind::Get if self.pattern == RmaPattern::PingPongGet => {
-                self.i += 1;
-                if self.i < self.reps() {
-                    ep.get(ctx, self.win, 1, self.layout.rx, self.size(), 0)
-                        .expect("ping get");
+                if self.rounds.arrive(ctx.now()) {
+                    self.close_round(ep, ctx, Some(Record::Get));
                 } else {
-                    // A get is its own round trip: messages = reps.
-                    let reps = self.reps();
-                    let elapsed = ctx.now() - self.t0;
-                    self.record(reps, elapsed, 1);
-                    self.close_round(ep, ctx);
+                    self.get(ep, ctx);
                 }
             }
             // Origin-side put/accumulate acks outside streaming: round
@@ -374,11 +247,7 @@ impl App for RmaDriver {
             let comm = vec![ProcessId::new(0, 0), ProcessId::new(1, 0)];
             let mut ep =
                 RmaEndpoint::init(ctx, comm, self.rank, Personality::rma()).expect("rma init");
-            if !ctx.synthetic() {
-                let max = self.schedule.max_size().max(64) as usize;
-                let pattern: Vec<u8> = (0..max).map(|i| (i % 241) as u8).collect();
-                ctx.write_mem(self.layout.tx, &pattern);
-            }
+            fill(ctx, self.layout.tx, self.rounds.max_size(), 241);
             self.win = ep
                 .win_create(ctx, self.layout.win, self.layout.win_len, true)
                 .expect("win_create");

@@ -7,7 +7,7 @@ use crate::rma::{RmaDriver, RmaLayout, RmaPattern};
 use crate::schedule::Schedule;
 use xt3_mpi::Personality;
 use xt3_node::config::{MachineConfig, NodeSpec, ProcSpec};
-use xt3_node::Machine;
+use xt3_node::{App, Machine};
 use xt3_sim::{RunOutcome, SimTime};
 use xt3_telemetry::TelemetryReport;
 
@@ -57,9 +57,11 @@ pub struct NetpipeConfig {
     pub schedule: Schedule,
     /// Run the accelerated-mode ablation instead of generic mode.
     pub accelerated: bool,
-    /// The two-node machine the curve runs on: cost model, link, payload
-    /// mode, telemetry and fault plan (set with
-    /// [`MachineConfig::with_faults`]).
+    /// The machine the curve runs on: cost model, link, payload mode,
+    /// telemetry and fault plan (set with [`MachineConfig::with_faults`]).
+    /// Node 0 initiates. The Portals responder (or a bidirectional get's
+    /// second initiator) sits on the machine's last node, so a longer
+    /// chain measures distance; MPI and RMA ranks run on nodes 0 and 1.
     pub machine: MachineConfig,
 }
 
@@ -137,35 +139,26 @@ fn machine_for(config: &NetpipeConfig, mem_bytes: u64) -> Machine {
     )
 }
 
+/// The node the Portals responder sits on: the machine's last.
+fn far_node(m: &Machine) -> u32 {
+    m.config.dims.node_count() - 1
+}
+
 fn ptl_machine(config: &NetpipeConfig, pattern: PtlPattern) -> Machine {
     let layout = Layout::for_max(config.schedule.max_size());
     let mut m = machine_for(config, layout.mem_bytes);
+    let (far, schedule) = (far_node(&m), config.schedule.clone());
     m.spawn(
         0,
         0,
-        Box::new(PtlInitiator::new(pattern, config.schedule.clone())),
+        Box::new(PtlInitiator::with_peer(pattern, schedule.clone(), far)),
     );
-    m.spawn(
-        1,
-        0,
-        Box::new(PtlResponder::new(pattern, config.schedule.clone())),
-    );
-    m
-}
-
-fn ptl_symmetric_machine(config: &NetpipeConfig, pattern: PtlPattern) -> Machine {
-    let layout = Layout::for_max(config.schedule.max_size());
-    let mut m = machine_for(config, layout.mem_bytes);
-    m.spawn(
-        0,
-        0,
-        Box::new(PtlInitiator::with_peer(pattern, config.schedule.clone(), 1)),
-    );
-    m.spawn(
-        1,
-        0,
-        Box::new(PtlInitiator::with_peer(pattern, config.schedule.clone(), 0)),
-    );
+    let responder: Box<dyn App> = if pattern == PtlPattern::BidirGet {
+        Box::new(PtlInitiator::with_peer(pattern, schedule, 0))
+    } else {
+        Box::new(PtlResponder::new(pattern, schedule))
+    };
+    m.spawn(far, 0, responder);
     m
 }
 
@@ -234,9 +227,11 @@ pub fn build_machine(config: &NetpipeConfig, transport: Transport, kind: TestKin
         (Transport::Put, TestKind::PingPong) => ptl_machine(config, PtlPattern::PingPongPut),
         (Transport::Put, TestKind::Stream) => ptl_machine(config, PtlPattern::StreamPut),
         (Transport::Put, TestKind::Bidir) => ptl_machine(config, PtlPattern::Bidir),
-        (Transport::Get, TestKind::PingPong) => ptl_machine(config, PtlPattern::PingPongGet),
-        (Transport::Get, TestKind::Stream) => ptl_machine(config, PtlPattern::StreamGet),
-        (Transport::Get, TestKind::Bidir) => ptl_symmetric_machine(config, PtlPattern::BidirGet),
+        // A get blocks: its stream is its ping-pong.
+        (Transport::Get, TestKind::PingPong | TestKind::Stream) => {
+            ptl_machine(config, PtlPattern::PingPongGet)
+        }
+        (Transport::Get, TestKind::Bidir) => ptl_machine(config, PtlPattern::BidirGet),
         (Transport::Mpich1, k) => mpi_machine(config, mpi_pattern(k), Personality::mpich1()),
         (Transport::Mpich2, k) => mpi_machine(config, mpi_pattern(k), Personality::mpich2()),
         (Transport::Rma, k) => rma_machine(config, rma_pattern(k)),
@@ -271,11 +266,43 @@ pub fn run_rma(
 }
 
 /// The measured rounds for `(transport, kind)` — the side holding the
-/// measurement depends on the pattern (see [`extract_rounds`]).
+/// measurement depends on the pattern (see [`finish`]).
 pub fn run_curve(config: &NetpipeConfig, transport: Transport, kind: TestKind) -> Vec<RoundResult> {
-    let machine = build_machine(config, transport, kind);
-    let (mut m, _) = run_to_end(machine, (transport, kind));
-    extract_rounds(&mut m, transport, kind)
+    finish(build_machine(config, transport, kind), transport, kind).2
+}
+
+/// Run a [`build_machine`] of `(transport, kind)` to the end; returns the
+/// drained machine, the simulated time at its end and the measuring
+/// side's rounds, moved out of its driver. Streams are measured at the
+/// receiver — the Portals responder on the last node, MPI and RMA rank
+/// 1 — except a streamed get, whose initiator times the transfers it
+/// pulls; every other pattern by node 0 (for a bidirectional get, node
+/// 0's initiator).
+pub fn finish(
+    machine: Machine,
+    transport: Transport,
+    kind: TestKind,
+) -> (Machine, SimTime, Vec<RoundResult>) {
+    let (mut m, now) = run_to_end(machine, (transport, kind));
+    let stream = kind == TestKind::Stream;
+    let rounds = match transport {
+        Transport::Put if stream => {
+            let far = far_node(&m);
+            take_results(&mut m, far, |b: &mut PtlResponder| &mut b.results)
+        }
+        Transport::Put | Transport::Get => {
+            take_results(&mut m, 0, |a: &mut PtlInitiator| &mut a.results)
+        }
+        Transport::Mpich1 | Transport::Mpich2 => {
+            take_results(&mut m, u32::from(stream), |a: &mut MpiDriver| {
+                &mut a.results
+            })
+        }
+        Transport::Rma => take_results(&mut m, u32::from(stream), |a: &mut RmaDriver| {
+            &mut a.results
+        }),
+    };
+    (m, now, rounds)
 }
 
 /// Run a fully spawned machine to the end; returns it with the simulated
@@ -349,11 +376,9 @@ pub fn run_instrumented(
 ) -> InstrumentedRun {
     let mut cfg = config.clone();
     cfg.machine.telemetry = true;
-    let machine = build_machine(&cfg, transport, kind);
-    let (mut m, elapsed) = run_to_end(machine, (transport, kind));
+    let (m, elapsed, rounds) = finish(build_machine(&cfg, transport, kind), transport, kind);
     let report = m.telemetry_report(&scenario_name(transport, kind), elapsed);
     let perfetto = m.telemetry().perfetto_json_full(None, None);
-    let rounds = extract_rounds(&mut m, transport, kind);
     InstrumentedRun {
         rounds,
         report,
@@ -395,11 +420,10 @@ pub fn run_explained(
     cfg.machine.telemetry = true;
     let mut machine = build_machine(&cfg, transport, kind);
     machine.set_causal_enabled(true);
-    let (mut m, _) = run_to_end(machine, (transport, kind));
+    let (m, _, rounds) = finish(machine, transport, kind);
     let chains = xt3_telemetry::extract_chains(m.causal())?;
     let hops = m.causal().fold().hop_stalls().collect();
     let perfetto = m.telemetry().perfetto_json_full(Some(m.causal()), None);
-    let rounds = extract_rounds(&mut m, transport, kind);
     Ok(ExplainedRun {
         rounds,
         chains,
@@ -500,24 +524,6 @@ pub fn tiled_chains<'a>(
         });
     }
     None
-}
-
-/// Pull the measuring side's results out of a finished machine: streams
-/// are measured at the receiver (node 1) — except a streamed get, whose
-/// initiator times the transfers it pulls — and every other pattern by
-/// node 0 (for a bidirectional get, node 0's initiator).
-fn extract_rounds(m: &mut Machine, transport: Transport, kind: TestKind) -> Vec<RoundResult> {
-    let node = u32::from(kind == TestKind::Stream && transport != Transport::Get);
-    match transport {
-        Transport::Put if node == 1 => take_results(m, 1, |b: &mut PtlResponder| &mut b.results),
-        Transport::Put | Transport::Get => {
-            take_results(m, node, |a: &mut PtlInitiator| &mut a.results)
-        }
-        Transport::Mpich1 | Transport::Mpich2 => {
-            take_results(m, node, |a: &mut MpiDriver| &mut a.results)
-        }
-        Transport::Rma => take_results(m, node, |a: &mut RmaDriver| &mut a.results),
-    }
 }
 
 /// Build a latency curve (Fig. 4 style).
