@@ -15,12 +15,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use xt3_telemetry::{parse_json, JsonValue};
 
 use crate::lex;
-use crate::rules::{rel_path, source_files};
 
 /// The line before the code-line block in DESIGN.md.
 pub const BEGIN: &str = "<!-- inventory:begin (generated: cargo run -p audit -- inventory) -->";
@@ -31,6 +30,49 @@ pub const FIGURES_BEGIN: &str =
     "<!-- figures:begin (generated: cargo run -p audit -- inventory) -->";
 /// The line after it.
 pub const FIGURES_END: &str = "<!-- figures:end -->";
+
+/// The repository root, resolved from this crate's manifest directory.
+/// Works both under `cargo run -p audit` and inside `#[test]`s.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every `.rs` file under `crates/`, `src/` and `tests/`, minus `target`
+/// and `vendor` (offline stand-ins for external crates, not our code),
+/// sorted.
+pub fn source_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for top in ["crates", "src", "tests"] {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            walk(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with("vendor") {
+                walk(&path, out)?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// `file` relative to `root`, with forward slashes.
+pub fn rel_path(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
 
 /// Code lines of one source file's text.
 pub fn code_lines(text: &str) -> usize {

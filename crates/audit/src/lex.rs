@@ -1,9 +1,7 @@
-//! A dependency-free Rust lexer for the lint engine.
-//!
-//! Text lines with comments and strings blanked out are good enough for
-//! identifier rules, but blind to token structure and unable to support
-//! graph rules (call edges need real identifiers). This module
-//! tokenizes Rust source well enough for static analysis:
+//! A dependency-free Rust lexer: what [`crate::inventory`] counts as code,
+//! and the token stream of the source checks clippy has no lint for
+//! (`tests/lint_gate.rs`). It tokenizes Rust source well enough for
+//! both:
 //!
 //! * nested block comments (`/* /* */ */`), line and doc comments
 //! * cooked strings with escapes (multi-line), raw strings `r#"..."#`
@@ -15,7 +13,7 @@
 //! * `#[cfg(test)]` region tracking at the token level, so test-only
 //!   code (where `unwrap` and friends are idiomatic) can be excluded
 //!
-//! It is deliberately not a parser: rules key on identifier patterns and
+//! It is deliberately not a parser: its readers key on identifiers and
 //! small token sequences that are unambiguous at this level.
 
 /// What kind of token.
@@ -43,8 +41,8 @@ pub struct Tok {
     /// The token kind.
     pub kind: TokKind,
     /// Token text. For `Str`/`Char` this is the *content-free* marker
-    /// (`""` / `''`) — rules never need literal contents, and dropping
-    /// them keeps "HashMap" inside a string from ever matching a rule.
+    /// (`""` / `''`) — no reader needs literal contents, and dropping
+    /// them keeps an identifier inside a string from ever matching.
     /// For `Punct` it is the single character; for `Ident`/`Int`/`Float`
     /// the exact source text (raw-ident prefix stripped).
     pub text: String,
@@ -56,7 +54,7 @@ pub struct Tok {
 
 /// Tokenize `src`. Unterminated literals and stray characters never
 /// panic; the lexer always makes progress and produces best-effort
-/// tokens, which is the right trade for a linter.
+/// tokens, which is the right trade for a source scan.
 pub fn lex(src: &str) -> Vec<Tok> {
     Lexer {
         chars: src.chars().collect(),

@@ -3,8 +3,8 @@
 //! string/comment content", and they must agree on every file in the
 //! tree.
 //!
-//! Agreement is checked on the identifier channel — the one the
-//! identifier rules consume. For each line of each source file, the
+//! Agreement is checked on the identifier channel — the one
+//! `lint_gate`'s token checks consume. For each line of each source file, the
 //! identifier words surviving `strip_text` must equal the
 //! `TokKind::Ident` tokens the lexer places on that line. A raw string
 //! the stripper leaks (its historical bug) or a comment the lexer
@@ -12,16 +12,16 @@
 
 mod stripper;
 
+use audit::inventory;
 use audit::lex::{self, TokKind};
-use audit::rules;
 use stripper::{strip_text, stripped_idents};
 
 #[test]
 fn stripper_and_lexer_agree_on_every_file() {
-    let root = rules::repo_root();
+    let root = inventory::repo_root();
     let mut checked = 0usize;
-    for file in rules::source_files(&root).expect("walk") {
-        let rel = rules::rel_path(&root, &file);
+    for file in inventory::source_files(&root).expect("walk") {
+        let rel = inventory::rel_path(&root, &file);
         let text = std::fs::read_to_string(&file).expect("read");
 
         let stripped = strip_text(&text);

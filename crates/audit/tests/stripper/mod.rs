@@ -7,7 +7,7 @@
 //! the two agree on the identifier stream of every line in the tree and
 //! `lexer_props.rs` on fuzzed interleavings, so a bug in either
 //! stripping strategy surfaces as a diff instead of a silent false
-//! negative. Nothing in the shipped linter calls it.
+//! negative. Nothing outside those two tests calls it.
 //!
 //! It began as the text pass of the first determinism linter, which had
 //! two stripping bugs the lexer does not: raw strings (`r#"..."#`) were

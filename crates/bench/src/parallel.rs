@@ -13,7 +13,6 @@
 //! plus a `Mutex<VecDeque>` work queue is all that is needed.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Number of workers for `len` items: one per item up to the host's
 /// available parallelism (minimum 1).
@@ -35,12 +34,19 @@ fn worker_count(len: usize) -> usize {
 /// # Panics
 ///
 /// Propagates a panic from any worker thread (the first one observed).
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a lock and threads outside sim::par, order-safe: each result lands in its item's slot"
+)]
 pub fn run_indexed<T, R, F>(items: Vec<T>, worker: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    use std::sync::Mutex;
+
     let n = items.len();
     if n == 0 {
         return Vec::new();

@@ -2,14 +2,15 @@
 //!
 //! Simulated results are pure functions of (config, seed); *how fast
 //! the host produced them* is what `perf core`, `perf parallel`, `sweep`
-//! and `campaign` report, and it is read here and nowhere else. This
-//! file is the determinism lint's single `wall-clock` exemption
-//! (`audit::rules::WALL_CLOCK_EXEMPT`): a timing can flow from here into
-//! a report, never back into a simulation.
+//! and `campaign` report, and it is read here and nowhere else. [`time`]
+//! is the one `#[expect]` of clippy's `Instant::now` ban in this crate
+//! (DESIGN §11): a timing can flow from here into a report, never back
+//! into a simulation.
 
 use std::time::Instant;
 
 /// Run `work` and return its result with the host seconds it took.
+#[expect(clippy::disallowed_methods, reason = "bench's one read of host time")]
 pub fn time<R>(work: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
     let result = work();

@@ -588,9 +588,9 @@ impl Firmware {
 
     /// Process one host command.
     ///
-    /// Event handlers return typed errors instead of panicking: the audit
-    /// layer forbids `unwrap`/`expect` on these paths (a corrupt host
-    /// command must isolate the node, not abort the simulation).
+    /// Event handlers return typed errors instead of panicking: clippy's
+    /// panic lints are denied across the crate (a corrupt host command
+    /// must isolate the node, not abort the simulation).
     pub fn handle_command(&mut self, proc: ProcIdx, cmd: FwCommand) -> Result<Effects, FwError> {
         match cmd {
             FwCommand::Transmit {

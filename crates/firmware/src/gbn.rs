@@ -14,6 +14,7 @@
 //! keeps unacknowledged messages in a window and, on NACK, rewinds and
 //! retransmits from the requested sequence. Cumulative ACKs (piggybacked
 //! by the platform on deliveries) advance the window.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::VecDeque;
 

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
 //! The SeaStar Portals firmware (paper §4).
 //!
 //! This crate reimplements the C firmware the paper describes: the data

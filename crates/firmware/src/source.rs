@@ -27,6 +27,7 @@
 //! structure allocated to it" allows. [`SourceTable::release`] closes the
 //! gap a released source leaves by shifting later entries of the probe
 //! run back, so the index never holds tombstones.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::pending::RxLink;
 use crate::pool::Pool;

@@ -41,7 +41,7 @@ proptest! {
     #[test]
     fn source_table_injective(nodes in proptest::collection::vec(0u32..1000, 1..100)) {
         let mut t = SourceTable::new(64);
-        let mut assigned: std::collections::HashMap<u32, u32> = Default::default();
+        let mut assigned: std::collections::BTreeMap<u32, u32> = Default::default();
         for node in nodes {
             match t.find_or_alloc(node) {
                 Some(id) => {

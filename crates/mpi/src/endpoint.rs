@@ -4,7 +4,7 @@
 use crate::personality::Personality;
 use crate::types::{bits, hdr, MpiError, Rank, ReqId, Tag, ANY_SOURCE};
 // Ordered collections keep request-id iteration deterministic (audit
-// lint: no HashMap/HashSet in simulation-facing crates).
+// rules: clippy bans HashMap/HashSet in the workspace).
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use xt3_node::machine::AppCtx;
 use xt3_portals::event::{Event as PtlEvent, EventKind};

@@ -41,7 +41,7 @@ use crate::personality::Personality;
 use crate::types::{MpiError, Rank};
 use crate::window::{Window, RMA_PT, WIN_BASE};
 // Ordered collections keep op/target iteration deterministic (audit
-// lint: no HashMap/HashSet in simulation-facing crates).
+// rules: clippy bans HashMap/HashSet in the workspace).
 use std::collections::{BTreeMap, VecDeque};
 use xt3_node::machine::AppCtx;
 use xt3_portals::event::{Event as PtlEvent, EventKind};

@@ -119,6 +119,7 @@ pub struct FigureData {
 impl FigureData {
     /// Render as an ASCII plot with a logarithmic X axis, mirroring the
     /// paper's figures closely enough to eyeball shapes.
+    #[expect(clippy::disallowed_methods, reason = "reporting: never in a digest")]
     pub fn render_ascii(&self, width: usize, height: usize) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -6,6 +6,8 @@
 //! firmware's "no dynamic allocation" discipline (paper §4.2) is mirrored
 //! by the fixed capacity — a limit on live values, not an allocation: the
 //! slots grow by [`fit_by_use`], as every per-node row does.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
 
 use std::collections::VecDeque;
 
@@ -83,8 +85,11 @@ impl<T> Slab<T> {
             return None;
         }
         self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
+        let reused = self.free.pop().and_then(|idx| {
+            let slot = self.slots.get_mut(idx as usize)?;
+            Some((idx, slot))
+        });
+        if let Some((idx, slot)) = reused {
             debug_assert!(slot.value.is_none());
             slot.value = Some(value);
             Some((idx, slot.generation))

@@ -64,7 +64,7 @@ macro_rules! handle_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         // Ord so handles can key deterministic ordered maps (BTreeMap):
-        // the determinism audit bans HashMap in simulation-facing crates.
+        // clippy's determinism rules ban HashMap in the workspace.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name {
             /// Slot index in the owning table.

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
 //! The SeaStar network interface model.
 //!
 //! The Cray SeaStar ASIC (paper §2, Figure 1) integrates, on one chip:

@@ -76,7 +76,9 @@ impl Ppc440 {
     /// Run `handler` with work arriving at `arrival`; returns when the
     /// handler completes (start is delayed while earlier handlers run).
     pub fn run(&mut self, cm: &CostModel, handler: FwHandler, arrival: SimTime) -> SimTime {
-        self.handler_counts[handler as usize] += 1;
+        if let Some(n) = self.handler_counts.get_mut(handler as usize) {
+            *n += 1;
+        }
         self.cursor.occupy(arrival, handler.cost(cm))
     }
 
@@ -93,7 +95,9 @@ impl Ppc440 {
         node: u32,
         sink: &mut impl TelemetrySink,
     ) -> SimTime {
-        self.handler_counts[handler as usize] += 1;
+        if let Some(n) = self.handler_counts.get_mut(handler as usize) {
+            *n += 1;
+        }
         let cost = handler.cost(cm) + extra;
         let (start, done) = self.cursor.occupy_span(arrival, cost);
         sink.span(node, Component::Ppc, handler.label(), start, done);
@@ -128,7 +132,7 @@ impl Ppc440 {
 
     /// Invocation count for a handler class.
     pub fn count(&self, handler: FwHandler) -> u64 {
-        self.handler_counts[handler as usize]
+        self.handler_counts.get(handler as usize).map_or(0, |&n| n)
     }
 
     /// When the core becomes idle.

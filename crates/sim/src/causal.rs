@@ -53,6 +53,9 @@
 //! of the node word) and hands out [`CausalRecord`] by value through the
 //! [`Records`] view. [`CausalLog::with_cap`] is the other shape: every
 //! record whole up to a cap, the rest counted as dropped.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::float_arithmetic)]
 
 use std::collections::VecDeque;
 
@@ -1665,7 +1668,11 @@ impl CausalFolder {
         let (carry, rooted) = self.carry(ordinal, rec, from, take);
         if rec.stage == CausalStage::AppDeliver && rec.parent.is_some() && rooted {
             match carry.defect.checked_sub(1) {
-                Some(d) => self.fold.defect(self.defects[d as usize]),
+                Some(d) => {
+                    if let Some(&e) = self.defects.get(d as usize) {
+                        self.fold.defect(e);
+                    }
+                }
                 None => self.fold.add(&carry.sum, self.hops.iter(carry.hops)),
             }
         }

@@ -9,6 +9,8 @@
 //! duration, and pushes the cursor forward. This captures queueing delay and
 //! contention exactly for FIFO resources without simulating them
 //! cycle-by-cycle.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
 
 use crate::time::SimTime;
 

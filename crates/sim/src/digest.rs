@@ -13,6 +13,9 @@
 //! initial state and multiplier are fixed constants: digests are stable
 //! across processes, platforms and Rust releases, so they can be recorded
 //! in tests and compared across machines.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::cast_possible_truncation, clippy::float_arithmetic)]
 
 /// Streaming FNV-1a (64-bit) over event-stream bytes.
 ///

@@ -13,6 +13,9 @@
 //! worker dispatches a disjoint subset of lanes — reproduces the serial
 //! digest exactly by merging lane vectors, without ever agreeing on a
 //! global interleaving.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::float_arithmetic)]
 
 use crate::digest::{DigestLanes, EventDigest};
 use crate::queue::EventQueue;

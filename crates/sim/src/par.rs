@@ -2,9 +2,10 @@
 //! models.
 //!
 //! This is the *only* module in the sim-facing crates allowed to spawn
-//! threads or hold synchronization primitives (the audit lint enforces
-//! that boundary). Everything here is plain-channel message passing —
-//! no locks, no atomics — so the concurrency surface stays auditable.
+//! threads or hold synchronization primitives (clippy's
+//! `disallowed_methods` holds that boundary, DESIGN §11). Everything here
+//! is plain-channel message passing — no locks, no atomics — so the
+//! concurrency surface stays auditable.
 //!
 //! # Protocol
 //!
@@ -511,6 +512,7 @@ where
         let own = block_start(1);
         let helper_of = |s: usize| s * threads / shards - 1;
 
+        #[expect(clippy::disallowed_methods, reason = "sim::par is where threads live")]
         let outcome = thread::scope(|scope| {
             let mut team: Vec<Helper<'_, M>> = (1..threads)
                 .rev()

@@ -54,6 +54,7 @@ pub struct Worker<C> {
 
 /// Start a consumer thread that applies every record pushed into the
 /// returned pipe to `state`.
+#[expect(clippy::disallowed_methods, reason = "sim::par is where threads live")]
 pub fn spawn<C: Consume>(mut state: C) -> (Pipe<C::Rec>, Worker<C>) {
     let (tx, rx) = mpsc::sync_channel::<Vec<C::Rec>>(IN_FLIGHT);
     let (back, spare) = mpsc::channel();

@@ -96,6 +96,9 @@
 //! by `(time, key, seq)`, so ordering is exact no matter how pushes
 //! interleave — including scheduling "in the past", which the engine (not
 //! the queue) rejects.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::cast_possible_truncation, clippy::float_arithmetic)]
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -279,7 +282,8 @@ impl<E> EventQueue<E> {
     /// which cost the contended torus 5 % (DESIGN.md §8).
     #[inline(always)]
     fn push_rung(&mut self, e: Entry<E>) {
-        let i = (e.at.0.saturating_sub(self.base) >> self.shift) as usize;
+        let slice = e.at.0.saturating_sub(self.base) >> self.shift;
+        let i = usize::try_from(slice).unwrap_or(usize::MAX);
         let last = self.rungs.len().saturating_sub(1);
         match self.rungs.get_mut(i.min(last)) {
             Some(rung) => {

@@ -61,6 +61,7 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
+    #[expect(clippy::disallowed_methods, reason = "reporting: never in a digest")]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }

@@ -5,6 +5,9 @@
 //! 2.5 GB/s?") stay exact enough without floating-point tie-breaking
 //! problems in the event queue. A `u64` of picoseconds spans ~213 days of
 //! simulated time, far beyond any benchmark in this repository.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::cast_possible_truncation)]
 
 use core::fmt;
 use core::iter::Sum;
@@ -64,6 +67,10 @@ impl SimTime {
     /// Fractional nanoseconds are rounded to the nearest picosecond. Useful
     /// when deriving costs from clock frequencies.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "round() took the fraction, and `as` saturates; ns is finite and non-negative (debug-asserted)"
+    )]
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0 && ns.is_finite(), "invalid duration: {ns}");
         SimTime((ns * 1_000.0).round() as u64)
@@ -173,6 +180,7 @@ impl AddAssign for SimTime {
 impl Sub for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(clippy::panic, reason = "time runs forward: an underflow is a bug")]
     fn sub(self, rhs: SimTime) -> SimTime {
         match self.checked_sub(rhs) {
             Some(v) => v,
@@ -274,6 +282,10 @@ impl Bandwidth {
     /// Time to transfer `bytes` at this rate, rounded up to the next
     /// picosecond (a transfer never finishes early).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ceil() took the fraction; a transfer past u64::MAX ps (~213 days) saturates"
+    )]
     pub fn transfer_time(self, bytes: u64) -> SimTime {
         if bytes == 0 {
             return SimTime::ZERO;

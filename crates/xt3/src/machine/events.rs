@@ -29,6 +29,11 @@ pub struct InFlight {
 /// keeps the box itself. Whatever ends the message — a refusal at the
 /// header, a match that found nothing, a finished receive — hands the
 /// box back (`Machine::recycle`).
+///
+/// The states share one type so that landing rewrites the block in
+/// place: a box per state would cost a second allocation per message.
+/// So a read in the wrong state is a panic, and the invariant that rules
+/// it out is the `#[expect]` on the accessors.
 #[derive(Debug)]
 pub struct Parcel(Cargo);
 
@@ -39,6 +44,10 @@ enum Cargo {
     Landed(RxRecord),
 }
 
+#[expect(
+    clippy::panic,
+    reason = "a box is in flight while a NetHeader event holds it, and landed once an RX row does"
+)]
 impl Parcel {
     /// A new box carrying `inflight`.
     pub(crate) fn boxed(inflight: InFlight) -> Box<Parcel> {

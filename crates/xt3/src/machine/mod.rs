@@ -40,6 +40,7 @@
 //! [`FwMode`]; the four places the two differ — API-entry cost, the
 //! poll-path trap, `FwEffect::PostEvent` and `FwEffect::MatchOnNic` — are
 //! each a one-line hand-off into `generic` or `accel` (DESIGN.md §4c).
+#![deny(clippy::panic)]
 
 mod accel;
 mod appctx;

@@ -6,8 +6,8 @@ use crate::host::HostCpu;
 use crate::machine::Parcel;
 use crate::wire::WireMsg;
 // BTreeMap/BTreeSet, not HashMap/HashSet: iteration order must be
-// deterministic for bit-identical replay (enforced by `cargo run -p
-// audit -- lint`).
+// deterministic for bit-identical replay (clippy's `disallowed_types`,
+// DESIGN §11).
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use xt3_firmware::control::{Firmware, FwError, FwLayout, FwMode, ProcIdx};
 use xt3_firmware::gbn::{GbnReceiver, GbnSender};

@@ -16,7 +16,7 @@ use portals_xt3::topology::coord::Dims;
 use portals_xt3::xt3::config::{MachineConfig, NodeSpec, OsKind, ProcSpec};
 use portals_xt3::xt3::{App, AppCtx, AppEvent, Machine};
 use std::any::Any;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 const ITERATIONS: u32 = 4;
 const FACE_BYTES: u64 = 64 * 1024; // one face of a 64^3 f64 cube is 32 KB; use 64 KB
@@ -29,7 +29,7 @@ struct HaloRank {
     n: u32,
     ep: Option<MpiEndpoint>,
     iter: u32,
-    pending: HashSet<ReqId>,
+    pending: BTreeSet<ReqId>,
     reduce: Option<AllReduce>,
     phase: Phase,
     /// Final reduced value per iteration (all ranks must agree).
@@ -168,7 +168,7 @@ fn main() {
                 n: 8,
                 ep: None,
                 iter: 0,
-                pending: HashSet::new(),
+                pending: BTreeSet::new(),
                 reduce: None,
                 phase: Phase::Exchange,
                 reduced: Vec::new(),

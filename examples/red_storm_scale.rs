@@ -86,6 +86,10 @@ fn main() {
     );
     let m = red_storm_machine(dims, rounds, MSG);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall time per window is this example's report; the run never reads it"
+    )]
     let start = std::time::Instant::now();
     let (m, sim_time, events, windows) = if workers > 1 {
         let run = run_parallel(m, workers);
